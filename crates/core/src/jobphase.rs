@@ -11,7 +11,6 @@
 use crate::scope::TaskScope;
 use crate::task::{Dir, EdgeCtx, EdgeTask, NodeCtx, NodeTask, ReadDoneCtx};
 use pgxd_runtime::chunk::ChunkQueue;
-use pgxd_runtime::message::MsgKind;
 use pgxd_runtime::phase::{JobState, Phase, WorkerEnv};
 use pgxd_runtime::props::{PropId, ReduceOp};
 use std::sync::Arc;
@@ -38,44 +37,29 @@ fn drain_responses<F: Fn(&mut ReadDoneCtx<'_, '_>)>(
     let mut worked = false;
     while let Some(resp) = scope.comm.try_pop_response() {
         worked = true;
-        match resp.env.kind {
-            MsgKind::ReadResp => {
-                for i in 0..resp.recs.len() {
-                    let rec = resp.recs[i];
-                    // `read_value` maps the record through the combining
-                    // entry-index table (identity when combining is off).
-                    let bits = resp.read_value(i);
-                    let mut ctx = ReadDoneCtx {
-                        scope,
-                        node: rec.node as usize,
-                        aux: rec.aux,
-                        bits,
-                    };
-                    read_done(&mut ctx);
-                }
-            }
-            MsgKind::RmiResp => {
-                for (bytes, rec) in
-                    pgxd_runtime::message::rmi_resp_entries(&resp.env.payload).zip(resp.recs.iter())
-                {
-                    let mut first = [0u8; 8];
-                    let n = bytes.len().min(8);
-                    first[..n].copy_from_slice(&bytes[..n]);
-                    let mut ctx = ReadDoneCtx {
-                        scope,
-                        node: rec.node as usize,
-                        aux: rec.aux,
-                        bits: u64::from_le_bytes(first),
-                    };
-                    read_done(&mut ctx);
-                }
-            }
-            _ => unreachable!("worker queues carry only responses"),
+        for (rec, bits) in resp.values() {
+            let mut ctx = ReadDoneCtx {
+                scope,
+                node: rec.node as usize,
+                aux: rec.aux,
+                bits,
+            };
+            read_done(&mut ctx);
         }
-        scope.comm.finish_response(resp);
+        // Local continuations first: whatever they buffer is published by
+        // the same step that retires this response's entries.
         drain_local(scope, read_done);
+        scope.comm.finish_response(resp);
     }
     worked
+}
+
+/// Retires one executed chunk. The entries it buffered are published
+/// first: the chunk may be the phase's last work unit, and completion is
+/// read off `pending` as soon as none is outstanding.
+fn retire_chunk(scope: &mut TaskScope<'_>, job: &JobState) {
+    scope.comm.publish_pending();
+    job.retire();
 }
 
 /// Flush + drain until the phase is globally complete, then merge
@@ -171,7 +155,7 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
                 }
                 drain_local(&mut scope, &read_done);
             }
-            self.job.retire();
+            retire_chunk(&mut scope, &self.job);
             drain_responses(&mut scope, &read_done);
         }
         machine.telemetry.record_chunk_claims(claims);
@@ -224,7 +208,7 @@ impl<T: NodeTask> Phase for NodeJobPhase<T> {
                     drain_local(&mut scope, &read_done);
                 }
             }
-            self.job.retire();
+            retire_chunk(&mut scope, &self.job);
             drain_responses(&mut scope, &read_done);
         }
         machine.telemetry.record_chunk_claims(claims);

@@ -29,8 +29,11 @@ struct PrivGhost {
 pub(crate) struct TaskScope<'a> {
     pub machine: &'a Arc<MachineState>,
     pub comm: &'a mut WorkerComm,
-    /// Lazily resolved property columns, indexed by prop id.
-    cols: Vec<Option<Arc<Column>>>,
+    /// The columns this phase has touched, in first-touch order. A job
+    /// names a handful of properties, so a scan of their ids resolves a
+    /// column without the registry — and the cache never grows with how
+    /// many ids the engine has issued over its lifetime.
+    cols: Vec<(PropId, Arc<Column>)>,
     /// Thread-private ghost copies (empty when privatization is off or the
     /// job reduces nothing).
     privs: Vec<PrivGhost>,
@@ -80,17 +83,29 @@ impl<'a> TaskScope<'a> {
         }
     }
 
-    /// Resolves (and caches) a property column.
-    #[inline]
-    pub fn col(&mut self, p: PropId) -> &Arc<Column> {
-        let idx = p.0 as usize;
-        if self.cols.len() <= idx {
-            self.cols.resize_with(idx + 1, || None);
-        }
-        if self.cols[idx].is_none() {
-            self.cols[idx] = Some(self.machine.props.column(p));
-        }
-        self.cols[idx].as_ref().unwrap()
+    /// The column of property `p`: a scan of the phase's few cached ids,
+    /// falling back to the registry on the first touch only.
+    #[inline(always)]
+    pub fn col(&mut self, p: PropId) -> &Column {
+        let slot = match self.cols.iter().position(|(id, _)| *id == p) {
+            Some(slot) => slot,
+            None => self.resolve(p),
+        };
+        &self.cols[slot].1
+    }
+
+    /// First touch of `p` in this phase: one registry lookup, then cached.
+    #[cold]
+    #[inline(never)]
+    fn resolve(&mut self, p: PropId) -> usize {
+        self.cols.push((p, self.machine.props.column(p)));
+        self.cols.len() - 1
+    }
+
+    /// Number of columns the phase has cached.
+    #[cfg(test)]
+    pub(crate) fn cached_cols(&self) -> usize {
+        self.cols.len()
     }
 
     /// Plain load of a local column index.
@@ -107,6 +122,7 @@ impl<'a> TaskScope<'a> {
 
     /// Applies a write-reduction against an encoded target: the §3.3 /
     /// §3.4 dispatch (ghost-private / local-atomic / buffered-remote).
+    #[inline]
     pub fn reduce_target(&mut self, target: EncTarget, p: PropId, op: ReduceOp, bits: u64) {
         if target.is_remote() {
             let gid = target.global_id();
@@ -128,15 +144,22 @@ impl<'a> TaskScope<'a> {
 
     /// Issues a read against an encoded target; local targets are answered
     /// immediately into `local_reads`, remote ones are buffered.
+    #[inline]
     pub fn read_target(&mut self, rec: SideRec, target: EncTarget, p: PropId) {
         if target.is_remote() {
             let gid = target.global_id();
             self.comm.push_read(gid.machine(), p, gid.offset(), rec);
         } else {
-            self.stat_local_reads += 1;
-            let bits = self.col(p).load_bits(target.local_index());
-            self.local_reads.push((rec, bits));
+            self.read_local(rec, p, target.local_index());
         }
+    }
+
+    /// Answers a read of local column index `index` into `local_reads`.
+    #[inline]
+    fn read_local(&mut self, rec: SideRec, p: PropId, index: usize) {
+        self.stat_local_reads += 1;
+        let bits = self.col(p).load_bits(index);
+        self.local_reads.push((rec, bits));
     }
 
     /// Reduces a value into an arbitrary vertex by *global* id, local or
@@ -150,6 +173,19 @@ impl<'a> TaskScope<'a> {
             self.col(p).reduce_bits_atomic(offset as usize, op, bits);
         } else {
             self.comm.push_mut(owner, p, op, offset, bits);
+        }
+    }
+
+    /// Issues a read of an arbitrary vertex by *global* id, local or not —
+    /// the step a continuation chains onto a response.
+    pub fn read_global(&mut self, rec: SideRec, v: pgxd_graph::NodeId, p: PropId) {
+        let part = &self.machine.partition;
+        let owner: MachineId = part.owner(v);
+        let offset = v - part.start(owner);
+        if owner == self.machine.id {
+            self.read_local(rec, p, offset as usize);
+        } else {
+            self.comm.push_read(owner, p, offset, rec);
         }
     }
 
@@ -178,12 +214,64 @@ impl<'a> TaskScope<'a> {
         let num_local = self.machine.graph.num_local();
         let privs = std::mem::take(&mut self.privs);
         for pg in &privs {
-            let col = self.col(pg.prop).clone();
+            let col = self.col(pg.prop);
             for (ord, &bits) in pg.vals.iter().enumerate() {
                 if bits != pg.bottom {
                     col.reduce_bits_atomic(num_local + ord, pg.op, bits);
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{Engine, JobSpec, NodeCtx, NodeTask, Prop};
+    use pgxd_graph::generate;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
+
+    /// Copies `src` to `dst` and records the largest column cache any
+    /// worker's scope reached.
+    struct Copy {
+        src: Prop<i64>,
+        dst: Prop<i64>,
+        max_cached: Arc<AtomicUsize>,
+    }
+    impl NodeTask for Copy {
+        fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
+            let v = ctx.get(self.src);
+            ctx.set(self.dst, v);
+            self.max_cached
+                .fetch_max(ctx.scope.cached_cols(), Ordering::Relaxed);
+        }
+    }
+
+    /// Property ids are never reused, so a long-lived engine issues large
+    /// ones; a phase's set-up and cache must follow the properties the job
+    /// touches, not the magnitude of their ids.
+    #[test]
+    fn scope_cache_is_sized_by_live_props_not_id_magnitude() {
+        let g = generate::ring(16);
+        let mut e = Engine::builder().machines(2).build(&g).unwrap();
+        for _ in 0..5000 {
+            let p = e.add_prop("scratch", 0i64);
+            e.drop_prop(p);
+        }
+        let src = e.add_prop("src", 7i64);
+        let dst = e.add_prop("dst", 0i64);
+        assert!(dst.id().0 >= 5000);
+        let max_cached = Arc::new(AtomicUsize::new(0));
+        e.try_run_node_job(
+            &JobSpec::new(),
+            Copy {
+                src,
+                dst,
+                max_cached: max_cached.clone(),
+            },
+        )
+        .unwrap();
+        assert_eq!(e.gather::<i64>(dst), vec![7i64; 16]);
+        assert_eq!(max_cached.load(Ordering::Relaxed), 2);
     }
 }

@@ -307,4 +307,17 @@ impl ReadDoneCtx<'_, '_> {
     pub fn reduce_global<T: PropValue>(&mut self, v: NodeId, p: Prop<T>, op: ReduceOp, val: T) {
         self.scope.reduce_global(v, p.id, op, val.to_bits());
     }
+
+    /// `read_remote` of an arbitrary vertex by global id, continuing in
+    /// another `read_done` on the same originating vertex with tag `aux` —
+    /// the next step of a state-machine task that continues more than once
+    /// (§4.1.2).
+    #[inline]
+    pub fn read_global<T: PropValue>(&mut self, v: NodeId, p: Prop<T>, aux: u64) {
+        let rec = SideRec {
+            node: self.node as u32,
+            aux,
+        };
+        self.scope.read_global(rec, v, p.id);
+    }
 }

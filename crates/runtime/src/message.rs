@@ -306,17 +306,29 @@ pub fn push_rmi_resp_entry(buf: &mut Vec<u8>, bytes: &[u8]) {
 }
 
 /// Iterates RMI response entries.
-pub fn rmi_resp_entries(payload: &[u8]) -> impl Iterator<Item = &[u8]> + '_ {
-    let mut o = 0usize;
-    std::iter::from_fn(move || {
-        if o + 2 > payload.len() {
+pub fn rmi_resp_entries(payload: &[u8]) -> RmiRespEntries<'_> {
+    RmiRespEntries { rest: payload }
+}
+
+/// The iterator [`rmi_resp_entries`] returns (named so it can sit inside
+/// other iterator types).
+#[derive(Clone, Debug)]
+pub struct RmiRespEntries<'a> {
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for RmiRespEntries<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.rest.len() < 2 {
             return None;
         }
-        let len = u16::from_le_bytes([payload[o], payload[o + 1]]) as usize;
-        let bytes = &payload[o + 2..o + 2 + len];
-        o += 2 + len;
+        let len = u16::from_le_bytes([self.rest[0], self.rest[1]]) as usize;
+        let (bytes, rest) = self.rest[2..].split_at(len);
+        self.rest = rest;
         Some(bytes)
-    })
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -130,6 +130,11 @@ impl JobState {
     }
 
     /// Retires one work unit (a finished chunk / a finished producer).
+    ///
+    /// Publish before retire: every entry the unit buffered must already
+    /// be counted in `pending` — `WorkerComm::flush` or
+    /// `WorkerComm::publish_pending` first — or another worker could see
+    /// the last unit gone and `pending` at zero with requests still unsent.
     #[inline]
     pub fn retire(&self) {
         let prev = self.outstanding.fetch_sub(1, Ordering::AcqRel);
@@ -222,10 +227,10 @@ where
 }
 
 /// Processes all currently queued responses; returns whether any work was
-/// done. `on_value` receives each read-response value with its side
-/// record; RMI responses surface with the raw response bytes re-encoded as
-/// their first 8 bytes (full payload access is available to main phases
-/// that pop responses themselves).
+/// done. `on_value` receives each response value with its side record (see
+/// [`Response::values`]: an RMI reply surfaces as its first 8 bytes).
+///
+/// [`Response::values`]: crate::worker::Response::values
 pub fn drain_once<F>(env: &mut WorkerEnv<'_>, on_value: &mut F) -> bool
 where
     F: FnMut(&mut WorkerEnv<'_>, SideRec, u64),
@@ -233,25 +238,8 @@ where
     let mut worked = false;
     while let Some(resp) = env.comm.try_pop_response() {
         worked = true;
-        match resp.env.kind {
-            MsgKind::ReadResp => {
-                for i in 0..resp.recs.len() {
-                    // `read_value` maps the record through the combining
-                    // entry-index table (identity when combining is off).
-                    on_value(env, resp.recs[i], resp.read_value(i));
-                }
-            }
-            MsgKind::RmiResp => {
-                for (bytes, rec) in
-                    crate::message::rmi_resp_entries(&resp.env.payload).zip(resp.recs.iter())
-                {
-                    let mut first = [0u8; 8];
-                    let n = bytes.len().min(8);
-                    first[..n].copy_from_slice(&bytes[..n]);
-                    on_value(env, *rec, u64::from_le_bytes(first));
-                }
-            }
-            _ => unreachable!("worker queues only receive responses"),
+        for (rec, bits) in resp.values() {
+            on_value(env, rec, bits);
         }
         env.comm.finish_response(resp);
     }

@@ -1,8 +1,10 @@
 //! Distributed termination detection for multi-process clusters.
 //!
 //! The in-process cluster detects phase completion with one shared atomic:
-//! every buffered entry increments `pending` at push time and decrements it
-//! at consumption time, and §3.2's rule — "a job completes when the task
+//! every buffered entry is added to `pending` before its buffer is sealed
+//! or its work unit retired (workers publish in batches, see
+//! `WorkerComm::publish_pending`) and subtracted at consumption time, and
+//! §3.2's rule — "a job completes when the task
 //! list is empty and there are no unfinished remote requests" — reduces to
 //! `outstanding == 0 && pending == 0`. Real processes cannot share that
 //! counter, so the TCP backend runs a four-counter wave protocol instead
@@ -10,7 +12,7 @@
 //!
 //! * every machine keeps **monotonic** counters `inc` (entries produced)
 //!   and `dec` (entries consumed), mirroring exactly the sites that
-//!   update `pending`;
+//!   update `pending`, batches included;
 //! * each poller tick sends a [`TermStat`] report to the coordinator
 //!   (machine 0) carrying `{token, stat_seq, inc, dec, done}` where
 //!   `token` is the current phase epoch and `done` means the local task

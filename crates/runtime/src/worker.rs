@@ -20,15 +20,15 @@ use crate::flow::FlushController;
 use crate::health::{ClusterHealth, JobError};
 use crate::ids::MachineId;
 use crate::message::{
-    mut_entry_count, push_ack_entry, push_mut_entry, push_read_entry, push_rmi_entry, Envelope,
-    MsgKind, ACK_ENTRY_BYTES, MUT_ENTRY_BYTES, READ_ENTRY_BYTES,
+    mut_entry_count, push_ack_entry, push_mut_entry, push_read_entry, push_rmi_entry,
+    rmi_resp_entries, Envelope, MsgKind, RmiRespEntries, ACK_ENTRY_BYTES, MUT_ENTRY_BYTES,
+    READ_ENTRY_BYTES, RESP_ENTRY_BYTES,
 };
 use crate::props::{PropId, ReduceOp};
 use crate::reliable::DedupWindow;
 use crate::stats::MachineStats;
 use crate::telemetry::{EventKind, Telemetry};
 use crossbeam::channel::{Receiver, Sender};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
@@ -166,12 +166,179 @@ impl Response {
     pub fn read_value(&self, i: usize) -> u64 {
         crate::message::resp_entry(&self.env.payload, self.entry_index(i))
     }
+
+    /// Every continuation record with the value it continues on, in
+    /// request order — the one fan-out both drain loops run. A read
+    /// response yields the record's wire value; an RMI response yields the
+    /// first 8 bytes of the record's reply (zero-padded).
+    pub fn values(&self) -> ResponseValues<'_> {
+        let payload = &self.env.payload[..];
+        ResponseValues(match self.env.kind {
+            MsgKind::ReadResp if self.entry_idx.is_empty() => {
+                // `zip` would silently drop the continuations of a short
+                // response; fail as loudly as an indexed read would.
+                assert!(
+                    payload.len() >= self.recs.len() * RESP_ENTRY_BYTES,
+                    "read response carries fewer values than requests"
+                );
+                Values::Direct(self.recs.iter().zip(payload.chunks_exact(RESP_ENTRY_BYTES)))
+            }
+            MsgKind::ReadResp => Values::Combined {
+                recs: self.recs.iter().zip(self.entry_idx.iter()),
+                payload,
+            },
+            MsgKind::RmiResp => Values::Rmi(self.recs.iter().zip(rmi_resp_entries(payload))),
+            kind => unreachable!("worker queues carry only responses, got {kind:?}"),
+        })
+    }
+}
+
+/// Iterator behind [`Response::values`].
+pub struct ResponseValues<'a>(Values<'a>);
+
+/// The shape of a response — one value per record, values shared through
+/// the combining index, or RMI replies — decided once per response, not
+/// per record.
+enum Values<'a> {
+    /// Record `i` continues on wire entry `i`.
+    Direct(std::iter::Zip<std::slice::Iter<'a, SideRec>, std::slice::ChunksExact<'a, u8>>),
+    /// Record `i` continues on the wire entry its combining index names.
+    Combined {
+        recs: std::iter::Zip<std::slice::Iter<'a, SideRec>, std::slice::Iter<'a, u32>>,
+        payload: &'a [u8],
+    },
+    /// Record `i` continues on RMI reply `i`.
+    Rmi(std::iter::Zip<std::slice::Iter<'a, SideRec>, RmiRespEntries<'a>>),
+}
+
+impl Iterator for ResponseValues<'_> {
+    type Item = (SideRec, u64);
+
+    #[inline]
+    fn next(&mut self) -> Option<(SideRec, u64)> {
+        match &mut self.0 {
+            Values::Direct(it) => {
+                let (rec, bytes) = it.next()?;
+                let bytes = bytes.try_into().expect("chunks_exact yields 8 bytes");
+                Some((*rec, u64::from_le_bytes(bytes)))
+            }
+            Values::Combined { recs, payload } => {
+                let (rec, &entry) = recs.next()?;
+                Some((*rec, crate::message::resp_entry(payload, entry as usize)))
+            }
+            Values::Rmi(it) => {
+                let (rec, bytes) = it.next()?;
+                let mut first = [0u8; 8];
+                let n = bytes.len().min(8);
+                first[..n].copy_from_slice(&bytes[..n]);
+                Some((*rec, u64::from_le_bytes(first)))
+            }
+        }
+    }
 }
 
 /// An open per-destination read buffer: wire payload, the continuation
 /// records awaiting its responses, and the wire-entry index each record
 /// fans out from (empty = identity mapping, i.e. no combining hits).
 type ReadBuffer = (Vec<u8>, Vec<SideRec>, Vec<u32>);
+
+/// Exact combining table over one destination's *unsealed* read buffer:
+/// `(property, vertex) → wire entry index`.
+///
+/// Open addressing with linear probing on a multiplicative hash. A slot is
+/// live only while its stamp equals the table's generation, so
+/// [`CombineTable::reset`] empties the table in O(1) at every seal. Nothing
+/// is ever evicted: the table doubles before it is half full, and a buffer
+/// holds at most `buffer_bytes / READ_ENTRY_BYTES` distinct keys, which
+/// bounds its size. Storage is allocated on the first insert, so a
+/// destination that is never read from costs nothing.
+#[derive(Debug)]
+struct CombineTable {
+    /// Power-of-two length (or empty before the first insert).
+    slots: Vec<CombineSlot>,
+    /// Current generation; never 0, the stamp of a never-written slot.
+    generation: u32,
+    /// Keys inserted in the current generation.
+    live: usize,
+}
+
+#[derive(Clone, Copy, Debug, Default)]
+struct CombineSlot {
+    key: u64,
+    entry: u32,
+    stamp: u32,
+}
+
+impl CombineTable {
+    const MIN_SLOTS: usize = 64;
+
+    fn new() -> Self {
+        CombineTable {
+            slots: Vec::new(),
+            generation: 1,
+            live: 0,
+        }
+    }
+
+    /// Home slot of `key` in a table of `len` (a power of two ≥ 2) slots:
+    /// the top bits of a Fibonacci-hash product.
+    #[inline]
+    fn home(key: u64, len: usize) -> usize {
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - len.trailing_zeros())) as usize
+    }
+
+    /// The wire entry already carrying `key` in this generation; otherwise
+    /// records `entry` for it and returns `None`.
+    #[inline]
+    fn get_or_insert(&mut self, key: u64, entry: u32) -> Option<u32> {
+        if self.live * 2 >= self.slots.len() {
+            self.grow();
+        }
+        let mask = self.slots.len() - 1;
+        let mut i = Self::home(key, self.slots.len());
+        loop {
+            let slot = &mut self.slots[i];
+            if slot.stamp != self.generation {
+                *slot = CombineSlot {
+                    key,
+                    entry,
+                    stamp: self.generation,
+                };
+                self.live += 1;
+                return None;
+            }
+            if slot.key == key {
+                return Some(slot.entry);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Doubles the table, re-inserting the current generation's keys.
+    #[cold]
+    fn grow(&mut self) {
+        let len = (self.slots.len() * 2).max(Self::MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![CombineSlot::default(); len]);
+        // A quarter full at most after the move, so no nested growth.
+        self.live = 0;
+        let generation = self.generation;
+        for slot in old.iter().filter(|s| s.stamp == generation) {
+            self.get_or_insert(slot.key, slot.entry);
+        }
+    }
+
+    /// Forgets every key. O(1) except once per 2³² resets, when the stamps
+    /// are wiped so a slot written 2³² generations ago cannot read as live.
+    #[inline]
+    fn reset(&mut self) {
+        self.live = 0;
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            self.slots.iter_mut().for_each(|s| s.stamp = 0);
+            self.generation = 1;
+        }
+    }
+}
 
 /// Per-worker communication endpoint.
 pub struct WorkerComm {
@@ -187,10 +354,10 @@ pub struct WorkerComm {
     pool_shard: usize,
     read_payloads: Vec<Option<ReadBuffer>>,
     /// Per-destination combining table over the *current unsealed* read
-    /// buffer: `(property, vertex) → wire entry index`. Cleared at seal, so
-    /// combined records always share one request message and therefore see
-    /// the same copier-read instant (bit-identical to combining off).
-    combine: Vec<HashMap<u64, u32>>,
+    /// buffer. Reset at seal, so combined records always share one request
+    /// message and therefore see the same copier-read instant
+    /// (bit-identical to combining off).
+    combine: Vec<CombineTable>,
     mut_payloads: Vec<Option<Vec<u8>>>,
     mut_kind: MsgKind,
     rmi_payloads: Vec<Option<(Vec<u8>, Vec<SideRec>)>>,
@@ -199,13 +366,17 @@ pub struct WorkerComm {
     outbox: Sender<Envelope>,
     pool: Arc<BufferPool>,
     pending: Arc<AtomicI64>,
+    /// Entries buffered since the last publish, not yet counted in
+    /// `pending`: the per-entry path touches no shared cache line. Every
+    /// one of them sits in an unsealed buffer — see
+    /// [`WorkerComm::publish_pending`] for where the count is published.
+    unpublished: i64,
     telemetry: Arc<Telemetry>,
     stats: Arc<MachineStats>,
     health: Arc<ClusterHealth>,
     /// Distributed-termination counters, attached (via
     /// [`WorkerComm::attach_term`]) only on multi-process clusters; every
-    /// `pending` update below is mirrored into it at the same entry
-    /// granularity.
+    /// `pending` update below is mirrored into it with the same counts.
     term: Option<Arc<crate::term::TermState>>,
     /// Whether the reliability protocol is on: responses are then acked
     /// and dedup-filtered before their continuations run.
@@ -256,7 +427,7 @@ impl WorkerComm {
             flush: tuning.flush,
             pool_shard: tuning.pool_shard,
             read_payloads: (0..num_machines).map(|_| None).collect(),
-            combine: (0..num_machines).map(|_| HashMap::new()).collect(),
+            combine: (0..num_machines).map(|_| CombineTable::new()).collect(),
             mut_payloads: (0..num_machines).map(|_| None).collect(),
             mut_kind: MsgKind::Write,
             rmi_payloads: (0..num_machines).map(|_| None).collect(),
@@ -265,6 +436,7 @@ impl WorkerComm {
             outbox,
             pool,
             pending,
+            unpublished: 0,
             telemetry,
             stats,
             health,
@@ -327,10 +499,7 @@ impl WorkerComm {
     /// out to every logged record. Flushes automatically when the buffer
     /// reaches the effective flush threshold.
     pub fn push_read(&mut self, dst: MachineId, prop: PropId, offset: u32, rec: SideRec) {
-        self.pending.fetch_add(1, Ordering::AcqRel);
-        if let Some(t) = &self.term {
-            t.add_inc(1);
-        }
+        self.unpublished += 1;
         let slot = dst as usize;
         if self.read_payloads[slot].is_none() {
             let buf = self.pool.acquire_or_alloc_on(self.pool_shard);
@@ -343,18 +512,13 @@ impl WorkerComm {
             if self.read_combining {
                 let entry = (buf.len() / READ_ENTRY_BYTES) as u32;
                 let key = ((prop.0 as u64) << 32) | offset as u64;
-                match self.combine[slot].entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        // Hit: the value is already on the wire; no new
-                        // entry, no capacity check needed.
-                        recs.push(rec);
-                        idx.push(*e.get());
-                        self.stat_combined += 1;
-                        return;
-                    }
-                    std::collections::hash_map::Entry::Vacant(v) => {
-                        v.insert(entry);
-                    }
+                if let Some(hit) = self.combine[slot].get_or_insert(key, entry) {
+                    // The value is already on the wire; no new entry, no
+                    // capacity check needed.
+                    recs.push(rec);
+                    idx.push(hit);
+                    self.stat_combined += 1;
+                    return;
                 }
                 idx.push(entry);
             }
@@ -371,10 +535,7 @@ impl WorkerComm {
 
     /// Buffers a remote mutation (write reduction / ghost sync entry).
     pub fn push_mut(&mut self, dst: MachineId, prop: PropId, op: ReduceOp, offset: u32, bits: u64) {
-        self.pending.fetch_add(1, Ordering::AcqRel);
-        if let Some(t) = &self.term {
-            t.add_inc(1);
-        }
+        self.unpublished += 1;
         match self.mut_kind {
             MsgKind::Write => self.stat_writes += 1,
             _ => self.stat_ghosts += 1,
@@ -397,10 +558,7 @@ impl WorkerComm {
     /// Buffers a remote method invocation; the response will surface as an
     /// `RmiResp` [`Response`] whose records carry `rec`.
     pub fn push_rmi(&mut self, dst: MachineId, fn_id: u16, args: &[u8], rec: SideRec) {
-        self.pending.fetch_add(1, Ordering::AcqRel);
-        if let Some(t) = &self.term {
-            t.add_inc(1);
-        }
+        self.unpublished += 1;
         self.stat_rmis += 1;
         let slot = dst as usize;
         if self.rmi_payloads[slot].is_none() {
@@ -473,11 +631,40 @@ impl WorkerComm {
         }
     }
 
+    /// Adds the entries buffered since the last publish to the
+    /// cluster-global `pending` counter (and the termination wave's `inc`).
+    ///
+    /// The §3.2 completion rule reads `pending` once no work unit is
+    /// outstanding, so an entry must be published no later than the step
+    /// that could otherwise let [`JobState::is_complete`] observe zero:
+    ///
+    /// * before its buffer is sealed — the consumer's decrement must never
+    ///   precede the increment (every seal publishes, so does [`flush`]);
+    /// * before the work unit that buffered it is retired — a phase that
+    ///   retires without flushing calls this first;
+    /// * before the decrement that retires the response whose continuation
+    ///   buffered it ([`finish_response`] publishes, then subtracts).
+    ///
+    /// [`JobState::is_complete`]: crate::phase::JobState::is_complete
+    /// [`flush`]: WorkerComm::flush
+    /// [`finish_response`]: WorkerComm::finish_response
+    #[inline]
+    pub fn publish_pending(&mut self) {
+        if self.unpublished != 0 {
+            self.pending.fetch_add(self.unpublished, Ordering::AcqRel);
+            if let Some(t) = &self.term {
+                t.add_inc(self.unpublished as u64);
+            }
+            self.unpublished = 0;
+        }
+    }
+
     fn seal_read(&mut self, dst: MachineId) {
         if let Some((payload, recs, entry_idx)) = self.read_payloads[dst as usize].take() {
             if self.read_combining {
-                self.combine[dst as usize].clear();
+                self.combine[dst as usize].reset();
             }
+            self.publish_pending();
             let side_id = self.slab.insert(SideEntry { recs, entry_idx });
             self.note_seal(dst, payload.len(), Some(side_id), READ_ENTRY_BYTES);
             let _ = self.outbox.send(Envelope {
@@ -494,6 +681,7 @@ impl WorkerComm {
 
     fn seal_mut(&mut self, dst: MachineId) {
         if let Some(payload) = self.mut_payloads[dst as usize].take() {
+            self.publish_pending();
             self.note_seal(dst, payload.len(), None, MUT_ENTRY_BYTES);
             let _ = self.outbox.send(Envelope {
                 src: self.machine,
@@ -509,6 +697,7 @@ impl WorkerComm {
 
     fn seal_rmi(&mut self, dst: MachineId) {
         if let Some((payload, recs)) = self.rmi_payloads[dst as usize].take() {
+            self.publish_pending();
             let side_id = self.slab.insert(SideEntry {
                 recs,
                 entry_idx: Vec::new(),
@@ -528,12 +717,18 @@ impl WorkerComm {
 
     /// Seals and sends every non-empty buffer ("when the worker thread has
     /// completed all tasks, the message is sent to the remote machine").
+    /// Afterwards every entry this worker buffered is counted in `pending`,
+    /// so `push_*` → `flush()` → retire is a complete phase protocol.
     pub fn flush(&mut self) {
         for dst in 0..self.read_payloads.len() as MachineId {
             self.seal_read(dst);
             self.seal_mut(dst);
             self.seal_rmi(dst);
         }
+        debug_assert_eq!(
+            self.unpublished, 0,
+            "an unpublished entry outlived its buffer"
+        );
         if self.telemetry.enabled() {
             let exhausted = self.pool.exhausted_events();
             if exhausted > self.last_exhausted {
@@ -655,8 +850,11 @@ impl WorkerComm {
 
     /// Returns a processed response's resources to the pools and retires
     /// its `pending` entries. Must be called exactly once per popped
-    /// [`Response`], after the continuations have run.
+    /// [`Response`], after the continuations have run. Entries those
+    /// continuations buffered are published first, so `pending` cannot
+    /// touch zero between a response and the requests it chained.
     pub fn finish_response(&mut self, resp: Response) {
+        self.publish_pending();
         let n = resp.recs.len() as i64;
         self.pending.fetch_sub(n, Ordering::AcqRel);
         if let Some(t) = &self.term {
@@ -675,9 +873,11 @@ impl WorkerComm {
     /// request buffers are returned to the pool, outstanding side
     /// structures are dropped, and queued responses are drained. The
     /// cluster-global `pending` counter is deliberately left untouched —
-    /// its accounting is unrecoverable once envelopes were lost, so the
-    /// driver resets it when it reaps the abort.
+    /// unpublished entries are dropped, not published: its accounting is
+    /// unrecoverable once envelopes were lost, so the driver resets it when
+    /// it reaps the abort.
     pub fn abort_in_flight(&mut self) {
+        self.unpublished = 0;
         let mut failed = 0u64;
         for slot in self.read_payloads.iter_mut() {
             if let Some((buf, recs, _idx)) = slot.take() {
@@ -685,8 +885,8 @@ impl WorkerComm {
                 self.pool.release_on(buf, self.pool_shard);
             }
         }
-        for map in self.combine.iter_mut() {
-            map.clear();
+        for table in self.combine.iter_mut() {
+            table.reset();
         }
         for slot in self.mut_payloads.iter_mut() {
             if let Some(buf) = slot.take() {
@@ -727,7 +927,10 @@ impl WorkerComm {
     }
 
     /// The cluster-wide pending-entry counter (for completion checks).
-    pub fn pending(&self) -> &Arc<AtomicI64> {
+    /// Publishes first, so a check made through this worker counts the
+    /// entries it has buffered.
+    pub fn pending(&mut self) -> &Arc<AtomicI64> {
+        self.publish_pending();
         &self.pending
     }
 
@@ -764,6 +967,37 @@ mod tests {
 
     fn make_comm(buffer_bytes: usize) -> (WorkerComm, Receiver<Envelope>, Sender<Envelope>) {
         make_comm_tuned(CommTuning::fixed(buffer_bytes))
+    }
+
+    /// A worker of a `machines`-machine cluster, with the shared counter
+    /// and pool it was built around exposed.
+    fn make_comm_shared(
+        machines: usize,
+        buffer_bytes: usize,
+    ) -> (
+        WorkerComm,
+        Receiver<Envelope>,
+        Arc<AtomicI64>,
+        Arc<BufferPool>,
+    ) {
+        let (out_tx, out_rx) = unbounded();
+        let (_resp_tx, resp_rx) = unbounded();
+        let pending = Arc::new(AtomicI64::new(0));
+        let pool = Arc::new(BufferPool::new(8, buffer_bytes));
+        let comm = WorkerComm::new(
+            0,
+            0,
+            machines,
+            CommTuning::fixed(buffer_bytes),
+            resp_rx,
+            out_tx,
+            pool.clone(),
+            pending.clone(),
+            Telemetry::detached(machines, true),
+            Arc::new(ClusterHealth::new(machines)),
+            false,
+        );
+        (comm, out_rx, pending, pool)
     }
 
     #[test]
@@ -946,6 +1180,139 @@ mod tests {
         assert_eq!(comm.stats().combined_read_hits.load(Ordering::Relaxed), 0);
     }
 
+    /// Two distinct offsets of property 0 whose keys share a home slot in a
+    /// minimum-size table.
+    fn colliding_offsets() -> (u32, u32) {
+        let home = |off: u32| CombineTable::home(off as u64, CombineTable::MIN_SLOTS);
+        let b = (1..).find(|&b| home(b) == home(0)).unwrap();
+        (0, b)
+    }
+
+    #[test]
+    fn combining_colliding_keys_keep_distinct_wire_entries() {
+        let (a, b) = colliding_offsets();
+        let (mut comm, out, resp_tx) = make_comm(1024);
+        for (i, off) in [a, b, a, b].into_iter().enumerate() {
+            comm.push_read(
+                1,
+                PropId(0),
+                off,
+                SideRec {
+                    node: 0,
+                    aux: i as u64,
+                },
+            );
+        }
+        comm.flush();
+        let req = out.try_recv().unwrap();
+        assert_eq!(crate::message::read_entry_count(&req.payload), 2);
+        assert_eq!(crate::message::read_entry(&req.payload, 0), (0, a));
+        assert_eq!(crate::message::read_entry(&req.payload, 1), (0, b));
+        let mut payload = Vec::new();
+        crate::message::push_resp_entry(&mut payload, 100);
+        crate::message::push_resp_entry(&mut payload, 200);
+        resp_tx
+            .send(Envelope {
+                src: 1,
+                dst: 0,
+                kind: MsgKind::ReadResp,
+                worker: req.worker,
+                side_id: req.side_id,
+                seq: 0,
+                payload,
+            })
+            .unwrap();
+        let r = comm.try_pop_response().unwrap();
+        let values: Vec<u64> = r.values().map(|(_, bits)| bits).collect();
+        assert_eq!(values, vec![100, 200, 100, 200]);
+        comm.finish_response(r);
+    }
+
+    #[test]
+    fn combine_table_grows_without_evicting() {
+        let mut t = CombineTable::new();
+        assert!(t.slots.is_empty(), "no storage before the first insert");
+        for k in 0..1000u64 {
+            assert_eq!(t.get_or_insert(k << 7, k as u32), None);
+        }
+        for k in 0..1000u64 {
+            assert_eq!(t.get_or_insert(k << 7, u32::MAX), Some(k as u32));
+        }
+        assert!(t.slots.len() > 2 * 1000 - 1 && t.slots.len().is_power_of_two());
+        t.reset();
+        assert_eq!(t.get_or_insert(0, 5), None, "reset forgets every key");
+    }
+
+    #[test]
+    fn combine_table_generation_wrap_cannot_resurrect_a_stale_slot() {
+        let mut t = CombineTable::new();
+        assert_eq!(t.get_or_insert(42, 7), None); // stamped with generation 1
+        t.generation = u32::MAX; // 2^32 - 2 seals later
+        assert_eq!(t.get_or_insert(43, 8), None);
+        t.reset(); // wraps: the generation counter is back at 1
+        assert_eq!(t.generation, 1);
+        assert_eq!(
+            t.get_or_insert(42, 0),
+            None,
+            "a slot stamped 2^32 generations ago must not read as live"
+        );
+        assert_eq!(t.get_or_insert(43, 1), None);
+    }
+
+    #[test]
+    fn combining_tables_are_lazy_and_sealed_per_destination() {
+        // Three machines; a buffer fits exactly 2 read entries.
+        let (mut comm, out, _pending, _pool) = make_comm_shared(3, 2 * READ_ENTRY_BYTES);
+        assert!(
+            comm.combine.iter().all(|t| t.slots.is_empty()),
+            "no table storage at construction"
+        );
+        comm.push_read(1, PropId(0), 5, SideRec { node: 0, aux: 0 });
+        assert!(!comm.combine[1].slots.is_empty());
+        assert!(
+            comm.combine[2].slots.is_empty(),
+            "only the destination read from"
+        );
+        comm.push_read(2, PropId(0), 5, SideRec { node: 1, aux: 0 });
+        // Destination 1 seals at capacity; destination 2 stays open.
+        comm.push_read(1, PropId(0), 6, SideRec { node: 2, aux: 0 });
+        assert_eq!(out.try_iter().count(), 1);
+        // Vertex 5 again: a hit on destination 2's open buffer, a fresh
+        // wire entry on destination 1's new one.
+        comm.push_read(2, PropId(0), 5, SideRec { node: 3, aux: 0 });
+        comm.push_read(1, PropId(0), 5, SideRec { node: 4, aux: 0 });
+        comm.flush();
+        let mut entries = [0usize; 3];
+        for env in out.try_iter() {
+            entries[env.dst as usize] += crate::message::read_entry_count(&env.payload);
+        }
+        assert_eq!(entries, [0, 1, 1]);
+        assert_eq!(comm.stats().combined_read_hits.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn pending_is_published_at_seal_not_per_entry() {
+        // Room for 4 read entries or 2 mutation entries.
+        let (mut comm, out, pending, _pool) = make_comm_shared(2, 4 * READ_ENTRY_BYTES);
+        for i in 0..3 {
+            comm.push_read(1, PropId(0), i, SideRec { node: 0, aux: 0 });
+        }
+        assert_eq!(
+            pending.load(Ordering::SeqCst),
+            0,
+            "nothing shared per entry"
+        );
+        comm.push_read(1, PropId(0), 3, SideRec { node: 0, aux: 0 });
+        assert_eq!(out.try_iter().count(), 1, "sealed at capacity");
+        assert_eq!(pending.load(Ordering::SeqCst), 4, "counted before it left");
+        comm.push_mut(1, PropId(0), ReduceOp::Sum, 2, 1);
+        assert_eq!(pending.load(Ordering::SeqCst), 4);
+        comm.publish_pending();
+        assert_eq!(pending.load(Ordering::SeqCst), 5, "the pre-retire publish");
+        comm.flush();
+        assert_eq!(pending.load(Ordering::SeqCst), 5);
+    }
+
     #[test]
     fn adaptive_threshold_seals_early() {
         // Controller pinned far below the allocation: buffers must seal at
@@ -1088,6 +1455,37 @@ mod tests {
             }
             other => panic!("expected protocol error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn abort_drops_unpublished_counts_and_conserves_the_pool() {
+        let (mut comm, out, pending, pool) = make_comm_shared(2, 1024);
+        // One sealed request (published, its buffer now owned by the
+        // "wire"), then unsealed, unpublished entries of every kind.
+        comm.push_read(1, PropId(0), 0, SideRec { node: 0, aux: 0 });
+        comm.flush();
+        let sent = out.try_recv().unwrap();
+        assert_eq!(pending.load(Ordering::SeqCst), 1);
+        comm.push_read(1, PropId(0), 1, SideRec { node: 1, aux: 0 });
+        comm.push_mut(1, PropId(0), ReduceOp::Sum, 2, 5);
+        comm.push_rmi(1, 0, b"x", SideRec { node: 2, aux: 0 });
+        assert_eq!(pool.outstanding(), 4);
+        comm.abort_in_flight();
+        assert_eq!(
+            pending.load(Ordering::SeqCst),
+            1,
+            "unpublished entries are dropped, never published"
+        );
+        assert_eq!(comm.pending().load(Ordering::SeqCst), 1);
+        assert!(comm.is_flushed());
+        // Every unsealed buffer went back; only the sent one is out.
+        assert_eq!(pool.outstanding(), 1);
+        pool.release(sent.payload);
+        assert_eq!(pool.outstanding(), 0);
+        // A later phase starts from a clean count.
+        comm.push_mut(1, PropId(0), ReduceOp::Sum, 3, 1);
+        comm.flush();
+        assert_eq!(pending.load(Ordering::SeqCst), 2);
     }
 
     #[test]
