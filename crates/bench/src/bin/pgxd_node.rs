@@ -19,8 +19,9 @@
 //! * **Legacy sweep** (default): each rank runs PageRank (pull), WCC and
 //!   Hop Dist, then writes its full result vectors (f64 bit patterns in
 //!   hex — exact, no formatting loss) plus cluster-wide retransmit
-//!   telemetry to `--out`. The `repro wire` experiment asserts every rank
-//!   writes identical lines and diffs them against an in-memory run.
+//!   telemetry and its own termination-wait quantiles to `--out`. The
+//!   `repro wire` experiment asserts every rank writes identical result
+//!   lines and diffs them against an in-memory run.
 //!
 //! * **Fault-tolerant PageRank** (`--checkpoint-every K > 0`): the rank
 //!   runs stepwise [`ResumableAlgorithm`] PageRank with collective
@@ -182,8 +183,11 @@ fn node_config(a: &Args, machines: usize, rank: u16, coord: &str, inject_wire: b
         .machines(machines)
         .workers(a.workers)
         .transport(TransportConfig::tcp(coord.to_string(), rank))
-        // A 1 ms housekeeping tick keeps termination-token and retransmit
-        // latency low on localhost; the defaults target simulated fabrics.
+        // Histograms on: the rank file reports the termination wait.
+        .telemetry(pgxd::TelemetryConfig::on())
+        // A 1 ms housekeeping tick keeps retransmit latency (and, under a
+        // lossy plan, the repair of a lost termination frame) low on
+        // localhost; the defaults target simulated fabrics.
         .reliability(ReliabilityConfig {
             tick_ms: 1,
             rto_base_ms: 10,
@@ -300,6 +304,7 @@ fn run_sweep(a: &Args, graph: &pgxd_graph::Graph) -> Result<(), String> {
     out.push_str(&format!("retransmits_local={local_retransmits}\n"));
     out.push_str(&format!("retransmits_total={total_retransmits}\n"));
     push_wire_lines(&mut out, &wire);
+    push_term_lines(&mut out, &engine);
     let pr_hex: Vec<String> = pr
         .scores
         .iter()
@@ -329,6 +334,20 @@ fn push_wire_lines(out: &mut String, w: &WireCountersSnapshot) {
     out.push_str(&format!("accepts_refused={}\n", w.accepts_refused));
     out.push_str(&format!("partition_drops={}\n", w.partition_drops));
     out.push_str(&format!("reader_eofs={}\n", w.reader_eofs));
+}
+
+/// What termination detection cost this rank: the wait from "my task list
+/// is empty" to the release, once per phase (zeros when the `telemetry`
+/// feature is compiled out).
+fn push_term_lines(out: &mut String, engine: &pgxd::Engine) {
+    let waits = engine.cluster().machines()[0]
+        .telemetry
+        .term_release_wait_snapshot();
+    out.push_str(&format!("term_release_waits={}\n", waits.count()));
+    for (name, q) in [("p50", 0.50), ("p99", 0.99)] {
+        let ns = waits.quantile_lower_bound(q);
+        out.push_str(&format!("term_release_wait_{name}_ns={ns}\n"));
+    }
 }
 
 /// Fault-tolerant PageRank: stepwise iterations with collective

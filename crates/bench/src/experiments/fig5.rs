@@ -1,6 +1,7 @@
 //! Figure 5: (a) framework overhead measured as raw edge-iteration speed
 //! on a single machine, varying worker threads; (b) barrier latency
-//! varying the number of machines.
+//! varying the number of machines, plus what one empty job (job-start
+//! barrier, one termination wave, phase barrier) costs over loopback TCP.
 
 use crate::datasets::{BenchGraph, Scale};
 use crate::report::Table;
@@ -90,14 +91,81 @@ pub fn run_fig5a(scale: Scale) -> Table {
     t
 }
 
+/// Mean wall time of one empty node job, µs, on `machines` node-mode ranks
+/// over loopback TCP — each rank hosted on a thread of this process, as in
+/// `tests/tests/wire_e2e.rs`; rank 0's clock is reported. An empty job is
+/// all fixed cost: the control-plane barrier at job start, one termination
+/// wave (report → probe → answer → release) and the local phase barrier.
+pub fn tcp_empty_job_us(machines: usize, reps: u32) -> f64 {
+    use pgxd::tasks::on_node;
+    use pgxd::transport::bind_coordinator;
+    use pgxd::{Config, EngineBuilder, TransportConfig};
+
+    let config = move |coord: &str, rank: u16| {
+        Config::builder()
+            .machines(machines)
+            .workers(1)
+            .copiers(1)
+            .ghost_threshold(None)
+            .transport(TransportConfig::tcp(coord, rank))
+            .build()
+            .expect("tcp config")
+    };
+    let run = move |mut engine: Engine| {
+        let mut empty_job = || {
+            engine
+                .try_run_node_job(&JobSpec::new(), on_node(|_| {}))
+                .expect("empty job")
+                .total
+        };
+        empty_job(); // warm-up
+        let total: std::time::Duration = (0..reps).map(|_| empty_job()).sum();
+        // Nobody closes a socket while a peer is still inside a job.
+        engine.cluster().node_barrier().expect("teardown barrier");
+        total.as_secs_f64() / reps as f64 * 1e6
+    };
+
+    let (handle, addr) = bind_coordinator("127.0.0.1:0").expect("bind coordinator");
+    let coord = addr.to_string();
+    std::thread::scope(|s| {
+        for rank in 1..machines as u16 {
+            let coord = coord.clone();
+            s.spawn(move || {
+                let g = pgxd_graph::generate::ring(64);
+                let engine = EngineBuilder::from_config(config(&coord, rank))
+                    .build_node(&g)
+                    .expect("node engine");
+                run(engine)
+            });
+        }
+        let g = pgxd_graph::generate::ring(64);
+        let config0 = config(&coord, 0);
+        let membership = handle
+            .wait_cluster(
+                machines,
+                &config0.transport.listen_addr,
+                std::time::Duration::from_secs(30),
+            )
+            .expect("bootstrap");
+        let engine = EngineBuilder::from_config(config0)
+            .build_node_with(&g, membership)
+            .expect("node engine");
+        run(engine)
+    })
+}
+
 /// Figure 5b: barrier latency vs machine count, for both the shared-memory
-/// control barrier and the message-based distributed barrier.
+/// control barrier and the message-based distributed barrier, and the
+/// empty-job time of a real loopback-TCP cluster of the same size.
 pub fn run_fig5b() -> Table {
     let machines = [2usize, 4, 8];
     let g = pgxd_graph::generate::ring(64);
     let mut shared_row = Vec::new();
     let mut dist_row = Vec::new();
+    let mut tcp_row = Vec::new();
+    const REPS: u32 = 50;
     for &m in &machines {
+        tcp_row.push(Some(tcp_empty_job_us(m, REPS)));
         let mut engine = Engine::builder()
             .machines(m)
             .workers(1)
@@ -108,7 +176,6 @@ pub fn run_fig5b() -> Table {
         // Warm-up, then average over repetitions.
         engine.barrier_roundtrip();
         engine.dist_barrier_roundtrip();
-        const REPS: u32 = 50;
         let mut shared = std::time::Duration::ZERO;
         for _ in 0..REPS {
             shared += engine.barrier_roundtrip();
@@ -127,6 +194,7 @@ pub fn run_fig5b() -> Table {
     );
     t.push_row("shared-memory barrier", shared_row);
     t.push_row("message-based barrier", dist_row);
+    t.push_row("tcp-loopback empty job", tcp_row);
     t
 }
 

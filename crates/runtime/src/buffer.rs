@@ -20,10 +20,10 @@
 //! state each thread recycles through its own ring.
 //!
 //! The quota is a single global *soft* budget enforced with one atomic
-//! reserve-then-undo (`fetch_add` followed by a corrective `fetch_sub`
-//! when the budget was already spent). This closes the window the old
-//! two-lock scheme had between the quota check and the free-list pop:
-//! reservation and accounting are now one linearization point.
+//! conditional increment (`fetch_update`: add one only while below the
+//! quota). Reservation and accounting are one linearization point, and a
+//! refused reserver never touches the counter, so `outstanding()` cannot
+//! show a reservation that was not granted.
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
@@ -195,17 +195,19 @@ impl BufferPool {
         h.finish() as usize
     }
 
-    /// Reserves one unit of quota. The `fetch_add` is the single
-    /// linearization point: concurrent reservers can never jointly observe
-    /// room that isn't there, so `outstanding` never exceeds `quota` from
-    /// successful reservations.
+    /// Reserves one unit of quota: increments `outstanding` only while it
+    /// is below the quota. The successful compare-exchange is the single
+    /// linearization point, so concurrent reservers can never jointly
+    /// observe room that isn't there, and a refused one leaves no trace —
+    /// `outstanding` never exceeds `quota` from reservations, not even
+    /// transiently.
     fn reserve(&self) -> bool {
-        let prev = self.outstanding.fetch_add(1, Ordering::AcqRel);
-        if prev >= self.quota as i64 {
-            self.outstanding.fetch_sub(1, Ordering::AcqRel);
-            return false;
-        }
-        true
+        let quota = self.quota as i64;
+        self.outstanding
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |held| {
+                (held < quota).then_some(held + 1)
+            })
+            .is_ok()
     }
 
     /// Records an over-quota fallback allocation: the buffer is physically

@@ -21,7 +21,7 @@ use crate::ids::MachineId;
 use crate::jobctx::{JobCtx, JobExec, JobOutcome, JobWire, PhaseSpan};
 use crate::localgraph::LocalGraph;
 use crate::machine::{MachineState, RmiFn};
-use crate::message::{encode_term_stat, Envelope, MsgKind, TERM_STAT_BYTES};
+use crate::message::{Envelope, MsgKind};
 use crate::partition::Partitioning;
 use crate::phase::{DistBarrierPhase, JobState, Phase, WorkerEnv};
 use crate::props::{PropId, PropValue, ReduceOp, TypeTag};
@@ -551,18 +551,16 @@ impl Cluster {
     /// carries the distributed termination state, so `outstanding` must
     /// count only *local* work units (local chunks / local workers).
     pub fn job_state(&self, outstanding: usize, cancel: CancelToken) -> Arc<JobState> {
-        let term = self
-            .machines
-            .first()
-            .filter(|m| m.term.enabled())
-            .map(|m| m.term.clone());
-        JobState::with_cancel_term(
+        let first = self.machines[0].id as usize;
+        JobState::for_hosted(
             outstanding,
             self.pending.clone(),
-            self.config.machines,
+            first..first + self.machines.len(),
             self.config.workers,
             cancel,
-            term,
+            Some(&self.machines[0])
+                .filter(|m| m.term.enabled())
+                .cloned(),
         )
     }
 
@@ -1679,22 +1677,12 @@ fn poller_tick(m: &MachineState, fabric: &Fabric, watchdog_ms: u64) {
             });
         }
     }
-    // Multi-process termination wave: ship this machine's counter snapshot
-    // to the coordinator (rank 0). `sample()` is `None` unless the
-    // termination protocol is enabled and a phase token is live.
-    if let Some(stat) = m.term.sample() {
-        let mut payload = Vec::with_capacity(TERM_STAT_BYTES);
-        encode_term_stat(&mut payload, &stat);
-        let _ = fabric.send(Envelope {
-            src: m.id,
-            dst: 0,
-            kind: MsgKind::TermStat,
-            worker: 0,
-            side_id: 0,
-            seq: 0,
-            payload,
-        });
-    }
+    // Multi-process termination wave, repair path: repeat this machine's
+    // report even though nothing changed, in case the event-driven report,
+    // a probe, its answer or the release was lost. A no-op unless the
+    // termination protocol is enabled and an unreleased phase is locally
+    // done; the frame rides the outbox this thread drains next.
+    m.report_term(true);
     match m.reliability.due_retransmits(Instant::now()) {
         Ok(due) => {
             if !due.is_empty() {

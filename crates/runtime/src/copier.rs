@@ -20,7 +20,10 @@ use crate::message::{
     ack_entries, mut_entry, mut_entry_count, push_ack_entry, push_resp_entry, push_rmi_resp_entry,
     read_entry, read_entry_count, rmi_entries, Envelope, MsgKind, ACK_ENTRY_BYTES,
 };
-use crate::message::{decode_term_release, decode_term_stat};
+use crate::message::{
+    decode_term_probe, decode_term_release, decode_term_stat, encode_term_probe,
+    encode_term_release,
+};
 use crate::props::{Column, PropId};
 use crate::reliable::REQUEST_LANE;
 use crate::term::TermAction;
@@ -165,7 +168,7 @@ pub fn process_request(
                 col.reduce_bits_atomic(offset as usize, op, bits);
             }
             m.pending.fetch_sub(n as i64, Ordering::AcqRel);
-            m.term.add_dec(n as u64);
+            m.term_consumed(n as u64);
             // One-way payloads are recycled into the *receiver's* pool
             // (same rationale as Ping below): traffic is symmetric enough
             // that pools stay balanced, and every pool-acquired buffer is
@@ -184,7 +187,7 @@ pub fn process_request(
                 col.store_bits(base + ordinal as usize, bits);
             }
             m.pending.fetch_sub(n as i64, Ordering::AcqRel);
-            m.term.add_dec(n as u64);
+            m.term_consumed(n as u64);
             m.send_pool.release(env.payload);
         }
         MsgKind::GhostReduce => {
@@ -197,7 +200,7 @@ pub fn process_request(
                 col.reduce_bits_atomic(offset as usize, op, bits);
             }
             m.pending.fetch_sub(n as i64, Ordering::AcqRel);
-            m.term.add_dec(n as u64);
+            m.term_consumed(n as u64);
             m.send_pool.release(env.payload);
         }
         MsgKind::Rmi => {
@@ -247,36 +250,61 @@ pub fn process_request(
             // registered buffers the same way).
             m.send_pool.release(env.payload);
             m.pending.fetch_sub(1, Ordering::AcqRel);
-            m.term.add_dec(1);
+            m.term_consumed(1);
         }
         MsgKind::TermStat => {
-            // Coordinator only (machine 0): fold the reporter's wave into
-            // the double-wave protocol; a (re-)release decision is
-            // broadcast to every machine, ourselves included.
+            // Coordinator only (machine 0): fold the report into the wave
+            // protocol and send what it asks for — a probe or the release
+            // to every machine (ourselves included), a repeat of either to
+            // just the reporter.
             let Some(stat) = decode_term_stat(&env.payload) else {
                 return Err(format!(
                     "machine {}: malformed TermStat from machine {}",
                     m.id, env.src
                 ));
             };
-            match m.term.coord_on_stat(env.src as usize, stat) {
-                TermAction::None => {}
-                TermAction::Release(token) | TermAction::ReRelease(token) => {
-                    let mut payload = Vec::with_capacity(8);
-                    crate::message::encode_term_release(&mut payload, token);
-                    for dst in 0..m.config.machines as u16 {
-                        let _ = m.outbox_tx.send(Envelope {
-                            src: m.id,
-                            dst,
-                            kind: MsgKind::TermRelease,
-                            worker: 0,
-                            side_id: 0,
-                            seq: 0,
-                            payload: payload.clone(),
-                        });
-                    }
+            let everyone = 0..m.config.machines as MachineId;
+            let reporter = env.src..env.src + 1;
+            let mut payload = Vec::with_capacity(16);
+            let (kind, targets) = match m.term.coord_on_stat(env.src as usize, stat) {
+                TermAction::None => return Ok(()),
+                TermAction::Probe { token, probe } => {
+                    encode_term_probe(&mut payload, token, probe);
+                    (MsgKind::TermProbe, everyone)
                 }
+                TermAction::Reprobe { token, probe } => {
+                    encode_term_probe(&mut payload, token, probe);
+                    (MsgKind::TermProbe, reporter)
+                }
+                TermAction::Release(token) => {
+                    encode_term_release(&mut payload, token);
+                    (MsgKind::TermRelease, everyone)
+                }
+                TermAction::ReRelease(token) => {
+                    encode_term_release(&mut payload, token);
+                    (MsgKind::TermRelease, reporter)
+                }
+            };
+            for dst in targets {
+                let _ = m.outbox_tx.send(Envelope {
+                    src: m.id,
+                    dst,
+                    kind,
+                    worker: 0,
+                    side_id: 0,
+                    seq: 0,
+                    payload: payload.clone(),
+                });
             }
+        }
+        MsgKind::TermProbe => {
+            let Some((token, probe)) = decode_term_probe(&env.payload) else {
+                return Err(format!(
+                    "machine {}: malformed TermProbe from machine {}",
+                    m.id, env.src
+                ));
+            };
+            m.answer_term_probe(token, probe);
         }
         MsgKind::TermRelease => {
             let Some(token) = decode_term_release(&env.payload) else {
@@ -285,7 +313,10 @@ pub fn process_request(
                     m.id, env.src
                 ));
             };
-            m.term.release(token);
+            if let Some(done_at_ns) = m.term.release(token) {
+                let tele = &m.telemetry;
+                tele.record_term_release_wait(tele.now_ns().saturating_sub(done_at_ns));
+            }
         }
         MsgKind::Abort => {
             // A peer's watchdog confirmed a machine dead. Record the

@@ -9,7 +9,7 @@ use crate::ghost::GhostTable;
 use crate::health::ClusterHealth;
 use crate::ids::MachineId;
 use crate::localgraph::LocalGraph;
-use crate::message::Envelope;
+use crate::message::{encode_term_stat, Envelope, MsgKind, TermStat, TERM_STAT_BYTES};
 use crate::partition::Partitioning;
 use crate::props::PropertyStore;
 use crate::reliable::Reliability;
@@ -74,7 +74,7 @@ pub struct MachineState {
     pub reliability: Arc<Reliability>,
     /// Registered remote methods, indexed by their RMI identifier.
     pub rmi: RwLock<Vec<Arc<RmiFn>>>,
-    /// Distributed termination counters (Mattern-style double wave).
+    /// Distributed termination state (event-driven Mattern double wave).
     /// Inert on the in-memory backend, where the shared `pending` counter
     /// already answers "are there unfinished remote requests" exactly.
     pub term: Arc<TermState>,
@@ -144,6 +144,61 @@ impl MachineState {
     /// Number of vertices this machine owns.
     pub fn num_local(&self) -> usize {
         self.graph.num_local()
+    }
+
+    /// Sends a termination report to the coordinator. The frame goes
+    /// through the outbox like all other traffic, so the poller thread
+    /// wakes for it at once.
+    fn send_term_stat(&self, stat: Option<TermStat>) {
+        let Some(stat) = stat else { return };
+        let mut payload = Vec::with_capacity(TERM_STAT_BYTES);
+        encode_term_stat(&mut payload, &stat);
+        let _ = self.outbox_tx.send(Envelope {
+            src: self.id,
+            dst: 0,
+            kind: MsgKind::TermStat,
+            worker: 0,
+            side_id: 0,
+            seq: 0,
+            payload,
+        });
+    }
+
+    /// Reports this machine's termination state if [`TermState::report`]
+    /// has something to say — the one call behind idle workers, copiers
+    /// and (with `force`) the poller tick.
+    pub fn report_term(&self, force: bool) {
+        self.send_term_stat(self.term.report(force));
+    }
+
+    /// Answers a coordinator probe with a fresh sample.
+    pub fn answer_term_probe(&self, token: u64, probe: u64) {
+        self.send_term_stat(self.term.on_probe(token, probe));
+    }
+
+    /// Multi-process completion check for a worker whose local task list
+    /// is empty: marks the phase locally done, reports a changed state to
+    /// the coordinator, and returns whether the phase has been released.
+    #[inline]
+    pub fn term_poll(&self) -> bool {
+        if self.term.released(self.term.current()) {
+            return true;
+        }
+        self.term.mark_local_done(|| self.telemetry.now_ns());
+        self.report_term(false);
+        false
+    }
+
+    /// Retires `n` consumed entries from the termination wave (mirror of
+    /// `pending.fetch_sub`; call only after the entries' effects are
+    /// applied) and reports the new state if this machine is already idle.
+    /// One not-taken branch on in-memory clusters.
+    #[inline]
+    pub fn term_consumed(&self, n: u64) {
+        if self.term.enabled() {
+            self.term.add_dec(n);
+            self.report_term(false);
+        }
     }
 
     /// Registers an RMI handler at an explicit id (the driver assigns the

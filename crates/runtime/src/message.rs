@@ -48,8 +48,9 @@ pub enum MsgKind {
     Heartbeat = 12,
     /// Distributed-termination report (machine → coordinator): the sender's
     /// monotonic entry counters for the four-counter termination wave.
-    /// Payload is [`encode_term_stat`]. Periodic and unsequenced, like
-    /// heartbeats — a lost report is replaced by the next tick's.
+    /// Payload is [`encode_term_stat`]. Sent when the state changes and
+    /// forced by the poller tick; unsequenced, like heartbeats — a lost
+    /// report is replaced by the next tick's.
     TermStat = 13,
     /// Distributed-termination release broadcast (coordinator → machines):
     /// the cluster was quiescent across two fresh waves for the carried
@@ -63,6 +64,12 @@ pub enum MsgKind {
     /// every rank's watchdog eventually fires on its own, so a lost abort
     /// only delays the verdict, never loses it.
     Abort = 15,
+    /// Distributed-termination probe (coordinator → machines): a candidate
+    /// was recorded for the carried phase token; answer with a fresh
+    /// `TermStat` echoing the carried probe number. Payload is
+    /// [`encode_term_probe`]. Unsequenced; the coordinator probes a machine
+    /// again when its next report has not seen the number.
+    TermProbe = 16,
 }
 
 impl MsgKind {
@@ -85,6 +92,7 @@ impl MsgKind {
             13 => MsgKind::TermStat,
             14 => MsgKind::TermRelease,
             15 => MsgKind::Abort,
+            16 => MsgKind::TermProbe,
             _ => return None,
         })
     }
@@ -104,6 +112,7 @@ impl MsgKind {
                 | MsgKind::TermStat
                 | MsgKind::TermRelease
                 | MsgKind::Abort
+                | MsgKind::TermProbe
         )
     }
 
@@ -116,8 +125,8 @@ impl MsgKind {
     /// acknowledged, retransmitted). Control traffic — `Shutdown`, `Ack`,
     /// `Heartbeat`, and the termination waves — rides outside it: acks
     /// acknowledge, they are not themselves acknowledged; heartbeats and
-    /// termination reports are periodic by nature, so a lost one is
-    /// replaced by the next tick's rather than retransmitted.
+    /// termination reports are repeated by every poller tick, so a lost
+    /// one is replaced by the next tick's rather than retransmitted.
     pub fn is_reliable(self) -> bool {
         !matches!(
             self,
@@ -127,6 +136,26 @@ impl MsgKind {
                 | MsgKind::TermStat
                 | MsgKind::TermRelease
                 | MsgKind::Abort
+                | MsgKind::TermProbe
+        )
+    }
+
+    /// True for kinds whose payload buffer the receiver releases into its
+    /// buffer pool — the bulk entry carriers. A transport receives these
+    /// into pool-sized buffers; every other kind (acks, heartbeats, wave
+    /// and barrier frames) carries a few bytes that are dropped after
+    /// decoding.
+    pub fn recycles_payload(self) -> bool {
+        matches!(
+            self,
+            MsgKind::ReadReq
+                | MsgKind::ReadResp
+                | MsgKind::Write
+                | MsgKind::GhostSync
+                | MsgKind::GhostReduce
+                | MsgKind::Rmi
+                | MsgKind::RmiResp
+                | MsgKind::Ping
         )
     }
 }
@@ -341,9 +370,10 @@ impl<'a> Iterator for RmiRespEntries<'a> {
 pub struct TermStat {
     /// Phase token (the cluster phase epoch) this report is about.
     pub token: u64,
-    /// Per-machine monotonic report counter, so the coordinator can tell a
-    /// fresh wave from a stale one.
-    pub stat_seq: u64,
+    /// Highest coordinator probe number this machine had received when it
+    /// read the counters below (0 before any): a report echoing a probe was
+    /// sampled after that probe arrived.
+    pub wave: u64,
     /// Monotonic count of payload entries this machine has produced.
     pub inc: u64,
     /// Monotonic count of payload entries this machine has consumed.
@@ -358,7 +388,7 @@ pub const TERM_STAT_BYTES: usize = 33;
 /// Encodes a [`TermStat`] into `buf`.
 pub fn encode_term_stat(buf: &mut Vec<u8>, stat: &TermStat) {
     buf.extend_from_slice(&stat.token.to_le_bytes());
-    buf.extend_from_slice(&stat.stat_seq.to_le_bytes());
+    buf.extend_from_slice(&stat.wave.to_le_bytes());
     buf.extend_from_slice(&stat.inc.to_le_bytes());
     buf.extend_from_slice(&stat.dec.to_le_bytes());
     buf.push(u8::from(stat.done));
@@ -371,7 +401,7 @@ pub fn decode_term_stat(payload: &[u8]) -> Option<TermStat> {
     }
     Some(TermStat {
         token: u64::from_le_bytes(payload[0..8].try_into().unwrap()),
-        stat_seq: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
+        wave: u64::from_le_bytes(payload[8..16].try_into().unwrap()),
         inc: u64::from_le_bytes(payload[16..24].try_into().unwrap()),
         dec: u64::from_le_bytes(payload[24..32].try_into().unwrap()),
         done: payload[32] != 0,
@@ -389,6 +419,23 @@ pub fn decode_term_release(payload: &[u8]) -> Option<u64> {
         return None;
     }
     Some(u64::from_le_bytes(payload[0..8].try_into().unwrap()))
+}
+
+/// Encodes a `TermProbe` payload: the candidate's token and probe number.
+pub fn encode_term_probe(buf: &mut Vec<u8>, token: u64, probe: u64) {
+    buf.extend_from_slice(&token.to_le_bytes());
+    buf.extend_from_slice(&probe.to_le_bytes());
+}
+
+/// Decodes a `TermProbe` payload as `(token, probe)`.
+pub fn decode_term_probe(payload: &[u8]) -> Option<(u64, u64)> {
+    if payload.len() != 16 {
+        return None;
+    }
+    Some((
+        u64::from_le_bytes(payload[0..8].try_into().unwrap()),
+        u64::from_le_bytes(payload[8..16].try_into().unwrap()),
+    ))
 }
 
 /// Encodes an `Abort` payload (the machine confirmed dead).
@@ -554,7 +601,7 @@ mod tests {
 
     #[test]
     fn kind_roundtrip() {
-        for v in 0..16u8 {
+        for v in 0..17u8 {
             let k = MsgKind::from_u8(v).unwrap();
             assert_eq!(k as u8, v);
         }
@@ -581,12 +628,15 @@ mod tests {
         assert!(!MsgKind::Heartbeat.is_response());
         // Termination waves are copier-handled control traffic outside the
         // reliability protocol, exactly like heartbeats.
-        assert!(MsgKind::TermStat.is_request());
-        assert!(MsgKind::TermRelease.is_request());
-        assert!(!MsgKind::TermStat.is_response());
-        assert!(!MsgKind::TermRelease.is_response());
-        assert!(!MsgKind::TermStat.is_reliable());
-        assert!(!MsgKind::TermRelease.is_reliable());
+        for wave in [MsgKind::TermStat, MsgKind::TermRelease, MsgKind::TermProbe] {
+            assert!(wave.is_request());
+            assert!(!wave.is_response());
+            assert!(!wave.is_reliable());
+            assert!(!wave.recycles_payload());
+        }
+        assert!(MsgKind::ReadResp.recycles_payload());
+        assert!(!MsgKind::Ack.recycles_payload());
+        assert!(!MsgKind::Heartbeat.recycles_payload());
         // Abort broadcasts are copier-handled control traffic too: every
         // watchdog eventually fires on its own, so a lost abort is only a
         // delay and must never occupy a retransmit slot on a dying wire.
@@ -608,7 +658,7 @@ mod tests {
     fn term_stat_roundtrip() {
         let stat = TermStat {
             token: 7,
-            stat_seq: 99,
+            wave: 99,
             inc: u64::MAX,
             dec: 12345,
             done: true,
@@ -622,6 +672,10 @@ mod tests {
         encode_term_release(&mut rel, 42);
         assert_eq!(decode_term_release(&rel), Some(42));
         assert_eq!(decode_term_release(&[]), None);
+        let mut probe = Vec::new();
+        encode_term_probe(&mut probe, 42, 7);
+        assert_eq!(decode_term_probe(&probe), Some((42, 7)));
+        assert_eq!(decode_term_probe(&probe[..15]), None);
     }
 
     #[test]

@@ -57,8 +57,12 @@ pub struct JobState {
     pending: Arc<AtomicI64>,
     /// Phase start, for worker timings.
     start: Instant,
-    /// Per-machine, per-worker timing records (Figure 6c).
+    /// Per-machine, per-worker timing records (Figure 6c): one row per
+    /// machine hosted by this process, row 0 being machine `first_machine`.
+    /// A rank of a multi-process cluster fills (and owns) one row; rows for
+    /// machines it cannot see would only dilute the breakdown's means.
     timings: Mutex<Vec<Vec<WorkerTiming>>>,
+    first_machine: usize,
     /// The job's cancellation token (never fires for direct callers).
     /// Workers poll it once per chunk; a fired token makes them retire the
     /// rest of the queue unexecuted, so the phase still terminates at its
@@ -68,8 +72,9 @@ pub struct JobState {
     /// shared `pending` counter is exact and `pending == 0` is the second
     /// half of §3.2's rule. `Some` (one machine per process): `pending` is
     /// only locally meaningful, so completion instead waits for the
-    /// coordinator's released token — see [`crate::term`].
-    term: Option<Arc<crate::term::TermState>>,
+    /// coordinator's released token, which the local machine polls for
+    /// (and reports towards) — see [`crate::term`].
+    node: Option<Arc<MachineState>>,
 }
 
 impl JobState {
@@ -99,27 +104,33 @@ impl JobState {
         workers: usize,
         cancel: CancelToken,
     ) -> Arc<Self> {
-        Self::with_cancel_term(outstanding, pending, machines, workers, cancel, None)
+        Self::for_hosted(outstanding, pending, 0..machines, workers, cancel, None)
     }
 
-    /// [`JobState::with_cancel`] with an optional distributed-termination
-    /// state — the multi-process entry point, where `outstanding` counts
-    /// only the *local* machine's work units.
-    pub fn with_cancel_term(
+    /// The general constructor behind [`Cluster::job_state`]: `hosted` is
+    /// the range of machine ids living in this process (all of them
+    /// in-process, one on a rank of a multi-process cluster) and `node` is
+    /// that rank's machine when completion is decided by the distributed
+    /// termination protocol — `outstanding` then counts only the *local*
+    /// machine's work units.
+    ///
+    /// [`Cluster::job_state`]: crate::cluster::Cluster::job_state
+    pub fn for_hosted(
         outstanding: usize,
         pending: Arc<AtomicI64>,
-        machines: usize,
+        hosted: std::ops::Range<usize>,
         workers: usize,
         cancel: CancelToken,
-        term: Option<Arc<crate::term::TermState>>,
+        node: Option<Arc<MachineState>>,
     ) -> Arc<Self> {
         Arc::new(JobState {
             outstanding: AtomicUsize::new(outstanding),
             pending,
             start: Instant::now(),
-            timings: Mutex::new(vec![vec![WorkerTiming::default(); workers]; machines]),
+            timings: Mutex::new(vec![vec![WorkerTiming::default(); workers]; hosted.len()]),
+            first_machine: hosted.start,
             cancel,
-            term,
+            node,
         })
     }
 
@@ -159,15 +170,12 @@ impl JobState {
         if self.outstanding.load(Ordering::Acquire) != 0 {
             return false;
         }
-        match &self.term {
+        match &self.node {
             None => self.pending.load(Ordering::Acquire) == 0,
-            Some(t) => {
-                // Local task list is empty: mark it (idempotent, and lazy
-                // so machines with zero local work report done too), then
-                // wait for the coordinator's global verdict.
-                t.mark_local_done();
-                t.released(t.current())
-            }
+            // Local task list is empty: say so (lazily, so machines with
+            // zero local work report done too) and wait for the
+            // coordinator's global verdict.
+            Some(m) => m.term_poll(),
         }
     }
 
@@ -180,16 +188,16 @@ impl JobState {
     /// Records that a worker finished its local tasks.
     pub fn mark_tasks_done(&self, machine: usize, worker: usize) {
         let ns = self.elapsed_ns();
-        self.timings.lock()[machine][worker].tasks_done_ns = ns;
+        self.timings.lock()[machine - self.first_machine][worker].tasks_done_ns = ns;
     }
 
     /// Records that a worker observed global completion.
     pub fn mark_drained(&self, machine: usize, worker: usize) {
         let ns = self.elapsed_ns();
-        self.timings.lock()[machine][worker].drained_ns = ns;
+        self.timings.lock()[machine - self.first_machine][worker].drained_ns = ns;
     }
 
-    /// Snapshot of the timing matrix.
+    /// Snapshot of the timing matrix (rows = machines hosted here).
     pub fn timings(&self) -> Vec<Vec<WorkerTiming>> {
         self.timings.lock().clone()
     }
@@ -469,5 +477,13 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert!(t[1][0].drained_ns >= t[1][0].tasks_done_ns);
         assert_eq!(t[0][0].tasks_done_ns, 0);
+        // A rank hosting only machine 1 of the same cluster keeps one row.
+        let pending = Arc::new(AtomicI64::new(0));
+        let job = JobState::for_hosted(0, pending, 1..2, 2, CancelToken::never(), None);
+        job.mark_tasks_done(1, 1);
+        job.mark_drained(1, 1);
+        let t = job.timings();
+        assert_eq!(t.len(), 1);
+        assert!(t[0][1].drained_ns >= t[0][1].tasks_done_ns);
     }
 }

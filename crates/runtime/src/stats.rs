@@ -281,7 +281,10 @@ pub struct Breakdown {
 impl Breakdown {
     /// Derives the breakdown from per-machine, per-worker timings.
     ///
-    /// `timings[m][w]` is machine `m`'s worker `w`. Every worker's wall
+    /// `timings[m][w]` is worker `w` of the `m`-th machine hosted by this
+    /// process — rows for machines living elsewhere must not be passed in
+    /// (their zeros would count as workers that finished at time zero and
+    /// dilute every mean). Every worker's wall
     /// time runs to the global finish; the portion after its own tasks
     /// finished but before its machine finished counts as intra-machine
     /// idle, and the remainder up to the global finish as inter-machine
@@ -432,6 +435,26 @@ mod tests {
         assert_eq!(b.inter_machine, 0.0);
         assert!((b.drain - 30e-9).abs() < 1e-12);
         assert!((b.total() - 130e-9).abs() < 1e-12);
+    }
+
+    #[test]
+    fn breakdown_of_one_hosted_row_is_not_diluted() {
+        // A rank of a two-machine job sees only its own workers.
+        let t = WorkerTiming {
+            tasks_done_ns: 100,
+            drained_ns: 130,
+        };
+        let hosted = Breakdown::from_timings(&[vec![t]]);
+        assert!((hosted.fully_parallel - 100e-9).abs() < 1e-12);
+        assert_eq!(hosted.inter_machine, 0.0);
+        assert!((hosted.drain - 30e-9).abs() < 1e-12);
+        // What a row per *cluster* machine used to report for the same
+        // rank: the peer's empty row halves compute and drain and books the
+        // other half of compute as inter-machine wait, to the digit.
+        let padded = Breakdown::from_timings(&[vec![WorkerTiming::default()], vec![t]]);
+        assert_eq!(padded.fully_parallel, padded.inter_machine);
+        assert!((padded.fully_parallel - 50e-9).abs() < 1e-12);
+        assert!((padded.drain - 15e-9).abs() < 1e-12);
     }
 
     #[test]

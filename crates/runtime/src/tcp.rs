@@ -687,9 +687,10 @@ impl WireCounters {
 pub struct TcpOptions {
     /// Upper bound on accepted frame payloads, bytes.
     pub max_frame: usize,
-    /// Capacity hint for received payload buffers: allocating at the
-    /// machine's pool buffer size lets the copier recycle them into its
-    /// pool, balancing the quota the send side spends.
+    /// Capacity hint for received entry payloads (kinds with
+    /// [`MsgKind::recycles_payload`]): allocating at the machine's pool
+    /// buffer size lets the copier recycle them into its pool, balancing
+    /// the quota the send side spends.
     pub recv_capacity: usize,
     /// Seeded socket-fault schedule (inert by default).
     pub wire_fault: WireFaultPlan,
@@ -924,7 +925,15 @@ impl Shared {
                 }
             };
             let len = fh.payload_len as usize;
-            let mut payload = Vec::with_capacity(len.max(shared.recv_capacity));
+            // Pool-sized capacity only where the receiver recycles the
+            // buffer into its pool; control frames (heartbeats, acks, wave
+            // and barrier frames) get exactly their few bytes.
+            let capacity = if fh.kind.recycles_payload() {
+                len.max(shared.recv_capacity)
+            } else {
+                len
+            };
+            let mut payload = Vec::with_capacity(capacity);
             payload.resize(len, 0);
             if stream.read_exact(&mut payload).is_err() {
                 if !shared.closing.load(Ordering::Acquire) {

@@ -486,6 +486,10 @@ fn histograms_json(t: &Telemetry) -> Value {
         ),
         ("checkpoint_ns", histogram_json(&t.checkpoint_ns_snapshot())),
         ("queue_wait_ns", histogram_json(&t.queue_wait_snapshot())),
+        (
+            "term_release_wait_ns",
+            histogram_json(&t.term_release_wait_snapshot()),
+        ),
     ])
 }
 

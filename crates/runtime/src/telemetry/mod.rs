@@ -8,7 +8,8 @@
 //!
 //! - log-scale [`Histogram`]s: remote-read round-trip latency, copier
 //!   service time, message-buffer fill ratio at flush, side-structure
-//!   occupancy, and per-worker chunk-claim counts;
+//!   occupancy, per-worker chunk-claim counts, and (multi-process) the
+//!   wait from local completion to the termination release;
 //! - per-destination byte counters (traffic matrix);
 //! - one ring-buffer [`Tracer`] per worker recording timestamped phase,
 //!   barrier, flush, stall, and ghost events.
@@ -56,6 +57,7 @@ pub struct Telemetry {
     checkpoint_bytes: Histogram,
     checkpoint_ns: Histogram,
     queue_wait_ns: Histogram,
+    term_release_wait_ns: Histogram,
     dest_bytes: Vec<AtomicU64>,
     tracers: Vec<Tracer>,
     /// Active [`JobCtx`], packed `+ 1` so zero means "no job running".
@@ -84,6 +86,7 @@ impl Telemetry {
             checkpoint_bytes: Histogram::new(),
             checkpoint_ns: Histogram::new(),
             queue_wait_ns: Histogram::new(),
+            term_release_wait_ns: Histogram::new(),
             dest_bytes: if enabled {
                 (0..config.machines).map(|_| AtomicU64::new(0)).collect()
             } else {
@@ -198,6 +201,16 @@ impl Telemetry {
     pub fn record_queue_wait(&self, ns: u64) {
         if self.enabled {
             self.queue_wait_ns.record(ns);
+        }
+    }
+
+    /// Multi-process termination: time from this machine's first
+    /// observation that its task list for a phase is empty to the release
+    /// of that phase arriving, nanoseconds. Once per phase per machine.
+    #[inline]
+    pub fn record_term_release_wait(&self, ns: u64) {
+        if self.enabled {
+            self.term_release_wait_ns.record(ns);
         }
     }
 
@@ -325,6 +338,10 @@ impl Telemetry {
         self.queue_wait_ns.snapshot()
     }
 
+    pub fn term_release_wait_snapshot(&self) -> HistogramSnapshot {
+        self.term_release_wait_ns.snapshot()
+    }
+
     pub fn dest_bytes_snapshot(&self) -> Vec<u64> {
         self.dest_bytes
             .iter()
@@ -395,6 +412,8 @@ impl Telemetry {
     #[inline(always)]
     pub fn record_queue_wait(&self, _ns: u64) {}
     #[inline(always)]
+    pub fn record_term_release_wait(&self, _ns: u64) {}
+    #[inline(always)]
     pub fn record_dest_bytes(&self, _dest: usize, _bytes: u64) {}
 
     #[inline(always)]
@@ -454,6 +473,9 @@ impl Telemetry {
         HistogramSnapshot::default()
     }
     pub fn queue_wait_snapshot(&self) -> HistogramSnapshot {
+        HistogramSnapshot::default()
+    }
+    pub fn term_release_wait_snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot::default()
     }
     pub fn dest_bytes_snapshot(&self) -> Vec<u64> {

@@ -88,11 +88,14 @@ echo "== instrumentation compiles out (cargo check -p pgxd --no-default-features
 # guards the uninstrumented build (and its API surface) from rotting.
 cargo check -q -p pgxd --no-default-features
 
-echo "== benchmark smoke (one pull_skew run, answers checked against the oracle) =="
+echo "== benchmark smoke (one pull_skew and one tcp_pull run, answers checked against the oracle) =="
 # Not a performance gate — a one-second run measures nothing. The
 # repository benchmark verifies every result against the sequential
 # oracles and exits non-zero on any failed, refused or wrong operation.
 bash benchmark/run.sh --workload pull_skew --seed 7 --seconds 1 --trace 0
+# The same job on two node-mode ranks over loopback TCP: the event-driven
+# termination wave (report, probe, answer, release) against the oracle.
+bash benchmark/run.sh --workload tcp_pull --seed 7 --seconds 1 --trace 0
 
 echo "== bench_compare regression gate (synthetic >10% fixture must fail) =="
 fix_dir="$(mktemp -d)"
