@@ -2,9 +2,11 @@
 //!
 //! `pgxd-query` turns query text into a [`Program`] — an optimized
 //! logical plan over property *slots*. This module is the other half:
-//! [`execute`] walks that plan against a live [`Engine`], materializing
-//! slots as real property columns and lowering each plan step onto the
-//! same primitives hand-written algorithms use — `try_run_node_job_with`,
+//! [`execute`] materializes the slots as real property columns of a live
+//! [`Engine`], lowers the plan against them once — every expression a
+//! task evaluates to a typed closure over `Prop` handles, every step to a
+//! job that loops re-run as it is — and runs the lowered steps on the
+//! same primitives hand-written algorithms use: `try_run_node_job_with`,
 //! `try_run_edge_job_with`, driver-side `fill`/`reduce`/`count_true`.
 //! Nothing here bypasses the barrier protocol, so compiled queries
 //! inherit cancellation, deadlines, and fault surfacing for free.
@@ -38,10 +40,9 @@
 //! ```
 
 use crate::serve::{JobHandle, Lane, Session};
-use crate::task::{EdgeCtx, NodeCtx, ReadDoneCtx};
-use crate::tasks;
+use crate::task::{EdgeCtx, EdgeTask, NodeCtx, NodeTask, ReadDoneCtx};
 use crate::{
-    CancelReason, CancelToken, Dir, Engine, JobError, JobSpec, NodeId, Prop, ReduceOp,
+    CancelReason, CancelToken, Dir, Engine, JobError, JobSpec, NodeId, Prop, PropValue, ReduceOp,
     ResumableAlgorithm, StepOutcome,
 };
 /// The whole front-end surface rides along: `pgxd::query::compile` is the
@@ -51,9 +52,10 @@ pub use pgxd_query::{
     Span, TraverseMode, Ty, Val,
 };
 
+use pgxd_query::ast::BinOp;
 use pgxd_query::{
-    combine, const_val, eval, identity, AggFn, EvalEnv, NbrSet, PFilter, PStep, SOutput, TExpr,
-    WhichVar,
+    const_val, eval, identity, AggFn, EvalEnv, NbrSet, PFilter, PStep, SOutput, TExpr, TExprKind,
+    TUnOp, WhichVar,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -77,8 +79,6 @@ impl AnyProp {
         }
     }
 }
-
-type Slots = Arc<Vec<Option<AnyProp>>>;
 
 /// Creates one engine property per live plan slot, preserving slot order
 /// (eliminated slots stay `None` and never touch the engine).
@@ -137,14 +137,6 @@ fn reduce_prop(engine: &Engine, prop: AnyProp, op: ReduceOp) -> Val {
     }
 }
 
-fn store_node(ctx: &mut NodeCtx<'_, '_>, prop: AnyProp, v: Val) {
-    match prop {
-        AnyProp::F64(p) => ctx.set(p, v.as_f64()),
-        AnyProp::I64(p) => ctx.set(p, v.as_i64()),
-        AnyProp::Bool(p) => ctx.set(p, v.as_bool()),
-    }
-}
-
 fn push_spec(target: AnyProp, op: ReduceOp) -> JobSpec {
     match target {
         AnyProp::F64(p) => JobSpec::new().reduce(p, op),
@@ -153,113 +145,6 @@ fn push_spec(target: AnyProp, op: ReduceOp) -> JobSpec {
     }
 }
 
-fn pull_spec(src: AnyProp) -> JobSpec {
-    match src {
-        AnyProp::F64(p) => JobSpec::new().read(p),
-        AnyProp::I64(p) => JobSpec::new().read(p),
-        AnyProp::Bool(p) => JobSpec::new().read(p),
-    }
-}
-
-fn write_nbr_val(ctx: &mut EdgeCtx<'_, '_>, target: AnyProp, op: ReduceOp, v: Val) {
-    match target {
-        AnyProp::F64(p) => ctx.write_nbr(p, op, v.as_f64()),
-        AnyProp::I64(p) => ctx.write_nbr(p, op, v.as_i64()),
-        AnyProp::Bool(p) => ctx.write_nbr(p, op, v.as_bool()),
-    }
-}
-
-fn read_nbr_prop(ctx: &mut EdgeCtx<'_, '_>, src: AnyProp) {
-    match src {
-        AnyProp::F64(p) => ctx.read_nbr(p),
-        AnyProp::I64(p) => ctx.read_nbr(p),
-        AnyProp::Bool(p) => ctx.read_nbr(p),
-    }
-}
-
-/// `read_done` continuation of a pull job: combine the arriving value
-/// into the target with the job's reduction operator.
-fn combine_nbr(ctx: &mut ReadDoneCtx<'_, '_>, target: AnyProp, op: ReduceOp) {
-    match target {
-        AnyProp::F64(p) => {
-            let v: f64 = ctx.value();
-            let cur: f64 = ctx.get(p);
-            ctx.set(p, combine(op, Val::F64(cur), Val::F64(v)).as_f64());
-        }
-        AnyProp::I64(p) => {
-            let v: i64 = ctx.value();
-            let cur: i64 = ctx.get(p);
-            ctx.set(p, combine(op, Val::I64(cur), Val::I64(v)).as_i64());
-        }
-        AnyProp::Bool(p) => {
-            let v: bool = ctx.value();
-            ctx.set(p, v);
-        }
-    }
-}
-
-// ---- per-vertex evaluation environments -------------------------------
-
-/// Expression backend over a node context. Per-vertex expressions only
-/// ever reference one vertex (sema enforces it), so the `WhichVar` tag is
-/// ignored: every load resolves against the iterated vertex.
-struct NodeEnv<'a, 'b, 'c, 'd> {
-    ctx: &'a mut NodeCtx<'b, 'c>,
-    slots: &'d [Option<AnyProp>],
-    n: i64,
-}
-
-impl EvalEnv for NodeEnv<'_, '_, '_, '_> {
-    fn load(&mut self, slot: usize, _var: WhichVar) -> Val {
-        match prop_at(self.slots, slot) {
-            Some(AnyProp::F64(p)) => Val::F64(self.ctx.get(p)),
-            Some(AnyProp::I64(p)) => Val::I64(self.ctx.get(p)),
-            Some(AnyProp::Bool(p)) => Val::Bool(self.ctx.get(p)),
-            None => Val::I64(0),
-        }
-    }
-    fn out_degree(&mut self, _var: WhichVar) -> i64 {
-        self.ctx.out_degree() as i64
-    }
-    fn in_degree(&mut self, _var: WhichVar) -> i64 {
-        self.ctx.in_degree() as i64
-    }
-    fn nodes(&mut self) -> i64 {
-        self.n
-    }
-}
-
-/// Expression backend over an edge context: loads resolve against the
-/// iterated (push-side source) vertex, which is the only vertex a push
-/// body may reference.
-struct EdgeEnv<'a, 'b, 'c, 'd> {
-    ctx: &'a mut EdgeCtx<'b, 'c>,
-    slots: &'d [Option<AnyProp>],
-    n: i64,
-}
-
-impl EvalEnv for EdgeEnv<'_, '_, '_, '_> {
-    fn load(&mut self, slot: usize, _var: WhichVar) -> Val {
-        match prop_at(self.slots, slot) {
-            Some(AnyProp::F64(p)) => Val::F64(self.ctx.get(p)),
-            Some(AnyProp::I64(p)) => Val::I64(self.ctx.get(p)),
-            Some(AnyProp::Bool(p)) => Val::Bool(self.ctx.get(p)),
-            None => Val::I64(0),
-        }
-    }
-    fn out_degree(&mut self, _var: WhichVar) -> i64 {
-        self.ctx.out_degree() as i64
-    }
-    fn in_degree(&mut self, _var: WhichVar) -> i64 {
-        self.ctx.in_degree() as i64
-    }
-    fn nodes(&mut self) -> i64 {
-        self.n
-    }
-}
-
-// ---- step interpreter -------------------------------------------------
-
 fn cancel_error(cancel: &CancelToken) -> Option<JobError> {
     cancel.fired().map(|reason| match reason {
         CancelReason::Explicit => JobError::Cancelled { job: cancel.job() },
@@ -267,117 +152,472 @@ fn cancel_error(cancel: &CancelToken) -> Option<JobError> {
     })
 }
 
-/// Builds the node-filter closure for a vertex filter, if any.
-fn node_filter(
-    filter: &PFilter,
-    slots: &Slots,
-    n: i64,
-) -> Option<impl Fn(&mut NodeCtx<'_, '_>) -> bool + Send + Sync + 'static> {
-    match filter {
-        PFilter::None => None,
-        PFilter::Inline(pred) => {
-            let pred = Arc::new(pred.clone());
-            let slots = Arc::clone(slots);
-            Some(Box::new(move |ctx: &mut NodeCtx<'_, '_>| {
-                eval(
-                    &pred,
-                    &mut NodeEnv {
-                        ctx,
-                        slots: &slots[..],
-                        n,
-                    },
-                )
-                .as_bool()
-            })
-                as Box<dyn Fn(&mut NodeCtx<'_, '_>) -> bool + Send + Sync>)
-        }
-        PFilter::Mask { slot } => {
-            let mask = prop_at(slots, *slot);
-            Some(Box::new(move |ctx: &mut NodeCtx<'_, '_>| match mask {
-                Some(AnyProp::Bool(p)) => ctx.get(p),
-                _ => true,
-            })
-                as Box<dyn Fn(&mut NodeCtx<'_, '_>) -> bool + Send + Sync>)
-        }
-    }
+// ---- lowering: expressions to typed closures --------------------------
+//
+// Every expression a task evaluates is lowered once, before the first job
+// runs: slots become `Prop<T>` handles, `N` and literals are captured,
+// coercions are picked from the static types. What is left per vertex or
+// per edge is a call of a closure over plain `f64`/`i64`/`bool` — no
+// `Val`, no slot table. `pgxd_query::eval` is the reference these closures
+// are property-tested against (`tests/tests/query_lowering_props.rs`); the
+// executor itself only calls it for driver-side scalars.
+
+/// A lowered expression, evaluated against the vertex a job is visiting.
+/// One family for every site: edge tasks pass [`vertex_of`] their context.
+type Fx<T> = Box<dyn Fn(&mut NodeCtx<'_, '_>) -> T + Send + Sync>;
+
+/// A lowered `v.p = e`.
+type Store = Box<dyn Fn(&mut NodeCtx<'_, '_>) + Send + Sync>;
+
+/// What an expression lowers to. Leaves stay visible so that the operator
+/// above reads the constant or the column itself instead of calling a
+/// closure for it.
+enum Operand<T: PropValue> {
+    Const(T),
+    Load(Prop<T>),
+    Dyn(Fx<T>),
 }
 
-fn run_steps(
-    engine: &mut Engine,
-    steps: &[PStep],
-    slots: &Slots,
-    n: i64,
-    cancel: &CancelToken,
-) -> Result<(), JobError> {
-    for step in steps {
-        // Poll between steps so a fired token stops the query at the next
-        // step boundary even if no job is in flight.
-        if let Some(err) = cancel_error(cancel) {
-            return Err(err);
-        }
-        run_step(engine, step, slots, n, cancel)?;
-    }
-    Ok(())
-}
-
-fn run_step(
-    engine: &mut Engine,
-    step: &PStep,
-    slots: &Slots,
-    n: i64,
-    cancel: &CancelToken,
-) -> Result<(), JobError> {
-    match step {
-        PStep::Fill { slot, value } => {
-            // `finalize` guarantees fill values are constants; a dead slot
-            // means DCE removed the column and there is nothing to fill.
-            if let (Some(prop), Some(v)) = (prop_at(slots, *slot), const_val(value)) {
-                fill_prop(engine, prop, v);
+/// Expands `$k` once per operand shape, with `$get` bound to a statically
+/// dispatched getter of that shape.
+macro_rules! fused {
+    ($operand:expr, |$get:ident| $k:expr) => {
+        match $operand {
+            Operand::Const(k) => {
+                let $get = move |_: &mut NodeCtx<'_, '_>| k;
+                $k
             }
-            Ok(())
+            Operand::Load(p) => {
+                let $get = move |c: &mut NodeCtx<'_, '_>| c.get(p);
+                $k
+            }
+            Operand::Dyn($get) => $k,
+        }
+    };
+}
+
+/// The iterated vertex of an edge context, as the node context lowered
+/// expressions take.
+fn vertex_of<'x, 'a>(ctx: &'x mut EdgeCtx<'_, 'a>) -> NodeCtx<'x, 'a> {
+    NodeCtx {
+        scope: &mut *ctx.scope,
+        node: ctx.node,
+    }
+}
+
+impl<T: PropValue> Operand<T> {
+    fn into_fx(self) -> Fx<T> {
+        match self {
+            Operand::Dyn(f) => f,
+            leaf => fused!(leaf, |get| Box::new(get) as Fx<T>),
+        }
+    }
+
+    fn store(self, p: Prop<T>) -> Store {
+        fused!(self, |get| Box::new(move |c: &mut NodeCtx<'_, '_>| {
+            let v = get(c);
+            c.set(p, v)
+        }) as Store)
+    }
+}
+
+fn un<T: PropValue, R: PropValue>(
+    a: Operand<T>,
+    f: impl Fn(T) -> R + Send + Sync + 'static,
+) -> Operand<R> {
+    Operand::Dyn(fused!(
+        a,
+        |a| Box::new(move |c: &mut NodeCtx<'_, '_>| f(a(c))) as Fx<R>
+    ))
+}
+
+fn bin<T: PropValue, R: PropValue>(
+    a: Operand<T>,
+    b: Operand<T>,
+    f: impl Fn(T, T) -> R + Send + Sync + 'static,
+) -> Operand<R> {
+    Operand::Dyn(fused!(a, |a| fused!(
+        b,
+        |b| Box::new(move |c: &mut NodeCtx<'_, '_>| {
+            let x = a(c);
+            f(x, b(c))
+        }) as Fx<R>
+    )))
+}
+
+/// `&&` (`and`) or `||`: the right operand runs only if the left one does
+/// not decide.
+fn logic(a: Operand<bool>, b: Operand<bool>, and: bool) -> Operand<bool> {
+    Operand::Dyn(fused!(a, |a| fused!(b, |b| if and {
+        Box::new(move |c: &mut NodeCtx<'_, '_>| a(c) && b(c)) as Fx<bool>
+    } else {
+        Box::new(move |c: &mut NodeCtx<'_, '_>| a(c) || b(c)) as Fx<bool>
+    })))
+}
+
+fn tern<T: PropValue>(cond: Operand<bool>, then: Operand<T>, other: Operand<T>) -> Operand<T> {
+    let cond = cond.into_fx();
+    Operand::Dyn(fused!(then, |t| fused!(
+        other,
+        |o| Box::new(move |c: &mut NodeCtx<'_, '_>| if cond(c) { t(c) } else { o(c) }) as Fx<T>
+    )))
+}
+
+fn compare<T: PropValue + PartialOrd>(
+    op: BinOp,
+    a: Operand<T>,
+    b: Operand<T>,
+) -> Option<Operand<bool>> {
+    Some(match op {
+        BinOp::Eq => bin(a, b, |x: T, y: T| x == y),
+        BinOp::Ne => bin(a, b, |x: T, y: T| x != y),
+        BinOp::Lt => bin(a, b, |x: T, y: T| x < y),
+        BinOp::Le => bin(a, b, |x: T, y: T| x <= y),
+        BinOp::Gt => bin(a, b, |x: T, y: T| x > y),
+        BinOp::Ge => bin(a, b, |x: T, y: T| x >= y),
+        _ => return None,
+    })
+}
+
+/// What one execution lowers and runs against: its columns, the vertex
+/// count, its token. In lowering, sema's typing is trusted for which
+/// closure to build; a tree it could not have produced (hand-built plans)
+/// is refused, not evaluated to a dummy.
+struct Exec<'a> {
+    slots: &'a [Option<AnyProp>],
+    n: i64,
+    cancel: &'a CancelToken,
+}
+
+fn ill_typed(e: &TExpr) -> JobError {
+    JobError::Protocol(format!(
+        "ill-typed {} expression at {}:{} reached the executor",
+        e.ty, e.span.line, e.span.col
+    ))
+}
+
+impl Exec<'_> {
+    fn f64(&self, e: &TExpr) -> Result<Operand<f64>, JobError> {
+        Ok(match &e.kind {
+            TExprKind::ConstF64(v) => Operand::Const(*v),
+            TExprKind::Load { slot, .. } => match prop_at(self.slots, *slot) {
+                Some(AnyProp::F64(p)) => Operand::Load(p),
+                _ => return Err(ill_typed(e)),
+            },
+            TExprKind::Unary { op, expr } => match (op, expr.ty) {
+                (TUnOp::Neg, Ty::F64) => un(self.f64(expr)?, |x: f64| -x),
+                (TUnOp::Abs, Ty::F64) => un(self.f64(expr)?, f64::abs),
+                (TUnOp::ToF64, Ty::F64) => self.f64(expr)?,
+                (TUnOp::ToF64, Ty::I64) => un(self.i64(expr)?, |x: i64| x as f64),
+                (TUnOp::ToF64, Ty::Bool) => un(self.bool(expr)?, |x: bool| x as i64 as f64),
+                _ => return Err(ill_typed(e)),
+            },
+            // Integer `/` computes in f64, like everything `/` does.
+            TExprKind::Binary {
+                op: BinOp::Div,
+                lhs,
+                rhs,
+            } if lhs.ty == Ty::I64 => bin(self.i64(lhs)?, self.i64(rhs)?, |x: i64, y: i64| {
+                x as f64 / y as f64
+            }),
+            TExprKind::Binary { op, lhs, rhs } => {
+                let (a, b) = (self.f64(lhs)?, self.f64(rhs)?);
+                match op {
+                    BinOp::Add => bin(a, b, |x: f64, y: f64| x + y),
+                    BinOp::Sub => bin(a, b, |x: f64, y: f64| x - y),
+                    BinOp::Mul => bin(a, b, |x: f64, y: f64| x * y),
+                    BinOp::Div => bin(a, b, |x: f64, y: f64| x / y),
+                    _ => return Err(ill_typed(e)),
+                }
+            }
+            TExprKind::Ternary { cond, then, other } => {
+                tern(self.bool(cond)?, self.f64(then)?, self.f64(other)?)
+            }
+            _ => return Err(ill_typed(e)),
+        })
+    }
+
+    fn i64(&self, e: &TExpr) -> Result<Operand<i64>, JobError> {
+        Ok(match &e.kind {
+            TExprKind::ConstI64(v) => Operand::Const(*v),
+            TExprKind::NodeCount => Operand::Const(self.n),
+            TExprKind::Load { slot, .. } => match prop_at(self.slots, *slot) {
+                Some(AnyProp::I64(p)) => Operand::Load(p),
+                _ => return Err(ill_typed(e)),
+            },
+            TExprKind::OutDegree { .. } => Operand::Dyn(Box::new(|c| c.out_degree() as i64)),
+            TExprKind::InDegree { .. } => Operand::Dyn(Box::new(|c| c.in_degree() as i64)),
+            TExprKind::Unary { op, expr } => match op {
+                TUnOp::Neg => un(self.i64(expr)?, i64::wrapping_neg),
+                TUnOp::Abs => un(self.i64(expr)?, i64::wrapping_abs),
+                _ => return Err(ill_typed(e)),
+            },
+            TExprKind::Binary { op, lhs, rhs } => {
+                let (a, b) = (self.i64(lhs)?, self.i64(rhs)?);
+                match op {
+                    BinOp::Add => bin(a, b, i64::wrapping_add),
+                    BinOp::Sub => bin(a, b, i64::wrapping_sub),
+                    BinOp::Mul => bin(a, b, i64::wrapping_mul),
+                    _ => return Err(ill_typed(e)),
+                }
+            }
+            TExprKind::Ternary { cond, then, other } => {
+                tern(self.bool(cond)?, self.i64(then)?, self.i64(other)?)
+            }
+            _ => return Err(ill_typed(e)),
+        })
+    }
+
+    fn bool(&self, e: &TExpr) -> Result<Operand<bool>, JobError> {
+        Ok(match &e.kind {
+            TExprKind::ConstBool(v) => Operand::Const(*v),
+            TExprKind::Load { slot, .. } => match prop_at(self.slots, *slot) {
+                Some(AnyProp::Bool(p)) => Operand::Load(p),
+                _ => return Err(ill_typed(e)),
+            },
+            TExprKind::Unary {
+                op: TUnOp::Not,
+                expr,
+            } => un(self.bool(expr)?, |x: bool| !x),
+            TExprKind::Binary { op, lhs, rhs } => match (op, lhs.ty) {
+                (BinOp::And, _) => Some(logic(self.bool(lhs)?, self.bool(rhs)?, true)),
+                (BinOp::Or, _) => Some(logic(self.bool(lhs)?, self.bool(rhs)?, false)),
+                (_, Ty::F64) => compare(*op, self.f64(lhs)?, self.f64(rhs)?),
+                (_, Ty::I64) => compare(*op, self.i64(lhs)?, self.i64(rhs)?),
+                (BinOp::Eq | BinOp::Ne, Ty::Bool) => compare(*op, self.bool(lhs)?, self.bool(rhs)?),
+                _ => None,
+            }
+            .ok_or_else(|| ill_typed(e))?,
+            TExprKind::Ternary { cond, then, other } => {
+                tern(self.bool(cond)?, self.bool(then)?, self.bool(other)?)
+            }
+            _ => return Err(ill_typed(e)),
+        })
+    }
+
+    /// `v.<prop> = e`, typed by the column.
+    fn store(&self, prop: AnyProp, e: &TExpr) -> Result<Store, JobError> {
+        Ok(match prop {
+            AnyProp::F64(p) => self.f64(e)?.store(p),
+            AnyProp::I64(p) => self.i64(e)?.store(p),
+            AnyProp::Bool(p) => self.bool(e)?.store(p),
+        })
+    }
+
+    fn filter(&self, f: &PFilter) -> Result<Option<Fx<bool>>, JobError> {
+        Ok(match f {
+            PFilter::None => None,
+            PFilter::Inline(pred) => Some(self.bool(pred)?.into_fx()),
+            PFilter::Mask { slot } => match prop_at(self.slots, *slot) {
+                Some(AnyProp::Bool(p)) => Some(Operand::Load(p).into_fx()),
+                _ => None,
+            },
+        })
+    }
+}
+
+// ---- lowering: steps to re-runnable jobs ------------------------------
+
+fn passes(filter: &Option<Fx<bool>>, ctx: &mut NodeCtx<'_, '_>) -> bool {
+    match filter {
+        Some(f) => f(ctx),
+        None => true,
+    }
+}
+
+/// A lowered `NodeJob` (and the per-vertex half of a general global
+/// aggregate): the writes, in order, on every vertex passing the filter.
+struct NodeJob {
+    filter: Option<Fx<bool>>,
+    writes: Vec<Store>,
+}
+
+impl NodeTask for Arc<NodeJob> {
+    fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
+        passes(&self.filter, ctx)
+    }
+    fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
+        for write in &self.writes {
+            write(ctx);
+        }
+    }
+}
+
+/// A lowered push-mode `EdgeJob`: sources passing the neighbor filter
+/// reduce their value into the far end of every edge.
+struct PushJob {
+    filter: Option<Fx<bool>>,
+    emit: Box<dyn Fn(&mut EdgeCtx<'_, '_>) + Send + Sync>,
+}
+
+impl EdgeTask for Arc<PushJob> {
+    fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
+        passes(&self.filter, ctx)
+    }
+    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
+        (self.emit)(ctx)
+    }
+}
+
+fn push_emit<T: PropValue>(
+    body: Operand<T>,
+    target: Prop<T>,
+    op: ReduceOp,
+) -> Box<dyn Fn(&mut EdgeCtx<'_, '_>) + Send + Sync> {
+    fused!(body, |body| Box::new(move |c: &mut EdgeCtx<'_, '_>| {
+        let v = body(&mut vertex_of(c));
+        c.write_nbr(target, op, v)
+    }))
+}
+
+/// A lowered pull-mode `EdgeJob`, monomorphic in the value type and the
+/// reduction: per edge it is `try_pagerank_pull`'s kernel.
+struct PullJob<T: PropValue, C> {
+    filter: Option<Fx<bool>>,
+    /// `=` semantics: a vertex that passes the filter starts from the
+    /// reduction identity. The hook runs before any of the vertex's reads
+    /// is issued, so every continuation combines into the reset cell, and
+    /// a vertex the filter excludes keeps its value.
+    reset: Option<T>,
+    src: Prop<T>,
+    target: Prop<T>,
+    combine: C,
+}
+
+impl<T, C> EdgeTask for Arc<PullJob<T, C>>
+where
+    T: PropValue,
+    C: Fn(T, T) -> T + Send + Sync + 'static,
+{
+    fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
+        let pass = passes(&self.filter, ctx);
+        if let (true, Some(identity)) = (pass, self.reset) {
+            ctx.set(self.target, identity);
+        }
+        pass
+    }
+    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
+        ctx.read_nbr(self.src);
+    }
+    fn read_done(&self, ctx: &mut ReadDoneCtx<'_, '_>) {
+        let v: T = ctx.value();
+        let cur: T = ctx.get(self.target);
+        ctx.set(self.target, (self.combine)(cur, v));
+    }
+}
+
+/// One engine-facing action of the lowered plan; re-run as often as the
+/// enclosing loop asks.
+type Action = Box<dyn Fn(&mut Engine, &CancelToken) -> Result<(), JobError> + Send + Sync>;
+
+fn node_action(job: NodeJob) -> Action {
+    let job = Arc::new(job);
+    Box::new(move |engine, cancel| {
+        engine
+            .try_run_node_job_with(&JobSpec::new(), Arc::clone(&job), cancel)
+            .map(|_| ())
+    })
+}
+
+fn edge_action<J>(dir: Dir, spec: JobSpec, job: J) -> Action
+where
+    Arc<J>: EdgeTask,
+    J: Send + Sync + 'static,
+{
+    let job = Arc::new(job);
+    Box::new(move |engine, cancel| {
+        engine
+            .try_run_edge_job_with(dir, &spec, Arc::clone(&job), cancel)
+            .map(|_| ())
+    })
+}
+
+fn pull_action<T: PropValue>(
+    dir: Dir,
+    filter: Option<Fx<bool>>,
+    reset: Option<T>,
+    src: Prop<T>,
+    target: Prop<T>,
+    combine: impl Fn(T, T) -> T + Send + Sync + 'static,
+) -> Action {
+    let job = PullJob {
+        filter,
+        reset,
+        src,
+        target,
+        combine,
+    };
+    edge_action(dir, JobSpec::new().read(src), job)
+}
+
+/// The plan with every slot, expression and job resolved. Holds `Prop`
+/// handles only — it must be dropped before the columns are.
+enum LStep {
+    Run(Action),
+    Loop {
+        max: Option<u64>,
+        body: Vec<LStep>,
+        until: Option<TExpr>,
+    },
+}
+
+fn lower_steps(steps: &[PStep], ex: &Exec<'_>) -> Result<Vec<LStep>, JobError> {
+    let lowered = steps.iter().map(|step| lower_step(step, ex));
+    // A step on a column DCE removed lowers to nothing.
+    lowered.filter_map(Result::transpose).collect()
+}
+
+fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
+    let n = ex.n;
+    let action: Action = match step {
+        PStep::Loop { max, body, until } => {
+            return Ok(Some(LStep::Loop {
+                max: *max,
+                body: lower_steps(body, ex)?,
+                until: until.clone(),
+            }))
+        }
+        PStep::Fill { slot, value } => {
+            // `finalize` guarantees fill values are constants.
+            let (Some(prop), Some(v)) = (prop_at(ex.slots, *slot), const_val(value)) else {
+                return Ok(None);
+            };
+            Box::new(move |engine, _| {
+                fill_prop(engine, prop, v);
+                Ok(())
+            })
         }
         PStep::PointSet {
             slot,
             vertex,
             value,
         } => {
-            if let (Some(prop), Some(vx), Some(v)) =
-                (prop_at(slots, *slot), const_val(vertex), const_val(value))
-            {
-                let vx = vx.as_i64();
+            let (Some(prop), Some(vx), Some(v)) = (
+                prop_at(ex.slots, *slot),
+                const_val(vertex),
+                const_val(value),
+            ) else {
+                return Ok(None);
+            };
+            let vx = vx.as_i64();
+            Box::new(move |engine, _| {
                 if (0..n).contains(&vx) {
                     set_prop(engine, prop, vx as NodeId, v);
                 }
-            }
-            Ok(())
+                Ok(())
+            })
         }
         PStep::NodeJob { filter, writes } => {
-            let writes = Arc::new(writes.clone());
-            let job_slots = Arc::clone(slots);
-            let run = move |ctx: &mut NodeCtx<'_, '_>| {
-                for (slot, expr) in writes.iter() {
-                    let v = eval(
-                        expr,
-                        &mut NodeEnv {
-                            ctx,
-                            slots: &job_slots[..],
-                            n,
-                        },
-                    );
-                    if let Some(prop) = prop_at(&job_slots, *slot) {
-                        store_node(ctx, prop, v);
-                    }
+            let mut stores = Vec::with_capacity(writes.len());
+            for (slot, expr) in writes {
+                if let Some(prop) = prop_at(ex.slots, *slot) {
+                    stores.push(ex.store(prop, expr)?);
                 }
-            };
-            match node_filter(filter, slots, n) {
-                None => engine.try_run_node_job_with(&JobSpec::new(), tasks::on_node(run), cancel),
-                Some(f) => engine.try_run_node_job_with(
-                    &JobSpec::new(),
-                    tasks::on_node_filtered(f, run),
-                    cancel,
-                ),
             }
-            .map(|_| ())
+            node_action(NodeJob {
+                filter: ex.filter(filter)?,
+                writes: stores,
+            })
         }
         PStep::EdgeJob {
             mode,
@@ -390,16 +630,13 @@ fn run_step(
             prefill,
             ..
         } => {
-            let Some(target_prop) = prop_at(slots, *target) else {
-                // DCE never leaves an edge job whose target is dead.
-                return Ok(());
+            let Some(target) = prop_at(ex.slots, *target) else {
+                return Ok(None);
             };
             let op = *op;
-            if *prefill {
-                // `=`-assigned aggregates start from the reduction
-                // identity (same as the hand-written kernels' reset pass).
-                fill_prop(engine, target_prop, identity(op, target_prop.ty()));
-            }
+            // `=`-assigned aggregates start from the reduction identity
+            // (same as the hand-written kernels' reset pass).
+            let identity = prefill.then(|| identity(op, target.ty()));
             match mode {
                 TraverseMode::Push => {
                     // Sources iterate and push into the target: the edge
@@ -408,47 +645,26 @@ fn run_step(
                         NbrSet::In => Dir::Out,
                         NbrSet::Out => Dir::In,
                     };
-                    let spec = push_spec(target_prop, op);
-                    let body = Arc::new(body.clone());
-                    let job_slots = Arc::clone(slots);
-                    let run = move |ctx: &mut EdgeCtx<'_, '_>| {
-                        let v = eval(
-                            &body,
-                            &mut EdgeEnv {
-                                ctx,
-                                slots: &job_slots[..],
-                                n,
-                            },
-                        );
-                        write_nbr_val(ctx, target_prop, op, v);
+                    let job = PushJob {
+                        filter: match nbr_filter {
+                            Some(pred) => Some(ex.bool(pred)?.into_fx()),
+                            None => None,
+                        },
+                        emit: match target {
+                            AnyProp::F64(p) => push_emit(ex.f64(body)?, p, op),
+                            AnyProp::I64(p) => push_emit(ex.i64(body)?, p, op),
+                            AnyProp::Bool(p) => push_emit(ex.bool(body)?, p, op),
+                        },
                     };
-                    match nbr_filter {
-                        None => {
-                            engine.try_run_edge_job_with(dir, &spec, tasks::on_edge(run), cancel)
+                    let run = edge_action(dir, push_spec(target, op), job);
+                    // Targets are on the far side of the iteration, so the
+                    // whole column is reset before the job.
+                    Box::new(move |engine, cancel| {
+                        if let Some(v) = identity {
+                            fill_prop(engine, target, v);
                         }
-                        Some(pred) => {
-                            let pred = Arc::new(pred.clone());
-                            let filter_slots = Arc::clone(slots);
-                            let f = move |ctx: &mut NodeCtx<'_, '_>| {
-                                eval(
-                                    &pred,
-                                    &mut NodeEnv {
-                                        ctx,
-                                        slots: &filter_slots[..],
-                                        n,
-                                    },
-                                )
-                                .as_bool()
-                            };
-                            engine.try_run_edge_job_with(
-                                dir,
-                                &spec,
-                                tasks::on_edge_filtered(f, run),
-                                cancel,
-                            )
-                        }
-                    }
-                    .map(|_| ())
+                        run(engine, cancel)
+                    })
                 }
                 TraverseMode::Pull => {
                     // Targets iterate and read the source column; the
@@ -457,76 +673,116 @@ fn run_step(
                         NbrSet::In => Dir::In,
                         NbrSet::Out => Dir::Out,
                     };
-                    let Some(src_slot) = body.as_bare_load(WhichVar::Inner) else {
+                    let Some(src) = body.as_bare_load(WhichVar::Inner) else {
                         return Err(JobError::Protocol(
                             "pull-mode edge job whose body is not a bare neighbor load".into(),
                         ));
                     };
-                    let Some(src_prop) = prop_at(slots, src_slot) else {
-                        return Ok(());
+                    let Some(src) = prop_at(ex.slots, src) else {
+                        return Ok(None);
                     };
-                    let spec = pull_spec(src_prop);
-                    let run = move |ctx: &mut EdgeCtx<'_, '_>| read_nbr_prop(ctx, src_prop);
-                    let done =
-                        move |ctx: &mut ReadDoneCtx<'_, '_>| combine_nbr(ctx, target_prop, op);
-                    match node_filter(vertex_filter, slots, n) {
-                        None => engine.try_run_edge_job_with(
-                            dir,
-                            &spec,
-                            tasks::on_edge_pull(run, done),
-                            cancel,
-                        ),
-                        Some(f) => engine.try_run_edge_job_with(
-                            dir,
-                            &spec,
-                            tasks::on_edge_pull_filtered(f, run, done),
-                            cancel,
-                        ),
+                    let filter = ex.filter(vertex_filter)?;
+                    match (target, src, op) {
+                        (AnyProp::F64(t), AnyProp::F64(s), ReduceOp::Sum) => {
+                            let id = identity.map(Val::as_f64);
+                            pull_action(dir, filter, id, s, t, |a: f64, b: f64| a + b)
+                        }
+                        (AnyProp::F64(t), AnyProp::F64(s), ReduceOp::Min) => {
+                            let id = identity.map(Val::as_f64);
+                            pull_action(dir, filter, id, s, t, |a, b| if b < a { b } else { a })
+                        }
+                        (AnyProp::F64(t), AnyProp::F64(s), ReduceOp::Max) => {
+                            let id = identity.map(Val::as_f64);
+                            pull_action(dir, filter, id, s, t, |a, b| if b > a { b } else { a })
+                        }
+                        (AnyProp::I64(t), AnyProp::I64(s), ReduceOp::Sum) => {
+                            let id = identity.map(Val::as_i64);
+                            pull_action(dir, filter, id, s, t, i64::wrapping_add)
+                        }
+                        (AnyProp::I64(t), AnyProp::I64(s), ReduceOp::Min) => {
+                            pull_action(dir, filter, identity.map(Val::as_i64), s, t, i64::min)
+                        }
+                        (AnyProp::I64(t), AnyProp::I64(s), ReduceOp::Max) => {
+                            pull_action(dir, filter, identity.map(Val::as_i64), s, t, i64::max)
+                        }
+                        _ => {
+                            return Err(JobError::Protocol(format!(
+                                "pull-mode edge job cannot {op:?}-reduce {} into {}",
+                                src.ty(),
+                                target.ty()
+                            )))
+                        }
                     }
-                    .map(|_| ())
                 }
-                TraverseMode::Unchosen => Err(JobError::Protocol(
-                    "unoptimized plan reached the executor (direction pass did not run)".into(),
-                )),
+                TraverseMode::Unchosen => {
+                    return Err(JobError::Protocol(
+                        "unoptimized plan reached the executor (direction pass did not run)".into(),
+                    ))
+                }
             }
         }
-        PStep::Loop { max, body, until } => {
-            let mut iters: u64 = 0;
-            loop {
-                if let Some(m) = max {
-                    if iters >= *m {
-                        break;
-                    }
-                }
-                run_steps(engine, body, slots, n, cancel)?;
-                iters += 1;
-                if let Some(u) = until {
-                    if eval_scalar(engine, u, slots, n, cancel)?.as_bool() {
-                        break;
-                    }
-                }
-                // Sema requires `max` or `until`; never spin if a
-                // hand-built plan has neither.
-                if max.is_none() && until.is_none() {
-                    break;
+    };
+    Ok(Some(LStep::Run(action)))
+}
+
+// ---- running the lowered plan -----------------------------------------
+
+fn run_steps(engine: &mut Engine, steps: &[LStep], ex: &Exec<'_>) -> Result<(), JobError> {
+    for step in steps {
+        // Poll between steps so a fired token stops the query at the next
+        // step boundary even if no job is in flight.
+        if let Some(err) = cancel_error(ex.cancel) {
+            return Err(err);
+        }
+        match step {
+            LStep::Run(action) => action(engine, ex.cancel)?,
+            LStep::Loop { max, body, until } => {
+                let mut iters: u64 = 0;
+                while loop_iteration(engine, *max, body, until.as_ref(), iters, ex)?
+                    == StepOutcome::Continue
+                {
+                    iters += 1;
                 }
             }
-            Ok(())
         }
+    }
+    Ok(())
+}
+
+/// Pass number `iters` (0-based) of a loop: `max` checked at the top, the
+/// body, `until` evaluated after — the shape of the hand-written drivers.
+fn loop_iteration(
+    engine: &mut Engine,
+    max: Option<u64>,
+    body: &[LStep],
+    until: Option<&TExpr>,
+    iters: u64,
+    ex: &Exec<'_>,
+) -> Result<StepOutcome, JobError> {
+    if max.is_some_and(|m| iters >= m) {
+        return Ok(StepOutcome::Done);
+    }
+    run_steps(engine, body, ex)?;
+    match until {
+        Some(u) if eval_scalar(engine, u, ex)?.as_bool() => Ok(StepOutcome::Done),
+        // Sema requires `max` or `until`; never spin if a hand-built plan
+        // has neither.
+        None if max.is_none() => Ok(StepOutcome::Done),
+        _ => Ok(StepOutcome::Continue),
     }
 }
 
 // ---- driver-side scalar evaluation ------------------------------------
 
 /// Expression backend for driver-side scalars (`until` conditions, scalar
-/// returns): global aggregates run real reduction jobs. Job failures are
-/// stashed (the [`EvalEnv`] interface is infallible) and re-raised by
-/// [`eval_scalar`].
+/// returns), which run once per step and stay on the tree evaluator:
+/// global aggregates run real reduction jobs. Job failures are stashed
+/// (the [`EvalEnv`] interface is infallible) and re-raised by
+/// [`eval_scalar`]. Sema rejects vertex references in scalar position, so
+/// the per-vertex accessors keep their defaults.
 struct DriverEnv<'a> {
     engine: &'a mut Engine,
-    slots: &'a Slots,
-    n: i64,
-    cancel: &'a CancelToken,
+    ex: &'a Exec<'a>,
     err: Option<JobError>,
 }
 
@@ -538,7 +794,7 @@ impl DriverEnv<'_> {
         body: Option<&TExpr>,
         ty: Ty,
     ) -> Result<Val, JobError> {
-        if let Some(err) = cancel_error(self.cancel) {
+        if let Some(err) = cancel_error(self.ex.cancel) {
             return Err(err);
         }
         let op = match agg {
@@ -550,12 +806,12 @@ impl DriverEnv<'_> {
             match filter {
                 // `count(v)` is folded to N by the optimizer; keep the
                 // driver total anyway.
-                None => return Ok(Val::I64(self.n)),
+                None => return Ok(Val::I64(self.ex.n)),
                 Some(f) => {
                     // Fast path: counting a bare boolean column is the
                     // engine's native frontier test.
                     if let Some(slot) = f.as_bare_load(WhichVar::Outer) {
-                        if let Some(AnyProp::Bool(p)) = prop_at(self.slots, slot) {
+                        if let Some(AnyProp::Bool(p)) = prop_at(self.ex.slots, slot) {
                             return Ok(Val::I64(self.engine.count_true(p) as i64));
                         }
                     }
@@ -567,7 +823,7 @@ impl DriverEnv<'_> {
         // like `sum(v) v.diff` compile to.
         if filter.is_none() {
             if let Some(slot) = body.and_then(|b| b.as_bare_load(WhichVar::Outer)) {
-                if let Some(prop) = prop_at(self.slots, slot) {
+                if let Some(prop) = prop_at(self.ex.slots, slot) {
                     return Ok(reduce_prop(self.engine, prop, op));
                 }
             }
@@ -576,8 +832,7 @@ impl DriverEnv<'_> {
     }
 
     /// General aggregate: materialize per-vertex contributions into a
-    /// scratch column (inactive vertices contribute the reduction
-    /// identity), reduce it, and drop the scratch no matter what.
+    /// scratch column, reduce it, and drop the scratch no matter what.
     fn scratch_reduce(
         &mut self,
         op: ReduceOp,
@@ -585,74 +840,54 @@ impl DriverEnv<'_> {
         body: Option<&TExpr>,
         ty: Ty,
     ) -> Result<Val, JobError> {
-        let idv = identity(op, ty);
+        let constant = |v: Val| TExpr {
+            span: Span::default(),
+            ty: v.ty(),
+            kind: match v {
+                Val::F64(x) => TExprKind::ConstF64(x),
+                Val::I64(x) => TExprKind::ConstI64(x),
+                Val::Bool(x) => TExprKind::ConstBool(x),
+            },
+        };
+        // The per-vertex half as one expression — a bodiless aggregate is
+        // `count` (1 per vertex), inactive vertices contribute the
+        // reduction identity — lowered here, next to the scratch column
+        // its closure writes; per vertex it is a closure call like any
+        // node job's.
+        let mut value = body.cloned().unwrap_or_else(|| constant(Val::I64(1)));
+        if let Some(f) = filter {
+            value = TExpr {
+                span: f.span,
+                ty,
+                kind: TExprKind::Ternary {
+                    cond: Box::new(f.clone()),
+                    then: Box::new(value),
+                    other: Box::new(constant(identity(op, ty))),
+                },
+            };
+        }
         let scratch = match ty {
             Ty::F64 => AnyProp::F64(self.engine.add_prop("$agg", 0.0f64)),
             Ty::I64 => AnyProp::I64(self.engine.add_prop("$agg", 0i64)),
             Ty::Bool => AnyProp::Bool(self.engine.add_prop("$agg", false)),
         };
-        let filter = filter.map(|f| Arc::new(f.clone()));
-        let body = body.map(|b| Arc::new(b.clone()));
-        let job_slots = Arc::clone(self.slots);
-        let n = self.n;
-        let run = move |ctx: &mut NodeCtx<'_, '_>| {
-            let active = match &filter {
-                Some(f) => eval(
-                    f,
-                    &mut NodeEnv {
-                        ctx,
-                        slots: &job_slots[..],
-                        n,
-                    },
-                )
-                .as_bool(),
-                None => true,
-            };
-            let v = if !active {
-                idv
-            } else {
-                match &body {
-                    Some(b) => eval(
-                        b,
-                        &mut NodeEnv {
-                            ctx,
-                            slots: &job_slots[..],
-                            n,
-                        },
-                    ),
-                    // Bodiless aggregate is `count`: active vertices
-                    // contribute 1.
-                    None => Val::I64(1),
-                }
-            };
-            store_node(ctx, scratch, v);
-        };
-        let result = self
-            .engine
-            .try_run_node_job_with(&JobSpec::new(), tasks::on_node(run), self.cancel)
-            .map(|_| reduce_prop(self.engine, scratch, op));
-        match scratch {
-            AnyProp::F64(p) => self.engine.drop_prop(p),
-            AnyProp::I64(p) => self.engine.drop_prop(p),
-            AnyProp::Bool(p) => self.engine.drop_prop(p),
-        }
+        let result = self.ex.store(scratch, &value).and_then(|write| {
+            let job = Arc::new(NodeJob {
+                filter: None,
+                writes: vec![write],
+            });
+            self.engine
+                .try_run_node_job_with(&JobSpec::new(), job, self.ex.cancel)?;
+            Ok(reduce_prop(self.engine, scratch, op))
+        });
+        drop_props(self.engine, &[Some(scratch)]);
         result
     }
 }
 
 impl EvalEnv for DriverEnv<'_> {
-    fn load(&mut self, _slot: usize, _var: WhichVar) -> Val {
-        // Sema rejects vertex references in scalar position.
-        Val::I64(0)
-    }
-    fn out_degree(&mut self, _var: WhichVar) -> i64 {
-        0
-    }
-    fn in_degree(&mut self, _var: WhichVar) -> i64 {
-        0
-    }
     fn nodes(&mut self) -> i64 {
-        self.n
+        self.ex.n
     }
     fn global_agg(
         &mut self,
@@ -674,18 +909,10 @@ impl EvalEnv for DriverEnv<'_> {
     }
 }
 
-fn eval_scalar(
-    engine: &mut Engine,
-    expr: &TExpr,
-    slots: &Slots,
-    n: i64,
-    cancel: &CancelToken,
-) -> Result<Val, JobError> {
+fn eval_scalar(engine: &mut Engine, expr: &TExpr, ex: &Exec<'_>) -> Result<Val, JobError> {
     let mut env = DriverEnv {
         engine,
-        slots,
-        n,
-        cancel,
+        ex,
         err: None,
     };
     let v = eval(expr, &mut env);
@@ -698,9 +925,7 @@ fn eval_scalar(
 fn gather_output(
     engine: &mut Engine,
     program: &Program,
-    slots: &Slots,
-    n: i64,
-    cancel: &CancelToken,
+    ex: &Exec<'_>,
 ) -> Result<QueryResult, JobError> {
     match &program.plan.output {
         SOutput::Column { slot } => {
@@ -708,7 +933,7 @@ fn gather_output(
                 .as_ref()
                 .map(|p| p.name.clone())
                 .unwrap_or_default();
-            let Some(prop) = prop_at(slots, *slot) else {
+            let Some(prop) = prop_at(ex.slots, *slot) else {
                 return Err(JobError::Protocol(
                     "query output column was eliminated".into(),
                 ));
@@ -720,9 +945,7 @@ fn gather_output(
             };
             Ok(QueryResult::Column { name, values })
         }
-        SOutput::Scalar { expr } => Ok(QueryResult::Scalar(eval_scalar(
-            engine, expr, slots, n, cancel,
-        )?)),
+        SOutput::Scalar { expr } => Ok(QueryResult::Scalar(eval_scalar(engine, expr, ex)?)),
     }
 }
 
@@ -743,10 +966,18 @@ pub fn execute(
             engine.num_nodes()
         )));
     }
-    let n = program.nodes as i64;
-    let slots: Slots = Arc::new(create_props(engine, program));
-    let result = run_steps(engine, &program.plan.steps, &slots, n, cancel)
-        .and_then(|()| gather_output(engine, program, &slots, n, cancel));
+    let slots = create_props(engine, program);
+    let ex = Exec {
+        slots: &slots,
+        n: program.nodes as i64,
+        cancel,
+    };
+    // The lowered steps live inside this expression: gone before the
+    // columns they name are.
+    let result = lower_steps(&program.plan.steps, &ex).and_then(|steps| {
+        run_steps(engine, &steps, &ex)?;
+        gather_output(engine, program, &ex)
+    });
     drop_props(engine, &slots);
     result
 }
@@ -842,22 +1073,26 @@ impl QuerySessionExt for Session<Engine> {
 /// through checkpoints — the driver's own iteration counter is enough.
 pub struct RecoverableQuery {
     program: Program,
-    /// Index of the first top-level `Loop` step, if any.
-    split: Option<usize>,
-    slots: Slots,
+    slots: Vec<Option<AnyProp>>,
+    /// The plan lowered against `slots` by `setup`; a plan that does not
+    /// lower fails its first `step`.
+    steps: Result<Vec<LStep>, JobError>,
+}
+
+/// Index of the first top-level loop (`steps.len()` without one).
+fn first_loop(steps: &[LStep]) -> usize {
+    steps
+        .iter()
+        .position(|s| matches!(s, LStep::Loop { .. }))
+        .unwrap_or(steps.len())
 }
 
 impl RecoverableQuery {
     pub fn new(program: Program) -> Self {
-        let split = program
-            .plan
-            .steps
-            .iter()
-            .position(|s| matches!(s, PStep::Loop { .. }));
         RecoverableQuery {
             program,
-            split,
-            slots: Arc::new(Vec::new()),
+            slots: Vec::new(),
+            steps: Ok(Vec::new()),
         }
     }
 
@@ -871,21 +1106,11 @@ impl RecoverableQuery {
         &self.program
     }
 
-    fn n(&self) -> i64 {
-        self.program.nodes as i64
-    }
-
-    fn prelude(&self) -> &[PStep] {
-        match self.split {
-            Some(i) => &self.program.plan.steps[..i],
-            None => &self.program.plan.steps,
-        }
-    }
-
-    fn postlude(&self) -> &[PStep] {
-        match self.split {
-            Some(i) => &self.program.plan.steps[i + 1..],
-            None => &[],
+    fn exec<'a>(&'a self, cancel: &'a CancelToken) -> Exec<'a> {
+        Exec {
+            slots: &self.slots,
+            n: self.program.nodes as i64,
+            cancel,
         }
     }
 }
@@ -898,43 +1123,40 @@ impl ResumableAlgorithm for RecoverableQuery {
         // restore re-binds shards by id. Values are (re)seeded by the
         // prelude at iteration 0 or overwritten by the restored
         // checkpoint.
-        self.slots = Arc::new(create_props(engine, &self.program));
+        self.slots = create_props(engine, &self.program);
+        let never = CancelToken::never();
+        self.steps = lower_steps(&self.program.plan.steps, &self.exec(&never));
     }
 
     fn step(&mut self, engine: &mut Engine, iteration: u64) -> Result<StepOutcome, JobError> {
-        let n = self.n();
         let never = CancelToken::never();
+        let ex = self.exec(&never);
+        let steps = self.steps.as_deref().map_err(JobError::clone)?;
+        let split = first_loop(steps);
         if iteration == 0 {
-            run_steps(engine, self.prelude(), &self.slots, n, &never)?;
+            run_steps(engine, &steps[..split], &ex)?;
         }
-        let Some(split) = self.split else {
-            return Ok(StepOutcome::Done);
-        };
-        let PStep::Loop { max, body, until } = &self.program.plan.steps[split] else {
-            return Ok(StepOutcome::Done);
-        };
-        if let Some(m) = max {
-            if iteration >= *m {
-                return Ok(StepOutcome::Done);
+        match steps.get(split) {
+            Some(LStep::Loop { max, body, until }) => {
+                loop_iteration(engine, *max, body, until.as_ref(), iteration, &ex)
             }
+            _ => Ok(StepOutcome::Done),
         }
-        run_steps(engine, body, &self.slots, n, &never)?;
-        if let Some(u) = until {
-            if eval_scalar(engine, u, &self.slots, n, &never)?.as_bool() {
-                return Ok(StepOutcome::Done);
-            }
-        }
-        if max.is_none() && until.is_none() {
-            return Ok(StepOutcome::Done);
-        }
-        Ok(StepOutcome::Continue)
     }
 
     fn finish(&mut self, engine: &mut Engine) -> Self::Output {
-        let n = self.n();
         let never = CancelToken::never();
-        let result = run_steps(engine, self.postlude(), &self.slots, n, &never)
-            .and_then(|()| gather_output(engine, &self.program, &self.slots, n, &never));
+        let ex = self.exec(&never);
+        let result = match &self.steps {
+            Ok(steps) => {
+                let postlude = steps.get(first_loop(steps) + 1..).unwrap_or_default();
+                run_steps(engine, postlude, &ex)
+                    .and_then(|()| gather_output(engine, &self.program, &ex))
+            }
+            Err(e) => Err(e.clone()),
+        };
+        // The lowered plan goes before the columns it names.
+        self.steps = Ok(Vec::new());
         drop_props(engine, &self.slots);
         result
     }
@@ -1020,6 +1242,51 @@ mod tests {
             baseline,
             "cancel must not leak columns"
         );
+    }
+
+    /// The seam the lowering added: a token fired after the last job of a
+    /// loop pass is seen at the step boundary that opens the next pass, and
+    /// the lowered plan — `Prop` handles, no columns — is no obstacle to
+    /// reclaiming every column.
+    #[test]
+    fn token_fired_between_loop_passes_stops_at_the_boundary() {
+        let g = generate::ring(8);
+        let mut engine = Engine::builder().machines(2).build(&g).unwrap();
+        let baseline = live_props(&engine);
+        let program = compile(
+            "prop x: i64 = 0;\n\
+             iterate max 100 { foreach v { v.x = v.x + 1; } }\n\
+             return x;",
+            8,
+        )
+        .unwrap();
+        let cancel = CancelToken::for_job(7);
+        let slots = create_props(&mut engine, &program);
+        let ex = Exec {
+            slots: &slots,
+            n: 8,
+            cancel: &cancel,
+        };
+        let mut steps = lower_steps(&program.plan.steps, &ex).unwrap();
+        let Some(LStep::Loop { body, .. }) = steps.last_mut() else {
+            panic!("the plan ends in its loop");
+        };
+        let fire = cancel.clone();
+        body.push(LStep::Run(Box::new(move |_, _| {
+            fire.cancel();
+            Ok(())
+        })));
+
+        let err = run_steps(&mut engine, &steps, &ex).unwrap_err();
+        assert!(matches!(err, JobError::Cancelled { job: 7 }), "{err:?}");
+        let Some(AnyProp::I64(x)) = slots[0] else {
+            panic!("x is the first slot");
+        };
+        assert_eq!(engine.gather(x), vec![1i64; 8], "exactly one pass ran");
+
+        drop_props(&mut engine, &slots);
+        assert_eq!(live_props(&engine), baseline, "columns outlived the cancel");
+        drop(steps);
     }
 
     #[test]

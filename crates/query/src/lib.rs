@@ -44,9 +44,7 @@ pub mod span;
 pub use ast::{AggFn, NbrSet};
 pub use opt::OptReport;
 pub use plan::{PFilter, PStep, Plan, TraverseMode};
-pub use program::{
-    combine, const_val, eval, identity, EvalEnv, Program, QueryColumn, QueryResult, Val,
-};
+pub use program::{const_val, eval, identity, EvalEnv, Program, QueryColumn, QueryResult, Val};
 pub use sema::{PropInfo, SOutput, TExpr, TExprKind, TUnOp, Ty, WhichVar};
 pub use span::{ErrorKind, QueryError, Span};
 

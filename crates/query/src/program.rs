@@ -1,14 +1,18 @@
-//! The compiled program: the validated, optimized plan plus the shared
-//! expression evaluator every execution backend uses.
+//! The compiled program: the validated, optimized plan plus the reference
+//! expression evaluator.
 //!
 //! The query crate is engine-agnostic — it knows nothing about props,
-//! ghosts or jobs. An executor (e.g. `pgxd::query`) walks
-//! the steps of [`Program::plan`], implements [`EvalEnv`] over its
-//! vertex/edge
-//! contexts, and calls [`eval`] per vertex or edge. The typed-IR
-//! invariants established by semantic analysis (matching operand types,
-//! boolean conditions, aggregates only in driver contexts) make `eval`
-//! total: it never panics on any compiled program.
+//! ghosts or jobs. An executor (e.g. `pgxd::query`) walks the steps of
+//! [`Program::plan`] and decides how each expression runs: `pgxd::query`
+//! lowers everything a task evaluates per vertex or per edge to typed
+//! closures once per execution, and calls [`eval`] only for what runs once
+//! per step — driver-side scalars, through an [`EvalEnv`] whose
+//! `global_agg` launches reduction jobs. [`eval`] is the semantics those
+//! closures are held to (bit for bit, by a property test), so it stays
+//! defined over every expression. The typed-IR invariants established by
+//! semantic analysis (matching operand types, boolean conditions,
+//! aggregates only in driver contexts) make it total: it never panics on
+//! any compiled program.
 
 use crate::ast::AggFn;
 use crate::opt::OptReport;
@@ -84,37 +88,6 @@ pub fn identity(op: ReduceOp, ty: Ty) -> Val {
     }
 }
 
-/// Combine an accumulator with an incoming value (pull-mode `read_done`).
-pub fn combine(op: ReduceOp, cur: Val, incoming: Val) -> Val {
-    match (cur, incoming) {
-        (Val::F64(a), Val::F64(b)) => Val::F64(match op {
-            ReduceOp::Sum => a + b,
-            ReduceOp::Min => {
-                if b < a {
-                    b
-                } else {
-                    a
-                }
-            }
-            ReduceOp::Max => {
-                if b > a {
-                    b
-                } else {
-                    a
-                }
-            }
-            _ => a,
-        }),
-        (Val::I64(a), Val::I64(b)) => Val::I64(match op {
-            ReduceOp::Sum => a.wrapping_add(b),
-            ReduceOp::Min => a.min(b),
-            ReduceOp::Max => a.max(b),
-            _ => a,
-        }),
-        (cur, _) => cur,
-    }
-}
-
 /// If the expression is a literal, its value. Post-optimizer `Fill`,
 /// `PointSet` and loop-free scalar positions are always literal.
 pub fn const_val(e: &TExpr) -> Option<Val> {
@@ -128,16 +101,25 @@ pub fn const_val(e: &TExpr) -> Option<Val> {
 
 /// What the evaluator needs from an execution backend.
 ///
-/// Per-vertex backends (node/edge contexts) implement the three data
-/// accessors; only the driver-side backend overrides [`EvalEnv::global_agg`]
-/// (per-vertex expressions never contain global aggregates — semantic
-/// analysis guarantees it).
+/// A driver-side backend implements [`EvalEnv::nodes`] and
+/// [`EvalEnv::global_agg`] and nothing else: semantic analysis rejects
+/// vertex references in scalar position, so the three per-vertex accessors
+/// are unreachable there and default to zeros. They stay in the trait
+/// because [`eval`] over per-vertex expressions is the reference an
+/// executor's compiled form is tested against; a backend with a vertex to
+/// read (that test's) overrides them.
 pub trait EvalEnv {
     /// Read property `slot` of the outer (iterated) or inner (neighbor)
     /// vertex.
-    fn load(&mut self, slot: usize, var: WhichVar) -> Val;
-    fn out_degree(&mut self, var: WhichVar) -> i64;
-    fn in_degree(&mut self, var: WhichVar) -> i64;
+    fn load(&mut self, _slot: usize, _var: WhichVar) -> Val {
+        Val::I64(0)
+    }
+    fn out_degree(&mut self, _var: WhichVar) -> i64 {
+        0
+    }
+    fn in_degree(&mut self, _var: WhichVar) -> i64 {
+        0
+    }
     /// Global vertex count (only reachable if the optimizer was skipped;
     /// [`crate::compile`] always folds `N`).
     fn nodes(&mut self) -> i64;
@@ -450,13 +432,5 @@ mod tests {
     fn identities_match_the_hand_written_kernels() {
         assert_eq!(identity(ReduceOp::Sum, Ty::F64), Val::F64(0.0));
         assert_eq!(identity(ReduceOp::Min, Ty::I64), Val::I64(i64::MAX));
-        assert_eq!(
-            combine(ReduceOp::Min, Val::I64(5), Val::I64(3)),
-            Val::I64(3)
-        );
-        assert_eq!(
-            combine(ReduceOp::Sum, Val::F64(1.5), Val::F64(2.5)),
-            Val::F64(4.0)
-        );
     }
 }

@@ -88,7 +88,7 @@ echo "== instrumentation compiles out (cargo check -p pgxd --no-default-features
 # guards the uninstrumented build (and its API surface) from rotting.
 cargo check -q -p pgxd --no-default-features
 
-echo "== benchmark smoke (one pull_skew and one tcp_pull run, answers checked against the oracle) =="
+echo "== benchmark smoke (one pull_skew, one tcp_pull and one query_pr run, answers checked against the oracle) =="
 # Not a performance gate — a one-second run measures nothing. The
 # repository benchmark verifies every result against the sequential
 # oracles and exits non-zero on any failed, refused or wrong operation.
@@ -96,6 +96,10 @@ bash benchmark/run.sh --workload pull_skew --seed 7 --seconds 1 --trace 0
 # The same job on two node-mode ranks over loopback TCP: the event-driven
 # termination wave (report, probe, answer, release) against the oracle.
 bash benchmark/run.sh --workload tcp_pull --seed 7 --seconds 1 --trace 0
+# The query layer on the benchmark's own graph: the only place the query
+# PageRank is held to 1e-12 of the built-in *and* 1e-9 of the oracle, and
+# the query BFS to bit-identity with both.
+bash benchmark/run.sh --workload query_pr --seed 7 --seconds 1 --trace 0
 
 echo "== bench_compare regression gate (synthetic >10% fixture must fail) =="
 fix_dir="$(mktemp -d)"

@@ -7,9 +7,9 @@
 //! `pgxd-bench` serves) on a 4-machine cluster: f64 results are held to
 //! 1e-12 against the built-ins, integer results must be bit-identical.
 
-use pgxd::query::{QuerySessionExt, QuerySubmitError};
+use pgxd::query::{compile, execute, QuerySessionExt, QuerySubmitError};
 use pgxd::serve::{Lane, ServeEngine};
-use pgxd::{Engine, JobError};
+use pgxd::{CancelToken, Engine, JobError};
 use pgxd_algorithms as algos;
 use pgxd_graph::generate::{self, rmat, RmatParams};
 use std::time::Duration;
@@ -157,6 +157,35 @@ fn filtered_degree_sum_matches_graph() {
 
     drop(session);
     server.shutdown();
+}
+
+/// `foreach v where <pred> { v.x = <aggregate> }` assigns only where the
+/// predicate holds: the `=` reset to the reduction identity is part of the
+/// filtered pass, not a fill of the whole column before it.
+fn filtered_in_sum(g: &pgxd_graph::Graph) -> Vec<i64> {
+    let text = "prop x: i64 = 7; prop y: i64 = 1; \
+                foreach v where v.out_degree > 5 { v.x = sum(u in v.in_nbrs) u.y; } return x;";
+    let program = compile(text, g.num_nodes() as u64).unwrap();
+    let plan = program.render();
+    assert!(plan.contains("edge-job [pull]"), "{plan}");
+    assert!(plan.contains("where (v.out_degree > 5)"), "{plan}");
+    let result = execute(&mut engine(2, g), &program, &CancelToken::never()).unwrap();
+    result.as_column().unwrap().1.as_i64().unwrap().to_vec()
+}
+
+#[test]
+fn filtered_aggregate_keeps_the_vertices_its_where_excludes() {
+    // No ring vertex has out-degree > 5: nothing is assigned.
+    assert_eq!(filtered_in_sum(&generate::ring(16)), vec![7i64; 16]);
+}
+
+#[test]
+fn filtered_aggregate_assigns_the_vertices_its_where_matches() {
+    // Only the hub of an 8-spoke star has out-degree > 5; its eight
+    // in-neighbors carry y = 1 each. The spokes keep their 7.
+    let mut want = vec![7i64; 9];
+    want[0] = 8;
+    assert_eq!(filtered_in_sum(&generate::star(8)), want);
 }
 
 /// Cancelling a query mid-iteration surfaces `JobError::Cancelled` and

@@ -1,0 +1,385 @@
+//! Lowered ≡ `eval`: the typed closures `pgxd::query::execute` builds once
+//! per execution return, bit for bit, what the reference tree evaluator
+//! `pgxd_query::eval` returns for the same expression on the same vertex.
+//!
+//! Programs are assembled from plan steps directly (no text), so the
+//! expressions cover what sema can type but the parser rarely writes:
+//! every `BinOp`, `TUnOp` and ternary shape over all three value types,
+//! loads of all three, degrees, `N`, integer `/` (computed in f64,
+//! including ÷0), wrapping `i64` add/neg/abs at `i64::MIN`/`MAX`,
+//! short-circuit `&&`/`||`, over columns holding NaN, ±0.0, ±INF and
+//! subnormals. A node job checks the node context (writes and the `where`
+//! hook), a push job the edge context (body and neighbor filter), a
+//! filtered pull job the monomorphic continuation and its per-vertex reset.
+//!
+//! Mutation-checked: with `bin` applying `f(b, a)`, with the integer-`/`
+//! closure dividing before widening, with `ToF64` reinterpreting bits, and
+//! with `logic` ignoring its `and` flag, `node_context` and `edge_context`
+//! both fail within the first cases; with the pull reset ignoring the
+//! filter (what the whole-column prefill did), `filtered_pull` does.
+
+use pgxd::query::{execute, OptReport, Plan, Program, QueryResult, Span, TraverseMode, Ty, Val};
+use pgxd::{CancelToken, Engine, ReduceOp};
+use pgxd_graph::{generate, Graph, NodeId};
+use pgxd_query::ast::BinOp;
+use pgxd_query::{
+    eval, EvalEnv, NbrSet, PFilter, PStep, PropInfo, SOutput, TExpr, TExprKind, TUnOp, WhichVar,
+};
+use pgxd_runtime::props::{bottom_bits, reduce_bits, PropValue};
+use proptest::prelude::*;
+use proptest::TestRng;
+
+// Slot layout of every generated program.
+const F: [usize; 2] = [0, 1];
+const I: [usize; 2] = [2, 3];
+const B: [usize; 2] = [4, 5];
+/// The column a job writes, typed per case.
+const OUT: usize = 6;
+
+const F64S: [f64; 10] = [
+    f64::NAN,
+    0.0,
+    -0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1.5,
+    -2.25,
+    1e308,
+    5e-324,
+    0.1,
+];
+const I64S: [i64; 8] = [i64::MIN, i64::MAX, 0, -1, 1, 2, -7, 1 << 53];
+
+fn pick<T: Copy>(rng: &mut TestRng, xs: &[T]) -> T {
+    xs[rng.below(xs.len() as u64) as usize]
+}
+
+fn e(ty: Ty, kind: TExprKind) -> TExpr {
+    TExpr {
+        span: Span::default(),
+        ty,
+        kind,
+    }
+}
+
+fn constant(v: Val) -> TExpr {
+    match v {
+        Val::F64(x) => e(Ty::F64, TExprKind::ConstF64(x)),
+        Val::I64(x) => e(Ty::I64, TExprKind::ConstI64(x)),
+        Val::Bool(x) => e(Ty::Bool, TExprKind::ConstBool(x)),
+    }
+}
+
+fn random_val(rng: &mut TestRng, ty: Ty) -> Val {
+    match ty {
+        Ty::F64 if rng.below(4) == 0 => Val::F64(f64::from_bits(rng.next_u64())),
+        Ty::F64 => Val::F64(pick(rng, &F64S)),
+        Ty::I64 if rng.below(4) == 0 => Val::I64(rng.next_u64() as i64),
+        Ty::I64 => Val::I64(pick(rng, &I64S)),
+        Ty::Bool => Val::Bool(rng.below(2) == 0),
+    }
+}
+
+/// A random well-typed expression of type `ty` — the shapes sema produces,
+/// plus integer `/`.
+fn gen(rng: &mut TestRng, ty: Ty, depth: u32) -> TExpr {
+    let var = WhichVar::Outer;
+    let leaf = depth == 0 || rng.below(4) == 0;
+    let sub = |rng: &mut TestRng, ty| Box::new(gen(rng, ty, depth.saturating_sub(1)));
+    let bin = |rng: &mut TestRng, ty, op, operand| {
+        let (lhs, rhs) = (sub(rng, operand), sub(rng, operand));
+        e(ty, TExprKind::Binary { op, lhs, rhs })
+    };
+    if !leaf && rng.below(6) == 0 {
+        let (cond, then, other) = (sub(rng, Ty::Bool), sub(rng, ty), sub(rng, ty));
+        return e(ty, TExprKind::Ternary { cond, then, other });
+    }
+    match ty {
+        Ty::F64 if leaf => match rng.below(2) {
+            0 => constant(random_val(rng, ty)),
+            _ => e(
+                ty,
+                TExprKind::Load {
+                    slot: pick(rng, &F),
+                    var,
+                },
+            ),
+        },
+        Ty::I64 if leaf => match rng.below(5) {
+            0 => constant(random_val(rng, ty)),
+            1 => e(ty, TExprKind::NodeCount),
+            2 => e(ty, TExprKind::OutDegree { var }),
+            3 => e(ty, TExprKind::InDegree { var }),
+            _ => e(
+                ty,
+                TExprKind::Load {
+                    slot: pick(rng, &I),
+                    var,
+                },
+            ),
+        },
+        Ty::Bool if leaf => match rng.below(2) {
+            0 => constant(random_val(rng, ty)),
+            _ => e(
+                ty,
+                TExprKind::Load {
+                    slot: pick(rng, &B),
+                    var,
+                },
+            ),
+        },
+        Ty::F64 => match rng.below(8) {
+            0 => {
+                let (op, expr) = (pick(rng, &[TUnOp::Neg, TUnOp::Abs]), sub(rng, ty));
+                e(ty, TExprKind::Unary { op, expr })
+            }
+            1 | 2 => {
+                let (op, expr) = (TUnOp::ToF64, sub(rng, Ty::I64));
+                e(ty, TExprKind::Unary { op, expr })
+            }
+            3 => bin(rng, ty, BinOp::Div, Ty::I64),
+            _ => {
+                let op = pick(rng, &[BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div]);
+                bin(rng, ty, op, ty)
+            }
+        },
+        Ty::I64 => match rng.below(4) {
+            0 => {
+                let (op, expr) = (pick(rng, &[TUnOp::Neg, TUnOp::Abs]), sub(rng, ty));
+                e(ty, TExprKind::Unary { op, expr })
+            }
+            _ => {
+                let op = pick(rng, &[BinOp::Add, BinOp::Sub, BinOp::Mul]);
+                bin(rng, ty, op, ty)
+            }
+        },
+        Ty::Bool => match rng.below(6) {
+            0 => {
+                let (op, expr) = (TUnOp::Not, sub(rng, ty));
+                e(ty, TExprKind::Unary { op, expr })
+            }
+            1..=3 => {
+                let op = pick(rng, &[BinOp::And, BinOp::Or, BinOp::Eq, BinOp::Ne]);
+                bin(rng, ty, op, ty)
+            }
+            _ => {
+                use BinOp::{Eq, Ge, Gt, Le, Lt, Ne};
+                let op = pick(rng, &[Eq, Ne, Lt, Le, Gt, Ge]);
+                let operand = pick(rng, &[Ty::F64, Ty::I64]);
+                bin(rng, ty, op, operand)
+            }
+        },
+    }
+}
+
+/// Random contents for the six input columns, one row per vertex.
+struct Columns(Vec<[Val; 6]>);
+
+impl Columns {
+    fn random(rng: &mut TestRng, n: usize) -> Self {
+        let tys = [Ty::F64, Ty::F64, Ty::I64, Ty::I64, Ty::Bool, Ty::Bool];
+        Columns((0..n).map(|_| tys.map(|ty| random_val(rng, ty))).collect())
+    }
+}
+
+/// The reference environment: `eval` reads the same columns and degrees
+/// the engine serves.
+struct RefEnv<'a> {
+    g: &'a Graph,
+    cols: &'a Columns,
+    v: usize,
+}
+
+impl EvalEnv for RefEnv<'_> {
+    fn load(&mut self, slot: usize, _: WhichVar) -> Val {
+        self.cols.0[self.v][slot]
+    }
+    fn out_degree(&mut self, _: WhichVar) -> i64 {
+        self.g.out_degree(self.v as NodeId) as i64
+    }
+    fn in_degree(&mut self, _: WhichVar) -> i64 {
+        self.g.in_degree(self.v as NodeId) as i64
+    }
+    fn nodes(&mut self) -> i64 {
+        self.g.num_nodes() as i64
+    }
+}
+
+fn reference(g: &Graph, cols: &Columns, expr: &TExpr) -> Vec<Val> {
+    let at = |v| eval(expr, &mut RefEnv { g, cols, v });
+    (0..g.num_nodes()).map(at).collect()
+}
+
+fn bits(v: Val) -> u64 {
+    match v {
+        Val::F64(x) => x.to_bits(),
+        Val::I64(x) => x as u64,
+        Val::Bool(x) => x as u64,
+    }
+}
+
+/// Runs `job` after seeding the input columns and `OUT` (typed `out_ty`,
+/// filled with `out_init`); returns `OUT`'s bit patterns.
+fn run(g: &Graph, cols: &Columns, out_ty: Ty, out_init: Val, job: PStep) -> Vec<u64> {
+    let prop = |name: &str, ty| {
+        Some(PropInfo {
+            name: name.into(),
+            ty,
+            span: Span::default(),
+        })
+    };
+    let props = vec![
+        prop("a", Ty::F64),
+        prop("b", Ty::F64),
+        prop("i", Ty::I64),
+        prop("j", Ty::I64),
+        prop("p", Ty::Bool),
+        prop("q", Ty::Bool),
+        prop("out", out_ty),
+    ];
+    let mut steps = vec![PStep::Fill {
+        slot: OUT,
+        value: constant(out_init),
+    }];
+    for (v, row) in cols.0.iter().enumerate() {
+        for (slot, &value) in row.iter().enumerate() {
+            steps.push(PStep::PointSet {
+                slot,
+                vertex: constant(Val::I64(v as i64)),
+                value: constant(value),
+            });
+        }
+    }
+    steps.push(job);
+    let program = Program {
+        plan: Plan {
+            props,
+            steps,
+            output: SOutput::Column { slot: OUT },
+        },
+        report: OptReport::default(),
+        nodes: g.num_nodes() as u64,
+    };
+    let mut engine = Engine::builder().machines(2).build(g).unwrap();
+    match execute(&mut engine, &program, &CancelToken::never()).unwrap() {
+        QueryResult::Column { values, .. } => match values {
+            pgxd::query::QueryColumn::F64(xs) => xs.into_iter().map(f64::to_bits).collect(),
+            pgxd::query::QueryColumn::I64(xs) => xs.into_iter().map(|x| x as u64).collect(),
+            pgxd::query::QueryColumn::Bool(xs) => xs.into_iter().map(|x| x as u64).collect(),
+        },
+        other => panic!("column expected, got {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Node context: `foreach v where <filter> { v.out = <expr>; }` on a
+    /// graph with uneven degrees.
+    #[test]
+    fn node_context(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let g = generate::star(9);
+        let cols = Columns::random(&mut rng, g.num_nodes());
+        let ty = pick(&mut rng, &[Ty::F64, Ty::I64, Ty::Bool]);
+        let (filter, expr) = (gen(&mut rng, Ty::Bool, 3), gen(&mut rng, ty, 4));
+        let init = random_val(&mut rng, ty);
+
+        let pass = reference(&g, &cols, &filter);
+        let want: Vec<u64> = reference(&g, &cols, &expr)
+            .into_iter()
+            .zip(pass)
+            .map(|(v, pass)| bits(if pass.as_bool() { v } else { init }))
+            .collect();
+        let job = PStep::NodeJob {
+            filter: PFilter::Inline(filter.clone()),
+            writes: vec![(OUT, expr.clone())],
+        };
+        let got = run(&g, &cols, ty, init, job);
+        prop_assert_eq!(got, want, "filter {:?}\nexpr {:?}", filter, expr);
+    }
+
+    /// Edge context: on a ring every vertex has one in-neighbor, so
+    /// `v.out = op(u in v.in_nbrs where <filter>) <expr>` is one reduction
+    /// of the neighbor's value into the identity — or none.
+    #[test]
+    fn edge_context(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let n = 10;
+        let g = generate::ring(n);
+        let cols = Columns::random(&mut rng, n);
+        let ty = pick(&mut rng, &[Ty::F64, Ty::I64]);
+        let op = pick(&mut rng, &[ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max]);
+        let (filter, expr) = (gen(&mut rng, Ty::Bool, 3), gen(&mut rng, ty, 4));
+
+        let tag = if ty == Ty::F64 { f64::TAG } else { i64::TAG };
+        let identity = bottom_bits(tag, op);
+        let pass = reference(&g, &cols, &filter);
+        let value = reference(&g, &cols, &expr);
+        let want: Vec<u64> = (0..n)
+            .map(|v| {
+                let u = (v + n - 1) % n;
+                if pass[u].as_bool() {
+                    reduce_bits(tag, op, identity, bits(value[u]))
+                } else {
+                    identity
+                }
+            })
+            .collect();
+        let job = PStep::EdgeJob {
+            span: Span::default(),
+            mode: TraverseMode::Push,
+            set: NbrSet::In,
+            op,
+            target: OUT,
+            nbr_filter: Some(filter.clone()),
+            vertex_filter: PFilter::None,
+            body: expr.clone(),
+            prefill: true,
+        };
+        let got = run(&g, &cols, ty, random_val(&mut rng, ty), job);
+        prop_assert_eq!(got, want, "{:?} filter {:?}\nexpr {:?}", op, filter, expr);
+    }
+
+    /// The pull continuation and its reset: `foreach v where <filter>
+    /// { v.out = op(u in v.in_nbrs) u.i; }` folds the in-neighbors' values
+    /// from the identity where the filter holds and leaves `out` alone
+    /// where it does not. (`i64` only: its three reductions do not depend
+    /// on the order responses arrive in.)
+    #[test]
+    fn filtered_pull(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let g = generate::rmat(4, 3, generate::RmatParams::skewed(), seed);
+        let n = g.num_nodes();
+        let cols = Columns::random(&mut rng, n);
+        let op = pick(&mut rng, &[ReduceOp::Sum, ReduceOp::Min, ReduceOp::Max]);
+        let filter = gen(&mut rng, Ty::Bool, 2);
+        let init = random_val(&mut rng, Ty::I64);
+
+        let pass = reference(&g, &cols, &filter);
+        let want: Vec<u64> = (0..n)
+            .map(|v| {
+                if !pass[v].as_bool() {
+                    return bits(init);
+                }
+                g.in_neighbors(v as NodeId)
+                    .iter()
+                    .map(|&u| bits(cols.0[u as usize][I[0]]))
+                    .fold(bottom_bits(i64::TAG, op), |acc, x| reduce_bits(i64::TAG, op, acc, x))
+            })
+            .collect();
+        let job = PStep::EdgeJob {
+            span: Span::default(),
+            mode: TraverseMode::Pull,
+            set: NbrSet::In,
+            op,
+            target: OUT,
+            nbr_filter: None,
+            vertex_filter: PFilter::Inline(filter.clone()),
+            body: e(Ty::I64, TExprKind::Load { slot: I[0], var: WhichVar::Inner }),
+            prefill: true,
+        };
+        let got = run(&g, &cols, Ty::I64, init, job);
+        prop_assert_eq!(got, want, "{:?} filter {:?}", op, filter);
+    }
+}
