@@ -24,24 +24,24 @@
 //!   lines and diffs them against an in-memory run.
 //!
 //! * **Fault-tolerant PageRank** (`--checkpoint-every K > 0`): the rank
-//!   runs stepwise [`ResumableAlgorithm`] PageRank with collective
-//!   checkpoints every K iterations. If a peer machine dies mid-run
-//!   (SIGKILL — detected by the crash watchdog or by redial exhaustion),
-//!   the survivors salvage their replicated checkpoint rings, tear down
-//!   the dead cluster, re-bootstrap as a (P-1)-machine cluster at
-//!   `--recover-coord`, adopt the newest intact checkpoint, restore in
-//!   degraded mode and resume from the checkpointed iteration. The
-//!   `repro wire-recover` experiment drives this end to end.
+//!   hands stepwise resumable PageRank to
+//!   [`RecoveryDriver::run_rank`] — the recovery loop every deployment
+//!   shape runs — with collective checkpoints every K iterations. If a
+//!   peer machine dies mid-run (SIGKILL — detected by the crash watchdog
+//!   or by redial exhaustion), the survivors re-bootstrap as a
+//!   (P-1)-machine cluster at `--recover-coord`, adopt the newest intact
+//!   checkpoint, restore in degraded mode and resume from the checkpointed
+//!   iteration. The `repro wire-recover` experiment drives this end to end.
 
+use pgxd::recover::Scripted;
+use pgxd::transport::WireCountersSnapshot;
 use pgxd::{
-    Checkpoint, Config, EngineBuilder, FaultPlan, JobError, ReliabilityConfig, ResumableAlgorithm,
-    StepOutcome, TransportConfig, WireFaultPlan,
+    Config, EngineBuilder, FaultPlan, RecoveryDriver, ReliabilityConfig, TransportConfig,
+    WireFaultPlan,
 };
 use pgxd_algorithms as algos;
 use pgxd_graph::generate;
-use pgxd_runtime::transport::WireCountersSnapshot;
 use std::io::Write as _;
-use std::sync::Arc;
 use std::time::Duration;
 
 struct Args {
@@ -174,15 +174,14 @@ fn build_graph(spec: &str) -> pgxd_graph::Graph {
     }
 }
 
-/// Builds the config for one cluster incarnation. Recovery re-bootstraps
-/// with fewer machines / a shifted rank / a different coordinator, so
-/// those vary per attempt; wire-fault injection only arms on the first
-/// incarnation (the rebuilt cluster must converge undisturbed).
-fn node_config(a: &Args, machines: usize, rank: u16, coord: &str, inject_wire: bool) -> Config {
+/// This rank's config for the cluster's first incarnation; the recovery
+/// loop derives the later ones (fewer machines, a shifted rank, the
+/// recovery coordinator, wire-fault injection off).
+fn node_config(a: &Args) -> Config {
     let mut builder = Config::builder()
-        .machines(machines)
+        .machines(a.machines)
         .workers(a.workers)
-        .transport(TransportConfig::tcp(coord.to_string(), rank))
+        .transport(TransportConfig::tcp(a.coord.clone(), a.rank))
         // Histograms on: the rank file reports the termination wait.
         .telemetry(pgxd::TelemetryConfig::on())
         // A 1 ms housekeeping tick keeps retransmit latency (and, under a
@@ -199,9 +198,9 @@ fn node_config(a: &Args, machines: usize, rank: u16, coord: &str, inject_wire: b
     if a.checkpoint_every > 0 {
         builder = builder.checkpoint_every(a.checkpoint_every);
     }
-    if inject_wire && (a.wire_reset_per_mille > 0 || a.wire_stall_per_mille > 0) {
+    if a.wire_reset_per_mille > 0 || a.wire_stall_per_mille > 0 {
         builder = builder.wire_fault(WireFaultPlan {
-            seed: a.wire_seed ^ (rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+            seed: a.wire_seed ^ (a.rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             reset_per_mille: a.wire_reset_per_mille,
             stall_per_mille: a.wire_stall_per_mille,
             stall_ms: 2,
@@ -225,47 +224,11 @@ fn node_config(a: &Args, machines: usize, rank: u16, coord: &str, inject_wire: b
     })
 }
 
-/// Bootstraps one cluster incarnation. Rank 0 binds the coordinator
-/// itself so a `:0` ephemeral port can be announced (`announce`) before
-/// the other ranks exist; recovery re-bootstraps at a pre-agreed concrete
-/// address, so no announcement is needed there.
-fn build_engine(
-    config: Config,
-    rank: u16,
-    machines: usize,
-    graph: &pgxd_graph::Graph,
-    coord: &str,
-    announce: bool,
-) -> Result<pgxd::Engine, String> {
-    if rank == 0 {
-        let (handle, addr) = pgxd::transport::bind_coordinator(coord)
-            .map_err(|e| format!("bind coordinator: {e}"))?;
-        if announce {
-            println!("coord={addr}");
-            std::io::stdout().flush().ok();
-        }
-        let membership = handle
-            .wait_cluster(
-                machines,
-                &config.transport.listen_addr,
-                Duration::from_millis(config.transport.connect_timeout_ms),
-            )
-            .map_err(|e| format!("bootstrap (coordinator): {e}"))?;
-        EngineBuilder::from_config(config).build_node_with(graph, membership)
-    } else {
-        EngineBuilder::from_config(config).build_node(graph)
-    }
-}
-
-fn accumulate(acc: &mut WireCountersSnapshot, w: Option<WireCountersSnapshot>) {
-    let Some(w) = w else { return };
-    acc.reconnects_dialed += w.reconnects_dialed;
-    acc.reconnects_accepted += w.reconnects_accepted;
-    acc.resets_injected += w.resets_injected;
-    acc.stalls_injected += w.stalls_injected;
-    acc.accepts_refused += w.accepts_refused;
-    acc.partition_drops += w.partition_drops;
-    acc.reader_eofs += w.reader_eofs;
+/// Rank 0 announces the coordinator address it bound (a `:0` port is
+/// fine) so an orchestrator can hand it to the other ranks.
+fn announce(addr: &str) {
+    println!("coord={addr}");
+    std::io::stdout().flush().ok();
 }
 
 fn write_out(a: &Args, body: &str) -> Result<(), String> {
@@ -274,8 +237,7 @@ fn write_out(a: &Args, body: &str) -> Result<(), String> {
 
 /// Legacy sweep: PageRank + WCC + Hop Dist on one cluster incarnation.
 fn run_sweep(a: &Args, graph: &pgxd_graph::Graph) -> Result<(), String> {
-    let config = node_config(a, a.machines, a.rank, &a.coord, true);
-    let mut engine = build_engine(config, a.rank, a.machines, graph, &a.coord, true)?;
+    let mut engine = EngineBuilder::from_config(node_config(a)).build_rank(graph, announce)?;
 
     // --- The SPMD driver program: identical on every rank. -------------
     let err = |e: pgxd::JobError| format!("job failed: {e}");
@@ -295,8 +257,7 @@ fn run_sweep(a: &Args, graph: &pgxd_graph::Graph) -> Result<(), String> {
         .map(|b| u64::from_le_bytes(b[..8].try_into().unwrap()))
         .sum();
 
-    let mut wire = WireCountersSnapshot::default();
-    accumulate(&mut wire, engine.wire_counters());
+    let wire = engine.wire_counters().unwrap_or_default();
 
     let mut out = String::new();
     out.push_str(&format!("rank={}\n", a.rank));
@@ -337,8 +298,7 @@ fn push_wire_lines(out: &mut String, w: &WireCountersSnapshot) {
 }
 
 /// What termination detection cost this rank: the wait from "my task list
-/// is empty" to the release, once per phase (zeros when the `telemetry`
-/// feature is compiled out).
+/// is empty" to the release, once per phase.
 fn push_term_lines(out: &mut String, engine: &pgxd::Engine) {
     let waits = engine.cluster().machines()[0]
         .telemetry
@@ -352,126 +312,42 @@ fn push_term_lines(out: &mut String, engine: &pgxd::Engine) {
 
 /// Fault-tolerant PageRank: stepwise iterations with collective
 /// checkpoints, and full re-bootstrap recovery on machine death.
-///
-/// The recovery protocol is SPMD like everything else: every survivor
-/// independently observes the same `MachineDown { dead }` (watchdog
-/// first-error-wins plus the coordinator Abort broadcast), so every
-/// survivor computes the same degraded membership — `machines - 1`, own
-/// rank decremented when above the dead rank — and meets the others at
-/// `--recover-coord`, where the new rank 0 binds the pre-agreed listener.
 fn run_recover(a: &Args, graph: &pgxd_graph::Graph) -> Result<(), String> {
-    let mut machines = a.machines;
-    let mut rank = a.rank;
-    let mut ring: Vec<Arc<Checkpoint>> = Vec::new();
-    let mut recovered = 0u64;
-    let mut wire = WireCountersSnapshot::default();
-
-    loop {
-        let first = recovered == 0;
-        let coord = if first { &a.coord } else { &a.recover_coord };
-        let config = node_config(a, machines, rank, coord, first);
-        let mut engine = build_engine(config, rank, machines, graph, coord, first)?;
-        let mut alg = algos::ResumablePageRankPull::new(0.85, a.iters, 0.0);
-        alg.setup(&mut engine);
-        let mut iteration = 0u64;
-        let mut paused = false;
-
-        let attempt: Result<(), JobError> = (|| {
-            if recovered > 0 {
-                // Collective adoption: agree on the newest intact
-                // checkpoint across all salvaged rings, then restore it in
-                // degraded mode. `None` means nobody has one — every
-                // survivor cold-restarts from iteration 0 in lockstep.
-                if let Some(best) = pgxd::recover::adopt_checkpoint(&engine, &ring)? {
-                    engine.restore_checkpoint(&best)?;
-                    iteration = best.progress.iteration;
-                    alg.restore_scalars(&best.progress.scalars);
-                }
-            }
-            if iteration == 0 {
-                // Iteration-0 baseline: a crash before the first cadence
-                // snapshot then restores initial state instead of failing.
-                engine.take_checkpoint(0, alg.scalars())?;
-            }
-            loop {
-                match alg.step(&mut engine, iteration)? {
-                    StepOutcome::Done => return Ok(()),
-                    StepOutcome::Continue => {}
-                }
-                iteration += 1;
-                if iteration.is_multiple_of(a.checkpoint_every) {
-                    engine.take_checkpoint(iteration, alg.scalars())?;
-                }
-                if first && !paused && a.pause_at_iter > 0 && iteration >= a.pause_at_iter {
-                    // The orchestrator's kill window: every rank lingers
-                    // here so a SIGKILL lands between iterations, after
-                    // the cadence checkpoint above exists. The marker file
-                    // tells the orchestrator the window is open.
-                    paused = true;
-                    std::fs::write(format!("{}.paused", a.out), b"").ok();
-                    std::thread::sleep(Duration::from_millis(a.pause_ms));
-                }
-            }
-        })();
-
-        match attempt {
-            Ok(()) => {
-                let scores = alg.finish(&mut engine);
-                accumulate(&mut wire, engine.wire_counters());
-                let mut out = String::new();
-                out.push_str(&format!("rank={}\n", a.rank));
-                out.push_str(&format!("machines={}\n", a.machines));
-                out.push_str(&format!("final_machines={machines}\n"));
-                out.push_str(&format!("recovered={recovered}\n"));
-                out.push_str(&format!("iterations={}\n", scores.iterations));
-                push_wire_lines(&mut out, &wire);
-                let pr_hex: Vec<String> = scores
-                    .scores
-                    .iter()
-                    .map(|s| format!("{:016x}", s.to_bits()))
-                    .collect();
-                out.push_str(&format!("pagerank={}\n", pr_hex.join(",")));
-                write_out(a, &out)?;
-                engine
-                    .cluster()
-                    .node_barrier()
-                    .map_err(|e| format!("teardown barrier: {e}"))?;
-                return Ok(());
-            }
-            Err(JobError::MachineDown { machine: dead }) if !a.recover_coord.is_empty() => {
-                if dead == rank {
-                    // The watchdog blames *us* when every peer went silent
-                    // at once: we are the partitioned side, nobody will
-                    // meet us at the recovery coordinator.
-                    return Err(format!(
-                        "job failed: {}",
-                        JobError::MachineDown { machine: dead }
-                    ));
-                }
-                eprintln!(
-                    "pgxd-node rank {}: machine {dead} died at iteration {iteration}; \
-                     recovering as {}-machine cluster",
-                    a.rank,
-                    machines - 1
-                );
-                // Salvage before teardown: the ring is plain copied memory,
-                // never a view into the dead cluster.
-                ring = engine.checkpoint_ring();
-                accumulate(&mut wire, engine.wire_counters());
-                engine.sever_transport();
-                drop(engine);
-                machines -= 1;
-                if machines == 0 {
-                    return Err("all peer machines died; nothing left to recover".into());
-                }
-                if rank > dead {
-                    rank -= 1;
-                }
-                recovered += 1;
-            }
-            Err(e) => return Err(format!("job failed: {e}")),
+    // The orchestrator's kill window: on the first attempt, before
+    // iteration `--pause-at-iter` starts — right after the cadence
+    // checkpoint for it — every rank drops a marker file and lingers, so a
+    // SIGKILL lands between iterations with that checkpoint in the ring.
+    let kill_window = |attempt: u32, iteration: u64| {
+        if attempt == 1 && a.pause_at_iter > 0 && iteration == a.pause_at_iter {
+            std::fs::write(format!("{}.paused", a.out), b"").ok();
+            std::thread::sleep(Duration::from_millis(a.pause_ms));
         }
-    }
+        Ok(())
+    };
+    let pagerank = algos::ResumablePageRankPull::new(0.85, a.iters, 0.0);
+    let rec = RecoveryDriver::new(graph, node_config(a))?
+        .run_rank(
+            &a.recover_coord,
+            announce,
+            &mut Scripted::new(pagerank, kill_window),
+        )
+        .map_err(|e| format!("job failed: {e}"))?;
+
+    let mut out = String::new();
+    out.push_str(&format!("rank={}\n", a.rank));
+    out.push_str(&format!("machines={}\n", a.machines));
+    out.push_str(&format!("final_machines={}\n", rec.machines));
+    out.push_str(&format!("recovered={}\n", rec.recoveries));
+    out.push_str(&format!("iterations={}\n", rec.output.iterations));
+    push_wire_lines(&mut out, &rec.wire);
+    let pr_hex: Vec<String> = rec
+        .output
+        .scores
+        .iter()
+        .map(|s| format!("{:016x}", s.to_bits()))
+        .collect();
+    out.push_str(&format!("pagerank={}\n", pr_hex.join(",")));
+    write_out(a, &out)
 }
 
 fn main() {

@@ -5,15 +5,13 @@
 //! cargo run -p pgxd-bench --release --bin repro -- table3 --full # 8× larger graphs
 //! cargo run -p pgxd-bench --release --bin repro -- fig6 fig8 -v
 //! cargo run -p pgxd-bench --release --bin repro -- --telemetry out/
-//! cargo run -p pgxd-bench --release --bin repro -- bench --quick
 //! ```
 //!
 //! Text tables print to stdout; machine-readable JSON lands in `results/`.
 //! `--telemetry <dir>` runs an instrumented 4-machine PageRank and writes
 //! `<dir>/trace.json` (Perfetto-viewable) plus `<dir>/report.json`.
-//! `bench` appends a `BENCH_<date>.json` trajectory snapshot (to the
-//! current directory, or `$BENCH_DIR`); see `scripts/bench_compare.sh`
-//! for the regression gate over the two newest snapshots.
+//! Performance is measured by the repository benchmark, `bash
+//! benchmark/run.sh`, not here.
 //!
 //! `repro --help` lists every experiment; an unknown experiment name
 //! exits non-zero with the same list.
@@ -57,7 +55,7 @@ fn print_help() {
          --full             8× larger graphs (default is quick scale)\n  \
          -v, --verbose      per-run progress on stderr\n  \
          --telemetry DIR    write trace.json + report.json under DIR\n  \
-         --quick            shrink the `bench` run for CI\n  \
+         --quick            shrink the acceptance sweeps that take it, for CI\n  \
          -h, --help         this list",
         experiment_list()
     );
@@ -130,12 +128,6 @@ fn main() {
             "fig8" => {
                 emit(&[fig8::run_fig8a()], "fig8a");
                 emit(&[fig8::run_fig8b()], "fig8b");
-            }
-            "bench" => {
-                let dir = std::env::var_os("BENCH_DIR")
-                    .map(PathBuf::from)
-                    .unwrap_or_else(|| PathBuf::from("."));
-                emit(&bench::run_experiment(scale, quick, &dir), "bench");
             }
             "chaos" => emit(&chaos::run_experiment(scale), "chaos"),
             "query" => emit(&query::run_experiment(scale, quick), "query"),

@@ -91,27 +91,21 @@ pub fn run_fig5a(scale: Scale) -> Table {
     t
 }
 
-/// Mean wall time of one empty node job, µs, on `machines` node-mode ranks
-/// over loopback TCP — each rank hosted on a thread of this process, as in
-/// `tests/tests/wire_e2e.rs`; rank 0's clock is reported. An empty job is
-/// all fixed cost: the control-plane barrier at job start, one termination
-/// wave (report → probe → answer → release) and the local phase barrier.
+/// Mean wall time of one empty node job, µs, on `machines` thread-hosted
+/// ranks over loopback TCP ([`pgxd::loopback_ranks`]); rank 0's clock is
+/// reported. An empty job is all fixed cost: the control-plane barrier at
+/// job start, one termination wave (report → probe → answer → release) and
+/// the local phase barrier.
 pub fn tcp_empty_job_us(machines: usize, reps: u32) -> f64 {
     use pgxd::tasks::on_node;
-    use pgxd::transport::bind_coordinator;
-    use pgxd::{Config, EngineBuilder, TransportConfig};
-
-    let config = move |coord: &str, rank: u16| {
-        Config::builder()
-            .machines(machines)
-            .workers(1)
-            .copiers(1)
-            .ghost_threshold(None)
-            .transport(TransportConfig::tcp(coord, rank))
-            .build()
-            .expect("tcp config")
-    };
-    let run = move |mut engine: Engine| {
+    let config = pgxd::Config::builder()
+        .machines(machines)
+        .workers(1)
+        .copiers(1)
+        .ghost_threshold(None);
+    let g = pgxd_graph::generate::ring(64);
+    pgxd::loopback_ranks(machines, |rank| {
+        let mut engine = rank.engine(config.clone(), &g).expect("loopback rank");
         let mut empty_job = || {
             engine
                 .try_run_node_job(&JobSpec::new(), on_node(|_| {}))
@@ -123,35 +117,7 @@ pub fn tcp_empty_job_us(machines: usize, reps: u32) -> f64 {
         // Nobody closes a socket while a peer is still inside a job.
         engine.cluster().node_barrier().expect("teardown barrier");
         total.as_secs_f64() / reps as f64 * 1e6
-    };
-
-    let (handle, addr) = bind_coordinator("127.0.0.1:0").expect("bind coordinator");
-    let coord = addr.to_string();
-    std::thread::scope(|s| {
-        for rank in 1..machines as u16 {
-            let coord = coord.clone();
-            s.spawn(move || {
-                let g = pgxd_graph::generate::ring(64);
-                let engine = EngineBuilder::from_config(config(&coord, rank))
-                    .build_node(&g)
-                    .expect("node engine");
-                run(engine)
-            });
-        }
-        let g = pgxd_graph::generate::ring(64);
-        let config0 = config(&coord, 0);
-        let membership = handle
-            .wait_cluster(
-                machines,
-                &config0.transport.listen_addr,
-                std::time::Duration::from_secs(30),
-            )
-            .expect("bootstrap");
-        let engine = EngineBuilder::from_config(config0)
-            .build_node_with(&g, membership)
-            .expect("node engine");
-        run(engine)
-    })
+    })[0]
 }
 
 /// Figure 5b: barrier latency vs machine count, for both the shared-memory

@@ -1,6 +1,5 @@
 //! One module per table/figure of the paper's evaluation.
 
-pub mod bench;
 pub mod chaos;
 pub mod commfast;
 pub mod fig3;
@@ -64,10 +63,6 @@ pub const EXPERIMENTS: &[ExperimentInfo] = &[
     ExperimentInfo {
         name: "fig8",
         desc: "flush thresholds, fixed vs adaptive (Figure 8)",
-    },
-    ExperimentInfo {
-        name: "bench",
-        desc: "tracked benchmark trajectory: BENCH_<date>.json snapshot (--quick for CI)",
     },
     ExperimentInfo {
         name: "chaos",

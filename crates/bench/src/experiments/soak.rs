@@ -33,10 +33,11 @@
 
 use crate::datasets::{BenchGraph, Scale};
 use crate::report::Table;
+use pgxd::recover::Scripted;
 use pgxd::serve::{JobHandle, JobReport, Lane, ServeEngine};
 use pgxd::{
     Config, Engine, FaultPlan, JobError, RecoveryDriver, ResumableAlgorithm, RetryBudget,
-    StepOutcome, StorageFaultKind, StorageFaultPlan, TelemetryConfig,
+    StorageFaultKind, StorageFaultPlan, TelemetryConfig,
 };
 use pgxd_algorithms::pagerank::PageRankResult;
 use pgxd_algorithms::{try_pagerank_pull, ResumablePageRankPull};
@@ -137,58 +138,21 @@ impl Ledger {
 
 /// PageRank with deterministic machine flaps: reports `MachineDown` for
 /// machine 1 at fixed (attempt, iteration) points — or at one iteration
-/// on *every* attempt — and otherwise delegates to the real algorithm.
-/// Everything else (checkpoints, restore, quarantine) is the production
-/// recovery path.
-struct ChaosPageRank {
-    inner: ResumablePageRankPull,
-    attempt: u32,
+/// on *every* attempt — and otherwise runs the real algorithm. Everything
+/// else (checkpoints, restore, quarantine) is the production recovery path.
+fn chaos_pagerank(
     fail_at: &'static [(u32, u64)],
     fail_every_attempt_at: Option<u64>,
-}
-
-impl ChaosPageRank {
-    fn new(fail_at: &'static [(u32, u64)], fail_every_attempt_at: Option<u64>) -> Self {
-        ChaosPageRank {
-            inner: ResumablePageRankPull::new(DAMPING, PR_ITERS, 0.0),
-            attempt: 0,
-            fail_at,
-            fail_every_attempt_at,
-        }
-    }
-}
-
-impl ResumableAlgorithm for ChaosPageRank {
-    type Output = PageRankResult;
-
-    fn setup(&mut self, engine: &mut Engine) {
-        self.attempt += 1;
-        self.inner.setup(engine);
-    }
-
-    fn step(&mut self, engine: &mut Engine, iteration: u64) -> Result<StepOutcome, JobError> {
-        let flap = self
-            .fail_at
-            .iter()
-            .any(|&(a, i)| a == self.attempt && i == iteration)
-            || self.fail_every_attempt_at == Some(iteration);
-        if flap {
-            return Err(JobError::MachineDown { machine: 1 });
-        }
-        self.inner.step(engine, iteration)
-    }
-
-    fn scalars(&self) -> Vec<u64> {
-        self.inner.scalars()
-    }
-
-    fn restore_scalars(&mut self, scalars: &[u64]) {
-        self.inner.restore_scalars(scalars);
-    }
-
-    fn finish(&mut self, engine: &mut Engine) -> PageRankResult {
-        self.inner.finish(engine)
-    }
+) -> impl ResumableAlgorithm<Output = PageRankResult> {
+    Scripted::new(
+        ResumablePageRankPull::new(DAMPING, PR_ITERS, 0.0),
+        move |attempt, iteration| {
+            if fail_at.contains(&(attempt, iteration)) || fail_every_attempt_at == Some(iteration) {
+                return Err(JobError::MachineDown { machine: 1 });
+            }
+            Ok(())
+        },
+    )
 }
 
 fn totals(stats: &[Arc<MachineStats>]) -> StatsSnapshot {
@@ -611,7 +575,7 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
     // restore on P−1 survivors. Attempt 3 runs to convergence.
     let budget = Arc::new(RetryBudget::new(8, 600_000));
     let driver = RecoveryDriver::new(&graph, chaos_config()).expect("driver");
-    let mut algo = ChaosPageRank::new(&[(1, 5), (2, 6)], None);
+    let mut algo = chaos_pagerank(&[(1, 5), (2, 6)], None);
     let rec = driver
         .with_retry_budget(Arc::clone(&budget))
         .run(&mut algo)
@@ -670,7 +634,7 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
     eprintln!("[soak] running 'driver retry-budget exhaustion'");
     let tiny = Arc::new(RetryBudget::new(1, 600_000));
     let driver = RecoveryDriver::new(&graph, chaos_config()).expect("driver");
-    let mut hopeless = ChaosPageRank::new(&[], Some(3));
+    let mut hopeless = chaos_pagerank(&[], Some(3));
     let err = driver
         .with_retry_budget(Arc::clone(&tiny))
         .run(&mut hopeless)

@@ -81,9 +81,7 @@ fn histogram_table(report: &Value) -> Option<Table> {
     Some(t)
 }
 
-// The acceptance test needs the instruments compiled in; under
-// `--no-default-features` the run would legitimately emit an empty trace.
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -28,7 +28,6 @@ use crate::report::Table;
 use pgxd_algorithms as algos;
 use pgxd_graph::generate;
 use std::io::{BufRead, BufReader};
-use std::net::TcpListener;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -99,17 +98,6 @@ fn node_bin() -> PathBuf {
         sibling.display()
     );
     sibling
-}
-
-/// Reserves a concrete localhost port for the recovery coordinator by
-/// binding an ephemeral listener and immediately dropping it. The
-/// survivors re-bootstrap there only after the original cluster is torn
-/// down, so the tiny reuse window is harmless.
-fn reserve_port() -> String {
-    let l = TcpListener::bind("127.0.0.1:0").expect("reserve recovery port");
-    let addr = l.local_addr().expect("local_addr").to_string();
-    drop(l);
-    addr
 }
 
 struct RankPlan<'a> {
@@ -231,7 +219,7 @@ fn run_cluster(g: &GraphSpec, tag: &str, kill_victim: bool, faults: bool) -> Vec
     let outs: Vec<PathBuf> = (0..MACHINES)
         .map(|r| dir.join(format!("rank{r}.txt")))
         .collect();
-    let recover_coord = reserve_port();
+    let recover_coord = pgxd::transport::reserve_loopback_addr().expect("reserve recovery port");
     let plan = RankPlan {
         g,
         recover_coord: &recover_coord,
@@ -311,23 +299,17 @@ fn bits(v: &[f64]) -> Vec<u64> {
 /// The fault-free fixpoint: same graph, same machine count, and the same
 /// stepwise resumable algorithm the nodes run, on the in-memory backend.
 fn reference(g: &GraphSpec) -> Vec<f64> {
-    use pgxd::{ResumableAlgorithm, StepOutcome};
+    use pgxd::ResumableAlgorithm;
     let graph = g.build();
     let mut e = pgxd::Engine::builder()
         .machines(MACHINES)
         .workers(2)
         .build(&graph)
         .unwrap();
-    let mut alg = algos::ResumablePageRankPull::new(0.85, g.iters, 0.0);
-    alg.setup(&mut e);
-    let mut iteration = 0u64;
-    loop {
-        match alg.step(&mut e, iteration).unwrap() {
-            StepOutcome::Done => break,
-            StepOutcome::Continue => iteration += 1,
-        }
-    }
-    alg.finish(&mut e).scores
+    algos::ResumablePageRankPull::new(0.85, g.iters, 0.0)
+        .run_to_completion(&mut e)
+        .expect("fault-free reference run")
+        .scores
 }
 
 /// Cross-checks one run's survivors against each other and the reference;

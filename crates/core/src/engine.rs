@@ -4,13 +4,14 @@ use crate::jobphase::{EdgeJobPhase, NodeJobPhase};
 use crate::prop::Prop;
 use crate::spec::JobSpec;
 use crate::task::{Dir, EdgeTask, NodeTask};
+use parking_lot::{Condvar, Mutex};
 use pgxd_graph::{Graph, NodeId};
 use pgxd_runtime::cancel::{CancelReason, CancelToken};
 use pgxd_runtime::checkpoint::Checkpoint;
 use pgxd_runtime::chunk::{make_chunks, node_target_from_edges, ChunkQueue};
 use pgxd_runtime::config::{
-    AdaptiveFlushConfig, ChunkingMode, Config, FaultPlan, NetConfig, PartitioningMode,
-    RecoveryConfig, ReliabilityConfig, TransportConfig,
+    AdaptiveFlushConfig, ChunkingMode, Config, ConfigBuilder, FaultPlan, NetConfig,
+    PartitioningMode, RecoveryConfig, ReliabilityConfig, TransportConfig,
 };
 use pgxd_runtime::health::JobError;
 use pgxd_runtime::jobctx::{JobCtx, JobExec, JobOutcome};
@@ -277,11 +278,20 @@ impl EngineBuilder {
     /// returns an engine whose driver API runs SPMD-collectively — every
     /// rank executes the same driver program in lockstep.
     pub fn build_node(self, graph: &Graph) -> Result<Engine, String> {
-        Ok(Engine {
-            cluster: Cluster::load_node(graph, self.config)?,
-            last_timings: Vec::new(),
-            job_acc: None,
-        })
+        self.build_rank(graph, |_| {})
+    }
+
+    /// [`Self::build_node`] for a rank 0 that binds an address nobody knows
+    /// yet (a `:0` port, say): `announce` is handed the concrete address as
+    /// soon as it is bound, so an OS process can print it and a
+    /// thread-hosted loopback rank can wake the others
+    /// ([`loopback_ranks`]). One bootstrap for both
+    /// ([`pgxd_runtime::tcp::bootstrap`]).
+    pub fn build_rank(self, graph: &Graph, announce: impl FnOnce(&str)) -> Result<Engine, String> {
+        self.config.validate()?;
+        let membership =
+            pgxd_runtime::tcp::bootstrap(&self.config, announce).map_err(|e| e.to_string())?;
+        self.build_node_with(graph, membership)
     }
 
     /// [`Self::build_node`] with an already-bootstrapped membership (for
@@ -298,6 +308,70 @@ impl EngineBuilder {
             job_acc: None,
         })
     }
+}
+
+/// One of the thread-hosted ranks of [`loopback_ranks`].
+pub struct LoopbackRank<'a> {
+    /// This thread's rank.
+    pub rank: u16,
+    /// Rank 0's coordinator address, once it is bound.
+    coord: &'a (Mutex<Option<String>>, Condvar),
+}
+
+impl LoopbackRank<'_> {
+    /// This rank's transport: rank 0 coordinates on an ephemeral port, every
+    /// other rank waits here until rank 0 [announced](Self::announce) it.
+    pub fn transport(&self) -> Result<TransportConfig, String> {
+        let (slot, bound) = self.coord;
+        let mut addr = slot.lock();
+        while self.rank != 0 && addr.is_none() {
+            if bound
+                .wait_for(&mut addr, Duration::from_secs(30))
+                .timed_out()
+            {
+                return Err("rank 0 never bound its coordinator".into());
+            }
+        }
+        let coord = addr.as_deref().unwrap_or("127.0.0.1:0");
+        Ok(TransportConfig::tcp(coord, self.rank))
+    }
+
+    /// Publishes rank 0's bound coordinator address to the other ranks —
+    /// the `announce` of [`EngineBuilder::build_rank`].
+    pub fn announce(&self, addr: &str) {
+        *self.coord.0.lock() = Some(addr.to_string());
+        self.coord.1.notify_all();
+    }
+
+    /// Builds this rank's engine: `config` over [`Self::transport`].
+    pub fn engine(&self, config: ConfigBuilder, graph: &Graph) -> Result<Engine, String> {
+        let config = config.transport(self.transport()?).build()?;
+        EngineBuilder::from_config(config).build_rank(graph, |addr| self.announce(addr))
+    }
+}
+
+/// Hosts the `machines` ranks of one TCP cluster on threads of this process
+/// over loopback sockets — what `pgxd-node` does across OS processes, for
+/// hermetic tests and probes. Every rank runs `body`, the same SPMD driver
+/// program; the results come back in rank order. A rank that leaves while
+/// the others still run should cross [`Cluster::node_barrier`] first.
+pub fn loopback_ranks<T: Send>(
+    machines: usize,
+    body: impl Fn(LoopbackRank<'_>) -> T + Sync,
+) -> Vec<T> {
+    let coord = (Mutex::new(None), Condvar::new());
+    std::thread::scope(|s| {
+        let ranks: Vec<_> = (0..machines as u16)
+            .map(|rank| {
+                let (body, coord) = (&body, &coord);
+                s.spawn(move || body(LoopbackRank { rank, coord }))
+            })
+            .collect();
+        ranks
+            .into_iter()
+            .map(|t| t.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    })
 }
 
 /// What one job execution cost (the driver's window into Figures 6a/6c).
@@ -468,18 +542,10 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Runs an edge-iterator job: `task.run` executes for every `dir`-edge
-    /// of every vertex passing `task.filter`, across all machines.
-    ///
-    /// **Deprecated:** panics if the cluster aborts. New code should call
-    /// [`Engine::try_run_edge_job`]; this is the single panicking wrapper
-    /// kept for callers that genuinely cannot recover.
-    pub fn run_edge_job<T: EdgeTask>(&mut self, dir: Dir, spec: &JobSpec, task: T) -> JobReport {
-        self.try_run_edge_job(dir, spec, task).expect("job failed")
-    }
-
-    /// Fallible [`Engine::run_edge_job`]: a machine crash, partition, or
-    /// protocol violation surfaces as a structured [`JobError`] once every
-    /// worker has reached the phase barrier — no hang, no panic.
+    /// of every vertex passing `task.filter`, across all machines. A
+    /// machine crash, partition, or protocol violation surfaces as a
+    /// structured [`JobError`] once every worker has reached the phase
+    /// barrier — no hang, no panic.
     pub fn try_run_edge_job<T: EdgeTask>(
         &mut self,
         dir: Dir,
@@ -506,12 +572,11 @@ impl Engine {
         // Chunk totals count only this process's queues — exactly what the
         // completion tracker wants in both deployment shapes.
         let total_chunks: usize = queues.iter().map(|q| q.len()).sum();
-        let config = self.cluster.config().clone();
         let main = Arc::new(EdgeJobPhase {
             task: Arc::new(task),
             dir,
             reduces: spec.reduces.clone(),
-            privatize: config.ghost_privatization,
+            privatize: self.cluster.config().ghost_privatization,
             queues,
             job: self.cluster.job_state(total_chunks, cancel.clone()),
         });
@@ -519,16 +584,7 @@ impl Engine {
     }
 
     /// Runs a node-iterator job: `task.run` executes once per active
-    /// vertex.
-    ///
-    /// **Deprecated:** panics if the cluster aborts. New code should call
-    /// [`Engine::try_run_node_job`]; this is the single panicking wrapper
-    /// kept for callers that genuinely cannot recover.
-    pub fn run_node_job<T: NodeTask>(&mut self, spec: &JobSpec, task: T) -> JobReport {
-        self.try_run_node_job(spec, task).expect("job failed")
-    }
-
-    /// Fallible [`Engine::run_node_job`].
+    /// vertex; fails like [`Engine::try_run_edge_job`].
     pub fn try_run_node_job<T: NodeTask>(
         &mut self,
         spec: &JobSpec,
@@ -547,11 +603,10 @@ impl Engine {
     ) -> Result<JobReport, JobError> {
         let queues = self.build_node_queues();
         let total_chunks: usize = queues.iter().map(|q| q.len()).sum();
-        let config = self.cluster.config().clone();
         let main = Arc::new(NodeJobPhase {
             task: Arc::new(task),
             reduces: spec.reduces.clone(),
-            privatize: config.ghost_privatization,
+            privatize: self.cluster.config().ghost_privatization,
             queues,
             job: self.cluster.job_state(total_chunks, cancel.clone()),
         });

@@ -64,9 +64,11 @@ mod task;
 pub mod tune;
 pub mod vector;
 
-pub use engine::{Engine, EngineBuilder, JobReport};
+pub use engine::{loopback_ranks, Engine, EngineBuilder, JobReport, LoopbackRank};
 pub use prop::Prop;
-pub use recover::{Recovered, RecoveryDriver, ResumableAlgorithm, RetryPolicy, StepOutcome};
+pub use recover::{
+    EngineSource, Recovered, RecoveryDriver, ResumableAlgorithm, RetryPolicy, StepOutcome,
+};
 pub use spec::JobSpec;
 pub use task::{Dir, EdgeCtx, EdgeTask, NodeCtx, NodeTask, ReadDoneCtx};
 
@@ -96,6 +98,10 @@ pub use pgxd_runtime::stats::{Breakdown, StatsSnapshot};
 /// its two backends (in-memory channel switch, real TCP sockets), and the
 /// TCP bootstrap/membership machinery for multi-process clusters.
 pub mod transport {
-    pub use pgxd_runtime::tcp::{bind_coordinator, bootstrap, Membership, NodeComm, TcpTransport};
-    pub use pgxd_runtime::transport::{InMemoryTransport, Transport};
+    pub use pgxd_runtime::tcp::{
+        bind_coordinator, bootstrap, reserve_loopback_addr, Membership, NodeComm, TcpTransport,
+    };
+    pub use pgxd_runtime::transport::{
+        Contribution, InMemoryTransport, Transport, WireCountersSnapshot,
+    };
 }

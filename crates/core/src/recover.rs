@@ -1,26 +1,30 @@
 //! Automatic job recovery: retry-with-restore on machine loss.
 //!
-//! The [`RecoveryDriver`] wraps the engine's fallible job API in an
-//! attempt loop. Algorithms expose their iteration structure through
-//! [`ResumableAlgorithm`] — `setup` registers properties and seeds driver
-//! state, `step` runs exactly one barrier-delimited iteration — and the
-//! driver does the rest: it takes a barrier-consistent checkpoint right
-//! after `setup` (the iteration-0 baseline) and then every
+//! The [`RecoveryDriver`] wraps the engine's fallible job API in the one
+//! attempt loop both deployment shapes run
+//! ([`RecoveryDriver::run_with`]). Algorithms expose their iteration
+//! structure through [`ResumableAlgorithm`] — `setup` registers properties
+//! and seeds driver state, `step` runs exactly one barrier-delimited
+//! iteration — and the driver does the rest: it takes a barrier-consistent
+//! checkpoint right after `setup` (the iteration-0 baseline) and then every
 //! `checkpoint_every` completed iterations, and when an attempt dies with
 //! a transient [`JobError`] (machine loss), it
 //!
-//! 1. extracts the retained checkpoint *ring* (plain copied memory — never
-//!    a view into the dead cluster),
-//! 2. consults a [`FlapDetector`]: below the flap threshold the machine
-//!    gets another chance at full cluster size; at the threshold it is
-//!    quarantined and the driver rebuilds a *degraded* cluster from the
-//!    `P−1` survivors — `Cluster::load` re-runs edge partitioning and
-//!    ghost selection over the smaller machine set,
+//! 1. salvages the retained checkpoint *ring* (plain copied memory — never
+//!    a view into the dead cluster) and takes the dead engine down,
+//! 2. asks its [`EngineSource`] for the next attempt's engine — the only
+//!    step that depends on the shape. In one process a [`FlapDetector`]
+//!    decides: below the flap threshold the machine gets another chance at
+//!    full cluster size; at the threshold it is quarantined and the next
+//!    cluster is a *degraded* one over the `P−1` survivors. As a rank of a
+//!    TCP cluster the dead peer is gone for good: the survivors renumber
+//!    their ranks and re-bootstrap at a pre-agreed rendezvous address,
 //! 3. re-runs the algorithm's `setup` (re-registering the same properties
-//!    in the same order, so ids line up), then restores the newest ring
-//!    entry that passes checksum verification — a corrupt newest
-//!    checkpoint (injected storage fault, `StorageFaultPlan`) falls back
-//!    to the next-older entry (`checkpoint_fallbacks` counter +
+//!    in the same order, so ids line up), then adopts (a collective: all
+//!    processes agree on one checkpoint) and restores the newest ring entry
+//!    that passes checksum verification — a corrupt newest checkpoint
+//!    (injected storage fault, `StorageFaultPlan`) falls back to the
+//!    next-older entry (`checkpoint_fallbacks` counter +
 //!    `CheckpointFallback` trace), and if no entry is restorable the job
 //!    cold-restarts from iteration 0 (`cold_restarts` + `ColdRestart`) —
 //!    and resumes `step`ping from wherever that landed.
@@ -35,10 +39,12 @@
 use crate::engine::{Engine, EngineBuilder};
 use pgxd_graph::Graph;
 use pgxd_runtime::checkpoint::Checkpoint;
-use pgxd_runtime::config::{Config, RecoveryConfig};
+use pgxd_runtime::config::{Config, RecoveryConfig, WireFaultPlan};
 use pgxd_runtime::health::{FlapDetector, JobError, RetryBudget};
+use pgxd_runtime::ids::MachineId;
 use pgxd_runtime::stats::StatsSnapshot;
 use pgxd_runtime::telemetry::EventKind;
+use pgxd_runtime::transport::WireCountersSnapshot;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
@@ -93,6 +99,69 @@ pub trait ResumableAlgorithm {
 
     /// Extracts the result from a converged engine.
     fn finish(&mut self, engine: &mut Engine) -> Self::Output;
+
+    /// Runs the whole algorithm on `engine` — setup, every step, finish —
+    /// with no checkpoints and no retry: the fault-free reference the
+    /// recovered runs are held to.
+    fn run_to_completion(&mut self, engine: &mut Engine) -> Result<Self::Output, JobError> {
+        self.setup(engine);
+        let mut iteration = 0u64;
+        while self.step(engine, iteration)? == StepOutcome::Continue {
+            iteration += 1;
+        }
+        Ok(self.finish(engine))
+    }
+}
+
+/// `algo` with a script run ahead of every step: `before(attempt,
+/// iteration)` (attempts count from 1) may linger, or return the error
+/// that step is to die of. This is how harnesses inject failures and
+/// pauses at chosen points — everything they then exercise (checkpoints,
+/// restore, quarantine, re-bootstrap) is the production recovery path.
+pub struct Scripted<A, F> {
+    algo: A,
+    before: F,
+    attempt: u32,
+}
+
+impl<A, F> Scripted<A, F> {
+    pub fn new(algo: A, before: F) -> Self {
+        Scripted {
+            algo,
+            before,
+            attempt: 0,
+        }
+    }
+}
+
+impl<A, F> ResumableAlgorithm for Scripted<A, F>
+where
+    A: ResumableAlgorithm,
+    F: FnMut(u32, u64) -> Result<(), JobError>,
+{
+    type Output = A::Output;
+
+    fn setup(&mut self, engine: &mut Engine) {
+        self.attempt += 1;
+        self.algo.setup(engine);
+    }
+
+    fn step(&mut self, engine: &mut Engine, iteration: u64) -> Result<StepOutcome, JobError> {
+        (self.before)(self.attempt, iteration)?;
+        self.algo.step(engine, iteration)
+    }
+
+    fn scalars(&self) -> Vec<u64> {
+        self.algo.scalars()
+    }
+
+    fn restore_scalars(&mut self, scalars: &[u64]) {
+        self.algo.restore_scalars(scalars);
+    }
+
+    fn finish(&mut self, engine: &mut Engine) -> A::Output {
+        self.algo.finish(engine)
+    }
 }
 
 /// When to retry and how long to wait: bounded attempts, seeded
@@ -165,13 +234,122 @@ pub struct Recovered<T> {
     pub attempts: u32,
     /// Retry attempts that successfully restored/restarted and resumed.
     pub recoveries: u32,
+    /// Size of the cluster that finished the job (smaller than it started
+    /// when machines were excluded on the way).
+    pub machines: usize,
     /// `RecoveryDone` trace events present in the final engine's ring
     /// (nonzero only with telemetry enabled and ≥1 recovery).
     pub recovery_done_events: u64,
     /// Stats accumulated across *all* attempts, failed ones included —
     /// `checkpoints_taken` / `checkpoint_bytes` / `restores_applied` live
-    /// here.
+    /// here. This process's machines only.
     pub stats: StatsSnapshot,
+    /// Wire-repair counters accumulated the same way (all zero on the
+    /// in-memory backend, which has no wire to repair).
+    pub wire: WireCountersSnapshot,
+}
+
+/// Where each attempt's engine comes from: the one thing the two
+/// deployment shapes do differently. Everything else — setup, adoption,
+/// restore with ring fallback, checkpoints, stepping, retry policy — is
+/// [`RecoveryDriver::run_with`], whatever the source.
+pub trait EngineSource {
+    /// Builds the next attempt's engine.
+    fn build(&mut self) -> Result<Engine, String>;
+
+    /// The last-built engine died of `err` and is gone; decides how the
+    /// next one is built. `Ok(Some(m))` means machine `m` is excluded from
+    /// now on and the next cluster is a degraded one; `Err` gives up.
+    fn next_attempt(&mut self, err: &JobError) -> Result<Option<MachineId>, JobError>;
+}
+
+/// All machines in this process: a failed attempt is followed by a fresh
+/// in-memory cluster, one machine smaller once the [`FlapDetector`]
+/// quarantines a repeat offender — `Cluster::load` then re-runs edge
+/// partitioning and ghost selection over the survivors.
+struct InProcess<'g> {
+    graph: &'g Graph,
+    config: Config,
+    flap: FlapDetector,
+}
+
+impl EngineSource for InProcess<'_> {
+    fn build(&mut self) -> Result<Engine, String> {
+        EngineBuilder::from_config(self.config.clone()).build(self.graph)
+    }
+
+    fn next_attempt(&mut self, err: &JobError) -> Result<Option<MachineId>, JobError> {
+        // One-shot plans already fired and must not kill the retry at the
+        // same virtual instant. A recurring crash plan re-fires (that is
+        // what eventually trips the quarantine).
+        if !self.config.fault.crash_recurring {
+            self.config.fault.crash = None;
+        }
+        self.config.fault.slow = None;
+        match *err {
+            JobError::MachineDown { machine } if self.flap.record_trip(machine) => {
+                // Quarantined: degrade to the survivor set proactively; the
+                // seeded crash plan dies with the flapper.
+                if self.config.machines <= 1 {
+                    return Err(err.clone());
+                }
+                self.config.machines -= 1;
+                self.config.fault.crash = None;
+                Ok(Some(machine))
+            }
+            // Below the flap threshold (or not a crash at all): the next
+            // attempt runs at full cluster size.
+            _ => Ok(None),
+        }
+    }
+}
+
+/// One rank of a TCP cluster: a dead peer is followed by re-bootstrapping
+/// the survivors. The protocol is SPMD like everything else: every
+/// survivor observes the same `MachineDown { dead }` (watchdog
+/// first-error-wins plus the coordinator's Abort broadcast), so every
+/// survivor computes the same degraded membership — one machine fewer, own
+/// rank decremented when above the dead one — and meets the others at the
+/// pre-agreed rendezvous address, where the new rank 0 binds.
+struct Rendezvous<'g, F> {
+    graph: &'g Graph,
+    config: Config,
+    recover_coord: &'g str,
+    /// Told rank 0's bound address at the first bootstrap; recovery meets
+    /// at a concrete address and needs no announcement.
+    announce: Option<F>,
+}
+
+impl<F: FnOnce(&str)> EngineSource for Rendezvous<'_, F> {
+    fn build(&mut self) -> Result<Engine, String> {
+        let announce = self.announce.take();
+        EngineBuilder::from_config(self.config.clone()).build_rank(self.graph, |addr| {
+            if let Some(announce) = announce {
+                announce(addr)
+            }
+        })
+    }
+
+    fn next_attempt(&mut self, err: &JobError) -> Result<Option<MachineId>, JobError> {
+        let transport = &mut self.config.transport;
+        let rank = transport.rank.unwrap_or(0);
+        match *err {
+            // The watchdog blames *this* rank when every peer went silent
+            // at once: it is the partitioned side, and nobody will meet it
+            // at the rendezvous.
+            JobError::MachineDown { machine: dead }
+                if dead != rank && !self.recover_coord.is_empty() =>
+            {
+                self.config.machines -= 1;
+                transport.rank = Some(rank - u16::from(rank > dead));
+                transport.coord_addr = Some(self.recover_coord.to_string());
+                // The rebuilt cluster must converge undisturbed.
+                transport.wire_fault = WireFaultPlan::none();
+                Ok(Some(dead))
+            }
+            _ => Err(err.clone()),
+        }
+    }
 }
 
 /// Drives a [`ResumableAlgorithm`] to completion across machine failures.
@@ -208,137 +386,132 @@ impl<'g> RecoveryDriver<'g> {
         &self.config
     }
 
-    /// Runs `algo` to completion, retrying per the configured
-    /// [`RecoveryConfig`]. With recovery disabled this is exactly one
-    /// attempt with no checkpoints — a failure surfaces unchanged.
+    /// Runs `algo` to completion on in-process clusters, retrying per the
+    /// configured [`RecoveryConfig`]. With recovery disabled this is
+    /// exactly one attempt with no checkpoints — a failure surfaces
+    /// unchanged.
     pub fn run<A: ResumableAlgorithm>(
         &self,
         algo: &mut A,
     ) -> Result<Recovered<A::Output>, JobError> {
+        let recovery = &self.config.recovery;
+        let mut source = InProcess {
+            graph: self.graph,
+            config: self.config.clone(),
+            flap: FlapDetector::new(self.config.machines, recovery.flap_threshold),
+        };
+        self.run_with(&mut source, algo)
+    }
+
+    /// [`RecoveryDriver::run`] as one rank of a TCP cluster (the config
+    /// names the rank and the coordinator; see
+    /// [`EngineBuilder::build_rank`] for `announce`). Every rank calls it
+    /// with the same algorithm. When a peer dies the survivors re-bootstrap
+    /// at `recover_coord` as a cluster one machine smaller; with an empty
+    /// `recover_coord` the death is final.
+    pub fn run_rank<A: ResumableAlgorithm>(
+        &self,
+        recover_coord: &str,
+        announce: impl FnOnce(&str),
+        algo: &mut A,
+    ) -> Result<Recovered<A::Output>, JobError> {
+        let mut source = Rendezvous {
+            graph: self.graph,
+            config: self.config.clone(),
+            recover_coord,
+            announce: Some(announce),
+        };
+        self.run_with(&mut source, algo)
+    }
+
+    /// The recovery loop: build → setup → (after a failure) adopt and
+    /// restore with ring fallback → baseline checkpoint → step, with a
+    /// checkpoint every `checkpoint_every` iterations → on failure salvage
+    /// the ring and ask `source` for the next attempt.
+    pub fn run_with<A: ResumableAlgorithm>(
+        &self,
+        source: &mut impl EngineSource,
+        algo: &mut A,
+    ) -> Result<Recovered<A::Output>, JobError> {
         let recovery = self.config.recovery;
         let policy = RetryPolicy::from_config(&recovery);
-        let mut config = self.config.clone();
         let mut carry: Vec<Arc<Checkpoint>> = Vec::new();
-        let mut flap = FlapDetector::new(config.machines, recovery.flap_threshold);
-        let mut quarantined: Option<u64> = None;
+        let mut excluded: Option<MachineId> = None;
         let mut attempts = 0u32;
         let mut recoveries = 0u32;
         let mut stats = StatsSnapshot::default();
+        let mut wire = WireCountersSnapshot::default();
         loop {
             attempts += 1;
-            let mut engine = EngineBuilder::from_config(config.clone())
-                .build(self.graph)
-                .map_err(JobError::Protocol)?;
+            let mut engine = source.build().map_err(JobError::Protocol)?;
             algo.setup(&mut engine);
             let mut iteration = 0u64;
+            let mut failure: Option<JobError> = None;
             if attempts > 1 {
-                engine
-                    .cluster()
-                    .trace_driver_event(EventKind::RecoveryStart, (attempts - 1) as u64);
-                if let Some(machine) = quarantined.take() {
-                    engine
-                        .cluster()
-                        .machine(0)
-                        .stats
-                        .machines_quarantined
-                        .fetch_add(1, Ordering::Relaxed);
-                    engine
-                        .cluster()
-                        .trace_driver_event(EventKind::Quarantine, machine);
-                }
-                // Restore the newest ring entry that verifies; skip corrupt
-                // ones (injected storage faults keep the stale checksum, so
-                // this is where they finally surface). If nothing in the
-                // ring is restorable — or the ring is empty — the job cold-
-                // restarts from iteration 0; still a recovery (the rebuilt
-                // cluster replaces the dead one).
-                let mut restored = false;
-                let mut tried = 0u64;
-                for ck in &carry {
-                    tried += 1;
-                    match engine.restore_checkpoint(ck) {
-                        Ok(()) => {
-                            iteration = ck.progress.iteration;
-                            algo.restore_scalars(&ck.progress.scalars);
-                            restored = true;
-                            break;
-                        }
-                        Err(JobError::CheckpointCorrupt(_)) => {
-                            engine
-                                .cluster()
-                                .machine(0)
-                                .stats
-                                .checkpoint_fallbacks
-                                .fetch_add(1, Ordering::Relaxed);
-                            engine
-                                .cluster()
-                                .trace_driver_event(EventKind::CheckpointFallback, ck.seq);
-                        }
-                        Err(other) => return Err(other),
+                match resume(&mut engine, algo, &carry, attempts - 1, excluded.take()) {
+                    Ok(resumed_at) => {
+                        iteration = resumed_at;
+                        recoveries += 1;
                     }
+                    Err(err) => failure = Some(err),
                 }
-                if !restored {
-                    engine
-                        .cluster()
-                        .machine(0)
-                        .stats
-                        .cold_restarts
-                        .fetch_add(1, Ordering::Relaxed);
-                    engine
-                        .cluster()
-                        .trace_driver_event(EventKind::ColdRestart, tried);
-                }
-                recoveries += 1;
-                engine
-                    .cluster()
-                    .trace_driver_event(EventKind::RecoveryDone, iteration);
             }
+            let checkpoint = |engine: &mut Engine, iteration: u64, algo: &A| {
+                if recovery.enabled {
+                    engine.take_checkpoint(iteration, algo.scalars()).err()
+                } else {
+                    None
+                }
+            };
             // Baseline checkpoint of the freshly seeded (or just-restored)
             // state: a crash during the very first iterations then restores
             // instead of restarting from scratch, no matter when the fault
             // fires relative to the periodic cadence.
-            let mut failure: Option<JobError> = if recovery.enabled {
-                engine.take_checkpoint(iteration, algo.scalars()).err()
-            } else {
-                None
-            };
+            if failure.is_none() {
+                failure = checkpoint(&mut engine, iteration, algo);
+            }
             while failure.is_none() {
                 match algo.step(&mut engine, iteration) {
                     Ok(StepOutcome::Done) => break,
                     Ok(StepOutcome::Continue) => {
                         iteration += 1;
-                        if recovery.enabled && iteration.is_multiple_of(recovery.checkpoint_every) {
-                            if let Err(err) = engine.take_checkpoint(iteration, algo.scalars()) {
-                                failure = Some(err);
-                                break;
-                            }
+                        if iteration.is_multiple_of(recovery.checkpoint_every) {
+                            failure = checkpoint(&mut engine, iteration, algo);
                         }
                     }
-                    Err(err) => {
-                        failure = Some(err);
-                        break;
-                    }
+                    Err(err) => failure = Some(err),
                 }
             }
             let Some(err) = failure else {
                 let recovery_done_events = count_recovery_done(&engine);
                 let output = algo.finish(&mut engine);
+                // No process tears its engine down while a peer is still
+                // inside `finish`'s collectives.
+                engine.cluster().node_barrier()?;
                 stats = stats + engine.cluster().total_stats();
+                wire += engine.wire_counters().unwrap_or_default();
                 return Ok(Recovered {
                     output,
                     attempts,
                     recoveries,
+                    machines: engine.num_machines(),
                     recovery_done_events,
                     stats,
+                    wire,
                 });
             };
-            // Salvage the retained checkpoint ring, fold in the dead
-            // attempt's stats, then tear the engine down (joins threads).
+            // Salvage the retained checkpoint ring (plain copied memory,
+            // never a view into the dead cluster) and the dead attempt's
+            // counters, then take the engine down without goodbyes: to its
+            // peers a process that abandons a job must look dead, not
+            // departed, or they would wait for it forever.
             let ring = engine.checkpoint_ring();
             if !ring.is_empty() {
                 carry = ring;
             }
             stats = stats + engine.cluster().total_stats();
+            wire += engine.wire_counters().unwrap_or_default();
+            engine.sever_transport();
             drop(engine);
             if !recovery.enabled {
                 return Err(err);
@@ -362,80 +535,80 @@ impl<'g> RecoveryDriver<'g> {
                     return Err(JobError::RetryBudgetExhausted);
                 }
             }
-            if let JobError::MachineDown { machine } = err {
-                if flap.record_trip(machine) {
-                    // Quarantined: degrade to the survivor set proactively.
-                    // The next Engine::build re-runs edge partitioning and
-                    // ghost selection over P−1 machines, and the seeded
-                    // crash/slow plan dies with the flapper.
-                    if config.machines <= 1 {
-                        return Err(err);
-                    }
-                    config.machines -= 1;
-                    quarantined = Some(u64::from(machine));
-                    config.fault.crash = None;
-                    config.fault.slow = None;
-                } else {
-                    // Below the flap threshold: the machine gets another
-                    // chance at full cluster size. A recurring crash plan
-                    // re-fires on the retry (that is what eventually trips
-                    // the quarantine); a one-shot plan already fired and is
-                    // cleared so the retry is not killed at the same
-                    // virtual instant.
-                    if !config.fault.crash_recurring {
-                        config.fault.crash = None;
-                    }
-                    config.fault.slow = None;
-                }
-            } else {
-                // Non-crash transient: keep the cluster shape, clear the
-                // one-shot plans exactly as before.
-                if !config.fault.crash_recurring {
-                    config.fault.crash = None;
-                }
-                config.fault.slow = None;
-            }
+            excluded = source.next_attempt(&err)?;
             std::thread::sleep(policy.backoff(retry));
         }
     }
 }
 
-/// Multi-process checkpoint adoption: a *collective* the survivors of a
-/// crash run right after re-bootstrapping, before restoring. Each rank
-/// salvaged its own checkpoint ring from the dead engine, and the rings
-/// can disagree — a crash racing `take_checkpoint` lets some ranks finish
-/// the shard exchange while others abort. Every rank publishes its newest
-/// locally-verifying ring entry (whole-cluster encoding, empty blob when
-/// the ring is dry); the winner is the highest sequence number, ties going
-/// to the lowest rank. All ranks decode the same winning bytes, so the
-/// follow-up collective [`Engine::restore_checkpoint`] sees the identical
-/// checkpoint everywhere. `Ok(None)` means nobody has a restorable
-/// snapshot — the callers cold-restart in lockstep.
-pub fn adopt_checkpoint(
+/// Brings a freshly set-up engine back to where the failed attempts got:
+/// adopts and restores the newest ring entry that verifies, skipping
+/// corrupt ones (injected storage faults keep the stale checksum, so this
+/// is where they finally surface: `checkpoint_fallbacks` and a
+/// `CheckpointFallback` event). If nothing in the ring is restorable — or
+/// the ring is empty — the job cold-restarts from iteration 0
+/// (`cold_restarts`, `ColdRestart`); still a recovery, the rebuilt cluster
+/// replaces the dead one. Returns the iteration to resume from.
+fn resume<A: ResumableAlgorithm>(
+    engine: &mut Engine,
+    algo: &mut A,
+    mut ring: &[Arc<Checkpoint>],
+    retry: u32,
+    excluded: Option<MachineId>,
+) -> Result<u64, JobError> {
+    let stats = engine.cluster().machine(0).stats.clone();
+    let trace = |engine: &Engine, kind, arg| engine.cluster().trace_driver_event(kind, arg);
+    trace(engine, EventKind::RecoveryStart, u64::from(retry));
+    if let Some(machine) = excluded {
+        stats.machines_quarantined.fetch_add(1, Ordering::Relaxed);
+        trace(engine, EventKind::Quarantine, u64::from(machine));
+    }
+    let mut tried = 0u64;
+    let iteration = loop {
+        let Some(ck) = adopt_checkpoint(engine, ring)? else {
+            stats.cold_restarts.fetch_add(1, Ordering::Relaxed);
+            trace(engine, EventKind::ColdRestart, tried);
+            break 0;
+        };
+        tried += 1;
+        match engine.restore_checkpoint(&ck) {
+            Ok(()) => {
+                algo.restore_scalars(&ck.progress.scalars);
+                break ck.progress.iteration;
+            }
+            Err(JobError::CheckpointCorrupt(_)) => {
+                stats.checkpoint_fallbacks.fetch_add(1, Ordering::Relaxed);
+                trace(engine, EventKind::CheckpointFallback, ck.seq);
+                // Only strictly older entries remain candidates.
+                let older = ring.iter().position(|c| c.seq < ck.seq);
+                ring = &ring[older.unwrap_or(ring.len())..];
+            }
+            Err(other) => return Err(other),
+        }
+    };
+    trace(engine, EventKind::RecoveryDone, iteration);
+    Ok(iteration)
+}
+
+/// Checkpoint adoption: a *collective* run before each restore. Every
+/// process salvaged its own checkpoint ring (newest first) from the dead
+/// engine, and the rings can disagree — a crash racing `take_checkpoint`
+/// lets some ranks finish the shard exchange while others abort. Every
+/// process offers its newest entry; the winner is the highest sequence
+/// number, ties going to the lowest rank. All processes hold the same
+/// winning bytes afterwards, so the follow-up collective
+/// [`Engine::restore_checkpoint`] sees the identical checkpoint — and
+/// reaches the identical verdict on it — everywhere. `Ok(None)` means
+/// nobody has anything to offer: the callers cold-restart in lockstep. With
+/// every machine in one process the exchange is the identity and this is
+/// simply the ring's newest entry.
+fn adopt_checkpoint(
     engine: &Engine,
     ring: &[Arc<Checkpoint>],
 ) -> Result<Option<Arc<Checkpoint>>, JobError> {
-    use pgxd_runtime::checkpoint::{decode_checkpoint, encode_checkpoint};
-    let mut blob = Vec::new();
-    if let Some(ck) = ring.iter().find(|ck| ck.verify().is_ok()) {
-        encode_checkpoint(&mut blob, ck);
-    }
-    let parts = engine.cluster().node_allgather(&blob)?;
-    let mut best: Option<Arc<Checkpoint>> = None;
-    for (rank, part) in parts.iter().enumerate() {
-        if part.is_empty() {
-            continue;
-        }
-        let Some(ck) = decode_checkpoint(part) else {
-            return Err(JobError::CheckpointCorrupt(format!(
-                "rank {rank} published an undecodable checkpoint during adoption"
-            )));
-        };
-        if best.as_ref().is_none_or(|b| ck.seq > b.seq) {
-            best = Some(Arc::new(ck));
-        }
-    }
-    Ok(best)
+    let offers = engine.cluster().exchange(ring.first().cloned())?;
+    // `max_by_key` keeps the *last* maximum; reversed, that is the lowest rank.
+    Ok(offers.into_iter().flatten().rev().max_by_key(|ck| ck.seq))
 }
 
 fn count_recovery_done(engine: &Engine) -> u64 {
@@ -459,6 +632,7 @@ mod tests {
     use crate::spec::JobSpec;
     use crate::tasks;
     use pgxd_graph::generate;
+    use pgxd_runtime::config::{StorageFaultKind, StorageFaultPlan};
     use pgxd_runtime::props::ReduceOp;
 
     #[test]
@@ -535,6 +709,7 @@ mod tests {
 
         fn setup(&mut self, engine: &mut Engine) {
             self.total = engine.add_prop("total", 0i64);
+            self.steps_seen = 0;
         }
 
         fn step(&mut self, engine: &mut Engine, iteration: u64) -> Result<StepOutcome, JobError> {
@@ -605,5 +780,92 @@ mod tests {
         let rec = driver.run(&mut algo).unwrap();
         assert_eq!(rec.output, vec![3i64; 24]);
         assert_eq!(rec.stats.checkpoints_taken, 0);
+    }
+
+    /// An engine source that follows a script: attempt `k` is built from
+    /// `configs[k]` (the last one from then on), all in one process, and a
+    /// failure changes nothing.
+    struct ScriptedSource<'g> {
+        graph: &'g Graph,
+        configs: Vec<Config>,
+        built: usize,
+    }
+
+    impl EngineSource for ScriptedSource<'_> {
+        fn build(&mut self) -> Result<Engine, String> {
+            let config = self.configs[self.built.min(self.configs.len() - 1)].clone();
+            self.built += 1;
+            EngineBuilder::from_config(config).build(self.graph)
+        }
+
+        fn next_attempt(&mut self, _err: &JobError) -> Result<Option<MachineId>, JobError> {
+            Ok(None)
+        }
+    }
+
+    /// Drives the shared loop through a scripted source: attempt 1 runs on
+    /// `first` and dies of `MachineDown` before iteration `fail_at`, attempt
+    /// 2 runs on a clean cluster. Checkpoints are taken every iteration.
+    fn recover_from(first: StorageFaultPlan, fail_at: u64) -> Recovered<Vec<i64>> {
+        let g = generate::ring(24);
+        let clean = Config::builder()
+            .machines(2)
+            .workers(1)
+            .copiers(1)
+            .checkpoint_every(1);
+        let driver = RecoveryDriver::new(&g, clean.clone().build().unwrap()).unwrap();
+        let mut source = ScriptedSource {
+            graph: &g,
+            configs: vec![
+                clean.clone().storage_fault(first).build().unwrap(),
+                clean.build().unwrap(),
+            ],
+            built: 0,
+        };
+        let count_up = CountUp {
+            rounds: 4,
+            total: Prop::new(pgxd_runtime::props::PropId(0)),
+            steps_seen: 0,
+        };
+        let mut algo = Scripted::new(count_up, |attempt, iteration| {
+            if (attempt, iteration) == (1, fail_at) {
+                return Err(JobError::MachineDown { machine: 1 });
+            }
+            Ok(())
+        });
+        let rec = driver.run_with(&mut source, &mut algo).unwrap();
+        assert_eq!(rec.output, vec![4i64; 24], "every round counted once");
+        assert_eq!(algo.algo.steps_seen, 4, "the scalar followed the restore");
+        assert_eq!((rec.attempts, rec.recoveries, rec.machines), (2, 1, 2));
+        rec
+    }
+
+    #[test]
+    fn corrupt_newest_ring_entry_falls_back_once() {
+        // Every store draws from the same plan, once per save: the baseline
+        // (sequence 1) is stored, the iteration-1 checkpoint is corrupted.
+        let plan = (0..100_000)
+            .map(|seed| StorageFaultPlan::faulty(seed, 0, 500, 0))
+            .find(|p| {
+                p.draw(0) == StorageFaultKind::Store && p.draw(1) == StorageFaultKind::Corrupt
+            })
+            .unwrap();
+        // Dies before iteration 1 runs, with both checkpoints in the ring:
+        // the newest fails its checksums, the baseline restores.
+        let rec = recover_from(plan, 1);
+        assert_eq!(rec.stats.checkpoint_fallbacks, 1);
+        assert_eq!(rec.stats.cold_restarts, 0);
+        assert_eq!(rec.stats.restores_applied, 2, "once, on both machines");
+    }
+
+    #[test]
+    fn empty_ring_cold_restarts() {
+        // Every shard write is lost: no sequence is ever durably complete,
+        // nothing enters the ring, and the retry starts over.
+        let rec = recover_from(StorageFaultPlan::faulty(7, 1000, 0, 0), 2);
+        assert_eq!(rec.stats.cold_restarts, 1);
+        assert_eq!(rec.stats.checkpoint_fallbacks, 0);
+        assert_eq!(rec.stats.restores_applied, 0);
+        assert!(rec.stats.ckpt_shards_lost > 0);
     }
 }

@@ -491,30 +491,9 @@ fn filter_reads(f: &PFilter, live: &mut BTreeSet<usize>) {
 }
 
 fn expr_reads(e: &TExpr, live: &mut BTreeSet<usize>) {
-    match &e.kind {
-        TExprKind::Load { slot, .. } => {
-            live.insert(*slot);
-        }
-        TExprKind::Unary { expr, .. } => expr_reads(expr, live),
-        TExprKind::Binary { lhs, rhs, .. } => {
-            expr_reads(lhs, live);
-            expr_reads(rhs, live);
-        }
-        TExprKind::Ternary { cond, then, other } => {
-            expr_reads(cond, live);
-            expr_reads(then, live);
-            expr_reads(other, live);
-        }
-        TExprKind::GlobalAgg { filter, body, .. } => {
-            if let Some(f) = filter {
-                expr_reads(f, live);
-            }
-            if let Some(b) = body {
-                expr_reads(b, live);
-            }
-        }
-        _ => {}
-    }
+    e.for_each_load(&mut |slot, _| {
+        live.insert(slot);
+    });
 }
 
 #[cfg(test)]
@@ -590,9 +569,9 @@ mod tests {
             let mut plan = build(
                 analyze(
                     &parse(
-                        "prop h: i64 = 0;\nprop f: bool = true;\n\
-                         foreach v where v.f { v.h = min(u in v.in_nbrs where u.f) u.h + 1; }\n\
-                         return h;",
+                        "prop h: i64 = 0;\nprop x: i64 = 0;\nprop f: bool = true;\n\
+                         foreach v where v.f { v.x = min(u in v.in_nbrs where u.f) u.h + 1; }\n\
+                         return x;",
                     )
                     .unwrap(),
                 )

@@ -134,6 +134,29 @@ impl TExpr {
             _ => None,
         }
     }
+
+    /// Calls `f` with the slot and span of every property load in the tree.
+    pub fn for_each_load(&self, f: &mut impl FnMut(usize, Span)) {
+        match &self.kind {
+            TExprKind::Load { slot, .. } => f(*slot, self.span),
+            TExprKind::Unary { expr, .. } => expr.for_each_load(f),
+            TExprKind::Binary { lhs, rhs, .. } => {
+                lhs.for_each_load(f);
+                rhs.for_each_load(f);
+            }
+            TExprKind::Ternary { cond, then, other } => {
+                cond.for_each_load(f);
+                then.for_each_load(f);
+                other.for_each_load(f);
+            }
+            TExprKind::GlobalAgg { filter, body, .. } => {
+                for e in filter.iter().chain(body) {
+                    e.for_each_load(f);
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 /// A property declared by the query.
@@ -560,6 +583,27 @@ impl Checker {
                 (op, body)
             }
         };
+        // The target column is reset to the reduction identity and reduced
+        // into while the job runs, so what a neighbor's cell of it holds
+        // when it is read depends on arrival order.
+        for e in nbr_filter.iter().chain([&body]) {
+            let mut own_load = None;
+            e.for_each_load(&mut |slot, span| {
+                if slot == target {
+                    own_load.get_or_insert(span);
+                }
+            });
+            if let Some(span) = own_load {
+                let p = &assign.prop;
+                return Err(QueryError::unsupported(
+                    span,
+                    format!(
+                        "a neighbor aggregate into `{p}` cannot read `{p}`: aggregate into a \
+                         second property and assign it back in a following foreach"
+                    ),
+                ));
+            }
+        }
         Ok(TraverseStmt {
             span: assign.span,
             set: *set,
@@ -998,6 +1042,32 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.to_string().contains("neighbor variable"), "{err}");
+    }
+
+    #[test]
+    fn an_aggregate_cannot_read_its_own_target() {
+        // In the body: the error names the column and points at the load.
+        let err =
+            check("prop x: f64 = 0.0;\nforeach v { v.x = sum(u in v.in_nbrs) u.x; }\nreturn x;")
+                .unwrap_err();
+        assert_eq!(err.kind, crate::span::ErrorKind::Unsupported);
+        assert!(err.to_string().starts_with("2:39"), "{err}");
+        assert!(
+            err.to_string().contains("into `x` cannot read `x`"),
+            "{err}"
+        );
+        // In the neighbor filter, under a constant body.
+        let err = check(
+            "prop c: i64 = 0;\nforeach v { v.c = count(u in v.out_nbrs where u.c > 0); }\nreturn c;",
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("into `c` cannot read `c`"),
+            "{err}"
+        );
+        // The foreach's own `where` reads the vertex's cell before its reset.
+        check("prop x: f64 = 0.0;\nprop y: f64 = 1.0;\nforeach v where v.x < 1.0 { v.x = sum(u in v.in_nbrs) u.y; }\nreturn x;")
+            .unwrap();
     }
 
     #[test]

@@ -34,6 +34,7 @@ use crate::fault::mix;
 use crate::health::JobError;
 use crate::ids::MachineId;
 use crate::props::{PropId, TypeTag};
+use crate::transport::Contribution;
 use pgxd_graph::NodeId;
 
 /// FNV-1a over a word stream; cheap, dependency-free, and sensitive to
@@ -232,9 +233,9 @@ impl Checkpoint {
 // Wire codec
 // ---------------------------------------------------------------------
 //
-// Multi-process clusters exchange checkpoint shards over the bootstrap
-// control plane (rank-ordered allgathers of byte blobs), so machine
-// checkpoints and whole cluster checkpoints need a flat encoding. The
+// Multi-process clusters exchange property bits and checkpoint shards over
+// the bootstrap control plane (rank-ordered allgathers of byte blobs), so
+// every `Contribution` to a driver collective needs a flat encoding. The
 // format is little-endian and self-describing enough for the decoder to
 // reject truncation; checksums travel *verbatim* — a shard corrupted in
 // its store must still fail restore-time verification after a trip over
@@ -284,6 +285,56 @@ fn put_words(buf: &mut Vec<u8>, words: &[u64]) {
     buf.reserve(words.len() * 8);
     for w in words {
         buf.extend_from_slice(&w.to_le_bytes());
+    }
+}
+
+/// Raw property bits: owned cells in vertex order, or one cell.
+impl Contribution for Vec<u64> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        put_words(buf, self);
+    }
+
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        let mut c = Cursor { buf: bytes, at: 0 };
+        let words = c.words(bytes.len() / 8)?;
+        (c.at == bytes.len()).then_some(words)
+    }
+}
+
+/// The shards a process's stores durably hold for one sequence, in machine
+/// order; a lost or delayed shard is simply absent (one hosted machine
+/// whose shard is gone encodes as the empty blob).
+impl Contribution for Vec<Arc<MachineCheckpoint>> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        for mc in self {
+            encode_machine_checkpoint(buf, mc);
+        }
+    }
+
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        let mut c = Cursor { buf: bytes, at: 0 };
+        let mut out = Vec::new();
+        while c.at < bytes.len() {
+            out.push(Arc::new(decode_mc(&mut c)?));
+        }
+        Some(out)
+    }
+}
+
+/// A process's candidate during checkpoint adoption; nothing to offer is
+/// the empty blob.
+impl Contribution for Option<Arc<Checkpoint>> {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        if let Some(ckpt) = self {
+            encode_checkpoint(buf, ckpt);
+        }
+    }
+
+    fn decode(bytes: &[u8]) -> Option<Self> {
+        if bytes.is_empty() {
+            return Some(None);
+        }
+        decode_checkpoint(bytes).map(|ckpt| Some(Arc::new(ckpt)))
     }
 }
 

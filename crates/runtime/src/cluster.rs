@@ -1,11 +1,11 @@
 //! Cluster assembly, thread management, and the driver-side API.
 //!
-//! A [`Cluster`] instantiates `P` machines (Figure 1: "the same program is
-//! instantiated on each machine"), pre-populates worker, copier, and poller
-//! threads ("a set of worker threads is initialized by the Task Manager at
-//! system start up"), and lets the driver run sequences of [`Phase`]s
-//! separated by cluster-wide barriers — the synchronous stepwise execution
-//! model of §3.1.
+//! A [`Cluster`] instantiates the machines this process hosts (Figure 1:
+//! "the same program is instantiated on each machine"), pre-populates
+//! worker, copier, and poller threads ("a set of worker threads is
+//! initialized by the Task Manager at system start up"), and lets the
+//! driver run sequences of [`Phase`]s separated by cluster-wide barriers —
+//! the synchronous stepwise execution model of §3.1.
 
 use crate::barrier::CentralBarrier;
 use crate::cancel::CancelToken;
@@ -16,7 +16,7 @@ use crate::config::{Config, TransportBackend};
 use crate::copier;
 use crate::fabric::{make_endpoints, Fabric, MachineEndpoints};
 use crate::ghost::GhostTable;
-use crate::health::{ClusterHealth, JobError, RetryBudget};
+use crate::health::{ClusterHealth, JobError};
 use crate::ids::MachineId;
 use crate::jobctx::{JobCtx, JobExec, JobOutcome, JobWire, PhaseSpan};
 use crate::localgraph::LocalGraph;
@@ -26,9 +26,9 @@ use crate::partition::Partitioning;
 use crate::phase::{DistBarrierPhase, JobState, Phase, WorkerEnv};
 use crate::props::{PropId, PropValue, ReduceOp, TypeTag};
 use crate::stats::StatsSnapshot;
-use crate::tcp::{self, Membership, NodeComm, TcpOptions, TcpTransport};
+use crate::tcp::{self, Membership, TcpOptions, TcpTransport};
 use crate::telemetry::{export, EventKind, HistogramSnapshot, Telemetry};
-use crate::transport::{Transport, WireCountersSnapshot};
+use crate::transport::{Contribution, InMemoryTransport, Transport, WireCountersSnapshot};
 use crate::worker::{CommTuning, WorkerComm};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use parking_lot::{Condvar, Mutex};
@@ -69,25 +69,19 @@ impl PhaseControl {
     }
 }
 
-/// Multi-process context: what a [`Cluster`] additionally owns when it is
-/// one rank of a real (TCP) cluster rather than the whole simulation.
-struct NodeCtx {
-    /// This process's rank (== the id of the single local machine).
-    rank: MachineId,
-    /// Bootstrap control streams, kept for driver-side collectives
-    /// (allgather/barrier). Driver calls are sequential, so a mutex is
-    /// contention-free.
-    comm: Mutex<NodeComm>,
-}
-
-/// The distributed engine: `P` simulated machines plus their threads.
+/// The distributed engine as one process sees it: the machines this
+/// process hosts plus their threads, over a [`Transport`] backend.
 ///
-/// Two deployment shapes share this type. *In-process* (the default): one
-/// `Cluster` owns all `P` machines and the in-memory fabric — the shape
-/// every test and benchmark uses. *Multi-process* ([`Cluster::load_node`]):
-/// each OS process owns exactly one machine, envelopes cross real TCP
-/// sockets, and driver collectives go over the bootstrap control plane.
+/// The backend decides the deployment shape and nothing else does. The
+/// in-memory switch ([`Cluster::load`]) hosts all `P` machines in this
+/// process — the shape every test and most benchmarks use. The TCP backend
+/// ([`Cluster::load_node`]) hosts one machine per OS process and every
+/// process runs the same driver program in lockstep. Each driver operation
+/// below has one body — loop over the hosted machines,
+/// [exchange](Cluster::exchange) with the other processes, combine — and
+/// with one process in the group the exchange is the identity.
 pub struct Cluster {
+    /// The machines hosted here, ascending and contiguous in machine id.
     machines: Vec<Arc<MachineState>>,
     endpoints: Vec<MachineEndpoints>,
     fabric: Arc<Fabric>,
@@ -97,8 +91,6 @@ pub struct Cluster {
     pending: Arc<AtomicI64>,
     health: Arc<ClusterHealth>,
     ctl: Arc<PhaseControl>,
-    #[allow(dead_code)]
-    barrier: Arc<CentralBarrier>,
     threads: Vec<JoinHandle<()>>,
     next_prop: u16,
     next_rmi: u16,
@@ -118,8 +110,6 @@ pub struct Cluster {
     active_job: Option<ActiveJob>,
     /// Finished job executions, kept for the Chrome-trace job lanes.
     job_spans: Vec<JobExec>,
-    /// Present when this cluster is one rank of a multi-process deployment.
-    node: Option<NodeCtx>,
 }
 
 /// Window state captured at [`Cluster::begin_job`]: baselines the deltas
@@ -140,12 +130,8 @@ impl Cluster {
     /// Loads `graph` into a simulated cluster: partitions it, selects
     /// ghosts, builds per-machine fragments, and starts all threads.
     pub fn load(graph: &Graph, config: Config) -> Result<Cluster, String> {
-        config.validate()?;
-        let p = config.machines;
-
-        let partition = Arc::new(Partitioning::build(graph, p, config.partitioning));
         let ghosts = GhostTable::build(graph, config.ghost_threshold);
-        Self::assemble(graph, config, partition, ghosts)
+        Self::load_in_process(graph, config, ghosts)
     }
 
     /// Like [`Cluster::load`] but with an explicitly chosen ghost set
@@ -155,14 +141,25 @@ impl Cluster {
         config: Config,
         ghost_nodes: Vec<NodeId>,
     ) -> Result<Cluster, String> {
-        config.validate()?;
-        let partition = Arc::new(Partitioning::build(
-            graph,
-            config.machines,
-            config.partitioning,
-        ));
         let ghosts = GhostTable::from_nodes(graph, ghost_nodes);
-        Self::assemble(graph, config, partition, ghosts)
+        Self::load_in_process(graph, config, ghosts)
+    }
+
+    fn load_in_process(
+        graph: &Graph,
+        config: Config,
+        ghosts: GhostTable,
+    ) -> Result<Cluster, String> {
+        if config.transport.backend != TransportBackend::InMemory {
+            return Err(
+                "Cluster::load builds an in-process cluster; use Cluster::load_node \
+                 for the TCP backend"
+                    .into(),
+            );
+        }
+        let health = Arc::new(ClusterHealth::new(config.machines));
+        let transport = Arc::new(InMemoryTransport::new(config.machines));
+        Self::assemble(graph, config, ghosts, health, transport)
     }
 
     /// Loads `graph` as **one rank** of a real multi-process cluster: the
@@ -173,20 +170,18 @@ impl Cluster {
     /// `rank`/`coord_addr` set — see [`crate::tcp::bootstrap`].
     pub fn load_node(graph: &Graph, config: Config) -> Result<Cluster, String> {
         config.validate()?;
-        let membership = tcp::bootstrap(&config).map_err(|e| e.to_string())?;
+        let membership = tcp::bootstrap(&config, |_| {}).map_err(|e| e.to_string())?;
         Self::load_node_with(graph, config, membership)
     }
 
     /// [`Cluster::load_node`] with an already-bootstrapped [`Membership`]
-    /// — for callers (like the `pgxd-node` binary) that bind the
-    /// coordinator listener themselves so they can publish the chosen
-    /// port before peers join.
+    /// — for callers that bind the coordinator listener themselves so they
+    /// can publish the chosen port before peers join.
     pub fn load_node_with(
         graph: &Graph,
         config: Config,
         membership: Membership,
     ) -> Result<Cluster, String> {
-        config.validate()?;
         if config.transport.backend != TransportBackend::Tcp {
             return Err("Cluster::load_node requires the TCP transport backend".into());
         }
@@ -196,178 +191,63 @@ impl Cluster {
                 membership.machines, config.machines
             ));
         }
-        let partition = Arc::new(Partitioning::build(
-            graph,
-            config.machines,
-            config.partitioning,
-        ));
         let ghosts = GhostTable::build(graph, config.ghost_threshold);
-        Self::assemble_node(graph, config, partition, ghosts, membership)
+        let health = Arc::new(ClusterHealth::new(config.machines));
+        let options = TcpOptions::from_config(&config);
+        let transport =
+            TcpTransport::new(membership, health.clone(), options).map_err(|e| e.to_string())?;
+        Self::assemble(graph, config, ghosts, health, Arc::new(transport))
     }
 
+    /// Cluster assembly, the same for every backend: builds the machines
+    /// `transport` says this process hosts, registers their queues with
+    /// it, and spawns their threads.
     fn assemble(
         graph: &Graph,
         config: Config,
-        partition: Arc<Partitioning>,
         ghosts: GhostTable,
+        health: Arc<ClusterHealth>,
+        transport: Arc<dyn Transport>,
     ) -> Result<Cluster, String> {
-        if config.transport.backend != TransportBackend::InMemory {
-            return Err(
-                "Cluster::load builds an in-process cluster; use Cluster::load_node \
-                 for the TCP backend"
-                    .into(),
-            );
-        }
+        config.validate()?;
         let p = config.machines;
+        let partition = Arc::new(Partitioning::build(graph, p, config.partitioning));
         let pending = Arc::new(AtomicI64::new(0));
-        let health = Arc::new(ClusterHealth::new(p));
-        let (endpoints, mut receivers) = make_endpoints(p, config.workers);
+        let hosted = transport.hosted();
+        // One set of queues per hosted machine; the transport feeds them,
+        // from sends on the in-memory switch and from the sockets on TCP.
+        let (endpoints, receivers) = make_endpoints(hosted.len(), config.workers);
 
-        // Build machines. All telemetry registries share one epoch Instant
-        // so their timestamps land on a single comparable timeline.
+        // All telemetry registries share one epoch Instant so their
+        // timestamps land on a single comparable timeline.
         let epoch = Instant::now();
-        let mut machines = Vec::with_capacity(p);
-        for m in 0..p {
-            let local = Arc::new(LocalGraph::build(
-                graph,
-                &partition,
-                &ghosts,
-                m as MachineId,
-            ));
-            let (out_tx, out_rx) = unbounded();
-            let rx = receivers.remove(0);
+        let mut machines = Vec::with_capacity(hosted.len());
+        for ((m, rx), ep) in hosted.zip(receivers).zip(&endpoints) {
+            let m = m as MachineId;
+            let local = Arc::new(LocalGraph::build(graph, &partition, &ghosts, m));
             machines.push(Arc::new(MachineState::new(
-                m as MachineId,
+                m,
                 config.clone(),
                 local,
                 partition.clone(),
                 ghosts.clone(),
                 rx,
-                (out_tx, out_rx),
+                unbounded(),
                 pending.clone(),
-                Telemetry::new(m as u16, &config, epoch),
+                Telemetry::new(m, &config, epoch),
                 health.clone(),
             )));
+            transport
+                .register_endpoint(m, ep.clone())
+                .map_err(|e| e.to_string())?;
         }
-
-        let telemetry = machines.iter().map(|m| m.telemetry.clone()).collect();
-        let fabric = Arc::new(Fabric::with_faults(
-            endpoints.clone(),
-            telemetry,
-            config.transport.cost,
-            config.fault,
-        ));
-        Self::finish(
-            machines, endpoints, fabric, partition, ghosts, config, pending, health, None,
-        )
-    }
-
-    /// Builds the single-local-machine shape over a bootstrapped TCP mesh.
-    fn assemble_node(
-        graph: &Graph,
-        config: Config,
-        partition: Arc<Partitioning>,
-        ghosts: GhostTable,
-        membership: Membership,
-    ) -> Result<Cluster, String> {
-        let p = config.machines;
-        let rank = membership.rank as MachineId;
-        let pending = Arc::new(AtomicI64::new(0));
-        let health = Arc::new(ClusterHealth::new(p));
-        // One machine's worth of queues; the transport feeds them from the
-        // sockets exactly as the in-memory switch feeds them from sends.
-        let (endpoints, mut receivers) = make_endpoints(1, config.workers);
-
-        let epoch = Instant::now();
-        let local = Arc::new(LocalGraph::build(graph, &partition, &ghosts, rank));
-        let (out_tx, out_rx) = unbounded();
-        let rx = receivers.remove(0);
-        let machine = Arc::new(MachineState::new(
-            rank,
-            config.clone(),
-            local,
-            partition.clone(),
-            ghosts.clone(),
-            rx,
-            (out_tx, out_rx),
-            pending.clone(),
-            Telemetry::new(rank, &config, epoch),
-            health.clone(),
-        ));
-
-        let Membership {
-            mut comm,
-            links,
-            book,
-            data_listener,
-            ..
-        } = membership;
-        // The control plane must notice aborts too: a collective waiting on
-        // a dead peer's stream returns the cluster error instead of hanging.
-        comm.attach_health(health.clone());
-        let retry_budget = Arc::new(RetryBudget::new(
-            config.serve.retry_budget_tokens,
-            config.serve.retry_budget_refill_ms,
-        ));
-        let transport = Arc::new(
-            TcpTransport::new(
-                rank,
-                p,
-                links,
-                book,
-                Some(data_listener),
-                health.clone(),
-                TcpOptions {
-                    max_frame: config.transport.max_frame_bytes,
-                    recv_capacity: config.buffer_bytes,
-                    wire_fault: config.transport.wire_fault,
-                    retry_budget,
-                    connect_timeout_ms: config.transport.connect_timeout_ms,
-                },
-            )
-            .map_err(|e| e.to_string())?,
-        );
-        transport
-            .register_endpoint(rank, endpoints[0].clone())
-            .map_err(|e| e.to_string())?;
         let fabric = Arc::new(Fabric::over(
             transport,
-            rank,
-            vec![machine.telemetry.clone()],
+            machines.iter().map(|m| m.telemetry.clone()).collect(),
             config.transport.cost,
             config.fault,
         ));
-        Self::finish(
-            vec![machine],
-            endpoints,
-            fabric,
-            partition,
-            ghosts,
-            config,
-            pending,
-            health,
-            Some(NodeCtx {
-                rank,
-                comm: Mutex::new(comm),
-            }),
-        )
-    }
 
-    /// Shared tail of cluster assembly: spawns this process's threads over
-    /// the already-built machines and fabric.
-    #[allow(clippy::too_many_arguments)]
-    fn finish(
-        machines: Vec<Arc<MachineState>>,
-        endpoints: Vec<MachineEndpoints>,
-        fabric: Arc<Fabric>,
-        partition: Arc<Partitioning>,
-        ghosts: GhostTable,
-        config: Config,
-        pending: Arc<AtomicI64>,
-        health: Arc<ClusterHealth>,
-        node: Option<NodeCtx>,
-    ) -> Result<Cluster, String> {
-        let p = config.machines;
         let ctl = Arc::new(PhaseControl::new());
         let barrier = Arc::new(CentralBarrier::new(machines.len() * config.workers));
 
@@ -426,7 +306,6 @@ impl Cluster {
             pending,
             health,
             ctl,
-            barrier,
             threads,
             next_prop: 0,
             next_rmi: 0,
@@ -439,42 +318,64 @@ impl Cluster {
             phase_labels: Vec::new(),
             active_job: None,
             job_spans: Vec::new(),
-            node,
         })
     }
 
-    /// This process's rank: always 0 in-process (the driver owns every
-    /// machine), the bootstrap-assigned rank in multi-process mode.
+    /// The lowest machine id hosted here: 0 in-process (the driver owns
+    /// every machine), the bootstrap-assigned rank on a TCP rank.
     pub fn rank(&self) -> MachineId {
-        self.node.as_ref().map(|n| n.rank).unwrap_or(0)
+        self.machines[0].id
     }
 
-    /// Whether this cluster is one rank of a multi-process deployment.
+    /// Whether other processes host machines of this cluster too.
     pub fn is_multiprocess(&self) -> bool {
-        self.node.is_some()
+        self.machines.len() < self.config.machines
     }
 
-    /// Control-plane allgather in rank order (multi-process mode only):
-    /// every rank contributes `local` and receives all contributions,
-    /// index = rank. Errors on the in-memory backend, where the driver
-    /// already sees every machine.
+    /// The hosted machine with id `m`, if this process hosts it.
+    fn hosted_machine(&self, m: MachineId) -> Option<&Arc<MachineState>> {
+        self.machines
+            .get((m as usize).checked_sub(self.rank() as usize)?)
+    }
+
+    /// The backend's raw process-group allgather: every process contributes
+    /// `local` and receives all contributions in process order. A
+    /// collective — every process calls it in the same driver step; the
+    /// identity when this process hosts every machine.
     pub fn node_allgather(&self, local: &[u8]) -> Result<Vec<Vec<u8>>, JobError> {
-        match &self.node {
-            Some(node) => node.comm.lock().allgather(local),
-            None => Err(JobError::Protocol(
-                "node_allgather requires a multi-process cluster".into(),
-            )),
-        }
+        self.fabric.transport().allgather(local)
     }
 
-    /// Control-plane barrier across all ranks; a no-op in-process. The
-    /// `pgxd-node` binary crosses this before teardown so no rank closes
-    /// its sockets while a peer still runs a job.
+    /// Process-group barrier; a no-op in-process. Ranks cross it before
+    /// teardown so no rank closes its sockets while a peer still runs a
+    /// job.
     pub fn node_barrier(&self) -> Result<(), JobError> {
-        match &self.node {
-            Some(node) => node.comm.lock().barrier(),
-            None => Ok(()),
+        self.fabric.transport().barrier()
+    }
+
+    /// The middle step of every driver collective: each process hands in
+    /// what its hosted machines contribute and receives every process's
+    /// contribution, in process order (which is machine order). With one
+    /// process the value is handed through untouched; only a multi-process
+    /// backend encodes it for [`Transport::allgather`].
+    pub fn exchange<T: Contribution>(&self, local: T) -> Result<Vec<T>, JobError> {
+        if !self.is_multiprocess() {
+            return Ok(vec![local]);
         }
+        let mut blob = Vec::new();
+        local.encode(&mut blob);
+        let parts = self.fabric.transport().allgather(&blob)?;
+        parts
+            .iter()
+            .enumerate()
+            .map(|(rank, part)| {
+                T::decode(part).ok_or_else(|| {
+                    JobError::Protocol(format!(
+                        "rank {rank} published an undecodable driver contribution"
+                    ))
+                })
+            })
+            .collect()
     }
 
     /// Wire-repair telemetry from the transport backend: reconnects,
@@ -614,65 +515,39 @@ impl Cluster {
         }
     }
 
-    /// Reads a property value of a global vertex (driver-side). In
-    /// multi-process mode this is a collective: every rank must call it in
-    /// the same driver step (the owner publishes the value over the
-    /// control plane, everyone receives it).
+    /// Reads a property value of a global vertex (driver-side). A
+    /// collective when other processes host machines: every process calls
+    /// it in the same driver step, the owner's process contributes the
+    /// value and everyone receives it.
     pub fn get<T: PropValue>(&self, id: PropId, v: NodeId) -> T {
         let owner = self.partition.owner(v);
         let off = (v - self.partition.start(owner)) as usize;
-        if let Some(node) = &self.node {
-            let local = if node.rank == owner {
-                self.machines[0]
-                    .props
-                    .column(id)
-                    .load_bits(off)
-                    .to_le_bytes()
-                    .to_vec()
-            } else {
-                Vec::new()
-            };
-            // A dead peer must not panic the driver: surface the error
-            // through cluster health (the recovery driver's signal) and
-            // return a placeholder the aborted run will never use.
-            let parts = match node.comm.lock().allgather(&local) {
-                Ok(parts) => parts,
-                Err(e) => {
-                    self.health.abort(e);
-                    return T::from_bits(0);
-                }
-            };
-            let Some(bytes) = parts
-                .get(owner as usize)
-                .and_then(|p| p.get(..8))
-                .and_then(|p| <[u8; 8]>::try_from(p).ok())
-            else {
+        let local = self
+            .hosted_machine(owner)
+            .map(|m| m.props.column(id).load_bits(off));
+        match self.exchange_bits(local.into_iter().collect()).first() {
+            Some(&bits) => T::from_bits(bits),
+            // A dead peer must not panic the driver: the error is already
+            // on cluster health (the recovery driver's signal), and the
+            // aborted run never uses this placeholder.
+            None => {
                 self.health.abort(JobError::Protocol(format!(
-                    "owner rank {owner} published a malformed get() value"
+                    "owner rank {owner} published no get() value"
                 )));
-                return T::from_bits(0);
-            };
-            return T::from_bits(u64::from_le_bytes(bytes));
+                T::from_bits(0)
+            }
         }
-        self.machines[owner as usize].props.column(id).get(off)
     }
 
     /// Writes a property value of a global vertex (driver-side; only legal
-    /// between parallel regions). SPMD-symmetric in multi-process mode:
-    /// every rank calls it, only the owner applies it.
+    /// between parallel regions). Every process calls it, only the one
+    /// hosting the owner applies it.
     pub fn set<T: PropValue>(&self, id: PropId, v: NodeId, value: T) {
         let owner = self.partition.owner(v);
         let off = (v - self.partition.start(owner)) as usize;
-        if let Some(node) = &self.node {
-            if node.rank == owner {
-                self.machines[0].props.column(id).set(off, value);
-            }
-            return;
+        if let Some(m) = self.hosted_machine(owner) {
+            m.props.column(id).set(off, value);
         }
-        self.machines[owner as usize]
-            .props
-            .column(id)
-            .set(off, value);
     }
 
     /// Fills a property (owned cells and ghost slots) on every machine.
@@ -682,57 +557,48 @@ impl Cluster {
         }
     }
 
-    /// All owned cells of `id` as raw bits in global vertex order. In
-    /// multi-process mode this allgathers each rank's column over the
-    /// control plane; the rank-ordered concatenation *is* global order
-    /// because partitions are contiguous and ascending.
-    fn gather_bits(&self, id: PropId) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.num_nodes());
-        if let Some(node) = &self.node {
-            let m = &self.machines[0];
-            let col = m.props.column(id);
-            let mut local = Vec::with_capacity(m.num_local() * 8);
-            for i in 0..m.num_local() {
-                local.extend_from_slice(&col.load_bits(i).to_le_bytes());
+    /// [`Cluster::exchange`] for raw property bits, concatenated in process
+    /// order. An abort mid-collective surfaces through health and yields a
+    /// short vector that is never consumed — every caller checks for the
+    /// cluster error before trusting results.
+    fn exchange_bits(&self, local: Vec<u64>) -> Vec<u64> {
+        match self.exchange(local) {
+            Ok(parts) => {
+                let mut parts = parts.into_iter();
+                let mut all = parts.next().unwrap_or_default();
+                parts.for_each(|part| all.extend(part));
+                all
             }
-            // As in get(): an abort mid-collective surfaces through
-            // health, and the short vector is never consumed — every
-            // caller checks for the cluster error before trusting results.
-            let parts = match node.comm.lock().allgather(&local) {
-                Ok(parts) => parts,
-                Err(e) => {
-                    self.health.abort(e);
-                    return out;
-                }
-            };
-            for part in parts {
-                for chunk in part.chunks_exact(8) {
-                    out.push(u64::from_le_bytes(chunk.try_into().unwrap()));
-                }
-            }
-            return out;
-        }
-        for m in &self.machines {
-            let col = m.props.column(id);
-            for i in 0..m.num_local() {
-                out.push(col.load_bits(i));
+            Err(e) => {
+                self.health.abort(e);
+                Vec::new()
             }
         }
-        out
     }
 
-    /// Gathers a property into a `Vec` indexed by global vertex id. A
-    /// collective in multi-process mode — every rank calls it and every
-    /// rank receives the full vector.
+    /// All owned cells of `id` as raw bits in global vertex order: the
+    /// hosted machines' columns, exchanged. Process order *is* global
+    /// order because partitions are contiguous and ascending.
+    fn gather_bits(&self, id: PropId) -> Vec<u64> {
+        let hosted_nodes = self.machines.iter().map(|m| m.num_local()).sum();
+        let mut local = Vec::with_capacity(hosted_nodes);
+        for m in &self.machines {
+            let col = m.props.column(id);
+            local.extend((0..m.num_local()).map(|i| col.load_bits(i)));
+        }
+        self.exchange_bits(local)
+    }
+
+    /// Gathers a property into a `Vec` indexed by global vertex id. Every
+    /// process calls it and every process receives the full vector.
     pub fn gather<T: PropValue>(&self, id: PropId) -> Vec<T> {
         self.gather_bits(id).into_iter().map(T::from_bits).collect()
     }
 
     /// Reduces a property over all owned cells (driver-side sequential
-    /// region helper, e.g. convergence checks). In multi-process mode the
-    /// fold runs over the allgathered column in global vertex order on
-    /// every rank — same order as in-process, so float results are
-    /// bit-identical across backends *and* across ranks.
+    /// region helper, e.g. convergence checks). The fold runs over the
+    /// gathered column in global vertex order on every process, so float
+    /// results are bit-identical across backends *and* across ranks.
     pub fn reduce<T: PropValue>(&self, id: PropId, op: ReduceOp) -> T {
         let mut acc: Option<u64> = None;
         for bits in self.gather_bits(id) {
@@ -744,8 +610,8 @@ impl Cluster {
         T::from_bits(acc.unwrap_or_else(|| crate::props::bottom_bits(T::TAG, op)))
     }
 
-    /// Counts owned vertices whose `bool` property is true (a collective
-    /// in multi-process mode, like [`Cluster::reduce`]).
+    /// Counts owned vertices whose `bool` property is true (a collective,
+    /// like [`Cluster::reduce`]).
     pub fn count_true(&self, id: PropId) -> usize {
         self.gather_bits(id).into_iter().filter(|&b| b != 0).count()
     }
@@ -777,13 +643,17 @@ impl Cluster {
     /// progress. Legal only between `try_run_*` calls: the cluster is then
     /// quiescent (the pending-entry counter has drained to zero), so no
     /// in-flight read or write can straddle the copy — the trailing phase
-    /// barrier *is* the consistency point. Each machine's shard is written
-    /// through its [`CheckpointStore`] (where storage faults may lose,
-    /// corrupt, or delay it); the driver then assembles the cluster
-    /// checkpoint from what each store *durably holds* for this sequence —
-    /// a read-after-write — so a lost or still-delayed shard makes the
-    /// sequence incomplete and it never enters the retention ring, while a
-    /// corrupted shard does enter and is caught by restore-time checksums.
+    /// barrier *is* the consistency point. A collective: every process
+    /// calls it in the same driver step.
+    ///
+    /// Each hosted machine's shard is written through its
+    /// [`CheckpointStore`] (where storage faults may lose, corrupt, or
+    /// delay it) and read back — only what a store *durably holds* for this
+    /// sequence is exchanged, so every process assembles the same cluster
+    /// checkpoint. A lost or still-delayed shard makes the sequence
+    /// incomplete: it never enters the retention ring and the returned
+    /// partial assembly is for inspection only. A corrupted shard does
+    /// enter, and is caught by restore-time checksums.
     pub fn take_checkpoint(
         &mut self,
         iteration: u64,
@@ -792,16 +662,13 @@ impl Cluster {
         if let Some(err) = self.health.error() {
             return Err(err);
         }
-        if self.node.is_some() {
-            return self.take_checkpoint_node(iteration, scalars);
-        }
         debug_assert_eq!(
             self.pending.load(Ordering::SeqCst),
             0,
             "checkpoint taken while entries are in flight"
         );
         let t0 = Instant::now();
-        let metas: Vec<PropMeta> = self.machines[0]
+        let props: Vec<PropMeta> = self.machines[0]
             .props
             .live()
             .into_iter()
@@ -814,179 +681,43 @@ impl Cluster {
             .collect();
         self.ckpt_seq += 1;
         let seq = self.ckpt_seq;
-        let mut shards_by_machine = Vec::with_capacity(self.machines.len());
-        let mut total_bytes = 0u64;
+        let mut durable = Vec::with_capacity(self.machines.len());
         for m in &self.machines {
-            let mut shards = Vec::with_capacity(metas.len());
-            for meta in &metas {
-                let col = m.props.column(meta.id);
-                let owned: Vec<u64> = (0..col.len_local()).map(|i| col.load_bits(i)).collect();
-                let ghost: Vec<u64> = (col.len_local()..col.len_total())
-                    .map(|i| col.load_bits(i))
-                    .collect();
-                shards.push(PropShard::new(meta.id, owned, ghost));
-            }
+            let shards = props
+                .iter()
+                .map(|meta| {
+                    let col = m.props.column(meta.id);
+                    let bits = |cells: std::ops::Range<usize>| cells.map(|i| col.load_bits(i));
+                    PropShard::new(
+                        meta.id,
+                        bits(0..col.len_local()).collect(),
+                        bits(col.len_local()..col.len_total()).collect(),
+                    )
+                })
+                .collect();
             let mc = Arc::new(MachineCheckpoint {
                 machine: m.id,
                 start: self.partition.start(m.id),
                 shards,
             });
             let bytes = mc.bytes() as u64;
-            total_bytes += bytes;
             m.stats.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
             m.stats.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
             m.telemetry.record_checkpoint_bytes(bytes);
-            match self.stores[m.id as usize].save(seq, mc.clone()) {
-                SaveOutcome::Stored => {}
-                SaveOutcome::Lost => {
-                    m.stats.ckpt_shards_lost.fetch_add(1, Ordering::Relaxed);
-                }
-                SaveOutcome::Corrupted => {
-                    m.stats
-                        .ckpt_shards_corrupted
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                SaveOutcome::Delayed => {
-                    m.stats.ckpt_shards_delayed.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-            shards_by_machine.push(mc);
-        }
-        // Assemble the cluster checkpoint from what each store durably
-        // holds (read-after-write through the fault plan), not from the
-        // in-memory shards we just built.
-        let durable: Option<Vec<Arc<MachineCheckpoint>>> = self
-            .machines
-            .iter()
-            .map(|m| self.stores[m.id as usize].get(seq))
-            .collect();
-        let make_ckpt = |machines: Vec<Arc<MachineCheckpoint>>| {
-            Arc::new(Checkpoint {
-                seq,
-                num_nodes: self.num_nodes(),
-                progress: JobProgress {
-                    iteration,
-                    phase_epoch: self.phase_labels.len() as u64,
-                    scalars: scalars.clone(),
-                },
-                props: metas.clone(),
-                machines,
-            })
-        };
-        if let Some(m0) = self.machines.first() {
-            m0.telemetry
-                .record_checkpoint_ns(t0.elapsed().as_nanos() as u64);
-            m0.telemetry
-                .trace(0, EventKind::CheckpointTaken, total_bytes);
-        }
-        match durable {
-            Some(machines) => {
-                // Durably complete (possibly with silently corrupted shards
-                // — restore-time checksums are the detector): retain it.
-                let ckpt = make_ckpt(machines);
-                self.ckpt_ring.push_front(ckpt.clone());
-                self.ckpt_ring.truncate(self.config.recovery.retain.max(1));
-                Ok(ckpt)
-            }
-            None => {
-                // A shard was lost or is still write-behind: this sequence
-                // is not restorable, so it never enters the ring. Hand the
-                // caller the in-memory assembly for inspection only.
-                Ok(make_ckpt(shards_by_machine))
-            }
-        }
-    }
-
-    /// Multi-process [`Cluster::take_checkpoint`]: a *collective* every
-    /// rank calls in the same driver step. Each rank snapshots its one
-    /// local machine, writes the shard through its own store (where
-    /// storage faults live), reads back what the store durably holds, and
-    /// allgathers the durable shard (an empty blob when the store lost or
-    /// delayed it) over the control plane. Every rank thus assembles the
-    /// *same* cluster checkpoint; a sequence with any missing shard never
-    /// enters the retention ring — the returned partial assembly is
-    /// inspection-only, exactly like the in-process path.
-    fn take_checkpoint_node(
-        &mut self,
-        iteration: u64,
-        scalars: Vec<u64>,
-    ) -> Result<Arc<Checkpoint>, JobError> {
-        debug_assert_eq!(
-            self.pending.load(Ordering::SeqCst),
-            0,
-            "checkpoint taken while entries are in flight"
-        );
-        let t0 = Instant::now();
-        self.ckpt_seq += 1;
-        let seq = self.ckpt_seq;
-        let m = &self.machines[0];
-        let rank = m.id;
-        let metas: Vec<PropMeta> = m
-            .props
-            .live()
-            .into_iter()
-            .map(|(id, e)| PropMeta {
-                id,
-                name: e.name.clone(),
-                tag: e.column.tag(),
-                default_bits: e.default_bits,
-            })
-            .collect();
-        let mut shards = Vec::with_capacity(metas.len());
-        for meta in &metas {
-            let col = m.props.column(meta.id);
-            let owned: Vec<u64> = (0..col.len_local()).map(|i| col.load_bits(i)).collect();
-            let ghost: Vec<u64> = (col.len_local()..col.len_total())
-                .map(|i| col.load_bits(i))
-                .collect();
-            shards.push(PropShard::new(meta.id, owned, ghost));
-        }
-        let mc = Arc::new(MachineCheckpoint {
-            machine: rank,
-            start: self.partition.start(rank),
-            shards,
-        });
-        let bytes = mc.bytes() as u64;
-        m.stats.checkpoints_taken.fetch_add(1, Ordering::Relaxed);
-        m.stats.checkpoint_bytes.fetch_add(bytes, Ordering::Relaxed);
-        m.telemetry.record_checkpoint_bytes(bytes);
-        let store = &self.stores[rank as usize];
-        match store.save(seq, mc) {
-            SaveOutcome::Stored => {}
-            SaveOutcome::Lost => {
-                m.stats.ckpt_shards_lost.fetch_add(1, Ordering::Relaxed);
-            }
-            SaveOutcome::Corrupted => {
-                m.stats
-                    .ckpt_shards_corrupted
-                    .fetch_add(1, Ordering::Relaxed);
-            }
-            SaveOutcome::Delayed => {
-                m.stats.ckpt_shards_delayed.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        // Read-after-write through the fault plan: only what the store
-        // durably holds goes on the wire.
-        let mut blob = Vec::new();
-        if let Some(durable) = store.get(seq) {
-            crate::checkpoint::encode_machine_checkpoint(&mut blob, &durable);
-        }
-        let telemetry = m.telemetry.clone();
-        let parts = self.node_allgather(&blob)?;
-        let mut machines = Vec::with_capacity(parts.len());
-        let mut complete = true;
-        for (r, part) in parts.iter().enumerate() {
-            if part.is_empty() {
-                complete = false;
-                continue;
-            }
-            let Some(decoded) = crate::checkpoint::decode_machine_checkpoint(part) else {
-                return Err(JobError::CheckpointCorrupt(format!(
-                    "rank {r} published an undecodable checkpoint shard for seq {seq}"
-                )));
+            let store = &self.stores[m.id as usize];
+            let fault = match store.save(seq, mc) {
+                SaveOutcome::Stored => None,
+                SaveOutcome::Lost => Some(&m.stats.ckpt_shards_lost),
+                SaveOutcome::Corrupted => Some(&m.stats.ckpt_shards_corrupted),
+                SaveOutcome::Delayed => Some(&m.stats.ckpt_shards_delayed),
             };
-            machines.push(Arc::new(decoded));
+            if let Some(counter) = fault {
+                counter.fetch_add(1, Ordering::Relaxed);
+            }
+            // Read-after-write through the fault plan.
+            durable.extend(store.get(seq));
         }
+        let machines: Vec<_> = self.exchange(durable)?.into_iter().flatten().collect();
         let ckpt = Arc::new(Checkpoint {
             seq,
             num_nodes: self.num_nodes(),
@@ -995,12 +726,13 @@ impl Cluster {
                 phase_epoch: self.phase_labels.len() as u64,
                 scalars,
             },
-            props: metas,
+            props,
             machines,
         });
+        let telemetry = &self.machines[0].telemetry;
         telemetry.record_checkpoint_ns(t0.elapsed().as_nanos() as u64);
         telemetry.trace(0, EventKind::CheckpointTaken, ckpt.bytes() as u64);
-        if complete {
+        if ckpt.machines.len() == self.config.machines {
             self.ckpt_ring.push_front(ckpt.clone());
             self.ckpt_ring.truncate(self.config.recovery.retain.max(1));
         }
@@ -1010,7 +742,10 @@ impl Cluster {
     /// Restores property state from `ckpt`, verifying every shard checksum
     /// first. Every checkpointed property must already be registered with
     /// the same id and type (the resuming algorithm re-runs its setup,
-    /// which re-registers properties in the same order).
+    /// which re-registers properties in the same order). A collective
+    /// every process calls with the *same* checkpoint; no traffic is
+    /// needed — `ckpt` already carries every machine's shards — so each
+    /// process restores the machines it hosts.
     ///
     /// Two shapes are supported: a cluster *identical* to the snapshot's
     /// (same machine count, partition, ghost set) gets a bit-exact restore
@@ -1025,9 +760,6 @@ impl Cluster {
     pub fn restore_checkpoint(&mut self, ckpt: &Checkpoint) -> Result<(), JobError> {
         if let Some(err) = self.health.error() {
             return Err(err);
-        }
-        if self.node.is_some() {
-            return self.restore_checkpoint_node(ckpt);
         }
         ckpt.verify()?;
         if ckpt.num_nodes != self.num_nodes() {
@@ -1053,40 +785,44 @@ impl Cluster {
                 }
             }
         }
-        let same_shape = ckpt.machines.len() == self.machines.len()
-            && ckpt.machines.iter().all(|mc| {
-                let m = &self.machines[mc.machine as usize];
-                mc.start == self.partition.start(mc.machine)
+        // Each hosted machine's own shards, when the snapshot was taken on a
+        // cluster of this very shape.
+        let own_shards = |m: &Arc<MachineState>| {
+            ckpt.machines.iter().find(|mc| {
+                mc.machine == m.id
+                    && mc.start == self.partition.start(m.id)
                     && mc.owned_len() == m.num_local()
                     && mc.shards.iter().all(|s| s.ghost.len() == self.ghosts.len())
-            });
-        if same_shape {
-            for mc in &ckpt.machines {
-                let m = &self.machines[mc.machine as usize];
-                for shard in &mc.shards {
-                    let col = m.props.column(shard.id);
-                    for (i, &bits) in shard.owned.iter().enumerate() {
-                        col.store_bits(i, bits);
-                    }
-                    let base = col.len_local();
-                    for (i, &bits) in shard.ghost.iter().enumerate() {
-                        col.store_bits(base + i, bits);
+            })
+        };
+        let same_shape: Option<Vec<_>> = (ckpt.machines.len() == self.config.machines)
+            .then(|| self.machines.iter().map(own_shards).collect())
+            .flatten();
+        match same_shape {
+            Some(own) => {
+                for (m, mc) in self.machines.iter().zip(own) {
+                    for shard in &mc.shards {
+                        let col = m.props.column(shard.id);
+                        for (i, &bits) in shard.owned.iter().chain(&shard.ghost).enumerate() {
+                            col.store_bits(i, bits);
+                        }
                     }
                 }
             }
-        } else {
-            for meta in &ckpt.props {
-                let global = ckpt.global_bits(meta.id)?;
-                for m in &self.machines {
-                    let col = m.props.column(meta.id);
-                    let start = self.partition.start(m.id) as usize;
-                    for i in 0..m.num_local() {
-                        col.store_bits(i, global[start + i]);
-                    }
-                    let base = col.len_local();
-                    for ord in 0..self.ghosts.len() {
-                        let v = self.ghosts.node_at(ord as u32);
-                        col.store_bits(base + ord, global[v as usize]);
+            None => {
+                for meta in &ckpt.props {
+                    let global = ckpt.global_bits(meta.id)?;
+                    for m in &self.machines {
+                        let col = m.props.column(meta.id);
+                        let start = self.partition.start(m.id) as usize;
+                        for i in 0..m.num_local() {
+                            col.store_bits(i, global[start + i]);
+                        }
+                        let base = col.len_local();
+                        for ord in 0..self.ghosts.len() {
+                            let v = self.ghosts.node_at(ord as u32);
+                            col.store_bits(base + ord, global[v as usize]);
+                        }
                     }
                 }
             }
@@ -1094,81 +830,6 @@ impl Cluster {
         for m in &self.machines {
             m.stats.restores_applied.fetch_add(1, Ordering::Relaxed);
         }
-        self.health.reset_clocks();
-        Ok(())
-    }
-
-    /// Multi-process [`Cluster::restore_checkpoint`]: a collective every
-    /// rank calls with the *same* checkpoint (the adopted ring entry). No
-    /// shard traffic is needed — `ckpt` already carries every machine's
-    /// shards — so each rank verifies and restores only its own slice:
-    /// bit-exact when the snapshot shape matches this cluster (same rank
-    /// count, partition start, owned/ghost lengths), or by re-scattering
-    /// the reassembled global columns under *this* cluster's partitioning
-    /// for the degraded P−1 survivor shape.
-    fn restore_checkpoint_node(&mut self, ckpt: &Checkpoint) -> Result<(), JobError> {
-        ckpt.verify()?;
-        if ckpt.num_nodes != self.num_nodes() {
-            return Err(JobError::CheckpointCorrupt(format!(
-                "checkpoint covers {} nodes but the cluster holds {}",
-                ckpt.num_nodes,
-                self.num_nodes()
-            )));
-        }
-        let m = &self.machines[0];
-        let rank = m.id;
-        for meta in &ckpt.props {
-            let col = m.props.try_column(meta.id).ok_or_else(|| {
-                JobError::CheckpointCorrupt(format!(
-                    "property {:?} ({}) is not registered on rank {}",
-                    meta.id, meta.name, rank
-                ))
-            })?;
-            if col.tag() != meta.tag {
-                return Err(JobError::CheckpointCorrupt(format!(
-                    "property {} changed type between snapshot and restore",
-                    meta.name
-                )));
-            }
-        }
-        let own = ckpt.machines.iter().find(|mc| mc.machine == rank);
-        let same_shape = ckpt.machines.len() == self.config.machines
-            && own.is_some_and(|mc| {
-                mc.start == self.partition.start(rank)
-                    && mc.owned_len() == m.num_local()
-                    && mc.shards.iter().all(|s| s.ghost.len() == self.ghosts.len())
-            });
-        if same_shape {
-            let mc = own.expect("same_shape implies own shard present");
-            for shard in &mc.shards {
-                let col = m.props.column(shard.id);
-                for (i, &bits) in shard.owned.iter().enumerate() {
-                    col.store_bits(i, bits);
-                }
-                let base = col.len_local();
-                for (i, &bits) in shard.ghost.iter().enumerate() {
-                    col.store_bits(base + i, bits);
-                }
-            }
-        } else {
-            // Degraded (or re-partitioned) shape: rebuild each global
-            // column and take this rank's slice under the *current*
-            // partitioning; ghost replicas are re-primed from owner values.
-            for meta in &ckpt.props {
-                let global = ckpt.global_bits(meta.id)?;
-                let col = m.props.column(meta.id);
-                let start = self.partition.start(rank) as usize;
-                for i in 0..m.num_local() {
-                    col.store_bits(i, global[start + i]);
-                }
-                let base = col.len_local();
-                for ord in 0..self.ghosts.len() {
-                    let v = self.ghosts.node_at(ord as u32);
-                    col.store_bits(base + ord, global[v as usize]);
-                }
-            }
-        }
-        m.stats.restores_applied.fetch_add(1, Ordering::Relaxed);
         self.health.reset_clocks();
         Ok(())
     }
@@ -1353,38 +1014,21 @@ impl Cluster {
     // Phase execution
     // -----------------------------------------------------------------
 
-    /// Runs one phase on every worker of every machine and waits for the
-    /// trailing cluster barrier. Under `Config::strict_distributed`, every
-    /// phase is additionally fenced by the *message-based* barrier, so
-    /// inter-phase synchronization goes through the fabric exactly as on a
-    /// real cluster.
+    /// Runs one phase on every worker of every hosted machine and waits for
+    /// the trailing cluster barrier. Under `Config::strict_distributed`,
+    /// every phase is additionally fenced by the *message-based* barrier,
+    /// so inter-phase synchronization goes through the fabric exactly as on
+    /// a real cluster.
     ///
-    /// **Deprecated:** panics on cluster abort. New code should call
-    /// [`Cluster::try_run_phase`]; this wrapper exists only for callers
-    /// that genuinely cannot recover.
-    pub fn run_phase(&mut self, phase: Arc<dyn Phase>) {
-        self.try_run_phase(phase).expect("cluster job failed");
-    }
-
-    /// Like [`Cluster::run_phase`] but names the phase; the label shows up
-    /// in exported traces and reports.
-    ///
-    /// **Deprecated:** panics on cluster abort. New code should call
-    /// [`Cluster::try_run_labeled_phase`].
-    pub fn run_labeled_phase(&mut self, label: &str, phase: Arc<dyn Phase>) {
-        self.try_run_labeled_phase(label, phase)
-            .expect("cluster job failed");
-    }
-
-    /// Fallible [`Cluster::run_phase`]: returns the recorded [`JobError`]
-    /// if the cluster aborted during (or before) the phase instead of
-    /// panicking. An aborted cluster is terminal — every subsequent call
-    /// reports the same error without running anything.
+    /// Returns the recorded [`JobError`] if the cluster aborted during (or
+    /// before) the phase. An aborted cluster is terminal — every
+    /// subsequent call reports the same error without running anything.
     pub fn try_run_phase(&mut self, phase: Arc<dyn Phase>) -> Result<(), JobError> {
         self.try_run_labeled_phase("phase", phase)
     }
 
-    /// Fallible [`Cluster::run_labeled_phase`].
+    /// [`Cluster::try_run_phase`] with a name for the phase; the label
+    /// shows up in exported traces and reports.
     pub fn try_run_labeled_phase(
         &mut self,
         label: &str,
@@ -1433,12 +1077,12 @@ impl Cluster {
 
     fn run_phase_inner(&mut self, phase: Arc<dyn Phase>, label: &str) {
         self.phase_labels.push(label.to_string());
-        // In-process, `pending` is the cluster-global in-flight count and
-        // must be zero between phases. Multi-process, it only counts this
-        // rank's share and remote requests may still land here while peers
+        // With every machine hosted here, `pending` is the cluster-global
+        // in-flight count and must be zero between phases. Otherwise it
+        // only counts this process's share and remote requests may still land here while peers
         // drain — the termination counters own that accounting instead.
         debug_assert!(
-            self.node.is_some() || self.pending.load(Ordering::SeqCst) == 0,
+            self.is_multiprocess() || self.pending.load(Ordering::SeqCst) == 0,
             "pending entries leaked from a previous phase"
         );
         let epoch = {
@@ -1458,22 +1102,6 @@ impl Cluster {
         while *done < epoch {
             self.ctl.done_cv.wait(&mut done);
         }
-    }
-
-    /// Runs a sequence of phases back to back.
-    ///
-    /// **Deprecated:** panics on cluster abort; prefer
-    /// [`Cluster::try_run_phases`].
-    pub fn run_phases(&mut self, phases: Vec<Arc<dyn Phase>>) {
-        self.try_run_phases(phases).expect("cluster job failed");
-    }
-
-    /// Fallible [`Cluster::run_phases`]: stops at the first failing phase.
-    pub fn try_run_phases(&mut self, phases: Vec<Arc<dyn Phase>>) -> Result<(), JobError> {
-        for p in phases {
-            self.try_run_phase(p)?;
-        }
-        Ok(())
     }
 
     /// Crosses the message-based distributed barrier once (Figure 5b).
@@ -1742,7 +1370,7 @@ fn worker_loop(
     m: Arc<MachineState>,
     worker_idx: usize,
     ctl: Arc<PhaseControl>,
-    #[allow(dead_code)] barrier: Arc<CentralBarrier>,
+    barrier: Arc<CentralBarrier>,
     pending: Arc<AtomicI64>,
 ) {
     let mut comm = WorkerComm::new(

@@ -77,21 +77,22 @@ impl Fabric {
         net: NetConfig,
         plan: FaultPlan,
     ) -> Self {
-        assert_eq!(endpoints.len(), telemetry.len());
         let transport = Arc::new(InMemoryTransport::with_endpoints(endpoints));
-        Fabric::over(transport, 0, telemetry, net, plan)
+        Fabric::over(transport, telemetry, net, plan)
     }
 
     /// Builds a fabric over an arbitrary [`Transport`] backend.
-    /// `telemetry[i]` receives the send-side accounting for machine
-    /// `first_machine + i` — the machines hosted by this process.
+    /// `telemetry[i]` receives the send-side accounting for the `i`-th
+    /// machine [hosted](Transport::hosted) by this process.
     pub fn over(
         transport: Arc<dyn Transport>,
-        first_machine: MachineId,
         telemetry: Vec<Arc<Telemetry>>,
         net: NetConfig,
         plan: FaultPlan,
     ) -> Self {
+        let hosted = transport.hosted();
+        assert_eq!(hosted.len(), telemetry.len());
+        let first_machine = hosted.start as MachineId;
         let stats = telemetry.iter().map(|t| t.stats().clone()).collect();
         let virtual_busy_ns = (0..telemetry.len()).map(|_| AtomicU64::new(0)).collect();
         Fabric {
@@ -351,7 +352,6 @@ mod tests {
         assert_eq!(s0.header_bytes_sent, 32);
         assert_eq!(stats[1].snapshot().msgs_sent, 0);
         // Per-destination traffic lands on the source's telemetry.
-        #[cfg(feature = "telemetry")]
         assert_eq!(tele[0].dest_bytes_snapshot(), vec![0, 150 + 32]);
     }
 

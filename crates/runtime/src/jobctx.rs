@@ -13,10 +13,10 @@
 //! cluster folds the charged counters, windowed histogram deltas, and the
 //! tracer-derived phase/barrier spans into one [`JobExec`].
 //!
-//! Everything in this module is always compiled (no `telemetry` feature
-//! gate): [`JobExec`] is part of the serve-layer API surface. With the
-//! feature off the instrumented fields simply come back zero/empty while
-//! the always-on [`StatsSnapshot`] window delta stays live.
+//! [`JobExec`] is part of the serve-layer API surface. With
+//! [`TelemetryConfig::enabled`](crate::config::TelemetryConfig) off the
+//! instrumented fields simply come back zero/empty while the always-on
+//! [`StatsSnapshot`] window delta stays live.
 //!
 //! [`Cluster::begin_job`]: crate::cluster::Cluster::begin_job
 //! [`Cluster::end_job`]: crate::cluster::Cluster::end_job
@@ -142,7 +142,7 @@ pub struct JobExec {
     /// Completion timestamp.
     pub done_ns: u64,
     /// Cluster-wide counter delta over the job's window (always live,
-    /// even without the `telemetry` feature). Includes background traffic
+    /// even with telemetry disabled). Includes background traffic
     /// such as heartbeats and acks, so it upper-bounds [`JobExec::wire`].
     pub traffic: StatsSnapshot,
     /// Wire traffic charged directly to this job by workers and copiers.

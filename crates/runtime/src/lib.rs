@@ -70,6 +70,8 @@ pub use health::{ClusterHealth, JobError, TransportErrorKind};
 pub use ids::{GlobalId, MachineId};
 pub use jobctx::{JobCtx, JobExec, JobOutcome, JobWire, PhaseSpan};
 pub use props::{PropId, PropValue, ReduceOp};
-pub use tcp::{bind_coordinator, bootstrap, Membership, NodeComm, TcpTransport};
+pub use tcp::{
+    bind_coordinator, bootstrap, reserve_loopback_addr, Membership, NodeComm, TcpTransport,
+};
 pub use telemetry::Telemetry;
 pub use transport::{InMemoryTransport, Transport};

@@ -26,12 +26,14 @@
 //!
 //! # Driver collectives
 //!
-//! The engine's driver API (`gather`, `reduce`, `get`) reads state that a
-//! multi-process cluster has scattered across processes. Every process
-//! runs the same driver program in lockstep (SPMD), and each such call
-//! becomes a [`NodeComm::allgather`] over the control plane: peers send
-//! their contribution to rank 0, which broadcasts the assembled set, so
-//! every rank computes the identical global answer in the identical order.
+//! The engine's driver API (`gather`, `reduce`, `get`, checkpoints) reads
+//! state that a multi-process cluster has scattered across processes.
+//! Every process runs the same driver program in lockstep (SPMD), and each
+//! such call crosses [`Transport::allgather`], which [`TcpTransport`]
+//! answers with a [`NodeComm::allgather`] over the control plane: peers
+//! send their contribution to rank 0, which broadcasts the assembled set,
+//! so every rank computes the identical global answer in the identical
+//! order.
 //!
 //! # Fault surface
 //!
@@ -286,23 +288,6 @@ fn read_exact_abortable(
 }
 
 impl NodeComm {
-    /// This process's rank.
-    pub fn rank(&self) -> u16 {
-        self.rank
-    }
-
-    /// Cluster size.
-    pub fn machines(&self) -> usize {
-        self.machines
-    }
-
-    /// Attaches the cluster health so collectives blocked on a dead
-    /// peer's control stream unwind when the watchdog confirms the death
-    /// instead of hanging forever.
-    pub fn attach_health(&mut self, health: Arc<ClusterHealth>) {
-        self.health = Some(health);
-    }
-
     fn write_blob(s: &mut TcpStream, blob: &[u8]) -> Result<(), JobError> {
         let ctx = "control write";
         s.write_all(&(blob.len() as u32).to_le_bytes())
@@ -399,6 +384,16 @@ pub fn bind_coordinator(addr: &str) -> Result<(CoordHandle, SocketAddr), JobErro
         .local_addr()
         .map_err(|e| io_err("coordinator local_addr", e))?;
     Ok((CoordHandle { listener }, local))
+}
+
+/// Reserves a concrete loopback address for a later [`bind_coordinator`] —
+/// a recovery rendezvous every rank must know before any of them needs it —
+/// by binding an ephemeral port and dropping the listener at once. The
+/// address is only bound again after the cluster that was running is torn
+/// down, so the tiny reuse window is harmless.
+pub fn reserve_loopback_addr() -> Result<String, JobError> {
+    let (_handle, addr) = bind_coordinator("127.0.0.1:0")?;
+    Ok(addr.to_string())
 }
 
 /// Binds a data listener and returns it with its concrete address.
@@ -624,9 +619,12 @@ pub fn join(
     })
 }
 
-/// Convenience bootstrap from a validated [`Config`]: dispatches on
-/// `config.transport.rank` (0 = coordinator).
-pub fn bootstrap(config: &Config) -> Result<Membership, JobError> {
+/// One rank's whole bootstrap from a validated [`Config`], the same for an
+/// OS process and for a thread-hosted loopback rank: rank 0 binds the
+/// configured coordinator address (a `:0` port is fine), hands the concrete
+/// address to `announce` so the other ranks can be told, and waits for the
+/// cluster to form; every other rank joins at the configured address.
+pub fn bootstrap(config: &Config, announce: impl FnOnce(&str)) -> Result<Membership, JobError> {
     let t = &config.transport;
     let rank = t
         .rank
@@ -637,7 +635,8 @@ pub fn bootstrap(config: &Config) -> Result<Membership, JobError> {
         .ok_or_else(|| JobError::Protocol("TCP transport requires a coordinator address".into()))?;
     let timeout = Duration::from_millis(t.connect_timeout_ms);
     if rank == 0 {
-        let (h, _) = bind_coordinator(coord)?;
+        let (h, addr) = bind_coordinator(coord)?;
+        announce(&addr.to_string());
         h.wait_cluster(config.machines, &t.listen_addr, timeout)
     } else {
         join(coord, rank, config.machines, &t.listen_addr, timeout)
@@ -713,6 +712,20 @@ impl TcpOptions {
             connect_timeout_ms: 30_000,
         }
     }
+
+    /// What a cluster built from `config` runs its sockets with.
+    pub fn from_config(config: &Config) -> Self {
+        TcpOptions {
+            max_frame: config.transport.max_frame_bytes,
+            recv_capacity: config.buffer_bytes,
+            wire_fault: config.transport.wire_fault,
+            retry_budget: Arc::new(RetryBudget::new(
+                config.serve.retry_budget_tokens,
+                config.serve.retry_budget_refill_ms,
+            )),
+            connect_timeout_ms: config.transport.connect_timeout_ms,
+        }
+    }
 }
 
 /// State shared between the transport handle, its reader threads, and
@@ -769,21 +782,32 @@ pub struct TcpTransport {
     /// This rank's data listener, parked until `register_endpoint`
     /// spawns the reconnect acceptor.
     data_listener: Mutex<Option<TcpListener>>,
+    /// The retained bootstrap control streams: the process-group
+    /// collective. Driver calls are sequential, so the mutex is
+    /// contention-free.
+    comm: Mutex<NodeComm>,
 }
 
 impl TcpTransport {
-    /// Builds the transport from a bootstrap [`Membership`] (consuming
-    /// its data links, address book, and data listener;
-    /// `membership.comm` stays with the caller for driver collectives).
+    /// Builds the transport from a bootstrap [`Membership`]: its data
+    /// links, address book and data listener carry envelopes, its control
+    /// streams stay open as the process-group collective.
     pub fn new(
-        rank: u16,
-        machines: usize,
-        links: Vec<Option<PeerLink>>,
-        book: Vec<String>,
-        data_listener: Option<TcpListener>,
+        membership: Membership,
         health: Arc<ClusterHealth>,
         opts: TcpOptions,
     ) -> Result<Self, JobError> {
+        let Membership {
+            rank,
+            machines,
+            mut comm,
+            links,
+            book,
+            data_listener,
+        } = membership;
+        // The control plane must notice aborts too: a collective waiting on
+        // a dead peer's stream returns the cluster error instead of hanging.
+        comm.health = Some(health.clone());
         assert_eq!(links.len(), machines);
         assert_eq!(book.len(), machines);
         let mut writers = Vec::with_capacity(machines);
@@ -827,7 +851,8 @@ impl TcpTransport {
                 reader_socks: Mutex::new(Vec::new()),
             }),
             pending_readers: Mutex::new(pending),
-            data_listener: Mutex::new(data_listener),
+            data_listener: Mutex::new(Some(data_listener)),
+            comm: Mutex::new(comm),
         })
     }
 
@@ -1282,8 +1307,17 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn is_local(&self, machine: MachineId) -> bool {
-        machine == self.shared.rank
+    fn hosted(&self) -> std::ops::Range<usize> {
+        let rank = self.shared.rank as usize;
+        rank..rank + 1
+    }
+
+    fn allgather(&self, local: &[u8]) -> Result<Vec<Vec<u8>>, JobError> {
+        self.comm.lock().allgather(local)
+    }
+
+    fn barrier(&self) -> Result<(), JobError> {
+        self.comm.lock().barrier()
     }
 
     fn name(&self) -> &'static str {
@@ -1363,22 +1397,15 @@ mod tests {
 
         let mk = |m: Membership| {
             let health = Arc::new(ClusterHealth::new(2));
-            let t = TcpTransport::new(
-                m.rank,
-                2,
-                m.links,
-                m.book,
-                Some(m.data_listener),
-                health.clone(),
-                TcpOptions::new(1 << 20, 1024),
-            )
-            .unwrap();
+            let rank = m.rank;
+            let t = TcpTransport::new(m, health.clone(), TcpOptions::new(1 << 20, 1024)).unwrap();
             let (eps, mut rxs) = make_endpoints(1, 2);
-            t.register_endpoint(m.rank, eps[0].clone()).unwrap();
-            (t, rxs.remove(0), health, m.comm)
+            t.register_endpoint(rank, eps[0].clone()).unwrap();
+            (Arc::new(t), rxs.remove(0), health)
         };
-        let (t0, rx0, h0, mut c0) = mk(m0);
-        let (t1, rx1, h1, mut c1) = mk(m1);
+        let (t0, rx0, h0) = mk(m0);
+        let (t1, rx1, h1) = mk(m1);
+        assert_eq!((t0.hosted(), t1.hosted()), (0..1, 1..2));
 
         // Request 0 → 1 lands on rank 1's copier queue.
         t0.send(Envelope {
@@ -1427,8 +1454,9 @@ mod tests {
         assert!(rx1.copier_rx.recv_timeout(Duration::from_secs(10)).is_ok());
 
         // Driver collectives see every rank's contribution in rank order.
+        let c0 = t0.clone();
         let g0 = std::thread::spawn(move || c0.allgather(b"zero").unwrap());
-        let g1 = c1.allgather(b"one").unwrap();
+        let g1 = t1.allgather(b"one").unwrap();
         let g0 = g0.join().unwrap();
         assert_eq!(g0, vec![b"zero".to_vec(), b"one".to_vec()]);
         assert_eq!(g1, g0);

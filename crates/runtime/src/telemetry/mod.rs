@@ -16,8 +16,6 @@
 //!
 //! Every recording entry point starts with a single `enabled` branch, so a
 //! run with telemetry off pays one predictable-not-taken branch per hook.
-//! Compiling the crate without the `telemetry` feature replaces the
-//! instruments with no-op stubs (the stats counters remain).
 //!
 //! Timestamps are nanoseconds since a cluster-wide epoch `Instant` that
 //! [`Cluster::assemble`](crate::cluster::Cluster) hands to every machine,
@@ -32,7 +30,6 @@ pub mod tracer;
 pub use histogram::{Histogram, HistogramSnapshot, NUM_BUCKETS};
 pub use tracer::{EventKind, TraceEvent, Tracer};
 
-#[cfg(feature = "telemetry")]
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -43,7 +40,6 @@ use crate::jobctx::JobWire;
 use crate::stats::MachineStats;
 
 /// Per-machine telemetry registry. See the module docs.
-#[cfg(feature = "telemetry")]
 pub struct Telemetry {
     enabled: bool,
     machine: u16,
@@ -69,7 +65,6 @@ pub struct Telemetry {
     job_msgs_processed: AtomicU64,
 }
 
-#[cfg(feature = "telemetry")]
 impl Telemetry {
     pub fn new(machine: u16, config: &Config, epoch: Instant) -> Arc<Telemetry> {
         let enabled = config.telemetry.enabled;
@@ -350,140 +345,7 @@ impl Telemetry {
     }
 }
 
-/// No-op telemetry: the crate was built without the `telemetry` feature.
-/// The API matches the instrumented version so call sites compile
-/// unchanged; only the always-on [`MachineStats`] counters remain live.
-#[cfg(not(feature = "telemetry"))]
-pub struct Telemetry {
-    machine: u16,
-    stats: Arc<MachineStats>,
-}
-
-#[cfg(not(feature = "telemetry"))]
-impl Telemetry {
-    pub fn new(machine: u16, _config: &Config, _epoch: Instant) -> Arc<Telemetry> {
-        Arc::new(Telemetry {
-            machine,
-            stats: Arc::new(MachineStats::default()),
-        })
-    }
-
-    pub fn detached(_machines: usize, _enabled: bool) -> Arc<Telemetry> {
-        Arc::new(Telemetry {
-            machine: 0,
-            stats: Arc::new(MachineStats::default()),
-        })
-    }
-
-    #[inline(always)]
-    pub fn enabled(&self) -> bool {
-        false
-    }
-
-    pub fn machine(&self) -> u16 {
-        self.machine
-    }
-
-    pub fn stats(&self) -> &Arc<MachineStats> {
-        &self.stats
-    }
-
-    #[inline(always)]
-    pub fn now_ns(&self) -> u64 {
-        0
-    }
-
-    #[inline(always)]
-    pub fn trace(&self, _worker: usize, _kind: EventKind, _arg: u64) {}
-    #[inline(always)]
-    pub fn record_read_rtt(&self, _ns: u64) {}
-    #[inline(always)]
-    pub fn record_copier_service(&self, _ns: u64) {}
-    #[inline(always)]
-    pub fn record_flush_fill(&self, _pct: u64) {}
-    #[inline(always)]
-    pub fn record_side_occupancy(&self, _entries: u64) {}
-    #[inline(always)]
-    pub fn record_chunk_claims(&self, _chunks: u64) {}
-    #[inline(always)]
-    pub fn record_checkpoint_bytes(&self, _bytes: u64) {}
-    #[inline(always)]
-    pub fn record_checkpoint_ns(&self, _ns: u64) {}
-    #[inline(always)]
-    pub fn record_queue_wait(&self, _ns: u64) {}
-    #[inline(always)]
-    pub fn record_term_release_wait(&self, _ns: u64) {}
-    #[inline(always)]
-    pub fn record_dest_bytes(&self, _dest: usize, _bytes: u64) {}
-
-    #[inline(always)]
-    pub fn begin_job(&self, _ctx: JobCtx) {}
-
-    #[inline(always)]
-    pub fn end_job(&self) -> JobWire {
-        JobWire::default()
-    }
-
-    #[inline(always)]
-    pub fn current_job(&self) -> Option<JobCtx> {
-        None
-    }
-
-    #[inline(always)]
-    pub fn record_job_send(&self, _bytes: u64) {}
-
-    #[inline(always)]
-    pub fn record_job_recv(&self) {}
-
-    pub fn worker_dropped(&self) -> Vec<u64> {
-        Vec::new()
-    }
-
-    pub fn workers(&self) -> usize {
-        0
-    }
-
-    pub fn worker_events(&self, _worker: usize) -> Vec<TraceEvent> {
-        Vec::new()
-    }
-
-    pub fn trace_volume(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
-    pub fn read_rtt_snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-    pub fn copier_service_snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-    pub fn flush_fill_snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-    pub fn side_occupancy_snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-    pub fn chunk_claims_snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-    pub fn checkpoint_bytes_snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-    pub fn checkpoint_ns_snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-    pub fn queue_wait_snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-    pub fn term_release_wait_snapshot(&self) -> HistogramSnapshot {
-        HistogramSnapshot::default()
-    }
-    pub fn dest_bytes_snapshot(&self) -> Vec<u64> {
-        Vec::new()
-    }
-}
-
-#[cfg(all(test, feature = "telemetry"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

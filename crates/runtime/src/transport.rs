@@ -18,11 +18,20 @@
 //! The reliability protocol (sequencing, dedup, ack, retransmit) lives
 //! *above* `send` in the poller loop and below it in the copier, so it
 //! applies unchanged on both backends.
+//!
+//! A backend also says which machines this process [hosts](Transport::hosted)
+//! and carries the *process-group collective* ([`Transport::allgather`],
+//! [`Transport::barrier`]) the driver API is written against: the identity
+//! on the in-memory switch, whose one process hosts every machine, and the
+//! retained bootstrap control streams on TCP. That is the whole difference
+//! between the two deployment shapes as far as
+//! [`Cluster`](crate::cluster::Cluster) is concerned.
 
 use crate::fabric::MachineEndpoints;
 use crate::health::JobError;
 use crate::ids::MachineId;
 use crate::message::Envelope;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// A message-delivery backend: the minimal surface the engine needs from an
@@ -47,8 +56,22 @@ pub trait Transport: Send + Sync {
     /// hard failures: a torn-down local machine or a broken connection.
     fn send(&self, env: Envelope) -> Result<(), JobError>;
 
-    /// Whether `machine` is hosted by this process (its queues are local).
-    fn is_local(&self, machine: MachineId) -> bool;
+    /// The machines this process hosts (their queues are local): all of
+    /// them on the in-memory switch, the one at this process's rank on TCP.
+    fn hosted(&self) -> Range<usize>;
+
+    /// Process-group allgather: every process contributes `local` and
+    /// receives all contributions in process order (ascending hosted
+    /// range). A collective — every process must call it in the same driver
+    /// step. With one process in the group it is the identity.
+    fn allgather(&self, local: &[u8]) -> Result<Vec<Vec<u8>>, JobError> {
+        Ok(vec![local.to_vec()])
+    }
+
+    /// Process-group rendezvous: returns once every process has entered.
+    fn barrier(&self) -> Result<(), JobError> {
+        Ok(())
+    }
 
     /// Backend name for diagnostics ("in-memory", "tcp").
     fn name(&self) -> &'static str;
@@ -93,6 +116,29 @@ pub struct WireCountersSnapshot {
     /// Reader threads that exited on an unexpected (non-teardown) EOF or
     /// reset — each is a suspected peer awaiting reconnect or watchdog.
     pub reader_eofs: u64,
+}
+
+impl std::ops::AddAssign for WireCountersSnapshot {
+    fn add_assign(&mut self, w: Self) {
+        self.reconnects_dialed += w.reconnects_dialed;
+        self.reconnects_accepted += w.reconnects_accepted;
+        self.resets_injected += w.resets_injected;
+        self.stalls_injected += w.stalls_injected;
+        self.accepts_refused += w.accepts_refused;
+        self.partition_drops += w.partition_drops;
+        self.reader_eofs += w.reader_eofs;
+    }
+}
+
+/// What one process hands to a driver collective
+/// ([`Cluster::exchange`](crate::cluster::Cluster::exchange)). Only a
+/// multi-process backend ever encodes one; a process that hosts every
+/// machine keeps the value as it is.
+pub trait Contribution: Sized {
+    /// Appends the flat little-endian encoding to `buf`.
+    fn encode(&self, buf: &mut Vec<u8>);
+    /// Parses [`Contribution::encode`]'s output; `None` on any malformation.
+    fn decode(bytes: &[u8]) -> Option<Self>;
 }
 
 /// The single-process channel switch: every machine's endpoints live in
@@ -159,8 +205,8 @@ impl Transport for InMemoryTransport {
         }
     }
 
-    fn is_local(&self, _machine: MachineId) -> bool {
-        true
+    fn hosted(&self) -> Range<usize> {
+        0..self.endpoints.len()
     }
 
     fn name(&self) -> &'static str {
@@ -208,7 +254,10 @@ mod tests {
         let (eps, rxs) = make_endpoints(2, 1);
         let t = InMemoryTransport::with_endpoints(eps);
         assert_eq!(t.machines(), 2);
-        assert!(t.is_local(1));
+        assert_eq!(t.hosted(), 0..2);
+        // One process: the collective is the identity.
+        assert_eq!(t.allgather(b"x").unwrap(), vec![b"x".to_vec()]);
+        t.barrier().unwrap();
         assert_eq!(t.name(), "in-memory");
         t.send(env(1, MsgKind::Write)).unwrap();
         assert!(rxs[1].copier_rx.try_recv().is_ok());

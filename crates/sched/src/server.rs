@@ -82,7 +82,7 @@ struct QueuedJob<E> {
 /// The wall-clock fields (`queue_wait`, `run`) are always measured; the
 /// breakdown and wire attribution come from the engine's [`JobExec`]
 /// record and are zero when the engine doesn't track one (mock engines,
-/// or the `telemetry` feature compiled out).
+/// or telemetry disabled).
 #[derive(Clone, Debug)]
 pub struct JobReport {
     /// Server-assigned job id.

@@ -72,14 +72,16 @@ fn main() {
         engine.set(authority, v as u32, score);
     }
     let stronger = engine.add_prop("stronger_inlinks", 0i64);
-    engine.run_edge_job(
-        Dir::In,
-        &JobSpec::new().read(authority),
-        CountStrongerInlinks {
-            authority,
-            stronger,
-        },
-    );
+    engine
+        .try_run_edge_job(
+            Dir::In,
+            &JobSpec::new().read(authority),
+            CountStrongerInlinks {
+                authority,
+                stronger,
+            },
+        )
+        .unwrap();
     let stronger_counts = engine.gather(stronger);
 
     // Report: the most "supported" pages — high-authority pages that are

@@ -10,11 +10,6 @@ cargo build --release
 echo "== cargo test -q =="
 cargo test -q
 
-echo "== runtime fault/recovery tests with --features telemetry =="
-# Exercises the checkpoint/restore and reliability paths with the
-# histogram/tracer instruments compiled in (they are feature-gated).
-cargo test -q -p pgxd-runtime --features telemetry
-
 echo "== cargo fmt --check =="
 cargo fmt --check
 
@@ -83,11 +78,6 @@ echo "== wire-recover smoke (socket faults + SIGKILL a rank mid-run) =="
 # re-bootstrap.
 timeout 300 cargo run --release -p pgxd-bench --bin repro -- wire-recover --quick
 
-echo "== instrumentation compiles out (cargo check -p pgxd --no-default-features) =="
-# The telemetry feature gates every instrument behind no-op twins; this
-# guards the uninstrumented build (and its API surface) from rotting.
-cargo check -q -p pgxd --no-default-features
-
 echo "== benchmark smoke (one pull_skew, one tcp_pull and one query_pr run, answers checked against the oracle) =="
 # Not a performance gate — a one-second run measures nothing. The
 # repository benchmark verifies every result against the sequential
@@ -100,45 +90,6 @@ bash benchmark/run.sh --workload tcp_pull --seed 7 --seconds 1 --trace 0
 # PageRank is held to 1e-12 of the built-in *and* 1e-9 of the oracle, and
 # the query BFS to bit-identity with both.
 bash benchmark/run.sh --workload query_pr --seed 7 --seconds 1 --trace 0
-
-echo "== bench_compare regression gate (synthetic >10% fixture must fail) =="
-fix_dir="$(mktemp -d)"
-cat > "$fix_dir/BENCH_2000-01-01.json" <<'EOF'
-{
-  "schema": "pgxd-bench-v1",
-  "headline": {
-    "edges_per_s": 1000000,
-    "p50_latency_ns": 100000,
-    "p99_latency_ns": 500000,
-    "wire_bytes": 4000000,
-    "wire_msgs": 2000,
-    "queue_wait_p50_ns": 10000,
-    "queue_wait_p99_ns": 90000
-  }
-}
-EOF
-cat > "$fix_dir/BENCH_2000-01-02.json" <<'EOF'
-{
-  "schema": "pgxd-bench-v1",
-  "headline": {
-    "edges_per_s": 1000000,
-    "p50_latency_ns": 100000,
-    "p99_latency_ns": 600000,
-    "wire_bytes": 4000000,
-    "wire_msgs": 2000,
-    "queue_wait_p50_ns": 10000,
-    "queue_wait_p99_ns": 90000
-  }
-}
-EOF
-touch -d '2000-01-01' "$fix_dir/BENCH_2000-01-01.json"
-if scripts/bench_compare.sh "$fix_dir" > /dev/null; then
-  echo "bench_compare: synthetic 20% p99 regression was NOT rejected"
-  exit 1
-else
-  echo "bench_compare: synthetic regression correctly rejected"
-fi
-rm -rf "$fix_dir"
 
 echo "== cargo doc --workspace --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -9,13 +9,11 @@
 //! continuations still owed. Here every response chains `DEPTH` more reads,
 //! through 64-byte buffers (8 read entries each), on both backends.
 
-use pgxd::transport::bind_coordinator;
 use pgxd::{
     Config, Dir, EdgeCtx, EdgeTask, Engine, EngineBuilder, JobSpec, NodeCtx, NodeTask, Prop,
-    ReadDoneCtx, TransportConfig,
+    ReadDoneCtx,
 };
 use pgxd_graph::{generate, Graph};
-use std::time::Duration;
 
 const DEPTH: u64 = 3;
 
@@ -122,43 +120,11 @@ fn every_chained_continuation_runs_in_memory() {
 fn every_chained_continuation_runs_on_loopback_tcp() {
     let graph = test_graph();
     let want = expected(&graph);
-    let (addr_tx, addr_rx) = std::sync::mpsc::channel::<String>();
-
-    let rank0 = std::thread::spawn(move || {
-        let graph = test_graph();
-        let (handle, addr) = bind_coordinator("127.0.0.1:0").unwrap();
-        addr_tx.send(addr.to_string()).unwrap();
-        let config = small_buffers()
-            .transport(TransportConfig::tcp(addr.to_string(), 0))
-            .build()
-            .unwrap();
-        let membership = handle
-            .wait_cluster(2, &config.transport.listen_addr, Duration::from_secs(30))
-            .unwrap();
-        let mut engine = EngineBuilder::from_config(config)
-            .build_node_with(&graph, membership)
-            .unwrap();
+    let ranks = pgxd::loopback_ranks(2, |rank| {
+        let mut engine = rank.engine(small_buffers(), &graph).unwrap();
         let out = driver(&mut engine);
         engine.cluster().node_barrier().unwrap();
         out
     });
-    let rank1 = std::thread::spawn(move || {
-        let graph = test_graph();
-        let coord = addr_rx.recv().unwrap();
-        let config = small_buffers()
-            .transport(TransportConfig::tcp(&coord, 1))
-            .build()
-            .unwrap();
-        let mut engine = EngineBuilder::from_config(config)
-            .build_node(&graph)
-            .unwrap();
-        let out = driver(&mut engine);
-        engine.cluster().node_barrier().unwrap();
-        out
-    });
-
-    let r0 = rank0.join().expect("rank 0 panicked");
-    let r1 = rank1.join().expect("rank 1 panicked");
-    assert_eq!(r0, want, "rank 0");
-    assert_eq!(r1, want, "rank 1");
+    assert_eq!(ranks, [want.clone(), want], "ranks 0 and 1");
 }

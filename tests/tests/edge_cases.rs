@@ -207,7 +207,8 @@ fn rmi_from_algorithm_context() {
         }
     }
     let echoed = e.add_prop("echoed", 0i64);
-    e.run_node_job(&pgxd::JobSpec::new(), Caller { id, echoed });
+    e.try_run_node_job(&pgxd::JobSpec::new(), Caller { id, echoed })
+        .unwrap();
     assert_eq!(hits.load(Ordering::SeqCst), 1);
     assert_eq!(e.get::<i64>(echoed, 0), 7);
 }

@@ -93,11 +93,12 @@ proptest! {
         let mut e = engine(machines, ghosts, &g);
         let acc = e.add_prop("acc", 0i64);
         let active = e.add_prop("active", true);
-        e.run_edge_job(
+        e.try_run_edge_job(
             Dir::Out,
             &JobSpec::new().reduce(acc, ReduceOp::Sum),
             CountOne { acc, active },
-        );
+        )
+        .unwrap();
         let total: i64 = e.reduce(acc, ReduceOp::Sum);
         prop_assert_eq!(total as usize, g.num_edges());
         // Per-node: the accumulated value must equal the in-degree.
@@ -126,7 +127,8 @@ proptest! {
         let mut e = engine(machines, Some(2), &g);
         let one = e.add_prop("one", 1i64);
         let acc = e.add_prop("acc2", 0i64);
-        e.run_edge_job(Dir::Out, &JobSpec::new().read(one), PullOne { one, acc });
+        e.try_run_edge_job(Dir::Out, &JobSpec::new().read(one), PullOne { one, acc })
+            .unwrap();
         let per_node = e.gather::<i64>(acc);
         for (v, &x) in per_node.iter().enumerate() {
             prop_assert_eq!(x as usize, g.out_degree(v as u32));
@@ -156,11 +158,12 @@ proptest! {
         for (v, &x) in vals.iter().enumerate() {
             e.set(val, v as u32, x);
         }
-        e.run_edge_job(
+        e.try_run_edge_job(
             Dir::Out,
             &JobSpec::new().read(val).reduce(dst, ReduceOp::Min),
             PushVal { val, dst },
-        );
+        )
+        .unwrap();
         let got = e.gather::<i64>(dst);
         for v in 0..g.num_nodes() as u32 {
             let expect = g

@@ -287,6 +287,21 @@ fn bad_queries_are_rejected_before_submission() {
         Ok(_) => panic!("ill-typed query was accepted"),
     }
 
+    // An aggregate that reads the column it is reducing into has no
+    // arrival-order independent meaning; the error names the column.
+    match session.query("prop x: i64 = 1;\nforeach v { v.x = sum(u in v.in_nbrs) u.x; }\nreturn x;")
+    {
+        Err(QuerySubmitError::Compile(e)) => {
+            assert_eq!(e.kind, pgxd::query::ErrorKind::Unsupported);
+            assert!(
+                e.to_string().contains("2:39") && e.to_string().contains("`x`"),
+                "{e}"
+            );
+        }
+        Err(other) => panic!("expected Compile(Unsupported) error, got {other}"),
+        Ok(_) => panic!("an aggregate reading its own target was accepted"),
+    }
+
     drop(session);
     server.shutdown();
 }

@@ -9,10 +9,10 @@
 //!   graph, same partitions, same rank-ordered reduce fold, different
 //!   wire.
 
-use pgxd::transport::bind_coordinator;
 use pgxd::{Config, EngineBuilder, TransportConfig};
 use pgxd_algorithms as algos;
 use pgxd_graph::generate;
+use pgxd_runtime::config::ConfigBuilder;
 use pgxd_runtime::message::{
     decode_frame_header, encode_frame_header, Envelope, MsgKind, FRAME_HEADER_BYTES,
 };
@@ -146,13 +146,10 @@ fn test_graph() -> pgxd_graph::Graph {
     generate::rmat(7, 4, generate::RmatParams::skewed(), 3023)
 }
 
-fn node_config(coord: &str, rank: u16) -> Config {
-    Config::builder()
-        .machines(2)
-        .workers(2)
-        .transport(TransportConfig::tcp(coord, rank))
-        .build()
-        .unwrap()
+/// Two machines, two workers each: the reference's config, and every
+/// loopback rank's once its transport is filled in.
+fn two_by_two() -> ConfigBuilder {
+    Config::builder().machines(2).workers(2)
 }
 
 /// The SPMD driver program every rank (and the reference) runs.
@@ -168,47 +165,21 @@ fn driver(engine: &mut pgxd::Engine) -> (Vec<u64>, Vec<i64>, Vec<u32>) {
 fn loopback_tcp_cluster_matches_in_memory_bit_identically() {
     // Reference: the default in-memory backend, same machine count.
     let graph = test_graph();
-    let mut reference =
-        EngineBuilder::from_config(Config::builder().machines(2).workers(2).build().unwrap())
-            .build(&graph)
-            .unwrap();
+    let mut reference = EngineBuilder::from_config(two_by_two().build().unwrap())
+        .build(&graph)
+        .unwrap();
     let expected = driver(&mut reference);
     drop(reference);
 
-    // Rank 0 binds the coordinator on an ephemeral port and hands the
-    // concrete address to rank 1 — the same handshake `pgxd-node` does
-    // across OS processes, here on two threads for a hermetic test.
-    let (addr_tx, addr_rx) = std::sync::mpsc::channel::<String>();
-
-    let rank0 = std::thread::spawn(move || {
-        let graph = test_graph();
-        let (handle, addr) = bind_coordinator("127.0.0.1:0").unwrap();
-        addr_tx.send(addr.to_string()).unwrap();
-        let config = node_config(&addr.to_string(), 0);
-        let membership = handle
-            .wait_cluster(2, &config.transport.listen_addr, Duration::from_secs(30))
-            .unwrap();
-        let mut engine = EngineBuilder::from_config(config)
-            .build_node_with(&graph, membership)
-            .unwrap();
+    // Two thread-hosted ranks — the handshake `pgxd-node` does across OS
+    // processes, on threads for a hermetic test.
+    let ranks = pgxd::loopback_ranks(2, |rank| {
+        let mut engine = rank.engine(two_by_two(), &graph).unwrap();
         let out = driver(&mut engine);
         engine.cluster().node_barrier().unwrap();
         out
     });
-
-    let rank1 = std::thread::spawn(move || {
-        let graph = test_graph();
-        let coord = addr_rx.recv().unwrap();
-        let mut engine = EngineBuilder::from_config(node_config(&coord, 1))
-            .build_node(&graph)
-            .unwrap();
-        let out = driver(&mut engine);
-        engine.cluster().node_barrier().unwrap();
-        out
-    });
-
-    let r0 = rank0.join().expect("rank 0 panicked");
-    let r1 = rank1.join().expect("rank 1 panicked");
+    let [r0, r1] = <[_; 2]>::try_from(ranks).unwrap();
 
     // SPMD replication: both ranks gathered the same global vectors.
     assert_eq!(r0, r1, "ranks disagree on gathered results");
@@ -253,33 +224,18 @@ fn loopback_empty_jobs_do_not_wait_for_the_tick() {
         walls[JOBS / 4]
     }
 
-    let (addr_tx, addr_rx) = std::sync::mpsc::channel::<String>();
-    let rank0 = std::thread::spawn(move || {
-        let graph = test_graph();
-        let (handle, addr) = bind_coordinator("127.0.0.1:0").unwrap();
-        addr_tx.send(addr.to_string()).unwrap();
-        let config = node_config(&addr.to_string(), 0);
-        assert_eq!(config.reliability.tick_ms, 5, "the default tick");
-        let membership = handle
-            .wait_cluster(2, &config.transport.listen_addr, Duration::from_secs(30))
-            .unwrap();
-        let mut engine = EngineBuilder::from_config(config)
-            .build_node_with(&graph, membership)
-            .unwrap();
-        fast_quartile_empty_job(&mut engine)
-    });
-    let rank1 = std::thread::spawn(move || {
-        let graph = test_graph();
-        let coord = addr_rx.recv().unwrap();
-        let mut engine = EngineBuilder::from_config(node_config(&coord, 1))
-            .build_node(&graph)
-            .unwrap();
-        fast_quartile_empty_job(&mut engine)
-    });
-    let q1 = rank0
-        .join()
-        .expect("rank 0 panicked")
-        .max(rank1.join().expect("rank 1 panicked"));
+    assert_eq!(
+        two_by_two().build().unwrap().reliability.tick_ms,
+        5,
+        "the default tick"
+    );
+    let graph = test_graph();
+    let q1 = pgxd::loopback_ranks(2, |rank| {
+        fast_quartile_empty_job(&mut rank.engine(two_by_two(), &graph).unwrap())
+    })
+    .into_iter()
+    .max()
+    .unwrap();
     assert!(
         q1 < Duration::from_millis(2),
         "three quarters of {JOBS} empty jobs took {q1:?} or more: over 2 ms each"
@@ -298,20 +254,33 @@ fn loopback_empty_jobs_do_not_wait_for_the_tick() {
 /// 1e-12 of the fault-free in-memory fixpoint.
 #[test]
 fn loopback_survivors_recover_from_abrupt_peer_death() {
-    use pgxd::recover::adopt_checkpoint;
-    use pgxd::{Checkpoint, JobError, ReliabilityConfig, ResumableAlgorithm, StepOutcome};
-    use std::sync::Arc;
+    use pgxd::recover::Scripted;
+    use pgxd::{JobError, RecoveryDriver, ReliabilityConfig, ResumableAlgorithm};
 
     const MACHINES: usize = 3;
     const R_ITERS: usize = 6;
     const CKPT_EVERY: u64 = 2;
     const VICTIM: u16 = 2;
 
-    fn recover_config(coord: &str, rank: u16, machines: usize) -> Config {
-        Config::builder()
-            .machines(machines)
-            .workers(2)
-            .transport(TransportConfig::tcp(coord, rank))
+    let pagerank = || algos::ResumablePageRankPull::new(0.85, R_ITERS, 0.0);
+    let machines = || Config::builder().machines(MACHINES).workers(2);
+
+    // Reference fixpoint: same stepwise algorithm, in-memory backend.
+    let graph = test_graph();
+    let expected: Vec<f64> = {
+        let mut e = EngineBuilder::from_config(machines().build().unwrap())
+            .build(&graph)
+            .unwrap();
+        pagerank().run_to_completion(&mut e).unwrap().scores
+    };
+
+    // Recovery rendezvous: reserve a concrete port now, so every survivor
+    // knows where to re-bootstrap without any out-of-band channel.
+    let recover_coord = pgxd::transport::reserve_loopback_addr().unwrap();
+
+    let ranks = pgxd::loopback_ranks(MACHINES, |rank| -> Option<Vec<f64>> {
+        let config = machines()
+            .transport(rank.transport().unwrap())
             .reliability(ReliabilityConfig {
                 tick_ms: 1,
                 rto_base_ms: 10,
@@ -320,172 +289,36 @@ fn loopback_survivors_recover_from_abrupt_peer_death() {
             .checkpoint_every(CKPT_EVERY)
             .heartbeat_deadline_ms(400)
             .build()
-            .unwrap()
-    }
-
-    fn build_rank(
-        config: Config,
-        rank: u16,
-        machines: usize,
-        graph: &pgxd_graph::Graph,
-        coord: &str,
-        addr_tx: Option<&std::sync::mpsc::Sender<String>>,
-    ) -> pgxd::Engine {
-        if rank == 0 {
-            let (handle, addr) = bind_coordinator(coord).unwrap();
-            if let Some(tx) = addr_tx {
-                // Both peers bootstrap off the announced ephemeral port.
-                tx.send(addr.to_string()).unwrap();
-                tx.send(addr.to_string()).unwrap();
+            .unwrap();
+        // The abrupt death: the victim's first attempt fails for good as
+        // soon as the iteration-CKPT_EVERY checkpoint exists, and the
+        // recovery loop takes a failed attempt's engine down with no
+        // goodbye frames — peers see exactly what a SIGKILL would produce.
+        let mut alg = Scripted::new(pagerank(), |_, iteration| {
+            if rank.rank == VICTIM && iteration == CKPT_EVERY {
+                return Err(JobError::Cancelled { job: 0 });
             }
-            let membership = handle
-                .wait_cluster(
-                    machines,
-                    &config.transport.listen_addr,
-                    Duration::from_secs(30),
-                )
-                .unwrap();
-            EngineBuilder::from_config(config)
-                .build_node_with(graph, membership)
-                .unwrap()
-        } else {
-            EngineBuilder::from_config(config)
-                .build_node(graph)
-                .unwrap()
+            Ok(())
+        });
+        let run = RecoveryDriver::new(&graph, config).unwrap().run_rank(
+            &recover_coord,
+            |addr| rank.announce(addr),
+            &mut alg,
+        );
+        match run {
+            Ok(rec) => {
+                assert_eq!((rec.recoveries, rec.machines), (1, MACHINES - 1));
+                Some(rec.output.scores)
+            }
+            Err(JobError::Cancelled { .. }) if rank.rank == VICTIM => None,
+            Err(e) => panic!("rank {} failed unrecoverably: {e}", rank.rank),
         }
-    }
+    });
+    let [r0, r1, r2] = <[_; MACHINES]>::try_from(ranks).unwrap();
 
-    // Reference fixpoint: same stepwise algorithm, in-memory backend.
-    let graph = test_graph();
-    let expected: Vec<f64> = {
-        let mut e = EngineBuilder::from_config(
-            Config::builder()
-                .machines(MACHINES)
-                .workers(2)
-                .build()
-                .unwrap(),
-        )
-        .build(&graph)
-        .unwrap();
-        let mut alg = algos::ResumablePageRankPull::new(0.85, R_ITERS, 0.0);
-        alg.setup(&mut e);
-        let mut it = 0u64;
-        loop {
-            match alg.step(&mut e, it).unwrap() {
-                StepOutcome::Done => break,
-                StepOutcome::Continue => it += 1,
-            }
-        }
-        alg.finish(&mut e).scores
-    };
-
-    // Recovery rendezvous: reserve a concrete port now, so every survivor
-    // knows where to re-bootstrap without any out-of-band channel.
-    let recover_coord = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = l.local_addr().unwrap().to_string();
-        drop(l);
-        addr
-    };
-
-    let (addr_tx, addr_rx) = std::sync::mpsc::channel::<String>();
-    let addr_rx = std::sync::Arc::new(std::sync::Mutex::new(addr_rx));
-
-    let spawn_rank = |rank: u16, addr_tx: Option<std::sync::mpsc::Sender<String>>| {
-        let recover_coord = recover_coord.clone();
-        let addr_rx = addr_rx.clone();
-        std::thread::spawn(move || -> Option<Vec<f64>> {
-            let graph = test_graph();
-            let coord = if rank == 0 {
-                "127.0.0.1:0".to_string()
-            } else {
-                addr_rx.lock().unwrap().recv().unwrap()
-            };
-            let mut machines = MACHINES;
-            let mut my_rank = rank;
-            let mut ring: Vec<Arc<Checkpoint>> = Vec::new();
-            let mut recovered = false;
-            loop {
-                let coord_now = if recovered {
-                    recover_coord.clone()
-                } else {
-                    coord.clone()
-                };
-                let config = recover_config(&coord_now, my_rank, machines);
-                let mut engine = build_rank(
-                    config,
-                    my_rank,
-                    machines,
-                    &graph,
-                    &coord_now,
-                    if recovered { None } else { addr_tx.as_ref() },
-                );
-                let mut alg = algos::ResumablePageRankPull::new(0.85, R_ITERS, 0.0);
-                alg.setup(&mut engine);
-                let mut iteration = 0u64;
-                let attempt: Result<(), JobError> = (|| {
-                    if recovered {
-                        if let Some(best) = adopt_checkpoint(&engine, &ring)? {
-                            engine.restore_checkpoint(&best)?;
-                            iteration = best.progress.iteration;
-                            alg.restore_scalars(&best.progress.scalars);
-                        }
-                    }
-                    if iteration == 0 {
-                        engine.take_checkpoint(0, alg.scalars())?;
-                    }
-                    loop {
-                        match alg.step(&mut engine, iteration)? {
-                            StepOutcome::Done => return Ok(()),
-                            StepOutcome::Continue => {}
-                        }
-                        iteration += 1;
-                        if iteration.is_multiple_of(CKPT_EVERY) {
-                            engine.take_checkpoint(iteration, alg.scalars())?;
-                        }
-                        if !recovered && rank == VICTIM && iteration == CKPT_EVERY {
-                            // The abrupt death: no goodbye frames, sockets
-                            // torn mid-cluster — peers see exactly what a
-                            // SIGKILL would produce.
-                            return Err(JobError::Cancelled { job: 0 });
-                        }
-                    }
-                })();
-                match attempt {
-                    Ok(()) => {
-                        let scores = alg.finish(&mut engine).scores;
-                        engine.cluster().node_barrier().unwrap();
-                        return Some(scores);
-                    }
-                    Err(JobError::Cancelled { .. }) if rank == VICTIM => {
-                        engine.sever_transport();
-                        drop(engine);
-                        return None;
-                    }
-                    Err(JobError::MachineDown { machine: dead }) if dead != my_rank => {
-                        ring = engine.checkpoint_ring();
-                        engine.sever_transport();
-                        drop(engine);
-                        machines -= 1;
-                        if my_rank > dead {
-                            my_rank -= 1;
-                        }
-                        recovered = true;
-                    }
-                    Err(e) => panic!("rank {rank} failed unrecoverably: {e}"),
-                }
-            }
-        })
-    };
-
-    let h0 = spawn_rank(0, Some(addr_tx));
-    let h1 = spawn_rank(1, None);
-    let h2 = spawn_rank(2, None);
-
-    let r2 = h2.join().expect("victim panicked");
     assert!(r2.is_none(), "the victim must not produce a result");
-    let r0 = h0.join().expect("rank 0 panicked").expect("rank 0 result");
-    let r1 = h1.join().expect("rank 1 panicked").expect("rank 1 result");
+    let r0 = r0.expect("rank 0 result");
+    let r1 = r1.expect("rank 1 result");
 
     let b0: Vec<u64> = r0.iter().map(|x| x.to_bits()).collect();
     let b1: Vec<u64> = r1.iter().map(|x| x.to_bits()).collect();
@@ -504,7 +337,8 @@ fn loopback_survivors_recover_from_abrupt_peer_death() {
 #[test]
 fn tcp_backend_rejects_single_process_assembly() {
     let graph = generate::ring(16);
-    let err = EngineBuilder::from_config(node_config("127.0.0.1:1", 0))
+    let config = two_by_two().transport(TransportConfig::tcp("127.0.0.1:1", 0));
+    let err = EngineBuilder::from_config(config.build().unwrap())
         .build(&graph)
         .unwrap_err();
     assert!(
