@@ -267,6 +267,7 @@ pub fn try_betweenness(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgxd::BuildEngine;
     use pgxd_baselines::seq;
     use pgxd_graph::{builder::graph_from_edges, generate};
 
@@ -274,7 +275,7 @@ mod tests {
         Engine::builder()
             .machines(machines)
             .ghost_threshold(Some(32))
-            .build(g)
+            .engine(g)
             .unwrap()
     }
 

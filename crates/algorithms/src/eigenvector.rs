@@ -124,10 +124,11 @@ pub fn try_eigenvector(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgxd::BuildEngine;
     use pgxd_graph::generate;
 
     fn engine(machines: usize, g: &pgxd_graph::Graph) -> Engine {
-        Engine::builder().machines(machines).build(g).unwrap()
+        Engine::builder().machines(machines).engine(g).unwrap()
     }
 
     #[test]

@@ -140,10 +140,11 @@ pub fn try_kcore(engine: &mut Engine, max_k: i64) -> Result<KCoreResult, JobErro
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgxd::BuildEngine;
     use pgxd_graph::{builder::graph_from_edges, generate};
 
     fn engine(machines: usize, g: &pgxd_graph::Graph) -> Engine {
-        Engine::builder().machines(machines).build(g).unwrap()
+        Engine::builder().machines(machines).engine(g).unwrap()
     }
 
     #[test]

@@ -254,13 +254,14 @@ pub fn validate_mis(g: &pgxd_graph::Graph, in_set: &[bool]) -> Result<(), String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgxd::BuildEngine;
     use pgxd_graph::generate;
 
     fn engine(machines: usize, g: &pgxd_graph::Graph) -> Engine {
         Engine::builder()
             .machines(machines)
             .ghost_threshold(Some(32))
-            .build(g)
+            .engine(g)
             .unwrap()
     }
 

@@ -408,10 +408,11 @@ pub fn try_pagerank_approx(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgxd::BuildEngine;
     use pgxd_graph::generate;
 
     fn engine(machines: usize, g: &pgxd_graph::Graph) -> Engine {
-        Engine::builder().machines(machines).build(g).unwrap()
+        Engine::builder().machines(machines).engine(g).unwrap()
     }
 
     #[test]
@@ -456,12 +457,12 @@ mod tests {
         let mut plain = Engine::builder()
             .machines(3)
             .ghost_threshold(None)
-            .build(&g)
+            .engine(&g)
             .unwrap();
         let mut ghosted = Engine::builder()
             .machines(3)
             .ghost_threshold(Some(16))
-            .build(&g)
+            .engine(&g)
             .unwrap();
         assert!(!ghosted.cluster().ghosts().is_empty(), "test needs ghosts");
         let a = try_pagerank_push(&mut plain, 0.85, 10, 0.0).unwrap();

@@ -255,10 +255,11 @@ pub fn recoverable_wcc(graph: &Graph, config: Config) -> Result<Recovered<WccRes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pgxd::BuildEngine;
     use pgxd_graph::{builder::graph_from_edges, generate};
 
     fn engine(machines: usize, g: &pgxd_graph::Graph) -> Engine {
-        Engine::builder().machines(machines).build(g).unwrap()
+        Engine::builder().machines(machines).engine(g).unwrap()
     }
 
     #[test]
@@ -309,12 +310,12 @@ mod tests {
         let mut plain = Engine::builder()
             .machines(3)
             .ghost_threshold(None)
-            .build(&g)
+            .engine(&g)
             .unwrap();
         let mut ghosted = Engine::builder()
             .machines(3)
             .ghost_threshold(Some(16))
-            .build(&g)
+            .engine(&g)
             .unwrap();
         let a = try_wcc(&mut plain).unwrap();
         let b = try_wcc(&mut ghosted).unwrap();

@@ -178,23 +178,24 @@ fn build_graph(spec: &str) -> pgxd_graph::Graph {
 /// loop derives the later ones (fewer machines, a shifted rank, the
 /// recovery coordinator, wire-fault injection off).
 fn node_config(a: &Args) -> Config {
+    // A 1 ms housekeeping tick keeps retransmit latency (and, under a
+    // lossy plan, the repair of a lost termination frame) low on
+    // localhost; the defaults target simulated fabrics.
+    let mut reliability = ReliabilityConfig {
+        tick_ms: 1,
+        rto_base_ms: 10,
+        ..ReliabilityConfig::on()
+    };
+    if a.heartbeat_ms > 0 {
+        reliability.watchdog_ms = a.heartbeat_ms;
+    }
     let mut builder = Config::builder()
         .machines(a.machines)
         .workers(a.workers)
         .transport(TransportConfig::tcp(a.coord.clone(), a.rank))
         // Histograms on: the rank file reports the termination wait.
         .telemetry(pgxd::TelemetryConfig::on())
-        // A 1 ms housekeeping tick keeps retransmit latency (and, under a
-        // lossy plan, the repair of a lost termination frame) low on
-        // localhost; the defaults target simulated fabrics.
-        .reliability(ReliabilityConfig {
-            tick_ms: 1,
-            rto_base_ms: 10,
-            ..ReliabilityConfig::on()
-        });
-    if a.heartbeat_ms > 0 {
-        builder = builder.heartbeat_deadline_ms(a.heartbeat_ms);
-    }
+        .reliability(reliability);
     if a.checkpoint_every > 0 {
         builder = builder.checkpoint_every(a.checkpoint_every);
     }
@@ -203,9 +204,7 @@ fn node_config(a: &Args) -> Config {
             seed: a.wire_seed ^ (a.rank as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
             reset_per_mille: a.wire_reset_per_mille,
             stall_per_mille: a.wire_stall_per_mille,
-            stall_ms: 2,
             refuse_accepts: u32::from(a.wire_reset_per_mille > 0),
-            partition: None,
         });
     }
     if a.drop_per_mille > 0 {
@@ -293,7 +292,6 @@ fn push_wire_lines(out: &mut String, w: &WireCountersSnapshot) {
     out.push_str(&format!("resets_injected={}\n", w.resets_injected));
     out.push_str(&format!("stalls_injected={}\n", w.stalls_injected));
     out.push_str(&format!("accepts_refused={}\n", w.accepts_refused));
-    out.push_str(&format!("partition_drops={}\n", w.partition_drops));
     out.push_str(&format!("reader_eofs={}\n", w.reader_eofs));
 }
 

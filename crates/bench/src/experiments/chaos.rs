@@ -15,7 +15,7 @@
 
 use crate::datasets::{BenchGraph, Scale};
 use crate::report::Table;
-use pgxd::{Engine, FaultPlan, JobError};
+use pgxd::{BuildEngine, Engine, FaultPlan, JobError, ReliabilityConfig};
 use pgxd_algorithms::try_pagerank_pull;
 use std::time::Instant;
 
@@ -85,8 +85,8 @@ fn run_scenario(s: &Scenario, graph: &pgxd_graph::Graph, clean: Option<&[f64]>) 
         .workers(2)
         .copiers(1)
         .fault(s.plan)
-        .reliability(true)
-        .build(graph)
+        .reliability(ReliabilityConfig::on())
+        .engine(graph)
         .expect("engine");
     let t0 = Instant::now();
     let result = try_pagerank_pull(&mut engine, DAMPING, MAX_ITERS, 0.0);

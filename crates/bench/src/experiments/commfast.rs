@@ -28,7 +28,7 @@
 
 use crate::datasets::{BenchGraph, Scale};
 use crate::report::Table;
-use pgxd::{AdaptiveFlushConfig, Engine, StatsSnapshot};
+use pgxd::{AdaptiveFlushConfig, BuildEngine, Engine, StatsSnapshot};
 use pgxd_algorithms::try_pagerank_pull;
 use std::time::Instant;
 
@@ -61,7 +61,7 @@ fn run_once(graph: &pgxd_graph::Graph, name: &'static str, combining: bool, adap
     if adaptive {
         builder = builder.adaptive_flush(AdaptiveFlushConfig::bounds(256, BUFFER_BYTES));
     }
-    let mut engine = builder.build(graph).expect("engine");
+    let mut engine = builder.engine(graph).expect("engine");
     let t0 = Instant::now();
     let r = try_pagerank_pull(&mut engine, DAMPING, MAX_ITERS, 0.0).expect("pagerank-pull job");
     Run {

@@ -5,7 +5,7 @@
 
 use crate::datasets::{BenchGraph, Scale};
 use crate::report::Table;
-use pgxd::{Dir, EdgeCtx, EdgeTask, Engine, JobSpec};
+use pgxd::{BuildEngine, Dir, EdgeCtx, EdgeTask, Engine, JobSpec};
 use pgxd_baselines::{gas, sa};
 use pgxd_graph::Graph;
 use std::time::Instant;
@@ -29,7 +29,7 @@ pub fn pgx_edge_iteration_meps(g: &Graph, workers: usize) -> f64 {
         .copiers(1)
         .chunk_edges(8 * 1024)
         .ghost_threshold(None)
-        .build(g)
+        .engine(g)
         .expect("engine");
     // Warm-up pass, then measured pass.
     engine
@@ -137,7 +137,7 @@ pub fn run_fig5b() -> Table {
             .workers(1)
             .copiers(1)
             .ghost_threshold(None)
-            .build(&g)
+            .engine(&g)
             .expect("engine");
         // Warm-up, then average over repetitions.
         engine.barrier_roundtrip();

@@ -10,7 +10,7 @@ use crate::datasets::{BenchGraph, Scale};
 use crate::experiments::machine_counts;
 use crate::report::Table;
 use crate::systems::{run_pgx, Algo};
-use pgxd::{Breakdown, ChunkingMode, Engine, PartitioningMode};
+use pgxd::{Breakdown, BuildEngine, ChunkingMode, Engine, EngineBuilder, PartitioningMode};
 use pgxd_graph::{Graph, NodeId};
 
 /// Highest-degree `k` vertices of `g` (the ghost candidates, best first).
@@ -31,7 +31,7 @@ pub struct GhostPoint {
 
 /// Measures PageRank-pull runtime and traffic with exactly `k` ghosts.
 pub fn measure_ghosts(g: &Graph, machines: usize, k: usize) -> GhostPoint {
-    let mut engine = Engine::builder()
+    let config = Engine::builder()
         .machines(machines)
         .workers(1)
         .copiers(1)
@@ -42,6 +42,9 @@ pub fn measure_ghosts(g: &Graph, machines: usize, k: usize) -> GhostPoint {
         // the traffic ghosting removes; keep it off so this figure isolates
         // the ghosting effect as in the paper.
         .read_combining(false)
+        .build()
+        .expect("config");
+    let mut engine = EngineBuilder::from_config(config)
         .build_with_ghosts(g, top_degree_nodes(g, k))
         .expect("engine");
     let before = engine.cluster().total_stats();
@@ -104,7 +107,7 @@ fn balance_engine(
         .ghost_threshold(Some(256))
         .partitioning(partitioning)
         .chunking(chunking)
-        .build(g)
+        .engine(g)
         .expect("engine")
 }
 

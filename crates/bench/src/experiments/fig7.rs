@@ -9,7 +9,7 @@
 use crate::datasets::{BenchGraph, Scale};
 use crate::report::Table;
 use crate::systems::{run_pgx, Algo};
-use pgxd::{ChunkingMode, Engine, PartitioningMode};
+use pgxd::{BuildEngine, ChunkingMode, Engine, PartitioningMode};
 use pgxd_graph::Graph;
 
 /// Measures PR-pull with one worker/copier configuration.
@@ -22,7 +22,7 @@ pub fn measure(g: &Graph, machines: usize, workers: usize, copiers: usize) -> f6
         .ghost_threshold(Some(256))
         .partitioning(PartitioningMode::Edge)
         .chunking(ChunkingMode::Edge)
-        .build(g)
+        .engine(g)
         .expect("engine");
     run_pgx(&mut engine, Algo::PrPull).seconds
 }

@@ -20,7 +20,7 @@ use crate::datasets::{BenchGraph, Scale};
 use crate::report::Table;
 use pgxd::query::{compile, plan_naive, QuerySessionExt, QuerySubmitError, TraverseMode};
 use pgxd::serve::{Lane, ServeEngine};
-use pgxd::{Engine, JobError};
+use pgxd::{BuildEngine, Engine, JobError, TelemetryConfig};
 use pgxd_algorithms as algos;
 use pgxd_graph::generate::{rmat, RmatParams};
 use std::time::{Duration, Instant};
@@ -79,8 +79,8 @@ fn served_engine(graph: &pgxd_graph::Graph) -> Engine {
         .machines(MACHINES)
         .workers(2)
         .copiers(1)
-        .telemetry(true)
-        .build(graph)
+        .telemetry(TelemetryConfig::on())
+        .engine(graph)
         .expect("engine")
 }
 

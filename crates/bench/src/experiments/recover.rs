@@ -17,7 +17,7 @@
 
 use crate::datasets::{BenchGraph, Scale};
 use crate::report::Table;
-use pgxd::{Config, Engine, FaultPlan, JobError, TelemetryConfig};
+use pgxd::{BuildEngine, Config, Engine, FaultPlan, JobError, TelemetryConfig};
 use pgxd_algorithms::{recoverable_pagerank_pull, try_pagerank_pull};
 use std::time::Instant;
 
@@ -92,7 +92,7 @@ pub fn run_experiment(scale: Scale) -> Vec<Table> {
         .machines(MACHINES)
         .workers(2)
         .copiers(1)
-        .build(&graph)
+        .engine(&graph)
         .expect("engine");
     let t0 = Instant::now();
     let baseline =

@@ -25,7 +25,7 @@
 use crate::datasets::{BenchGraph, Scale};
 use crate::report::Table;
 use pgxd::serve::{JobHandle, Lane, ServeEngine};
-use pgxd::{Engine, JobError, JobSpec};
+use pgxd::{BuildEngine, Engine, JobError, JobSpec, TelemetryConfig};
 use pgxd_algorithms as algos;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -47,9 +47,9 @@ fn served_engine(graph: &pgxd_graph::Graph) -> Engine {
         .machines(MACHINES)
         .workers(2)
         .copiers(1)
-        .telemetry(true)
+        .telemetry(TelemetryConfig::on())
         .lane_weights(LANE_WEIGHTS)
-        .build(graph)
+        .engine(graph)
         .expect("engine")
 }
 
@@ -366,7 +366,7 @@ pub fn run_experiment(scale: Scale) -> Vec<Table> {
         .workers(2)
         .copiers(1)
         .memory_budget(TINY_BUDGET)
-        .build(&graph)
+        .engine(&graph)
         .expect("engine")
         .into_server();
     let session = server.session("greedy");

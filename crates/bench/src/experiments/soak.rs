@@ -36,8 +36,8 @@ use crate::report::Table;
 use pgxd::recover::Scripted;
 use pgxd::serve::{JobHandle, JobReport, Lane, ServeEngine};
 use pgxd::{
-    Config, Engine, FaultPlan, JobError, RecoveryDriver, ResumableAlgorithm, RetryBudget,
-    StorageFaultKind, StorageFaultPlan, TelemetryConfig,
+    BuildEngine, Config, Engine, FaultPlan, JobError, RecoveryDriver, ResumableAlgorithm,
+    RetryBudget, StorageFaultKind, StorageFaultPlan, TelemetryConfig,
 };
 use pgxd_algorithms::pagerank::PageRankResult;
 use pgxd_algorithms::{try_pagerank_pull, ResumablePageRankPull};
@@ -199,7 +199,7 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
         .machines(MACHINES)
         .workers(2)
         .copiers(1)
-        .build(&graph)
+        .engine(&graph)
         .expect("engine");
     let baseline = try_pagerank_pull(&mut clean, DAMPING, PR_ITERS, 0.0)
         .expect("fault-free run failed")
@@ -223,11 +223,11 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
         .machines(MACHINES)
         .workers(2)
         .copiers(1)
-        .telemetry(true)
+        .telemetry(TelemetryConfig::on())
         .queue_depth(QUEUE_DEPTH)
         .brownout(SHED_PER_MILLE, REOPEN_PER_MILLE)
         .retry_budget(RETRY_TOKENS, 600_000)
-        .build(&graph)
+        .engine(&graph)
         .expect("engine");
     let machine_stats: Vec<_> = engine
         .cluster()

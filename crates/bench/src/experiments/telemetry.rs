@@ -6,7 +6,7 @@
 use crate::datasets::{BenchGraph, Scale};
 use crate::report::{phase_table, Table};
 use crate::systems::{run_pgx, Algo};
-use pgxd::{ChunkingMode, Engine, PartitioningMode};
+use pgxd::{BuildEngine, ChunkingMode, Engine, PartitioningMode, TelemetryConfig};
 use pgxd_runtime::telemetry::export::json::Value;
 use std::path::Path;
 
@@ -24,8 +24,8 @@ pub fn run_experiment(scale: Scale, dir: &Path) -> Vec<Table> {
         .ghost_threshold(Some(256))
         .partitioning(PartitioningMode::Edge)
         .chunking(ChunkingMode::Edge)
-        .telemetry(true)
-        .build(&g)
+        .telemetry(TelemetryConfig::on())
+        .engine(&g)
         .expect("engine");
     let r = run_pgx(&mut engine, Algo::PrPull);
     eprintln!("[PR-pull on {MACHINES} machines: {:.3}s]", r.seconds);

@@ -6,6 +6,7 @@
 use crate::datasets::{BenchGraph, Scale};
 use crate::experiments::{fig5, fig6, fig8, table4};
 use crate::systems::{run, Algo, System};
+use pgxd::BuildEngine;
 use pgxd_graph::Graph;
 
 /// One checked claim.
@@ -152,7 +153,7 @@ pub fn run_checks(scale: Scale) -> Vec<Check> {
         .workers(1)
         .copiers(1)
         .ghost_threshold(None)
-        .build(&pgxd_graph::generate::ring(64))
+        .engine(&pgxd_graph::generate::ring(64))
         .unwrap();
     engine.barrier_roundtrip();
     let barrier = best_of(|| engine.barrier_roundtrip().as_secs_f64(), 20);

@@ -21,6 +21,7 @@
 
 use crate::datasets::Scale;
 use crate::report::Table;
+use pgxd::BuildEngine;
 use pgxd_algorithms as algos;
 use pgxd_graph::generate;
 use std::io::{BufRead, BufReader};
@@ -280,7 +281,7 @@ fn reference(g: &GraphSpec) -> Reference {
     let mut e = pgxd::Engine::builder()
         .machines(MACHINES)
         .workers(2)
-        .build(&graph)
+        .engine(&graph)
         .unwrap();
     let pr = algos::try_pagerank_pull(&mut e, 0.85, g.iters, 0.0).unwrap();
     let wcc = algos::try_wcc(&mut e).unwrap();

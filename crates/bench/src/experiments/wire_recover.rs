@@ -25,6 +25,7 @@
 
 use crate::datasets::Scale;
 use crate::report::Table;
+use pgxd::BuildEngine;
 use pgxd_algorithms as algos;
 use pgxd_graph::generate;
 use std::io::{BufRead, BufReader};
@@ -304,7 +305,7 @@ fn reference(g: &GraphSpec) -> Vec<f64> {
     let mut e = pgxd::Engine::builder()
         .machines(MACHINES)
         .workers(2)
-        .build(&graph)
+        .engine(&graph)
         .unwrap();
     algos::ResumablePageRankPull::new(0.85, g.iters, 0.0)
         .run_to_completion(&mut e)

@@ -1,7 +1,7 @@
 //! Uniform runner over the four systems of Table 3: SA (standalone), GL
 //! (GraphLab-class GAS), GX (GraphX-class dataflow), and PGX.D.
 
-use pgxd::{ChunkingMode, Engine, PartitioningMode};
+use pgxd::{BuildEngine, ChunkingMode, Engine, PartitioningMode};
 use pgxd_baselines::programs::{self, Comparator};
 use pgxd_baselines::{sa, seq};
 use pgxd_graph::Graph;
@@ -170,7 +170,7 @@ pub fn pgx_engine(g: &Graph, machines: usize) -> Engine {
         .ghost_threshold(Some(256))
         .partitioning(PartitioningMode::Edge)
         .chunking(ChunkingMode::Edge)
-        .build(g)
+        .engine(g)
         .expect("engine construction")
 }
 

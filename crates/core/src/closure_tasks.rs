@@ -4,11 +4,11 @@
 //! struct, ad-hoc kernels can be written inline:
 //!
 //! ```
-//! use pgxd::{tasks, Engine, Dir, JobSpec, ReduceOp};
+//! use pgxd::{BuildEngine, tasks, Engine, Dir, JobSpec, ReduceOp};
 //! use pgxd_graph::generate;
 //!
 //! let g = generate::ring(16);
-//! let mut engine = Engine::builder().machines(2).build(&g).unwrap();
+//! let mut engine = Engine::builder().machines(2).engine(&g).unwrap();
 //! let deg = engine.add_prop("deg", 0i64);
 //!
 //! // Count in-degrees with a one-line push kernel.
@@ -203,13 +203,13 @@ where
 
 #[cfg(test)]
 mod tests {
-    use crate::{Dir, Engine, JobSpec, ReduceOp};
+    use crate::{BuildEngine, Dir, Engine, JobSpec, ReduceOp};
     use pgxd_graph::generate;
 
     #[test]
     fn closure_push_kernel() {
         let g = generate::ring(12);
-        let mut e = Engine::builder().machines(3).build(&g).unwrap();
+        let mut e = Engine::builder().machines(3).engine(&g).unwrap();
         let acc = e.add_prop("acc", 0i64);
         e.try_run_edge_job(
             Dir::Out,
@@ -223,7 +223,7 @@ mod tests {
     #[test]
     fn closure_pull_kernel() {
         let g = generate::ring(8);
-        let mut e = Engine::builder().machines(2).build(&g).unwrap();
+        let mut e = Engine::builder().machines(2).engine(&g).unwrap();
         let src = e.add_prop("src", 3i64);
         let dst = e.add_prop("dst", 0i64);
         e.try_run_edge_job(
@@ -245,7 +245,7 @@ mod tests {
     #[test]
     fn closure_filtered_kernel() {
         let g = generate::ring(10);
-        let mut e = Engine::builder().machines(2).build(&g).unwrap();
+        let mut e = Engine::builder().machines(2).engine(&g).unwrap();
         let acc = e.add_prop("acc", 0i64);
         // Only even-numbered vertices push.
         e.try_run_edge_job(
@@ -268,7 +268,7 @@ mod tests {
     #[test]
     fn closure_node_kernel() {
         let g = generate::ring(6);
-        let mut e = Engine::builder().machines(2).build(&g).unwrap();
+        let mut e = Engine::builder().machines(2).engine(&g).unwrap();
         let p = e.add_prop("p", 0i64);
         e.try_run_node_job(
             &JobSpec::new(),

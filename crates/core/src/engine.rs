@@ -9,10 +9,7 @@ use pgxd_graph::{Graph, NodeId};
 use pgxd_runtime::cancel::{CancelReason, CancelToken};
 use pgxd_runtime::checkpoint::Checkpoint;
 use pgxd_runtime::chunk::{make_chunks, node_target_from_edges, ChunkQueue};
-use pgxd_runtime::config::{
-    AdaptiveFlushConfig, ChunkingMode, Config, ConfigBuilder, FaultPlan, NetConfig,
-    PartitioningMode, RecoveryConfig, ReliabilityConfig, TransportConfig,
-};
+use pgxd_runtime::config::{ChunkingMode, Config, ConfigBuilder, TransportConfig};
 use pgxd_runtime::health::JobError;
 use pgxd_runtime::jobctx::{JobCtx, JobExec, JobOutcome};
 use pgxd_runtime::machine::RmiFn;
@@ -23,233 +20,29 @@ use pgxd_runtime::Cluster;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Fluent construction of an [`Engine`] (wraps [`Config`]).
+/// Loads a graph under a finished [`Config`] and starts the engine threads:
+/// the five ways an [`Engine`] comes to exist. Configuration itself has one
+/// front door, [`ConfigBuilder`]; [`BuildEngine::engine`] goes from there to
+/// a running engine in one call.
 #[derive(Clone, Debug)]
 pub struct EngineBuilder {
     config: Config,
 }
 
-impl Default for EngineBuilder {
-    fn default() -> Self {
-        EngineBuilder {
-            config: Config::test(2),
-        }
+/// The engine-building terminal of the one configuration builder.
+pub trait BuildEngine {
+    /// [`ConfigBuilder::build`], then [`EngineBuilder::build`]: validates
+    /// the configuration, loads `graph` and starts the engine threads.
+    fn engine(self, graph: &Graph) -> Result<Engine, String>;
+}
+
+impl BuildEngine for ConfigBuilder {
+    fn engine(self, graph: &Graph) -> Result<Engine, String> {
+        EngineBuilder::from_config(self.build()?).build(graph)
     }
 }
 
 impl EngineBuilder {
-    /// Number of simulated machines.
-    pub fn machines(mut self, p: usize) -> Self {
-        self.config.machines = p;
-        self
-    }
-
-    /// Worker threads per machine.
-    pub fn workers(mut self, w: usize) -> Self {
-        self.config.workers = w;
-        self
-    }
-
-    /// Copier threads per machine.
-    pub fn copiers(mut self, c: usize) -> Self {
-        self.config.copiers = c;
-        self
-    }
-
-    /// Message buffer size in bytes (paper default: 256 KB).
-    pub fn buffer_bytes(mut self, b: usize) -> Self {
-        self.config.buffer_bytes = b;
-        self
-    }
-
-    /// Ghost-node degree threshold (`None` disables ghosts).
-    pub fn ghost_threshold(mut self, t: Option<usize>) -> Self {
-        self.config.ghost_threshold = t;
-        self
-    }
-
-    /// Vertex or edge partitioning.
-    pub fn partitioning(mut self, m: PartitioningMode) -> Self {
-        self.config.partitioning = m;
-        self
-    }
-
-    /// Node or edge chunking.
-    pub fn chunking(mut self, m: ChunkingMode) -> Self {
-        self.config.chunking = m;
-        self
-    }
-
-    /// Target edges per chunk.
-    pub fn chunk_edges(mut self, e: usize) -> Self {
-        self.config.chunk_edges = e;
-        self
-    }
-
-    /// Toggle thread-private ghost copies for reduced properties.
-    pub fn ghost_privatization(mut self, on: bool) -> Self {
-        self.config.ghost_privatization = on;
-        self
-    }
-
-    /// Simulated network cost model (in-memory backend only; the TCP
-    /// backend has real wire costs and rejects a non-null model).
-    pub fn net(mut self, net: NetConfig) -> Self {
-        self.config.transport.cost = net;
-        self
-    }
-
-    /// Transport selection: in-memory switch (default) or real TCP
-    /// sockets. See [`TransportConfig`].
-    pub fn transport(mut self, t: TransportConfig) -> Self {
-        self.config.transport = t;
-        self
-    }
-
-    /// Seeded socket-fault schedule for the TCP backend (resets, write
-    /// stalls, accept refusals, partitions). See
-    /// [`pgxd_runtime::config::WireFaultPlan`].
-    pub fn wire_fault(mut self, plan: pgxd_runtime::config::WireFaultPlan) -> Self {
-        self.config.transport.wire_fault = plan;
-        self
-    }
-
-    /// Enables or disables histogram/tracer telemetry recording.
-    pub fn telemetry(mut self, on: bool) -> Self {
-        self.config.telemetry.enabled = on;
-        self
-    }
-
-    /// Installs a fault-injection plan on the fabric. An active plan
-    /// auto-enables the reliability protocol (a faulty fabric without it
-    /// would hang the exact termination counter).
-    pub fn fault(mut self, plan: FaultPlan) -> Self {
-        self.config = self.config.with_fault(plan);
-        self
-    }
-
-    /// Enables or disables the reliability protocol (sequencing, acks,
-    /// retransmission, watchdog) independently of fault injection.
-    pub fn reliability(mut self, on: bool) -> Self {
-        self.config.reliability = if on {
-            ReliabilityConfig::on()
-        } else {
-            ReliabilityConfig::off()
-        };
-        self
-    }
-
-    /// Send-pool free-list shard count (see `Config::pool_shards`).
-    pub fn pool_shards(mut self, n: usize) -> Self {
-        self.config.pool_shards = n;
-        self
-    }
-
-    /// Enables or disables in-flight remote-read combining.
-    pub fn read_combining(mut self, on: bool) -> Self {
-        self.config.read_combining = on;
-        self
-    }
-
-    /// Adaptive flush-threshold control loop with explicit bounds.
-    pub fn adaptive_flush(mut self, cfg: AdaptiveFlushConfig) -> Self {
-        self.config.adaptive_flush = cfg;
-        self
-    }
-
-    /// Checkpoint/retry policy for the recovery driver.
-    pub fn recovery(mut self, rc: RecoveryConfig) -> Self {
-        self.config.recovery = rc;
-        self
-    }
-
-    /// Checkpoint cadence in iterations; enables recovery.
-    pub fn checkpoint_every(mut self, every: u64) -> Self {
-        self.config.recovery.enabled = true;
-        self.config.recovery.checkpoint_every = every;
-        self
-    }
-
-    /// Retry budget after the initial attempt; enables recovery.
-    pub fn max_retries(mut self, n: u32) -> Self {
-        self.config.recovery.enabled = true;
-        self.config.recovery.max_retries = n;
-        self
-    }
-
-    /// Installs a storage fault plan on every machine's checkpoint store.
-    /// An active plan auto-enables recovery (without it the injected
-    /// corruption could never be detected, let alone survived).
-    pub fn storage_fault(mut self, plan: pgxd_runtime::config::StorageFaultPlan) -> Self {
-        self.config = self.config.with_storage_fault(plan);
-        self
-    }
-
-    /// How many checkpoints each store retains (the fallback depth for
-    /// corrupt-newest restores); enables recovery.
-    pub fn checkpoint_retain(mut self, n: usize) -> Self {
-        self.config.recovery.enabled = true;
-        self.config.recovery.retain = n;
-        self
-    }
-
-    /// Watchdog trips a machine may accumulate before the flap detector
-    /// quarantines it; enables recovery.
-    pub fn flap_threshold(mut self, trips: u32) -> Self {
-        self.config.recovery.enabled = true;
-        self.config.recovery.flap_threshold = trips;
-        self
-    }
-
-    /// Brownout gate thresholds as per-mille of the submission-queue depth:
-    /// the batch lane sheds above `shed`, re-opens below `reopen`.
-    pub fn brownout(mut self, shed_per_mille: u16, reopen_per_mille: u16) -> Self {
-        self.config.serve.brownout_shed_per_mille = shed_per_mille;
-        self.config.serve.brownout_reopen_per_mille = reopen_per_mille;
-        self
-    }
-
-    /// Server-wide retry token budget shared across sessions (`0` tokens
-    /// = unlimited); one token refills every `refill_ms`.
-    pub fn retry_budget(mut self, tokens: u32, refill_ms: u64) -> Self {
-        self.config.serve.retry_budget_tokens = tokens;
-        self.config.serve.retry_budget_refill_ms = refill_ms;
-        self
-    }
-
-    /// Crash-watchdog deadline: how long a peer may stay silent before it
-    /// is declared dead (only meaningful with reliability enabled).
-    pub fn heartbeat_deadline_ms(mut self, ms: u64) -> Self {
-        self.config.reliability.watchdog_ms = ms;
-        self
-    }
-
-    /// Job-server submission-queue depth (see `pgxd::serve`).
-    pub fn queue_depth(mut self, depth: usize) -> Self {
-        self.config.serve.queue_depth = depth;
-        self
-    }
-
-    /// Job-server admission memory budget in bytes; `0` disables
-    /// admission control.
-    pub fn memory_budget(mut self, bytes: u64) -> Self {
-        self.config.serve.memory_budget_bytes = bytes;
-        self
-    }
-
-    /// Job-server `[interactive, batch]` weighted-fair drain weights.
-    pub fn lane_weights(mut self, weights: [u32; 2]) -> Self {
-        self.config.serve.lane_weights = weights;
-        self
-    }
-
-    /// Default per-job deadline for served jobs, in milliseconds; `0`
-    /// means no default deadline.
-    pub fn default_deadline_ms(mut self, ms: u64) -> Self {
-        self.config.serve.default_deadline_ms = ms;
-        self
-    }
-
     /// Start from an explicit [`Config`].
     pub fn from_config(config: Config) -> Self {
         EngineBuilder { config }
@@ -257,20 +50,12 @@ impl EngineBuilder {
 
     /// Loads `graph` and starts the engine threads.
     pub fn build(self, graph: &Graph) -> Result<Engine, String> {
-        Ok(Engine {
-            cluster: Cluster::load(graph, self.config)?,
-            last_timings: Vec::new(),
-            job_acc: None,
-        })
+        Cluster::load(graph, self.config).map(Engine::over)
     }
 
     /// Like [`Self::build`] with an explicit ghost-node list (Figure 6a).
     pub fn build_with_ghosts(self, graph: &Graph, ghosts: Vec<NodeId>) -> Result<Engine, String> {
-        Ok(Engine {
-            cluster: Cluster::load_with_ghosts(graph, self.config, ghosts)?,
-            last_timings: Vec::new(),
-            job_acc: None,
-        })
+        Cluster::load_with_ghosts(graph, self.config, ghosts).map(Engine::over)
     }
 
     /// Builds **one rank** of a real multi-process cluster over the TCP
@@ -302,11 +87,7 @@ impl EngineBuilder {
         graph: &Graph,
         membership: pgxd_runtime::tcp::Membership,
     ) -> Result<Engine, String> {
-        Ok(Engine {
-            cluster: Cluster::load_node_with(graph, self.config, membership)?,
-            last_timings: Vec::new(),
-            job_acc: None,
-        })
+        Cluster::load_node_with(graph, self.config, membership).map(Engine::over)
     }
 }
 
@@ -408,9 +189,23 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Starts configuring an engine.
-    pub fn builder() -> EngineBuilder {
-        EngineBuilder::default()
+    fn over(cluster: Cluster) -> Engine {
+        Engine {
+            cluster,
+            last_timings: Vec::new(),
+            job_acc: None,
+        }
+    }
+
+    /// Starts configuring an engine from the **unit-test preset**
+    /// ([`Config::test`]`(2)`: 2 machines × 1 worker, 1 KB message buffers,
+    /// 256-edge chunks, no ghosts), which makes small graphs exercise the
+    /// buffering and flushing paths; finish with [`BuildEngine::engine`].
+    /// Anything that is measured or shipped starts from
+    /// [`Config::builder`] — the benchmark preset — instead; the setters
+    /// are the same [`ConfigBuilder`] either way.
+    pub fn builder() -> ConfigBuilder {
+        ConfigBuilder::from(Config::test(2))
     }
 
     /// The underlying cluster (benchmarks reach through for counters).

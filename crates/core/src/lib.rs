@@ -21,7 +21,7 @@
 //! # Example: pull-mode PageRank kernel
 //!
 //! ```
-//! use pgxd::{Engine, EdgeTask, EdgeCtx, ReadDoneCtx, Dir, JobSpec, Prop, ReduceOp};
+//! use pgxd::{BuildEngine, Engine, EdgeTask, EdgeCtx, ReadDoneCtx, Dir, JobSpec, Prop, ReduceOp};
 //! use pgxd_graph::generate;
 //!
 //! struct PullSum { src: Prop<f64>, dst: Prop<f64> }
@@ -37,7 +37,7 @@
 //! }
 //!
 //! let g = generate::ring(64);
-//! let mut engine = Engine::builder().machines(2).build(&g).unwrap();
+//! let mut engine = Engine::builder().machines(2).engine(&g).unwrap();
 //! let src = engine.add_prop("src", 1.0f64);
 //! let dst = engine.add_prop("dst", 0.0f64);
 //! engine
@@ -64,7 +64,7 @@ mod task;
 pub mod tune;
 pub mod vector;
 
-pub use engine::{loopback_ranks, Engine, EngineBuilder, JobReport, LoopbackRank};
+pub use engine::{loopback_ranks, BuildEngine, Engine, EngineBuilder, JobReport, LoopbackRank};
 pub use prop::Prop;
 pub use recover::{
     EngineSource, Recovered, RecoveryDriver, ResumableAlgorithm, RetryPolicy, StepOutcome,
@@ -86,8 +86,8 @@ pub use pgxd_graph::NodeId;
 pub use pgxd_runtime::cancel::{CancelReason, CancelToken};
 pub use pgxd_runtime::checkpoint::{Checkpoint, CheckpointStore, JobProgress};
 pub use pgxd_runtime::config::{
-    AdaptiveFlushConfig, ChunkingMode, Config, CrashPlan, FaultPlan, NetConfig, PartitionPlan,
-    PartitioningMode, RecoveryConfig, ReliabilityConfig, ServeConfig, SlowPlan, StorageFaultKind,
+    AdaptiveFlushConfig, ChunkingMode, Config, ConfigBuilder, CrashPlan, FaultPlan,
+    PartitioningMode, RecoveryConfig, ReliabilityConfig, ServeConfig, StorageFaultKind,
     StorageFaultPlan, TelemetryConfig, TransportBackend, TransportConfig, WireFaultPlan,
 };
 pub use pgxd_runtime::health::{JobError, RetryBudget, TransportErrorKind};

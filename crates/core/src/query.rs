@@ -24,11 +24,11 @@
 //!
 //! ```
 //! use pgxd::query::QuerySessionExt;
-//! use pgxd::Engine;
+//! use pgxd::{BuildEngine, Engine};
 //! use pgxd_graph::generate;
 //!
 //! let g = generate::ring(32);
-//! let server = Engine::builder().machines(2).build(&g).unwrap().into_server();
+//! let server = Engine::builder().machines(2).engine(&g).unwrap().into_server();
 //! let session = server.session("docs");
 //! let total = session
 //!     .query("return sum(v) v.out_degree;")
@@ -1166,6 +1166,7 @@ impl ResumableAlgorithm for RecoverableQuery {
 mod tests {
     use super::*;
     use crate::serve::ServeEngine;
+    use crate::BuildEngine;
     use crate::RecoveryDriver;
     use pgxd_graph::generate;
 
@@ -1176,7 +1177,7 @@ mod tests {
     #[test]
     fn scalar_degree_sum_executes() {
         let g = generate::ring(16);
-        let mut engine = Engine::builder().machines(2).build(&g).unwrap();
+        let mut engine = Engine::builder().machines(2).engine(&g).unwrap();
         let program = compile("return sum(v) v.out_degree;", 16).unwrap();
         let r = execute(&mut engine, &program, &CancelToken::never()).unwrap();
         assert_eq!(r.as_scalar().unwrap().as_i64(), 16);
@@ -1188,7 +1189,7 @@ mod tests {
         // Ring vertices all have out-degree 1; the filter is exercised by
         // a value predicate instead.
         let g = generate::ring(10);
-        let mut engine = Engine::builder().machines(2).build(&g).unwrap();
+        let mut engine = Engine::builder().machines(2).engine(&g).unwrap();
         let program = compile(
             "prop d: i64 = 7;\n\
              foreach v where v.out_degree > 0 { v.d = v.out_degree + 1; }\n\
@@ -1206,7 +1207,7 @@ mod tests {
     #[test]
     fn push_traverse_counts_in_degrees() {
         let g = generate::ring(12);
-        let mut engine = Engine::builder().machines(3).build(&g).unwrap();
+        let mut engine = Engine::builder().machines(3).engine(&g).unwrap();
         let program = compile(
             "prop deg: i64 = 0;\n\
              foreach v { v.deg = count(u in v.in_nbrs); }\n\
@@ -1224,7 +1225,7 @@ mod tests {
     #[test]
     fn pre_fired_cancel_frees_columns() {
         let g = generate::ring(8);
-        let mut engine = Engine::builder().machines(2).build(&g).unwrap();
+        let mut engine = Engine::builder().machines(2).engine(&g).unwrap();
         let baseline = live_props(&engine);
         let program = compile(
             "prop x: f64 = 1.0;\n\
@@ -1251,7 +1252,7 @@ mod tests {
     #[test]
     fn token_fired_between_loop_passes_stops_at_the_boundary() {
         let g = generate::ring(8);
-        let mut engine = Engine::builder().machines(2).build(&g).unwrap();
+        let mut engine = Engine::builder().machines(2).engine(&g).unwrap();
         let baseline = live_props(&engine);
         let program = compile(
             "prop x: i64 = 0;\n\
@@ -1292,7 +1293,7 @@ mod tests {
     #[test]
     fn node_count_mismatch_is_a_protocol_error() {
         let g = generate::ring(8);
-        let mut engine = Engine::builder().machines(2).build(&g).unwrap();
+        let mut engine = Engine::builder().machines(2).engine(&g).unwrap();
         let program = compile("return N;", 9).unwrap();
         let err = execute(&mut engine, &program, &CancelToken::never()).unwrap_err();
         assert!(matches!(err, JobError::Protocol(_)), "{err:?}");
@@ -1312,7 +1313,7 @@ mod tests {
                                   v.nxt = INF; }\n\
                       until count(v where v.frontier) == 0;\n\
                     }\nreturn hops;";
-        let mut engine = Engine::builder().machines(2).build(&g).unwrap();
+        let mut engine = Engine::builder().machines(2).engine(&g).unwrap();
         let program = compile(text, 24).unwrap();
         let direct = execute(&mut engine, &program, &CancelToken::never()).unwrap();
 

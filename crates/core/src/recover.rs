@@ -182,11 +182,13 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
+    /// The configured retry count over the stock backoff window (10 ms
+    /// floor, 200 ms ceiling).
     pub fn from_config(rc: &RecoveryConfig) -> Self {
         RetryPolicy {
             max_retries: rc.max_retries,
-            backoff_base_ms: rc.backoff_base_ms,
-            backoff_max_ms: rc.backoff_max_ms,
+            backoff_base_ms: 10,
+            backoff_max_ms: 200,
             jitter_seed: 0x5eed_b0ff,
         }
     }
@@ -279,22 +281,16 @@ impl EngineSource for InProcess<'_> {
     }
 
     fn next_attempt(&mut self, err: &JobError) -> Result<Option<MachineId>, JobError> {
-        // One-shot plans already fired and must not kill the retry at the
-        // same virtual instant. A recurring crash plan re-fires (that is
-        // what eventually trips the quarantine).
-        if !self.config.fault.crash_recurring {
-            self.config.fault.crash = None;
-        }
-        self.config.fault.slow = None;
+        // The one-shot crash plan already fired and must not kill the
+        // retry at the same virtual instant.
+        self.config.fault.crash = None;
         match *err {
             JobError::MachineDown { machine } if self.flap.record_trip(machine) => {
-                // Quarantined: degrade to the survivor set proactively; the
-                // seeded crash plan dies with the flapper.
+                // Quarantined: degrade to the survivor set proactively.
                 if self.config.machines <= 1 {
                     return Err(err.clone());
                 }
                 self.config.machines -= 1;
-                self.config.fault.crash = None;
                 Ok(Some(machine))
             }
             // Below the flap threshold (or not a crash at all): the next
@@ -344,7 +340,7 @@ impl<F: FnOnce(&str)> EngineSource for Rendezvous<'_, F> {
                 transport.rank = Some(rank - u16::from(rank > dead));
                 transport.coord_addr = Some(self.recover_coord.to_string());
                 // The rebuilt cluster must converge undisturbed.
-                transport.wire_fault = WireFaultPlan::none();
+                self.config.wire_fault = WireFaultPlan::none();
                 Ok(Some(dead))
             }
             _ => Err(err.clone()),

@@ -226,7 +226,7 @@ impl<'a> TaskScope<'a> {
 
 #[cfg(test)]
 mod tests {
-    use crate::{Engine, JobSpec, NodeCtx, NodeTask, Prop};
+    use crate::{BuildEngine, Engine, JobSpec, NodeCtx, NodeTask, Prop};
     use pgxd_graph::generate;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn scope_cache_is_sized_by_live_props_not_id_magnitude() {
         let g = generate::ring(16);
-        let mut e = Engine::builder().machines(2).build(&g).unwrap();
+        let mut e = Engine::builder().machines(2).engine(&g).unwrap();
         for _ in 0..5000 {
             let p = e.add_prop("scratch", 0i64);
             e.drop_prop(p);

@@ -7,10 +7,11 @@
 //!
 //! ```
 //! use pgxd::serve::{Lane, ServeEngine};
+//! use pgxd::BuildEngine;
 //! use pgxd_graph::generate;
 //!
 //! let g = generate::ring(32);
-//! let engine = pgxd::Engine::builder().machines(2).build(&g).unwrap();
+//! let engine = pgxd::Engine::builder().machines(2).engine(&g).unwrap();
 //! let server = engine.into_server();
 //!
 //! let session = server.session("alice");
@@ -98,8 +99,8 @@ impl ServeEngine for Engine {
 impl Engine {
     /// Consumes the engine and starts a [`JobServer`] over it, configured
     /// from the engine's own `serve` config section (see the
-    /// `.queue_depth` / `.memory_budget` / `.lane_weights` /
-    /// `.default_deadline_ms` builder knobs).
+    /// `.queue_depth` / `.memory_budget` / `.lane_weights` / `.brownout` /
+    /// `.retry_budget` builder knobs).
     pub fn into_server(self) -> JobServer<Engine> {
         let config = self.cluster().config().serve;
         JobServer::start(self, config)
@@ -109,6 +110,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BuildEngine;
     use crate::{Dir, Engine, JobSpec, ReduceOp};
     use pgxd_graph::generate;
     use pgxd_runtime::health::JobError;
@@ -116,7 +118,7 @@ mod tests {
     #[test]
     fn engine_profile_reflects_cluster() {
         let g = generate::ring(24);
-        let mut e = Engine::builder().machines(3).build(&g).unwrap();
+        let mut e = Engine::builder().machines(3).engine(&g).unwrap();
         let before = e.mem_profile();
         assert_eq!(before.nodes, 24);
         assert_eq!(before.machines, 3);
@@ -130,7 +132,7 @@ mod tests {
     #[test]
     fn served_job_matches_direct_run() {
         let g = generate::ring(16);
-        let mut direct = Engine::builder().machines(2).build(&g).unwrap();
+        let mut direct = Engine::builder().machines(2).engine(&g).unwrap();
         let d = direct.add_prop("deg", 0i64);
         direct
             .try_run_edge_job(
@@ -143,7 +145,7 @@ mod tests {
 
         let server = Engine::builder()
             .machines(2)
-            .build(&g)
+            .engine(&g)
             .unwrap()
             .into_server();
         let session = server.session("t");
@@ -171,7 +173,7 @@ mod tests {
         let g = generate::ring(12);
         let server = Engine::builder()
             .machines(2)
-            .build(&g)
+            .engine(&g)
             .unwrap()
             .into_server();
         let mut s = server.session("tenant");
@@ -197,7 +199,7 @@ mod tests {
         let server = Engine::builder()
             .machines(2)
             .memory_budget(1)
-            .build(&g)
+            .engine(&g)
             .unwrap()
             .into_server();
         let session = server.session("t");

@@ -5,8 +5,9 @@
 //! configuration and pick the fastest.
 
 use crate::closure_tasks::{on_edge_pull, on_node};
-use crate::engine::{Engine, EngineBuilder};
+use crate::engine::{BuildEngine, Engine};
 use pgxd_graph::Graph;
+use pgxd_runtime::config::ConfigBuilder;
 use std::time::Duration;
 
 /// Result of an auto-tuning sweep.
@@ -29,7 +30,7 @@ pub struct TuneResult {
 /// fresh engine, so expect `candidates.len()` × engine-setup cost.
 pub fn autotune_threads(
     graph: &Graph,
-    base: EngineBuilder,
+    base: ConfigBuilder,
     candidates: &[(usize, usize)],
     probe_iters: usize,
 ) -> TuneResult {
@@ -40,7 +41,7 @@ pub fn autotune_threads(
             .clone()
             .workers(workers)
             .copiers(copiers)
-            .build(graph)
+            .engine(graph)
             .expect("engine construction during autotune");
         let dur = probe(&mut engine, probe_iters);
         grid.push((workers, copiers, dur));

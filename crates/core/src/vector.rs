@@ -10,12 +10,12 @@
 //! driver-side reductions for scalars.
 //!
 //! ```
-//! use pgxd::{Engine, vector::DistVec, ReduceOp};
+//! use pgxd::{BuildEngine, Engine, vector::DistVec, ReduceOp};
 //! use pgxd_graph::generate;
 //!
 //! // The "graph" only supplies the index space 0..n.
 //! let domain = generate::ring(1000);
-//! let mut engine = Engine::builder().machines(4).build(&domain).unwrap();
+//! let mut engine = Engine::builder().machines(4).engine(&domain).unwrap();
 //!
 //! let xs = DistVec::<f64>::from_fn(&mut engine, "xs", |i| i as f64);
 //! let ys = DistVec::<f64>::from_fn(&mut engine, "ys", |i| 2.0 * i as f64);
@@ -185,11 +185,15 @@ impl DistVec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BuildEngine;
     use pgxd_graph::generate;
 
     fn engine(n: usize, machines: usize) -> Engine {
         let domain = generate::ring(n);
-        Engine::builder().machines(machines).build(&domain).unwrap()
+        Engine::builder()
+            .machines(machines)
+            .engine(&domain)
+            .unwrap()
     }
 
     #[test]

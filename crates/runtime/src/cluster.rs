@@ -244,7 +244,6 @@ impl Cluster {
         let fabric = Arc::new(Fabric::over(
             transport,
             machines.iter().map(|m| m.telemetry.clone()).collect(),
-            config.transport.cost,
             config.fault,
         ));
 
@@ -1558,7 +1557,9 @@ mod tests {
         // 10% drop + 5% dup + 5% reorder: retransmission and dedup must
         // reconstruct exactly-once delivery, bit-identically.
         let g = generate::ring(16);
-        let config = Config::test(4).with_fault(crate::config::FaultPlan::lossy(42, 100, 50, 50));
+        let mut config = Config::test(4);
+        config.fault = crate::config::FaultPlan::lossy(42, 100, 50, 50);
+        config.reliability.enabled = true;
         let mut c = Cluster::load(&g, config).unwrap();
         let p = c.add_prop::<i64>("cnt", 0);
         let workers_total = c.num_machines() * c.config().workers;

@@ -1,7 +1,10 @@
 //! Cluster configuration: thread counts, buffer sizes, partitioning and
-//! chunking strategies, ghost threshold, and the simulated-network model.
+//! chunking strategies, ghost threshold, transport selection, the three
+//! seeded fault plans, and the one builder that sets them.
 
 use crate::fault::PerMille;
+use crate::reliable::RTO_MAX_MS;
+use crate::tcp::MAX_FRAME_BYTES;
 
 /// How vertices are assigned to machines (§3.3, Figure 6b).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,81 +29,26 @@ pub enum ChunkingMode {
     Edge,
 }
 
-/// Simulated interconnect model applied by the poller threads.
-///
-/// With the default null model, a message costs only its memcpy — the right
-/// setting for system-vs-system comparisons on one host. The Figure 8
-/// experiments enable the cost terms to expose the buffer-size and
-/// bandwidth shapes the paper measures on InfiniBand.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NetConfig {
-    /// Fixed per-envelope processing cost, in nanoseconds (models per-packet
-    /// driver/NIC overhead; what makes small buffers slow in Fig 8b).
-    pub per_message_ns: u64,
-    /// Link bandwidth in bytes/second; 0 disables bandwidth modeling.
-    pub bandwidth_bytes_per_sec: u64,
-    /// One-way latency per envelope in nanoseconds.
-    pub latency_ns: u64,
-}
-
-impl NetConfig {
-    /// Pure memcpy wire: no modeled costs.
-    pub const fn null() -> Self {
-        NetConfig {
-            per_message_ns: 0,
-            bandwidth_bytes_per_sec: 0,
-            latency_ns: 0,
-        }
-    }
-
-    /// A model loosely shaped like the paper's 56 Gb/s InfiniBand FDR link,
-    /// scaled down so that modeled time is visible next to single-host
-    /// compute: ~2 µs per message, ~6 GB/s per link.
-    pub const fn infiniband_like() -> Self {
-        NetConfig {
-            per_message_ns: 2_000,
-            bandwidth_bytes_per_sec: 6_000_000_000,
-            latency_ns: 1_000,
-        }
-    }
-
-    /// Whether any cost term is active.
-    pub fn is_null(&self) -> bool {
-        self.per_message_ns == 0 && self.bandwidth_bytes_per_sec == 0 && self.latency_ns == 0
-    }
-}
-
-impl Default for NetConfig {
-    fn default() -> Self {
-        NetConfig::null()
-    }
-}
-
 /// Which [`Transport`](crate::transport::Transport) backend carries
 /// envelopes between machines.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum TransportBackend {
     /// The single-process channel switch: every machine lives in this
     /// address space (default; all simulation features available).
+    #[default]
     InMemory,
     /// Real TCP sockets between OS processes: this process hosts exactly
     /// one machine (its rank) and the rest of the cluster is elsewhere.
     Tcp,
 }
 
-/// Transport selection and its knobs, folded into the validated
-/// [`Config`].
-///
-/// The simulated-network cost model ([`NetConfig`]) lives here too, as
-/// `cost`: it is a property of the wire, and [`Config::validate`] rejects
-/// nonsense combinations such as a virtual-time cost model stacked on real
-/// TCP sockets.
-#[derive(Clone, Debug, PartialEq)]
+/// Transport selection and the deployment addresses it needs, folded
+/// into the validated [`Config`]. The default is the single-process
+/// backend.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TransportConfig {
     /// Backend choice.
     pub backend: TransportBackend,
-    /// Simulated interconnect cost model (in-memory backend only).
-    pub cost: NetConfig,
     /// Rank 0's bootstrap listener address. Required for TCP on every
     /// rank: rank 0 binds it (a `:0` port is announced once bound), the
     /// others join through it.
@@ -110,33 +58,9 @@ pub struct TransportConfig {
     pub listen_addr: String,
     /// This process's machine id (TCP only; 0 = coordinator).
     pub rank: Option<u16>,
-    /// Upper bound on accepted frame payloads, in bytes — a decode-time
-    /// sanity check against garbage or hostile length fields.
-    pub max_frame_bytes: usize,
-    /// How long bootstrap keeps retrying connects / waiting for peers
-    /// before giving up, in milliseconds.
-    pub connect_timeout_ms: u64,
-    /// Seeded socket-fault schedule applied inside the TCP transport
-    /// (resets, write stalls, accept refusals, pairwise partitions).
-    /// Inert by default; only meaningful on the TCP backend.
-    pub wire_fault: WireFaultPlan,
 }
 
 impl TransportConfig {
-    /// The default single-process backend with a null cost model.
-    pub fn in_memory() -> Self {
-        TransportConfig {
-            backend: TransportBackend::InMemory,
-            cost: NetConfig::null(),
-            coord_addr: None,
-            listen_addr: String::new(),
-            rank: None,
-            max_frame_bytes: 4 << 20,
-            connect_timeout_ms: 30_000,
-            wire_fault: WireFaultPlan::none(),
-        }
-    }
-
     /// A TCP backend joining (or coordinating, for `rank` 0) the cluster
     /// whose bootstrap listener is at `coord_addr`.
     pub fn tcp(coord_addr: impl Into<String>, rank: u16) -> Self {
@@ -145,14 +69,7 @@ impl TransportConfig {
             coord_addr: Some(coord_addr.into()),
             listen_addr: "127.0.0.1:0".into(),
             rank: Some(rank),
-            ..TransportConfig::in_memory()
         }
-    }
-}
-
-impl Default for TransportConfig {
-    fn default() -> Self {
-        TransportConfig::in_memory()
     }
 }
 
@@ -171,27 +88,14 @@ pub struct CrashPlan {
     pub after_sends: u64,
 }
 
-/// Slow a machine down from a chosen virtual time: every send it performs
-/// afterwards spins for `extra_ns` before hitting the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlowPlan {
-    /// Machine to degrade.
-    pub machine: u16,
-    /// Trigger after this many envelopes have entered the fabric.
-    pub after_sends: u64,
-    /// Extra per-send stall, nanoseconds.
-    pub extra_ns: u64,
-}
-
 /// Deterministic fault-injection schedule applied inside `Fabric::send`.
 ///
-/// Every per-envelope decision (drop / duplicate / reorder / delay) is a
-/// pure function of `seed` and the global send counter, so a given plan
-/// replays identically run after run. Rates are per-mille (‰): `10` means
-/// 1% of envelopes. Reordered envelopes are held in a limbo buffer and
-/// released after 1..=`reorder_depth` further sends; delayed envelopes use
-/// the same mechanism with the fixed horizon `delay_sends`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Every per-envelope decision (drop / duplicate / reorder) is a pure
+/// function of `seed` and the global send counter, so a given plan replays
+/// identically run after run. Rates are per-mille (‰): `10` means 1% of
+/// envelopes. Reordered envelopes are held in a limbo buffer and released
+/// after a few further sends.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Seed for the per-envelope fault dice.
     pub seed: u64,
@@ -202,21 +106,10 @@ pub struct FaultPlan {
     /// Probability (‰) of holding an envelope back so later traffic
     /// overtakes it.
     pub reorder_per_mille: u16,
-    /// Maximum number of subsequent sends a reordered envelope is held for.
-    pub reorder_depth: u32,
-    /// Probability (‰) of delaying an envelope by `delay_sends` sends.
-    pub delay_per_mille: u16,
-    /// Hold horizon for delayed envelopes, in global sends.
-    pub delay_sends: u64,
-    /// Optional machine crash (permanent partition).
+    /// Optional machine crash (permanent partition). One-shot: the
+    /// recovery driver clears it on retry, as a transient partition would
+    /// be.
     pub crash: Option<CrashPlan>,
-    /// When true, the crash plan re-fires on every recovery attempt (a
-    /// *flapping* machine) until the recovery driver quarantines it; when
-    /// false (default) the crash is one-shot and cleared on retry, as a
-    /// transient partition would be.
-    pub crash_recurring: bool,
-    /// Optional machine slowdown.
-    pub slow: Option<SlowPlan>,
 }
 
 impl FaultPlan {
@@ -227,12 +120,7 @@ impl FaultPlan {
             drop_per_mille: 0,
             dup_per_mille: 0,
             reorder_per_mille: 0,
-            reorder_depth: 4,
-            delay_per_mille: 0,
-            delay_sends: 64,
             crash: None,
-            crash_recurring: false,
-            slow: None,
         }
     }
 
@@ -264,15 +152,7 @@ impl FaultPlan {
         self.drop_per_mille > 0
             || self.dup_per_mille > 0
             || self.reorder_per_mille > 0
-            || self.delay_per_mille > 0
             || self.crash.is_some()
-            || self.slow.is_some()
-    }
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::none()
     }
 }
 
@@ -287,7 +167,7 @@ impl Default for FaultPlan {
 /// flush). Every decision is a pure function of `seed` and the store's
 /// monotonic save counter, so a plan replays identically run after run.
 /// Rates are per-mille (‰).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct StorageFaultPlan {
     /// Seed for the per-save fault dice.
     pub seed: u64,
@@ -361,12 +241,6 @@ pub enum StorageFaultKind {
     Delay,
 }
 
-impl Default for StorageFaultPlan {
-    fn default() -> Self {
-        StorageFaultPlan::none()
-    }
-}
-
 /// Deterministic fault-injection schedule for the *real wire*, applied
 /// inside `TcpTransport::send` and its accept loop.
 ///
@@ -374,45 +248,22 @@ impl Default for StorageFaultPlan {
 /// [`StorageFaultPlan`] breaks the durable layer, this breaks actual
 /// sockets: a send can find its connection **reset** (the transport
 /// shuts the stream down and must reconnect), or **stalled** (the frame
-/// header lands, then the payload hangs for `stall_ms` — a partial
-/// write under backpressure). The acceptor can refuse the first
-/// `refuse_accepts` inbound reconnects, and an optional pairwise
-/// [`PartitionPlan`] silently swallows envelopes between two ranks for
-/// a window of sends (repaired by retransmission). Every per-send
-/// decision is a pure function of `seed` and the transport's monotonic
-/// send counter — public dice, same idiom as
-/// [`StorageFaultPlan::draw`] — so a failure schedule replays
-/// identically run after run. Rates are per-mille (‰).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// header lands, then the payload hangs for a couple of milliseconds — a
+/// partial write under backpressure). The acceptor can refuse the first
+/// `refuse_accepts` inbound reconnects. Every per-send decision is a pure
+/// function of `seed` and the transport's monotonic send counter — public
+/// dice, same idiom as [`StorageFaultPlan::draw`] — so a failure schedule
+/// replays identically run after run. Rates are per-mille (‰).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct WireFaultPlan {
     /// Seed for the per-send fault dice.
     pub seed: u64,
     /// Probability (‰) that a send finds its lane's connection reset.
     pub reset_per_mille: u16,
-    /// Probability (‰) that a send stalls mid-frame for `stall_ms`.
+    /// Probability (‰) that a send stalls mid-frame.
     pub stall_per_mille: u16,
-    /// Mid-frame stall duration, milliseconds.
-    pub stall_ms: u64,
     /// Refuse this many inbound reconnect accepts before serving them.
     pub refuse_accepts: u32,
-    /// Optional one-way pairwise partition window.
-    pub partition: Option<PartitionPlan>,
-}
-
-/// Silently swallow envelopes from `from` to `to` for a window of the
-/// sender's sends (`[after_sends, after_sends + for_sends)`). The
-/// reliability layer's retransmits repair the loss once the window
-/// closes, so results stay bit-identical.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PartitionPlan {
-    /// Sending side of the partitioned direction.
-    pub from: u16,
-    /// Receiving side of the partitioned direction.
-    pub to: u16,
-    /// Window opens after this many sends on the `from` rank.
-    pub after_sends: u64,
-    /// Window length, in sends on the `from` rank.
-    pub for_sends: u64,
 }
 
 impl WireFaultPlan {
@@ -422,9 +273,7 @@ impl WireFaultPlan {
             seed: 0,
             reset_per_mille: 0,
             stall_per_mille: 0,
-            stall_ms: 2,
             refuse_accepts: 0,
-            partition: None,
         }
     }
 
@@ -440,10 +289,7 @@ impl WireFaultPlan {
 
     /// Whether any wire fault can ever fire under this plan.
     pub fn is_active(&self) -> bool {
-        self.reset_per_mille > 0
-            || self.stall_per_mille > 0
-            || self.refuse_accepts > 0
-            || self.partition.is_some()
+        self.reset_per_mille > 0 || self.stall_per_mille > 0 || self.refuse_accepts > 0
     }
 
     /// What the seeded dice decide for the `counter`-th send on a
@@ -460,20 +306,6 @@ impl WireFaultPlan {
             WireFaultKind::Deliver
         }
     }
-
-    /// Whether the `counter`-th send from `from` to `to` falls inside the
-    /// partition window (and must be silently swallowed).
-    pub fn partitioned(&self, from: u16, to: u16, counter: u64) -> bool {
-        match self.partition {
-            Some(p) => {
-                p.from == from
-                    && p.to == to
-                    && counter >= p.after_sends
-                    && counter < p.after_sends.saturating_add(p.for_sends)
-            }
-            None => false,
-        }
-    }
 }
 
 /// Dice outcome for one send under a [`WireFaultPlan`] — see
@@ -485,14 +317,8 @@ pub enum WireFaultKind {
     /// The lane's connection is reset before the write; the transport
     /// must reconnect and retry.
     Reset,
-    /// The frame header lands, then the payload stalls for `stall_ms`.
+    /// The frame header lands, then the payload stalls briefly.
     Stall,
-}
-
-impl Default for WireFaultPlan {
-    fn default() -> Self {
-        WireFaultPlan::none()
-    }
 }
 
 /// Reliable-delivery protocol knobs (sequence numbers, ack/retransmit,
@@ -508,13 +334,9 @@ pub struct ReliabilityConfig {
     /// Poller housekeeping interval (heartbeats, retransmit sweep,
     /// watchdog check), milliseconds.
     pub tick_ms: u64,
-    /// Initial retransmission timeout, milliseconds; doubles per retry.
+    /// Initial retransmission timeout, milliseconds; doubles per retry up
+    /// to [`RTO_MAX_MS`].
     pub rto_base_ms: u64,
-    /// Ceiling on the backed-off retransmission timeout, milliseconds.
-    pub rto_max_ms: u64,
-    /// Retransmissions of one envelope before the destination is declared
-    /// dead.
-    pub max_retries: u32,
     /// Silence threshold after which the watchdog declares a peer machine
     /// crashed, milliseconds.
     pub watchdog_ms: u64,
@@ -526,8 +348,6 @@ impl ReliabilityConfig {
             enabled: false,
             tick_ms: 5,
             rto_base_ms: 25,
-            rto_max_ms: 200,
-            max_retries: 12,
             watchdog_ms: 500,
         }
     }
@@ -537,12 +357,6 @@ impl ReliabilityConfig {
             enabled: true,
             ..ReliabilityConfig::off()
         }
-    }
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig::off()
     }
 }
 
@@ -560,10 +374,6 @@ pub struct RecoveryConfig {
     /// Retry attempts after the initial run before giving up with
     /// [`JobError::RetriesExhausted`](crate::health::JobError).
     pub max_retries: u32,
-    /// First retry backoff, milliseconds; doubles per attempt.
-    pub backoff_base_ms: u64,
-    /// Ceiling on the backed-off retry delay, milliseconds.
-    pub backoff_max_ms: u64,
     /// Checkpoints retained per store (a small ring, newest first): when
     /// the latest snapshot fails verification the driver falls back to an
     /// older ring entry before resorting to a cold restart.
@@ -581,8 +391,6 @@ impl RecoveryConfig {
             enabled: false,
             checkpoint_every: 1,
             max_retries: 3,
-            backoff_base_ms: 10,
-            backoff_max_ms: 200,
             retain: 2,
             flap_threshold: 1,
         }
@@ -596,50 +404,29 @@ impl RecoveryConfig {
     }
 }
 
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig::off()
-    }
-}
-
 /// Telemetry switches (see [`crate::telemetry`]).
 ///
 /// The always-on [`crate::stats::MachineStats`] counters are unaffected by
 /// these settings; `enabled` gates the histograms and per-worker event
 /// tracers, whose hot-path cost when off is one branch per hook.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
     /// Record histograms and trace events.
     pub enabled: bool,
-    /// Trace-ring slots per worker (rounded up to a power of two; the ring
-    /// overwrites oldest events on overflow).
-    pub ring_capacity: usize,
 }
 
 impl TelemetryConfig {
     pub const fn off() -> Self {
-        TelemetryConfig {
-            enabled: false,
-            ring_capacity: 4096,
-        }
+        TelemetryConfig { enabled: false }
     }
 
     pub const fn on() -> Self {
-        TelemetryConfig {
-            enabled: true,
-            ring_capacity: 4096,
-        }
-    }
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig::off()
+        TelemetryConfig { enabled: true }
     }
 }
 
 /// Job-server (serving layer) knobs: submission queue depth, admission
-/// memory budget, lane weights, and the default per-job deadline. Used by
+/// memory budget, lane weights, brownout gate and retry budget. Used by
 /// the `pgxd::serve` subsystem; inert for direct `try_run_*` callers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -655,13 +442,6 @@ pub struct ServeConfig {
     /// lanes; `[3, 1]` drains roughly three interactive jobs per batch
     /// job. Both weights must be >= 1.
     pub lane_weights: [u32; 2],
-    /// Default per-job deadline in milliseconds, applied when a submit
-    /// does not set its own; `0` means no default deadline.
-    pub default_deadline_ms: u64,
-    /// Maximum jobs one session may have in flight (dispatched, not yet
-    /// completed); a queued job whose session is at the cap is skipped —
-    /// not dropped — until a slot frees up.
-    pub session_cap: usize,
     /// Brownout shed threshold as queue occupancy in ‰ of `queue_depth`:
     /// when total queued jobs cross it, batch-lane submits are rejected
     /// with `JobError::Overloaded` until occupancy falls back below the
@@ -671,9 +451,6 @@ pub struct ServeConfig {
     /// shed threshold so the gate has hysteresis and re-opens cleanly
     /// instead of flapping at the boundary.
     pub brownout_reopen_per_mille: u16,
-    /// Retry-after hint carried by `JobError::Overloaded` rejections,
-    /// milliseconds.
-    pub brownout_retry_after_ms: u64,
     /// Server-wide retry-budget capacity (token bucket shared across all
     /// sessions): concurrent tenants draw retry tokens from one pool so a
     /// degraded cluster cannot be retry-stormed. `0` disables the budget
@@ -683,26 +460,17 @@ pub struct ServeConfig {
     pub retry_budget_refill_ms: u64,
 }
 
-impl ServeConfig {
-    pub const fn default_const() -> Self {
+impl Default for ServeConfig {
+    fn default() -> Self {
         ServeConfig {
             queue_depth: 64,
             memory_budget_bytes: 0,
             lane_weights: [3, 1],
-            default_deadline_ms: 0,
-            session_cap: 16,
             brownout_shed_per_mille: 0,
             brownout_reopen_per_mille: 0,
-            brownout_retry_after_ms: 50,
             retry_budget_tokens: 0,
             retry_budget_refill_ms: 100,
         }
-    }
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig::default_const()
     }
 }
 
@@ -743,14 +511,8 @@ impl AdaptiveFlushConfig {
     }
 }
 
-impl Default for AdaptiveFlushConfig {
-    fn default() -> Self {
-        AdaptiveFlushConfig::off()
-    }
-}
-
 /// Full cluster configuration.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Config {
     /// Number of simulated machines (PGX.D processes).
     pub machines: usize,
@@ -780,15 +542,16 @@ pub struct Config {
     /// Use the message-based (four-counter / coordinator) barrier and
     /// termination protocols instead of the shared-memory fast path.
     pub strict_distributed: bool,
-    /// Transport backend and its knobs (includes the simulated-network
-    /// cost model as [`TransportConfig::cost`]).
+    /// Transport backend and the addresses it needs.
     pub transport: TransportConfig,
-    /// Histogram/tracer switches.
+    /// Histogram/tracer switch.
     pub telemetry: TelemetryConfig,
-    /// Deterministic fault-injection schedule (inert by default).
+    /// Deterministic fabric fault schedule (inert by default).
     pub fault: FaultPlan,
     /// Deterministic checkpoint-storage fault schedule (inert by default).
     pub storage_fault: StorageFaultPlan,
+    /// Deterministic socket fault schedule (inert by default; TCP only).
+    pub wire_fault: WireFaultPlan,
     /// Reliable-delivery protocol (off by default).
     pub reliability: ReliabilityConfig,
     /// Checkpoint/restore and automatic retry (off by default).
@@ -803,46 +566,15 @@ pub struct Config {
     pub read_combining: bool,
     /// Adaptive flush-threshold control loop (off by default).
     pub adaptive_flush: AdaptiveFlushConfig,
-    /// Job-server knobs (queue depth, memory budget, lane weights,
-    /// default deadline); only read by the serving layer.
+    /// Job-server knobs; only read by the serving layer.
     pub serve: ServeConfig,
 }
 
 impl Config {
-    /// Starts a validated builder seeded with the benchmark defaults; see
-    /// [`ConfigBuilder`].
+    /// Starts a validated builder seeded with the benchmark defaults
+    /// ([`Config::bench`]`(4)`); see [`ConfigBuilder`].
     pub fn builder() -> ConfigBuilder {
-        ConfigBuilder {
-            config: Config::default(),
-        }
-    }
-    /// A small configuration suitable for unit tests: 2 machines, 1 worker
-    /// and 1 copier each, tiny buffers so that buffering/flushing paths are
-    /// exercised even by small graphs.
-    pub fn test(machines: usize) -> Self {
-        Config {
-            machines,
-            workers: 1,
-            copiers: 1,
-            buffer_bytes: 1 << 10,
-            send_buffers_per_machine: 16,
-            ghost_threshold: None,
-            partitioning: PartitioningMode::Edge,
-            chunking: ChunkingMode::Edge,
-            chunk_edges: 256,
-            ghost_privatization: true,
-            strict_distributed: false,
-            transport: TransportConfig::in_memory(),
-            telemetry: TelemetryConfig::off(),
-            fault: FaultPlan::none(),
-            storage_fault: StorageFaultPlan::none(),
-            reliability: ReliabilityConfig::off(),
-            recovery: RecoveryConfig::off(),
-            pool_shards: 2,
-            read_combining: true,
-            adaptive_flush: AdaptiveFlushConfig::off(),
-            serve: ServeConfig::default_const(),
-        }
+        ConfigBuilder::from(Config::default())
     }
 
     /// The benchmark default: mirrors the paper's 16-worker / 8-copier
@@ -860,37 +592,34 @@ impl Config {
             chunk_edges: 16 * 1024,
             ghost_privatization: true,
             strict_distributed: false,
-            transport: TransportConfig::in_memory(),
+            transport: TransportConfig::default(),
             telemetry: TelemetryConfig::off(),
             fault: FaultPlan::none(),
             storage_fault: StorageFaultPlan::none(),
+            wire_fault: WireFaultPlan::none(),
             reliability: ReliabilityConfig::off(),
             recovery: RecoveryConfig::off(),
             pool_shards: 4,
             read_combining: true,
             adaptive_flush: AdaptiveFlushConfig::off(),
-            serve: ServeConfig::default_const(),
+            serve: ServeConfig::default(),
         }
     }
 
-    /// Installs a fault plan and switches the reliability protocol on —
-    /// the only configuration in which active faults are survivable.
-    pub fn with_fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = plan;
-        if plan.is_active() {
-            self.reliability.enabled = true;
+    /// A small configuration suitable for unit tests: the benchmark default
+    /// with 1 worker per machine, no ghosts, and tiny buffers, chunks and
+    /// pools so that buffering/flushing paths are exercised even by small
+    /// graphs.
+    pub fn test(machines: usize) -> Self {
+        Config {
+            workers: 1,
+            buffer_bytes: 1 << 10,
+            send_buffers_per_machine: 16,
+            ghost_threshold: None,
+            chunk_edges: 256,
+            pool_shards: 2,
+            ..Config::bench(machines)
         }
-        self
-    }
-
-    /// Installs a storage fault plan and switches recovery on — only the
-    /// recovery driver can route around bad checkpoint storage.
-    pub fn with_storage_fault(mut self, plan: StorageFaultPlan) -> Self {
-        self.storage_fault = plan;
-        if plan.is_active() {
-            self.recovery.enabled = true;
-        }
-        self
     }
 
     /// Validates internal consistency.
@@ -909,6 +638,11 @@ impl Config {
         }
         if self.buffer_bytes < 64 {
             return Err("buffer_bytes must be >= 64".into());
+        }
+        if self.buffer_bytes > MAX_FRAME_BYTES {
+            return Err(format!(
+                "buffer_bytes must be <= the {MAX_FRAME_BYTES}-byte frame bound"
+            ));
         }
         if self.send_buffers_per_machine < 2 {
             return Err("need at least 2 send buffers per machine".into());
@@ -934,9 +668,6 @@ impl Config {
                 return Err("adaptive_flush.max_bytes must be <= buffer_bytes".into());
             }
         }
-        if self.telemetry.enabled && self.telemetry.ring_capacity == 0 {
-            return Err("telemetry ring_capacity must be >= 1 when enabled".into());
-        }
         if self.fault.is_active() && !self.reliability.enabled {
             return Err(
                 "an active FaultPlan requires reliability.enabled (lost envelopes \
@@ -948,7 +679,6 @@ impl Config {
             ("fault.drop_per_mille", self.fault.drop_per_mille),
             ("fault.dup_per_mille", self.fault.dup_per_mille),
             ("fault.reorder_per_mille", self.fault.reorder_per_mille),
-            ("fault.delay_per_mille", self.fault.delay_per_mille),
             (
                 "storage_fault.lose_per_mille",
                 self.storage_fault.lose_per_mille,
@@ -962,12 +692,12 @@ impl Config {
                 self.storage_fault.delay_per_mille,
             ),
             (
-                "transport.wire_fault.reset_per_mille",
-                self.transport.wire_fault.reset_per_mille,
+                "wire_fault.reset_per_mille",
+                self.wire_fault.reset_per_mille,
             ),
             (
-                "transport.wire_fault.stall_per_mille",
-                self.transport.wire_fault.stall_per_mille,
+                "wire_fault.stall_per_mille",
+                self.wire_fault.stall_per_mille,
             ),
             (
                 "serve.brownout_shed_per_mille",
@@ -979,9 +709,6 @@ impl Config {
             ),
         ] {
             PerMille::checked(name, rate)?;
-        }
-        if self.fault.reorder_per_mille > 0 && self.fault.reorder_depth == 0 {
-            return Err("fault.reorder_depth must be >= 1 when reordering".into());
         }
         if self.storage_fault.is_active() && !self.recovery.enabled {
             return Err(
@@ -995,18 +722,15 @@ impl Config {
                 return Err("fault.crash.machine out of range".into());
             }
         }
-        if let Some(s) = self.fault.slow {
-            if (s.machine as usize) >= self.machines {
-                return Err("fault.slow.machine out of range".into());
-            }
-        }
         if self.reliability.enabled {
             let r = &self.reliability;
-            if r.tick_ms == 0 || r.rto_base_ms == 0 || r.max_retries == 0 {
-                return Err("reliability tick_ms/rto_base_ms/max_retries must be >= 1".into());
+            if r.tick_ms == 0 || r.rto_base_ms == 0 {
+                return Err("reliability tick_ms/rto_base_ms must be >= 1".into());
             }
-            if r.rto_max_ms < r.rto_base_ms {
-                return Err("reliability rto_max_ms must be >= rto_base_ms".into());
+            if r.rto_base_ms > RTO_MAX_MS {
+                return Err(format!(
+                    "reliability rto_base_ms must be <= the {RTO_MAX_MS} ms backoff ceiling"
+                ));
             }
             if r.watchdog_ms < 2 * r.tick_ms {
                 return Err("reliability watchdog_ms must be >= 2 * tick_ms".into());
@@ -1017,9 +741,6 @@ impl Config {
         }
         if self.serve.lane_weights.contains(&0) {
             return Err("serve.lane_weights must both be >= 1".into());
-        }
-        if self.serve.session_cap == 0 {
-            return Err("serve.session_cap must be >= 1".into());
         }
         if self.serve.brownout_shed_per_mille > 0 {
             let s = &self.serve;
@@ -1035,10 +756,7 @@ impl Config {
             return Err("serve.retry_budget_refill_ms must be >= 1 when budgeted".into());
         }
         let t = &self.transport;
-        if t.max_frame_bytes < self.buffer_bytes {
-            return Err("transport.max_frame_bytes must be >= buffer_bytes".into());
-        }
-        if t.backend != TransportBackend::Tcp && t.wire_fault.is_active() {
+        if t.backend != TransportBackend::Tcp && self.wire_fault.is_active() {
             return Err(
                 "an active WireFaultPlan only applies to the TCP backend (there is \
                  no socket to reset in-memory); use FaultPlan for simulated faults"
@@ -1046,12 +764,6 @@ impl Config {
             );
         }
         if t.backend == TransportBackend::Tcp {
-            if !t.cost.is_null() {
-                return Err("TCP transport cannot carry a simulated network cost model \
-                     (virtual wire time is meaningless on real sockets); \
-                     use the in-memory backend for cost-model experiments"
-                    .into());
-            }
             match t.rank {
                 None => return Err("TCP transport requires an explicit rank".into()),
                 Some(r) if (r as usize) >= self.machines => {
@@ -1065,25 +777,10 @@ impl Config {
             if t.coord_addr.is_none() {
                 return Err("TCP transport requires transport.coord_addr".into());
             }
-            if t.connect_timeout_ms == 0 {
-                return Err("transport.connect_timeout_ms must be >= 1".into());
-            }
-            if self.fault.crash.is_some() || self.fault.slow.is_some() {
-                return Err(
-                    "crash/slow fault plans are virtual-time simulations and only \
-                     apply to the in-memory backend (kill the process instead)"
-                        .into(),
-                );
-            }
-            if let Some(p) = t.wire_fault.partition {
-                if (p.from as usize) >= self.machines || (p.to as usize) >= self.machines {
-                    return Err("transport.wire_fault.partition rank out of range".into());
-                }
-                if p.from == p.to {
-                    return Err("transport.wire_fault.partition cannot partition a rank \
-                         from itself"
-                        .into());
-                }
+            if self.fault.crash.is_some() {
+                return Err("a crash fault plan is a virtual-time simulation and only \
+                     applies to the in-memory backend (kill the process instead)"
+                    .into());
             }
             if !self.strict_distributed {
                 return Err(
@@ -1106,9 +803,6 @@ impl Config {
             if rc.max_retries == 0 {
                 return Err("recovery.max_retries must be >= 1 when enabled".into());
             }
-            if rc.backoff_max_ms < rc.backoff_base_ms {
-                return Err("recovery backoff_max_ms must be >= backoff_base_ms".into());
-            }
             if rc.retain == 0 {
                 return Err("recovery.retain must be >= 1 when enabled".into());
             }
@@ -1126,14 +820,26 @@ impl Default for Config {
     }
 }
 
-/// Validated builder for [`Config`] — the single front door for tuning
-/// knobs. Every setter is loose; [`ConfigBuilder::build`] runs
-/// [`Config::validate`] so invalid combinations (zero quotas, inverted
-/// flush bounds, active faults without reliability, ...) are rejected in
-/// one place instead of panicking deep inside the engine.
+/// Validated builder for [`Config`] — the one place configuration setters
+/// are defined ([`Config::builder`] seeds it with the benchmark defaults,
+/// `pgxd::Engine::builder` with the unit-test preset). Every setter is
+/// loose and writes state no other setter writes, so call order never
+/// matters; [`ConfigBuilder::build`] derives the switches that follow from
+/// the rest (TCP needs the message-based protocols, an active fault plan
+/// needs the layer that survives it) and runs [`Config::validate`], so
+/// invalid combinations (zero quotas, inverted flush bounds, ...) are
+/// rejected in one place instead of panicking deep inside the engine.
 #[derive(Clone, Debug)]
 pub struct ConfigBuilder {
     config: Config,
+}
+
+impl From<Config> for ConfigBuilder {
+    /// A builder that starts from `config` instead of the benchmark
+    /// defaults.
+    fn from(config: Config) -> Self {
+        ConfigBuilder { config }
+    }
 }
 
 impl ConfigBuilder {
@@ -1158,12 +864,6 @@ impl ConfigBuilder {
     /// Message-buffer capacity in bytes.
     pub fn buffer_bytes(mut self, n: usize) -> Self {
         self.config.buffer_bytes = n;
-        self
-    }
-
-    /// Send-buffer quota per machine (back-pressure budget).
-    pub fn send_buffers_per_machine(mut self, n: usize) -> Self {
-        self.config.send_buffers_per_machine = n;
         self
     }
 
@@ -1203,15 +903,8 @@ impl ConfigBuilder {
         self
     }
 
-    /// Simulated network cost model (sugar for `transport.cost`; only
-    /// meaningful on the in-memory backend).
-    pub fn net(mut self, net: NetConfig) -> Self {
-        self.config.transport.cost = net;
-        self
-    }
-
-    /// Transport backend selection and knobs. Choosing
-    /// [`TransportBackend::Tcp`] auto-forces `strict_distributed` and the
+    /// Transport backend and addresses. Choosing
+    /// [`TransportBackend::Tcp`] forces `strict_distributed` and the
     /// reliability protocol at [`ConfigBuilder::build`] time — the
     /// shared-memory termination fast path cannot span processes.
     pub fn transport(mut self, t: TransportConfig) -> Self {
@@ -1219,87 +912,69 @@ impl ConfigBuilder {
         self
     }
 
-    /// Installs a seeded socket-fault schedule on the TCP transport.
-    pub fn wire_fault(mut self, plan: WireFaultPlan) -> Self {
-        self.config.transport.wire_fault = plan;
-        self
-    }
-
-    /// Histogram/tracer switches.
+    /// Histogram/tracer switch.
     pub fn telemetry(mut self, t: TelemetryConfig) -> Self {
         self.config.telemetry = t;
         self
     }
 
-    /// Fault-injection schedule; an active plan auto-enables reliability.
+    /// Fabric fault schedule; an active plan enables reliability at
+    /// [`ConfigBuilder::build`] time (a lossy fabric without it would hang
+    /// the exact termination counter).
     pub fn fault(mut self, plan: FaultPlan) -> Self {
-        self.config = self.config.with_fault(plan);
+        self.config.fault = plan;
         self
     }
 
-    /// Checkpoint-storage fault schedule; an active plan auto-enables
-    /// recovery (only the recovery driver can route around bad storage).
+    /// Checkpoint-storage fault schedule; an active plan enables recovery
+    /// at [`ConfigBuilder::build`] time (only the recovery driver can route
+    /// around bad storage).
     pub fn storage_fault(mut self, plan: StorageFaultPlan) -> Self {
         self.config.storage_fault = plan;
-        if plan.is_active() {
-            self.config.recovery.enabled = true;
-        }
         self
     }
 
-    /// Reliable-delivery protocol knobs.
+    /// Seeded socket-fault schedule for the TCP transport.
+    pub fn wire_fault(mut self, plan: WireFaultPlan) -> Self {
+        self.config.wire_fault = plan;
+        self
+    }
+
+    /// Reliable-delivery protocol knobs (switch, tick, retransmission
+    /// timeout, crash-watchdog deadline).
     pub fn reliability(mut self, r: ReliabilityConfig) -> Self {
         self.config.reliability = r;
         self
     }
 
-    /// Checkpoint/restore and automatic-retry knobs.
-    pub fn recovery(mut self, r: RecoveryConfig) -> Self {
-        self.config.recovery = r;
-        self
-    }
-
     /// Snapshot cadence in completed iterations; enables recovery.
     pub fn checkpoint_every(mut self, every: u64) -> Self {
-        self.config.recovery.enabled = true;
-        self.config.recovery.checkpoint_every = every;
+        self.recovery_on().checkpoint_every = every;
         self
     }
 
     /// Retry budget after the initial attempt; enables recovery.
     pub fn max_retries(mut self, retries: u32) -> Self {
-        self.config.recovery.enabled = true;
-        self.config.recovery.max_retries = retries;
+        self.recovery_on().max_retries = retries;
         self
     }
 
     /// Checkpoints retained per store (fallback ring depth); enables
     /// recovery.
     pub fn checkpoint_retain(mut self, n: usize) -> Self {
-        self.config.recovery.enabled = true;
-        self.config.recovery.retain = n;
+        self.recovery_on().retain = n;
         self
     }
 
     /// Watchdog trips before a machine is quarantined; enables recovery.
     pub fn flap_threshold(mut self, trips: u32) -> Self {
+        self.recovery_on().flap_threshold = trips;
+        self
+    }
+
+    fn recovery_on(&mut self) -> &mut RecoveryConfig {
         self.config.recovery.enabled = true;
-        self.config.recovery.flap_threshold = trips;
-        self
-    }
-
-    /// Crash-watchdog silence threshold
-    /// ([`ClusterHealth::stale_peer`](crate::health::ClusterHealth::stale_peer)
-    /// deadline), milliseconds. Replaces the previously hardcoded value.
-    pub fn heartbeat_deadline_ms(mut self, ms: u64) -> Self {
-        self.config.reliability.watchdog_ms = ms;
-        self
-    }
-
-    /// Send-pool free-list shard count.
-    pub fn pool_shards(mut self, n: usize) -> Self {
-        self.config.pool_shards = n;
-        self
+        &mut self.config.recovery
     }
 
     /// In-flight remote-read combining.
@@ -1311,12 +986,6 @@ impl ConfigBuilder {
     /// Adaptive flush-threshold control loop.
     pub fn adaptive_flush(mut self, f: AdaptiveFlushConfig) -> Self {
         self.config.adaptive_flush = f;
-        self
-    }
-
-    /// Full job-server configuration block.
-    pub fn serve(mut self, s: ServeConfig) -> Self {
-        self.config.serve = s;
         self
     }
 
@@ -1340,12 +1009,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Default per-job deadline in milliseconds (`0` = none).
-    pub fn default_deadline_ms(mut self, ms: u64) -> Self {
-        self.config.serve.default_deadline_ms = ms;
-        self
-    }
-
     /// Brownout thresholds as queue occupancy in ‰ of `queue_depth`
     /// (`shed` closes the batch lane, `reopen` re-opens it; `shed = 0`
     /// disables brownout).
@@ -1362,12 +1025,14 @@ impl ConfigBuilder {
         self
     }
 
-    /// Validates and returns the configuration.
+    /// Derives the switches that follow from the rest of the configuration,
+    /// validates, and returns it.
     pub fn build(mut self) -> Result<Config, String> {
-        if self.config.transport.backend == TransportBackend::Tcp {
-            self.config.strict_distributed = true;
-            self.config.reliability.enabled = true;
-        }
+        let c = &mut self.config;
+        let tcp = c.transport.backend == TransportBackend::Tcp;
+        c.strict_distributed |= tcp;
+        c.reliability.enabled |= tcp || c.fault.is_active();
+        c.recovery.enabled |= c.storage_fault.is_active();
         self.config.validate()?;
         Ok(self.config)
     }
@@ -1377,11 +1042,107 @@ impl ConfigBuilder {
 mod tests {
     use super::*;
 
+    /// A builder seeded with the unit-test preset (what `pgxd`'s
+    /// `Engine::builder()` hands out).
+    fn test_builder() -> ConfigBuilder {
+        ConfigBuilder::from(Config::test(2))
+    }
+
     #[test]
     fn defaults_validate() {
         assert!(Config::default().validate().is_ok());
         assert!(Config::test(2).validate().is_ok());
         assert!(Config::bench(8).validate().is_ok());
+    }
+
+    /// The configuration every benchmark workload runs under. A change to
+    /// a preset value moves every number in `benchmark/`; make it on
+    /// purpose, here.
+    #[test]
+    fn benchmark_configuration_is_pinned() {
+        let b = Config::builder().machines(2).workers(1).copiers(1);
+        let c = b.clone().build().unwrap();
+        assert_eq!(
+            (c.buffer_bytes, c.send_buffers_per_machine, c.pool_shards),
+            (64 << 10, 64, 4)
+        );
+        assert_eq!((c.ghost_threshold, c.chunk_edges), (Some(1024), 16 << 10));
+        assert_eq!(
+            (c.partitioning, c.chunking),
+            (PartitioningMode::Edge, ChunkingMode::Edge)
+        );
+        assert!(c.ghost_privatization && c.read_combining);
+        assert!(!c.strict_distributed && !c.adaptive_flush.enabled);
+        assert!(!c.reliability.enabled && !c.recovery.enabled && !c.telemetry.enabled);
+        let r = c.reliability;
+        assert_eq!((r.tick_ms, r.rto_base_ms, r.watchdog_ms), (5, 25, 500));
+        assert!(!(c.fault.is_active() || c.storage_fault.is_active() || c.wire_fault.is_active()));
+
+        let tcp = b
+            .transport(TransportConfig::tcp("127.0.0.1:7402", 0))
+            .build()
+            .unwrap();
+        assert!(tcp.strict_distributed && tcp.reliability.enabled);
+        assert_eq!(tcp.reliability, ReliabilityConfig::on());
+    }
+
+    /// Every setter writes state no other setter writes, so any two commute
+    /// (a plan stored inside `transport`, or a setter for one field of
+    /// `reliability`, would be dropped by the later whole-struct setter).
+    #[test]
+    fn setters_commute() {
+        type Setter = fn(ConfigBuilder) -> ConfigBuilder;
+        let setters: &[(&str, Setter)] = &[
+            ("machines", |b| b.machines(3)),
+            ("workers", |b| b.workers(3)),
+            ("copiers", |b| b.copiers(2)),
+            ("buffer_bytes", |b| b.buffer_bytes(8 << 10)),
+            ("ghost_threshold", |b| b.ghost_threshold(Some(7))),
+            ("partitioning", |b| b.partitioning(PartitioningMode::Vertex)),
+            ("chunking", |b| b.chunking(ChunkingMode::Node)),
+            ("chunk_edges", |b| b.chunk_edges(99)),
+            ("ghost_privatization", |b| b.ghost_privatization(false)),
+            ("strict_distributed", |b| b.strict_distributed(true)),
+            ("transport", |b| {
+                b.transport(TransportConfig::tcp("127.0.0.1:7403", 1))
+            }),
+            ("telemetry", |b| b.telemetry(TelemetryConfig::on())),
+            ("fault", |b| b.fault(FaultPlan::lossy(3, 10, 10, 10))),
+            ("storage_fault", |b| {
+                b.storage_fault(StorageFaultPlan::faulty(4, 10, 10, 10))
+            }),
+            ("wire_fault", |b| {
+                b.wire_fault(WireFaultPlan::faulty(5, 10, 10))
+            }),
+            ("reliability", |b| {
+                b.reliability(ReliabilityConfig {
+                    watchdog_ms: 120,
+                    ..ReliabilityConfig::off()
+                })
+            }),
+            ("checkpoint_every", |b| b.checkpoint_every(4)),
+            ("max_retries", |b| b.max_retries(5)),
+            ("checkpoint_retain", |b| b.checkpoint_retain(3)),
+            ("flap_threshold", |b| b.flap_threshold(2)),
+            ("read_combining", |b| b.read_combining(false)),
+            ("adaptive_flush", |b| {
+                b.adaptive_flush(AdaptiveFlushConfig::bounds(128, 512))
+            }),
+            ("queue_depth", |b| b.queue_depth(8)),
+            ("memory_budget", |b| b.memory_budget(1 << 20)),
+            ("lane_weights", |b| b.lane_weights([4, 1])),
+            ("brownout", |b| b.brownout(750, 250)),
+            ("retry_budget", |b| b.retry_budget(4, 100)),
+        ];
+        for seed in [Config::builder, test_builder] {
+            for (a_name, a) in setters {
+                for (b_name, b) in setters {
+                    let (ab, ba) = (b(a(seed())), a(b(seed())));
+                    assert_eq!(ab.config, ba.config, "{a_name} / {b_name}: raw state");
+                    assert_eq!(ab.build(), ba.build(), "{a_name} / {b_name}: built");
+                }
+            }
+        }
     }
 
     #[test]
@@ -1412,11 +1173,6 @@ mod tests {
         c.reliability = ReliabilityConfig::on();
         assert!(c.validate().is_ok());
 
-        // Cost model stacked on real sockets is rejected.
-        let mut bad = c.clone();
-        bad.transport.cost = NetConfig::infiniband_like();
-        assert!(bad.validate().is_err());
-
         // Missing rank / out-of-range rank / missing coordinator address.
         let mut bad = c.clone();
         bad.transport.rank = None;
@@ -1428,44 +1184,26 @@ mod tests {
         bad.transport.coord_addr = None;
         assert!(bad.validate().is_err());
 
-        // Virtual-time crash/slow plans don't span processes.
+        // A virtual-time crash plan doesn't span processes.
         let mut bad = c.clone();
         bad.fault = FaultPlan::crash(1, 100);
-        bad.reliability.enabled = true;
         assert!(bad.validate().is_err());
 
         // Checkpoint/recovery is supported on TCP (node-mode collective
-        // checkpointing) — the historical rejection is lifted.
+        // checkpointing).
         let mut ok = c.clone();
         ok.recovery = RecoveryConfig::on();
         assert!(ok.validate().is_ok());
 
-        // Wire-fault plans are TCP-only (there is no socket in-memory)
-        // and their partition window must name distinct, in-range ranks.
+        // Wire-fault plans are TCP-only (there is no socket in-memory).
         let mut ok = c.clone();
-        ok.transport.wire_fault = WireFaultPlan::faulty(11, 5, 5);
+        ok.wire_fault = WireFaultPlan::faulty(11, 5, 5);
         assert!(ok.validate().is_ok());
         let mut bad = Config::test(2);
-        bad.transport.wire_fault = WireFaultPlan::faulty(11, 5, 5);
+        bad.wire_fault = WireFaultPlan::faulty(11, 5, 5);
         assert!(bad.validate().unwrap_err().contains("TCP backend"));
         let mut bad = c.clone();
-        bad.transport.wire_fault.reset_per_mille = 1001;
-        assert!(bad.validate().is_err());
-        let mut bad = c.clone();
-        bad.transport.wire_fault.partition = Some(PartitionPlan {
-            from: 0,
-            to: 5,
-            after_sends: 0,
-            for_sends: 10,
-        });
-        assert!(bad.validate().unwrap_err().contains("out of range"));
-        let mut bad = c.clone();
-        bad.transport.wire_fault.partition = Some(PartitionPlan {
-            from: 1,
-            to: 1,
-            after_sends: 0,
-            for_sends: 10,
-        });
+        bad.wire_fault.reset_per_mille = 1001;
         assert!(bad.validate().is_err());
 
         // Lossy plans are fine on TCP: the reliability protocol is
@@ -1479,7 +1217,7 @@ mod tests {
         bad.strict_distributed = false;
         assert!(bad.validate().is_err());
 
-        // The builder auto-forces both switches for TCP.
+        // The builder forces both switches for TCP.
         let built = Config::builder()
             .transport(TransportConfig::tcp("127.0.0.1:7402", 0))
             .build()
@@ -1487,21 +1225,16 @@ mod tests {
         assert!(built.strict_distributed);
         assert!(built.reliability.enabled);
 
-        // Frame bound must admit a full buffer.
+        // A full buffer must fit in a frame, on either backend.
         let mut bad = Config::test(2);
-        bad.transport.max_frame_bytes = 64;
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn net_null_detection() {
-        assert!(NetConfig::null().is_null());
-        assert!(!NetConfig::infiniband_like().is_null());
+        bad.buffer_bytes = MAX_FRAME_BYTES + 1;
+        assert!(bad.validate().unwrap_err().contains("frame bound"));
+        bad.buffer_bytes = MAX_FRAME_BYTES;
+        assert!(bad.validate().is_ok());
     }
 
     /// The wire-fault dice are public and pure: a harness can precompute
-    /// the exact reset/stall schedule for a seed, and the partition
-    /// window is a closed interval on the sender's send counter.
+    /// the exact reset/stall schedule for a seed.
     #[test]
     fn wire_fault_dice_are_deterministic() {
         let p = WireFaultPlan::faulty(42, 100, 100);
@@ -1520,20 +1253,6 @@ mod tests {
         );
         // Inert plan never fires regardless of counter.
         assert_eq!(WireFaultPlan::none().draw(7), WireFaultKind::Deliver);
-
-        let mut p = WireFaultPlan::none();
-        p.partition = Some(PartitionPlan {
-            from: 0,
-            to: 1,
-            after_sends: 10,
-            for_sends: 5,
-        });
-        assert!(p.is_active());
-        assert!(!p.partitioned(0, 1, 9));
-        assert!(p.partitioned(0, 1, 10));
-        assert!(p.partitioned(0, 1, 14));
-        assert!(!p.partitioned(0, 1, 15));
-        assert!(!p.partitioned(1, 0, 12), "partition is one-way");
     }
 
     #[test]
@@ -1543,26 +1262,18 @@ mod tests {
         assert!(c.validate().is_err());
         c.reliability.enabled = true;
         assert!(c.validate().is_ok());
-        // with_fault enables reliability automatically.
-        let c = Config::test(2).with_fault(FaultPlan::crash(1, 100));
-        assert!(c.validate().is_ok());
-        assert!(c.reliability.enabled);
+        // The builder enables reliability for an active plan.
+        let c = test_builder().fault(FaultPlan::crash(1, 100)).build();
+        assert!(c.expect("valid").reliability.enabled);
     }
 
     #[test]
     fn fault_plan_bounds_checked() {
-        let mut c = Config::test(2).with_fault(FaultPlan::crash(5, 1));
-        assert!(c.validate().is_err());
-        c.fault.crash = None;
-        c.fault.slow = Some(SlowPlan {
-            machine: 9,
-            after_sends: 0,
-            extra_ns: 100,
-        });
-        assert!(c.validate().is_err());
-        let mut c = Config::test(2).with_fault(FaultPlan::lossy(7, 0, 0, 5));
-        c.fault.reorder_depth = 0;
-        assert!(c.validate().is_err());
+        assert!(test_builder()
+            .fault(FaultPlan::crash(5, 1))
+            .build()
+            .is_err());
+        assert!(test_builder().fault(FaultPlan::crash(1, 1)).build().is_ok());
     }
 
     #[test]
@@ -1570,13 +1281,13 @@ mod tests {
         let mut c = Config::test(2);
         c.reliability = ReliabilityConfig::on();
         assert!(c.validate().is_ok());
-        c.reliability.rto_max_ms = 1;
+        c.reliability.rto_base_ms = RTO_MAX_MS + 1;
         assert!(c.validate().is_err());
         c.reliability = ReliabilityConfig::on();
         c.reliability.watchdog_ms = c.reliability.tick_ms;
         assert!(c.validate().is_err());
         c.reliability = ReliabilityConfig::on();
-        c.reliability.max_retries = 0;
+        c.reliability.tick_ms = 0;
         assert!(c.validate().is_err());
     }
 
@@ -1589,9 +1300,6 @@ mod tests {
         assert!(c.validate().is_err());
         c.recovery = RecoveryConfig::on();
         c.recovery.max_retries = 0;
-        assert!(c.validate().is_err());
-        c.recovery = RecoveryConfig::on();
-        c.recovery.backoff_max_ms = c.recovery.backoff_base_ms - 1;
         assert!(c.validate().is_err());
         // Disabled recovery skips the knob checks entirely.
         c.recovery = RecoveryConfig::off();
@@ -1612,20 +1320,20 @@ mod tests {
         assert!(Config::builder().checkpoint_every(0).build().is_err());
     }
 
+    /// The crash-watchdog deadline travels in the `ReliabilityConfig`.
     #[test]
     fn builder_heartbeat_deadline_sets_watchdog() {
-        let mut b = Config::builder().heartbeat_deadline_ms(120);
-        b = b
-            .reliability(ReliabilityConfig::on())
-            .heartbeat_deadline_ms(120);
-        let c = b.build().expect("valid");
-        assert_eq!(c.reliability.watchdog_ms, 120);
+        let deadline = |watchdog_ms| {
+            Config::builder()
+                .reliability(ReliabilityConfig {
+                    watchdog_ms,
+                    ..ReliabilityConfig::on()
+                })
+                .build()
+        };
+        assert_eq!(deadline(120).expect("valid").reliability.watchdog_ms, 120);
         // The deadline is still validated against the tick interval.
-        assert!(Config::builder()
-            .reliability(ReliabilityConfig::on())
-            .heartbeat_deadline_ms(1)
-            .build()
-            .is_err());
+        assert!(deadline(1).is_err());
     }
 
     #[test]
@@ -1634,13 +1342,12 @@ mod tests {
             .machines(3)
             .workers(2)
             .buffer_bytes(8 << 10)
-            .pool_shards(8)
             .read_combining(false)
             .adaptive_flush(AdaptiveFlushConfig::bounds(256, 4096))
             .build()
             .expect("valid config");
         assert_eq!(c.machines, 3);
-        assert_eq!(c.pool_shards, 8);
+        assert_eq!(c.buffer_bytes, 8 << 10);
         assert!(!c.read_combining);
         assert!(c.adaptive_flush.enabled);
     }
@@ -1649,12 +1356,15 @@ mod tests {
     fn builder_rejects_zero_quotas() {
         assert!(Config::builder().workers(0).build().is_err());
         assert!(Config::builder().copiers(0).build().is_err());
-        assert!(Config::builder()
-            .send_buffers_per_machine(0)
-            .build()
-            .is_err());
-        assert!(Config::builder().pool_shards(0).build().is_err());
-        assert!(Config::builder().pool_shards(4096).build().is_err());
+        // The two pool fields have no setter; direct writers are validated.
+        for (buffers, shards) in [(0, 4), (64, 0), (64, 4096)] {
+            let c = Config {
+                send_buffers_per_machine: buffers,
+                pool_shards: shards,
+                ..Config::default()
+            };
+            assert!(c.validate().is_err(), "{buffers} buffers, {shards} shards");
+        }
     }
 
     #[test]
@@ -1682,7 +1392,7 @@ mod tests {
         let c = Config::builder()
             .fault(FaultPlan::lossy(9, 5, 0, 0))
             .build()
-            .expect("fault() auto-enables reliability");
+            .expect("an active fault plan enables reliability");
         assert!(c.reliability.enabled);
     }
 
@@ -1692,18 +1402,13 @@ mod tests {
             .queue_depth(8)
             .memory_budget(1 << 20)
             .lane_weights([4, 1])
-            .default_deadline_ms(250)
             .build()
             .expect("valid serve config");
         assert_eq!(c.serve.queue_depth, 8);
         assert_eq!(c.serve.memory_budget_bytes, 1 << 20);
         assert_eq!(c.serve.lane_weights, [4, 1]);
-        assert_eq!(c.serve.default_deadline_ms, 250);
         assert!(Config::builder().queue_depth(0).build().is_err());
         assert!(Config::builder().lane_weights([0, 1]).build().is_err());
-        let mut c = Config::test(2);
-        c.serve.session_cap = 0;
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -1716,7 +1421,9 @@ mod tests {
     #[test]
     fn per_mille_rates_capped_at_1000() {
         // Wire plan: each rate field individually rejected above 1000‰.
-        let mut c = Config::test(2).with_fault(FaultPlan::lossy(1, 1001, 0, 0));
+        let mut c = Config::test(2);
+        c.reliability = ReliabilityConfig::on();
+        c.fault = FaultPlan::lossy(1, 1001, 0, 0);
         assert!(c.validate().unwrap_err().contains("per-mille"));
         c.fault = FaultPlan::lossy(1, 0, 1001, 0);
         assert!(c.validate().is_err());
@@ -1742,11 +1449,11 @@ mod tests {
         assert!(c.validate().unwrap_err().contains("recovery"));
         c.recovery = RecoveryConfig::on();
         assert!(c.validate().is_ok());
-        // The builder setter auto-enables recovery.
+        // The builder enables recovery for an active plan.
         let c = Config::builder()
             .storage_fault(StorageFaultPlan::faulty(5, 0, 100, 0))
             .build()
-            .expect("storage_fault() auto-enables recovery");
+            .expect("an active storage plan enables recovery");
         assert!(c.recovery.enabled);
         assert!(!StorageFaultPlan::none().is_active());
     }
@@ -1785,7 +1492,7 @@ mod tests {
         assert!(Config::builder().brownout(1500, 100).build().is_err());
         assert!(Config::builder().retry_budget(4, 0).build().is_err());
         // Defaults stay inert.
-        let d = ServeConfig::default_const();
+        let d = ServeConfig::default();
         assert_eq!(d.brownout_shed_per_mille, 0);
         assert_eq!(d.retry_budget_tokens, 0);
     }

@@ -1,30 +1,28 @@
 //! The backend-agnostic interconnect shell.
 //!
 //! [`Fabric::send`] is the single point every envelope passes through. It
-//! charges traffic statistics to the sending machine, applies the optional
-//! [`NetConfig`] cost model, runs the [`FaultPlan`] chaos injector, and
-//! hands the envelope to the configured [`Transport`] backend — the
-//! in-memory channel switch by default, or real TCP sockets for
-//! multi-process clusters. The dispatch a backend performs (copier queue
+//! charges traffic statistics to the sending machine, runs the
+//! [`FaultPlan`] chaos injector, and hands the envelope to the configured
+//! [`Transport`] backend — the in-memory channel switch by default, or real
+//! TCP sockets for multi-process clusters. The dispatch a backend performs (copier queue
 //! for requests, originating worker's response queue for responses) is
 //! what the paper's poller thread does against the real NIC driver (§3.4).
 //!
-//! Keeping the cost model and the fault plan *above* the backend means a
-//! lossy plan exercises the retransmit machinery identically on both
-//! backends, and accounting stays bit-compatible regardless of transport.
+//! Keeping the fault plan *above* the backend means a lossy plan exercises
+//! the retransmit machinery identically on both backends, and accounting
+//! stays bit-compatible regardless of transport.
 
-use crate::config::{FaultPlan, NetConfig};
+use crate::config::FaultPlan;
 use crate::fault::{FaultCounters, FaultInjector};
 use crate::health::JobError;
 use crate::ids::MachineId;
 use crate::message::Envelope;
 use crate::stats::MachineStats;
 use crate::telemetry::Telemetry;
-use crate::transport::{InMemoryTransport, Transport};
+use crate::transport::Transport;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Receiving endpoints of one machine.
 #[derive(Debug, Clone)]
@@ -38,8 +36,8 @@ pub struct MachineEndpoints {
 /// The cluster-wide message switch: backend-agnostic accounting and chaos
 /// over a pluggable [`Transport`].
 ///
-/// The send-side state (`stats`, `telemetry`, `virtual_busy_ns`) covers
-/// only the machines hosted by *this* process: entry `i` belongs to
+/// The send-side state (`stats`, `telemetry`) covers only the machines
+/// hosted by *this* process: entry `i` belongs to
 /// machine `first_machine + i`. A single-process cluster hosts all of
 /// them (`first_machine == 0`); a `pgxd-node` process hosts exactly one.
 pub struct Fabric {
@@ -49,59 +47,28 @@ pub struct Fabric {
     stats: Vec<Arc<MachineStats>>,
     /// Per-source telemetry registries (per-destination traffic matrix).
     telemetry: Vec<Arc<Telemetry>>,
-    net: NetConfig,
-    /// Modeled (virtual) wire-busy nanoseconds per source machine —
-    /// accumulated even when the model also spins, so benches can report
-    /// modeled bandwidth independent of host jitter.
-    virtual_busy_ns: Vec<AtomicU64>,
     /// Optional fault-injection schedule (chaos testing).
     chaos: Option<FaultInjector>,
 }
 
 impl Fabric {
-    /// Builds an in-memory fabric over the given endpoints; `telemetry[m]`
-    /// receives the send-side accounting for machine `m`.
-    pub fn new(
-        endpoints: Vec<MachineEndpoints>,
-        telemetry: Vec<Arc<Telemetry>>,
-        net: NetConfig,
-    ) -> Self {
-        Fabric::with_faults(endpoints, telemetry, net, FaultPlan::none())
-    }
-
-    /// Builds an in-memory fabric with an active fault-injection plan. An
-    /// inert plan costs nothing: the chaos path is skipped entirely.
-    pub fn with_faults(
-        endpoints: Vec<MachineEndpoints>,
-        telemetry: Vec<Arc<Telemetry>>,
-        net: NetConfig,
-        plan: FaultPlan,
-    ) -> Self {
-        let transport = Arc::new(InMemoryTransport::with_endpoints(endpoints));
-        Fabric::over(transport, telemetry, net, plan)
-    }
-
     /// Builds a fabric over an arbitrary [`Transport`] backend.
     /// `telemetry[i]` receives the send-side accounting for the `i`-th
     /// machine [hosted](Transport::hosted) by this process.
     pub fn over(
         transport: Arc<dyn Transport>,
         telemetry: Vec<Arc<Telemetry>>,
-        net: NetConfig,
         plan: FaultPlan,
     ) -> Self {
         let hosted = transport.hosted();
         assert_eq!(hosted.len(), telemetry.len());
         let first_machine = hosted.start as MachineId;
         let stats = telemetry.iter().map(|t| t.stats().clone()).collect();
-        let virtual_busy_ns = (0..telemetry.len()).map(|_| AtomicU64::new(0)).collect();
         Fabric {
             transport,
             first_machine,
             stats,
             telemetry,
-            net,
-            virtual_busy_ns,
             chaos: plan.is_active().then(|| FaultInjector::new(plan)),
         }
     }
@@ -116,17 +83,6 @@ impl Fabric {
         &self.transport
     }
 
-    /// The configured network model.
-    pub fn net(&self) -> &NetConfig {
-        &self.net
-    }
-
-    /// Modeled wire-busy time charged to machine `m` so far. `m` must be
-    /// hosted by this process.
-    pub fn virtual_busy_ns(&self, m: usize) -> u64 {
-        self.virtual_busy_ns[m - self.first_machine as usize].load(Ordering::Relaxed)
-    }
-
     /// The machine the fault plan has crashed so far, if any.
     pub fn crashed_machine(&self) -> Option<MachineId> {
         self.chaos.as_ref().and_then(|c| c.crashed_machine())
@@ -137,8 +93,7 @@ impl Fabric {
         self.chaos.as_ref().map(|c| c.counters())
     }
 
-    /// Sends an envelope: account, model, inject faults, hand to the
-    /// backend.
+    /// Sends an envelope: account, inject faults, hand to the backend.
     ///
     /// `Err(JobError::MachineDown)` means the destination's queues are
     /// gone — its threads exited. Delivery of the envelope itself is still
@@ -159,10 +114,6 @@ impl Fabric {
             .fetch_add(crate::message::HEADER_BYTES, Ordering::Relaxed);
         self.telemetry[src].record_dest_bytes(dst, env.wire_bytes());
 
-        if !self.net.is_null() {
-            self.apply_net_model(src, env.wire_bytes());
-        }
-
         match &self.chaos {
             None => self.transport.send(env),
             Some(inj) => {
@@ -172,30 +123,6 @@ impl Fabric {
                     self.transport.send(e)?;
                 }
                 Ok(())
-            }
-        }
-    }
-
-    /// Charges the modeled wire time for a message of `bytes` and delays
-    /// the sender accordingly (spin below ~100µs, sleep above).
-    fn apply_net_model(&self, src: usize, bytes: u64) {
-        let mut cost_ns = self.net.per_message_ns + self.net.latency_ns;
-        if let Some(per_byte) = bytes
-            .saturating_mul(1_000_000_000)
-            .checked_div(self.net.bandwidth_bytes_per_sec)
-        {
-            cost_ns += per_byte;
-        }
-        self.virtual_busy_ns[src].fetch_add(cost_ns, Ordering::Relaxed);
-        if cost_ns == 0 {
-            return;
-        }
-        if cost_ns > 100_000 {
-            std::thread::sleep(std::time::Duration::from_nanos(cost_ns));
-        } else {
-            let start = Instant::now();
-            while (start.elapsed().as_nanos() as u64) < cost_ns {
-                std::hint::spin_loop();
             }
         }
     }
@@ -243,6 +170,7 @@ pub struct MachineReceivers {
 mod tests {
     use super::*;
     use crate::message::MsgKind;
+    use crate::transport::InMemoryTransport;
 
     fn test_telemetry(machines: usize) -> Vec<Arc<Telemetry>> {
         (0..machines)
@@ -250,11 +178,24 @@ mod tests {
             .collect()
     }
 
-    fn test_fabric(machines: usize, workers: usize) -> (Fabric, Vec<MachineReceivers>) {
+    /// An in-memory fabric over fresh endpoints, with `plan` injected.
+    fn faulty_fabric(
+        machines: usize,
+        workers: usize,
+        tele: Vec<Arc<Telemetry>>,
+        plan: FaultPlan,
+    ) -> (Fabric, Vec<MachineReceivers>) {
         let (eps, rxs) = make_endpoints(machines, workers);
-        (
-            Fabric::new(eps, test_telemetry(machines), NetConfig::null()),
-            rxs,
+        let transport = Arc::new(InMemoryTransport::with_endpoints(eps));
+        (Fabric::over(transport, tele, plan), rxs)
+    }
+
+    fn test_fabric(machines: usize, workers: usize) -> (Fabric, Vec<MachineReceivers>) {
+        faulty_fabric(
+            machines,
+            workers,
+            test_telemetry(machines),
+            FaultPlan::none(),
         )
     }
 
@@ -308,8 +249,7 @@ mod tests {
     fn fault_plan_drops_and_duplicates_deterministically() {
         let plan = FaultPlan::lossy(0xC0FFEE, 100, 100, 0);
         let run = || {
-            let (eps, rxs) = make_endpoints(2, 1);
-            let f = Fabric::with_faults(eps, test_telemetry(2), NetConfig::null(), plan);
+            let (f, rxs) = faulty_fabric(2, 1, test_telemetry(2), plan);
             for _ in 0..500 {
                 f.send(env(0, 1, MsgKind::Write, 0, 8)).unwrap();
             }
@@ -326,8 +266,7 @@ mod tests {
     #[test]
     fn crashed_machine_stops_receiving() {
         let plan = FaultPlan::crash(1, 10);
-        let (eps, rxs) = make_endpoints(3, 1);
-        let f = Fabric::with_faults(eps, test_telemetry(3), NetConfig::null(), plan);
+        let (f, rxs) = faulty_fabric(3, 1, test_telemetry(3), plan);
         for _ in 0..50 {
             f.send(env(0, 1, MsgKind::Write, 0, 8)).unwrap();
         }
@@ -340,10 +279,9 @@ mod tests {
 
     #[test]
     fn accounting_charged_to_sender() {
-        let (eps, _rxs) = make_endpoints(2, 1);
         let tele = test_telemetry(2);
         let stats: Vec<Arc<MachineStats>> = tele.iter().map(|t| t.stats().clone()).collect();
-        let f = Fabric::new(eps, tele.clone(), NetConfig::null());
+        let (f, _rxs) = faulty_fabric(2, 1, tele.clone(), FaultPlan::none());
         f.send(env(0, 1, MsgKind::Write, 0, 100)).unwrap();
         f.send(env(0, 1, MsgKind::Write, 0, 50)).unwrap();
         let s0 = stats[0].snapshot();
@@ -353,21 +291,5 @@ mod tests {
         assert_eq!(stats[1].snapshot().msgs_sent, 0);
         // Per-destination traffic lands on the source's telemetry.
         assert_eq!(tele[0].dest_bytes_snapshot(), vec![0, 150 + 32]);
-    }
-
-    #[test]
-    fn net_model_accumulates_virtual_time() {
-        let (eps, _rxs) = make_endpoints(2, 1);
-        let stats = test_telemetry(2);
-        let net = NetConfig {
-            per_message_ns: 1_000,
-            bandwidth_bytes_per_sec: 1_000_000_000, // 1 GB/s → 1 ns/byte
-            latency_ns: 0,
-        };
-        let f = Fabric::new(eps, stats, net);
-        // 984 + 16 header = 1000 bytes
-        f.send(env(0, 1, MsgKind::Write, 0, 984)).unwrap();
-        assert_eq!(f.virtual_busy_ns(0), 1_000 + 1_000);
-        assert_eq!(f.virtual_busy_ns(1), 0);
     }
 }

@@ -1,21 +1,19 @@
 //! Deterministic fault injection for the simulated fabric.
 //!
 //! A [`FaultInjector`] sits inside `Fabric::send` and perturbs delivery
-//! according to a [`FaultPlan`]: dropping, duplicating, reordering, or
-//! delaying envelopes, crashing (permanently partitioning) a machine, or
-//! slowing one down. Every decision is a pure function of the plan's seed
-//! and the fabric's global send counter — the injector's *virtual clock* —
-//! so a plan fires the same schedule of faults at the same virtual times on
-//! every run.
+//! according to a [`FaultPlan`]: dropping, duplicating or reordering
+//! envelopes, or crashing (permanently partitioning) a machine. Every
+//! decision is a pure function of the plan's seed and the fabric's global
+//! send counter — the injector's *virtual clock* — so a plan fires the same
+//! schedule of faults at the same virtual times on every run.
 //!
-//! Reordered and delayed envelopes sit in a limbo buffer keyed by a
-//! release deadline on the same counter; any later send (data, ack, or
+//! Reordered envelopes sit in a limbo buffer keyed by a release deadline
+//! on the same counter; any later send (data, ack, or
 //! heartbeat — the poller tick guarantees a steady trickle) flushes the
 //! limbo entries that have come due, so nothing is held forever.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use crate::config::FaultPlan;
 use crate::ids::MachineId;
@@ -35,7 +33,7 @@ pub struct FaultCounters {
     /// windows must filter (so `duplicated_reliable > 0` implies
     /// duplicate suppressions).
     pub duplicated_reliable: u64,
-    /// Envelopes held in limbo (reordered or delayed).
+    /// Envelopes held in limbo (reordered).
     pub held: u64,
     /// Envelopes swallowed because an endpoint was crashed.
     pub crash_swallowed: u64,
@@ -56,6 +54,9 @@ pub struct FaultInjector {
     held: AtomicU64,
     crash_swallowed: AtomicU64,
 }
+
+/// Most later sends a reordered envelope is held for.
+const REORDER_DEPTH: u64 = 4;
 
 /// splitmix64: independent 64-bit hash per (seed, event) pair.
 ///
@@ -170,14 +171,6 @@ impl FaultInjector {
                 self.crashed.store(true, Ordering::Release);
             }
         }
-        if let Some(s) = self.plan.slow {
-            if n >= s.after_sends && env.src == s.machine && s.extra_ns > 0 {
-                let start = Instant::now();
-                while (start.elapsed().as_nanos() as u64) < s.extra_ns {
-                    std::hint::spin_loop();
-                }
-            }
-        }
 
         // Release limbo traffic that has come due on the virtual clock.
         {
@@ -193,6 +186,9 @@ impl FaultInjector {
             }
         }
 
+        // Each die reads its own slice of `h` (bits 0, 10, 20; the hold
+        // length bit 40). The positions are what a seed means: moving one
+        // changes the schedule of every seed the harnesses have searched.
         let h = mix(self.plan.seed, n);
         if PerMille::vetted(self.plan.drop_per_mille).hit(h) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -211,20 +207,12 @@ impl FaultInjector {
             return;
         }
         if PerMille::vetted(self.plan.reorder_per_mille).hit(h >> 20) {
-            let hold = 1 + (h >> 40) % self.plan.reorder_depth.max(1) as u64;
+            let hold = 1 + (h >> 40) % REORDER_DEPTH;
             self.held.fetch_add(1, Ordering::Relaxed);
             self.limbo
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .push((n + hold, env));
-            return;
-        }
-        if PerMille::vetted(self.plan.delay_per_mille).hit(h >> 30) {
-            self.held.fetch_add(1, Ordering::Relaxed);
-            self.limbo
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push((n + self.plan.delay_sends.max(1), env));
             return;
         }
         self.deliver(env, out);
@@ -311,14 +299,12 @@ mod tests {
 
     #[test]
     fn reordered_traffic_is_released_not_lost() {
-        let mut plan = FaultPlan::lossy(7, 0, 0, 200);
-        plan.reorder_depth = 4;
-        let (d, c) = run_plan(plan, 2000);
+        let (d, c) = run_plan(FaultPlan::lossy(7, 0, 0, 200), 2000);
         let delivered: usize = d.iter().sum();
         assert!(c.held > 0);
-        // Only envelopes held within the last `reorder_depth` sends can
+        // Only envelopes held within the last `REORDER_DEPTH` sends can
         // still sit in limbo; everything else must have been released.
-        assert!(delivered >= 2000 - plan.reorder_depth as usize);
+        assert!(delivered >= 2000 - REORDER_DEPTH as usize);
         assert_eq!(c.dropped, 0);
     }
 

@@ -61,8 +61,8 @@ pub use cancel::{CancelReason, CancelToken};
 pub use checkpoint::{Checkpoint, CheckpointStore, JobProgress};
 pub use cluster::Cluster;
 pub use config::{
-    AdaptiveFlushConfig, ChunkingMode, Config, ConfigBuilder, CrashPlan, FaultPlan, NetConfig,
-    PartitioningMode, RecoveryConfig, ReliabilityConfig, ServeConfig, SlowPlan, TelemetryConfig,
+    AdaptiveFlushConfig, ChunkingMode, Config, ConfigBuilder, CrashPlan, FaultPlan,
+    PartitioningMode, RecoveryConfig, ReliabilityConfig, ServeConfig, TelemetryConfig,
     TransportBackend, TransportConfig,
 };
 pub use flow::FlushController;

@@ -457,7 +457,7 @@ pub fn decode_abort(payload: &[u8]) -> Option<u16> {
 
 /// Byte length of the versioned frame header every TCP-transported
 /// envelope is prefixed with. Distinct from [`HEADER_BYTES`], which is the
-/// *accounted* (cost-model) overhead charged per message on all backends.
+/// *accounted* overhead charged per message on all backends.
 pub const FRAME_HEADER_BYTES: usize = 32;
 
 /// Magic constant opening every frame (`b"PGXD"` little-endian).

@@ -32,6 +32,12 @@ use crate::stats::MachineStats;
 /// The copier (request) lane.
 pub const REQUEST_LANE: u32 = 0;
 
+/// Ceiling on the backed-off retransmission timeout, milliseconds.
+pub const RTO_MAX_MS: u64 = 200;
+
+/// Retransmissions of one envelope before its destination is declared dead.
+const MAX_RETRIES: u32 = 12;
+
 /// The lane an envelope travels on: 0 for requests, `1 + worker` for
 /// responses (the worker index is relative to the destination machine).
 #[inline]
@@ -163,7 +169,7 @@ impl Reliability {
 
     /// Collects every unacknowledged envelope whose retransmission timer
     /// expired, doubling its backoff. An envelope that exhausts
-    /// `max_retries` condemns its destination.
+    /// `MAX_RETRIES` condemns its destination.
     pub fn due_retransmits(&self, now: Instant) -> Result<Vec<Envelope>, JobError> {
         let mut store = self.in_flight.lock().unwrap_or_else(|e| e.into_inner());
         let mut out = Vec::new();
@@ -171,7 +177,7 @@ impl Reliability {
             if rec.due > now {
                 continue;
             }
-            if rec.retries >= self.cfg.max_retries {
+            if rec.retries >= MAX_RETRIES {
                 return Err(JobError::MachineDown {
                     machine: rec.env.dst,
                 });
@@ -181,7 +187,7 @@ impl Reliability {
                 .cfg
                 .rto_base_ms
                 .saturating_mul(1u64 << rec.retries.min(32))
-                .min(self.cfg.rto_max_ms);
+                .min(RTO_MAX_MS);
             rec.due = now + Duration::from_millis(backoff);
             out.push(rec.env.clone());
         }
@@ -302,7 +308,7 @@ mod tests {
         let t0 = Instant::now();
         r.register(&mut e, t0);
         let mut t = t0 + Duration::from_secs(3600);
-        for _ in 0..r.config().max_retries {
+        for _ in 0..MAX_RETRIES {
             assert_eq!(r.due_retransmits(t).unwrap().len(), 1);
             t += Duration::from_secs(3600);
         }

@@ -633,13 +633,18 @@ pub fn bootstrap(config: &Config, announce: impl FnOnce(&str)) -> Result<Members
         .coord_addr
         .as_deref()
         .ok_or_else(|| JobError::Protocol("TCP transport requires a coordinator address".into()))?;
-    let timeout = Duration::from_millis(t.connect_timeout_ms);
     if rank == 0 {
         let (h, addr) = bind_coordinator(coord)?;
         announce(&addr.to_string());
-        h.wait_cluster(config.machines, &t.listen_addr, timeout)
+        h.wait_cluster(config.machines, &t.listen_addr, CONNECT_TIMEOUT)
     } else {
-        join(coord, rank, config.machines, &t.listen_addr, timeout)
+        join(
+            coord,
+            rank,
+            config.machines,
+            &t.listen_addr,
+            CONNECT_TIMEOUT,
+        )
     }
 }
 
@@ -664,7 +669,6 @@ struct WireCounters {
     resets_injected: AtomicU64,
     stalls_injected: AtomicU64,
     accepts_refused: AtomicU64,
-    partition_drops: AtomicU64,
     reader_eofs: AtomicU64,
 }
 
@@ -676,16 +680,26 @@ impl WireCounters {
             resets_injected: self.resets_injected.load(Ordering::Relaxed),
             stalls_injected: self.stalls_injected.load(Ordering::Relaxed),
             accepts_refused: self.accepts_refused.load(Ordering::Relaxed),
-            partition_drops: self.partition_drops.load(Ordering::Relaxed),
             reader_eofs: self.reader_eofs.load(Ordering::Relaxed),
         }
     }
 }
 
+/// Upper bound on frame payloads, bytes: no send exceeds it
+/// (`Config::validate` holds `buffer_bytes` under it) and the decoder
+/// rejects a larger declared length — a sanity check against garbage or
+/// hostile length fields.
+pub const MAX_FRAME_BYTES: usize = 4 << 20;
+
+/// How long bootstrap keeps retrying connects / waiting for peers.
+const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// How long a [`WireFaultKind::Stall`] holds a frame between header and
+/// payload.
+const STALL: Duration = Duration::from_millis(2);
+
 /// Knobs for [`TcpTransport::new`] beyond the membership itself.
 pub struct TcpOptions {
-    /// Upper bound on accepted frame payloads, bytes.
-    pub max_frame: usize,
     /// Capacity hint for received entry payloads (kinds with
     /// [`MsgKind::recycles_payload`]): allocating at the machine's pool
     /// buffer size lets the copier recycle them into its pool, balancing
@@ -697,33 +711,27 @@ pub struct TcpOptions {
     /// into; a dry bucket turns a reconnect storm into a structured
     /// [`JobError::RetryBudgetExhausted`].
     pub retry_budget: Arc<RetryBudget>,
-    /// Deadline for one send's reconnect loop, milliseconds.
-    pub connect_timeout_ms: u64,
 }
 
 impl TcpOptions {
-    /// Plain options: no faults, unbudgeted retries, 30 s redial window.
-    pub fn new(max_frame: usize, recv_capacity: usize) -> Self {
+    /// Plain options: no faults, unbudgeted retries.
+    pub fn new(recv_capacity: usize) -> Self {
         TcpOptions {
-            max_frame,
             recv_capacity,
             wire_fault: WireFaultPlan::none(),
             retry_budget: Arc::new(RetryBudget::unlimited()),
-            connect_timeout_ms: 30_000,
         }
     }
 
     /// What a cluster built from `config` runs its sockets with.
     pub fn from_config(config: &Config) -> Self {
         TcpOptions {
-            max_frame: config.transport.max_frame_bytes,
             recv_capacity: config.buffer_bytes,
-            wire_fault: config.transport.wire_fault,
+            wire_fault: config.wire_fault,
             retry_budget: Arc::new(RetryBudget::new(
                 config.serve.retry_budget_tokens,
                 config.serve.retry_budget_refill_ms,
             )),
-            connect_timeout_ms: config.transport.connect_timeout_ms,
         }
     }
 }
@@ -739,11 +747,9 @@ struct Shared {
     book: Vec<String>,
     health: Arc<ClusterHealth>,
     closing: AtomicBool,
-    max_frame: usize,
     recv_capacity: usize,
     wire_fault: WireFaultPlan,
     retry_budget: Arc<RetryBudget>,
-    connect_timeout: Duration,
     /// Monotonic remote-send counter: the wire-fault dice input.
     send_counter: AtomicU64,
     /// Accepts the plan still owes a refusal.
@@ -839,11 +845,9 @@ impl TcpTransport {
                 book,
                 health,
                 closing: AtomicBool::new(false),
-                max_frame: opts.max_frame,
                 recv_capacity: opts.recv_capacity,
                 wire_fault: opts.wire_fault,
                 retry_budget: opts.retry_budget,
-                connect_timeout: Duration::from_millis(opts.connect_timeout_ms.max(1)),
                 send_counter: AtomicU64::new(0),
                 refuse_remaining: AtomicU32::new(opts.wire_fault.refuse_accepts),
                 counters: WireCounters::default(),
@@ -939,7 +943,7 @@ impl Shared {
                 }
                 return;
             }
-            let fh = match decode_frame_header(&header, shared.max_frame) {
+            let fh = match decode_frame_header(&header, MAX_FRAME_BYTES) {
                 Ok(fh) => fh,
                 Err(e) => {
                     shared.health.abort(transport_err(
@@ -982,16 +986,16 @@ impl Shared {
     }
 
     /// Redials `peer`'s data listener after a failed send, paying the
-    /// retry budget per attempt, with bounded backoff until the connect
-    /// timeout. Returns the fresh, introduced (`HELLO`-sent) stream.
+    /// retry budget per attempt, with bounded backoff until the redial
+    /// window closes. Returns the fresh, introduced (`HELLO`-sent) stream.
     fn redial(self: &Arc<Self>, peer: MachineId, lane: usize) -> Result<TcpStream, JobError> {
-        // The connect timeout is sized for bootstrap (peers may not have
+        // `CONNECT_TIMEOUT` is sized for bootstrap (peers may not have
         // started yet); a redial talks to a peer that was already up, so a
         // much shorter window separates "transient blip" from "dead" — and
         // keeps the poller thread (which holds the lane lock through this
         // call) from starving the watchdog for tens of seconds.
-        const REDIAL_CAP: Duration = Duration::from_millis(2_000);
-        let deadline = Instant::now() + self.connect_timeout.min(REDIAL_CAP);
+        const REDIAL_WINDOW: Duration = Duration::from_millis(2_000);
+        let deadline = Instant::now() + REDIAL_WINDOW;
         let mut backoff = Duration::from_millis(5);
         let addr = &self.book[peer as usize];
         loop {
@@ -1206,13 +1210,12 @@ impl Transport for TcpTransport {
                 env.dst
             )));
         };
-        if env.payload.len() > shared.max_frame {
+        if env.payload.len() > MAX_FRAME_BYTES {
             return Err(transport_err(
                 TransportErrorKind::FrameDecode,
                 format!(
-                    "payload of {} bytes exceeds the {}-byte frame bound",
+                    "payload of {} bytes exceeds the {MAX_FRAME_BYTES}-byte frame bound",
                     env.payload.len(),
-                    shared.max_frame
                 ),
             ));
         }
@@ -1222,15 +1225,6 @@ impl Transport for TcpTransport {
         let mut stall = None;
         if plan.is_active() {
             let counter = shared.send_counter.fetch_add(1, Ordering::Relaxed);
-            if plan.partitioned(shared.rank, env.dst, counter) {
-                // Swallowed by the partition window: the reliability
-                // layer's retransmits repair this once the window closes.
-                shared
-                    .counters
-                    .partition_drops
-                    .fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
             match plan.draw(counter) {
                 WireFaultKind::Deliver => {}
                 WireFaultKind::Reset => {
@@ -1249,7 +1243,7 @@ impl Transport for TcpTransport {
                         .counters
                         .stalls_injected
                         .fetch_add(1, Ordering::Relaxed);
-                    stall = Some(Duration::from_millis(plan.stall_ms));
+                    stall = Some(STALL);
                 }
             }
         }
@@ -1398,7 +1392,7 @@ mod tests {
         let mk = |m: Membership| {
             let health = Arc::new(ClusterHealth::new(2));
             let rank = m.rank;
-            let t = TcpTransport::new(m, health.clone(), TcpOptions::new(1 << 20, 1024)).unwrap();
+            let t = TcpTransport::new(m, health.clone(), TcpOptions::new(1024)).unwrap();
             let (eps, mut rxs) = make_endpoints(1, 2);
             t.register_endpoint(rank, eps[0].clone()).unwrap();
             (Arc::new(t), rxs.remove(0), health)

@@ -39,6 +39,10 @@ use crate::jobctx::JobCtx;
 use crate::jobctx::JobWire;
 use crate::stats::MachineStats;
 
+/// Trace-ring slots per worker (the ring overwrites its oldest events on
+/// overflow).
+const RING_CAPACITY: usize = 4096;
+
 /// Per-machine telemetry registry. See the module docs.
 pub struct Telemetry {
     enabled: bool,
@@ -88,7 +92,7 @@ impl Telemetry {
                 Vec::new()
             },
             tracers: (0..config.workers)
-                .map(|_| Tracer::new(config.telemetry.ring_capacity, enabled))
+                .map(|_| Tracer::new(RING_CAPACITY, enabled))
                 .collect(),
             job_active: AtomicU64::new(0),
             job_msgs_sent: AtomicU64::new(0),

@@ -1,9 +1,9 @@
 //! The pluggable transport layer beneath [`Fabric`](crate::fabric::Fabric).
 //!
 //! [`Fabric`](crate::fabric::Fabric) owns everything backend-agnostic —
-//! send-side statistics, the [`NetConfig`](crate::config::NetConfig) cost
-//! model, and [`FaultPlan`](crate::config::FaultPlan) chaos injection — and
-//! delegates actual delivery to a [`Transport`]. Two backends exist:
+//! send-side statistics and [`FaultPlan`](crate::config::FaultPlan) chaos
+//! injection — and delegates actual delivery to a [`Transport`]. Two
+//! backends exist:
 //!
 //! * [`InMemoryTransport`] — the original single-process channel switch.
 //!   Every machine's queues live in one address space and `send` is a
@@ -111,8 +111,6 @@ pub struct WireCountersSnapshot {
     pub stalls_injected: u64,
     /// Inbound accepts refused by the plan.
     pub accepts_refused: u64,
-    /// Envelopes silently swallowed by the plan's partition window.
-    pub partition_drops: u64,
     /// Reader threads that exited on an unexpected (non-teardown) EOF or
     /// reset — each is a suspected peer awaiting reconnect or watchdog.
     pub reader_eofs: u64,
@@ -125,7 +123,6 @@ impl std::ops::AddAssign for WireCountersSnapshot {
         self.resets_injected += w.resets_injected;
         self.stalls_injected += w.stalls_injected;
         self.accepts_refused += w.accepts_refused;
-        self.partition_drops += w.partition_drops;
         self.reader_eofs += w.reader_eofs;
     }
 }

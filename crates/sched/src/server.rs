@@ -56,6 +56,14 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// Most jobs one session may have in flight (dispatched, not yet
+/// completed); a queued job whose session is at the cap is skipped — not
+/// dropped — until a slot frees up.
+const SESSION_CAP: usize = 16;
+
+/// Retry-after hint carried by `JobError::Overloaded` rejections.
+const BROWNOUT_RETRY_AFTER_MS: u64 = 50;
+
 type JobResult = Result<Box<dyn Any + Send>, JobError>;
 type BoxedJob<E> = Box<dyn FnOnce(&mut E, &CancelToken) -> JobResult + Send>;
 /// What the dispatcher sends back per job: the typed result plus the
@@ -298,7 +306,7 @@ impl<E: ServeEngine> Session<E> {
         &self.name
     }
 
-    /// Submits a job with the config's default deadline (if any).
+    /// Submits a job with no deadline.
     ///
     /// `props` is the number of property columns the job expects to
     /// create — the admission-control input. `f` runs on the dispatcher
@@ -309,15 +317,13 @@ impl<E: ServeEngine> Session<E> {
         T: Send + 'static,
         F: FnOnce(&mut E, &CancelToken) -> Result<T, JobError> + Send + 'static,
     {
-        let default = self.shared.config.default_deadline_ms;
-        let deadline = (default > 0).then(|| Duration::from_millis(default));
-        self.submit_inner(lane, props, deadline, None, f)
+        self.submit_inner(lane, props, None, None, f)
     }
 
     /// [`Session::submit`] for compiled work: attaches a rendered
     /// execution plan that travels into the completion [`JobReport`]
     /// (`report.plan`), so traces show what a declarative query compiled
-    /// to. `deadline` of `None` falls back to the config default.
+    /// to.
     pub fn submit_with_plan<T, F>(
         &self,
         lane: Lane,
@@ -330,10 +336,6 @@ impl<E: ServeEngine> Session<E> {
         T: Send + 'static,
         F: FnOnce(&mut E, &CancelToken) -> Result<T, JobError> + Send + 'static,
     {
-        let deadline = deadline.or_else(|| {
-            let default = self.shared.config.default_deadline_ms;
-            (default > 0).then(|| Duration::from_millis(default))
-        });
         self.submit_inner(lane, props, deadline, Some(plan), f)
     }
 
@@ -426,7 +428,7 @@ impl<E: ServeEngine> Session<E> {
             if st.browned_out && lane == Lane::Batch {
                 stats.jobs_rejected.fetch_add(1, Ordering::Relaxed);
                 return Err(JobError::Overloaded {
-                    retry_after_ms: shared.config.brownout_retry_after_ms,
+                    retry_after_ms: BROWNOUT_RETRY_AFTER_MS,
                 });
             }
         }
@@ -522,7 +524,7 @@ impl<E: ServeEngine> JobServer<E> {
         base_profile.live_props = 0;
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
-                sched: Scheduler::new(config.queue_depth, config.lane_weights, config.session_cap),
+                sched: Scheduler::new(config.queue_depth, config.lane_weights, SESSION_CAP),
                 queued: HashMap::new(),
                 session_props: HashMap::new(),
                 retired_sessions: Vec::new(),
@@ -1084,7 +1086,6 @@ mod tests {
         cfg.queue_depth = 4;
         cfg.brownout_shed_per_mille = 500; // shed at 2 queued
         cfg.brownout_reopen_per_mille = 250; // reopen at ≤ 1 queued
-        cfg.brownout_retry_after_ms = 40;
         let server = JobServer::start(MockEngine::new(), cfg);
         let session = server.session("s");
         let (block_tx, block_rx) = mpsc::channel::<()>();
@@ -1105,11 +1106,16 @@ mod tests {
             .submit(Lane::Batch, 0, |_: &mut MockEngine, _| Ok(()))
             .unwrap();
         // Occupancy 2 ≥ shed threshold: gate closes, batch is shed with
-        // the configured hint...
+        // the retry-after hint...
         let err = session
             .submit(Lane::Batch, 0, |_: &mut MockEngine, _| Ok(()))
             .unwrap_err();
-        assert!(matches!(err, JobError::Overloaded { retry_after_ms: 40 }));
+        assert_eq!(
+            err,
+            JobError::Overloaded {
+                retry_after_ms: BROWNOUT_RETRY_AFTER_MS
+            }
+        );
         assert!(err.is_transient(), "Overloaded must invite a retry");
         // ...and stays closed for batch while occupancy holds...
         assert!(matches!(

@@ -5,7 +5,7 @@
 //! cargo run -p pgxd-examples --release --bin quickstart
 //! ```
 
-use pgxd::Engine;
+use pgxd::{BuildEngine, Config};
 use pgxd_algorithms::try_pagerank_pull;
 use pgxd_graph::generate::{rmat, RmatParams};
 
@@ -22,12 +22,12 @@ fn main() {
     // 2. An engine: 4 simulated machines, edge partitioning, ghost nodes
     //    for vertices with degree > 256 — all defaults of the paper's
     //    design, tunable through the builder.
-    let mut engine = Engine::builder()
+    let mut engine = Config::builder()
         .machines(4)
         .workers(2)
         .copiers(1)
         .ghost_threshold(Some(256))
-        .build(&graph)
+        .engine(&graph)
         .expect("engine construction");
     println!(
         "cluster: {} machines, {} ghost nodes selected",

@@ -7,7 +7,7 @@
 //! cargo run -p pgxd-examples --release --bin road_routing
 //! ```
 
-use pgxd::Engine;
+use pgxd::{BuildEngine, Config};
 use pgxd_algorithms::{try_hopdist, try_sssp};
 use pgxd_graph::generate::grid;
 
@@ -23,12 +23,12 @@ fn main() {
         graph.num_edges()
     );
 
-    let mut engine = Engine::builder()
+    let mut engine = Config::builder()
         .machines(4)
         .workers(1)
         .copiers(1)
         .ghost_threshold(Some(64)) // no hubs in a grid: selects nothing
-        .build(&graph)
+        .engine(&graph)
         .expect("engine");
     assert_eq!(
         engine.cluster().ghosts().len(),

@@ -13,7 +13,7 @@
 //! ```
 
 use pgxd::vector::DistVec;
-use pgxd::{Engine, ReduceOp};
+use pgxd::{BuildEngine, Config, ReduceOp};
 use pgxd_graph::generate;
 
 const SENSORS: usize = 200_000;
@@ -22,10 +22,10 @@ fn main() {
     // The "graph" only supplies the index space 0..n (a ring keeps every
     // machine non-empty under edge partitioning).
     let domain = generate::ring(SENSORS);
-    let mut engine = Engine::builder()
+    let mut engine = Config::builder()
         .machines(4)
         .workers(2)
-        .build(&domain)
+        .engine(&domain)
         .expect("engine");
     println!("distributed domain: {SENSORS} sensors over 4 machines");
 

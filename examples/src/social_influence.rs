@@ -9,7 +9,7 @@
 //! cargo run -p pgxd-examples --release --bin social_influence
 //! ```
 
-use pgxd::Engine;
+use pgxd::{BuildEngine, Config};
 use pgxd_algorithms::{try_pagerank_approx, try_wcc};
 use pgxd_graph::generate::{rmat, RmatParams};
 use std::collections::HashMap;
@@ -26,12 +26,12 @@ fn main() {
         stats.top1pct_share * 100.0
     );
 
-    let mut engine = Engine::builder()
+    let mut engine = Config::builder()
         .machines(4)
         .workers(2)
         .copiers(1)
         .ghost_threshold(Some(512)) // replicate celebrity accounts
-        .build(&graph)
+        .engine(&graph)
         .expect("engine");
     println!(
         "{} celebrity accounts ghosted across machines",

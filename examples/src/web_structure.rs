@@ -9,7 +9,7 @@
 //! cargo run -p pgxd-examples --release --bin web_structure
 //! ```
 
-use pgxd::{Dir, EdgeCtx, EdgeTask, Engine, JobSpec, Prop, ReadDoneCtx};
+use pgxd::{BuildEngine, Config, Dir, EdgeCtx, EdgeTask, JobSpec, Prop, ReadDoneCtx};
 use pgxd_algorithms::{try_eigenvector, try_kcore};
 use pgxd_graph::generate::{rmat, RmatParams};
 
@@ -46,12 +46,12 @@ fn main() {
         graph.num_edges()
     );
 
-    let mut engine = Engine::builder()
+    let mut engine = Config::builder()
         .machines(4)
         .workers(2)
         .copiers(1)
         .ghost_threshold(Some(256))
-        .build(&graph)
+        .engine(&graph)
         .expect("engine");
 
     // 1. Authority: eigenvector centrality (pull-based power iteration).

@@ -7,6 +7,13 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== examples (the five public example programs, each asserting its own checks) =="
+# They run on the benchmark preset (`Config::builder()`), not the unit-test
+# one; under a second in total from the binaries the build gate just made.
+for example in quickstart social_influence road_routing web_structure sensor_analytics; do
+    cargo run --release -p pgxd-examples --bin "$example" >/dev/null
+done
+
 echo "== cargo test -q =="
 cargo test -q
 

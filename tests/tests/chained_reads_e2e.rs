@@ -10,7 +10,7 @@
 //! through 64-byte buffers (8 read entries each), on both backends.
 
 use pgxd::{
-    Config, Dir, EdgeCtx, EdgeTask, Engine, EngineBuilder, JobSpec, NodeCtx, NodeTask, Prop,
+    BuildEngine, Config, Dir, EdgeCtx, EdgeTask, Engine, JobSpec, NodeCtx, NodeTask, Prop,
     ReadDoneCtx,
 };
 use pgxd_graph::{generate, Graph};
@@ -107,9 +107,7 @@ fn small_buffers() -> pgxd_runtime::config::ConfigBuilder {
 #[test]
 fn every_chained_continuation_runs_in_memory() {
     let graph = test_graph();
-    let mut engine = EngineBuilder::from_config(small_buffers().build().unwrap())
-        .build(&graph)
-        .unwrap();
+    let mut engine = small_buffers().engine(&graph).unwrap();
     assert_eq!(driver(&mut engine), expected(&graph));
     // The chains crossed machines, in many small messages.
     let stats = engine.cluster().total_stats();

@@ -9,7 +9,7 @@
 //!   `Err(JobError::MachineDown)` in bounded time, every thread joins at
 //!   teardown, and the cluster stays cleanly dead afterwards.
 
-use pgxd::{Engine, FaultPlan, JobError};
+use pgxd::{BuildEngine, Engine, FaultPlan, JobError, ReliabilityConfig};
 use pgxd_algorithms::{try_hopdist, try_pagerank_pull};
 use pgxd_graph::generate;
 use proptest::prelude::*;
@@ -22,8 +22,8 @@ fn engine_with(plan: FaultPlan, g: &pgxd_graph::Graph) -> Engine {
         .machines(MACHINES)
         .workers(2)
         .fault(plan)
-        .reliability(true)
-        .build(g)
+        .reliability(ReliabilityConfig::on())
+        .engine(g)
         .expect("engine")
 }
 

@@ -2,7 +2,7 @@
 //! engine's load-balancing and ghosting features must produce identical
 //! results — the features are performance knobs, never semantic ones.
 
-use pgxd::{ChunkingMode, Engine, PartitioningMode};
+use pgxd::{BuildEngine, ChunkingMode, Engine, PartitioningMode};
 use pgxd_algorithms as algos;
 use pgxd_baselines::seq;
 use pgxd_graph::generate::{self, RmatParams};
@@ -27,7 +27,7 @@ fn build(
         .ghost_privatization(privatize)
         .chunk_edges(512) // small chunks exercise the queue
         .buffer_bytes(1 << 10) // tiny buffers exercise sealing
-        .build(g)
+        .engine(g)
         .unwrap()
 }
 
@@ -133,7 +133,7 @@ fn tiny_buffers_force_many_messages_same_result() {
         .copiers(2)
         .buffer_bytes(64)
         .ghost_threshold(None)
-        .build(&g)
+        .engine(&g)
         .unwrap();
     let got = algos::try_pagerank_pull(&mut e, 0.85, 4, 0.0).unwrap();
     for (r, x) in reference.iter().zip(&got.scores) {

@@ -9,7 +9,7 @@
 //! them must be bit-identical; then the 3-machine checkpoint is restored,
 //! degraded, on 2 machines in both shapes.
 
-use pgxd::{Checkpoint, Config, Engine, EngineBuilder, Prop, ReduceOp};
+use pgxd::{BuildEngine, Checkpoint, Config, Engine, Prop, ReduceOp};
 use pgxd_graph::{generate, Graph, NodeId};
 use pgxd_runtime::config::ConfigBuilder;
 use std::sync::Arc;
@@ -115,11 +115,7 @@ fn degraded_restore(engine: &mut Engine, ckpt: &Checkpoint) -> Vec<Vec<u64>> {
 #[test]
 fn both_shapes_return_the_same_bits_from_every_driver_operation() {
     let g = graph();
-    let in_process = |machines| {
-        EngineBuilder::from_config(config(machines).build().unwrap())
-            .build(&g)
-            .unwrap()
-    };
+    let in_process = |machines| config(machines).engine(&g).unwrap();
 
     let (want, want_ckpt) = script(&mut in_process(3));
     let ranks = pgxd::loopback_ranks(3, |rank| {

@@ -1,7 +1,7 @@
 //! End-to-end integration: full algorithm pipelines on the distributed
 //! engine validated against the sequential references, across crates.
 
-use pgxd::Engine;
+use pgxd::{BuildEngine, Engine};
 use pgxd_algorithms as algos;
 use pgxd_baselines::seq;
 use pgxd_graph::generate::{self, RmatParams};
@@ -12,7 +12,7 @@ fn engine(machines: usize, g: &pgxd_graph::Graph) -> Engine {
         .workers(2)
         .copiers(1)
         .ghost_threshold(Some(64))
-        .build(g)
+        .engine(g)
         .unwrap()
 }
 

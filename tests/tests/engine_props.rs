@@ -2,7 +2,7 @@
 //! with the sequential references on *arbitrary* graphs and
 //! configurations, and core invariants must hold under random workloads.
 
-use pgxd::{Dir, EdgeCtx, EdgeTask, Engine, JobSpec, NodeCtx, Prop, ReduceOp};
+use pgxd::{BuildEngine, Dir, EdgeCtx, EdgeTask, Engine, JobSpec, NodeCtx, Prop, ReduceOp};
 use pgxd_algorithms as algos;
 use pgxd_baselines::seq;
 use pgxd_graph::builder::graph_from_edges;
@@ -32,7 +32,7 @@ fn engine(machines: usize, ghosts: Option<usize>, g: &Graph) -> Engine {
         .buffer_bytes(256)
         .chunk_edges(64)
         .ghost_threshold(ghosts)
-        .build(g)
+        .engine(g)
         .unwrap()
 }
 

@@ -10,7 +10,7 @@
 //! [`JobReport`]: pgxd::serve::JobReport
 
 use pgxd::serve::{JobOutcome, JobReport, Lane};
-use pgxd::Engine;
+use pgxd::{BuildEngine, Engine, TelemetryConfig};
 use pgxd_algorithms as algos;
 use pgxd_graph::generate::{self, RmatParams};
 use pgxd_runtime::stats::StatsSnapshot;
@@ -24,8 +24,8 @@ fn engine(g: &pgxd_graph::Graph) -> Engine {
         .machines(MACHINES)
         .workers(2)
         .copiers(1)
-        .telemetry(true)
-        .build(g)
+        .telemetry(TelemetryConfig::on())
+        .engine(g)
         .unwrap()
 }
 

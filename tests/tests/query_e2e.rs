@@ -9,7 +9,7 @@
 
 use pgxd::query::{compile, execute, QuerySessionExt, QuerySubmitError};
 use pgxd::serve::{Lane, ServeEngine};
-use pgxd::{CancelToken, Engine, JobError};
+use pgxd::{BuildEngine, CancelToken, Engine, JobError};
 use pgxd_algorithms as algos;
 use pgxd_graph::generate::{self, rmat, RmatParams};
 use std::time::Duration;
@@ -25,7 +25,7 @@ fn engine(machines: usize, g: &pgxd_graph::Graph) -> Engine {
         .machines(machines)
         .workers(2)
         .copiers(1)
-        .build(g)
+        .engine(g)
         .unwrap()
 }
 

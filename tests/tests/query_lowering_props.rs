@@ -19,7 +19,7 @@
 //! filter (what the whole-column prefill did), `filtered_pull` does.
 
 use pgxd::query::{execute, OptReport, Plan, Program, QueryResult, Span, TraverseMode, Ty, Val};
-use pgxd::{CancelToken, Engine, ReduceOp};
+use pgxd::{BuildEngine, CancelToken, Engine, ReduceOp};
 use pgxd_graph::{generate, Graph, NodeId};
 use pgxd_query::ast::BinOp;
 use pgxd_query::{
@@ -260,7 +260,7 @@ fn run(g: &Graph, cols: &Columns, out_ty: Ty, out_init: Val, job: PStep) -> Vec<
         report: OptReport::default(),
         nodes: g.num_nodes() as u64,
     };
-    let mut engine = Engine::builder().machines(2).build(g).unwrap();
+    let mut engine = Engine::builder().machines(2).engine(g).unwrap();
     match execute(&mut engine, &program, &CancelToken::never()).unwrap() {
         QueryResult::Column { values, .. } => match values {
             pgxd::query::QueryColumn::F64(xs) => xs.into_iter().map(f64::to_bits).collect(),

@@ -13,7 +13,7 @@
 //! * With recovery disabled the PR-3 contract is unchanged: a clean
 //!   `Err(MachineDown)`, no retry.
 
-use pgxd::{Config, Engine, FaultPlan, JobError, TelemetryConfig};
+use pgxd::{BuildEngine, Config, Engine, FaultPlan, JobError, TelemetryConfig};
 use pgxd_algorithms::{
     recoverable_hopdist, recoverable_pagerank_pull, try_hopdist, try_pagerank_pull,
 };
@@ -49,7 +49,7 @@ proptest! {
         let mut clean = Engine::builder()
             .machines(MACHINES)
             .workers(2)
-            .build(&g)
+            .engine(&g)
             .expect("engine");
         let baseline = try_hopdist(&mut clean, 0).unwrap();
         drop(clean);
@@ -75,7 +75,7 @@ fn pagerank_recovers_to_fault_free_fixpoint() {
     let mut clean = Engine::builder()
         .machines(MACHINES)
         .workers(2)
-        .build(&g)
+        .engine(&g)
         .expect("engine");
     let baseline = try_pagerank_pull(&mut clean, 0.85, 30, 0.0).unwrap();
     drop(clean);

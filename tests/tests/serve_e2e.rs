@@ -4,7 +4,7 @@
 //! serving telemetry is populated.
 
 use pgxd::serve::{JobHandle, Lane, ServeEngine};
-use pgxd::{Engine, JobError, JobSpec};
+use pgxd::{BuildEngine, Engine, JobError, JobSpec, TelemetryConfig};
 use pgxd_algorithms as algos;
 use pgxd_graph::generate::{self, RmatParams};
 use std::sync::mpsc;
@@ -15,7 +15,7 @@ fn engine(machines: usize, g: &pgxd_graph::Graph) -> Engine {
         .machines(machines)
         .workers(2)
         .copiers(1)
-        .build(g)
+        .engine(g)
         .unwrap()
 }
 
@@ -236,8 +236,8 @@ fn serving_telemetry_is_populated() {
         .machines(2)
         .workers(2)
         .copiers(1)
-        .telemetry(true)
-        .build(&g)
+        .telemetry(TelemetryConfig::on())
+        .engine(&g)
         .unwrap()
         .into_server();
     let session = server.session("t");

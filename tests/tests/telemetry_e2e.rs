@@ -2,7 +2,7 @@
 //! metrics report must be well-formed and complete, and enabling the
 //! instruments must not change what the engine puts on the wire.
 
-use pgxd::{ChunkingMode, Engine, PartitioningMode};
+use pgxd::{BuildEngine, ChunkingMode, Engine, PartitioningMode, TelemetryConfig};
 use pgxd_algorithms as algos;
 use pgxd_graph::generate::{self, RmatParams};
 use pgxd_runtime::stats::StatsSnapshot;
@@ -17,8 +17,8 @@ fn engine(machines: usize, workers: usize, telemetry: bool, g: &pgxd_graph::Grap
         .ghost_threshold(Some(64))
         .partitioning(PartitioningMode::Edge)
         .chunking(ChunkingMode::Edge)
-        .telemetry(telemetry)
-        .build(g)
+        .telemetry(TelemetryConfig { enabled: telemetry })
+        .engine(g)
         .unwrap()
 }
 

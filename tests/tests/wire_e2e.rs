@@ -9,7 +9,7 @@
 //!   graph, same partitions, same rank-ordered reduce fold, different
 //!   wire.
 
-use pgxd::{Config, EngineBuilder, TransportConfig};
+use pgxd::{BuildEngine, Config, TransportConfig};
 use pgxd_algorithms as algos;
 use pgxd_graph::generate;
 use pgxd_runtime::config::ConfigBuilder;
@@ -118,7 +118,7 @@ proptest! {
 /// rejects only *strictly* larger declarations).
 #[test]
 fn frame_roundtrips_at_max_frame_size() {
-    let max = 4 << 20; // the TransportConfig::in_memory() default bound
+    let max = pgxd_runtime::tcp::MAX_FRAME_BYTES;
     let env = Envelope {
         src: 7,
         dst: 3,
@@ -165,9 +165,7 @@ fn driver(engine: &mut pgxd::Engine) -> (Vec<u64>, Vec<i64>, Vec<u32>) {
 fn loopback_tcp_cluster_matches_in_memory_bit_identically() {
     // Reference: the default in-memory backend, same machine count.
     let graph = test_graph();
-    let mut reference = EngineBuilder::from_config(two_by_two().build().unwrap())
-        .build(&graph)
-        .unwrap();
+    let mut reference = two_by_two().engine(&graph).unwrap();
     let expected = driver(&mut reference);
     drop(reference);
 
@@ -268,9 +266,7 @@ fn loopback_survivors_recover_from_abrupt_peer_death() {
     // Reference fixpoint: same stepwise algorithm, in-memory backend.
     let graph = test_graph();
     let expected: Vec<f64> = {
-        let mut e = EngineBuilder::from_config(machines().build().unwrap())
-            .build(&graph)
-            .unwrap();
+        let mut e = machines().engine(&graph).unwrap();
         pagerank().run_to_completion(&mut e).unwrap().scores
     };
 
@@ -284,10 +280,10 @@ fn loopback_survivors_recover_from_abrupt_peer_death() {
             .reliability(ReliabilityConfig {
                 tick_ms: 1,
                 rto_base_ms: 10,
+                watchdog_ms: 400,
                 ..ReliabilityConfig::on()
             })
             .checkpoint_every(CKPT_EVERY)
-            .heartbeat_deadline_ms(400)
             .build()
             .unwrap();
         // The abrupt death: the victim's first attempt fails for good as
@@ -338,9 +334,7 @@ fn loopback_survivors_recover_from_abrupt_peer_death() {
 fn tcp_backend_rejects_single_process_assembly() {
     let graph = generate::ring(16);
     let config = two_by_two().transport(TransportConfig::tcp("127.0.0.1:1", 0));
-    let err = EngineBuilder::from_config(config.build().unwrap())
-        .build(&graph)
-        .unwrap_err();
+    let err = config.engine(&graph).unwrap_err();
     assert!(
         err.contains("load_node"),
         "in-process assembly of a TCP config must point at Cluster::load_node, got: {err}"
