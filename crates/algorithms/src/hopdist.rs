@@ -2,12 +2,10 @@
 //! Breadth-first traversal from the root", Table 2). Level-synchronous
 //! frontier expansion with a `Min` push of `hops + 1`.
 
-use pgxd::recover::{Recovered, RecoveryDriver, ResumableAlgorithm, StepOutcome};
+use pgxd::recover::{ResumableAlgorithm, StepOutcome};
 use pgxd::{
-    Config, Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop,
-    ReduceOp,
+    Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop, ReduceOp,
 };
-use pgxd_graph::Graph;
 
 /// Result of a hop-distance traversal.
 #[derive(Clone, Debug)]
@@ -51,58 +49,10 @@ impl NodeTask for Advance {
     }
 }
 
-/// Breadth-first hop distances from `root` along out-edges. Returns `Err`
-/// instead of panicking when the cluster aborts mid-job (machine crash,
-/// retry exhaustion).
-pub fn try_hopdist(engine: &mut Engine, root: NodeId) -> Result<HopDistResult, JobError> {
-    let hops = engine.add_prop("hop_dist", i64::MAX);
-    let nxt = engine.add_prop("hop_nxt", i64::MAX);
-    let frontier = engine.add_prop("hop_frontier", false);
-
-    engine.set(hops, root, 0i64);
-    engine.set(frontier, root, true);
-
-    let run = |engine: &mut Engine, iterations: &mut usize| -> Result<(), JobError> {
-        while engine.count_true(frontier) > 0 {
-            *iterations += 1;
-            engine.try_run_edge_job(
-                Dir::Out,
-                &JobSpec::new().reduce(nxt, ReduceOp::Min),
-                Expand {
-                    hops,
-                    nxt,
-                    frontier,
-                },
-            )?;
-            engine.try_run_node_job(
-                &JobSpec::new(),
-                Advance {
-                    hops,
-                    nxt,
-                    frontier,
-                },
-            )?;
-        }
-        Ok(())
-    };
-    let mut iterations = 0;
-    let outcome = run(engine, &mut iterations);
-
-    // Always release the scratch properties, even on a failed job.
-    let out = engine.gather(hops);
-    engine.drop_prop(hops);
-    engine.drop_prop(nxt);
-    engine.drop_prop(frontier);
-    outcome?;
-    Ok(HopDistResult {
-        hops: out,
-        iterations,
-    })
-}
-
-/// BFS decomposed into driver-visible levels for the recovery driver. The
-/// frontier lives in a checkpointed bool property, so a restored attempt
-/// resumes expansion exactly where the snapshot left it.
+/// BFS decomposed into driver-visible levels: the one body behind
+/// [`try_hopdist`] and the form the recovery driver checkpoints between.
+/// The frontier lives in a checkpointed bool property, so a restored
+/// attempt resumes expansion exactly where the snapshot left it.
 pub struct ResumableHopDist {
     root: NodeId,
     iterations: usize,
@@ -179,15 +129,11 @@ impl ResumableAlgorithm for ResumableHopDist {
     }
 }
 
-/// [`try_hopdist`] with automatic recovery: restarts on a degraded cluster
-/// from the last checkpoint after a machine loss (per `config.recovery`).
-pub fn recoverable_hopdist(
-    graph: &Graph,
-    config: Config,
-    root: NodeId,
-) -> Result<Recovered<HopDistResult>, JobError> {
-    let driver = RecoveryDriver::new(graph, config).map_err(JobError::Protocol)?;
-    driver.run(&mut ResumableHopDist::new(root))
+/// Breadth-first hop distances from `root` along out-edges. Returns `Err`
+/// instead of panicking when the cluster aborts mid-job (machine crash,
+/// retry exhaustion).
+pub fn try_hopdist(engine: &mut Engine, root: NodeId) -> Result<HopDistResult, JobError> {
+    ResumableHopDist::new(root).run_to_completion(engine)
 }
 
 #[cfg(test)]

@@ -22,11 +22,12 @@
 //!
 //! Every algorithm is fallible: `try_<name>` returns
 //! `Result<_, pgxd::JobError>` — a cluster abort is an expected outcome
-//! under faults, never a panic. PageRank (pull), WCC, SSSP, and Hop Dist
-//! additionally implement [`pgxd::ResumableAlgorithm`] and expose
-//! `recoverable_<name>` entry points that own engine construction, so a
-//! machine loss mid-job triggers checkpoint-based restart on the surviving
-//! machines instead of an error (see `pgxd::recover`).
+//! under faults, never a panic. Exact PageRank and Hop Dist are written
+//! once, as a [`pgxd::ResumableAlgorithm`] ([`ResumablePageRank`],
+//! [`ResumableHopDist`]): `try_<name>` drives that body on the caller's
+//! engine, and `pgxd::RecoveryDriver::run` drives the same body with
+//! checkpoints, so a machine loss mid-job triggers a restart on the
+//! surviving machines instead of an error (see `pgxd::recover`).
 
 pub mod betweenness;
 pub mod eigenvector;
@@ -39,12 +40,12 @@ pub mod wcc;
 
 pub use betweenness::try_betweenness;
 pub use eigenvector::try_eigenvector;
-pub use hopdist::{recoverable_hopdist, try_hopdist, ResumableHopDist};
+pub use hopdist::{try_hopdist, ResumableHopDist};
 pub use kcore::try_kcore;
 pub use mis::try_mis;
 pub use pagerank::{
-    recoverable_pagerank_pull, try_pagerank_approx, try_pagerank_pull, try_pagerank_pull_with,
-    try_pagerank_push, try_pagerank_push_with, ResumablePageRankPull,
+    try_pagerank_approx, try_pagerank_pull, try_pagerank_pull_with, try_pagerank_push,
+    try_pagerank_push_with, ResumablePageRank,
 };
-pub use sssp::{recoverable_sssp, try_sssp, ResumableSssp};
-pub use wcc::{recoverable_wcc, try_wcc, try_wcc_with, ResumableWcc};
+pub use sssp::try_sssp;
+pub use wcc::{try_wcc, try_wcc_with};

@@ -1,11 +1,10 @@
 //! PageRank: the paper's running example (§5.2), in all three variants.
 
-use pgxd::recover::{Recovered, RecoveryDriver, ResumableAlgorithm, StepOutcome};
+use pgxd::recover::{ResumableAlgorithm, StepOutcome};
 use pgxd::{
-    CancelToken, Config, Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask,
-    Prop, ReadDoneCtx, ReduceOp,
+    CancelToken, Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop,
+    ReadDoneCtx, ReduceOp,
 };
-use pgxd_graph::Graph;
 
 /// Result of a PageRank computation.
 #[derive(Clone, Debug)]
@@ -80,138 +79,17 @@ impl NodeTask for Apply {
     }
 }
 
-fn try_pagerank_exact(
-    engine: &mut Engine,
-    damping: f64,
-    max_iters: usize,
-    tol: f64,
+/// Exact PageRank decomposed into driver-visible iterations: the one body
+/// behind [`try_pagerank_pull`] / [`try_pagerank_push`] (driven by
+/// [`ResumableAlgorithm::run_to_completion`]) and the form the recovery
+/// driver checkpoints between and restarts mid-job
+/// (`RecoveryDriver::new(&graph, config)?.run(&mut ResumablePageRank::pull(..))`).
+pub struct ResumablePageRank {
     pull: bool,
-    cancel: &CancelToken,
-) -> Result<PageRankResult, JobError> {
-    let n = engine.num_nodes();
-    let pr = engine.add_prop("pr", 1.0 / n as f64);
-    let tmp = engine.add_prop("pr_tmp", 0.0f64);
-    let nxt = engine.add_prop("pr_nxt", 0.0f64);
-    let diff = engine.add_prop("pr_diff", 0.0f64);
-    let base = (1.0 - damping) / n as f64;
-
-    let run = |engine: &mut Engine, iterations: &mut usize| -> Result<(), JobError> {
-        loop {
-            if *iterations >= max_iters {
-                return Ok(());
-            }
-            *iterations += 1;
-            engine.try_run_node_job_with(&JobSpec::new(), Scale { pr, tmp }, cancel)?;
-            if pull {
-                engine.try_run_edge_job_with(
-                    Dir::In,
-                    &JobSpec::new().read(tmp),
-                    PullKernel { tmp, nxt },
-                    cancel,
-                )?;
-            } else {
-                engine.try_run_edge_job_with(
-                    Dir::Out,
-                    &JobSpec::new().reduce(nxt, ReduceOp::Sum),
-                    PushKernel { tmp, nxt },
-                    cancel,
-                )?;
-            }
-            engine.try_run_node_job_with(
-                &JobSpec::new(),
-                Apply {
-                    pr,
-                    nxt,
-                    diff,
-                    base,
-                    damping,
-                },
-                cancel,
-            )?;
-            // Sequential region: convergence check (driver side).
-            if engine.reduce(diff, ReduceOp::Sum) < tol {
-                return Ok(());
-            }
-        }
-    };
-    let mut iterations = 0;
-    let outcome = run(engine, &mut iterations);
-
-    // Always release the scratch properties, even on a failed job — the
-    // caller may keep using the engine object for diagnostics.
-    let scores = engine.gather(pr);
-    engine.drop_prop(pr);
-    engine.drop_prop(tmp);
-    engine.drop_prop(nxt);
-    engine.drop_prop(diff);
-    outcome?;
-    Ok(PageRankResult { scores, iterations })
-}
-
-/// Exact PageRank with the *data pulling* pattern (in-neighbor reads).
-/// Returns `Err` instead of panicking when the cluster aborts mid-job
-/// (machine crash, retry exhaustion) — a failed run is an expected
-/// outcome under the chaos experiments.
-pub fn try_pagerank_pull(
-    engine: &mut Engine,
     damping: f64,
     max_iters: usize,
     tol: f64,
-) -> Result<PageRankResult, JobError> {
-    try_pagerank_exact(engine, damping, max_iters, tol, true, &CancelToken::never())
-}
-
-/// [`try_pagerank_pull`] with a cancellation token: a fired token stops
-/// the iteration within one chunk and surfaces `JobError::Cancelled` /
-/// `JobError::DeadlineExceeded`; scratch properties are released either
-/// way.
-pub fn try_pagerank_pull_with(
-    engine: &mut Engine,
-    damping: f64,
-    max_iters: usize,
-    tol: f64,
-    cancel: &CancelToken,
-) -> Result<PageRankResult, JobError> {
-    try_pagerank_exact(engine, damping, max_iters, tol, true, cancel)
-}
-
-/// Exact PageRank with the *data pushing* pattern (out-neighbor writes).
-/// Returns `Err` instead of panicking when the cluster aborts mid-job
-/// (machine crash, retry exhaustion).
-pub fn try_pagerank_push(
-    engine: &mut Engine,
-    damping: f64,
-    max_iters: usize,
-    tol: f64,
-) -> Result<PageRankResult, JobError> {
-    try_pagerank_exact(
-        engine,
-        damping,
-        max_iters,
-        tol,
-        false,
-        &CancelToken::never(),
-    )
-}
-
-/// [`try_pagerank_push`] with a cancellation token (see
-/// [`try_pagerank_pull_with`]).
-pub fn try_pagerank_push_with(
-    engine: &mut Engine,
-    damping: f64,
-    max_iters: usize,
-    tol: f64,
-    cancel: &CancelToken,
-) -> Result<PageRankResult, JobError> {
-    try_pagerank_exact(engine, damping, max_iters, tol, false, cancel)
-}
-
-/// Pull-mode PageRank decomposed into driver-visible iterations so the
-/// recovery driver can checkpoint between them and restart mid-job.
-pub struct ResumablePageRankPull {
-    damping: f64,
-    max_iters: usize,
-    tol: f64,
+    cancel: CancelToken,
     iterations: usize,
     props: Option<PrProps>,
 }
@@ -224,19 +102,38 @@ struct PrProps {
     diff: Prop<f64>,
 }
 
-impl ResumablePageRankPull {
-    pub fn new(damping: f64, max_iters: usize, tol: f64) -> Self {
-        ResumablePageRankPull {
+impl ResumablePageRank {
+    /// The *data pulling* pattern (in-neighbor reads).
+    pub fn pull(damping: f64, max_iters: usize, tol: f64) -> Self {
+        Self::new(true, damping, max_iters, tol)
+    }
+
+    /// The *data pushing* pattern (out-neighbor writes).
+    pub fn push(damping: f64, max_iters: usize, tol: f64) -> Self {
+        Self::new(false, damping, max_iters, tol)
+    }
+
+    fn new(pull: bool, damping: f64, max_iters: usize, tol: f64) -> Self {
+        ResumablePageRank {
+            pull,
             damping,
             max_iters,
             tol,
+            cancel: CancelToken::never(),
             iterations: 0,
             props: None,
         }
     }
+
+    /// Every job of every step polls `cancel`: a fired token stops the
+    /// iteration within one chunk.
+    pub fn cancel(mut self, cancel: &CancelToken) -> Self {
+        self.cancel = cancel.clone();
+        self
+    }
 }
 
-impl ResumableAlgorithm for ResumablePageRankPull {
+impl ResumableAlgorithm for ResumablePageRank {
     type Output = PageRankResult;
 
     fn setup(&mut self, engine: &mut Engine) {
@@ -254,20 +151,36 @@ impl ResumableAlgorithm for ResumablePageRankPull {
             return Ok(StepOutcome::Done);
         }
         let PrProps { pr, tmp, nxt, diff } = self.props.expect("setup ran");
-        let base = (1.0 - self.damping) / engine.num_nodes() as f64;
-        engine.try_run_node_job(&JobSpec::new(), Scale { pr, tmp })?;
-        engine.try_run_edge_job(Dir::In, &JobSpec::new().read(tmp), PullKernel { tmp, nxt })?;
-        engine.try_run_node_job(
+        let cancel = &self.cancel;
+        engine.try_run_node_job_with(&JobSpec::new(), Scale { pr, tmp }, cancel)?;
+        if self.pull {
+            engine.try_run_edge_job_with(
+                Dir::In,
+                &JobSpec::new().read(tmp),
+                PullKernel { tmp, nxt },
+                cancel,
+            )?;
+        } else {
+            engine.try_run_edge_job_with(
+                Dir::Out,
+                &JobSpec::new().reduce(nxt, ReduceOp::Sum),
+                PushKernel { tmp, nxt },
+                cancel,
+            )?;
+        }
+        engine.try_run_node_job_with(
             &JobSpec::new(),
             Apply {
                 pr,
                 nxt,
                 diff,
-                base,
+                base: (1.0 - self.damping) / engine.num_nodes() as f64,
                 damping: self.damping,
             },
+            cancel,
         )?;
         self.iterations = iteration as usize + 1;
+        // Sequential region: convergence check (driver side).
         if engine.reduce(diff, ReduceOp::Sum) < self.tol {
             return Ok(StepOutcome::Done);
         }
@@ -296,18 +209,59 @@ impl ResumableAlgorithm for ResumablePageRankPull {
     }
 }
 
-/// [`try_pagerank_pull`] with automatic recovery: owns engine construction
-/// so that on machine loss the job can restart on a degraded cluster from
-/// the last checkpoint (per `config.recovery`).
-pub fn recoverable_pagerank_pull(
-    graph: &Graph,
-    config: Config,
+/// Exact PageRank with the *data pulling* pattern (in-neighbor reads).
+/// Returns `Err` instead of panicking when the cluster aborts mid-job
+/// (machine crash, retry exhaustion) — a failed run is an expected
+/// outcome under the chaos experiments.
+pub fn try_pagerank_pull(
+    engine: &mut Engine,
     damping: f64,
     max_iters: usize,
     tol: f64,
-) -> Result<Recovered<PageRankResult>, JobError> {
-    let driver = RecoveryDriver::new(graph, config).map_err(JobError::Protocol)?;
-    driver.run(&mut ResumablePageRankPull::new(damping, max_iters, tol))
+) -> Result<PageRankResult, JobError> {
+    ResumablePageRank::pull(damping, max_iters, tol).run_to_completion(engine)
+}
+
+/// [`try_pagerank_pull`] with a cancellation token: a fired token stops
+/// the iteration within one chunk and surfaces `JobError::Cancelled` /
+/// `JobError::DeadlineExceeded`; scratch properties are released either
+/// way.
+pub fn try_pagerank_pull_with(
+    engine: &mut Engine,
+    damping: f64,
+    max_iters: usize,
+    tol: f64,
+    cancel: &CancelToken,
+) -> Result<PageRankResult, JobError> {
+    ResumablePageRank::pull(damping, max_iters, tol)
+        .cancel(cancel)
+        .run_to_completion(engine)
+}
+
+/// Exact PageRank with the *data pushing* pattern (out-neighbor writes).
+/// Returns `Err` instead of panicking when the cluster aborts mid-job
+/// (machine crash, retry exhaustion).
+pub fn try_pagerank_push(
+    engine: &mut Engine,
+    damping: f64,
+    max_iters: usize,
+    tol: f64,
+) -> Result<PageRankResult, JobError> {
+    ResumablePageRank::push(damping, max_iters, tol).run_to_completion(engine)
+}
+
+/// [`try_pagerank_push`] with a cancellation token (see
+/// [`try_pagerank_pull_with`]).
+pub fn try_pagerank_push_with(
+    engine: &mut Engine,
+    damping: f64,
+    max_iters: usize,
+    tol: f64,
+    cancel: &CancelToken,
+) -> Result<PageRankResult, JobError> {
+    ResumablePageRank::push(damping, max_iters, tol)
+        .cancel(cancel)
+        .run_to_completion(engine)
 }
 
 /// Delta-push kernel of the approximate variant: only *active* vertices
@@ -499,6 +453,27 @@ mod tests {
         for (a, b) in exact.scores.iter().zip(&approx.scores) {
             assert!((a - b).abs() < 1e-4, "{a} vs {b}");
         }
+    }
+
+    /// A step that fails must not leave the algorithm's columns behind:
+    /// the caller keeps the engine (`run_to_completion` runs `finish` on
+    /// the error path too).
+    #[test]
+    fn failed_step_releases_columns() {
+        let g = generate::ring(16);
+        let mut e = engine(2, &g);
+        let live = |e: &Engine| e.cluster().machine(0).props.live().len();
+        let before = live(&e);
+        let mut failing = pgxd::recover::Scripted::new(
+            ResumablePageRank::pull(0.85, 10, 0.0),
+            |_attempt, iteration| match iteration {
+                2 => Err(JobError::Protocol("scripted".into())),
+                _ => Ok(()),
+            },
+        );
+        let err = failing.run_to_completion(&mut e).unwrap_err();
+        assert!(matches!(err, JobError::Protocol(_)), "{err:?}");
+        assert_eq!(live(&e), before, "a failed run leaked its columns");
     }
 
     #[test]

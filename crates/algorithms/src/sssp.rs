@@ -3,12 +3,9 @@
 //! weights. We generated these values using a uniform random
 //! distribution", §5.2).
 
-use pgxd::recover::{Recovered, RecoveryDriver, ResumableAlgorithm, StepOutcome};
 use pgxd::{
-    Config, Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop,
-    ReduceOp,
+    Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop, ReduceOp,
 };
-use pgxd_graph::Graph;
 
 /// Result of SSSP.
 #[derive(Clone, Debug)]
@@ -89,85 +86,6 @@ pub fn try_sssp(engine: &mut Engine, root: NodeId) -> Result<SsspResult, JobErro
         dist: out,
         iterations,
     })
-}
-
-/// Bellman-Ford decomposed into driver-visible relaxation rounds for the
-/// recovery driver. Distances and the active set are checkpointed
-/// properties, so a restored attempt resumes relaxing mid-wavefront.
-pub struct ResumableSssp {
-    root: NodeId,
-    iterations: usize,
-    props: Option<(Prop<f64>, Prop<f64>, Prop<bool>)>,
-}
-
-impl ResumableSssp {
-    pub fn new(root: NodeId) -> Self {
-        ResumableSssp {
-            root,
-            iterations: 0,
-            props: None,
-        }
-    }
-}
-
-impl ResumableAlgorithm for ResumableSssp {
-    type Output = SsspResult;
-
-    fn setup(&mut self, engine: &mut Engine) {
-        let dist = engine.add_prop("sssp_dist", f64::INFINITY);
-        let nxt = engine.add_prop("sssp_nxt", f64::INFINITY);
-        let active = engine.add_prop("sssp_active", false);
-        engine.set(dist, self.root, 0.0f64);
-        engine.set(active, self.root, true);
-        self.props = Some((dist, nxt, active));
-        self.iterations = 0;
-    }
-
-    fn step(&mut self, engine: &mut Engine, iteration: u64) -> Result<StepOutcome, JobError> {
-        let (dist, nxt, active) = self.props.expect("setup ran");
-        if engine.count_true(active) == 0 {
-            return Ok(StepOutcome::Done);
-        }
-        engine.try_run_edge_job(
-            Dir::Out,
-            &JobSpec::new().reduce(nxt, ReduceOp::Min),
-            Relax { dist, nxt, active },
-        )?;
-        engine.try_run_node_job(&JobSpec::new(), Settle { dist, nxt, active })?;
-        self.iterations = iteration as usize + 1;
-        Ok(StepOutcome::Continue)
-    }
-
-    fn scalars(&self) -> Vec<u64> {
-        vec![self.iterations as u64]
-    }
-
-    fn restore_scalars(&mut self, scalars: &[u64]) {
-        self.iterations = scalars[0] as usize;
-    }
-
-    fn finish(&mut self, engine: &mut Engine) -> SsspResult {
-        let (dist, nxt, active) = self.props.take().expect("setup ran");
-        let out = engine.gather(dist);
-        engine.drop_prop(dist);
-        engine.drop_prop(nxt);
-        engine.drop_prop(active);
-        SsspResult {
-            dist: out,
-            iterations: self.iterations,
-        }
-    }
-}
-
-/// [`try_sssp`] with automatic recovery: restarts on a degraded cluster
-/// from the last checkpoint after a machine loss (per `config.recovery`).
-pub fn recoverable_sssp(
-    graph: &Graph,
-    config: Config,
-    root: NodeId,
-) -> Result<Recovered<SsspResult>, JobError> {
-    let driver = RecoveryDriver::new(graph, config).map_err(JobError::Protocol)?;
-    driver.run(&mut ResumableSssp::new(root))
 }
 
 #[cfg(test)]

@@ -2,12 +2,10 @@
 //! directions with vertex reactivation ("In WCC, a deactivated node can
 //! later be active again", §5.2).
 
-use pgxd::recover::{Recovered, RecoveryDriver, ResumableAlgorithm, StepOutcome};
 use pgxd::{
-    CancelToken, Config, Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask,
-    Prop, ReduceOp,
+    CancelToken, Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop,
+    ReduceOp,
 };
-use pgxd_graph::Graph;
 
 /// Result of WCC.
 #[derive(Clone, Debug)]
@@ -134,122 +132,6 @@ pub fn try_wcc_with(engine: &mut Engine, cancel: &CancelToken) -> Result<WccResu
         num_components,
         iterations,
     })
-}
-
-/// Label propagation decomposed into driver-visible rounds for the
-/// recovery driver. Labels, activity, and change flags all live in
-/// checkpointed properties.
-pub struct ResumableWcc {
-    iterations: usize,
-    props: Option<WccProps>,
-}
-
-#[derive(Clone, Copy)]
-struct WccProps {
-    comp: Prop<u32>,
-    nxt: Prop<u32>,
-    active: Prop<bool>,
-    changed: Prop<bool>,
-}
-
-impl ResumableWcc {
-    pub fn new() -> Self {
-        ResumableWcc {
-            iterations: 0,
-            props: None,
-        }
-    }
-}
-
-impl Default for ResumableWcc {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ResumableAlgorithm for ResumableWcc {
-    type Output = WccResult;
-
-    fn setup(&mut self, engine: &mut Engine) {
-        let comp = engine.add_prop("wcc_comp", 0u32);
-        let nxt = engine.add_prop("wcc_nxt", u32::MAX);
-        let active = engine.add_prop("wcc_active", true);
-        let changed = engine.add_prop("wcc_changed", false);
-        for v in 0..engine.num_nodes() as u32 {
-            engine.set(comp, v, v);
-        }
-        self.props = Some(WccProps {
-            comp,
-            nxt,
-            active,
-            changed,
-        });
-        self.iterations = 0;
-    }
-
-    fn step(&mut self, engine: &mut Engine, iteration: u64) -> Result<StepOutcome, JobError> {
-        let WccProps {
-            comp,
-            nxt,
-            active,
-            changed,
-        } = self.props.expect("setup ran");
-        let spec = JobSpec::new().reduce(nxt, ReduceOp::Min);
-        engine.try_run_edge_job(Dir::Out, &spec, PushLabel { comp, nxt, active })?;
-        engine.try_run_edge_job(Dir::In, &spec, PushLabel { comp, nxt, active })?;
-        engine.try_run_node_job(
-            &JobSpec::new(),
-            Adopt {
-                comp,
-                nxt,
-                active,
-                changed,
-            },
-        )?;
-        self.iterations = iteration as usize + 1;
-        if engine.count_true(changed) == 0 {
-            return Ok(StepOutcome::Done);
-        }
-        Ok(StepOutcome::Continue)
-    }
-
-    fn scalars(&self) -> Vec<u64> {
-        vec![self.iterations as u64]
-    }
-
-    fn restore_scalars(&mut self, scalars: &[u64]) {
-        self.iterations = scalars[0] as usize;
-    }
-
-    fn finish(&mut self, engine: &mut Engine) -> WccResult {
-        let WccProps {
-            comp,
-            nxt,
-            active,
-            changed,
-        } = self.props.take().expect("setup ran");
-        let component = engine.gather(comp);
-        let mut labels = component.clone();
-        labels.sort_unstable();
-        labels.dedup();
-        let num_components = labels.len();
-        engine.drop_prop(comp);
-        engine.drop_prop(nxt);
-        engine.drop_prop(active);
-        engine.drop_prop(changed);
-        WccResult {
-            component,
-            num_components,
-            iterations: self.iterations,
-        }
-    }
-}
-
-/// [`try_wcc`] with automatic recovery: restarts on a degraded cluster
-/// from the last checkpoint after a machine loss (per `config.recovery`).
-pub fn recoverable_wcc(graph: &Graph, config: Config) -> Result<Recovered<WccResult>, JobError> {
-    let driver = RecoveryDriver::new(graph, config).map_err(JobError::Protocol)?;
-    driver.run(&mut ResumableWcc::new())
 }
 
 #[cfg(test)]

@@ -322,7 +322,7 @@ fn run_recover(a: &Args, graph: &pgxd_graph::Graph) -> Result<(), String> {
         }
         Ok(())
     };
-    let pagerank = algos::ResumablePageRankPull::new(0.85, a.iters, 0.0);
+    let pagerank = algos::ResumablePageRank::pull(0.85, a.iters, 0.0);
     let rec = RecoveryDriver::new(graph, node_config(a))?
         .run_rank(
             &a.recover_coord,

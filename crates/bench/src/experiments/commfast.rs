@@ -1,11 +1,9 @@
 //! `repro commfast`: the communication fast-path acceptance check.
 //!
-//! Runs PageRank-pull on TWT-S across 4 simulated machines in three
-//! configurations — read combining off, combining on, and combining on
-//! with the adaptive flush controller — and checks the fast path's
-//! contract:
+//! Runs PageRank-pull on TWT-S across 4 simulated machines with read
+//! combining off and on, and checks the fast path's contract:
 //!
-//! * the combining runs report **nonzero** `combined_read_hits` (duplicate
+//! * the combining run reports **nonzero** `combined_read_hits` (duplicate
 //!   in-flight reads were actually deduplicated) while the plain run
 //!   reports zero;
 //! * combining puts **strictly fewer** request messages and read entries
@@ -28,7 +26,7 @@
 
 use crate::datasets::{BenchGraph, Scale};
 use crate::report::Table;
-use pgxd::{AdaptiveFlushConfig, BuildEngine, Engine, StatsSnapshot};
+use pgxd::{BuildEngine, Engine, StatsSnapshot};
 use pgxd_algorithms::try_pagerank_pull;
 use std::time::Instant;
 
@@ -38,7 +36,7 @@ pub const MACHINES: usize = 4;
 const DAMPING: f64 = 0.85;
 const MAX_ITERS: usize = 10;
 /// Small buffers force frequent seals, so the per-buffer combining table
-/// and the flush controller both see real pressure.
+/// sees real pressure.
 const BUFFER_BYTES: usize = 1 << 10;
 /// Two runs may reassociate f64 sums but must agree to this tolerance —
 /// orders of magnitude below the scores themselves (~1e-4 on TWT-S).
@@ -51,17 +49,15 @@ struct Run {
     seconds: f64,
 }
 
-fn run_once(graph: &pgxd_graph::Graph, name: &'static str, combining: bool, adaptive: bool) -> Run {
-    let mut builder = Engine::builder()
+fn run_once(graph: &pgxd_graph::Graph, name: &'static str, combining: bool) -> Run {
+    let mut engine = Engine::builder()
         .machines(MACHINES)
         .workers(2)
         .copiers(1)
         .buffer_bytes(BUFFER_BYTES)
-        .read_combining(combining);
-    if adaptive {
-        builder = builder.adaptive_flush(AdaptiveFlushConfig::bounds(256, BUFFER_BYTES));
-    }
-    let mut engine = builder.engine(graph).expect("engine");
+        .read_combining(combining)
+        .engine(graph)
+        .expect("engine");
     let t0 = Instant::now();
     let r = try_pagerank_pull(&mut engine, DAMPING, MAX_ITERS, 0.0).expect("pagerank-pull job");
     Run {
@@ -89,8 +85,8 @@ fn bit_identical(a: &[f64], b: &[f64]) -> bool {
 /// are order-independent and the run is bit-deterministic end to end.
 fn check_star_bit_identity() {
     let g = pgxd_graph::generate::star(2048);
-    let plain = run_once(&g, "star plain", false, false);
-    let combined = run_once(&g, "star combined", true, false);
+    let plain = run_once(&g, "star plain", false);
+    let combined = run_once(&g, "star combined", true);
     assert!(
         combined.stats.combined_read_hits > 0,
         "[commfast] every spoke pulls the hub: the star run must combine"
@@ -108,9 +104,8 @@ pub fn run_experiment(scale: Scale) -> Vec<Table> {
     check_star_bit_identity();
 
     let graph = BenchGraph::Twt.generate(scale);
-    let plain = run_once(&graph, "combining off", false, false);
-    let combined = run_once(&graph, "combining on", true, false);
-    let adaptive = run_once(&graph, "combining + adaptive flush", true, true);
+    let plain = run_once(&graph, "combining off", false);
+    let combined = run_once(&graph, "combining on", true);
 
     assert_eq!(
         plain.stats.combined_read_hits, 0,
@@ -134,14 +129,12 @@ pub fn run_experiment(scale: Scale) -> Vec<Table> {
         combined.stats.msgs_sent,
         plain.stats.msgs_sent
     );
-    for run in [&combined, &adaptive] {
-        let d = max_abs_delta(&plain.scores, &run.scores);
-        assert!(
-            d <= REASSOCIATION_TOL,
-            "[commfast] '{}' diverged beyond f64 reassociation noise: max |Δ| = {d:e}",
-            run.name
-        );
-    }
+    let d = max_abs_delta(&plain.scores, &combined.scores);
+    assert!(
+        d <= REASSOCIATION_TOL,
+        "[commfast] '{}' diverged beyond f64 reassociation noise: max |Δ| = {d:e}",
+        combined.name
+    );
 
     let mut t = Table::new(
         &format!("Commfast — PageRank-pull on TWT-S × {MACHINES} machines"),
@@ -154,7 +147,7 @@ pub fn run_experiment(scale: Scale) -> Vec<Table> {
         ],
         "fast-path acceptance: hits > 0, strictly fewer messages, scores within 1e-12",
     );
-    for run in [&plain, &combined, &adaptive] {
+    for run in [&plain, &combined] {
         t.push_row(
             run.name,
             vec![

@@ -9,6 +9,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod query;
+mod ranks;
 pub mod recover;
 pub mod serve;
 pub mod soak;
@@ -38,31 +39,31 @@ pub const EXPERIMENTS: &[ExperimentInfo] = &[
     },
     ExperimentInfo {
         name: "table4",
-        desc: "partitioning/chunking mode sweep (Table 4)",
+        desc: "dataset sizes and per-system loading time (Table 4)",
     },
     ExperimentInfo {
         name: "fig3",
-        desc: "machine-count scaling of PageRank (Figure 3)",
+        desc: "relative performance, normalized to GraphLab on two machines (Figure 3)",
     },
     ExperimentInfo {
         name: "fig4",
-        desc: "algorithm sweep across machine counts (Figure 4)",
+        desc: "PageRank (exact) on the uniform random graph vs TWT (Figure 4)",
     },
     ExperimentInfo {
         name: "fig5",
-        desc: "ghost-node threshold and selective-ghost sensitivity (Figure 5)",
+        desc: "single-machine edge-iteration speed and barrier latency (Figure 5)",
     },
     ExperimentInfo {
         name: "fig6",
-        desc: "buffer sizing, copier counts and pool pressure (Figure 6)",
+        desc: "ghost-node sweep, edge vs vertex partitioning, time breakdown (Figure 6)",
     },
     ExperimentInfo {
         name: "fig7",
-        desc: "read-combining effectiveness (Figure 7)",
+        desc: "worker x copier thread-count grid (Figure 7)",
     },
     ExperimentInfo {
         name: "fig8",
-        desc: "flush thresholds, fixed vs adaptive (Figure 8)",
+        desc: "remote-read bandwidth and bandwidth vs message buffer size (Figure 8)",
     },
     ExperimentInfo {
         name: "chaos",
@@ -70,7 +71,7 @@ pub const EXPERIMENTS: &[ExperimentInfo] = &[
     },
     ExperimentInfo {
         name: "commfast",
-        desc: "communication fast-path acceptance: sharded pool, combining, flush",
+        desc: "communication fast-path acceptance: read combining off vs on",
     },
     ExperimentInfo {
         name: "query",

@@ -17,8 +17,8 @@
 
 use crate::datasets::{BenchGraph, Scale};
 use crate::report::Table;
-use pgxd::{BuildEngine, Config, Engine, FaultPlan, JobError, TelemetryConfig};
-use pgxd_algorithms::{recoverable_pagerank_pull, try_pagerank_pull};
+use pgxd::{BuildEngine, Config, Engine, FaultPlan, JobError, RecoveryDriver, TelemetryConfig};
+use pgxd_algorithms::{try_pagerank_pull, ResumablePageRank};
 use std::time::Instant;
 
 /// Simulated machines before the crash.
@@ -117,7 +117,9 @@ pub fn run_experiment(scale: Scale) -> Vec<Table> {
     // --- crash + recover ----------------------------------------------
     eprintln!("[recover] running 'crash + recover'");
     let t0 = Instant::now();
-    let rec = recoverable_pagerank_pull(&graph, recovery_config(), DAMPING, MAX_ITERS, 0.0)
+    let rec = RecoveryDriver::new(&graph, recovery_config())
+        .expect("driver")
+        .run(&mut ResumablePageRank::pull(DAMPING, MAX_ITERS, 0.0))
         .expect("[recover] crash plan must be survivable within the retry budget");
     let seconds = t0.elapsed().as_secs_f64();
     let max_delta = baseline
@@ -169,7 +171,9 @@ pub fn run_experiment(scale: Scale) -> Vec<Table> {
     // --- crash with recovery off: PR-3 behavior unchanged -------------
     eprintln!("[recover] running 'crash, recovery off'");
     let t0 = Instant::now();
-    let err = recoverable_pagerank_pull(&graph, no_recovery_config(), DAMPING, MAX_ITERS, 0.0)
+    let err = RecoveryDriver::new(&graph, no_recovery_config())
+        .expect("driver")
+        .run(&mut ResumablePageRank::pull(DAMPING, MAX_ITERS, 0.0))
         .expect_err("[recover] crash with recovery off must abort");
     let seconds = t0.elapsed().as_secs_f64();
     assert!(

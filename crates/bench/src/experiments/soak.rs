@@ -40,7 +40,7 @@ use pgxd::{
     RetryBudget, StorageFaultKind, StorageFaultPlan, TelemetryConfig,
 };
 use pgxd_algorithms::pagerank::PageRankResult;
-use pgxd_algorithms::{try_pagerank_pull, ResumablePageRankPull};
+use pgxd_algorithms::{try_pagerank_pull, ResumablePageRank};
 use pgxd_runtime::stats::{MachineStats, StatsSnapshot};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
@@ -145,7 +145,7 @@ fn chaos_pagerank(
     fail_every_attempt_at: Option<u64>,
 ) -> impl ResumableAlgorithm<Output = PageRankResult> {
     Scripted::new(
-        ResumablePageRankPull::new(DAMPING, PR_ITERS, 0.0),
+        ResumablePageRank::pull(DAMPING, PR_ITERS, 0.0),
         move |attempt, iteration| {
             if fail_at.contains(&(attempt, iteration)) || fail_every_attempt_at == Some(iteration) {
                 return Err(JobError::MachineDown { machine: 1 });

@@ -15,19 +15,14 @@
 //!   transport) the cluster still converges to the same answers and the
 //!   allgathered retransmit telemetry is **nonzero** — PR 2's
 //!   ack/retransmit machinery demonstrably runs over real sockets.
-//!
-//! The `pgxd-node` binary is located next to the running `repro` binary
-//! (both are `pgxd-bench` bins) or via `$PGXD_NODE_BIN`.
 
+use super::ranks::{bits, read_out, spawn_cluster, wait_all, GraphSpec};
 use crate::datasets::Scale;
 use crate::report::Table;
 use pgxd::BuildEngine;
 use pgxd_algorithms as algos;
-use pgxd_graph::generate;
-use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Ranks in the spawned cluster (the paper's minimum interesting case:
 /// every job crosses a real socket).
@@ -37,37 +32,6 @@ const MACHINES: usize = 2;
 /// acceptance bound is the reassociation floor.
 const TOL: f64 = 1e-12;
 
-struct GraphSpec {
-    /// `--graph` argument understood by `pgxd-node`.
-    spec: String,
-    iters: usize,
-}
-
-impl GraphSpec {
-    fn pick(scale: Scale, quick: bool) -> GraphSpec {
-        match (scale, quick) {
-            (Scale::Full, false) => GraphSpec {
-                spec: "rmat:9:8:3017".into(),
-                iters: 8,
-            },
-            _ => GraphSpec {
-                spec: "rmat:7:4:3017".into(),
-                iters: 5,
-            },
-        }
-    }
-
-    fn build(&self) -> pgxd_graph::Graph {
-        let p: Vec<&str> = self.spec.split(':').collect();
-        generate::rmat(
-            p[1].parse().unwrap(),
-            p[2].parse().unwrap(),
-            generate::RmatParams::skewed(),
-            p[3].parse().unwrap(),
-        )
-    }
-}
-
 /// One rank's parsed `--out` file.
 struct NodeResult {
     retransmits_total: u64,
@@ -76,144 +40,35 @@ struct NodeResult {
     hopdist: Vec<i64>,
 }
 
-fn node_bin() -> PathBuf {
-    if let Some(p) = std::env::var_os("PGXD_NODE_BIN") {
-        return PathBuf::from(p);
-    }
-    let me = std::env::current_exe().expect("current_exe");
-    let sibling = me.with_file_name("pgxd-node");
-    assert!(
-        sibling.exists(),
-        "pgxd-node not found at {} — build it first (`cargo build -p pgxd-bench --bins`) \
-         or point $PGXD_NODE_BIN at it",
-        sibling.display()
-    );
-    sibling
-}
-
-fn spawn_rank(
-    bin: &PathBuf,
-    rank: usize,
-    coord: &str,
-    out: &PathBuf,
-    g: &GraphSpec,
-    drop_per_mille: u16,
-) -> Child {
-    let mut cmd = Command::new(bin);
-    cmd.arg("--rank")
-        .arg(rank.to_string())
-        .arg("--machines")
-        .arg(MACHINES.to_string())
-        .arg("--coord")
-        .arg(coord)
-        .arg("--out")
-        .arg(out)
-        .arg("--graph")
-        .arg(&g.spec)
-        .arg("--iters")
-        .arg(g.iters.to_string());
-    if drop_per_mille > 0 {
-        cmd.arg("--drop-per-mille").arg(drop_per_mille.to_string());
-    }
-    // Rank 0's stdout carries the `coord=` announcement; the others only
-    // print their final status line, which nobody needs to parse.
-    cmd.stdout(if rank == 0 {
-        Stdio::piped()
-    } else {
-        Stdio::null()
-    });
-    cmd.stderr(Stdio::inherit());
-    cmd.spawn()
-        .unwrap_or_else(|e| panic!("spawn pgxd-node rank {rank}: {e}"))
-}
-
-/// Waits for every child within `deadline`, killing the whole cluster on
-/// the first failure or timeout so a wedged rank cannot hang the gate.
-fn wait_all(mut children: Vec<Child>, deadline: Duration) {
-    let t0 = Instant::now();
-    let mut done = vec![false; children.len()];
-    while done.iter().any(|d| !d) {
-        for (rank, child) in children.iter_mut().enumerate() {
-            if done[rank] {
-                continue;
-            }
-            match child.try_wait().expect("try_wait") {
-                Some(status) if status.success() => done[rank] = true,
-                Some(status) => {
-                    for c in children.iter_mut() {
-                        c.kill().ok();
-                    }
-                    panic!("pgxd-node rank {rank} failed: {status}");
-                }
-                None => {}
-            }
-        }
-        if t0.elapsed() > deadline {
-            for c in children.iter_mut() {
-                c.kill().ok();
-            }
-            panic!("pgxd-node cluster did not finish within {deadline:?}");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn parse_out(path: &PathBuf) -> NodeResult {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let field = |key: &str| -> &str {
-        text.lines()
-            .find_map(|l| l.strip_prefix(key).and_then(|l| l.strip_prefix('=')))
-            .unwrap_or_else(|| panic!("{} lacks '{key}='", path.display()))
-    };
-    NodeResult {
-        retransmits_total: field("retransmits_total").parse().unwrap(),
-        pagerank: field("pagerank")
-            .split(',')
-            .map(|h| f64::from_bits(u64::from_str_radix(h, 16).unwrap()))
-            .collect(),
-        wcc: field("wcc")
-            .split(',')
-            .map(|s| s.parse().unwrap())
-            .collect(),
-        hopdist: field("hopdist")
-            .split(',')
-            .map(|s| s.parse().unwrap())
-            .collect(),
-    }
-}
-
 /// Runs one `MACHINES`-process cluster and returns the parsed per-rank
 /// results (rank-indexed).
 fn run_cluster(g: &GraphSpec, drop_per_mille: u16, tag: &str) -> Vec<NodeResult> {
-    let bin = node_bin();
     let dir = std::env::temp_dir().join(format!("pgxd-wire-{}-{tag}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create wire tmp dir");
     let outs: Vec<PathBuf> = (0..MACHINES)
         .map(|r| dir.join(format!("rank{r}.txt")))
         .collect();
-
-    let mut rank0 = spawn_rank(&bin, 0, "127.0.0.1:0", &outs[0], g, drop_per_mille);
-    // The ephemeral coordinator port is announced on rank 0's stdout.
-    let mut reader = BufReader::new(rank0.stdout.take().expect("rank 0 stdout"));
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read coord line");
-    let coord = line
-        .trim()
-        .strip_prefix("coord=")
-        .unwrap_or_else(|| panic!("rank 0 announced '{}' instead of coord=ADDR", line.trim()))
-        .to_string();
-
-    let mut children = vec![rank0];
-    for (rank, out) in outs.iter().enumerate().skip(1) {
-        children.push(spawn_rank(&bin, rank, &coord, out, g, drop_per_mille));
+    let mut extra_args = Vec::new();
+    if drop_per_mille > 0 {
+        extra_args.extend(["--drop-per-mille".into(), drop_per_mille.to_string()]);
     }
-    wait_all(children, Duration::from_secs(120));
-    // Drain whatever rank 0 printed after the announcement.
-    let mut rest = String::new();
-    let _ = std::io::Read::read_to_string(&mut reader, &mut rest);
 
-    let results: Vec<NodeResult> = outs.iter().map(parse_out).collect();
+    let (children, rank0_stdout) = spawn_cluster(&outs, g, &extra_args);
+    wait_all(children, &[], Duration::from_secs(120));
+    drop(rank0_stdout);
+
+    let results = outs
+        .iter()
+        .map(|out| {
+            let out = read_out(out);
+            NodeResult {
+                retransmits_total: out.num("retransmits_total"),
+                pagerank: out.f64s("pagerank"),
+                wcc: out.list("wcc"),
+                hopdist: out.list("hopdist"),
+            }
+        })
+        .collect();
     std::fs::remove_dir_all(&dir).ok();
     results
 }
@@ -264,10 +119,6 @@ fn check_run(name: &str, results: &[NodeResult], reference: &Reference) -> (f64,
     (max_delta, bit_identical, r0.retransmits_total)
 }
 
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
-}
-
 struct Reference {
     scores: Vec<f64>,
     wcc: Vec<u32>,
@@ -294,7 +145,7 @@ fn reference(g: &GraphSpec) -> Reference {
 }
 
 pub fn run_experiment(scale: Scale, quick: bool) -> Table {
-    let g = GraphSpec::pick(scale, quick);
+    let g = GraphSpec::pick(scale, quick, 5);
     eprintln!("[wire] graph {} — in-memory reference run", g.spec);
     let reference = reference(&g);
 

@@ -23,14 +23,12 @@
 //!   it degraded, and converge to scores within 1e-12 of the fault-free
 //!   fixpoint.
 
+use super::ranks::{bits, kill_all, read_out, spawn_cluster, wait_all, GraphSpec};
 use crate::datasets::Scale;
 use crate::report::Table;
 use pgxd::BuildEngine;
 use pgxd_algorithms as algos;
-use pgxd_graph::generate;
-use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 /// Ranks in the spawned cluster: three, so killing one still leaves a
@@ -45,36 +43,6 @@ const CKPT_EVERY: u64 = 2;
 /// Crash-watchdog silence threshold handed to every rank.
 const HEARTBEAT_MS: u64 = 600;
 
-struct GraphSpec {
-    spec: String,
-    iters: usize,
-}
-
-impl GraphSpec {
-    fn pick(scale: Scale, quick: bool) -> GraphSpec {
-        match (scale, quick) {
-            (Scale::Full, false) => GraphSpec {
-                spec: "rmat:9:8:3017".into(),
-                iters: 8,
-            },
-            _ => GraphSpec {
-                spec: "rmat:7:4:3017".into(),
-                iters: 6,
-            },
-        }
-    }
-
-    fn build(&self) -> pgxd_graph::Graph {
-        let p: Vec<&str> = self.spec.split(':').collect();
-        generate::rmat(
-            p[1].parse().unwrap(),
-            p[2].parse().unwrap(),
-            generate::RmatParams::skewed(),
-            p[3].parse().unwrap(),
-        )
-    }
-}
-
 /// One rank's parsed `--out` file (recover-mode schema).
 struct NodeResult {
     recovered: u64,
@@ -86,134 +54,10 @@ struct NodeResult {
     pagerank: Vec<f64>,
 }
 
-fn node_bin() -> PathBuf {
-    if let Some(p) = std::env::var_os("PGXD_NODE_BIN") {
-        return PathBuf::from(p);
-    }
-    let me = std::env::current_exe().expect("current_exe");
-    let sibling = me.with_file_name("pgxd-node");
-    assert!(
-        sibling.exists(),
-        "pgxd-node not found at {} — build it first (`cargo build -p pgxd-bench --bins`) \
-         or point $PGXD_NODE_BIN at it",
-        sibling.display()
-    );
-    sibling
-}
-
-struct RankPlan<'a> {
-    g: &'a GraphSpec,
-    recover_coord: &'a str,
-    pause_at_iter: u64,
-    pause_ms: u64,
-    wire_reset_per_mille: u16,
-    wire_stall_per_mille: u16,
-}
-
-fn spawn_rank(bin: &PathBuf, rank: usize, coord: &str, out: &PathBuf, plan: &RankPlan) -> Child {
-    let mut cmd = Command::new(bin);
-    cmd.arg("--rank")
-        .arg(rank.to_string())
-        .arg("--machines")
-        .arg(MACHINES.to_string())
-        .arg("--coord")
-        .arg(coord)
-        .arg("--out")
-        .arg(out)
-        .arg("--graph")
-        .arg(&plan.g.spec)
-        .arg("--iters")
-        .arg(plan.g.iters.to_string())
-        .arg("--checkpoint-every")
-        .arg(CKPT_EVERY.to_string())
-        .arg("--recover-coord")
-        .arg(plan.recover_coord)
-        .arg("--heartbeat-ms")
-        .arg(HEARTBEAT_MS.to_string());
-    if plan.pause_at_iter > 0 {
-        cmd.arg("--pause-at-iter")
-            .arg(plan.pause_at_iter.to_string())
-            .arg("--pause-ms")
-            .arg(plan.pause_ms.to_string());
-    }
-    if plan.wire_reset_per_mille > 0 {
-        cmd.arg("--wire-reset-per-mille")
-            .arg(plan.wire_reset_per_mille.to_string());
-    }
-    if plan.wire_stall_per_mille > 0 {
-        cmd.arg("--wire-stall-per-mille")
-            .arg(plan.wire_stall_per_mille.to_string());
-    }
-    cmd.stdout(if rank == 0 {
-        Stdio::piped()
-    } else {
-        Stdio::null()
-    });
-    cmd.stderr(Stdio::inherit());
-    cmd.spawn()
-        .unwrap_or_else(|e| panic!("spawn pgxd-node rank {rank}: {e}"))
-}
-
-/// Waits for every child within `deadline`. Ranks listed in `expect_dead`
-/// may exit abnormally (they were SIGKILLed); everyone else must succeed.
-fn wait_all(mut children: Vec<Child>, expect_dead: &[usize], deadline: Duration) {
-    let t0 = Instant::now();
-    let mut done = vec![false; children.len()];
-    while done.iter().any(|d| !d) {
-        for (rank, child) in children.iter_mut().enumerate() {
-            if done[rank] {
-                continue;
-            }
-            match child.try_wait().expect("try_wait") {
-                Some(status) if status.success() || expect_dead.contains(&rank) => {
-                    done[rank] = true
-                }
-                Some(status) => {
-                    for c in children.iter_mut() {
-                        c.kill().ok();
-                    }
-                    panic!("pgxd-node rank {rank} failed: {status}");
-                }
-                None => {}
-            }
-        }
-        if t0.elapsed() > deadline {
-            for c in children.iter_mut() {
-                c.kill().ok();
-            }
-            panic!("pgxd-node cluster did not finish within {deadline:?}");
-        }
-        std::thread::sleep(Duration::from_millis(20));
-    }
-}
-
-fn parse_out(path: &PathBuf) -> NodeResult {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
-    let field = |key: &str| -> &str {
-        text.lines()
-            .find_map(|l| l.strip_prefix(key).and_then(|l| l.strip_prefix('=')))
-            .unwrap_or_else(|| panic!("{} lacks '{key}='", path.display()))
-    };
-    NodeResult {
-        recovered: field("recovered").parse().unwrap(),
-        final_machines: field("final_machines").parse().unwrap(),
-        reconnects_dialed: field("reconnects_dialed").parse().unwrap(),
-        reconnects_accepted: field("reconnects_accepted").parse().unwrap(),
-        resets_injected: field("resets_injected").parse().unwrap(),
-        stalls_injected: field("stalls_injected").parse().unwrap(),
-        pagerank: field("pagerank")
-            .split(',')
-            .map(|h| f64::from_bits(u64::from_str_radix(h, 16).unwrap()))
-            .collect(),
-    }
-}
-
 /// Spawns one 3-process recover-mode cluster. `kill_victim` arms the
 /// SIGKILL choreography: wait for every rank's pause marker, then kill
 /// rank [`VICTIM`]. Returns the surviving ranks' parsed results.
 fn run_cluster(g: &GraphSpec, tag: &str, kill_victim: bool, faults: bool) -> Vec<NodeResult> {
-    let bin = node_bin();
     let dir = std::env::temp_dir().join(format!("pgxd-wrec-{}-{tag}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).expect("create wire-recover tmp dir");
@@ -221,33 +65,28 @@ fn run_cluster(g: &GraphSpec, tag: &str, kill_victim: bool, faults: bool) -> Vec
         .map(|r| dir.join(format!("rank{r}.txt")))
         .collect();
     let recover_coord = pgxd::transport::reserve_loopback_addr().expect("reserve recovery port");
-    let plan = RankPlan {
-        g,
-        recover_coord: &recover_coord,
+    let mut extra_args = vec![
+        "--checkpoint-every".into(),
+        CKPT_EVERY.to_string(),
+        "--recover-coord".into(),
+        recover_coord,
+        "--heartbeat-ms".into(),
+        HEARTBEAT_MS.to_string(),
+    ];
+    if kill_victim {
         // The kill window opens right after the checkpoint at iteration
         // CKPT_EVERY; the watchdog fires *inside* the window, while every
         // survivor is still heartbeating normally, which keeps the blame
         // unambiguous.
-        pause_at_iter: if kill_victim { CKPT_EVERY } else { 0 },
-        pause_ms: 2_000,
-        wire_reset_per_mille: if faults { 8 } else { 0 },
-        wire_stall_per_mille: if faults { 5 } else { 0 },
-    };
-
-    let mut rank0 = spawn_rank(&bin, 0, "127.0.0.1:0", &outs[0], &plan);
-    let mut reader = BufReader::new(rank0.stdout.take().expect("rank 0 stdout"));
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("read coord line");
-    let coord = line
-        .trim()
-        .strip_prefix("coord=")
-        .unwrap_or_else(|| panic!("rank 0 announced '{}' instead of coord=ADDR", line.trim()))
-        .to_string();
-
-    let mut children = vec![rank0];
-    for (rank, out) in outs.iter().enumerate().skip(1) {
-        children.push(spawn_rank(&bin, rank, &coord, out, &plan));
+        extra_args.extend(["--pause-at-iter".into(), CKPT_EVERY.to_string()]);
+        extra_args.extend(["--pause-ms".into(), "2000".into()]);
     }
+    if faults {
+        extra_args.extend(["--wire-reset-per-mille".into(), "8".into()]);
+        extra_args.extend(["--wire-stall-per-mille".into(), "5".into()]);
+    }
+
+    let (mut children, rank0_stdout) = spawn_cluster(&outs, g, &extra_args);
 
     let mut expect_dead: Vec<usize> = Vec::new();
     if kill_victim {
@@ -264,12 +103,12 @@ fn run_cluster(g: &GraphSpec, tag: &str, kill_victim: bool, faults: bool) -> Vec
                 t0.elapsed() < Duration::from_secs(60),
                 "cluster never reached the pause window"
             );
-            for (rank, child) in children.iter_mut().enumerate() {
-                if let Some(status) = child.try_wait().expect("try_wait") {
-                    for c in children.iter_mut() {
-                        c.kill().ok();
-                    }
-                    panic!("pgxd-node rank {rank} exited ({status}) before the kill window");
+            for rank in 0..MACHINES {
+                if let Some(status) = children[rank].try_wait().expect("try_wait") {
+                    kill_all(
+                        &mut children,
+                        format!("pgxd-node rank {rank} exited ({status}) before the kill window"),
+                    );
                 }
             }
             std::thread::sleep(Duration::from_millis(10));
@@ -280,21 +119,27 @@ fn run_cluster(g: &GraphSpec, tag: &str, kill_victim: bool, faults: bool) -> Vec
     }
 
     wait_all(children, &expect_dead, Duration::from_secs(120));
-    let mut rest = String::new();
-    let _ = std::io::Read::read_to_string(&mut reader, &mut rest);
+    drop(rank0_stdout);
 
     let results: Vec<NodeResult> = outs
         .iter()
         .enumerate()
         .filter(|(rank, _)| !expect_dead.contains(rank))
-        .map(|(_, out)| parse_out(out))
+        .map(|(_, out)| {
+            let out = read_out(out);
+            NodeResult {
+                recovered: out.num("recovered"),
+                final_machines: out.num("final_machines"),
+                reconnects_dialed: out.num("reconnects_dialed"),
+                reconnects_accepted: out.num("reconnects_accepted"),
+                resets_injected: out.num("resets_injected"),
+                stalls_injected: out.num("stalls_injected"),
+                pagerank: out.f64s("pagerank"),
+            }
+        })
         .collect();
     std::fs::remove_dir_all(&dir).ok();
     results
-}
-
-fn bits(v: &[f64]) -> Vec<u64> {
-    v.iter().map(|x| x.to_bits()).collect()
 }
 
 /// The fault-free fixpoint: same graph, same machine count, and the same
@@ -307,7 +152,7 @@ fn reference(g: &GraphSpec) -> Vec<f64> {
         .workers(2)
         .engine(&graph)
         .unwrap();
-    algos::ResumablePageRankPull::new(0.85, g.iters, 0.0)
+    algos::ResumablePageRank::pull(0.85, g.iters, 0.0)
         .run_to_completion(&mut e)
         .expect("fault-free reference run")
         .scores
@@ -345,7 +190,7 @@ fn check_scores(name: &str, results: &[NodeResult], reference: &[f64]) -> (f64, 
 }
 
 pub fn run_experiment(scale: Scale, quick: bool) -> Table {
-    let g = GraphSpec::pick(scale, quick);
+    let g = GraphSpec::pick(scale, quick, 6);
     eprintln!("[wire-recover] graph {} — in-memory reference run", g.spec);
     let reference = reference(&g);
 

@@ -86,9 +86,9 @@ pub use pgxd_graph::NodeId;
 pub use pgxd_runtime::cancel::{CancelReason, CancelToken};
 pub use pgxd_runtime::checkpoint::{Checkpoint, CheckpointStore, JobProgress};
 pub use pgxd_runtime::config::{
-    AdaptiveFlushConfig, ChunkingMode, Config, ConfigBuilder, CrashPlan, FaultPlan,
-    PartitioningMode, RecoveryConfig, ReliabilityConfig, ServeConfig, StorageFaultKind,
-    StorageFaultPlan, TelemetryConfig, TransportBackend, TransportConfig, WireFaultPlan,
+    ChunkingMode, Config, ConfigBuilder, CrashPlan, FaultPlan, PartitioningMode, RecoveryConfig,
+    ReliabilityConfig, ServeConfig, StorageFaultKind, StorageFaultPlan, TelemetryConfig,
+    TransportBackend, TransportConfig, WireFaultPlan,
 };
 pub use pgxd_runtime::health::{JobError, RetryBudget, TransportErrorKind};
 pub use pgxd_runtime::props::{PropValue, ReduceOp};

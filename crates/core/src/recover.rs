@@ -101,15 +101,22 @@ pub trait ResumableAlgorithm {
     fn finish(&mut self, engine: &mut Engine) -> Self::Output;
 
     /// Runs the whole algorithm on `engine` — setup, every step, finish —
-    /// with no checkpoints and no retry: the fault-free reference the
-    /// recovered runs are held to.
+    /// with no checkpoints and no retry: how the `try_*` entry points run,
+    /// and the fault-free reference the recovered runs are held to.
+    /// `finish` runs after a failed step too: it is what releases the
+    /// algorithm's columns, and the caller keeps the engine.
     fn run_to_completion(&mut self, engine: &mut Engine) -> Result<Self::Output, JobError> {
         self.setup(engine);
         let mut iteration = 0u64;
-        while self.step(engine, iteration)? == StepOutcome::Continue {
-            iteration += 1;
-        }
-        Ok(self.finish(engine))
+        let outcome = loop {
+            match self.step(engine, iteration) {
+                Ok(StepOutcome::Continue) => iteration += 1,
+                Ok(StepOutcome::Done) => break Ok(()),
+                Err(err) => break Err(err),
+            }
+        };
+        let output = self.finish(engine);
+        outcome.map(|()| output)
     }
 }
 

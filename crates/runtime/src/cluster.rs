@@ -1044,21 +1044,7 @@ impl Cluster {
             self.run_phase_inner(Arc::new(DistBarrierPhase { epoch }), "dist_barrier");
             self.reap_abort()?;
         }
-        self.retune_flush();
         Ok(())
-    }
-
-    /// Adaptive-flush control step: every machine's controller digests the
-    /// finished phase's fill/round-trip observations and may move its
-    /// effective flush threshold. Runs between phase barriers, so no worker
-    /// observes the threshold moving mid-buffer. One branch per machine
-    /// when `adaptive_flush` is off.
-    fn retune_flush(&mut self) {
-        for m in &self.machines {
-            if let Some((_, new)) = m.flush.retune() {
-                m.telemetry.trace(0, EventKind::FlushRetune, new as u64);
-            }
-        }
     }
 
     /// Converts a recorded abort into an error, resetting the pending
@@ -1379,7 +1365,6 @@ fn worker_loop(
         CommTuning {
             buffer_bytes: m.config.buffer_bytes,
             read_combining: m.config.read_combining,
-            flush: m.flush.clone(),
             pool_shard: worker_idx,
         },
         m.worker_rx[worker_idx].clone(),

@@ -474,43 +474,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Adaptive flush-threshold bounds (§3.4 / Figure 8b). When enabled, the
-/// per-machine [`FlushController`](crate::flow::FlushController) moves the
-/// effective flush threshold within `[min_bytes, max_bytes]` between phase
-/// barriers, based on observed buffer fill levels and read round trips.
-/// Buffers are always *allocated* at `buffer_bytes`; only the seal point
-/// moves.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdaptiveFlushConfig {
-    /// Master switch for the control loop.
-    pub enabled: bool,
-    /// Smallest effective flush threshold, bytes (≥ 64).
-    pub min_bytes: usize,
-    /// Largest effective flush threshold, bytes (≤ `buffer_bytes`); also
-    /// the starting threshold.
-    pub max_bytes: usize,
-}
-
-impl AdaptiveFlushConfig {
-    /// Control loop off: the flush threshold is pinned to `buffer_bytes`.
-    pub const fn off() -> Self {
-        AdaptiveFlushConfig {
-            enabled: false,
-            min_bytes: 1 << 8,
-            max_bytes: 1 << 16,
-        }
-    }
-
-    /// Control loop on with explicit `[min, max]` bounds.
-    pub const fn bounds(min_bytes: usize, max_bytes: usize) -> Self {
-        AdaptiveFlushConfig {
-            enabled: true,
-            min_bytes,
-            max_bytes,
-        }
-    }
-}
-
 /// Full cluster configuration.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Config {
@@ -564,8 +527,6 @@ pub struct Config {
     /// `(property, vertex)` into one wire entry, fanning the single
     /// response value out to every logged continuation.
     pub read_combining: bool,
-    /// Adaptive flush-threshold control loop (off by default).
-    pub adaptive_flush: AdaptiveFlushConfig,
     /// Job-server knobs; only read by the serving layer.
     pub serve: ServeConfig,
 }
@@ -601,7 +562,6 @@ impl Config {
             recovery: RecoveryConfig::off(),
             pool_shards: 4,
             read_combining: true,
-            adaptive_flush: AdaptiveFlushConfig::off(),
             serve: ServeConfig::default(),
         }
     }
@@ -655,18 +615,6 @@ impl Config {
         }
         if self.pool_shards > 1024 {
             return Err("pool_shards must be <= 1024".into());
-        }
-        if self.adaptive_flush.enabled {
-            let f = &self.adaptive_flush;
-            if f.min_bytes < 64 {
-                return Err("adaptive_flush.min_bytes must be >= 64".into());
-            }
-            if f.min_bytes > f.max_bytes {
-                return Err("adaptive_flush bounds inverted (min_bytes > max_bytes)".into());
-            }
-            if f.max_bytes > self.buffer_bytes {
-                return Err("adaptive_flush.max_bytes must be <= buffer_bytes".into());
-            }
         }
         if self.fault.is_active() && !self.reliability.enabled {
             return Err(
@@ -827,7 +775,7 @@ impl Default for Config {
 /// matters; [`ConfigBuilder::build`] derives the switches that follow from
 /// the rest (TCP needs the message-based protocols, an active fault plan
 /// needs the layer that survives it) and runs [`Config::validate`], so
-/// invalid combinations (zero quotas, inverted flush bounds, ...) are
+/// invalid combinations (zero quotas, a fault plan on TCP, ...) are
 /// rejected in one place instead of panicking deep inside the engine.
 #[derive(Clone, Debug)]
 pub struct ConfigBuilder {
@@ -983,12 +931,6 @@ impl ConfigBuilder {
         self
     }
 
-    /// Adaptive flush-threshold control loop.
-    pub fn adaptive_flush(mut self, f: AdaptiveFlushConfig) -> Self {
-        self.config.adaptive_flush = f;
-        self
-    }
-
     /// Job-server submission-queue depth (bounded; overflow is rejected
     /// with `JobError::QueueFull`).
     pub fn queue_depth(mut self, n: usize) -> Self {
@@ -1072,7 +1014,7 @@ mod tests {
             (PartitioningMode::Edge, ChunkingMode::Edge)
         );
         assert!(c.ghost_privatization && c.read_combining);
-        assert!(!c.strict_distributed && !c.adaptive_flush.enabled);
+        assert!(!c.strict_distributed);
         assert!(!c.reliability.enabled && !c.recovery.enabled && !c.telemetry.enabled);
         let r = c.reliability;
         assert_eq!((r.tick_ms, r.rto_base_ms, r.watchdog_ms), (5, 25, 500));
@@ -1125,9 +1067,6 @@ mod tests {
             ("checkpoint_retain", |b| b.checkpoint_retain(3)),
             ("flap_threshold", |b| b.flap_threshold(2)),
             ("read_combining", |b| b.read_combining(false)),
-            ("adaptive_flush", |b| {
-                b.adaptive_flush(AdaptiveFlushConfig::bounds(128, 512))
-            }),
             ("queue_depth", |b| b.queue_depth(8)),
             ("memory_budget", |b| b.memory_budget(1 << 20)),
             ("lane_weights", |b| b.lane_weights([4, 1])),
@@ -1343,13 +1282,11 @@ mod tests {
             .workers(2)
             .buffer_bytes(8 << 10)
             .read_combining(false)
-            .adaptive_flush(AdaptiveFlushConfig::bounds(256, 4096))
             .build()
             .expect("valid config");
         assert_eq!(c.machines, 3);
         assert_eq!(c.buffer_bytes, 8 << 10);
         assert!(!c.read_combining);
-        assert!(c.adaptive_flush.enabled);
     }
 
     #[test]
@@ -1365,26 +1302,6 @@ mod tests {
             };
             assert!(c.validate().is_err(), "{buffers} buffers, {shards} shards");
         }
-    }
-
-    #[test]
-    fn builder_rejects_inverted_flush_bounds() {
-        let err = Config::builder()
-            .adaptive_flush(AdaptiveFlushConfig::bounds(4096, 256))
-            .build()
-            .unwrap_err();
-        assert!(err.contains("inverted"), "unexpected error: {err}");
-        // Bounds above the allocated buffer size are also rejected.
-        assert!(Config::builder()
-            .buffer_bytes(1 << 10)
-            .adaptive_flush(AdaptiveFlushConfig::bounds(256, 1 << 20))
-            .build()
-            .is_err());
-        // min below the wire-entry floor is rejected.
-        assert!(Config::builder()
-            .adaptive_flush(AdaptiveFlushConfig::bounds(8, 4096))
-            .build()
-            .is_err());
     }
 
     #[test]

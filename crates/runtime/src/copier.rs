@@ -31,13 +31,26 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A tiny property-column cache so copiers don't take the registry lock
-/// per entry. Invalidation is unnecessary: property ids are never reused.
+/// per entry. It lives as long as its copier thread, so it is emptied
+/// whenever the store has dropped a property since the last envelope: a
+/// kept handle would pin the dropped column and go on answering for it.
 #[derive(Default)]
 pub struct ColCache {
     slots: Vec<Option<Arc<Column>>>,
+    /// `PropertyStore::drops` when `slots` was last known current.
+    drops_seen: u64,
 }
 
 impl ColCache {
+    /// Forgets every handle if `m` dropped a property since the last call.
+    fn forget_dropped(&mut self, m: &MachineState) {
+        let drops = m.props.drops();
+        if drops != self.drops_seen {
+            self.slots.clear();
+            self.drops_seen = drops;
+        }
+    }
+
     /// Resolves a property id to its column, caching the lookup. A request
     /// naming a dropped (or never-registered) property is a protocol
     /// violation — the classic symptom is a duplicated request replayed
@@ -140,6 +153,7 @@ pub fn process_request(
     env: Envelope,
 ) -> Result<(), String> {
     m.stats.msgs_processed.fetch_add(1, Ordering::Relaxed);
+    cache.forget_dropped(m);
     match env.kind {
         MsgKind::ReadReq => {
             let n = read_entry_count(&env.payload);
@@ -359,8 +373,54 @@ pub fn process_request(
     Ok(())
 }
 
-/// Convenience constructor for a fresh column cache (used by benches that
-/// call [`process_request`] directly).
-pub fn new_cache() -> ColCache {
-    ColCache::default()
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::Cluster;
+    use crate::config::Config;
+    use crate::message::push_mut_entry;
+    use crate::props::{ReduceOp, TypeTag};
+    use pgxd_graph::generate;
+
+    /// A copier's cache outlives every job, the properties it names do
+    /// not: once a property is dropped the copier must neither keep its
+    /// column allocated nor go on serving requests that name it.
+    #[test]
+    fn dropped_property_is_released_and_rejected() {
+        let g = generate::ring(16);
+        let mut cluster = Cluster::load(&g, Config::test(2)).unwrap();
+        let dead = cluster.add_prop_raw("dead", TypeTag::I64, 0);
+        let live = cluster.add_prop_raw("live", TypeTag::I64, 0);
+        let m = cluster.machine(0).clone();
+        let mut cache = ColCache::default();
+        let write_to = |prop: PropId| {
+            let mut payload = Vec::new();
+            push_mut_entry(&mut payload, prop.0, ReduceOp::Sum, 0, 5);
+            m.pending.fetch_add(1, Ordering::AcqRel);
+            Envelope {
+                src: 1,
+                dst: 0,
+                kind: MsgKind::Write,
+                worker: 0,
+                side_id: 0,
+                seq: 0,
+                payload,
+            }
+        };
+
+        process_request(&m, &mut cache, write_to(dead)).unwrap();
+        let column = Arc::downgrade(&m.props.column(dead));
+        assert_eq!(column.upgrade().unwrap().load_bits(0), 5);
+
+        cluster.drop_prop(dead);
+        process_request(&m, &mut cache, write_to(live)).unwrap();
+        assert!(
+            column.upgrade().is_none(),
+            "the copier's cache kept a dropped column alive"
+        );
+        let err = process_request(&m, &mut cache, write_to(dead)).unwrap_err();
+        assert!(err.contains("not registered"), "unexpected error: {err}");
+        // The rejected write retired nothing.
+        m.pending.fetch_sub(1, Ordering::AcqRel);
+    }
 }

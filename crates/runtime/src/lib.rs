@@ -38,7 +38,6 @@ pub mod config;
 pub mod copier;
 pub mod fabric;
 pub mod fault;
-pub mod flow;
 pub mod ghost;
 pub mod health;
 pub mod ids;
@@ -61,11 +60,9 @@ pub use cancel::{CancelReason, CancelToken};
 pub use checkpoint::{Checkpoint, CheckpointStore, JobProgress};
 pub use cluster::Cluster;
 pub use config::{
-    AdaptiveFlushConfig, ChunkingMode, Config, ConfigBuilder, CrashPlan, FaultPlan,
-    PartitioningMode, RecoveryConfig, ReliabilityConfig, ServeConfig, TelemetryConfig,
-    TransportBackend, TransportConfig,
+    ChunkingMode, Config, ConfigBuilder, CrashPlan, FaultPlan, PartitioningMode, RecoveryConfig,
+    ReliabilityConfig, ServeConfig, TelemetryConfig, TransportBackend, TransportConfig,
 };
-pub use flow::FlushController;
 pub use health::{ClusterHealth, JobError, TransportErrorKind};
 pub use ids::{GlobalId, MachineId};
 pub use jobctx::{JobCtx, JobExec, JobOutcome, JobWire, PhaseSpan};

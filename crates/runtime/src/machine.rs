@@ -4,7 +4,6 @@ use crate::barrier::DistBarrier;
 use crate::buffer::BufferPool;
 use crate::config::Config;
 use crate::fabric::MachineReceivers;
-use crate::flow::FlushController;
 use crate::ghost::GhostTable;
 use crate::health::ClusterHealth;
 use crate::ids::MachineId;
@@ -51,9 +50,6 @@ pub struct MachineState {
     pub worker_rx: Vec<Receiver<Envelope>>,
     /// Pool for outgoing message payloads (back-pressure accounting).
     pub send_pool: Arc<BufferPool>,
-    /// Adaptive flush-threshold controller shared by this machine's workers
-    /// (inert unless `config.adaptive_flush.enabled`).
-    pub flush: Arc<FlushController>,
     /// Telemetry registry: histograms, per-worker tracers, and the owner of
     /// this machine's [`MachineStats`].
     pub telemetry: Arc<Telemetry>,
@@ -101,11 +97,6 @@ impl MachineState {
             config.buffer_bytes,
             config.pool_shards,
         ));
-        let flush = Arc::new(FlushController::new(
-            &config.adaptive_flush,
-            config.buffer_bytes,
-            config.machines,
-        ));
         let dist_barrier = Arc::new(DistBarrier::new(config.workers, config.machines));
         let stats = telemetry.stats().clone();
         let reliability = Arc::new(Reliability::new(
@@ -126,7 +117,6 @@ impl MachineState {
             copier_rx: receivers.copier_rx,
             worker_rx: receivers.worker_rx,
             send_pool,
-            flush,
             telemetry,
             stats,
             pending,

@@ -358,6 +358,11 @@ pub struct PropertyStore {
     len_local: usize,
     len_ghost: usize,
     entries: RwLock<Vec<Option<Arc<PropEntry>>>>,
+    /// Properties dropped so far. Anything that caches `Arc<Column>`
+    /// handles across jobs (the copiers) compares it against the count it
+    /// last saw and forgets its handles on a mismatch — otherwise a cached
+    /// handle keeps a dropped column allocated and answering.
+    drops: AtomicU64,
 }
 
 impl PropertyStore {
@@ -368,6 +373,7 @@ impl PropertyStore {
             len_local,
             len_ghost,
             entries: RwLock::new(Vec::new()),
+            drops: AtomicU64::new(0),
         }
     }
 
@@ -410,6 +416,14 @@ impl PropertyStore {
         if idx < entries.len() {
             entries[idx] = None;
         }
+        // Release pairs with the Acquire in `drops`: whoever sees the new
+        // count also sees the entry gone.
+        self.drops.fetch_add(1, Ordering::Release);
+    }
+
+    /// How many properties have been dropped so far; see the field.
+    pub fn drops(&self) -> u64 {
+        self.drops.load(Ordering::Acquire)
     }
 
     /// Looks up a property's column.

@@ -689,13 +689,7 @@ pub fn chrome_trace_with_jobs(
                             .into(),
                         ));
                     }
-                    EventKind::BufferFlush => {
-                        fields.push(("name", "flush".into()));
-                        fields.push(("cat", "comm".into()));
-                        fields.push(("ph", "i".into()));
-                        fields.push(("s", "t".into()));
-                    }
-                    EventKind::PoolStall | EventKind::FlushRetune => {
+                    EventKind::BufferFlush | EventKind::PoolStall => {
                         fields.push(("name", e.kind.name().into()));
                         fields.push(("cat", "comm".into()));
                         fields.push(("ph", "i".into()));
@@ -740,12 +734,11 @@ pub fn chrome_trace_with_jobs(
                 fields.push(("tid", w.into()));
                 fields.push(("ts", ts.into()));
                 let arg_key = match e.kind {
-                    EventKind::BufferFlush | EventKind::FlushRetune => Some("bytes"),
+                    EventKind::BufferFlush | EventKind::CheckpointTaken => Some("bytes"),
                     EventKind::PoolStall => Some("events"),
                     EventKind::GhostPush | EventKind::GhostReduce => Some("nodes"),
                     EventKind::Retransmit | EventKind::AbortSweep => Some("count"),
                     EventKind::DupDrop => Some("seq"),
-                    EventKind::CheckpointTaken => Some("bytes"),
                     EventKind::RecoveryStart => Some("attempt"),
                     EventKind::RecoveryDone => Some("iteration"),
                     EventKind::CheckpointFallback => Some("seq"),

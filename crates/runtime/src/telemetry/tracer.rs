@@ -43,9 +43,6 @@ pub enum EventKind {
     /// A worker failed its in-flight continuations after a cluster abort.
     /// `arg` = entries failed.
     AbortSweep = 10,
-    /// The adaptive flush controller moved the effective threshold between
-    /// phase barriers. `arg` = the new threshold in bytes.
-    FlushRetune = 11,
     /// A barrier-consistent checkpoint was taken. `arg` = payload bytes
     /// snapshotted cluster-wide.
     CheckpointTaken = 12,
@@ -98,7 +95,6 @@ impl EventKind {
             EventKind::Retransmit => "retransmit",
             EventKind::DupDrop => "dup_drop",
             EventKind::AbortSweep => "abort_sweep",
-            EventKind::FlushRetune => "flush_retune",
             EventKind::CheckpointTaken => "checkpoint_taken",
             EventKind::RecoveryStart => "recovery_start",
             EventKind::RecoveryDone => "recovery_done",
@@ -127,7 +123,6 @@ impl EventKind {
             8 => EventKind::Retransmit,
             9 => EventKind::DupDrop,
             10 => EventKind::AbortSweep,
-            11 => EventKind::FlushRetune,
             12 => EventKind::CheckpointTaken,
             13 => EventKind::RecoveryStart,
             14 => EventKind::RecoveryDone,

@@ -16,7 +16,6 @@
 //! * the worker's response receive queue.
 
 use crate::buffer::BufferPool;
-use crate::flow::FlushController;
 use crate::health::{ClusterHealth, JobError};
 use crate::ids::MachineId;
 use crate::message::{
@@ -35,31 +34,28 @@ use std::sync::Arc;
 /// Communication tuning for one worker: the knobs that shape the fast
 /// path, bundled so [`WorkerComm::new`] doesn't accumulate loose scalar
 /// arguments. Built by the cluster from the validated [`Config`]
-/// (`buffer_bytes`, `read_combining`, `adaptive_flush`, `pool_shards`).
+/// (`buffer_bytes`, `read_combining`, `pool_shards`).
 ///
 /// [`Config`]: crate::config::Config
 #[derive(Clone)]
 pub struct CommTuning {
-    /// Allocated bytes per message buffer (the hard capacity; the flush
-    /// controller's threshold never exceeds it).
+    /// Bytes per message buffer: a buffer seals when one more entry would
+    /// not fit.
     pub buffer_bytes: usize,
     /// Combine duplicate in-flight reads of the same `(property, vertex)`
     /// into one wire entry.
     pub read_combining: bool,
-    /// The machine's shared flush-threshold controller.
-    pub flush: Arc<FlushController>,
     /// Buffer-pool shard hint for this worker (its worker index).
     pub pool_shard: usize,
 }
 
 impl CommTuning {
-    /// Fixed flush threshold at `buffer_bytes`, combining on, shard 0 —
-    /// mirrors the production defaults for tests and detached endpoints.
+    /// Combining on, shard 0 — mirrors the production defaults for tests
+    /// and detached endpoints.
     pub fn fixed(buffer_bytes: usize) -> Self {
         CommTuning {
             buffer_bytes,
             read_combining: true,
-            flush: Arc::new(FlushController::fixed(buffer_bytes)),
             pool_shard: 0,
         }
     }
@@ -347,9 +343,6 @@ pub struct WorkerComm {
     buffer_bytes: usize,
     /// Combine duplicate in-flight reads (see [`CommTuning`]).
     read_combining: bool,
-    /// Shared flush-threshold controller; `flush.threshold()` is where
-    /// buffers seal (pinned to `buffer_bytes` unless adaptive flush is on).
-    flush: Arc<FlushController>,
     /// Buffer-pool shard this worker recycles through.
     pool_shard: usize,
     read_payloads: Vec<Option<ReadBuffer>>,
@@ -424,7 +417,6 @@ impl WorkerComm {
             worker,
             buffer_bytes: tuning.buffer_bytes,
             read_combining: tuning.read_combining,
-            flush: tuning.flush,
             pool_shard: tuning.pool_shard,
             read_payloads: (0..num_machines).map(|_| None).collect(),
             combine: (0..num_machines).map(|_| CombineTable::new()).collect(),
@@ -496,8 +488,8 @@ impl WorkerComm {
     /// record. Under read combining, a second read of the same
     /// `(property, vertex)` while the buffer is unsealed piggybacks on the
     /// existing wire entry instead of adding one; the response value fans
-    /// out to every logged record. Flushes automatically when the buffer
-    /// reaches the effective flush threshold.
+    /// out to every logged record. Seals automatically when the buffer is
+    /// full.
     pub fn push_read(&mut self, dst: MachineId, prop: PropId, offset: u32, rec: SideRec) {
         self.unpublished += 1;
         let slot = dst as usize;
@@ -526,8 +518,7 @@ impl WorkerComm {
             recs.push(rec);
             self.stat_reads += 1;
         }
-        if self.read_payloads[slot].as_ref().unwrap().0.len() + READ_ENTRY_BYTES
-            > self.flush.threshold()
+        if self.read_payloads[slot].as_ref().unwrap().0.len() + READ_ENTRY_BYTES > self.buffer_bytes
         {
             self.seal_read(dst);
         }
@@ -548,9 +539,7 @@ impl WorkerComm {
             let buf = self.mut_payloads[slot].as_mut().unwrap();
             push_mut_entry(buf, prop.0, op, offset, bits);
         }
-        if self.mut_payloads[slot].as_ref().unwrap().len() + MUT_ENTRY_BYTES
-            > self.flush.threshold()
-        {
+        if self.mut_payloads[slot].as_ref().unwrap().len() + MUT_ENTRY_BYTES > self.buffer_bytes {
             self.seal_mut(dst);
         }
     }
@@ -571,63 +560,37 @@ impl WorkerComm {
             push_rmi_entry(buf, fn_id, args);
             recs.push(rec);
         }
-        if self.rmi_payloads[slot].as_ref().unwrap().0.len() + 4 + args.len()
-            > self.flush.threshold()
-        {
+        if self.rmi_payloads[slot].as_ref().unwrap().0.len() + 4 + args.len() > self.buffer_bytes {
             self.seal_rmi(dst);
         }
     }
 
-    /// Accounting for one sealed buffer: the flush controller's fill/seal
-    /// feed, telemetry (fill ratio, flush trace event), and — for request
-    /// kinds expecting a response — the send timestamp for round-trip
-    /// measurement plus side-slab occupancy. `entry_bytes` is the size one
-    /// more entry would have needed, to classify the seal as at-capacity
-    /// vs. explicit-flush.
-    fn note_seal(
-        &mut self,
-        dst: MachineId,
-        payload_len: usize,
-        side_id: Option<u32>,
-        entry_bytes: usize,
-    ) {
-        let flow = self.flush.enabled();
-        if flow {
-            let full = payload_len + entry_bytes > self.flush.threshold();
-            self.flush.note_seal(dst as usize, payload_len as u64, full);
-        }
-        let telem = self.telemetry.enabled();
-        if !telem && !flow {
+    /// Telemetry for one sealed buffer (fill ratio, flush trace event,
+    /// per-job wire attribution) and — for request kinds expecting a
+    /// response — the send timestamp for round-trip measurement plus
+    /// side-slab occupancy.
+    fn note_seal(&mut self, payload_len: usize, side_id: Option<u32>) {
+        if !self.telemetry.enabled() {
             return;
         }
-        if telem {
-            self.telemetry
-                .record_flush_fill((payload_len * 100 / self.buffer_bytes.max(1)) as u64);
-            // Charge the sealed buffer to the cluster's active job — this
-            // is the send-side half of per-job wire attribution.
-            self.telemetry.record_job_send(payload_len as u64);
-            self.telemetry.trace(
-                self.worker as usize,
-                EventKind::BufferFlush,
-                payload_len as u64,
-            );
-            if side_id.is_some() {
-                self.telemetry
-                    .record_side_occupancy(self.slab.in_flight() as u64);
-            }
-        }
+        self.telemetry
+            .record_flush_fill((payload_len * 100 / self.buffer_bytes.max(1)) as u64);
+        // Charge the sealed buffer to the cluster's active job — this
+        // is the send-side half of per-job wire attribution.
+        self.telemetry.record_job_send(payload_len as u64);
+        self.telemetry.trace(
+            self.worker as usize,
+            EventKind::BufferFlush,
+            payload_len as u64,
+        );
         if let Some(id) = side_id {
+            self.telemetry
+                .record_side_occupancy(self.slab.in_flight() as u64);
             let i = id as usize;
             if self.sent_at.len() <= i {
                 self.sent_at.resize(i + 1, 0);
             }
-            // One clock per run: telemetry's when tracing, else the flush
-            // controller's (the RTT consumer must subtract consistently).
-            self.sent_at[i] = if telem {
-                self.telemetry.now_ns()
-            } else {
-                self.flush.now_ns()
-            };
+            self.sent_at[i] = self.telemetry.now_ns();
         }
     }
 
@@ -666,7 +629,7 @@ impl WorkerComm {
             }
             self.publish_pending();
             let side_id = self.slab.insert(SideEntry { recs, entry_idx });
-            self.note_seal(dst, payload.len(), Some(side_id), READ_ENTRY_BYTES);
+            self.note_seal(payload.len(), Some(side_id));
             let _ = self.outbox.send(Envelope {
                 src: self.machine,
                 dst,
@@ -682,7 +645,7 @@ impl WorkerComm {
     fn seal_mut(&mut self, dst: MachineId) {
         if let Some(payload) = self.mut_payloads[dst as usize].take() {
             self.publish_pending();
-            self.note_seal(dst, payload.len(), None, MUT_ENTRY_BYTES);
+            self.note_seal(payload.len(), None);
             let _ = self.outbox.send(Envelope {
                 src: self.machine,
                 dst,
@@ -702,7 +665,7 @@ impl WorkerComm {
                 recs,
                 entry_idx: Vec::new(),
             });
-            self.note_seal(dst, payload.len(), Some(side_id), 4);
+            self.note_seal(payload.len(), Some(side_id));
             let _ = self.outbox.send(Envelope {
                 src: self.machine,
                 dst,
@@ -813,21 +776,11 @@ impl WorkerComm {
                     continue;
                 }
             }
-            let telem = self.telemetry.enabled();
-            if telem || self.flush.enabled() {
+            if self.telemetry.enabled() {
                 if let Some(&sent) = self.sent_at.get(env.side_id as usize) {
                     if sent > 0 {
-                        // Same clock note_seal stamped with.
-                        let now = if telem {
-                            self.telemetry.now_ns()
-                        } else {
-                            self.flush.now_ns()
-                        };
-                        let rtt = now.saturating_sub(sent);
-                        if telem {
-                            self.telemetry.record_read_rtt(rtt);
-                        }
-                        self.flush.note_rtt(rtt);
+                        let rtt = self.telemetry.now_ns().saturating_sub(sent);
+                        self.telemetry.record_read_rtt(rtt);
                     }
                 }
             }
@@ -1311,30 +1264,6 @@ mod tests {
         assert_eq!(pending.load(Ordering::SeqCst), 5, "the pre-retire publish");
         comm.flush();
         assert_eq!(pending.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
-    fn adaptive_threshold_seals_early() {
-        // Controller pinned far below the allocation: buffers must seal at
-        // the controller's threshold, not at buffer_bytes.
-        let tuning = CommTuning {
-            buffer_bytes: 1024,
-            read_combining: true,
-            flush: Arc::new(FlushController::new(
-                &crate::config::AdaptiveFlushConfig::bounds(
-                    2 * READ_ENTRY_BYTES,
-                    2 * READ_ENTRY_BYTES,
-                ),
-                1024,
-                2,
-            )),
-            pool_shard: 0,
-        };
-        let (mut comm, out, _resp) = make_comm_tuned(tuning);
-        for i in 0..5u32 {
-            comm.push_read(1, PropId(0), i, SideRec { node: i, aux: 0 });
-        }
-        assert_eq!(out.try_iter().count(), 2, "sealed twice at the threshold");
     }
 
     #[test]

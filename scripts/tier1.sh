@@ -28,8 +28,8 @@ echo "== chaos-quick smoke (fixed-seed fault plans) =="
 # contract internally (exactly-once results, clean MachineDown abort).
 cargo run --release -p pgxd-bench --bin repro -- chaos
 
-echo "== commfast smoke (read combining + adaptive flush acceptance) =="
-# Runs the fast path off/on/adaptive and asserts the contract internally
+echo "== commfast smoke (read combining acceptance) =="
+# Runs the fast path off/on and asserts the contract internally
 # (combined hits > 0, strictly fewer wire messages, scores within 1e-12,
 # bit-identical on the deterministic star graph).
 cargo run --release -p pgxd-bench --bin repro -- commfast
@@ -102,3 +102,6 @@ echo "== cargo doc --workspace --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "tier-1: all checks passed"
+
+echo "== line counts (informational) =="
+scripts/loc.sh || true

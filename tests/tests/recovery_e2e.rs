@@ -13,10 +13,8 @@
 //! * With recovery disabled the PR-3 contract is unchanged: a clean
 //!   `Err(MachineDown)`, no retry.
 
-use pgxd::{BuildEngine, Config, Engine, FaultPlan, JobError, TelemetryConfig};
-use pgxd_algorithms::{
-    recoverable_hopdist, recoverable_pagerank_pull, try_hopdist, try_pagerank_pull,
-};
+use pgxd::{BuildEngine, Config, Engine, FaultPlan, JobError, RecoveryDriver, TelemetryConfig};
+use pgxd_algorithms::{try_hopdist, try_pagerank_pull, ResumableHopDist, ResumablePageRank};
 use pgxd_graph::generate;
 use proptest::prelude::*;
 
@@ -54,7 +52,9 @@ proptest! {
         let baseline = try_hopdist(&mut clean, 0).unwrap();
         drop(clean);
 
-        let rec = recoverable_hopdist(&g, recovery_config(machine, crash_after), 0)
+        let rec = RecoveryDriver::new(&g, recovery_config(machine, crash_after))
+            .expect("driver")
+            .run(&mut ResumableHopDist::new(0))
             .expect("recovery must succeed within the retry budget");
         prop_assert_eq!(&rec.output.hops, &baseline.hops);
         prop_assert_eq!(rec.output.iterations, baseline.iterations);
@@ -80,7 +80,9 @@ fn pagerank_recovers_to_fault_free_fixpoint() {
     let baseline = try_pagerank_pull(&mut clean, 0.85, 30, 0.0).unwrap();
     drop(clean);
 
-    let rec = recoverable_pagerank_pull(&g, recovery_config(1, 1_000), 0.85, 30, 0.0)
+    let rec = RecoveryDriver::new(&g, recovery_config(1, 1_000))
+        .expect("driver")
+        .run(&mut ResumablePageRank::pull(0.85, 30, 0.0))
         .expect("recovery must succeed within the retry budget");
     assert!(rec.attempts > 1, "crash plan never fired — job too small");
     assert!(rec.recoveries >= 1);
@@ -110,7 +112,9 @@ fn recovery_disabled_fails_cleanly() {
         .fault(FaultPlan::crash(2, 2_000))
         .build()
         .expect("config");
-    let err = recoverable_pagerank_pull(&g, config, 0.85, 50, 0.0)
+    let err = RecoveryDriver::new(&g, config)
+        .expect("driver")
+        .run(&mut ResumablePageRank::pull(0.85, 50, 0.0))
         .expect_err("crash with recovery off must abort");
     assert!(
         matches!(err, JobError::MachineDown { machine: 2 }),

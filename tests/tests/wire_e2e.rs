@@ -260,7 +260,7 @@ fn loopback_survivors_recover_from_abrupt_peer_death() {
     const CKPT_EVERY: u64 = 2;
     const VICTIM: u16 = 2;
 
-    let pagerank = || algos::ResumablePageRankPull::new(0.85, R_ITERS, 0.0);
+    let pagerank = || algos::ResumablePageRank::pull(0.85, R_ITERS, 0.0);
     let machines = || Config::builder().machines(MACHINES).workers(2);
 
     // Reference fixpoint: same stepwise algorithm, in-memory backend.
