@@ -17,24 +17,8 @@
 //! exits non-zero with the same list.
 
 use pgxd_bench::datasets::Scale;
-use pgxd_bench::experiments::*;
-use pgxd_bench::report::{results_dir, Table};
+use pgxd_bench::experiments::{ExperimentInfo, RunArgs, EXPERIMENTS};
 use std::path::PathBuf;
-
-fn emit(tables: &[Table], slug: &str) {
-    let dir = results_dir();
-    for (i, t) in tables.iter().enumerate() {
-        println!("{}", t.render());
-        let name = if tables.len() == 1 {
-            slug.to_string()
-        } else {
-            format!("{slug}_{i}")
-        };
-        if let Some(p) = t.save_json(&dir, &name) {
-            eprintln!("[saved {}]", p.display());
-        }
-    }
-}
 
 /// Renders the experiment list, one aligned line per registry entry.
 fn experiment_list() -> String {
@@ -79,9 +63,12 @@ fn main() {
             std::process::exit(2);
         }
     }
-    let scale = Scale::from_args(&args);
-    let verbose = args.iter().any(|a| a == "-v" || a == "--verbose");
-    let quick = args.iter().any(|a| a == "--quick");
+    let run_args = RunArgs {
+        scale: Scale::from_args(&args),
+        verbose: args.iter().any(|a| a == "-v" || a == "--verbose"),
+        quick: args.iter().any(|a| a == "--quick"),
+        telemetry_dir,
+    };
     let wanted: Vec<&str> = args
         .iter()
         .filter(|a| !a.starts_with('-'))
@@ -89,7 +76,7 @@ fn main() {
         .collect();
     let wanted: Vec<&str> = if !wanted.is_empty() && !wanted.contains(&"all") {
         wanted
-    } else if telemetry_dir.is_some() && wanted.is_empty() {
+    } else if run_args.telemetry_dir.is_some() && wanted.is_empty() {
         // Bare `--telemetry <dir>` runs just the instrumented demo.
         vec!["telemetry"]
     } else {
@@ -98,64 +85,32 @@ fn main() {
         ]
     };
 
-    for exp in &wanted {
-        if !EXPERIMENTS.iter().any(|e| e.name == *exp) {
-            eprintln!("unknown experiment '{exp}'\n\nknown experiments (or `all`):");
-            eprintln!("{}", experiment_list());
-            std::process::exit(2);
-        }
-    }
+    let selected: Vec<&ExperimentInfo> = wanted
+        .iter()
+        .map(|name| {
+            EXPERIMENTS
+                .iter()
+                .find(|e| e.name == *name)
+                .unwrap_or_else(|| {
+                    eprintln!("unknown experiment '{name}'\n\nknown experiments (or `all`):");
+                    eprintln!("{}", experiment_list());
+                    std::process::exit(2);
+                })
+        })
+        .collect();
 
-    eprintln!("# PGX.D reproduction harness — scale: {scale:?}, experiments: {wanted:?}");
-    for exp in wanted {
+    eprintln!(
+        "# PGX.D reproduction harness — scale: {:?}, experiments: {wanted:?}",
+        run_args.scale
+    );
+    for exp in selected {
         let t0 = std::time::Instant::now();
-        eprintln!("== {exp} ==");
-        match exp {
-            "table3" => emit(&table3::run_experiment(scale, verbose), "table3"),
-            "table4" => emit(&[table4::run_experiment(scale)], "table4"),
-            "fig3" => emit(&fig3::run_experiment(scale, verbose), "fig3"),
-            "fig4" => emit(&fig4::run_experiment(scale, verbose), "fig4"),
-            "fig5" => {
-                emit(&[fig5::run_fig5a(scale)], "fig5a");
-                emit(&[fig5::run_fig5b()], "fig5b");
-            }
-            "fig6" => {
-                emit(&[fig6::run_fig6a(scale, 4)], "fig6a");
-                emit(&[fig6::run_fig6b(scale)], "fig6b");
-                emit(&[fig6::run_fig6c(scale, 2)], "fig6c");
-            }
-            "fig7" => emit(&[fig7::run_experiment(scale, 2)], "fig7"),
-            "fig8" => {
-                emit(&[fig8::run_fig8a()], "fig8a");
-                emit(&[fig8::run_fig8b()], "fig8b");
-            }
-            "chaos" => emit(&chaos::run_experiment(scale), "chaos"),
-            "query" => emit(&query::run_experiment(scale, quick), "query"),
-            "commfast" => emit(&commfast::run_experiment(scale), "commfast"),
-            "recover" => emit(&recover::run_experiment(scale), "recover"),
-            "serve" => emit(&serve::run_experiment(scale), "serve"),
-            "soak" => emit(&soak::run_experiment(scale, quick), "soak"),
-            "telemetry" => {
-                let dir = telemetry_dir
-                    .clone()
-                    .unwrap_or_else(|| results_dir().join("telemetry"));
-                emit(&telemetry::run_experiment(scale, &dir), "telemetry");
-            }
-            "wire" => emit(&[wire::run_experiment(scale, quick)], "wire"),
-            "wire-recover" => emit(
-                &[wire_recover::run_experiment(scale, quick)],
-                "wire_recover",
-            ),
-            "verify" => {
-                let checks = verify::run_checks(scale);
-                let (text, all) = verify::report(&checks);
-                println!("{text}");
-                if !all {
-                    std::process::exit(1);
-                }
-            }
-            other => unreachable!("'{other}' is in EXPERIMENTS but has no dispatch arm"),
-        }
-        eprintln!("== {exp} done in {:.1}s ==\n", t0.elapsed().as_secs_f64());
+        eprintln!("== {} ==", exp.name);
+        (exp.run)(&run_args);
+        eprintln!(
+            "== {} done in {:.1}s ==\n",
+            exp.name,
+            t0.elapsed().as_secs_f64()
+        );
     }
 }

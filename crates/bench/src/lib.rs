@@ -1,10 +1,10 @@
 //! Benchmark harness regenerating every table and figure of the PGX.D
 //! paper's evaluation (§5).
 //!
-//! The heavyweight sweeps live in the `repro` binary (`cargo run -p
-//! pgxd-bench --release --bin repro -- <experiment>`); the Criterion
-//! benches under `benches/` provide statistically sound micro-measurements
-//! of the same quantities. DESIGN.md maps each experiment to the modules
+//! The experiments live in the `repro` binary (`cargo run -p pgxd-bench
+//! --release --bin repro -- <experiment>`; `experiments::EXPERIMENTS` is
+//! its one registry-and-dispatch table); `tests/soak.rs` is the
+//! whole-stack chaos soak. DESIGN.md maps each experiment to the modules
 //! it exercises; EXPERIMENTS.md records paper-vs-measured outcomes.
 
 pub mod datasets;

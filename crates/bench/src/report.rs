@@ -179,6 +179,23 @@ pub fn results_dir() -> std::path::PathBuf {
     std::path::PathBuf::from("results")
 }
 
+/// Prints each table to stdout and saves it under [`results_dir`] as
+/// `<slug>.json` (`<slug>_<i>.json` when there are several).
+pub fn emit(tables: &[Table], slug: &str) {
+    let dir = results_dir();
+    for (i, t) in tables.iter().enumerate() {
+        println!("{}", t.render());
+        let name = if tables.len() == 1 {
+            slug.to_string()
+        } else {
+            format!("{slug}_{i}")
+        };
+        if let Some(p) = t.save_json(&dir, &name) {
+            eprintln!("[saved {}]", p.display());
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,8 @@
-//! `repro soak`: the deterministic whole-stack chaos soak.
+//! The deterministic whole-stack chaos soak (`cargo test -p pgxd-bench
+//! --test soak`).
 //!
 //! One seeded run drives both robustness stacks end to end on the pinned
-//! TWT-S × 4 preset and asserts the global invariants the issue demands:
+//! TWT-S × 4 preset and asserts the global invariants:
 //!
 //! * **Serve phase** — a seeded stream of mixed interactive/batch jobs
 //!   across three sessions, submitted against a throttled queue so the
@@ -31,8 +32,6 @@
 //! first three saves and corrupt for the next three, so the ring-fallback
 //! restore is a certainty of the dice, independent of timing.
 
-use crate::datasets::{BenchGraph, Scale};
-use crate::report::Table;
 use pgxd::recover::Scripted;
 use pgxd::serve::{JobHandle, JobReport, Lane, ServeEngine};
 use pgxd::{
@@ -41,14 +40,15 @@ use pgxd::{
 };
 use pgxd_algorithms::pagerank::PageRankResult;
 use pgxd_algorithms::{try_pagerank_pull, ResumablePageRank};
+use pgxd_bench::datasets::{BenchGraph, Scale};
 use pgxd_runtime::stats::{MachineStats, StatsSnapshot};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Simulated machines in the pinned preset.
-pub const MACHINES: usize = 4;
+const MACHINES: usize = 4;
 /// Seed for the serve-phase job stream and the fabric fault plan.
-pub const SOAK_SEED: u64 = 0x50a7_2026;
+const SOAK_SEED: u64 = 0x50a7_2026;
 
 const DAMPING: f64 = 0.85;
 const PR_ITERS: usize = 10;
@@ -63,10 +63,11 @@ const RETRY_TOKENS: u32 = 3;
 /// Batch jobs thrown at the closed gate per round — more than the
 /// budget can ever resubmit, so exhaustion is guaranteed.
 const SHED_VICTIMS: usize = 5;
+/// Blocker/fill/shed/drain rounds of the serve stream; raise to soak
+/// longer (the wall bound below is sized for one).
+const ROUNDS: usize = 1;
 /// Hard no-hang bound on the whole soak.
-fn wall_bound(quick: bool) -> Duration {
-    Duration::from_secs(if quick { 240 } else { 900 })
-}
+const WALL_BOUND: Duration = Duration::from_secs(240);
 
 /// splitmix64 — the soak's own draw for stream randomization (sessions,
 /// cancel victims). Independent of the runtime's fault dice.
@@ -169,32 +170,18 @@ fn max_delta(a: &[f64], b: &[f64]) -> f64 {
         .fold(0.0f64, f64::max)
 }
 
-/// Runs the soak and returns the summary table. Panics on any violated
-/// invariant — this *is* the acceptance check.
-pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
+/// The acceptance scenario end to end: brownout cycle, budget exhaustion
+/// (server- and driver-side), scheduled ring fallback, quarantine +
+/// degraded restore, exactly-once terminal outcomes, and full
+/// reclamation. Every invariant is asserted inline; reaching the end
+/// inside the wall bound is the pass condition.
+#[test]
+fn soak_passes_at_quick_scale() {
     let t_start = Instant::now();
-    let rounds = if quick { 1 } else { 3 };
-    let graph = BenchGraph::Twt.generate(scale);
-    let mut t = Table::new(
-        &format!(
-            "Soak — whole-stack chaos on TWT-S × {MACHINES} machines, \
-             seed {SOAK_SEED:#x}, {rounds} round(s)"
-        ),
-        vec![
-            "ok".into(),
-            "seconds".into(),
-            "jobs".into(),
-            "max|Δ| vs clean".into(),
-            "detail".into(),
-        ],
-        "detail: stream row = brownout sheds; brownout row = reopens; \
-         budget rows = exhaustion events; ledger row = % of wire bytes \
-         attributed to jobs; recovery row = ring fallbacks",
-    );
+    let graph = BenchGraph::Twt.generate(Scale::Quick);
 
     // --- fault-free fixpoint --------------------------------------------
     eprintln!("[soak] running 'fault-free baseline'");
-    let t0 = Instant::now();
     let mut clean = Engine::builder()
         .machines(MACHINES)
         .workers(2)
@@ -205,20 +192,9 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
         .expect("fault-free run failed")
         .scores;
     drop(clean);
-    t.push_row(
-        "fault-free baseline",
-        vec![
-            Some(1.0),
-            Some(t0.elapsed().as_secs_f64()),
-            Some(1.0),
-            None,
-            None,
-        ],
-    );
 
     // ====================== serve phase =================================
     eprintln!("[soak] running 'serve chaos stream'");
-    let t0 = Instant::now();
     let engine = Engine::builder()
         .machines(MACHINES)
         .workers(2)
@@ -270,7 +246,7 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
             }
         };
 
-    for round in 0..rounds {
+    for round in 0..ROUNDS {
         // A blocker job holds the dispatcher so the queue fills while we
         // submit; everything behind it is decided by scheduler + gates.
         let (started_tx, started_rx) = mpsc::channel::<()>();
@@ -424,12 +400,11 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
     let telemetry = Arc::clone(server.telemetry());
     drop(sessions);
     let engine = server.shutdown();
-    let serve_seconds = t0.elapsed().as_secs_f64();
 
     ledger.assert_all_settled();
     let stats = telemetry.stats().snapshot();
     let sheds = ledger.count("shed");
-    assert_eq!(sheds, SHED_VICTIMS * rounds, "[soak] shed count off");
+    assert_eq!(sheds, SHED_VICTIMS * ROUNDS, "[soak] shed count off");
     assert!(
         exhausted >= 1,
         "[soak] the retry budget never ran dry ({resubmitted} resubmits)"
@@ -455,13 +430,13 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
         "[soak] every dispatched job reports, nothing else is admitted"
     );
     assert_eq!(
-        stats.jobs_deadline_missed, rounds as u64,
+        stats.jobs_deadline_missed, ROUNDS as u64,
         "[soak] one expired deadline per round"
     );
     assert_eq!(
         stats.jobs_cancelled,
         // Queued cancels + expired deadlines + the one mid-run cancel.
-        (rounds + rounds + 1) as u64,
+        (ROUNDS + ROUNDS + 1) as u64,
         "[soak] cancellation counter does not reconcile"
     );
 
@@ -483,7 +458,6 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
         "[soak] per-job attribution covers < 80% of machine bytes \
          ({job_bytes} of {machine_bytes})"
     );
-    let attributed_pct = 100.0 * job_bytes as f64 / machine_bytes.max(1) as f64;
 
     // Full reclamation: no leaked columns, no buffer-pool quota held.
     let leaked = engine.live_prop_ids();
@@ -504,54 +478,8 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
         pools.iter().map(|p| p.outstanding()).collect::<Vec<_>>()
     );
 
-    t.push_row(
-        &format!("serve chaos stream ({} ops)", ledger.outcomes.len()),
-        vec![
-            Some(1.0),
-            Some(serve_seconds),
-            Some(ledger.outcomes.len() as f64),
-            None,
-            Some(stats.brownout_sheds as f64),
-        ],
-    );
-    t.push_row(
-        "brownout shed/re-open cycle",
-        vec![
-            Some(1.0),
-            None,
-            Some(sheds as f64),
-            None,
-            Some(stats.brownout_reopens as f64),
-        ],
-    );
-    t.push_row(
-        "server retry budget",
-        vec![
-            Some(1.0),
-            None,
-            Some(resubmitted as f64),
-            None,
-            Some(stats.retry_budget_exhausted as f64),
-        ],
-    );
-    t.push_row(
-        "served PageRank vs fault-free",
-        vec![Some(1.0), None, Some(1.0), Some(serve_delta), None],
-    );
-    t.push_row(
-        "ledger reconciliation + reclamation",
-        vec![
-            Some(1.0),
-            None,
-            Some(reports.len() as f64),
-            None,
-            Some(attributed_pct),
-        ],
-    );
-
     // ====================== recovery phase ==============================
     eprintln!("[soak] running 'recovery chaos: ring fallback + quarantine'");
-    let t0 = Instant::now();
     let storage = StorageFaultPlan::faulty(fallback_seed(), 0, 500, 0);
     let chaos_config = || {
         Config::builder()
@@ -580,7 +508,6 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
         .with_retry_budget(Arc::clone(&budget))
         .run(&mut algo)
         .expect("[soak] chaos plan must be survivable");
-    let recover_seconds = t0.elapsed().as_secs_f64();
     let rec_delta = max_delta(&baseline, &rec.output.scores);
     assert!(
         rec_delta <= TOLERANCE,
@@ -617,16 +544,6 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
         6,
         "[soak] two retries must each spend one budget token"
     );
-    t.push_row(
-        "recovery chaos: ring fallback + quarantine",
-        vec![
-            Some(1.0),
-            Some(recover_seconds),
-            Some(rec.attempts as f64),
-            Some(rec_delta),
-            Some(rec.stats.checkpoint_fallbacks as f64),
-        ],
-    );
 
     // A one-token budget against a machine that flaps on every attempt:
     // the second flap finds the bucket dry and the job must fail with the
@@ -644,55 +561,26 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Vec<Table> {
         "[soak] expected RetryBudgetExhausted, got {err}"
     );
     assert_eq!(tiny.exhausted_events(), 1);
-    t.push_row(
-        "driver retry-budget exhaustion",
-        vec![
-            Some(1.0),
-            None,
-            Some(1.0),
-            None,
-            Some(tiny.exhausted_events() as f64),
-        ],
-    );
 
     // --- the no-hang bound ----------------------------------------------
     let elapsed = t_start.elapsed();
     assert!(
-        elapsed < wall_bound(quick),
+        elapsed < WALL_BOUND,
         "[soak] soak took {:.1}s — over the {:.0}s wall-clock bound",
         elapsed.as_secs_f64(),
-        wall_bound(quick).as_secs_f64()
+        WALL_BOUND.as_secs_f64()
     );
-
-    vec![t]
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The issue's acceptance scenario end to end: brownout cycle, budget
-    /// exhaustion (server- and driver-side), scheduled ring fallback,
-    /// quarantine + degraded restore, exactly-once terminal outcomes, and
-    /// full reclamation — `run_experiment` asserts internally; reaching
-    /// the end inside the wall bound is the pass condition.
-    #[test]
-    fn soak_passes_at_quick_scale() {
-        let tables = run_experiment(Scale::Quick, true);
-        assert_eq!(tables.len(), 1);
-        assert_eq!(tables[0].rows.len(), 8);
+/// The fallback seed search terminates and its pattern is what the
+/// recovery scenario relies on.
+#[test]
+fn fallback_seed_pattern_is_scheduled() {
+    let p = StorageFaultPlan::faulty(fallback_seed(), 0, 500, 0);
+    for c in 0..3 {
+        assert_eq!(p.draw(c), StorageFaultKind::Store);
     }
-
-    /// The fallback seed search terminates and its pattern is what the
-    /// recovery scenario relies on.
-    #[test]
-    fn fallback_seed_pattern_is_scheduled() {
-        let p = StorageFaultPlan::faulty(fallback_seed(), 0, 500, 0);
-        for c in 0..3 {
-            assert_eq!(p.draw(c), StorageFaultKind::Store);
-        }
-        for c in 3..6 {
-            assert_eq!(p.draw(c), StorageFaultKind::Corrupt);
-        }
+    for c in 3..6 {
+        assert_eq!(p.draw(c), StorageFaultKind::Corrupt);
     }
 }

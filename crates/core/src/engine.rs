@@ -536,7 +536,7 @@ impl Engine {
     }
 
     /// Closes the window and returns the job's execution record, also
-    /// appending it to the Chrome-trace job lanes.
+    /// appending it to the Chrome-trace job lanes while telemetry is on.
     pub fn end_job_window(&mut self, outcome: JobOutcome) -> Option<JobExec> {
         let acc = self.job_acc.take().unwrap_or_default();
         let mut exec = self.cluster.end_job(outcome)?;
@@ -545,7 +545,7 @@ impl Engine {
         exec.drain_s = acc.drain_s;
         exec.checkpoint_s = acc.checkpoint_s;
         exec.engine_jobs = acc.engine_jobs;
-        self.cluster.push_job_span(exec.clone());
+        self.cluster.push_job_span(&exec);
         Some(exec)
     }
 

@@ -193,6 +193,32 @@ mod tests {
         );
     }
 
+    /// A long-lived server must not grow per job: with telemetry off
+    /// nothing reads job spans or phase labels, so none are retained.
+    #[test]
+    fn telemetry_off_server_retains_nothing_per_job() {
+        let g = generate::ring(12);
+        let server = Engine::builder()
+            .machines(2)
+            .engine(&g)
+            .unwrap()
+            .into_server();
+        let session = server.session("t");
+        for _ in 0..10_000 {
+            session
+                .submit(Lane::Interactive, 0, |engine: &mut Engine, _| {
+                    engine.try_run_node_job(&JobSpec::new(), crate::tasks::on_node(|_| {}))
+                })
+                .unwrap()
+                .join()
+                .unwrap();
+        }
+        drop(session);
+        let engine = server.shutdown();
+        assert_eq!(engine.cluster().job_spans().len(), 0);
+        assert_eq!(engine.cluster().phase_labels().len(), 0);
+    }
+
     #[test]
     fn undersized_budget_denies_before_touching_cluster() {
         let g = generate::ring(12);

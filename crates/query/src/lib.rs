@@ -58,8 +58,8 @@ pub fn compile(src: &str, nodes: u64) -> Result<Program, QueryError> {
     program::finalize(plan, report, nodes)
 }
 
-/// The pre-optimization plan for `src` — used by tests and `repro query`
-/// to show what the optimizer changed.
+/// The pre-optimization plan for `src` — used by tests to show what the
+/// optimizer changed.
 pub fn plan_naive(src: &str) -> Result<Plan, QueryError> {
     let ast = parse::parse(src)?;
     let typed = sema::analyze(&ast)?;
@@ -97,6 +97,21 @@ return rank;
         let render = p.render();
         assert!(render.contains("edge-job [pull]"), "{render}");
         assert!(render.contains("output: column rank"), "{render}");
+    }
+
+    /// Pushdown and dead-property elimination in one plan: the naive
+    /// plan materializes the `where` mask, the optimized one has none.
+    #[test]
+    fn optimizer_removes_the_mask_and_the_dead_prop_the_naive_plan_keeps() {
+        let src = "prop a: f64 = 1.0;\nprop dead: f64 = 2.0;\n\
+                   foreach v where v.out_degree > 0 { v.a = v.a + 1.0; }\n\
+                   foreach v { v.dead = v.dead * 2.0; }\nreturn a;";
+        let naive = plan_naive(src).unwrap().render();
+        assert!(naive.contains("where-mask"), "{naive}");
+        let p = compile(src, 1000).unwrap();
+        assert_eq!(p.report.pushed_filters, 1);
+        assert_eq!(p.report.eliminated, vec!["dead".to_string()]);
+        assert!(!p.render().contains("where-mask"), "{}", p.render());
     }
 
     #[test]

@@ -102,13 +102,17 @@ pub struct Cluster {
     /// bounded by `config.recovery.retain`.
     ckpt_ring: VecDeque<Arc<Checkpoint>>,
     ckpt_seq: u64,
+    /// Phases run so far: the termination token, a job window's
+    /// `epoch_start` and a checkpoint's `phase_epoch`.
+    phases_run: usize,
     /// Driver-supplied name of each phase run so far, indexed by
     /// `epoch - 1`; resolves trace events back to phase names at export.
+    /// Retained only while telemetry is on — nothing reads it otherwise.
     phase_labels: Vec<String>,
     /// The served job currently bracketed by
     /// [`Cluster::begin_job`]/[`Cluster::end_job`], if any.
     active_job: Option<ActiveJob>,
-    /// Finished job executions, kept for the Chrome-trace job lanes.
+    /// Finished job executions for the Chrome-trace job lanes (likewise).
     job_spans: Vec<JobExec>,
 }
 
@@ -118,7 +122,7 @@ struct ActiveJob {
     ctx: JobCtx,
     enqueue_ns: u64,
     dispatch_ns: u64,
-    /// `phase_labels.len()` at dispatch: epochs above this belong to the job.
+    /// `phases_run` at dispatch: epochs above this belong to the job.
     epoch_start: usize,
     stats_before: StatsSnapshot,
     read_rtt_before: HistogramSnapshot,
@@ -314,6 +318,7 @@ impl Cluster {
                 .collect(),
             ckpt_ring: VecDeque::new(),
             ckpt_seq: 0,
+            phases_run: 0,
             phase_labels: Vec::new(),
             active_job: None,
             job_spans: Vec::new(),
@@ -722,7 +727,7 @@ impl Cluster {
             num_nodes: self.num_nodes(),
             progress: JobProgress {
                 iteration,
-                phase_epoch: self.phase_labels.len() as u64,
+                phase_epoch: self.phases_run as u64,
                 scalars,
             },
             props,
@@ -863,7 +868,7 @@ impl Cluster {
             ctx,
             enqueue_ns,
             dispatch_ns,
-            epoch_start: self.phase_labels.len(),
+            epoch_start: self.phases_run,
             stats_before: self.total_stats(),
             read_rtt_before: self.merged_hist(|t| t.read_rtt_snapshot()),
             flush_fill_before: self.merged_hist(|t| t.flush_fill_snapshot()),
@@ -913,8 +918,11 @@ impl Cluster {
     }
 
     /// Appends a finished job execution to the trace export's job lanes.
-    pub fn push_job_span(&mut self, exec: JobExec) {
-        self.job_spans.push(exec);
+    /// A no-op with telemetry off: a long-lived server must not grow per job.
+    pub fn push_job_span(&mut self, exec: &JobExec) {
+        if self.telemetry_enabled() {
+            self.job_spans.push(exec.clone());
+        }
     }
 
     /// Executions recorded via [`Cluster::push_job_span`], oldest first.
@@ -938,7 +946,10 @@ impl Cluster {
         from_ns: u64,
         to_ns: u64,
     ) -> (Vec<PhaseSpan>, Vec<u64>) {
-        let count = self.phase_labels.len().saturating_sub(epoch_start);
+        if !self.telemetry_enabled() {
+            return (Vec::new(), Vec::new()); // nothing traced, no label kept
+        }
+        let count = self.phases_run.saturating_sub(epoch_start);
         let mut start: Vec<Option<u64>> = vec![None; count];
         let mut end: Vec<Option<u64>> = vec![None; count];
         let mut barrier_sum = vec![0u64; count];
@@ -1061,7 +1072,10 @@ impl Cluster {
     }
 
     fn run_phase_inner(&mut self, phase: Arc<dyn Phase>, label: &str) {
-        self.phase_labels.push(label.to_string());
+        self.phases_run += 1;
+        if self.telemetry_enabled() {
+            self.phase_labels.push(label.to_string());
+        }
         // With every machine hosted here, `pending` is the cluster-global
         // in-flight count and must be zero between phases. Otherwise it
         // only counts this process's share and remote requests may still land here while peers
@@ -1108,7 +1122,7 @@ impl Cluster {
             .unwrap_or(false)
     }
 
-    /// Labels of the phases run so far (index = epoch − 1).
+    /// Labels of the phases run so far (index = epoch − 1; telemetry on only).
     pub fn phase_labels(&self) -> &[String] {
         &self.phase_labels
     }

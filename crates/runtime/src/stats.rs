@@ -7,245 +7,138 @@
 //! registry's histograms and tracers, these counters are always live.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
-/// Traffic and work counters for one machine. All counters are cumulative
-/// over the machine's lifetime; the harness snapshots before/after a run
-/// and subtracts.
-#[derive(Debug, Default)]
-pub struct MachineStats {
+/// Declares the counter list once and derives all that must stay in step
+/// with it: the live [`MachineStats`], its [`StatsSnapshot`], the snapshot's
+/// `+`/`-`, and the `(name, value)` listing the JSON export walks.
+macro_rules! counters {
+    ($($(#[$doc:meta])* $name:ident,)*) => {
+        /// Traffic and work counters for one machine. All counters are
+        /// cumulative over the machine's lifetime; the harness snapshots
+        /// before/after a run and subtracts.
+        #[derive(Debug, Default)]
+        pub struct MachineStats {
+            $($(#[$doc])* pub $name: AtomicU64,)*
+        }
+
+        /// A point-in-time copy of [`MachineStats`], subtractable.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl MachineStats {
+            /// Takes a snapshot of all counters.
+            pub fn snapshot(&self) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name.load(Ordering::Relaxed),)*
+                }
+            }
+        }
+
+        impl StatsSnapshot {
+            /// Every counter as `(field name, value)`, in declaration order.
+            pub(crate) fn counters(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+        }
+
+        impl std::ops::Sub for StatsSnapshot {
+            type Output = StatsSnapshot;
+            fn sub(self, rhs: StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name - rhs.$name,)*
+                }
+            }
+        }
+
+        impl std::ops::Add for StatsSnapshot {
+            type Output = StatsSnapshot;
+            fn add(self, rhs: StatsSnapshot) -> StatsSnapshot {
+                StatsSnapshot {
+                    $($name: self.$name + rhs.$name,)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
     /// Envelopes sent by this machine (all kinds).
-    pub msgs_sent: AtomicU64,
+    msgs_sent,
     /// Payload bytes sent by this machine.
-    pub bytes_sent: AtomicU64,
+    bytes_sent,
     /// Header bytes sent (fixed per envelope; kept separate so "utilized"
     /// vs "effective" bandwidth can be reported as in Figure 8a).
-    pub header_bytes_sent: AtomicU64,
+    header_bytes_sent,
     /// Remote read request entries put on the wire. Reads deduplicated by
     /// in-flight combining count under `combined_read_hits` instead, so
     /// logical reads = `read_entries + combined_read_hits`.
-    pub read_entries: AtomicU64,
+    read_entries,
     /// Remote write (reduction) entries issued.
-    pub write_entries: AtomicU64,
+    write_entries,
     /// Ghost synchronization entries (pre-copy + post-reduce).
-    pub ghost_entries: AtomicU64,
+    ghost_entries,
     /// RMI invocations issued.
-    pub rmi_entries: AtomicU64,
+    rmi_entries,
     /// Envelopes processed by this machine's copiers.
-    pub msgs_processed: AtomicU64,
+    msgs_processed,
     /// Times a sender found the buffer pool empty (back-pressure events).
-    pub pool_exhausted: AtomicU64,
+    pool_exhausted,
     /// Reads satisfied locally (same machine or ghost copy) without any
     /// message.
-    pub local_reads: AtomicU64,
+    local_reads,
     /// Writes applied locally without any message.
-    pub local_writes: AtomicU64,
+    local_writes,
     /// Envelopes retransmitted after an acknowledgement timeout
     /// (reliability protocol).
-    pub retransmits: AtomicU64,
+    retransmits,
     /// Duplicate envelopes suppressed by receive-side sequence windows.
-    pub dup_suppressed: AtomicU64,
+    dup_suppressed,
     /// Acknowledgement envelopes sent.
-    pub acks_sent: AtomicU64,
+    acks_sent,
     /// Buffered/in-flight entries failed by an abort sweep instead of being
     /// completed (their `read_done` continuations never ran).
-    pub failed_entries: AtomicU64,
+    failed_entries,
     /// Remote reads satisfied by piggybacking on an identical in-flight
     /// request entry instead of a new wire entry (read combining).
-    pub combined_read_hits: AtomicU64,
+    combined_read_hits,
     /// Barrier-consistent snapshots this machine contributed a shard to.
-    pub checkpoints_taken: AtomicU64,
+    checkpoints_taken,
     /// Payload bytes this machine snapshotted into its checkpoint store.
-    pub checkpoint_bytes: AtomicU64,
+    checkpoint_bytes,
     /// Checkpoint restores applied to this machine's property columns.
-    pub restores_applied: AtomicU64,
+    restores_applied,
     /// Jobs the serving layer admitted and dispatched onto the cluster.
-    pub jobs_admitted: AtomicU64,
+    jobs_admitted,
     /// Jobs the serving layer rejected (full queue or admission denial).
-    pub jobs_rejected: AtomicU64,
+    jobs_rejected,
     /// Jobs cancelled (explicit cancel or session close).
-    pub jobs_cancelled: AtomicU64,
+    jobs_cancelled,
     /// Jobs that missed their deadline (queued or mid-run).
-    pub jobs_deadline_missed: AtomicU64,
+    jobs_deadline_missed,
     /// Checkpoint shard saves lost by injected storage faults.
-    pub ckpt_shards_lost: AtomicU64,
+    ckpt_shards_lost,
     /// Checkpoint shard saves corrupted by injected storage faults.
-    pub ckpt_shards_corrupted: AtomicU64,
+    ckpt_shards_corrupted,
     /// Checkpoint shard saves delayed into the store's write-behind slot.
-    pub ckpt_shards_delayed: AtomicU64,
+    ckpt_shards_delayed,
     /// Restores that fell back past a corrupt/incomplete checkpoint to an
     /// older retained ring entry.
-    pub checkpoint_fallbacks: AtomicU64,
+    checkpoint_fallbacks,
     /// Recoveries that found no restorable checkpoint and restarted the job
     /// from iteration zero.
-    pub cold_restarts: AtomicU64,
+    cold_restarts,
     /// Machines quarantined by the flap detector after repeated watchdog
     /// trips.
-    pub machines_quarantined: AtomicU64,
+    machines_quarantined,
     /// Retries refused because the server-wide retry budget was dry.
-    pub retry_budget_exhausted: AtomicU64,
+    retry_budget_exhausted,
     /// Times the brownout gate closed the batch lane under overload.
-    pub brownout_sheds: AtomicU64,
+    brownout_sheds,
     /// Times the brownout gate re-opened the batch lane after occupancy
     /// fell below the hysteresis threshold.
-    pub brownout_reopens: AtomicU64,
-}
-
-/// A point-in-time copy of [`MachineStats`], subtractable.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    pub msgs_sent: u64,
-    pub bytes_sent: u64,
-    pub header_bytes_sent: u64,
-    pub read_entries: u64,
-    pub write_entries: u64,
-    pub ghost_entries: u64,
-    pub rmi_entries: u64,
-    pub msgs_processed: u64,
-    pub pool_exhausted: u64,
-    pub local_reads: u64,
-    pub local_writes: u64,
-    pub retransmits: u64,
-    pub dup_suppressed: u64,
-    pub acks_sent: u64,
-    pub failed_entries: u64,
-    pub combined_read_hits: u64,
-    pub checkpoints_taken: u64,
-    pub checkpoint_bytes: u64,
-    pub restores_applied: u64,
-    pub jobs_admitted: u64,
-    pub jobs_rejected: u64,
-    pub jobs_cancelled: u64,
-    pub jobs_deadline_missed: u64,
-    pub ckpt_shards_lost: u64,
-    pub ckpt_shards_corrupted: u64,
-    pub ckpt_shards_delayed: u64,
-    pub checkpoint_fallbacks: u64,
-    pub cold_restarts: u64,
-    pub machines_quarantined: u64,
-    pub retry_budget_exhausted: u64,
-    pub brownout_sheds: u64,
-    pub brownout_reopens: u64,
-}
-
-impl MachineStats {
-    /// Takes a snapshot of all counters.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            header_bytes_sent: self.header_bytes_sent.load(Ordering::Relaxed),
-            read_entries: self.read_entries.load(Ordering::Relaxed),
-            write_entries: self.write_entries.load(Ordering::Relaxed),
-            ghost_entries: self.ghost_entries.load(Ordering::Relaxed),
-            rmi_entries: self.rmi_entries.load(Ordering::Relaxed),
-            msgs_processed: self.msgs_processed.load(Ordering::Relaxed),
-            pool_exhausted: self.pool_exhausted.load(Ordering::Relaxed),
-            local_reads: self.local_reads.load(Ordering::Relaxed),
-            local_writes: self.local_writes.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            dup_suppressed: self.dup_suppressed.load(Ordering::Relaxed),
-            acks_sent: self.acks_sent.load(Ordering::Relaxed),
-            failed_entries: self.failed_entries.load(Ordering::Relaxed),
-            combined_read_hits: self.combined_read_hits.load(Ordering::Relaxed),
-            checkpoints_taken: self.checkpoints_taken.load(Ordering::Relaxed),
-            checkpoint_bytes: self.checkpoint_bytes.load(Ordering::Relaxed),
-            restores_applied: self.restores_applied.load(Ordering::Relaxed),
-            jobs_admitted: self.jobs_admitted.load(Ordering::Relaxed),
-            jobs_rejected: self.jobs_rejected.load(Ordering::Relaxed),
-            jobs_cancelled: self.jobs_cancelled.load(Ordering::Relaxed),
-            jobs_deadline_missed: self.jobs_deadline_missed.load(Ordering::Relaxed),
-            ckpt_shards_lost: self.ckpt_shards_lost.load(Ordering::Relaxed),
-            ckpt_shards_corrupted: self.ckpt_shards_corrupted.load(Ordering::Relaxed),
-            ckpt_shards_delayed: self.ckpt_shards_delayed.load(Ordering::Relaxed),
-            checkpoint_fallbacks: self.checkpoint_fallbacks.load(Ordering::Relaxed),
-            cold_restarts: self.cold_restarts.load(Ordering::Relaxed),
-            machines_quarantined: self.machines_quarantined.load(Ordering::Relaxed),
-            retry_budget_exhausted: self.retry_budget_exhausted.load(Ordering::Relaxed),
-            brownout_sheds: self.brownout_sheds.load(Ordering::Relaxed),
-            brownout_reopens: self.brownout_reopens.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl std::ops::Sub for StatsSnapshot {
-    type Output = StatsSnapshot;
-    fn sub(self, rhs: StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            msgs_sent: self.msgs_sent - rhs.msgs_sent,
-            bytes_sent: self.bytes_sent - rhs.bytes_sent,
-            header_bytes_sent: self.header_bytes_sent - rhs.header_bytes_sent,
-            read_entries: self.read_entries - rhs.read_entries,
-            write_entries: self.write_entries - rhs.write_entries,
-            ghost_entries: self.ghost_entries - rhs.ghost_entries,
-            rmi_entries: self.rmi_entries - rhs.rmi_entries,
-            msgs_processed: self.msgs_processed - rhs.msgs_processed,
-            pool_exhausted: self.pool_exhausted - rhs.pool_exhausted,
-            local_reads: self.local_reads - rhs.local_reads,
-            local_writes: self.local_writes - rhs.local_writes,
-            retransmits: self.retransmits - rhs.retransmits,
-            dup_suppressed: self.dup_suppressed - rhs.dup_suppressed,
-            acks_sent: self.acks_sent - rhs.acks_sent,
-            failed_entries: self.failed_entries - rhs.failed_entries,
-            combined_read_hits: self.combined_read_hits - rhs.combined_read_hits,
-            checkpoints_taken: self.checkpoints_taken - rhs.checkpoints_taken,
-            checkpoint_bytes: self.checkpoint_bytes - rhs.checkpoint_bytes,
-            restores_applied: self.restores_applied - rhs.restores_applied,
-            jobs_admitted: self.jobs_admitted - rhs.jobs_admitted,
-            jobs_rejected: self.jobs_rejected - rhs.jobs_rejected,
-            jobs_cancelled: self.jobs_cancelled - rhs.jobs_cancelled,
-            jobs_deadline_missed: self.jobs_deadline_missed - rhs.jobs_deadline_missed,
-            ckpt_shards_lost: self.ckpt_shards_lost - rhs.ckpt_shards_lost,
-            ckpt_shards_corrupted: self.ckpt_shards_corrupted - rhs.ckpt_shards_corrupted,
-            ckpt_shards_delayed: self.ckpt_shards_delayed - rhs.ckpt_shards_delayed,
-            checkpoint_fallbacks: self.checkpoint_fallbacks - rhs.checkpoint_fallbacks,
-            cold_restarts: self.cold_restarts - rhs.cold_restarts,
-            machines_quarantined: self.machines_quarantined - rhs.machines_quarantined,
-            retry_budget_exhausted: self.retry_budget_exhausted - rhs.retry_budget_exhausted,
-            brownout_sheds: self.brownout_sheds - rhs.brownout_sheds,
-            brownout_reopens: self.brownout_reopens - rhs.brownout_reopens,
-        }
-    }
-}
-
-impl std::ops::Add for StatsSnapshot {
-    type Output = StatsSnapshot;
-    fn add(self, rhs: StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            msgs_sent: self.msgs_sent + rhs.msgs_sent,
-            bytes_sent: self.bytes_sent + rhs.bytes_sent,
-            header_bytes_sent: self.header_bytes_sent + rhs.header_bytes_sent,
-            read_entries: self.read_entries + rhs.read_entries,
-            write_entries: self.write_entries + rhs.write_entries,
-            ghost_entries: self.ghost_entries + rhs.ghost_entries,
-            rmi_entries: self.rmi_entries + rhs.rmi_entries,
-            msgs_processed: self.msgs_processed + rhs.msgs_processed,
-            pool_exhausted: self.pool_exhausted + rhs.pool_exhausted,
-            local_reads: self.local_reads + rhs.local_reads,
-            local_writes: self.local_writes + rhs.local_writes,
-            retransmits: self.retransmits + rhs.retransmits,
-            dup_suppressed: self.dup_suppressed + rhs.dup_suppressed,
-            acks_sent: self.acks_sent + rhs.acks_sent,
-            failed_entries: self.failed_entries + rhs.failed_entries,
-            combined_read_hits: self.combined_read_hits + rhs.combined_read_hits,
-            checkpoints_taken: self.checkpoints_taken + rhs.checkpoints_taken,
-            checkpoint_bytes: self.checkpoint_bytes + rhs.checkpoint_bytes,
-            restores_applied: self.restores_applied + rhs.restores_applied,
-            jobs_admitted: self.jobs_admitted + rhs.jobs_admitted,
-            jobs_rejected: self.jobs_rejected + rhs.jobs_rejected,
-            jobs_cancelled: self.jobs_cancelled + rhs.jobs_cancelled,
-            jobs_deadline_missed: self.jobs_deadline_missed + rhs.jobs_deadline_missed,
-            ckpt_shards_lost: self.ckpt_shards_lost + rhs.ckpt_shards_lost,
-            ckpt_shards_corrupted: self.ckpt_shards_corrupted + rhs.ckpt_shards_corrupted,
-            ckpt_shards_delayed: self.ckpt_shards_delayed + rhs.ckpt_shards_delayed,
-            checkpoint_fallbacks: self.checkpoint_fallbacks + rhs.checkpoint_fallbacks,
-            cold_restarts: self.cold_restarts + rhs.cold_restarts,
-            machines_quarantined: self.machines_quarantined + rhs.machines_quarantined,
-            retry_budget_exhausted: self.retry_budget_exhausted + rhs.retry_budget_exhausted,
-            brownout_sheds: self.brownout_sheds + rhs.brownout_sheds,
-            brownout_reopens: self.brownout_reopens + rhs.brownout_reopens,
-        }
-    }
+    brownout_reopens,
 }
 
 /// Per-worker phase timing, in nanoseconds since the phase started, used
@@ -329,11 +222,6 @@ impl Breakdown {
     }
 }
 
-/// Formats a `Duration` as seconds with millisecond precision.
-pub fn secs(d: Duration) -> f64 {
-    d.as_secs_f64()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -365,6 +253,29 @@ mod tests {
         let c = a + b;
         assert_eq!(c.bytes_sent, 15);
         assert_eq!(c.msgs_sent, 2);
+    }
+
+    /// One key per counter, each carrying its own field's value: the
+    /// snapshot is nothing but `u64` counters, so its size counts them.
+    #[test]
+    fn stats_json_has_exactly_one_key_per_counter() {
+        use crate::telemetry::export::{json::Value, stats_json};
+        let s = MachineStats::default();
+        s.msgs_sent.store(1, Ordering::Relaxed);
+        s.brownout_reopens.store(2, Ordering::Relaxed);
+        let json = stats_json(&s.snapshot());
+        let Value::Obj(fields) = &json else {
+            panic!("stats_json must be an object");
+        };
+        let counters = std::mem::size_of::<StatsSnapshot>() / std::mem::size_of::<u64>();
+        assert_eq!((counters, fields.len()), (32, 32));
+        let keys: std::collections::BTreeSet<_> = fields.iter().map(|(k, _)| k).collect();
+        assert_eq!(keys.len(), counters, "duplicate JSON key");
+        assert_eq!(json.get("msgs_sent").and_then(Value::as_u64), Some(1));
+        assert_eq!(
+            json.get("brownout_reopens").and_then(Value::as_u64),
+            Some(2)
+        );
     }
 
     #[test]

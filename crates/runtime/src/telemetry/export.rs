@@ -431,40 +431,12 @@ pub fn histogram_json(s: &HistogramSnapshot) -> Value {
 
 /// JSON form of a [`StatsSnapshot`].
 pub fn stats_json(s: &StatsSnapshot) -> Value {
-    Value::obj(vec![
-        ("msgs_sent", s.msgs_sent.into()),
-        ("bytes_sent", s.bytes_sent.into()),
-        ("header_bytes_sent", s.header_bytes_sent.into()),
-        ("read_entries", s.read_entries.into()),
-        ("write_entries", s.write_entries.into()),
-        ("ghost_entries", s.ghost_entries.into()),
-        ("rmi_entries", s.rmi_entries.into()),
-        ("msgs_processed", s.msgs_processed.into()),
-        ("pool_exhausted", s.pool_exhausted.into()),
-        ("local_reads", s.local_reads.into()),
-        ("local_writes", s.local_writes.into()),
-        ("retransmits", s.retransmits.into()),
-        ("dup_suppressed", s.dup_suppressed.into()),
-        ("acks_sent", s.acks_sent.into()),
-        ("failed_entries", s.failed_entries.into()),
-        ("combined_read_hits", s.combined_read_hits.into()),
-        ("checkpoints_taken", s.checkpoints_taken.into()),
-        ("checkpoint_bytes", s.checkpoint_bytes.into()),
-        ("restores_applied", s.restores_applied.into()),
-        ("jobs_admitted", s.jobs_admitted.into()),
-        ("jobs_rejected", s.jobs_rejected.into()),
-        ("jobs_cancelled", s.jobs_cancelled.into()),
-        ("jobs_deadline_missed", s.jobs_deadline_missed.into()),
-        ("ckpt_shards_lost", s.ckpt_shards_lost.into()),
-        ("ckpt_shards_corrupted", s.ckpt_shards_corrupted.into()),
-        ("ckpt_shards_delayed", s.ckpt_shards_delayed.into()),
-        ("checkpoint_fallbacks", s.checkpoint_fallbacks.into()),
-        ("cold_restarts", s.cold_restarts.into()),
-        ("machines_quarantined", s.machines_quarantined.into()),
-        ("retry_budget_exhausted", s.retry_budget_exhausted.into()),
-        ("brownout_sheds", s.brownout_sheds.into()),
-        ("brownout_reopens", s.brownout_reopens.into()),
-    ])
+    Value::obj(
+        s.counters()
+            .into_iter()
+            .map(|(name, v)| (name, v.into()))
+            .collect(),
+    )
 }
 
 fn histograms_json(t: &Telemetry) -> Value {

@@ -1194,6 +1194,47 @@ mod tests {
         server.shutdown();
     }
 
+    /// Six interactive and three batch jobs pile up behind a batch
+    /// blocker, so the dispatcher thread drains them purely by the
+    /// weighted-fair rule. With weights [3, 1] and the batch lane already
+    /// charged for the blocker, the cross-multiplied comparison gives
+    /// exactly i i i i b i i b b.
+    #[test]
+    fn saturated_server_drains_lanes_in_weighted_fair_order() {
+        let server = JobServer::start(MockEngine::new(), config());
+        let session = server.session("s");
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (block_tx, block_rx) = mpsc::channel::<()>();
+        let blocker = session
+            .submit(Lane::Batch, 0, move |_: &mut MockEngine, _| {
+                started_tx.send(()).ok();
+                block_rx.recv().ok();
+                Ok(())
+            })
+            .unwrap();
+        started_rx.recv().unwrap();
+        let order = Arc::new(Mutex::new(String::new()));
+        let mut jobs = Vec::new();
+        for (lane, tag, n) in [(Lane::Interactive, 'i', 6), (Lane::Batch, 'b', 3)] {
+            for _ in 0..n {
+                let order = Arc::clone(&order);
+                let job = session.submit(lane, 0, move |_: &mut MockEngine, _| {
+                    order.lock().push(tag);
+                    Ok(())
+                });
+                jobs.push(job.unwrap());
+            }
+        }
+        block_tx.send(()).unwrap();
+        blocker.join().unwrap();
+        for h in jobs {
+            h.join().unwrap();
+        }
+        assert_eq!(*order.lock(), "iiiibiibb");
+        drop(session);
+        server.shutdown();
+    }
+
     #[test]
     fn queue_wait_histogram_is_fed() {
         let server = JobServer::start(MockEngine::new(), config());

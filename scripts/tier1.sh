@@ -23,47 +23,6 @@ cargo fmt --check
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== chaos-quick smoke (fixed-seed fault plans) =="
-# Sweeps fault-free / lossy / crash plans and asserts the reliability
-# contract internally (exactly-once results, clean MachineDown abort).
-cargo run --release -p pgxd-bench --bin repro -- chaos
-
-echo "== commfast smoke (read combining acceptance) =="
-# Runs the fast path off/on and asserts the contract internally
-# (combined hits > 0, strictly fewer wire messages, scores within 1e-12,
-# bit-identical on the deterministic star graph).
-cargo run --release -p pgxd-bench --bin repro -- commfast
-
-echo "== recover smoke (checkpoint/restore + automatic retry acceptance) =="
-# Crashes one machine of four mid-PageRank under a seeded plan and asserts
-# the recovery contract internally (restore on the P-1 survivors, converge
-# to the fault-free fixpoint within 1e-12, >= 1 RecoveryDone event,
-# nonzero checkpoint telemetry; with recovery off, a clean MachineDown).
-cargo run --release -p pgxd-bench --bin repro -- recover
-
-echo "== serve smoke (job server acceptance: sessions, lanes, admission) =="
-# Serves TWT-S to 3 concurrent sessions and asserts the serving contract
-# internally (results match solo runs, weighted-fair 3:1 lane order,
-# structured Cancelled/DeadlineExceeded/AdmissionDenied, columns freed).
-cargo run --release -p pgxd-bench --bin repro -- serve
-
-echo "== query smoke (declarative front-end: optimizer decisions + golden equivalence) =="
-# Compiles the three exemplar query shapes and asserts the compiler
-# contract internally (pull for bare-load sums, push under neighbor
-# filters, predicate pushdown + dead-prop elimination, PageRank within
-# 1e-12 of the built-in, bit-identical BFS, spanned rejection of bad
-# text, cancelled queries reclaim their columns).
-timeout 300 cargo run --release -p pgxd-bench --bin repro -- query --quick
-
-echo "== soak smoke (whole-stack chaos: brownout, budgets, quarantine, storage faults) =="
-# Seeded mixed-job stream across sessions under combined fabric+storage
-# faults; asserts internally (one terminal outcome per job, columns and
-# buffer-pool quota reclaimed, results within 1e-12 of fault-free, ring
-# fallback past corrupted checkpoints, quarantine + degraded restore).
-# The harness carries its own wall-clock bound; the hard timeout is the
-# backstop so a hang can never wedge CI.
-timeout 300 cargo run --release -p pgxd-bench --bin repro -- soak --quick
-
 echo "== wire smoke (real multi-process TCP cluster vs in-memory) =="
 # Spawns 2 pgxd-node OS processes that bootstrap a TCP cluster on
 # localhost and run PageRank/WCC/HopDist; asserts internally (every rank

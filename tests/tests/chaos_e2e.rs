@@ -5,6 +5,9 @@
 //!   yields **bit-identical** results to a fault-free run. Hop-distance is
 //!   the probe kernel — its `i64` `Min`-reductions are order-independent,
 //!   so exactly-once delivery implies exact equality (no f64 slack).
+//! * The same contract on an `f64` `Sum`: PageRank-pull under a fixed
+//!   lossy plan lands within 1e-9 of the fault-free scores. A duplicate
+//!   applied twice is invisible to `Min` but not to a sum.
 //! * Integration: crashing one machine of four mid-job surfaces
 //!   `Err(JobError::MachineDown)` in bounded time, every thread joins at
 //!   teardown, and the cluster stays cleanly dead afterwards.
@@ -181,5 +184,30 @@ fn aggressive_fixed_plan_is_exactly_once() {
     assert!(
         stats.dup_suppressed > 0,
         "10% dups must trip the dedup windows"
+    );
+}
+
+/// The f64 probe: PageRank-pull under 3% drop + 2% dup + 2% reorder
+/// converges to the fault-free fixpoint. Delivery is exactly-once, so only
+/// summation order may differ (1e-9); an entry delivered twice or never
+/// would move a score by orders of magnitude more.
+#[test]
+fn lossy_plan_converges_to_fault_free_pagerank() {
+    let g = generate::rmat(10, 8, generate::RmatParams::skewed(), 80);
+    let mut clean = engine_with(FaultPlan::none(), &g);
+    let baseline = try_pagerank_pull(&mut clean, 0.85, 10, 0.0).unwrap();
+
+    let mut chaotic = engine_with(FaultPlan::lossy(0xC4A0_5EED, 30, 20, 20), &g);
+    let r = try_pagerank_pull(&mut chaotic, 0.85, 10, 0.0).unwrap();
+    assert_eq!(r.iterations, baseline.iterations);
+    for (v, (a, b)) in baseline.scores.iter().zip(&r.scores).enumerate() {
+        assert!((a - b).abs() <= 1e-9, "vertex {v}: clean {a} vs lossy {b}");
+    }
+
+    let stats = chaotic.cluster().total_stats();
+    assert!(stats.retransmits > 0, "3% drops must force retransmits");
+    assert!(
+        stats.dup_suppressed > 0,
+        "2% dups must trip the dedup windows"
     );
 }

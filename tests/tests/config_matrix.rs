@@ -2,7 +2,7 @@
 //! engine's load-balancing and ghosting features must produce identical
 //! results — the features are performance knobs, never semantic ones.
 
-use pgxd::{BuildEngine, ChunkingMode, Engine, PartitioningMode};
+use pgxd::{BuildEngine, ChunkingMode, Engine, PartitioningMode, StatsSnapshot};
 use pgxd_algorithms as algos;
 use pgxd_baselines::seq;
 use pgxd_graph::generate::{self, RmatParams};
@@ -181,4 +181,63 @@ fn strict_distributed_mode_gives_same_results() {
     }
     let wcc = algos::try_wcc(&mut e).unwrap();
     assert_eq!(wcc.component, seq::wcc(&g));
+}
+
+/// PageRank-pull on 4 machines with 1 KiB buffers (frequent seals, so the
+/// per-buffer combining table sees real pressure) and no ghosts.
+fn pull_with_combining(g: &Graph, combining: bool) -> (Vec<f64>, StatsSnapshot) {
+    let mut e = Engine::builder()
+        .machines(4)
+        .workers(2)
+        .copiers(1)
+        .buffer_bytes(1 << 10)
+        .read_combining(combining)
+        .engine(g)
+        .unwrap();
+    let scores = algos::try_pagerank_pull(&mut e, 0.85, 10, 0.0)
+        .unwrap()
+        .scores;
+    (scores, e.cluster().total_stats())
+}
+
+/// Read combining is a wire optimisation only: off it never fires, on it
+/// deduplicates in-flight reads into strictly fewer request entries and
+/// messages, and the scores stay within f64 reassociation noise (response
+/// arrival order reassociates per-node sums between any two runs).
+#[test]
+fn read_combining_cuts_wire_traffic_not_results() {
+    let g = generate::rmat(11, 16, RmatParams::skewed(), 2008);
+    let (plain_scores, plain) = pull_with_combining(&g, false);
+    let (combined_scores, combined) = pull_with_combining(&g, true);
+    assert_eq!(plain.combined_read_hits, 0, "combining off must not fire");
+    assert!(combined.combined_read_hits > 0);
+    assert!(
+        combined.read_entries < plain.read_entries,
+        "read entries: {} combined vs {} plain",
+        combined.read_entries,
+        plain.read_entries
+    );
+    assert!(
+        combined.msgs_sent < plain.msgs_sent,
+        "messages: {} combined vs {} plain",
+        combined.msgs_sent,
+        plain.msgs_sent
+    );
+    for (a, b) in plain_scores.iter().zip(&combined_scores) {
+        assert!((a - b).abs() <= 1e-12, "{a} vs {b}");
+    }
+}
+
+/// On a star every spoke has one in-neighbor (the hub) and all spokes stay
+/// symmetric, so per-node sums are order-independent and a correct engine
+/// is bit-deterministic: combining must deduplicate heavily (every spoke
+/// pulls the hub) without changing a single bit.
+#[test]
+fn read_combining_is_bit_identical_on_a_star() {
+    let g = generate::star(2048);
+    let (plain_scores, _) = pull_with_combining(&g, false);
+    let (combined_scores, combined) = pull_with_combining(&g, true);
+    assert!(combined.combined_read_hits > 0);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&plain_scores), bits(&combined_scores));
 }

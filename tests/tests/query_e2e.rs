@@ -302,6 +302,15 @@ fn bad_queries_are_rejected_before_submission() {
         Ok(_) => panic!("an aggregate reading its own target was accepted"),
     }
 
+    // A neighbor aggregate nested inside a global one has no plan shape.
+    match session.query("return sum(v) sum(u in v.in_nbrs) 1;") {
+        Err(QuerySubmitError::Compile(e)) => {
+            assert!(e.span.line >= 1 && e.span.col >= 1, "{e}");
+        }
+        Err(other) => panic!("expected Compile error, got {other}"),
+        Ok(_) => panic!("a nested aggregate was accepted"),
+    }
+
     drop(session);
     server.shutdown();
 }

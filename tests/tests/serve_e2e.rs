@@ -228,7 +228,8 @@ fn session_close_is_isolated() {
 }
 
 /// The serving counters and queue-wait histogram are populated by a
-/// normal workload.
+/// normal workload: three clean jobs, one cancelled mid-flight and one
+/// whose deadline expired in the queue (which also counts as cancelled).
 #[test]
 fn serving_telemetry_is_populated() {
     let g = generate::ring(16);
@@ -248,13 +249,37 @@ fn serving_telemetry_is_populated() {
             .join()
             .unwrap();
     }
+
+    let (started_tx, started_rx) = mpsc::channel::<()>();
+    let victim: JobHandle<()> = session
+        .submit(Lane::Batch, 0, move |e: &mut Engine, cancel| {
+            started_tx.send(()).unwrap();
+            loop {
+                e.try_run_node_job_with(&JobSpec::new(), pgxd::tasks::on_node(|_| {}), cancel)?;
+            }
+        })
+        .unwrap();
+    started_rx.recv().unwrap();
+    victim.cancel();
+    assert!(matches!(victim.join(), Err(JobError::Cancelled { .. })));
+    let expired: JobHandle<()> = session
+        .submit_with_deadline(Lane::Batch, 0, Duration::ZERO, |_: &mut Engine, _| Ok(()))
+        .unwrap();
+    assert!(matches!(
+        expired.join(),
+        Err(JobError::DeadlineExceeded { .. })
+    ));
+
     let telemetry = std::sync::Arc::clone(server.telemetry());
     drop(session);
     server.shutdown();
 
     let stats = telemetry.stats().snapshot();
-    assert_eq!(stats.jobs_admitted, 3);
+    assert_eq!(stats.jobs_admitted, 4, "the expired job is never admitted");
     assert_eq!(stats.jobs_rejected, 0);
+    assert_eq!(stats.jobs_deadline_missed, 1);
+    assert_eq!(stats.jobs_cancelled, 2, "explicit cancel + missed deadline");
     let waits = telemetry.queue_wait_snapshot();
-    assert_eq!(waits.count(), 3, "every dispatch records its queue wait");
+    assert_eq!(waits.count(), 5, "every dispatch records its queue wait");
+    assert!(waits.mean() > 0.0);
 }
