@@ -7,8 +7,7 @@
 //! §4.1).
 
 use pgxd::{
-    Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop,
-    ReadDoneCtx, ReduceOp,
+    Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop, ReduceOp,
 };
 
 /// Result of betweenness centrality.
@@ -87,6 +86,8 @@ impl NodeTask for PublishCoef {
 
 /// Backward pass, step 2: vertices at `level` *pull* coefficients from
 /// their out-neighbors (the successors on shortest paths) and accumulate.
+/// Non-successors publish `+0.0`, and `acc` starts at `+0.0` and only
+/// gains non-negative terms, so folding their zeros changes no bit.
 struct PullCoef {
     dist: Prop<i64>,
     coef: Prop<f64>,
@@ -98,14 +99,7 @@ impl EdgeTask for PullCoef {
         ctx.get(self.dist) == self.level
     }
     fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        ctx.read_nbr(self.coef);
-    }
-    fn read_done(&self, ctx: &mut ReadDoneCtx<'_, '_>) {
-        let v: f64 = ctx.value();
-        if v != 0.0 {
-            let cur: f64 = ctx.get(self.acc);
-            ctx.set(self.acc, cur + v);
-        }
+        ctx.fold_nbr(self.coef, self.acc, ReduceOp::Sum);
     }
 }
 

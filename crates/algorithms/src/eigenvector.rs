@@ -3,10 +3,7 @@
 //! from its neighbors at every iteration step. PGX.D implements this
 //! algorithm with data pulling." (§5.2)
 
-use pgxd::{
-    Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReadDoneCtx,
-    ReduceOp,
-};
+use pgxd::{Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp};
 
 /// Result of eigenvector centrality.
 #[derive(Clone, Debug)]
@@ -24,12 +21,7 @@ struct PullEv {
 }
 impl EdgeTask for PullEv {
     fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        ctx.read_nbr(self.ev);
-    }
-    fn read_done(&self, ctx: &mut ReadDoneCtx<'_, '_>) {
-        let v: f64 = ctx.value();
-        let cur: f64 = ctx.get(self.nxt);
-        ctx.set(self.nxt, cur + v);
+        ctx.fold_nbr(self.ev, self.nxt, ReduceOp::Sum);
     }
 }
 

@@ -3,7 +3,7 @@
 use pgxd::recover::{ResumableAlgorithm, StepOutcome};
 use pgxd::{
     CancelToken, Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop,
-    ReadDoneCtx, ReduceOp,
+    ReduceOp,
 };
 
 /// Result of a PageRank computation.
@@ -31,19 +31,15 @@ impl NodeTask for Scale {
 
 /// Pull kernel: `foreach(t: n.inNbrs) n.pr_nxt += t.tmp` — the variant
 /// "expensive or even disallowed in distributed frameworks" that PGX.D
-/// supports natively. No atomics: all in-edges of `n` run on one worker.
+/// supports natively. No atomics: all in-edges of `n` run on one worker,
+/// so the sum stays in a register until `n`'s last edge.
 struct PullKernel {
     tmp: Prop<f64>,
     nxt: Prop<f64>,
 }
 impl EdgeTask for PullKernel {
     fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        ctx.read_nbr(self.tmp);
-    }
-    fn read_done(&self, ctx: &mut ReadDoneCtx<'_, '_>) {
-        let v: f64 = ctx.value();
-        let cur: f64 = ctx.get(self.nxt);
-        ctx.set(self.nxt, cur + v);
+        ctx.fold_nbr(self.tmp, self.nxt, ReduceOp::Sum);
     }
 }
 

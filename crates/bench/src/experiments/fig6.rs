@@ -184,7 +184,7 @@ pub fn run_fig6c(scale: Scale, machines: usize) -> Table {
 
 /// Accumulates the Figure 6c breakdown over one PageRank-pull run.
 pub fn measure_breakdown(engine: &mut Engine) -> Breakdown {
-    use pgxd::{Dir, EdgeCtx, EdgeTask, JobSpec, NodeCtx, NodeTask, Prop, ReadDoneCtx};
+    use pgxd::{Dir, EdgeCtx, EdgeTask, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp};
     // A self-contained PR-pull iteration loop so each edge job's report
     // (the breakdown source) is accessible.
     struct Scale2 {
@@ -204,12 +204,7 @@ pub fn measure_breakdown(engine: &mut Engine) -> Breakdown {
     }
     impl EdgeTask for Pull2 {
         fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-            ctx.read_nbr(self.tmp);
-        }
-        fn read_done(&self, ctx: &mut ReadDoneCtx<'_, '_>) {
-            let v: f64 = ctx.value();
-            let cur: f64 = ctx.get(self.nxt);
-            ctx.set(self.nxt, cur + v);
+            ctx.fold_nbr(self.tmp, self.nxt, ReduceOp::Sum);
         }
     }
     let n = engine.num_nodes() as f64;

@@ -38,7 +38,9 @@ where
     }
 }
 
-/// An [`EdgeTask`] built from `run` + `read_done` closures (pull kernels).
+/// An [`EdgeTask`] built from `run` + `read_done` closures (pulls whose
+/// continuation does more than fold; a plain pull reduction is [`on_edge`]
+/// calling `fold_nbr`).
 pub struct EdgePullClosure<R, D> {
     run: R,
     done: D,
@@ -76,32 +78,6 @@ where
     }
 }
 
-/// An [`EdgeTask`] with a vertex filter and a `read_done` continuation
-/// (filtered pull kernels — e.g. a compiled `foreach v where ...` whose
-/// body pulls a neighbor property).
-pub struct FilteredEdgePullClosure<F, R, D> {
-    filter: F,
-    run: R,
-    done: D,
-}
-
-impl<F, R, D> EdgeTask for FilteredEdgePullClosure<F, R, D>
-where
-    F: Fn(&mut NodeCtx<'_, '_>) -> bool + Send + Sync + 'static,
-    R: Fn(&mut EdgeCtx<'_, '_>) + Send + Sync + 'static,
-    D: Fn(&mut ReadDoneCtx<'_, '_>) + Send + Sync + 'static,
-{
-    fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
-        (self.filter)(ctx)
-    }
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        (self.run)(ctx)
-    }
-    fn read_done(&self, ctx: &mut ReadDoneCtx<'_, '_>) {
-        (self.done)(ctx)
-    }
-}
-
 /// A [`NodeTask`] built from a closure.
 pub struct NodeClosure<R> {
     run: R,
@@ -124,7 +100,8 @@ where
     EdgeClosure { run }
 }
 
-/// Wraps `run` + `read_done` closures as a pull-style edge task.
+/// Wraps `run` + `read_done` closures as a pull-style edge task with a
+/// continuation.
 pub fn on_edge_pull<R, D>(run: R, read_done: D) -> EdgePullClosure<R, D>
 where
     R: Fn(&mut EdgeCtx<'_, '_>) + Send + Sync + 'static,
@@ -144,25 +121,6 @@ where
     R: Fn(&mut EdgeCtx<'_, '_>) + Send + Sync + 'static,
 {
     FilteredEdgeClosure { filter, run }
-}
-
-/// Wraps filter + run + read_done closures as a filtered pull-style edge
-/// task.
-pub fn on_edge_pull_filtered<F, R, D>(
-    filter: F,
-    run: R,
-    read_done: D,
-) -> FilteredEdgePullClosure<F, R, D>
-where
-    F: Fn(&mut NodeCtx<'_, '_>) -> bool + Send + Sync + 'static,
-    R: Fn(&mut EdgeCtx<'_, '_>) + Send + Sync + 'static,
-    D: Fn(&mut ReadDoneCtx<'_, '_>) + Send + Sync + 'static,
-{
-    FilteredEdgePullClosure {
-        filter,
-        run,
-        done: read_done,
-    }
 }
 
 /// Wraps a closure as a node task.

@@ -2,13 +2,13 @@
 //! chunk queue (§3.2).
 //!
 //! Each worker: grab a chunk → for each active vertex run the task over
-//! its edges → invoke locally-satisfied continuations → opportunistically
-//! drain responses → repeat; once the queue is empty, flush the request
-//! buffers and keep draining responses until the job is globally complete
-//! ("a particular job completes when the task list is empty and there are
-//! no unfinished remote requests").
+//! its edges → store its fold accumulator → invoke locally-satisfied
+//! continuations → opportunistically drain responses → repeat; once the
+//! queue is empty, flush the request buffers and keep draining responses
+//! until the job is globally complete ("a particular job completes when
+//! the task list is empty and there are no unfinished remote requests").
 
-use crate::scope::TaskScope;
+use crate::scope::{TaskScope, FOLD_NODE_BIT};
 use crate::task::{Dir, EdgeCtx, EdgeTask, NodeCtx, NodeTask, ReadDoneCtx};
 use pgxd_runtime::chunk::ChunkQueue;
 use pgxd_runtime::phase::{JobState, Phase, WorkerEnv};
@@ -29,7 +29,8 @@ fn drain_local<F: Fn(&mut ReadDoneCtx<'_, '_>)>(scope: &mut TaskScope<'_>, read_
 }
 
 /// Drains the worker's response queue once; returns whether anything was
-/// processed.
+/// processed. Fold records are folded into their cell; every other record
+/// continues in `read_done`.
 fn drain_responses<F: Fn(&mut ReadDoneCtx<'_, '_>)>(
     scope: &mut TaskScope<'_>,
     read_done: &F,
@@ -38,6 +39,10 @@ fn drain_responses<F: Fn(&mut ReadDoneCtx<'_, '_>)>(
     while let Some(resp) = scope.comm.try_pop_response() {
         worked = true;
         for (rec, bits) in resp.values() {
+            if rec.node & FOLD_NODE_BIT != 0 {
+                scope.fold_response(rec, bits);
+                continue;
+            }
             let mut ctx = ReadDoneCtx {
                 scope,
                 node: rec.node as usize,
@@ -153,6 +158,7 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
                     };
                     task.run(&mut ctx);
                 }
+                scope.flush_fold(node);
                 drain_local(&mut scope, &read_done);
             }
             retire_chunk(&mut scope, &self.job);
@@ -191,21 +197,15 @@ impl<T: NodeTask> Phase for NodeJobPhase<T> {
                 self.job.retire_many(queue.drain_remaining());
                 break;
             }
+            // A node task cannot read locally (only a continuation can, and
+            // `drain_responses` runs those), so there is no per-vertex drain.
             for node in chunk {
-                let skip = {
-                    let mut nctx = NodeCtx {
-                        scope: &mut scope,
-                        node,
-                    };
-                    if task.filter(&mut nctx) {
-                        task.run(&mut nctx);
-                        false
-                    } else {
-                        true
-                    }
+                let mut nctx = NodeCtx {
+                    scope: &mut scope,
+                    node,
                 };
-                if !skip {
-                    drain_local(&mut scope, &read_done);
+                if task.filter(&mut nctx) {
+                    task.run(&mut nctx);
                 }
             }
             retire_chunk(&mut scope, &self.job);

@@ -7,9 +7,11 @@
 //!   top-level execution model: sequential regions on the driver,
 //!   parallel regions as jobs).
 //! * [`EdgeTask`] / [`NodeTask`] — the run-to-completion task interface
-//!   (§4.1.2): implement `run()` (and `read_done()` for *data pulling*)
-//!   and the engine invokes it for every edge (or node) of the graph in
-//!   parallel, across machines.
+//!   (§4.1.2): implement `run()` and the engine invokes it for every edge
+//!   (or node) of the graph in parallel, across machines. *Data pulling*
+//!   is [`EdgeCtx::fold_nbr`] when the pulled value is only folded into
+//!   the current vertex, and `read_nbr` + `read_done()` when the
+//!   continuation does more.
 //! * [`EdgeCtx`] / [`ReadDoneCtx`] / [`NodeCtx`] — the accessors the paper
 //!   exposes as `get_local` / `set_local` / `write_remote<OP>` /
 //!   `read_remote`, plus neighbor/degree/weight helpers.
@@ -21,18 +23,16 @@
 //! # Example: pull-mode PageRank kernel
 //!
 //! ```
-//! use pgxd::{BuildEngine, Engine, EdgeTask, EdgeCtx, ReadDoneCtx, Dir, JobSpec, Prop, ReduceOp};
+//! use pgxd::{BuildEngine, Engine, EdgeTask, EdgeCtx, Dir, JobSpec, Prop, ReduceOp};
 //! use pgxd_graph::generate;
 //!
 //! struct PullSum { src: Prop<f64>, dst: Prop<f64> }
 //! impl EdgeTask for PullSum {
 //!     fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-//!         ctx.read_nbr(self.src); // continues in read_done, even cross-machine
-//!     }
-//!     fn read_done(&self, ctx: &mut ReadDoneCtx<'_, '_>) {
-//!         let v: f64 = ctx.value();
-//!         let cur: f64 = ctx.get(self.dst);
-//!         ctx.set(self.dst, cur + v); // same worker per node: no atomics
+//!         // dst[v] += src[u], even cross-machine. One worker runs all of
+//!         // v's edges, so the sum needs no atomics and stays in a
+//!         // register until v's last edge.
+//!         ctx.fold_nbr(self.src, self.dst, ReduceOp::Sum);
 //!     }
 //! }
 //!
@@ -41,14 +41,51 @@
 //! let src = engine.add_prop("src", 1.0f64);
 //! let dst = engine.add_prop("dst", 0.0f64);
 //! engine
-//!     .try_run_edge_job(
-//!         Dir::In,
-//!         &JobSpec::new().read(src).reduce(dst, ReduceOp::Sum),
-//!         PullSum { src, dst },
-//!     )
+//!     .try_run_edge_job(Dir::In, &JobSpec::new().read(src), PullSum { src, dst })
 //!     .unwrap();
 //! // Every ring node has exactly one in-neighbor with src == 1.0.
 //! assert_eq!(engine.gather(dst), vec![1.0f64; 64]);
+//! ```
+//!
+//! # Example: a continuation that reads again
+//!
+//! `read_done` runs on the worker that issued the read, with the value and
+//! the tag passed to `read_nbr_tagged` — enough for a state machine whose
+//! next step depends on what arrived:
+//!
+//! ```
+//! use pgxd::{BuildEngine, Engine, EdgeTask, EdgeCtx, ReadDoneCtx, Dir, JobSpec, NodeId, Prop};
+//! use pgxd_graph::generate;
+//!
+//! /// Adds the in-neighbor's `next` and then `next` of the vertex it names.
+//! struct TwoHops { next: Prop<i64>, sum: Prop<i64> }
+//! impl EdgeTask for TwoHops {
+//!     fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
+//!         ctx.read_nbr_tagged(self.next, 1);
+//!     }
+//!     fn read_done(&self, ctx: &mut ReadDoneCtx<'_, '_>) {
+//!         let got: i64 = ctx.value();
+//!         let sum = ctx.get(self.sum);
+//!         ctx.set(self.sum, sum + got);
+//!         if ctx.aux() == 1 {
+//!             ctx.read_global(got as NodeId, self.next, 0); // second hop
+//!         }
+//!     }
+//! }
+//!
+//! let g = generate::ring(8);
+//! let mut engine = Engine::builder().machines(2).engine(&g).unwrap();
+//! let next = engine.add_prop("next", 0i64);
+//! let sum = engine.add_prop("sum", 0i64);
+//! for v in 0..8 {
+//!     engine.set(next, v, (v as i64 + 1) % 8);
+//! }
+//! engine
+//!     .try_run_edge_job(Dir::In, &JobSpec::new().read(next), TwoHops { next, sum })
+//!     .unwrap();
+//! // v's in-neighbor names v, and v names v + 1.
+//! let want: Vec<i64> = (0..8).map(|v| v + (v + 1) % 8).collect();
+//! assert_eq!(engine.gather(sum), want);
 //! ```
 
 mod closure_tasks;
@@ -75,9 +112,8 @@ pub use task::{Dir, EdgeCtx, EdgeTask, NodeCtx, NodeTask, ReadDoneCtx};
 /// Closure-based ad-hoc kernels (see [`tasks::on_edge`]).
 pub mod tasks {
     pub use crate::closure_tasks::{
-        on_edge, on_edge_filtered, on_edge_pull, on_edge_pull_filtered, on_node, on_node_filtered,
-        EdgeClosure, EdgePullClosure, FilteredEdgeClosure, FilteredEdgePullClosure,
-        FilteredNodeClosure, NodeClosure,
+        on_edge, on_edge_filtered, on_edge_pull, on_node, on_node_filtered, EdgeClosure,
+        EdgePullClosure, FilteredEdgeClosure, FilteredNodeClosure, NodeClosure,
     };
 }
 

@@ -40,7 +40,7 @@
 //! ```
 
 use crate::serve::{JobHandle, Lane, Session};
-use crate::task::{EdgeCtx, EdgeTask, NodeCtx, NodeTask, ReadDoneCtx};
+use crate::task::{EdgeCtx, EdgeTask, NodeCtx, NodeTask};
 use crate::{
     CancelReason, CancelToken, Dir, Engine, JobError, JobSpec, NodeId, Prop, PropValue, ReduceOp,
     ResumableAlgorithm, StepOutcome,
@@ -470,25 +470,21 @@ fn push_emit<T: PropValue>(
     }))
 }
 
-/// A lowered pull-mode `EdgeJob`, monomorphic in the value type and the
-/// reduction: per edge it is `try_pagerank_pull`'s kernel.
-struct PullJob<T: PropValue, C> {
+/// A lowered pull-mode `EdgeJob`, monomorphic in the value type: per edge
+/// it is `try_pagerank_pull`'s kernel, one `fold_nbr`.
+struct PullJob<T: PropValue> {
     filter: Option<Fx<bool>>,
     /// `=` semantics: a vertex that passes the filter starts from the
-    /// reduction identity. The hook runs before any of the vertex's reads
-    /// is issued, so every continuation combines into the reset cell, and
-    /// a vertex the filter excludes keeps its value.
+    /// reduction identity. The hook runs before any of the vertex's edges,
+    /// so every fold combines into the reset cell, and a vertex the filter
+    /// excludes keeps its value.
     reset: Option<T>,
     src: Prop<T>,
     target: Prop<T>,
-    combine: C,
+    op: ReduceOp,
 }
 
-impl<T, C> EdgeTask for Arc<PullJob<T, C>>
-where
-    T: PropValue,
-    C: Fn(T, T) -> T + Send + Sync + 'static,
-{
+impl<T: PropValue> EdgeTask for Arc<PullJob<T>> {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         let pass = passes(&self.filter, ctx);
         if let (true, Some(identity)) = (pass, self.reset) {
@@ -497,12 +493,7 @@ where
         pass
     }
     fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        ctx.read_nbr(self.src);
-    }
-    fn read_done(&self, ctx: &mut ReadDoneCtx<'_, '_>) {
-        let v: T = ctx.value();
-        let cur: T = ctx.get(self.target);
-        ctx.set(self.target, (self.combine)(cur, v));
+        ctx.fold_nbr(self.src, self.target, self.op);
     }
 }
 
@@ -538,14 +529,14 @@ fn pull_action<T: PropValue>(
     reset: Option<T>,
     src: Prop<T>,
     target: Prop<T>,
-    combine: impl Fn(T, T) -> T + Send + Sync + 'static,
+    op: ReduceOp,
 ) -> Action {
     let job = PullJob {
         filter,
         reset,
         src,
         target,
-        combine,
+        op,
     };
     edge_action(dir, JobSpec::new().read(src), job)
 }
@@ -682,28 +673,15 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
                         return Ok(None);
                     };
                     let filter = ex.filter(vertex_filter)?;
-                    match (target, src, op) {
-                        (AnyProp::F64(t), AnyProp::F64(s), ReduceOp::Sum) => {
-                            let id = identity.map(Val::as_f64);
-                            pull_action(dir, filter, id, s, t, |a: f64, b: f64| a + b)
+                    // Folded with `reduce_bits`, as push mode's
+                    // `reduce_bits_atomic` folds (DESIGN.md §17.4).
+                    let foldable = matches!(op, ReduceOp::Sum | ReduceOp::Min | ReduceOp::Max);
+                    match (target, src) {
+                        (AnyProp::F64(t), AnyProp::F64(s)) if foldable => {
+                            pull_action(dir, filter, identity.map(Val::as_f64), s, t, op)
                         }
-                        (AnyProp::F64(t), AnyProp::F64(s), ReduceOp::Min) => {
-                            let id = identity.map(Val::as_f64);
-                            pull_action(dir, filter, id, s, t, |a, b| if b < a { b } else { a })
-                        }
-                        (AnyProp::F64(t), AnyProp::F64(s), ReduceOp::Max) => {
-                            let id = identity.map(Val::as_f64);
-                            pull_action(dir, filter, id, s, t, |a, b| if b > a { b } else { a })
-                        }
-                        (AnyProp::I64(t), AnyProp::I64(s), ReduceOp::Sum) => {
-                            let id = identity.map(Val::as_i64);
-                            pull_action(dir, filter, id, s, t, i64::wrapping_add)
-                        }
-                        (AnyProp::I64(t), AnyProp::I64(s), ReduceOp::Min) => {
-                            pull_action(dir, filter, identity.map(Val::as_i64), s, t, i64::min)
-                        }
-                        (AnyProp::I64(t), AnyProp::I64(s), ReduceOp::Max) => {
-                            pull_action(dir, filter, identity.map(Val::as_i64), s, t, i64::max)
+                        (AnyProp::I64(t), AnyProp::I64(s)) if foldable => {
+                            pull_action(dir, filter, identity.map(Val::as_i64), s, t, op)
                         }
                         _ => {
                             return Err(JobError::Protocol(format!(

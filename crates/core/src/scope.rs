@@ -8,10 +8,30 @@
 use pgxd_runtime::ids::MachineId;
 use pgxd_runtime::localgraph::EncTarget;
 use pgxd_runtime::machine::MachineState;
-use pgxd_runtime::props::{bottom_bits, reduce_bits, Column, PropId, ReduceOp, TypeTag};
+use pgxd_runtime::props::{bottom_bits, reduce_bits, Column, PropId, PropValue, ReduceOp, TypeTag};
 use pgxd_runtime::worker::{SideRec, WorkerComm};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
+
+/// Marks the record of a remote fold ([`TaskScope::fold_target`]): the
+/// drain loop folds its response into the target cell itself instead of
+/// calling `read_done`. The record's `aux` is the fold's [`fold_key`].
+/// Local vertex indices stay below 2³¹, so the bit is free.
+pub(crate) const FOLD_NODE_BIT: u32 = 1 << 31;
+
+/// No fold accumulator is open (no [`fold_key`] takes this value).
+const NO_FOLD: u64 = u64::MAX;
+
+/// A fold's target property and reduction packed into one word: the key
+/// of the open accumulator and the `aux` of a remote fold's record.
+#[inline(always)]
+fn fold_key(dst: PropId, op: ReduceOp) -> u64 {
+    (dst.0 as u64) << 8 | op as u64
+}
+
+fn fold_key_prop(key: u64) -> PropId {
+    PropId((key >> 8) as u16)
+}
 
 /// A thread-private ghost copy of one reduced property (§3.3 "Ghost
 /// Privatization": "during the parallel region, reductions to the
@@ -41,6 +61,11 @@ pub(crate) struct TaskScope<'a> {
     /// ("if the other node is in the same machine, read_done() is
     /// immediately invoked with the pointer to the local data").
     pub(crate) local_reads: Vec<(SideRec, u64)>,
+    /// The current vertex's open fold accumulator: which `(dst, op)` it
+    /// folds ([`NO_FOLD`] when none) and the value so far. It lives here,
+    /// not in the column, until the vertex's last edge has run.
+    fold_key: u64,
+    fold_acc: u64,
     /// Batched local-access statistics, published at phase end.
     stat_local_reads: u64,
     stat_local_writes: u64,
@@ -78,6 +103,8 @@ impl<'a> TaskScope<'a> {
             cols: Vec::new(),
             privs,
             local_reads: Vec::new(),
+            fold_key: NO_FOLD,
+            fold_acc: 0,
             stat_local_reads: 0,
             stat_local_writes: 0,
         }
@@ -160,6 +187,70 @@ impl<'a> TaskScope<'a> {
         self.stat_local_reads += 1;
         let bits = self.col(p).load_bits(index);
         self.local_reads.push((rec, bits));
+    }
+
+    /// `dst[node] = op(dst[node], src[target])` for an edge of `node`. A
+    /// local or ghost `target` folds into the open accumulator — `T::TAG`
+    /// and (at an inlined call site) `op` are constants, so per edge this
+    /// is one load, one compare and the reduction itself. A remote one is
+    /// an ordinary buffered read whose record asks the drain loop to fold
+    /// the response ([`Self::fold_response`]).
+    #[inline(always)]
+    pub fn fold_target<T: PropValue>(
+        &mut self,
+        node: usize,
+        target: EncTarget,
+        src: PropId,
+        dst: PropId,
+        op: ReduceOp,
+    ) {
+        let key = fold_key(dst, op);
+        if target.is_remote() {
+            debug_assert!(node < FOLD_NODE_BIT as usize);
+            let rec = SideRec {
+                node: node as u32 | FOLD_NODE_BIT,
+                aux: key,
+            };
+            let gid = target.global_id();
+            self.comm.push_read(gid.machine(), src, gid.offset(), rec);
+            return;
+        }
+        self.stat_local_reads += 1;
+        let bits = self.col(src).load_bits(target.local_index());
+        if self.fold_key != key {
+            self.open_fold(node, key);
+        }
+        self.fold_acc = reduce_bits(T::TAG, op, self.fold_acc, bits);
+    }
+
+    /// Stores the open accumulator (if any) and starts one for `key` from
+    /// the vertex's current cell.
+    #[cold]
+    #[inline(never)]
+    fn open_fold(&mut self, node: usize, key: u64) {
+        self.flush_fold(node);
+        self.fold_acc = self.load_local(fold_key_prop(key), node);
+        self.fold_key = key;
+    }
+
+    /// Writes the open accumulator back to `node`'s cell: once per vertex,
+    /// after its last edge, and whenever a fold names another `(dst, op)`.
+    #[inline]
+    pub fn flush_fold(&mut self, node: usize) {
+        if self.fold_key != NO_FOLD {
+            self.store_local(fold_key_prop(self.fold_key), node, self.fold_acc);
+            self.fold_key = NO_FOLD;
+        }
+    }
+
+    /// Folds the response to a remote fold's read into its vertex's cell.
+    /// Every continuation of a vertex runs on its worker, so a plain load
+    /// and store suffice.
+    pub fn fold_response(&mut self, rec: SideRec, bits: u64) {
+        let node = (rec.node & !FOLD_NODE_BIT) as usize;
+        let op = ReduceOp::from_u8(rec.aux as u8).expect("a fold record carries its reduction");
+        let col = self.col(fold_key_prop(rec.aux));
+        col.store_bits(node, reduce_bits(col.tag(), op, col.load_bits(node), bits));
     }
 
     /// Reduces a value into an arbitrary vertex by *global* id, local or

@@ -4,7 +4,9 @@
 //! once per edge (or node) and always returns; remote reads requested
 //! inside `run()` continue later in `read_done()`, on the *same* worker
 //! thread, with whatever state the task saved in its fields or in node
-//! properties (§4.1.2).
+//! properties (§4.1.2). A read whose continuation would only fold the
+//! value into the current vertex is [`EdgeCtx::fold_nbr`], which needs no
+//! `read_done()`.
 
 use crate::prop::Prop;
 use crate::scope::TaskScope;
@@ -182,6 +184,22 @@ impl EdgeCtx<'_, '_> {
     #[inline]
     pub fn read_nbr<T: PropValue>(&mut self, p: Prop<T>) {
         self.read_nbr_tagged(p, 0);
+    }
+
+    /// Pull reduction without a continuation: `dst[v] = op(dst[v], src[u])`
+    /// for the current vertex `v` and neighbor `u`. Local and ghosted
+    /// values fold into a register that is written to `dst[v]` once, after
+    /// `v`'s last edge (all of `v`'s edges run on one worker, so nothing
+    /// else touches the cell meanwhile); remote values travel like
+    /// [`Self::read_nbr`]'s and are folded in as their responses drain.
+    /// Until `v`'s edges are done, `dst[v]` in memory lags the fold, so
+    /// `run` must not `get` or `set` it. Use [`Self::read_nbr`] +
+    /// [`EdgeTask::read_done`] when the continuation does more than this
+    /// fold.
+    #[inline(always)]
+    pub fn fold_nbr<T: PropValue>(&mut self, src: Prop<T>, dst: Prop<T>, op: ReduceOp) {
+        self.scope
+            .fold_target::<T>(self.node, self.target, src.id, dst.id, op);
     }
 
     /// Like [`Self::read_nbr`] with a user tag made available as

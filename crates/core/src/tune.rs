@@ -4,10 +4,11 @@
 //! probe: run a representative pull kernel under each candidate
 //! configuration and pick the fastest.
 
-use crate::closure_tasks::{on_edge_pull, on_node};
+use crate::closure_tasks::{on_edge, on_node};
 use crate::engine::{BuildEngine, Engine};
 use pgxd_graph::Graph;
 use pgxd_runtime::config::ConfigBuilder;
+use pgxd_runtime::props::ReduceOp;
 use std::time::Duration;
 
 /// Result of an auto-tuning sweep.
@@ -58,7 +59,7 @@ pub fn autotune_threads(
 }
 
 /// One probe: a few iterations of a pull-sum kernel (reads stress the
-/// copiers, continuations stress the workers). Returns summed main-phase
+/// copiers, folding their responses stresses the workers). Returns summed main-phase
 /// time.
 fn probe(engine: &mut Engine, iters: usize) -> Duration {
     let src = engine.add_prop("tune_src", 1.0f64);
@@ -89,14 +90,7 @@ fn run_pull_once(
         .try_run_edge_job(
             crate::task::Dir::In,
             &crate::spec::JobSpec::new().read(src),
-            on_edge_pull(
-                move |ctx| ctx.read_nbr(src),
-                move |ctx| {
-                    let v: f64 = ctx.value();
-                    let cur: f64 = ctx.get(dst);
-                    ctx.set(dst, cur + v);
-                },
-            ),
+            on_edge(move |ctx| ctx.fold_nbr(src, dst, ReduceOp::Sum)),
         )
         .expect("tune probe job failed");
     report.main

@@ -44,11 +44,14 @@ echo "== wire-recover smoke (socket faults + SIGKILL a rank mid-run) =="
 # re-bootstrap.
 timeout 300 cargo run --release -p pgxd-bench --bin repro -- wire-recover --quick
 
-echo "== benchmark smoke (one pull_skew, one tcp_pull and one query_pr run, answers checked against the oracle) =="
+echo "== benchmark smoke (one pull_skew, local_pull, tcp_pull and query_pr run, answers checked against the oracle) =="
 # Not a performance gate — a one-second run measures nothing. The
 # repository benchmark verifies every result against the sequential
 # oracles and exits non-zero on any failed, refused or wrong operation.
 bash benchmark/run.sh --workload pull_skew --seed 7 --seconds 1 --trace 0
+# One machine, one worker: every read is local, so every `fold_nbr` takes
+# the register path (folded per vertex, stored after its last edge).
+bash benchmark/run.sh --workload local_pull --seed 7 --seconds 1 --trace 0
 # The same job on two node-mode ranks over loopback TCP: the event-driven
 # termination wave (report, probe, answer, release) against the oracle.
 bash benchmark/run.sh --workload tcp_pull --seed 7 --seconds 1 --trace 0

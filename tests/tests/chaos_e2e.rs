@@ -161,7 +161,7 @@ fn machine_crash_fails_cleanly_without_hanging() {
 /// so the telemetry assertions can be unconditional.
 #[test]
 fn aggressive_fixed_plan_is_exactly_once() {
-    let g = generate::rmat(7, 6, generate::RmatParams::skewed(), 79);
+    let g = generate::rmat(9, 8, generate::RmatParams::skewed(), 79);
     let mut clean = engine_with(FaultPlan::none(), &g);
     let baseline = try_hopdist(&mut clean, 0).unwrap();
 

@@ -10,7 +10,8 @@
 //! short-circuit `&&`/`||`, over columns holding NaN, ±0.0, ±INF and
 //! subnormals. A node job checks the node context (writes and the `where`
 //! hook), a push job the edge context (body and neighbor filter), a
-//! filtered pull job the monomorphic continuation and its per-vertex reset.
+//! filtered pull job the fold and its per-vertex reset, and an f64
+//! `min`/`max` aggregate runs in both modes.
 //!
 //! Mutation-checked: with `bin` applying `f(b, a)`, with the integer-`/`
 //! closure dividing before widening, with `ToF64` reinterpreting bits, and
@@ -381,5 +382,47 @@ proptest! {
         };
         let got = run(&g, &cols, Ty::I64, init, job);
         prop_assert_eq!(got, want, "{:?} filter {:?}", op, filter);
+    }
+
+    /// Pull and push fold with the same `reduce_bits`, so the same f64
+    /// `min`/`max` aggregate gives bit-identical columns in both modes,
+    /// NaN, ±INF and subnormal neighbors included. (`+0.0` is left out:
+    /// which zero wins a ±0.0 tie is `f64::min`/`max`'s choice and, in
+    /// push mode, arrival order's — DESIGN.md §17.4.)
+    #[test]
+    fn f64_min_max_pull_equals_push(seed in any::<u64>()) {
+        let mut rng = TestRng::new(seed);
+        let g = generate::rmat(4, 3, generate::RmatParams::skewed(), seed);
+        let n = g.num_nodes();
+        let mut cols = Columns::random(&mut rng, n);
+        let no_pos_zero: Vec<f64> = F64S.into_iter().filter(|x| x.to_bits() != 0).collect();
+        for row in &mut cols.0 {
+            row[F[0]] = Val::F64(pick(&mut rng, &no_pos_zero));
+        }
+        let op = pick(&mut rng, &[ReduceOp::Min, ReduceOp::Max]);
+
+        let want: Vec<u64> = (0..n)
+            .map(|v| {
+                g.in_neighbors(v as NodeId)
+                    .iter()
+                    .map(|&u| bits(cols.0[u as usize][F[0]]))
+                    .fold(bottom_bits(f64::TAG, op), |acc, x| reduce_bits(f64::TAG, op, acc, x))
+            })
+            .collect();
+        let job = |mode| PStep::EdgeJob {
+            span: Span::default(),
+            mode,
+            set: NbrSet::In,
+            op,
+            target: OUT,
+            nbr_filter: None,
+            vertex_filter: PFilter::None,
+            body: e(Ty::F64, TExprKind::Load { slot: F[0], var: WhichVar::Inner }),
+            prefill: true,
+        };
+        let pull = run(&g, &cols, Ty::F64, Val::F64(0.5), job(TraverseMode::Pull));
+        let push = run(&g, &cols, Ty::F64, Val::F64(0.5), job(TraverseMode::Push));
+        prop_assert_eq!(&pull, &want, "pull {:?}", op);
+        prop_assert_eq!(&push, &want, "push {:?}", op);
     }
 }
