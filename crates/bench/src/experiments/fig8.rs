@@ -9,6 +9,7 @@
 
 use crate::report::Table;
 use pgxd_graph::generate;
+use pgxd_runtime::cancel::CancelToken;
 use pgxd_runtime::message::{Envelope, MsgKind};
 use pgxd_runtime::phase::{drain_until_complete, JobState, Phase, WorkerEnv};
 use pgxd_runtime::props::{PropId, TypeTag};
@@ -96,7 +97,7 @@ pub fn remote_read_bandwidth(
 
     // Warm-up + measured run.
     for measured in [false, true] {
-        let job = JobState::new(2 * workers, cluster.pending().clone(), 2, workers);
+        let job = cluster.job_state(cluster.phase_units(), CancelToken::never());
         let phase = Arc::new(RandomReadPhase {
             prop,
             offsets: offsets.clone(),
@@ -217,7 +218,7 @@ pub fn flood_bandwidth(
     let mut cluster = Cluster::load(&g, config).expect("cluster");
     let count = (total_bytes_per_link / buffer_bytes).max(1);
     for measured in [false, true] {
-        let job = JobState::new(machines, cluster.pending().clone(), machines, 1);
+        let job = cluster.job_state(cluster.phase_units(), CancelToken::never());
         let phase = Arc::new(FloodPhase {
             bytes: buffer_bytes,
             count,

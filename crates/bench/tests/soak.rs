@@ -22,8 +22,8 @@
 //! Global invariants, asserted at the end (the soak *is* the check):
 //! no hang (hard wall-clock bound), every submitted job reaches exactly
 //! one terminal outcome, the serve counters reconcile with the
-//! client-side ledger, per-job wire attribution reconciles with machine
-//! totals (the PR-6 ledger), property columns and buffer-pool quota are
+//! client-side ledger, the per-job traffic windows reconcile with machine
+//! totals, property columns and buffer-pool quota are
 //! fully reclaimed, and every converged result is within 1e-12 of the
 //! fault-free fixpoint.
 //!
@@ -440,8 +440,8 @@ fn soak_passes_at_quick_scale() {
         "[soak] cancellation counter does not reconcile"
     );
 
-    // PR-6 wire ledger: per-job attribution stays within machine totals
-    // and covers the overwhelming share of payload traffic.
+    // Per-job traffic windows stay within machine totals and cover the
+    // overwhelming share of payload traffic.
     let wire_after = totals(&machine_stats);
     let machine_bytes = wire_after.bytes_sent - wire_before.bytes_sent;
     let job_bytes: u64 = reports

@@ -371,7 +371,6 @@ impl Engine {
             task: Arc::new(task),
             dir,
             reduces: spec.reduces.clone(),
-            privatize: self.cluster.config().ghost_privatization,
             queues,
             job: self.cluster.job_state(total_chunks, cancel.clone()),
         });
@@ -401,7 +400,6 @@ impl Engine {
         let main = Arc::new(NodeJobPhase {
             task: Arc::new(task),
             reduces: spec.reduces.clone(),
-            privatize: self.cluster.config().ghost_privatization,
             queues,
             job: self.cluster.job_state(total_chunks, cancel.clone()),
         });

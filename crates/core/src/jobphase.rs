@@ -61,7 +61,8 @@ fn drain_responses<F: Fn(&mut ReadDoneCtx<'_, '_>)>(
 
 /// Retires one executed chunk. The entries it buffered are published
 /// first: the chunk may be the phase's last work unit, and completion is
-/// read off `pending` as soon as none is outstanding.
+/// read off `pending` (or the wave's counters) as soon as none is
+/// outstanding.
 fn retire_chunk(scope: &mut TaskScope<'_>, job: &JobState) {
     scope.comm.publish_pending();
     job.retire();
@@ -83,7 +84,7 @@ fn finish_phase<F: Fn(&mut ReadDoneCtx<'_, '_>)>(
             scope.comm.flush();
             continue;
         }
-        if job.is_complete() {
+        if job.is_complete(scope.machine) {
             break;
         }
         if scope.machine.health.is_aborted() {
@@ -105,7 +106,6 @@ pub(crate) struct EdgeJobPhase<T: EdgeTask> {
     pub task: Arc<T>,
     pub dir: Dir,
     pub reduces: Vec<(PropId, ReduceOp)>,
-    pub privatize: bool,
     /// One chunk queue per machine.
     pub queues: Vec<Arc<ChunkQueue>>,
     pub job: Arc<JobState>,
@@ -116,7 +116,7 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
         let machine = env.machine;
         let machine_id = machine.id as usize;
         let worker_idx = env.worker_idx;
-        let mut scope = TaskScope::new(machine, env.comm, &self.reduces, self.privatize);
+        let mut scope = TaskScope::new(machine, env.comm, &self.reduces);
         let task = &*self.task;
         let read_done = |ctx: &mut ReadDoneCtx<'_, '_>| task.read_done(ctx);
         let queue = &self.queues[machine_id];
@@ -173,7 +173,6 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
 pub(crate) struct NodeJobPhase<T: NodeTask> {
     pub task: Arc<T>,
     pub reduces: Vec<(PropId, ReduceOp)>,
-    pub privatize: bool,
     pub queues: Vec<Arc<ChunkQueue>>,
     pub job: Arc<JobState>,
 }
@@ -183,7 +182,7 @@ impl<T: NodeTask> Phase for NodeJobPhase<T> {
         let machine = env.machine;
         let machine_id = machine.id as usize;
         let worker_idx = env.worker_idx;
-        let mut scope = TaskScope::new(machine, env.comm, &self.reduces, self.privatize);
+        let mut scope = TaskScope::new(machine, env.comm, &self.reduces);
         let task = &*self.task;
         let read_done = |ctx: &mut ReadDoneCtx<'_, '_>| task.read_done(ctx);
         let queue = &self.queues[machine_id];

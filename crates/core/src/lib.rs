@@ -98,7 +98,6 @@ mod scope;
 pub mod serve;
 mod spec;
 mod task;
-pub mod tune;
 pub mod vector;
 
 pub use engine::{loopback_ranks, BuildEngine, Engine, EngineBuilder, JobReport, LoopbackRank};

@@ -2,7 +2,7 @@
 //!
 //! The scope is where the Data Manager decisions of §3.3 happen at
 //! runtime: a property access against an [`EncTarget`] is resolved to a
-//! plain local load/store, a (possibly privatized) ghost-slot reduction, or
+//! plain local load/store, a privatized ghost-slot reduction, or
 //! a buffered remote request.
 
 use pgxd_runtime::ids::MachineId;
@@ -54,8 +54,8 @@ pub(crate) struct TaskScope<'a> {
     /// column without the registry — and the cache never grows with how
     /// many ids the engine has issued over its lifetime.
     cols: Vec<(PropId, Arc<Column>)>,
-    /// Thread-private ghost copies (empty when privatization is off or the
-    /// job reduces nothing).
+    /// Thread-private ghost copies (empty when the machine has no ghosts or
+    /// the job reduces nothing).
     privs: Vec<PrivGhost>,
     /// Locally satisfied reads waiting for their `read_done` callback
     /// ("if the other node is in the same machine, read_done() is
@@ -76,10 +76,9 @@ impl<'a> TaskScope<'a> {
         machine: &'a Arc<MachineState>,
         comm: &'a mut WorkerComm,
         reduces: &[(PropId, ReduceOp)],
-        privatize: bool,
     ) -> Self {
         let num_ghosts = machine.graph.num_ghosts();
-        let privs = if privatize && num_ghosts > 0 {
+        let privs = if num_ghosts > 0 {
             reduces
                 .iter()
                 .map(|&(prop, op)| {

@@ -49,8 +49,8 @@ use std::sync::Arc;
 pub use pgxd_runtime::cancel::{CancelReason, CancelToken};
 pub use pgxd_runtime::config::{ServeConfig, StorageFaultPlan};
 pub use pgxd_sched::{
-    estimate_bytes, JobCtx, JobExec, JobHandle, JobMeta, JobOutcome, JobReport, JobServer, JobWire,
-    Lane, MemProfile, PhaseSpan, RetryBudget, Scheduler, ServeEngine, Session,
+    estimate_bytes, JobCtx, JobExec, JobHandle, JobMeta, JobOutcome, JobReport, JobServer, Lane,
+    MemProfile, PhaseSpan, RetryBudget, Scheduler, ServeEngine, Session,
 };
 
 impl ServeEngine for Engine {

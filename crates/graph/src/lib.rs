@@ -12,8 +12,6 @@
 //!   (the §5.3.1 communication experiment), RMAT (stand-in for the skewed
 //!   Twitter/Web-UK instances), and small structured graphs for tests.
 //! * [`io`] — text and binary edge-list formats (Table 4 loading paths).
-//! * [`delta`] — snapshot-based dynamic-graph updates (the paper's §6.4
-//!   outlook).
 //!
 //! Vertices are numbered `0..N-1` by a preprocessing step, exactly as the
 //! paper assumes; partitioning into machines happens later, in
@@ -21,7 +19,6 @@
 
 pub mod builder;
 pub mod csr;
-pub mod delta;
 pub mod generate;
 pub mod io;
 pub mod stats;

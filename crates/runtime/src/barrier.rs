@@ -4,13 +4,17 @@
 //! latency directly bounds the per-iteration floor (§5.3.1, Figure 5b).
 //! Two implementations are provided:
 //!
-//! * [`CentralBarrier`] — shared-memory sense-reversing barrier: the fast
-//!   path used by default (the simulated cluster shares an address space).
-//! * [`DistBarrier`] — a message-based coordinator barrier that mirrors
-//!   what a real deployment pays: the last worker of each machine sends a
-//!   `BarrierArrive` to machine 0; machine 0's copier broadcasts
-//!   `BarrierRelease` once all machines arrived. Enabled by
-//!   `Config::strict_distributed` and measured by the Figure 5b bench.
+//! * [`CentralBarrier`] — the shared-memory sense-reversing *process*
+//!   barrier every phase ends with, in every mode: once a phase is
+//!   complete (shared counter or termination wave, see `crate::phase`)
+//!   the workers this process hosts cross it and the driver moves on. It
+//!   synchronizes threads, not machines; cluster-wide, completion
+//!   detection already did that.
+//! * [`DistBarrier`] — a message-based coordinator barrier: the last
+//!   worker of each machine sends a `BarrierArrive` to machine 0; machine
+//!   0's copier broadcasts `BarrierRelease` once all machines arrived. No
+//!   phase crosses it: it is the Figure 5b measurement of what such a
+//!   barrier costs, run by `Cluster::run_dist_barrier` only.
 
 use crate::health::ClusterHealth;
 use parking_lot::{Condvar, Mutex};

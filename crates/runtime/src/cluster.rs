@@ -18,7 +18,7 @@ use crate::fabric::{make_endpoints, Fabric, MachineEndpoints};
 use crate::ghost::GhostTable;
 use crate::health::{ClusterHealth, JobError};
 use crate::ids::MachineId;
-use crate::jobctx::{JobCtx, JobExec, JobOutcome, JobWire, PhaseSpan};
+use crate::jobctx::{JobCtx, JobExec, JobOutcome, PhaseSpan};
 use crate::localgraph::LocalGraph;
 use crate::machine::{MachineState, RmiFn};
 use crate::message::{Envelope, MsgKind};
@@ -451,21 +451,18 @@ impl Cluster {
         self.machines.len() * self.config.workers
     }
 
-    /// Builds a job-completion tracker wired for this cluster's backend:
-    /// in-process it watches the shared `pending` counter; multi-process it
-    /// carries the distributed termination state, so `outstanding` must
-    /// count only *local* work units (local chunks / local workers).
+    /// Builds a job-completion tracker for the machines hosted here:
+    /// `outstanding` counts *their* work units (their chunks, or
+    /// [`Cluster::phase_units`] producing workers). Each worker completes
+    /// the phase through its own machine — the shared `pending` counter by
+    /// default, the termination wave under `strict_distributed`.
     pub fn job_state(&self, outstanding: usize, cancel: CancelToken) -> Arc<JobState> {
         let first = self.machines[0].id as usize;
         JobState::for_hosted(
             outstanding,
-            self.pending.clone(),
             first..first + self.machines.len(),
             self.config.workers,
             cancel,
-            Some(&self.machines[0])
-                .filter(|m| m.term.enabled())
-                .cloned(),
         )
     }
 
@@ -850,15 +847,12 @@ impl Cluster {
     // Job-scoped attribution (serve layer)
     // -----------------------------------------------------------------
 
-    /// Opens a per-job attribution window: every machine's telemetry
-    /// starts charging wire traffic to `ctx`, and counter/histogram
+    /// Opens a per-job attribution window: counter and histogram
     /// baselines are captured for the window deltas. Called by the job
     /// dispatcher right before it runs the job body; jobs serialize on
-    /// the dispatcher thread, so at most one window is open.
+    /// the dispatcher thread, so at most one window is open and its
+    /// counter delta is the job's wire cost.
     pub fn begin_job(&mut self, ctx: JobCtx, enqueue_ns: u64) {
-        for m in &self.machines {
-            m.telemetry.begin_job(ctx);
-        }
         let dispatch_ns = self
             .machines
             .first()
@@ -877,17 +871,13 @@ impl Cluster {
     }
 
     /// Closes the attribution window opened by [`Cluster::begin_job`] and
-    /// assembles the [`JobExec`]: job-charged wire traffic summed across
-    /// machines, cluster-wide counter and histogram deltas, tracer-derived
-    /// phase/barrier spans, and recovery retries observed in the window.
+    /// assembles the [`JobExec`]: cluster-wide counter and histogram
+    /// deltas, tracer-derived phase/barrier spans, and recovery retries
+    /// observed in the window.
     /// Engine-level compute/comm/drain seconds are filled in by the caller
     /// (the `pgxd` crate), which owns the per-phase timing breakdowns.
     pub fn end_job(&mut self, outcome: JobOutcome) -> Option<JobExec> {
         let aj = self.active_job.take()?;
-        let mut wire = JobWire::default();
-        for m in &self.machines {
-            wire += m.telemetry.end_job();
-        }
         let done_ns = self
             .machines
             .first()
@@ -901,7 +891,6 @@ impl Cluster {
             dispatch_ns: aj.dispatch_ns,
             done_ns,
             traffic: self.total_stats() - aj.stats_before,
-            wire,
             read_rtt: self.merged_hist(|t| t.read_rtt_snapshot()) - aj.read_rtt_before,
             flush_fill: self.merged_hist(|t| t.flush_fill_snapshot()) - aj.flush_fill_before,
             copier_service: self.merged_hist(|t| t.copier_service_snapshot())
@@ -1025,10 +1014,11 @@ impl Cluster {
     // -----------------------------------------------------------------
 
     /// Runs one phase on every worker of every hosted machine and waits for
-    /// the trailing cluster barrier. Under `Config::strict_distributed`,
-    /// every phase is additionally fenced by the *message-based* barrier,
-    /// so inter-phase synchronization goes through the fabric exactly as on
-    /// a real cluster.
+    /// the trailing process barrier. The workers leave the phase once it is
+    /// complete — by the shared `pending` counter, or under
+    /// `Config::strict_distributed` by the termination wave, which already
+    /// proves every entry of the phase consumed cluster-wide — so no
+    /// message barrier follows.
     ///
     /// Returns the recorded [`JobError`] if the cluster aborted during (or
     /// before) the phase. An aborted cluster is terminal — every
@@ -1048,14 +1038,7 @@ impl Cluster {
             return Err(err);
         }
         self.run_phase_inner(phase, label);
-        self.reap_abort()?;
-        if self.config.strict_distributed {
-            let epoch = self.dist_epoch;
-            self.dist_epoch += 1;
-            self.run_phase_inner(Arc::new(DistBarrierPhase { epoch }), "dist_barrier");
-            self.reap_abort()?;
-        }
-        Ok(())
+        self.reap_abort()
     }
 
     /// Converts a recorded abort into an error, resetting the pending
@@ -1103,7 +1086,9 @@ impl Cluster {
         }
     }
 
-    /// Crosses the message-based distributed barrier once (Figure 5b).
+    /// Crosses the message-based distributed barrier once — a measurement
+    /// (Figure 5b, the benchmark's `barrier.dist_us`), not part of any
+    /// job's protocol.
     pub fn run_dist_barrier(&mut self) {
         let epoch = self.dist_epoch;
         self.dist_epoch += 1;
@@ -1304,7 +1289,7 @@ fn poller_tick(m: &MachineState, fabric: &Fabric, watchdog_ms: u64) {
             });
         }
     }
-    // Multi-process termination wave, repair path: repeat this machine's
+    // Termination wave, repair path: repeat this machine's
     // report even though nothing changed, in case the event-driven report,
     // a probe, its answer or the release was lost. A no-op unless the
     // termination protocol is enabled and an unreleased phase is locally
@@ -1513,12 +1498,7 @@ mod tests {
         let mut c = ring_cluster(4);
         let p = c.add_prop::<i64>("cnt", 0);
         let workers_total = c.num_machines() * c.config().workers;
-        let job = JobState::new(
-            workers_total,
-            c.pending().clone(),
-            c.num_machines(),
-            c.config().workers,
-        );
+        let job = c.job_state(workers_total, CancelToken::never());
         c.try_run_phase(Arc::new(PokePhase { prop: p, job }))
             .unwrap();
         // Every worker contributed exactly +1.
@@ -1535,12 +1515,7 @@ mod tests {
         let mut c = Cluster::load(&g, config).unwrap();
         let p = c.add_prop::<i64>("cnt", 0);
         let workers_total = c.num_machines() * c.config().workers;
-        let job = JobState::new(
-            workers_total,
-            c.pending().clone(),
-            c.num_machines(),
-            c.config().workers,
-        );
+        let job = c.job_state(workers_total, CancelToken::never());
         c.try_run_phase(Arc::new(PokePhase { prop: p, job }))
             .unwrap();
         assert_eq!(c.get::<i64>(p, 0), workers_total as i64);
@@ -1563,12 +1538,7 @@ mod tests {
         let p = c.add_prop::<i64>("cnt", 0);
         let workers_total = c.num_machines() * c.config().workers;
         for _ in 0..3 {
-            let job = JobState::new(
-                workers_total,
-                c.pending().clone(),
-                c.num_machines(),
-                c.config().workers,
-            );
+            let job = c.job_state(workers_total, CancelToken::never());
             c.try_run_phase(Arc::new(PokePhase { prop: p, job }))
                 .unwrap();
         }
@@ -1632,7 +1602,7 @@ mod tests {
         }
         let got = Arc::new(AtomicI64::new(-1));
         let workers_total = c.num_machines() * c.config().workers;
-        let job = JobState::new(workers_total, c.pending().clone(), 2, c.config().workers);
+        let job = c.job_state(workers_total, CancelToken::never());
         c.try_run_phase(Arc::new(RmiPhase {
             job,
             got: got.clone(),

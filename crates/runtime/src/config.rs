@@ -325,7 +325,9 @@ pub enum WireFaultKind {
 /// heartbeats, crash watchdog). Off by default: the fault-free hot path
 /// pays nothing. Any active [`FaultPlan`] requires `enabled = true` —
 /// [`Config::validate`] enforces this, because the exact pending-entry
-/// termination counter deadlocks forever on a single lost envelope.
+/// termination counter deadlocks forever on a single lost envelope — and
+/// so does `strict_distributed`, whose termination wave is repaired on the
+/// reliable poller's tick.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReliabilityConfig {
     /// Master switch for sequencing, acks, retransmits, heartbeats, and the
@@ -499,11 +501,9 @@ pub struct Config {
     /// Target edges per chunk when edge chunking (nodes per chunk when node
     /// chunking is derived from this divided by the average degree).
     pub chunk_edges: usize,
-    /// Create thread-private ghost copies for reduced properties (§3.3
-    /// "Ghost Privatization").
-    pub ghost_privatization: bool,
-    /// Use the message-based (four-counter / coordinator) barrier and
-    /// termination protocols instead of the shared-memory fast path.
+    /// End every phase on the termination wave (`crate::term`: four
+    /// counters, one coordinator) instead of the shared `pending` counter.
+    /// TCP forces it: processes share no counter.
     pub strict_distributed: bool,
     /// Transport backend and the addresses it needs.
     pub transport: TransportConfig,
@@ -551,7 +551,6 @@ impl Config {
             partitioning: PartitioningMode::Edge,
             chunking: ChunkingMode::Edge,
             chunk_edges: 16 * 1024,
-            ghost_privatization: true,
             strict_distributed: false,
             transport: TransportConfig::default(),
             telemetry: TelemetryConfig::off(),
@@ -732,16 +731,18 @@ impl Config {
             }
             if !self.strict_distributed {
                 return Err(
-                    "TCP transport requires strict_distributed (the shared-memory \
-                     barrier/termination fast path needs one address space)"
+                    "TCP transport requires strict_distributed (the shared pending \
+                     counter needs one address space)"
                         .into(),
                 );
             }
-            if !self.reliability.enabled {
-                return Err("TCP transport requires reliability.enabled (distributed \
-                     termination rides the reliable poller's tick)"
-                    .into());
-            }
+        }
+        if self.strict_distributed && !self.reliability.enabled {
+            return Err(
+                "strict_distributed requires reliability.enabled (the termination \
+                 wave repairs lost frames on the reliable poller's tick)"
+                    .into(),
+            );
         }
         if self.recovery.enabled {
             let rc = &self.recovery;
@@ -773,8 +774,8 @@ impl Default for Config {
 /// `pgxd::Engine::builder` with the unit-test preset). Every setter is
 /// loose and writes state no other setter writes, so call order never
 /// matters; [`ConfigBuilder::build`] derives the switches that follow from
-/// the rest (TCP needs the message-based protocols, an active fault plan
-/// needs the layer that survives it) and runs [`Config::validate`], so
+/// the rest (TCP needs the termination wave, the wave and an active fault
+/// plan need the layer that survives loss) and runs [`Config::validate`], so
 /// invalid combinations (zero quotas, a fault plan on TCP, ...) are
 /// rejected in one place instead of panicking deep inside the engine.
 #[derive(Clone, Debug)]
@@ -839,22 +840,17 @@ impl ConfigBuilder {
         self
     }
 
-    /// Thread-private ghost copies for reduced properties.
-    pub fn ghost_privatization(mut self, on: bool) -> Self {
-        self.config.ghost_privatization = on;
-        self
-    }
-
-    /// Message-based barrier / termination protocols.
+    /// Phases end on the termination wave; enables reliability at
+    /// [`ConfigBuilder::build`] time (the wave's repair path).
     pub fn strict_distributed(mut self, on: bool) -> Self {
         self.config.strict_distributed = on;
         self
     }
 
     /// Transport backend and addresses. Choosing
-    /// [`TransportBackend::Tcp`] forces `strict_distributed` and the
-    /// reliability protocol at [`ConfigBuilder::build`] time — the
-    /// shared-memory termination fast path cannot span processes.
+    /// [`TransportBackend::Tcp`] forces `strict_distributed`, hence the
+    /// reliability protocol, at [`ConfigBuilder::build`] time — the shared
+    /// `pending` counter cannot span processes.
     pub fn transport(mut self, t: TransportConfig) -> Self {
         self.config.transport = t;
         self
@@ -973,7 +969,7 @@ impl ConfigBuilder {
         let c = &mut self.config;
         let tcp = c.transport.backend == TransportBackend::Tcp;
         c.strict_distributed |= tcp;
-        c.reliability.enabled |= tcp || c.fault.is_active();
+        c.reliability.enabled |= c.strict_distributed || c.fault.is_active();
         c.recovery.enabled |= c.storage_fault.is_active();
         self.config.validate()?;
         Ok(self.config)
@@ -1013,7 +1009,7 @@ mod tests {
             (c.partitioning, c.chunking),
             (PartitioningMode::Edge, ChunkingMode::Edge)
         );
-        assert!(c.ghost_privatization && c.read_combining);
+        assert!(c.read_combining);
         assert!(!c.strict_distributed);
         assert!(!c.reliability.enabled && !c.recovery.enabled && !c.telemetry.enabled);
         let r = c.reliability;
@@ -1043,7 +1039,6 @@ mod tests {
             ("partitioning", |b| b.partitioning(PartitioningMode::Vertex)),
             ("chunking", |b| b.chunking(ChunkingMode::Node)),
             ("chunk_edges", |b| b.chunk_edges(99)),
-            ("ghost_privatization", |b| b.ghost_privatization(false)),
             ("strict_distributed", |b| b.strict_distributed(true)),
             ("transport", |b| {
                 b.transport(TransportConfig::tcp("127.0.0.1:7403", 1))
@@ -1162,6 +1157,17 @@ mod tests {
             .build()
             .unwrap();
         assert!(built.strict_distributed);
+        assert!(built.reliability.enabled);
+
+        // The wave repairs lost frames on the reliable tick, on either
+        // backend; the builder switches reliability on for it.
+        let mut bad = c.clone();
+        bad.reliability.enabled = false;
+        assert!(bad.validate().unwrap_err().contains("requires reliability"));
+        let mut bad = Config::test(2);
+        bad.strict_distributed = true;
+        assert!(bad.validate().is_err());
+        let built = test_builder().strict_distributed(true).build().unwrap();
         assert!(built.reliability.enabled);
 
         // A full buffer must fit in a frame, on either backend.

@@ -131,8 +131,6 @@ pub fn copier_loop(m: Arc<MachineState>) {
             let t0 = tele.now_ns();
             let r = process_request(&m, &mut cache, env);
             tele.record_copier_service(tele.now_ns().saturating_sub(t0));
-            // Receive-side half of per-job wire attribution.
-            tele.record_job_recv();
             r
         } else {
             process_request(&m, &mut cache, env)

@@ -186,7 +186,10 @@ mod tests {
         plan: FaultPlan,
     ) -> (Fabric, Vec<MachineReceivers>) {
         let (eps, rxs) = make_endpoints(machines, workers);
-        let transport = Arc::new(InMemoryTransport::with_endpoints(eps));
+        let transport = Arc::new(InMemoryTransport::new(machines));
+        for (m, ep) in eps.into_iter().enumerate() {
+            transport.register_endpoint(m as MachineId, ep).unwrap();
+        }
         (Fabric::over(transport, tele, plan), rxs)
     }
 

@@ -5,12 +5,11 @@
 //! The serving layer (crate `pgxd-sched`) runs jobs one at a time on the
 //! shared cluster — jobs are barrier-delimited, so the dispatcher never
 //! interleaves two parallel regions. That serialization is what makes
-//! exact per-job attribution possible: the dispatcher brackets each job
-//! with [`Cluster::begin_job`]/[`Cluster::end_job`], every machine's
-//! [`Telemetry`] remembers the active [`JobCtx`], and the hot paths that
-//! already count wire traffic (worker buffer seals, copier request
-//! processing) additionally charge the active job. When the job ends the
-//! cluster folds the charged counters, windowed histogram deltas, and the
+//! exact per-job attribution possible without charging anything on the
+//! hot paths: the dispatcher brackets each job with
+//! [`Cluster::begin_job`]/[`Cluster::end_job`], and the always-on counter
+//! delta over that window *is* the job's wire cost. When the job ends the
+//! cluster folds that delta, windowed histogram deltas, and the
 //! tracer-derived phase/barrier spans into one [`JobExec`].
 //!
 //! [`JobExec`] is part of the serve-layer API surface. With
@@ -20,13 +19,12 @@
 //!
 //! [`Cluster::begin_job`]: crate::cluster::Cluster::begin_job
 //! [`Cluster::end_job`]: crate::cluster::Cluster::end_job
-//! [`Telemetry`]: crate::telemetry::Telemetry
 
 use crate::stats::StatsSnapshot;
 use crate::telemetry::HistogramSnapshot;
 
-/// Identity of one served job, threaded from the scheduler through the
-/// cluster into workers and copiers.
+/// Identity of one served job, threaded from the scheduler to the
+/// cluster's attribution window.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub struct JobCtx {
     /// Server-assigned job id.
@@ -38,11 +36,10 @@ pub struct JobCtx {
 }
 
 impl JobCtx {
-    /// Packs the context into 56 bits so it fits a tracer event argument
-    /// and (plus one, so zero can mean "idle") an `AtomicU64` cell:
+    /// Packs the context into 56 bits so it fits a tracer event argument:
     /// lane in bits 0..8, session in bits 8..24, job in bits 24..56.
     /// Sessions and jobs beyond the field width wrap, which only affects
-    /// display, never attribution (the cell is compared for zero/nonzero).
+    /// display.
     pub fn pack(self) -> u64 {
         (self.lane as u64) | ((self.session & 0xFFFF) << 8) | ((self.job & 0xFFFF_FFFF) << 24)
     }
@@ -87,28 +84,6 @@ impl JobOutcome {
     }
 }
 
-/// Wire traffic charged to one job by the send/receive hot paths
-/// (worker buffer seals and copier request processing) while it was the
-/// cluster's active job. Summed across machines by
-/// [`Cluster::end_job`](crate::cluster::Cluster::end_job).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct JobWire {
-    /// Sealed message buffers sent on behalf of the job.
-    pub msgs_sent: u64,
-    /// Payload bytes in those buffers.
-    pub bytes_sent: u64,
-    /// Inbound message buffers copiers processed while the job was active.
-    pub msgs_processed: u64,
-}
-
-impl std::ops::AddAssign for JobWire {
-    fn add_assign(&mut self, rhs: JobWire) {
-        self.msgs_sent += rhs.msgs_sent;
-        self.bytes_sent += rhs.bytes_sent;
-        self.msgs_processed += rhs.msgs_processed;
-    }
-}
-
 /// One named parallel region the job ran, reconstructed from tracer
 /// events across all machines and workers.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -142,11 +117,9 @@ pub struct JobExec {
     /// Completion timestamp.
     pub done_ns: u64,
     /// Cluster-wide counter delta over the job's window (always live,
-    /// even with telemetry disabled). Includes background traffic
-    /// such as heartbeats and acks, so it upper-bounds [`JobExec::wire`].
+    /// even with telemetry disabled): the job's wire cost, including the
+    /// heartbeats and acks that kept its links alive.
     pub traffic: StatsSnapshot,
-    /// Wire traffic charged directly to this job by workers and copiers.
-    pub wire: JobWire,
     /// Windowed histogram deltas over the job's run.
     pub read_rtt: HistogramSnapshot,
     pub flush_fill: HistogramSnapshot,

@@ -65,7 +65,7 @@ pub use config::{
 };
 pub use health::{ClusterHealth, JobError, TransportErrorKind};
 pub use ids::{GlobalId, MachineId};
-pub use jobctx::{JobCtx, JobExec, JobOutcome, JobWire, PhaseSpan};
+pub use jobctx::{JobCtx, JobExec, JobOutcome, PhaseSpan};
 pub use props::{PropId, PropValue, ReduceOp};
 pub use tcp::{
     bind_coordinator, bootstrap, reserve_loopback_addr, Membership, NodeComm, TcpTransport,

@@ -61,7 +61,7 @@ pub struct MachineState {
     /// particular job completes when the task list is empty and there are
     /// no unfinished remote requests").
     pub pending: Arc<AtomicI64>,
-    /// Message-based barrier state (Figure 5b / strict-distributed mode).
+    /// Message-based barrier state (the Figure 5b measurement only).
     pub dist_barrier: Arc<DistBarrier>,
     /// Cluster-shared liveness/abort state (reliability layer).
     pub health: Arc<ClusterHealth>,
@@ -70,9 +70,10 @@ pub struct MachineState {
     pub reliability: Arc<Reliability>,
     /// Registered remote methods, indexed by their RMI identifier.
     pub rmi: RwLock<Vec<Arc<RmiFn>>>,
-    /// Distributed termination state (event-driven Mattern double wave).
-    /// Inert on the in-memory backend, where the shared `pending` counter
-    /// already answers "are there unfinished remote requests" exactly.
+    /// Distributed termination state (event-driven Mattern double wave),
+    /// on under `strict_distributed` (forced by TCP). Inert otherwise: the
+    /// in-process machines then share `pending`, which already answers
+    /// "are there unfinished remote requests" exactly.
     pub term: Arc<TermState>,
 }
 
@@ -124,10 +125,7 @@ impl MachineState {
             health,
             reliability,
             rmi: RwLock::new(Vec::new()),
-            term: Arc::new(TermState::new(
-                config.machines,
-                config.transport.backend == crate::config::TransportBackend::Tcp,
-            )),
+            term: Arc::new(TermState::new(config.machines, config.strict_distributed)),
         }
     }
 
@@ -166,9 +164,9 @@ impl MachineState {
         self.send_term_stat(self.term.on_probe(token, probe));
     }
 
-    /// Multi-process completion check for a worker whose local task list
-    /// is empty: marks the phase locally done, reports a changed state to
-    /// the coordinator, and returns whether the phase has been released.
+    /// Wave completion check for a worker whose local task list is empty:
+    /// marks the phase locally done, reports a changed state to the
+    /// coordinator, and returns whether the phase has been released.
     #[inline]
     pub fn term_poll(&self) -> bool {
         if self.term.released(self.term.current()) {
@@ -182,7 +180,7 @@ impl MachineState {
     /// Retires `n` consumed entries from the termination wave (mirror of
     /// `pending.fetch_sub`; call only after the entries' effects are
     /// applied) and reports the new state if this machine is already idle.
-    /// One not-taken branch on in-memory clusters.
+    /// One not-taken branch when the wave is off.
     #[inline]
     pub fn term_consumed(&self, n: u64) {
         if self.term.enabled() {

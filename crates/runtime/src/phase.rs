@@ -13,8 +13,14 @@
 //!
 //! Completion of a phase follows §3.2 exactly: "a particular job completes
 //! when the task list is empty and there are no unfinished remote
-//! requests". [`JobState`] tracks both halves — a producer/chunk counter
-//! and the cluster-global `pending` entry counter.
+//! requests". [`JobState`] counts the first half (chunks or producing
+//! workers); each worker asks its own machine for the second. There is one
+//! protocol per mode: by default the in-process machines share the exact
+//! `pending` entry counter; under `strict_distributed` (forced by TCP) the
+//! termination wave of [`crate::term`] releases the phase. Either way the
+//! workers then cross the process barrier and the phase is over — detecting
+//! completion *is* the synchronization, and no message barrier follows.
+//! [`DistBarrierPhase`] exists only to measure one (Figure 5b).
 
 use crate::cancel::CancelToken;
 use crate::machine::MachineState;
@@ -24,7 +30,7 @@ use crate::stats::WorkerTiming;
 use crate::telemetry::EventKind;
 use crate::worker::{SideRec, WorkerComm};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -39,8 +45,9 @@ pub struct WorkerEnv<'a> {
 }
 
 /// One parallel phase, executed concurrently by every worker of every
-/// machine; the runtime inserts a cluster-wide barrier after `execute`
-/// returns on all workers.
+/// machine. A phase that sends entries returns only once it is complete
+/// (see [`drain_until_complete`]); the runtime then crosses the process
+/// barrier after `execute` returns on all of this process's workers.
 pub trait Phase: Send + Sync {
     /// Runs this worker's share of the phase to completion.
     fn execute(&self, env: &mut WorkerEnv<'_>);
@@ -50,11 +57,11 @@ pub trait Phase: Send + Sync {
 #[derive(Debug)]
 pub struct JobState {
     /// Outstanding work units: chunks for main phases, producing workers
-    /// for ghost phases. The phase is complete when this reaches zero *and*
-    /// `pending` reaches zero.
+    /// for ghost phases, counted over the machines this process hosts. The
+    /// phase is complete when this reaches zero *and* the calling worker's
+    /// machine says no remote request is unfinished
+    /// ([`JobState::is_complete`]).
     outstanding: AtomicUsize,
-    /// The cluster-global buffered-entry counter.
-    pending: Arc<AtomicI64>,
     /// Phase start, for worker timings.
     start: Instant,
     /// Per-machine, per-worker timing records (Figure 6c): one row per
@@ -68,69 +75,27 @@ pub struct JobState {
     /// rest of the queue unexecuted, so the phase still terminates at its
     /// barrier with exact accounting.
     cancel: CancelToken,
-    /// Multi-process completion oracle. `None` (in-process clusters): the
-    /// shared `pending` counter is exact and `pending == 0` is the second
-    /// half of §3.2's rule. `Some` (one machine per process): `pending` is
-    /// only locally meaningful, so completion instead waits for the
-    /// coordinator's released token, which the local machine polls for
-    /// (and reports towards) — see [`crate::term`].
-    node: Option<Arc<MachineState>>,
 }
 
 impl JobState {
-    /// Creates completion state for `outstanding` initial work units across
-    /// a cluster of `machines` with `workers` workers each.
-    pub fn new(
-        outstanding: usize,
-        pending: Arc<AtomicI64>,
-        machines: usize,
-        workers: usize,
-    ) -> Arc<Self> {
-        Self::with_cancel(
-            outstanding,
-            pending,
-            machines,
-            workers,
-            CancelToken::never(),
-        )
-    }
-
-    /// [`JobState::new`] with an explicit cancellation token — the serving
-    /// layer's entry point.
-    pub fn with_cancel(
-        outstanding: usize,
-        pending: Arc<AtomicI64>,
-        machines: usize,
-        workers: usize,
-        cancel: CancelToken,
-    ) -> Arc<Self> {
-        Self::for_hosted(outstanding, pending, 0..machines, workers, cancel, None)
-    }
-
-    /// The general constructor behind [`Cluster::job_state`]: `hosted` is
-    /// the range of machine ids living in this process (all of them
-    /// in-process, one on a rank of a multi-process cluster) and `node` is
-    /// that rank's machine when completion is decided by the distributed
-    /// termination protocol — `outstanding` then counts only the *local*
-    /// machine's work units.
+    /// Completion state for `outstanding` work units of the machines in
+    /// `hosted` (all of them in-process, one on a rank of a multi-process
+    /// cluster), each running `workers` workers. Built through
+    /// [`Cluster::job_state`].
     ///
     /// [`Cluster::job_state`]: crate::cluster::Cluster::job_state
     pub fn for_hosted(
         outstanding: usize,
-        pending: Arc<AtomicI64>,
         hosted: std::ops::Range<usize>,
         workers: usize,
         cancel: CancelToken,
-        node: Option<Arc<MachineState>>,
     ) -> Arc<Self> {
         Arc::new(JobState {
             outstanding: AtomicUsize::new(outstanding),
-            pending,
             start: Instant::now(),
             timings: Mutex::new(vec![vec![WorkerTiming::default(); workers]; hosted.len()]),
             first_machine: hosted.start,
             cancel,
-            node,
         })
     }
 
@@ -164,18 +129,21 @@ impl JobState {
     }
 
     /// True when no work unit remains and every buffered entry has been
-    /// consumed cluster-wide.
+    /// consumed cluster-wide, as `machine` — the calling worker's own —
+    /// sees it. With its termination wave on (`strict_distributed`, which
+    /// TCP forces) the machine reports its empty task list to the
+    /// coordinator and waits for the released token ([`crate::term`]);
+    /// otherwise the shared `pending` counter is exact and zero is the
+    /// second half of §3.2's rule.
     #[inline]
-    pub fn is_complete(&self) -> bool {
+    pub fn is_complete(&self, machine: &MachineState) -> bool {
         if self.outstanding.load(Ordering::Acquire) != 0 {
             return false;
         }
-        match &self.node {
-            None => self.pending.load(Ordering::Acquire) == 0,
-            // Local task list is empty: say so (lazily, so machines with
-            // zero local work report done too) and wait for the
-            // coordinator's global verdict.
-            Some(m) => m.term_poll(),
+        if machine.term.enabled() {
+            machine.term_poll()
+        } else {
+            machine.pending.load(Ordering::Acquire) == 0
         }
     }
 
@@ -220,7 +188,7 @@ where
             env.comm.flush();
             continue;
         }
-        if job.is_complete() {
+        if job.is_complete(env.machine) {
             return;
         }
         if env.machine.health.is_aborted() {
@@ -391,8 +359,11 @@ impl Phase for GhostReducePhase {
     }
 }
 
-/// A phase that crosses the *message-based* distributed barrier once; used
-/// by the Figure 5b measurement and by strict-distributed mode.
+/// A phase that crosses the *message-based* distributed barrier once: the
+/// Figure 5b measurement, run only by [`Cluster::run_dist_barrier`]. No
+/// job phase is followed by one.
+///
+/// [`Cluster::run_dist_barrier`]: crate::cluster::Cluster::run_dist_barrier
 pub struct DistBarrierPhase {
     /// Barrier epoch each worker waits for (workers pass epochs 0,1,2,...
     /// across successive phases; the driver supplies the next epoch).
@@ -442,35 +413,37 @@ mod tests {
 
     #[test]
     fn job_state_completion() {
-        let pending = Arc::new(AtomicI64::new(0));
-        let job = JobState::new(2, pending.clone(), 1, 1);
-        assert!(!job.is_complete());
+        let c = crate::cluster::Cluster::load(
+            &pgxd_graph::generate::ring(8),
+            crate::config::Config::test(1),
+        )
+        .unwrap();
+        let (m, pending) = (c.machine(0), c.pending());
+        let job = c.job_state(2, CancelToken::never());
+        assert!(!job.is_complete(m));
         job.retire();
-        assert!(!job.is_complete());
+        assert!(!job.is_complete(m));
         pending.fetch_add(1, Ordering::SeqCst);
         job.retire();
-        assert!(!job.is_complete(), "pending entry blocks completion");
+        assert!(!job.is_complete(m), "pending entry blocks completion");
         pending.fetch_sub(1, Ordering::SeqCst);
-        assert!(job.is_complete());
+        assert!(job.is_complete(m));
     }
 
     #[test]
     fn job_state_carries_cancel_token() {
-        let pending = Arc::new(AtomicI64::new(0));
         let token = CancelToken::for_job(42);
-        let job = JobState::with_cancel(1, pending.clone(), 1, 1, token.clone());
+        let job = JobState::for_hosted(1, 0..1, 1, token.clone());
         assert!(!job.cancel().is_cancelled());
         token.cancel();
         assert!(job.cancel().is_cancelled());
-        // Default construction never fires.
-        let job = JobState::new(1, pending, 1, 1);
+        let job = JobState::for_hosted(1, 0..1, 1, CancelToken::never());
         assert!(!job.cancel().is_cancelled());
     }
 
     #[test]
     fn job_state_timings_recorded() {
-        let pending = Arc::new(AtomicI64::new(0));
-        let job = JobState::new(0, pending, 2, 2);
+        let job = JobState::for_hosted(0, 0..2, 2, CancelToken::never());
         job.mark_tasks_done(1, 0);
         job.mark_drained(1, 0);
         let t = job.timings();
@@ -478,8 +451,7 @@ mod tests {
         assert!(t[1][0].drained_ns >= t[1][0].tasks_done_ns);
         assert_eq!(t[0][0].tasks_done_ns, 0);
         // A rank hosting only machine 1 of the same cluster keeps one row.
-        let pending = Arc::new(AtomicI64::new(0));
-        let job = JobState::for_hosted(0, pending, 1..2, 2, CancelToken::never(), None);
+        let job = JobState::for_hosted(0, 1..2, 2, CancelToken::never());
         job.mark_tasks_done(1, 1);
         job.mark_drained(1, 1);
         let t = job.timings();

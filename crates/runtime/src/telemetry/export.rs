@@ -796,8 +796,8 @@ pub fn chrome_trace_with_jobs(
                 ("session", j.ctx.session.into()),
                 ("lane", j.ctx.lane_name().into()),
                 ("outcome", j.outcome.name().into()),
-                ("wire_msgs", j.wire.msgs_sent.into()),
-                ("wire_bytes", j.wire.bytes_sent.into()),
+                ("wire_msgs", j.traffic.msgs_sent.into()),
+                ("wire_bytes", j.traffic.bytes_sent.into()),
                 ("compute_s", j.compute_s.into()),
                 ("comm_s", j.comm_s.into()),
                 ("drain_s", j.drain_s.into()),

@@ -8,7 +8,7 @@
 //!
 //! - log-scale [`Histogram`]s: remote-read round-trip latency, copier
 //!   service time, message-buffer fill ratio at flush, side-structure
-//!   occupancy, per-worker chunk-claim counts, and (multi-process) the
+//!   occupancy, per-worker chunk-claim counts, and (termination wave) the
 //!   wait from local completion to the termination release;
 //! - per-destination byte counters (traffic matrix);
 //! - one ring-buffer [`Tracer`] per worker recording timestamped phase,
@@ -35,8 +35,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use crate::config::Config;
-use crate::jobctx::JobCtx;
-use crate::jobctx::JobWire;
 use crate::stats::MachineStats;
 
 /// Trace-ring slots per worker (the ring overwrites its oldest events on
@@ -60,13 +58,6 @@ pub struct Telemetry {
     term_release_wait_ns: Histogram,
     dest_bytes: Vec<AtomicU64>,
     tracers: Vec<Tracer>,
-    /// Active [`JobCtx`], packed `+ 1` so zero means "no job running".
-    /// Set machine-wide by [`Cluster::begin_job`](crate::cluster::Cluster)
-    /// on the dispatcher thread; jobs serialize, so one cell suffices.
-    job_active: AtomicU64,
-    job_msgs_sent: AtomicU64,
-    job_bytes_sent: AtomicU64,
-    job_msgs_processed: AtomicU64,
 }
 
 impl Telemetry {
@@ -94,10 +85,6 @@ impl Telemetry {
             tracers: (0..config.workers)
                 .map(|_| Tracer::new(RING_CAPACITY, enabled))
                 .collect(),
-            job_active: AtomicU64::new(0),
-            job_msgs_sent: AtomicU64::new(0),
-            job_bytes_sent: AtomicU64::new(0),
-            job_msgs_processed: AtomicU64::new(0),
         })
     }
 
@@ -203,7 +190,7 @@ impl Telemetry {
         }
     }
 
-    /// Multi-process termination: time from this machine's first
+    /// Termination wave: time from this machine's first
     /// observation that its task list for a phase is empty to the release
     /// of that phase arriving, nanoseconds. Once per phase per machine.
     #[inline]
@@ -222,61 +209,6 @@ impl Telemetry {
         if let Some(d) = self.dest_bytes.get(dest) {
             d.fetch_add(bytes, Ordering::Relaxed);
         }
-    }
-
-    /// Marks `ctx` as this machine's active job and zeroes its wire
-    /// charge counters. Called on the dispatcher thread; jobs serialize.
-    pub fn begin_job(&self, ctx: JobCtx) {
-        if !self.enabled {
-            return;
-        }
-        self.job_msgs_sent.store(0, Ordering::Relaxed);
-        self.job_bytes_sent.store(0, Ordering::Relaxed);
-        self.job_msgs_processed.store(0, Ordering::Relaxed);
-        self.job_active.store(ctx.pack() + 1, Ordering::Release);
-    }
-
-    /// Clears the active job and returns the wire traffic charged to it
-    /// on this machine since [`Telemetry::begin_job`].
-    pub fn end_job(&self) -> JobWire {
-        if !self.enabled {
-            return JobWire::default();
-        }
-        self.job_active.store(0, Ordering::Release);
-        JobWire {
-            msgs_sent: self.job_msgs_sent.load(Ordering::Relaxed),
-            bytes_sent: self.job_bytes_sent.load(Ordering::Relaxed),
-            msgs_processed: self.job_msgs_processed.load(Ordering::Relaxed),
-        }
-    }
-
-    /// The job currently charged for this machine's traffic, if any.
-    pub fn current_job(&self) -> Option<JobCtx> {
-        match self.job_active.load(Ordering::Acquire) {
-            0 => None,
-            v => Some(JobCtx::unpack(v - 1)),
-        }
-    }
-
-    /// Charges one sealed send buffer of `bytes` payload to the active
-    /// job. Called by workers at buffer-seal time; a no-op when idle.
-    #[inline]
-    pub fn record_job_send(&self, bytes: u64) {
-        if !self.enabled || self.job_active.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        self.job_msgs_sent.fetch_add(1, Ordering::Relaxed);
-        self.job_bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Charges one processed inbound buffer to the active job. Called by
-    /// copiers; a no-op when idle.
-    #[inline]
-    pub fn record_job_recv(&self) {
-        if !self.enabled || self.job_active.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        self.job_msgs_processed.fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn workers(&self) -> usize {
@@ -378,30 +310,5 @@ mod tests {
         assert_eq!(ev.len(), 1);
         assert_eq!(ev[0].kind, EventKind::BufferFlush);
         assert_eq!(ev[0].arg, 512);
-    }
-
-    #[test]
-    fn job_charges_only_while_active() {
-        let t = Telemetry::detached(2, true);
-        t.record_job_send(100); // idle: not charged
-        t.record_job_recv();
-        let ctx = JobCtx {
-            job: 7,
-            session: 3,
-            lane: 0,
-        };
-        t.begin_job(ctx);
-        assert_eq!(t.current_job(), Some(ctx));
-        t.record_job_send(64);
-        t.record_job_send(32);
-        t.record_job_recv();
-        let wire = t.end_job();
-        assert_eq!(t.current_job(), None);
-        assert_eq!(wire.msgs_sent, 2);
-        assert_eq!(wire.bytes_sent, 96);
-        assert_eq!(wire.msgs_processed, 1);
-        t.record_job_send(8); // after end: not charged
-        t.begin_job(ctx);
-        assert_eq!(t.end_job(), JobWire::default());
     }
 }

@@ -1,14 +1,19 @@
-//! Distributed termination detection for multi-process clusters.
+//! Distributed termination detection: the completion protocol of
+//! `strict_distributed` mode.
 //!
-//! The in-process cluster detects phase completion with one shared atomic:
-//! every buffered entry is added to `pending` before its buffer is sealed
-//! or its work unit retired (workers publish in batches, see
-//! `WorkerComm::publish_pending`) and subtracted at consumption time, and
-//! §3.2's rule — "a job completes when the task
-//! list is empty and there are no unfinished remote requests" — reduces to
+//! By default the in-process cluster detects phase completion with one
+//! shared atomic: every buffered entry is added to `pending` before its
+//! buffer is sealed or its work unit retired (workers publish in batches,
+//! see `WorkerComm::publish_pending`) and subtracted at consumption time,
+//! and §3.2's rule — "a job completes when the task list is empty and
+//! there are no unfinished remote requests" — reduces to
 //! `outstanding == 0 && pending == 0`. Real processes cannot share that
-//! counter, so the TCP backend runs a four-counter wave protocol instead
-//! (Mattern's method), driven by events rather than by a timer:
+//! counter, so under `strict_distributed` (which the TCP backend forces)
+//! every machine runs a four-counter wave protocol instead (Mattern's
+//! method), driven by events rather than by a timer. In-process machines
+//! run it the same way, each with its own counters, over the in-memory
+//! fabric. The release is the whole synchronization: it proves every
+//! entry of the phase consumed everywhere, so no barrier round follows it.
 //!
 //! * every machine keeps **monotonic** counters `inc` (entries produced)
 //!   and `dec` (entries consumed), mirroring exactly the sites that
@@ -114,8 +119,8 @@ fn age_key(s: &TermStat) -> (u64, bool, u64, u64) {
 }
 
 /// Per-machine distributed-termination state. Created for every machine;
-/// inert (`!enabled`) on in-memory clusters, where the shared `pending`
-/// counter remains the completion oracle.
+/// inert (`!enabled`) unless `strict_distributed`, since otherwise the
+/// shared `pending` counter is the completion oracle.
 #[derive(Debug)]
 pub struct TermState {
     enabled: bool,
@@ -163,7 +168,7 @@ impl TermState {
         }
     }
 
-    /// Whether the wave protocol is active (TCP backend).
+    /// Whether the wave protocol is active (`strict_distributed`).
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled

@@ -153,16 +153,6 @@ impl InMemoryTransport {
             endpoints: (0..machines).map(|_| OnceLock::new()).collect(),
         }
     }
-
-    /// Convenience: a fully-populated switch.
-    pub fn with_endpoints(endpoints: Vec<MachineEndpoints>) -> Self {
-        let t = InMemoryTransport::new(endpoints.len());
-        for (m, ep) in endpoints.into_iter().enumerate() {
-            t.register_endpoint(m as MachineId, ep)
-                .expect("fresh switch accepts every registration");
-        }
-        t
-    }
 }
 
 impl Transport for InMemoryTransport {
@@ -249,7 +239,10 @@ mod tests {
     #[test]
     fn registered_endpoint_receives() {
         let (eps, rxs) = make_endpoints(2, 1);
-        let t = InMemoryTransport::with_endpoints(eps);
+        let t = InMemoryTransport::new(2);
+        for (m, ep) in eps.into_iter().enumerate() {
+            t.register_endpoint(m as MachineId, ep).unwrap();
+        }
         assert_eq!(t.machines(), 2);
         assert_eq!(t.hosted(), 0..2);
         // One process: the collective is the identity.

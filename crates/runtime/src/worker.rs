@@ -368,8 +368,9 @@ pub struct WorkerComm {
     stats: Arc<MachineStats>,
     health: Arc<ClusterHealth>,
     /// Distributed-termination counters, attached (via
-    /// [`WorkerComm::attach_term`]) only on multi-process clusters; every
-    /// `pending` update below is mirrored into it with the same counts.
+    /// [`WorkerComm::attach_term`]) only when the machine runs the wave;
+    /// every `pending` update below is mirrored into it with the same
+    /// counts.
     term: Option<Arc<crate::term::TermState>>,
     /// Whether the reliability protocol is on: responses are then acked
     /// and dedup-filtered before their continuations run.
@@ -449,8 +450,8 @@ impl WorkerComm {
 
     /// Attaches the machine's distributed-termination state: from here on
     /// every `pending` increment/decrement this comm performs is mirrored
-    /// into the monotonic `inc`/`dec` wave counters. Only multi-process
-    /// clusters attach; in-process clusters rely on `pending` alone.
+    /// into the monotonic `inc`/`dec` wave counters. Only machines running
+    /// the wave (`strict_distributed`) attach; the rest rely on `pending`.
     pub fn attach_term(&mut self, term: Arc<crate::term::TermState>) {
         self.term = Some(term);
     }
@@ -565,8 +566,8 @@ impl WorkerComm {
         }
     }
 
-    /// Telemetry for one sealed buffer (fill ratio, flush trace event,
-    /// per-job wire attribution) and — for request kinds expecting a
+    /// Telemetry for one sealed buffer (fill ratio, flush trace event)
+    /// and — for request kinds expecting a
     /// response — the send timestamp for round-trip measurement plus
     /// side-slab occupancy.
     fn note_seal(&mut self, payload_len: usize, side_id: Option<u32>) {
@@ -575,9 +576,6 @@ impl WorkerComm {
         }
         self.telemetry
             .record_flush_fill((payload_len * 100 / self.buffer_bytes.max(1)) as u64);
-        // Charge the sealed buffer to the cluster's active job — this
-        // is the send-side half of per-job wire attribution.
-        self.telemetry.record_job_send(payload_len as u64);
         self.telemetry.trace(
             self.worker as usize,
             EventKind::BufferFlush,

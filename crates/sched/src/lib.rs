@@ -39,7 +39,7 @@ pub use server::{JobHandle, JobReport, JobServer, Session};
 
 pub use pgxd_runtime::cancel::{CancelReason, CancelToken};
 pub use pgxd_runtime::health::RetryBudget;
-pub use pgxd_runtime::jobctx::{JobCtx, JobExec, JobOutcome, JobWire, PhaseSpan};
+pub use pgxd_runtime::jobctx::{JobCtx, JobExec, JobOutcome, PhaseSpan};
 
 use pgxd_runtime::props::PropId;
 use pgxd_runtime::telemetry::Telemetry;

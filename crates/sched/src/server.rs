@@ -140,14 +140,14 @@ impl JobReport {
         self.exec_secs(|e| e.checkpoint_s)
     }
 
-    /// Payload bytes workers sent on the job's behalf.
+    /// Payload bytes the cluster sent while the job held it.
     pub fn wire_bytes(&self) -> u64 {
-        self.exec.as_ref().map_or(0, |e| e.wire.bytes_sent)
+        self.exec.as_ref().map_or(0, |e| e.traffic.bytes_sent)
     }
 
-    /// Message buffers workers sealed on the job's behalf.
+    /// Messages the cluster sent while the job held it.
     pub fn wire_msgs(&self) -> u64 {
-        self.exec.as_ref().map_or(0, |e| e.wire.msgs_sent)
+        self.exec.as_ref().map_or(0, |e| e.traffic.msgs_sent)
     }
 
     /// Phase spans (with per-phase barrier residence), execution order.
@@ -723,9 +723,9 @@ fn run_one<E: ServeEngine>(
     stats.jobs_admitted.fetch_add(1, Ordering::Relaxed);
     telemetry.trace(0, EventKind::JobDispatch, meta.id);
 
-    // Open the per-job attribution window: machines charge wire traffic
-    // to this job until `end_job`. Jobs serialize on this thread, so the
-    // window brackets exactly one job body.
+    // Open the per-job attribution window. Jobs serialize on this thread,
+    // so the window brackets exactly one job body and its counter delta is
+    // that job's wire cost.
     engine.begin_job(
         JobCtx {
             job: meta.id,

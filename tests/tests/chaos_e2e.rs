@@ -8,11 +8,14 @@
 //! * The same contract on an `f64` `Sum`: PageRank-pull under a fixed
 //!   lossy plan lands within 1e-9 of the fault-free scores. A duplicate
 //!   applied twice is invisible to `Min` but not to a sum.
+//! * Under `strict_distributed` the in-process machines end every phase on
+//!   the termination wave, whose frames ride the same lossy fabric outside
+//!   the reliability protocol: the results still match a fault-free run.
 //! * Integration: crashing one machine of four mid-job surfaces
 //!   `Err(JobError::MachineDown)` in bounded time, every thread joins at
 //!   teardown, and the cluster stays cleanly dead afterwards.
 
-use pgxd::{BuildEngine, Engine, FaultPlan, JobError, ReliabilityConfig};
+use pgxd::{BuildEngine, Engine, FaultPlan, JobError, ReliabilityConfig, TelemetryConfig};
 use pgxd_algorithms::{try_hopdist, try_pagerank_pull};
 use pgxd_graph::generate;
 use proptest::prelude::*;
@@ -209,5 +212,47 @@ fn lossy_plan_converges_to_fault_free_pagerank() {
     assert!(
         stats.dup_suppressed > 0,
         "2% dups must trip the dedup windows"
+    );
+}
+
+/// The termination wave in-process: three machines under
+/// `strict_distributed` end every phase on reports, probes and releases
+/// carried by the real copier path while the fault plan drops, duplicates
+/// and reorders them (and the data they count). Hop distance stays
+/// bit-identical to the fault-free default path and PageRank-pull within
+/// 1e-9; the release-wait histogram proves the wave, not the shared
+/// counter, ended the phases.
+#[test]
+fn strict_mode_runs_the_wave_in_process_under_faults() {
+    let g = generate::rmat(9, 8, generate::RmatParams::skewed(), 81);
+    let builder = || Engine::builder().machines(3).workers(2);
+    let mut clean = builder().engine(&g).expect("engine");
+    let hops = try_hopdist(&mut clean, 0).unwrap();
+    let scores = try_pagerank_pull(&mut clean, 0.85, 10, 0.0).unwrap();
+
+    let mut waved = builder()
+        .strict_distributed(true)
+        .fault(FaultPlan::lossy(0x5EED_3A7E, 100, 50, 50))
+        .telemetry(TelemetryConfig::on())
+        .engine(&g)
+        .expect("engine");
+    let r = try_hopdist(&mut waved, 0).unwrap();
+    assert_eq!(hops.hops, r.hops);
+    assert_eq!(hops.iterations, r.iterations);
+    let r = try_pagerank_pull(&mut waved, 0.85, 10, 0.0).unwrap();
+    for (v, (a, b)) in scores.scores.iter().zip(&r.scores).enumerate() {
+        assert!((a - b).abs() <= 1e-9, "vertex {v}: clean {a} vs waved {b}");
+    }
+
+    let releases: u64 = waved
+        .cluster()
+        .telemetries()
+        .iter()
+        .map(|t| t.term_release_wait_snapshot().count())
+        .sum();
+    assert!(releases > 0, "no phase was released by the wave");
+    assert!(
+        waved.cluster().total_stats().retransmits > 0,
+        "10% drops must force retransmits"
     );
 }

@@ -15,7 +15,6 @@ fn build(
     part: PartitioningMode,
     chunk: ChunkingMode,
     ghosts: Option<usize>,
-    privatize: bool,
 ) -> Engine {
     Engine::builder()
         .machines(machines)
@@ -24,7 +23,6 @@ fn build(
         .partitioning(part)
         .chunking(chunk)
         .ghost_threshold(ghosts)
-        .ghost_privatization(privatize)
         .chunk_edges(512) // small chunks exercise the queue
         .buffer_bytes(1 << 10) // tiny buffers exercise sealing
         .engine(g)
@@ -40,17 +38,14 @@ fn pagerank_identical_across_all_configurations() {
             for part in [PartitioningMode::Vertex, PartitioningMode::Edge] {
                 for chunk in [ChunkingMode::Node, ChunkingMode::Edge] {
                     for ghosts in [None, Some(32)] {
-                        for privatize in [false, true] {
-                            let mut e =
-                                build(&g, machines, workers, part, chunk, ghosts, privatize);
-                            let got = algos::try_pagerank_push(&mut e, 0.85, 6, 0.0).unwrap();
-                            for (r, x) in reference.iter().zip(&got.scores) {
-                                assert!(
-                                    (r - x).abs() < 1e-9,
-                                    "m={machines} w={workers} {part:?} {chunk:?} \
-                                     ghosts={ghosts:?} priv={privatize}: {r} vs {x}"
-                                );
-                            }
+                        let mut e = build(&g, machines, workers, part, chunk, ghosts);
+                        let got = algos::try_pagerank_push(&mut e, 0.85, 6, 0.0).unwrap();
+                        for (r, x) in reference.iter().zip(&got.scores) {
+                            assert!(
+                                (r - x).abs() < 1e-9,
+                                "m={machines} w={workers} {part:?} {chunk:?} \
+                                 ghosts={ghosts:?}: {r} vs {x}"
+                            );
                         }
                     }
                 }
@@ -69,7 +64,7 @@ fn wcc_identical_across_key_configurations() {
         (3, PartitioningMode::Edge, Some(16)),
         (4, PartitioningMode::Edge, Some(0)),
     ] {
-        let mut e = build(&g, machines, 2, part, ChunkingMode::Edge, ghosts, true);
+        let mut e = build(&g, machines, 2, part, ChunkingMode::Edge, ghosts);
         let got = algos::try_wcc(&mut e).unwrap();
         assert_eq!(got.component, reference, "m={machines} {part:?} {ghosts:?}");
     }
@@ -88,7 +83,6 @@ fn more_machines_than_meaningful_partitions() {
         PartitioningMode::Edge,
         ChunkingMode::Edge,
         Some(4),
-        true,
     );
     let got = algos::try_wcc(&mut e).unwrap();
     assert_eq!(got.component, reference);
@@ -107,7 +101,6 @@ fn ghost_everything_extreme() {
         PartitioningMode::Edge,
         ChunkingMode::Edge,
         Some(0),
-        true,
     );
     assert!(e.cluster().ghosts().len() > g.num_nodes() / 2);
     let got = algos::try_pagerank_push(&mut e, 0.85, 4, 0.0).unwrap();
@@ -168,13 +161,16 @@ fn back_pressure_pool_exhaustion_is_survivable() {
 
 #[test]
 fn strict_distributed_mode_gives_same_results() {
-    // With strict_distributed, every phase boundary is fenced by the
-    // message-based barrier instead of only the shared-memory fast path.
+    // With strict_distributed, every phase ends on the termination wave
+    // (reports, probes and releases through the fabric) instead of the
+    // shared pending counter.
     let g = generate::rmat(7, 5, RmatParams::skewed(), 2007);
     let reference = seq::pagerank(&g, 0.85, 4);
-    let mut config = pgxd::Config::test(3);
-    config.strict_distributed = true;
-    let mut e = pgxd::EngineBuilder::from_config(config).build(&g).unwrap();
+    let mut e = Engine::builder()
+        .machines(3)
+        .strict_distributed(true)
+        .engine(&g)
+        .unwrap();
     let got = algos::try_pagerank_pull(&mut e, 0.85, 4, 0.0).unwrap();
     for (r, x) in reference.iter().zip(&got.scores) {
         assert!((r - x).abs() < 1e-9);

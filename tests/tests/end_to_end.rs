@@ -148,32 +148,3 @@ fn graph_io_to_engine_roundtrip() {
     let _ = std::fs::remove_file(text);
     let _ = std::fs::remove_file(bin);
 }
-
-#[test]
-fn dynamic_graph_snapshots_reload_into_engines() {
-    // The §6.4 snapshot model: apply a batch of updates, reload, re-run
-    // analytics; answers must track the evolving graph.
-    use pgxd_graph::delta::GraphDelta;
-    // Two disjoint paths.
-    let g0 = pgxd_graph::builder::graph_from_edges(6, vec![(0, 1), (1, 2), (3, 4), (4, 5)]);
-    let mut e0 = engine(2, &g0);
-    assert_eq!(algos::try_wcc(&mut e0).unwrap().num_components, 2);
-
-    // Epoch 1: bridge the components.
-    let mut d = GraphDelta::new();
-    d.add_edge(2, 3);
-    let g1 = d.apply(&g0);
-    let mut e1 = engine(3, &g1);
-    assert_eq!(algos::try_wcc(&mut e1).unwrap().num_components, 1);
-    let h = algos::try_hopdist(&mut e1, 0).unwrap();
-    assert_eq!(h.hops[5], 5);
-
-    // Epoch 2: cut the bridge again and grow the graph.
-    let mut d = GraphDelta::new();
-    d.remove_edge(2, 3).grow_nodes(8).add_edge(6, 7);
-    let g2 = d.apply(&g1);
-    let mut e2 = engine(2, &g2);
-    let w = algos::try_wcc(&mut e2).unwrap();
-    assert_eq!(w.num_components, 3);
-    assert_eq!(w.component, seq::wcc(&g2));
-}

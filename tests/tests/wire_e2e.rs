@@ -9,7 +9,7 @@
 //!   graph, same partitions, same rank-ordered reduce fold, different
 //!   wire.
 
-use pgxd::{BuildEngine, Config, TransportConfig};
+use pgxd::{BuildEngine, Config, TelemetryConfig, TransportConfig};
 use pgxd_algorithms as algos;
 use pgxd_graph::generate;
 use pgxd_runtime::config::ConfigBuilder;
@@ -238,6 +238,35 @@ fn loopback_empty_jobs_do_not_wait_for_the_tick() {
         q1 < Duration::from_millis(2),
         "three quarters of {JOBS} empty jobs took {q1:?} or more: over 2 ms each"
     );
+}
+
+/// A TCP phase ends once: the termination wave already proves every entry
+/// of the phase consumed on every rank, so no message-barrier round follows
+/// it. With telemetry on, each rank's phase labels name only the job's own
+/// phases, and the scores still match the in-memory run to the bit.
+#[test]
+fn loopback_phases_end_on_the_wave_alone() {
+    let graph = test_graph();
+    let traced = || two_by_two().telemetry(TelemetryConfig::on());
+    let pagerank = |engine: &mut pgxd::Engine| -> Vec<u64> {
+        let pr = algos::try_pagerank_pull(engine, 0.85, ITERS, 0.0).unwrap();
+        pr.scores.iter().map(|s| s.to_bits()).collect()
+    };
+    let expected = pagerank(&mut traced().engine(&graph).unwrap());
+    let ranks = pgxd::loopback_ranks(2, |rank| {
+        let mut engine = rank.engine(traced(), &graph).unwrap();
+        let bits = pagerank(&mut engine);
+        engine.cluster().node_barrier().unwrap();
+        (bits, engine.cluster().phase_labels().to_vec())
+    });
+    for (bits, labels) in ranks {
+        assert!(labels.iter().any(|l| l == "main"), "{labels:?}");
+        assert!(
+            labels.iter().all(|l| l != "dist_barrier"),
+            "a TCP phase crossed a message barrier: {labels:?}"
+        );
+        assert_eq!(bits, expected, "TCP scores diverge from in-memory run");
+    }
 }
 
 // ---------------------------------------------------------------------------
