@@ -17,27 +17,30 @@ use crate::health::JobError;
 use crate::ids::MachineId;
 use crate::machine::MachineState;
 use crate::message::{
-    ack_entries, mut_entry, mut_entry_count, push_ack_entry, push_resp_entry, push_rmi_resp_entry,
-    read_entry, read_entry_count, rmi_entries, Envelope, MsgKind, ACK_ENTRY_BYTES,
+    ack_entries, mut_entry_count, mut_runs, push_ack_entry, push_resp_entry, push_rmi_resp_entry,
+    read_runs, rmi_entries, Envelope, MsgKind, ACK_ENTRY_BYTES,
 };
 use crate::message::{
     decode_term_probe, decode_term_release, decode_term_stat, encode_term_probe,
     encode_term_release,
 };
-use crate::props::{Column, PropId};
+use crate::props::{Column, PropId, ReduceOp};
 use crate::reliable::REQUEST_LANE;
 use crate::term::TermAction;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A tiny property-column cache so copiers don't take the registry lock
-/// per entry. It lives as long as its copier thread, so it is emptied
-/// whenever the store has dropped a property since the last envelope: a
-/// kept handle would pin the dropped column and go on answering for it.
+/// per run. It holds `(id, column)` pairs in first-touch order — jobs name
+/// a handful of properties, so a scan resolves one, and the cache never
+/// grows with how many ids the engine has issued. It lives as long as its
+/// copier thread, so it is emptied whenever the store has dropped a
+/// property since the last envelope: a kept handle would pin the dropped
+/// column and go on answering for it.
 #[derive(Default)]
 pub struct ColCache {
-    slots: Vec<Option<Arc<Column>>>,
-    /// `PropertyStore::drops` when `slots` was last known current.
+    cols: Vec<(PropId, Arc<Column>)>,
+    /// `PropertyStore::drops` when `cols` was last known current.
     drops_seen: u64,
 }
 
@@ -46,7 +49,7 @@ impl ColCache {
     fn forget_dropped(&mut self, m: &MachineState) {
         let drops = m.props.drops();
         if drops != self.drops_seen {
-            self.slots.clear();
+            self.cols.clear();
             self.drops_seen = drops;
         }
     }
@@ -56,26 +59,67 @@ impl ColCache {
     /// violation — the classic symptom is a duplicated request replayed
     /// after the driver retired the property — and surfaces as a
     /// descriptive error instead of a panic.
-    fn get(&mut self, m: &MachineState, prop: u16) -> Result<&Arc<Column>, String> {
-        let idx = prop as usize;
-        if self.slots.len() <= idx {
-            self.slots.resize_with(idx + 1, || None);
-        }
-        if self.slots[idx].is_none() {
-            match m.props.try_column(PropId(prop)) {
-                Some(col) => self.slots[idx] = Some(col),
-                None => {
-                    return Err(format!(
+    fn get(&mut self, m: &MachineState, prop: u16) -> Result<&Column, String> {
+        let prop = PropId(prop);
+        let slot = match self.cols.iter().position(|(id, _)| *id == prop) {
+            Some(slot) => slot,
+            None => {
+                let col = m.props.try_column(prop).ok_or_else(|| {
+                    format!(
                         "machine {}: request entry names property {} which is not \
                          registered (dropped or never created) — stale or duplicated \
                          request",
-                        m.id, prop
-                    ))
-                }
+                        m.id, prop.0
+                    )
+                })?;
+                self.cols.push((prop, col));
+                self.cols.len() - 1
             }
-        }
-        Ok(self.slots[idx].as_ref().unwrap())
+        };
+        Ok(&self.cols[slot].1)
     }
+}
+
+/// Validates a run's op byte, and — unless the run only stores — that the
+/// op is defined on the column's type: entry bytes arrive unchecked (a
+/// transport validates frame headers only), so a bad one fails the job
+/// instead of the copier thread.
+fn run_op(
+    m: &MachineState,
+    kind: MsgKind,
+    prop: u16,
+    byte: u8,
+    col: &Column,
+) -> Result<ReduceOp, String> {
+    let op = ReduceOp::from_u8(byte).ok_or_else(|| {
+        format!(
+            "machine {}: {kind:?} entry for property {prop} carries unknown reduce op {byte}",
+            m.id
+        )
+    })?;
+    if kind != MsgKind::GhostSync && !op.defined_on(col.tag()) {
+        return Err(format!(
+            "machine {}: {kind:?} entry applies {op:?} to property {prop} of type {:?}, \
+             which does not define it",
+            m.id,
+            col.tag()
+        ));
+    }
+    Ok(op)
+}
+
+/// The error for an entry naming a cell outside the range its kind
+/// addresses (owned cells, or ghost slots for `GhostSync`).
+fn out_of_range(m: &MachineState, kind: MsgKind, prop: u16, index: u32) -> String {
+    let (range, len) = match kind {
+        MsgKind::GhostSync => ("ghost", m.props.len_ghost()),
+        _ => ("owned", m.props.len_local()),
+    };
+    format!(
+        "machine {}: {kind:?} entry for property {prop} names cell {index}, past the \
+         {range} range of {len}",
+        m.id
+    )
 }
 
 /// Sends a single-entry acknowledgement for `(lane, seq)` back to `dst`.
@@ -143,8 +187,9 @@ pub fn copier_loop(m: Arc<MachineState>) {
 
 /// Processes a single incoming request envelope. Public so tests (and the
 /// bandwidth microbenchmarks) can drive a copier synchronously. Errors
-/// describe protocol violations (stale property ids, misrouted kinds) the
-/// caller should surface through [`crate::health::ClusterHealth::abort`].
+/// describe protocol violations (stale property ids, malformed entries,
+/// misrouted kinds) the caller should surface through
+/// [`crate::health::ClusterHealth::abort`].
 pub fn process_request(
     m: &MachineState,
     cache: &mut ColCache,
@@ -154,12 +199,15 @@ pub fn process_request(
     cache.forget_dropped(m);
     match env.kind {
         MsgKind::ReadReq => {
-            let n = read_entry_count(&env.payload);
             let mut payload = m.send_pool.acquire_or_alloc();
-            for i in 0..n {
-                let (prop, offset) = read_entry(&env.payload, i);
-                let col = cache.get(m, prop)?;
-                push_resp_entry(&mut payload, col.load_bits(offset as usize));
+            for run in read_runs(&env.payload) {
+                let col = cache.get(m, run.prop)?;
+                for offset in run.offsets() {
+                    let bits = col
+                        .load_owned(offset)
+                        .ok_or_else(|| out_of_range(m, env.kind, run.prop, offset))?;
+                    push_resp_entry(&mut payload, bits);
+                }
             }
             let _ = m.outbox_tx.send(Envelope {
                 src: m.id,
@@ -172,13 +220,20 @@ pub fn process_request(
             });
             m.send_pool.release(env.payload);
         }
-        MsgKind::Write => {
-            let n = mut_entry_count(&env.payload);
-            for i in 0..n {
-                let (prop, op, offset, bits) = mut_entry(&env.payload, i);
-                let col = cache.get(m, prop)?;
-                col.reduce_bits_atomic(offset as usize, op, bits);
+        MsgKind::Write | MsgKind::GhostSync | MsgKind::GhostReduce => {
+            // Write and GhostReduce reduce into owned cells (offset field =
+            // owner-local vertex offset); GhostSync stores into this
+            // machine's ghost slots (offset field = global ghost ordinal).
+            for run in mut_runs(&env.payload) {
+                let col = cache.get(m, run.prop)?;
+                let op = run_op(m, env.kind, run.prop, run.op, col)?;
+                let applied = match env.kind {
+                    MsgKind::GhostSync => col.store_ghost_run(run.entries()),
+                    _ => col.reduce_run(op, run.entries()),
+                };
+                applied.map_err(|index| out_of_range(m, env.kind, run.prop, index))?;
             }
+            let n = mut_entry_count(&env.payload);
             m.pending.fetch_sub(n as i64, Ordering::AcqRel);
             m.term_consumed(n as u64);
             // One-way payloads are recycled into the *receiver's* pool
@@ -186,33 +241,6 @@ pub fn process_request(
             // that pools stay balanced, and every pool-acquired buffer is
             // released exactly once, which keeps the cluster-wide
             // `outstanding` sum an exact in-flight count.
-            m.send_pool.release(env.payload);
-        }
-        MsgKind::GhostSync => {
-            // offset field = global ghost ordinal; value is stored into
-            // this machine's ghost slot for that vertex.
-            let n = mut_entry_count(&env.payload);
-            let base = m.graph.num_local();
-            for i in 0..n {
-                let (prop, _op, ordinal, bits) = mut_entry(&env.payload, i);
-                let col = cache.get(m, prop)?;
-                col.store_bits(base + ordinal as usize, bits);
-            }
-            m.pending.fetch_sub(n as i64, Ordering::AcqRel);
-            m.term_consumed(n as u64);
-            m.send_pool.release(env.payload);
-        }
-        MsgKind::GhostReduce => {
-            // offset field = owner-local vertex offset; reduce the partial
-            // into the authoritative cell.
-            let n = mut_entry_count(&env.payload);
-            for i in 0..n {
-                let (prop, op, offset, bits) = mut_entry(&env.payload, i);
-                let col = cache.get(m, prop)?;
-                col.reduce_bits_atomic(offset as usize, op, bits);
-            }
-            m.pending.fetch_sub(n as i64, Ordering::AcqRel);
-            m.term_consumed(n as u64);
             m.send_pool.release(env.payload);
         }
         MsgKind::Rmi => {
@@ -376,8 +404,8 @@ mod tests {
     use super::*;
     use crate::cluster::Cluster;
     use crate::config::Config;
-    use crate::message::push_mut_entry;
-    use crate::props::{ReduceOp, TypeTag};
+    use crate::message::{push_mut_entry, push_read_entry};
+    use crate::props::TypeTag;
     use pgxd_graph::generate;
 
     /// A copier's cache outlives every job, the properties it names do
@@ -420,5 +448,110 @@ mod tests {
         assert!(err.contains("not registered"), "unexpected error: {err}");
         // The rejected write retired nothing.
         m.pending.fetch_sub(1, Ordering::AcqRel);
+    }
+
+    /// A request from machine 1 to machine 0 carrying `payload` as is.
+    fn request(kind: MsgKind, payload: Vec<u8>) -> Envelope {
+        Envelope {
+            src: 1,
+            dst: 0,
+            kind,
+            worker: 0,
+            side_id: 0,
+            seq: 0,
+            payload,
+        }
+    }
+
+    /// Entry bytes reach the copier unchecked (TCP validates frame headers
+    /// only): an op byte no `ReduceOp` has fails the job, not the thread.
+    #[test]
+    fn unknown_op_byte_is_rejected() {
+        let g = generate::ring(16);
+        let mut cluster = Cluster::load(&g, Config::test(2)).unwrap();
+        let p = cluster.add_prop_raw("p", TypeTag::I64, 0);
+        let m = cluster.machine(0).clone();
+        let mut cache = ColCache::default();
+        for kind in [MsgKind::Write, MsgKind::GhostSync, MsgKind::GhostReduce] {
+            let mut payload = Vec::new();
+            push_mut_entry(&mut payload, p.0, ReduceOp::Sum, 0, 1);
+            payload[2] = 9;
+            let err = process_request(&m, &mut cache, request(kind, payload)).unwrap_err();
+            assert!(err.contains("unknown reduce op 9"), "{kind:?}: {err}");
+        }
+    }
+
+    /// A logical reduction on an f64 column has no meaning; a request
+    /// asking for one fails the job.
+    #[test]
+    fn logical_op_on_f64_is_rejected() {
+        let g = generate::ring(16);
+        let mut cluster = Cluster::load(&g, Config::test(2)).unwrap();
+        let p = cluster.add_prop_raw("p", TypeTag::F64, 0);
+        let m = cluster.machine(0).clone();
+        let mut cache = ColCache::default();
+        for kind in [MsgKind::Write, MsgKind::GhostReduce] {
+            for op in [ReduceOp::Or, ReduceOp::And] {
+                let mut payload = Vec::new();
+                push_mut_entry(&mut payload, p.0, op, 0, 1.0f64.to_bits());
+                let err = process_request(&m, &mut cache, request(kind, payload)).unwrap_err();
+                assert!(err.contains("does not define it"), "{kind:?} {op:?}: {err}");
+            }
+        }
+        assert_eq!(m.props.column(p).load_bits(0), 0);
+    }
+
+    /// Every entry kind addresses a range — owned cells for reads, writes
+    /// and ghost partials, ghost slots for ghost sync — and an entry past
+    /// it fails the job instead of indexing out of bounds.
+    #[test]
+    fn entries_past_their_range_are_rejected() {
+        let g = generate::ring(16);
+        let mut cluster = Cluster::load(&g, Config::test(2)).unwrap();
+        let p = cluster.add_prop_raw("p", TypeTag::I64, 0);
+        let m = cluster.machine(0).clone();
+        let mut cache = ColCache::default();
+        let past = (m.props.len_local() + m.props.len_ghost()) as u32;
+        for (kind, index) in [
+            (MsgKind::Write, past),
+            (MsgKind::GhostReduce, u32::MAX),
+            (MsgKind::GhostSync, m.props.len_ghost() as u32),
+        ] {
+            let mut payload = Vec::new();
+            push_mut_entry(&mut payload, p.0, ReduceOp::Sum, 0, 1);
+            push_mut_entry(&mut payload, p.0, ReduceOp::Sum, index, 1);
+            let err = process_request(&m, &mut cache, request(kind, payload)).unwrap_err();
+            assert!(
+                err.contains(&format!("names cell {index}")),
+                "{kind:?}: {err}"
+            );
+        }
+        let mut payload = Vec::new();
+        push_read_entry(&mut payload, p.0, past);
+        let err = process_request(&m, &mut cache, request(MsgKind::ReadReq, payload)).unwrap_err();
+        assert!(err.contains("past the owned range"), "ReadReq: {err}");
+    }
+
+    /// The cache holds what the copier touched since the last drop, not a
+    /// slot per property id the engine has ever issued.
+    #[test]
+    fn cache_does_not_grow_with_ids_issued() {
+        let g = generate::ring(16);
+        let mut cluster = Cluster::load(&g, Config::test(2)).unwrap();
+        let m = cluster.machine(0).clone();
+        let mut cache = ColCache::default();
+        let mut write_to = |prop: PropId| {
+            let mut payload = Vec::new();
+            push_mut_entry(&mut payload, prop.0, ReduceOp::Sum, 0, 1);
+            m.pending.fetch_add(1, Ordering::AcqRel);
+            process_request(&m, &mut cache, request(MsgKind::Write, payload)).unwrap();
+        };
+        for _ in 0..5_000 {
+            let p = cluster.add_prop_raw("tmp", TypeTag::I64, 0);
+            write_to(p);
+            cluster.drop_prop(p);
+        }
+        write_to(cluster.add_prop_raw("fresh", TypeTag::I64, 0));
+        assert_eq!(cache.cols.len(), 1);
     }
 }

@@ -232,20 +232,102 @@ pub fn read_entry_count(payload: &[u8]) -> usize {
     payload.len() / READ_ENTRY_BYTES
 }
 
+/// A maximal stretch of consecutive read entries naming one property.
+#[derive(Clone, Copy, Debug)]
+pub struct ReadRun<'a> {
+    /// Property every entry of the run names.
+    pub prop: u16,
+    entries: &'a [[u8; READ_ENTRY_BYTES]],
+}
+
+impl<'a> ReadRun<'a> {
+    /// The run's offsets, in payload order.
+    #[inline]
+    pub fn offsets(&self) -> impl Iterator<Item = u32> + 'a {
+        self.entries
+            .iter()
+            .map(|e| u32::from_le_bytes(e[4..8].try_into().unwrap()))
+    }
+}
+
+/// Splits a read-request payload into [`ReadRun`]s, in payload order.
+pub fn read_runs(payload: &[u8]) -> impl Iterator<Item = ReadRun<'_>> {
+    runs::<READ_ENTRY_BYTES, 2>(payload).map(|entries| ReadRun {
+        prop: u16::from_le_bytes([entries[0][0], entries[0][1]]),
+        entries,
+    })
+}
+
 /// Mutation entry (Write / GhostSync / GhostReduce): 16 bytes.
 pub const MUT_ENTRY_BYTES: usize = 16;
 
 /// Appends a mutation entry `{prop:u16, op:u8, pad:u8, offset:u32, bits:u64}`.
 #[inline]
 pub fn push_mut_entry(buf: &mut Vec<u8>, prop: u16, op: ReduceOp, offset: u32, bits: u64) {
-    buf.extend_from_slice(&prop.to_le_bytes());
-    buf.push(op.to_u8());
-    buf.push(0);
-    buf.extend_from_slice(&offset.to_le_bytes());
-    buf.extend_from_slice(&bits.to_le_bytes());
+    let mut e = [0u8; MUT_ENTRY_BYTES];
+    e[0..2].copy_from_slice(&prop.to_le_bytes());
+    e[2] = op.to_u8();
+    e[4..8].copy_from_slice(&offset.to_le_bytes());
+    e[8..16].copy_from_slice(&bits.to_le_bytes());
+    buf.extend_from_slice(&e);
+}
+
+/// A maximal stretch of consecutive mutation entries with the same
+/// `(prop, op)` header bytes: a copier resolves the column and the
+/// reduction once per run, not once per entry.
+#[derive(Clone, Copy, Debug)]
+pub struct MutRun<'a> {
+    /// Property every entry of the run names.
+    pub prop: u16,
+    /// The run's op byte as it came off the wire; [`ReduceOp::from_u8`]
+    /// validates it.
+    pub op: u8,
+    entries: &'a [[u8; MUT_ENTRY_BYTES]],
+}
+
+impl<'a> MutRun<'a> {
+    /// The run's `(offset, bits)` pairs, in payload order.
+    #[inline]
+    pub fn entries(&self) -> impl Iterator<Item = (u32, u64)> + 'a {
+        self.entries.iter().map(|e| {
+            (
+                u32::from_le_bytes(e[4..8].try_into().unwrap()),
+                u64::from_le_bytes(e[8..16].try_into().unwrap()),
+            )
+        })
+    }
+}
+
+/// Splits a mutation payload into [`MutRun`]s, in payload order.
+pub fn mut_runs(payload: &[u8]) -> impl Iterator<Item = MutRun<'_>> {
+    runs::<MUT_ENTRY_BYTES, 3>(payload).map(|entries| MutRun {
+        prop: u16::from_le_bytes([entries[0][0], entries[0][1]]),
+        op: entries[0][2],
+        entries,
+    })
+}
+
+/// Splits `payload`'s whole `N`-byte entries into maximal runs whose first
+/// `KEY` bytes are equal. A trailing partial entry is ignored, as the
+/// `*_entry_count` functions ignore it.
+fn runs<const N: usize, const KEY: usize>(payload: &[u8]) -> impl Iterator<Item = &[[u8; N]]> {
+    let mut rest = payload.as_chunks::<N>().0;
+    std::iter::from_fn(move || {
+        let head = &rest.first()?[..KEY];
+        let len = 1 + rest[1..]
+            .iter()
+            .position(|e| e[..KEY] != *head)
+            .unwrap_or(rest.len() - 1);
+        let (run, tail) = rest.split_at(len);
+        rest = tail;
+        Some(run)
+    })
 }
 
 /// Decodes the `i`-th mutation entry as `(prop, op, offset, bits)`.
+///
+/// Panics on an op byte [`ReduceOp::from_u8`] rejects; copiers decode
+/// through [`mut_runs`] instead, which leaves the op byte to them.
 #[inline]
 pub fn mut_entry(payload: &[u8], i: usize) -> (u16, ReduceOp, u32, u64) {
     let o = i * MUT_ENTRY_BYTES;

@@ -65,10 +65,16 @@ impl ReduceOp {
             _ => return None,
         })
     }
+
+    /// True when `op` is defined on columns of type `tag`: every op is,
+    /// except the logical ones on `f64`.
+    pub fn defined_on(self, tag: TypeTag) -> bool {
+        !(tag == TypeTag::F64 && matches!(self, ReduceOp::Or | ReduceOp::And))
+    }
 }
 
 /// Applies `op` to raw bits according to the column type.
-#[inline]
+#[inline(always)]
 pub fn reduce_bits(tag: TypeTag, op: ReduceOp, cur: u64, new: u64) -> u64 {
     match tag {
         TypeTag::F64 => {
@@ -170,6 +176,23 @@ pub fn bottom_bits(tag: TypeTag, op: ReduceOp) -> u64 {
             ReduceOp::And | ReduceOp::Min => 1,
             ReduceOp::Assign => 0,
         },
+    }
+}
+
+/// Folds `new` into `cell` with `f` by a CAS loop; writes nothing when `f`
+/// leaves the value unchanged (e.g. Min with a larger candidate).
+#[inline(always)]
+fn cas_reduce(cell: &AtomicU64, new: u64, f: impl Fn(u64, u64) -> u64) {
+    let mut cur = cell.load(Ordering::Relaxed);
+    loop {
+        let next = f(cur, new);
+        if next == cur {
+            return;
+        }
+        match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return,
+            Err(actual) => cur = actual,
+        }
     }
 }
 
@@ -300,28 +323,100 @@ impl Column {
         self.store_bits(i, v.to_bits());
     }
 
-    /// Atomically reduces `bits` into cell `i` with `op` — the copier path
-    /// for remote writes and the merge path for ghost privatization.
+    /// Atomically reduces `bits` into cell `i` with `op` — the worker's
+    /// local write path and the merge path for ghost privatization.
     #[inline]
     pub fn reduce_bits_atomic(&self, i: usize, op: ReduceOp, bits: u64) {
         if op == ReduceOp::Assign {
             self.cells[i].store(bits, Ordering::Relaxed);
             return;
         }
-        let cell = &self.cells[i];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            let next = reduce_bits(self.tag, op, cur, bits);
-            if next == cur {
-                // Idempotent under the current value (e.g. Min with a larger
-                // candidate): nothing to write.
-                return;
-            }
-            match cell.compare_exchange_weak(cur, next, Ordering::Relaxed, Ordering::Relaxed) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
+        cas_reduce(&self.cells[i], bits, |cur, new| {
+            reduce_bits(self.tag, op, cur, new)
+        });
+    }
+
+    /// Reduces a run of `(offset, bits)` entries into the owned cells, in
+    /// order, each exactly as [`Column::reduce_bits_atomic`] would — the
+    /// copier path for remote writes and ghost partials. The reduction is
+    /// chosen once for the run, so an entry costs a bounds check and the
+    /// CAS. Stops at the first offset outside the owned range and returns
+    /// it; the entries before it stay applied.
+    ///
+    /// Panics if `op` is not [defined](ReduceOp::defined_on) on the
+    /// column's type.
+    pub fn reduce_run(
+        &self,
+        op: ReduceOp,
+        entries: impl Iterator<Item = (u32, u64)>,
+    ) -> Result<(), u32> {
+        match self.tag {
+            TypeTag::F64 => self.reduce_run_typed::<f64>(op, entries),
+            TypeTag::I64 => self.reduce_run_typed::<i64>(op, entries),
+            TypeTag::U64 => self.reduce_run_typed::<u64>(op, entries),
+            TypeTag::U32 => self.reduce_run_typed::<u32>(op, entries),
+            TypeTag::Bool => self.reduce_run_typed::<bool>(op, entries),
         }
+    }
+
+    /// [`Column::reduce_run`] with the type and then the op fixed, so each
+    /// arm's loop inlines one constant-folded [`reduce_bits`].
+    #[inline(always)]
+    fn reduce_run_typed<T: PropValue>(
+        &self,
+        op: ReduceOp,
+        entries: impl Iterator<Item = (u32, u64)>,
+    ) -> Result<(), u32> {
+        #[inline(always)]
+        fn each(
+            cells: &[AtomicU64],
+            entries: impl Iterator<Item = (u32, u64)>,
+            apply: impl Fn(&AtomicU64, u64),
+        ) -> Result<(), u32> {
+            for (offset, bits) in entries {
+                apply(cells.get(offset as usize).ok_or(offset)?, bits);
+            }
+            Ok(())
+        }
+        macro_rules! fold_with {
+            ($op:expr) => {
+                each(&self.cells[..self.len_local], entries, |cell, bits| {
+                    cas_reduce(cell, bits, |cur, new| reduce_bits(T::TAG, $op, cur, new))
+                })
+            };
+        }
+        match op {
+            ReduceOp::Sum => fold_with!(ReduceOp::Sum),
+            ReduceOp::Min => fold_with!(ReduceOp::Min),
+            ReduceOp::Max => fold_with!(ReduceOp::Max),
+            ReduceOp::Or => fold_with!(ReduceOp::Or),
+            ReduceOp::And => fold_with!(ReduceOp::And),
+            ReduceOp::Assign => each(&self.cells[..self.len_local], entries, |cell, bits| {
+                cell.store(bits, Ordering::Relaxed)
+            }),
+        }
+    }
+
+    /// Stores a run of `(ghost ordinal, bits)` entries into the ghost
+    /// cells, in order — the copier path for ghost pre-synchronization.
+    /// Stops at the first ordinal outside the ghost range and returns it.
+    pub fn store_ghost_run(&self, entries: impl Iterator<Item = (u32, u64)>) -> Result<(), u32> {
+        let ghosts = &self.cells[self.len_local..];
+        for (ordinal, bits) in entries {
+            ghosts
+                .get(ordinal as usize)
+                .ok_or(ordinal)?
+                .store(bits, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
+    /// Plain load of owned cell `offset`; `None` past the owned range.
+    #[inline]
+    pub fn load_owned(&self, offset: u32) -> Option<u64> {
+        self.cells[..self.len_local]
+            .get(offset as usize)
+            .map(|c| c.load(Ordering::Relaxed))
     }
 
     /// Fills every cell (local + ghost) with `bits`.

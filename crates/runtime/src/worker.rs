@@ -532,15 +532,11 @@ impl WorkerComm {
             MsgKind::Write => self.stat_writes += 1,
             _ => self.stat_ghosts += 1,
         }
-        let slot = dst as usize;
-        if self.mut_payloads[slot].is_none() {
-            self.mut_payloads[slot] = Some(self.pool.acquire_or_alloc_on(self.pool_shard));
-        }
-        {
-            let buf = self.mut_payloads[slot].as_mut().unwrap();
-            push_mut_entry(buf, prop.0, op, offset, bits);
-        }
-        if self.mut_payloads[slot].as_ref().unwrap().len() + MUT_ENTRY_BYTES > self.buffer_bytes {
+        let (pool, shard) = (&self.pool, self.pool_shard);
+        let buf =
+            self.mut_payloads[dst as usize].get_or_insert_with(|| pool.acquire_or_alloc_on(shard));
+        push_mut_entry(buf, prop.0, op, offset, bits);
+        if buf.len() + MUT_ENTRY_BYTES > self.buffer_bytes {
             self.seal_mut(dst);
         }
     }
