@@ -38,10 +38,6 @@ pub fn measure_ghosts(g: &Graph, machines: usize, k: usize) -> GhostPoint {
         .chunk_edges(8 * 1024)
         .partitioning(PartitioningMode::Edge)
         .chunking(ChunkingMode::Edge)
-        // In-flight read combining also dedups hub reads, which is exactly
-        // the traffic ghosting removes; keep it off so this figure isolates
-        // the ghosting effect as in the paper.
-        .read_combining(false)
         .build()
         .expect("config");
     let mut engine = EngineBuilder::from_config(config)

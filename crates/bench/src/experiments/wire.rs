@@ -132,10 +132,11 @@ struct Reference {
 }
 
 /// The single-process in-memory run every TCP result is diffed against:
-/// same graph, same machine count, same driver program, default backend.
+/// same graph, same machine count, same preset as `pgxd-node` (so the same
+/// ghost set), same driver program, default backend.
 fn reference(g: &GraphSpec) -> Reference {
     let graph = g.build();
-    let mut e = pgxd::Engine::builder()
+    let mut e = pgxd::Config::builder()
         .machines(MACHINES)
         .workers(2)
         .engine(&graph)

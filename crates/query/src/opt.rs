@@ -11,8 +11,8 @@
 //!    hook, deleting one job and one property per clause.
 //! 3. **Push-vs-pull direction choice** — a neighbor aggregate whose
 //!    body is a bare neighbor-property read (and has no neighbor filter)
-//!    pulls (one remote read per edge, combined by the read-combining
-//!    layer); anything else pushes the computed value with `write_nbr`.
+//!    pulls (one remote read per edge that does not reach a ghosted hub);
+//!    anything else pushes the computed value with `write_nbr`.
 //! 4. **Dead-property elimination** — a backward liveness fixpoint from
 //!    the query outputs removes properties (and the jobs that only fed
 //!    them) that cannot affect the result.

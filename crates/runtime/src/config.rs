@@ -492,7 +492,9 @@ pub struct Config {
     /// back-pressure.
     pub send_buffers_per_machine: usize,
     /// Ghost-node degree threshold: nodes whose in- or out-degree exceeds
-    /// this are replicated on every machine. `None` disables ghosts.
+    /// this are replicated on every machine. `None` disables ghosts. Unless
+    /// set, [`ConfigBuilder::build`] derives 16 × `machines`, and `None`
+    /// on one machine.
     pub ghost_threshold: Option<usize>,
     /// Vertex or edge partitioning.
     pub partitioning: PartitioningMode,
@@ -523,19 +525,38 @@ pub struct Config {
     /// a power of two). Workers and copiers recycle buffers through their
     /// own shard, so acquire/release never contend across threads.
     pub pool_shards: usize,
-    /// Combine repeated in-flight remote reads of the same
-    /// `(property, vertex)` into one wire entry, fanning the single
-    /// response value out to every logged continuation.
-    pub read_combining: bool,
     /// Job-server knobs; only read by the serving layer.
     pub serve: ServeConfig,
 }
 
+/// Ghost-threshold degree per machine: a vertex is ghosted once its in-
+/// or out-degree exceeds this times the machine count. The knee of a
+/// {8, 16, 32} × P sweep: 32 left a fifth of skewed PageRank-pull's speed
+/// in hub reads on the wire; 8 sped the pull jobs up a few percent more
+/// but slowed hop-distance BFS, whose many short phases each pay the
+/// ghost sync.
+const GHOST_DEGREE_PER_MACHINE: usize = 16;
+
 impl Config {
     /// Starts a validated builder seeded with the benchmark defaults
-    /// ([`Config::bench`]`(4)`); see [`ConfigBuilder`].
+    /// ([`Config::bench`]`(4)`); see [`ConfigBuilder`]. Unless
+    /// [`ConfigBuilder::ghost_threshold`] is called, the ghost threshold is
+    /// derived from the final machine count at build time.
     pub fn builder() -> ConfigBuilder {
-        ConfigBuilder::from(Config::default())
+        ConfigBuilder {
+            config: Config::default(),
+            ghost_threshold: None,
+        }
+    }
+
+    /// The ghost threshold of a `machines`-machine cluster:
+    /// `GHOST_DEGREE_PER_MACHINE × machines`, and no ghosts on one
+    /// machine. Replicating a vertex of degree `d` trades about
+    /// `d·(P−1)/P` remote reads per phase for `P−1` sync entries, so the
+    /// break-even degree grows with `P`; on one machine every read is
+    /// already local.
+    fn default_ghost_threshold(machines: usize) -> Option<usize> {
+        (machines > 1).then_some(GHOST_DEGREE_PER_MACHINE * machines)
     }
 
     /// The benchmark default: mirrors the paper's 16-worker / 8-copier
@@ -547,7 +568,7 @@ impl Config {
             copiers: 1,
             buffer_bytes: 64 << 10,
             send_buffers_per_machine: 64,
-            ghost_threshold: Some(1024),
+            ghost_threshold: Config::default_ghost_threshold(machines),
             partitioning: PartitioningMode::Edge,
             chunking: ChunkingMode::Edge,
             chunk_edges: 16 * 1024,
@@ -560,7 +581,6 @@ impl Config {
             reliability: ReliabilityConfig::off(),
             recovery: RecoveryConfig::off(),
             pool_shards: 4,
-            read_combining: true,
             serve: ServeConfig::default(),
         }
     }
@@ -773,21 +793,28 @@ impl Default for Config {
 /// are defined ([`Config::builder`] seeds it with the benchmark defaults,
 /// `pgxd::Engine::builder` with the unit-test preset). Every setter is
 /// loose and writes state no other setter writes, so call order never
-/// matters; [`ConfigBuilder::build`] derives the switches that follow from
-/// the rest (TCP needs the termination wave, the wave and an active fault
-/// plan need the layer that survives loss) and runs [`Config::validate`], so
-/// invalid combinations (zero quotas, a fault plan on TCP, ...) are
-/// rejected in one place instead of panicking deep inside the engine.
-#[derive(Clone, Debug)]
+/// matters; [`ConfigBuilder::build`] derives the values that follow from
+/// the rest (the ghost threshold from the machine count unless one was set,
+/// TCP needs the termination wave, the wave and an active fault plan need
+/// the layer that survives loss) and runs [`Config::validate`], so invalid
+/// combinations (zero quotas, a fault plan on TCP, ...) are rejected in one
+/// place instead of panicking deep inside the engine.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ConfigBuilder {
     config: Config,
+    /// An explicitly chosen ghost threshold; `None` derives it from the
+    /// machine count at build time.
+    ghost_threshold: Option<Option<usize>>,
 }
 
 impl From<Config> for ConfigBuilder {
     /// A builder that starts from `config` instead of the benchmark
-    /// defaults.
+    /// defaults; its ghost threshold counts as chosen.
     fn from(config: Config) -> Self {
-        ConfigBuilder { config }
+        ConfigBuilder {
+            ghost_threshold: Some(config.ghost_threshold),
+            config,
+        }
     }
 }
 
@@ -816,9 +843,10 @@ impl ConfigBuilder {
         self
     }
 
-    /// Ghost-node degree threshold (`None` disables ghosts).
+    /// Ghost-node degree threshold (`None` disables ghosts); overrides the
+    /// machine-count default whatever the setter order.
     pub fn ghost_threshold(mut self, t: Option<usize>) -> Self {
-        self.config.ghost_threshold = t;
+        self.ghost_threshold = Some(t);
         self
     }
 
@@ -921,12 +949,6 @@ impl ConfigBuilder {
         &mut self.config.recovery
     }
 
-    /// In-flight remote-read combining.
-    pub fn read_combining(mut self, on: bool) -> Self {
-        self.config.read_combining = on;
-        self
-    }
-
     /// Job-server submission-queue depth (bounded; overflow is rejected
     /// with `JobError::QueueFull`).
     pub fn queue_depth(mut self, n: usize) -> Self {
@@ -967,6 +989,9 @@ impl ConfigBuilder {
     /// validates, and returns it.
     pub fn build(mut self) -> Result<Config, String> {
         let c = &mut self.config;
+        c.ghost_threshold = self
+            .ghost_threshold
+            .unwrap_or_else(|| Config::default_ghost_threshold(c.machines));
         let tcp = c.transport.backend == TransportBackend::Tcp;
         c.strict_distributed |= tcp;
         c.reliability.enabled |= c.strict_distributed || c.fault.is_active();
@@ -1004,12 +1029,11 @@ mod tests {
             (c.buffer_bytes, c.send_buffers_per_machine, c.pool_shards),
             (64 << 10, 64, 4)
         );
-        assert_eq!((c.ghost_threshold, c.chunk_edges), (Some(1024), 16 << 10));
+        assert_eq!((c.ghost_threshold, c.chunk_edges), (Some(32), 16 << 10));
         assert_eq!(
             (c.partitioning, c.chunking),
             (PartitioningMode::Edge, ChunkingMode::Edge)
         );
-        assert!(c.read_combining);
         assert!(!c.strict_distributed);
         assert!(!c.reliability.enabled && !c.recovery.enabled && !c.telemetry.enabled);
         let r = c.reliability;
@@ -1061,7 +1085,6 @@ mod tests {
             ("max_retries", |b| b.max_retries(5)),
             ("checkpoint_retain", |b| b.checkpoint_retain(3)),
             ("flap_threshold", |b| b.flap_threshold(2)),
-            ("read_combining", |b| b.read_combining(false)),
             ("queue_depth", |b| b.queue_depth(8)),
             ("memory_budget", |b| b.memory_budget(1 << 20)),
             ("lane_weights", |b| b.lane_weights([4, 1])),
@@ -1072,7 +1095,7 @@ mod tests {
             for (a_name, a) in setters {
                 for (b_name, b) in setters {
                     let (ab, ba) = (b(a(seed())), a(b(seed())));
-                    assert_eq!(ab.config, ba.config, "{a_name} / {b_name}: raw state");
+                    assert_eq!(ab, ba, "{a_name} / {b_name}: raw state");
                     assert_eq!(ab.build(), ba.build(), "{a_name} / {b_name}: built");
                 }
             }
@@ -1287,12 +1310,39 @@ mod tests {
             .machines(3)
             .workers(2)
             .buffer_bytes(8 << 10)
-            .read_combining(false)
             .build()
             .expect("valid config");
         assert_eq!(c.machines, 3);
         assert_eq!(c.buffer_bytes, 8 << 10);
-        assert!(!c.read_combining);
+    }
+
+    /// Unset, the ghost threshold follows the machine count the build
+    /// sees; set, it wins whichever setter ran last.
+    #[test]
+    fn ghost_threshold_scales_with_machines_unless_set() {
+        let derived = |m: usize| Config::builder().machines(m).build().unwrap();
+        assert_eq!(derived(2).ghost_threshold, Some(32));
+        assert_eq!(derived(4).ghost_threshold, Some(64));
+        assert_eq!(derived(8).ghost_threshold, Some(16 * 8));
+        assert_eq!(derived(1).ghost_threshold, None, "one machine: no ghosts");
+        assert_eq!(
+            Config::bench(3).ghost_threshold,
+            Config::default_ghost_threshold(3)
+        );
+
+        for t in [None, Some(7)] {
+            let before = Config::builder().ghost_threshold(t).machines(2).build();
+            let after = Config::builder().machines(2).ghost_threshold(t).build();
+            assert_eq!(before.unwrap().ghost_threshold, t, "set before machines");
+            assert_eq!(after.unwrap().ghost_threshold, t, "set after machines");
+        }
+
+        // The unit-test preset's `None` is a choice, not a default.
+        assert_eq!(Config::test(3).ghost_threshold, None);
+        for m in [1, 2, 8] {
+            let c = test_builder().machines(m).build().unwrap();
+            assert_eq!(c.ghost_threshold, None, "{m} machines");
+        }
     }
 
     #[test]

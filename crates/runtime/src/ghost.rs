@@ -12,7 +12,9 @@
 //! degrees. Machine-local ghost *slots* are indexed by the vertex's
 //! ordinal in this list; property columns allocate `len_ghost` extra cells
 //! after the owned region, so slot `k` of property `p` lives at column
-//! index `len_local + k`.
+//! index `len_local + k`. A rank bitmap over all vertices, built once with
+//! the table (2 bits per vertex), maps a vertex to its ordinal in O(1), so
+//! encoding a fragment's edge endpoints costs no search.
 
 use pgxd_graph::{Graph, NodeId};
 use std::sync::Arc;
@@ -24,6 +26,11 @@ pub struct GhostTable {
     nodes: Arc<Vec<NodeId>>,
     /// `(in_degree, out_degree)` of each ghosted vertex, by ordinal.
     degrees: Arc<Vec<(u32, u32)>>,
+    /// Ghost membership of the graph's vertices, 64 per word, each word
+    /// paired with the number of ghosts before it: a ghost's ordinal is
+    /// that count plus the set bits below its own. Empty when nothing is
+    /// ghosted.
+    ranks: Arc<Vec<(u32, u64)>>,
 }
 
 impl GhostTable {
@@ -32,17 +39,7 @@ impl GhostTable {
     pub fn build(graph: &Graph, threshold: Option<usize>) -> Self {
         match threshold {
             None => GhostTable::default(),
-            Some(t) => {
-                let nodes: Vec<NodeId> = pgxd_graph::stats::high_degree_nodes(graph, t);
-                let degrees = nodes
-                    .iter()
-                    .map(|&v| (graph.in_degree(v) as u32, graph.out_degree(v) as u32))
-                    .collect();
-                GhostTable {
-                    nodes: Arc::new(nodes),
-                    degrees: Arc::new(degrees),
-                }
-            }
+            Some(t) => Self::over(graph, pgxd_graph::stats::high_degree_nodes(graph, t)),
         }
     }
 
@@ -51,13 +48,31 @@ impl GhostTable {
     pub fn from_nodes(graph: &Graph, mut nodes: Vec<NodeId>) -> Self {
         nodes.sort_unstable();
         nodes.dedup();
+        Self::over(graph, nodes)
+    }
+
+    /// The table over `nodes` (sorted, distinct).
+    fn over(graph: &Graph, nodes: Vec<NodeId>) -> Self {
         let degrees = nodes
             .iter()
             .map(|&v| (graph.in_degree(v) as u32, graph.out_degree(v) as u32))
             .collect();
+        let mut ranks = Vec::new();
+        if !nodes.is_empty() {
+            ranks = vec![(0u32, 0u64); graph.num_nodes().div_ceil(64)];
+            for &v in &nodes {
+                ranks[v as usize / 64].1 |= 1 << (v % 64);
+            }
+            let mut before = 0;
+            for (rank, word) in &mut ranks {
+                *rank = before;
+                before += word.count_ones();
+            }
+        }
         GhostTable {
             nodes: Arc::new(nodes),
             degrees: Arc::new(degrees),
+            ranks: Arc::new(ranks),
         }
     }
 
@@ -82,7 +97,9 @@ impl GhostTable {
     /// Ordinal of vertex `v` in the ghost list, if ghosted.
     #[inline]
     pub fn ordinal(&self, v: NodeId) -> Option<u32> {
-        self.nodes.binary_search(&v).ok().map(|i| i as u32)
+        let &(before, word) = self.ranks.get(v as usize / 64)?;
+        let bit = 1u64 << (v % 64);
+        (word & bit != 0).then(|| before + (word & (bit - 1)).count_ones())
     }
 
     /// Global vertex at ordinal `ord`.
@@ -136,7 +153,22 @@ mod tests {
         let t = GhostTable::from_nodes(&g, vec![5, 2, 5, 0]);
         assert_eq!(t.nodes(), &[0, 2, 5]);
         assert_eq!(t.ordinal(5), Some(2));
+        assert_eq!(t.ordinal(4), None);
+        assert_eq!(t.ordinal(8), None, "past the graph");
         assert_eq!(t.node_at(1), 2);
         assert_eq!(t.degree_at(0), (1, 1));
+    }
+
+    /// The rank bitmap answers what a search of the sorted list would,
+    /// across word boundaries and past the last vertex.
+    #[test]
+    fn ordinal_matches_the_sorted_list() {
+        let g = generate::rmat(10, 8, generate::RmatParams::skewed(), 3);
+        let t = GhostTable::build(&g, Some(12));
+        assert!(t.len() > 64, "ghosts span several words");
+        for v in 0..g.num_nodes() as NodeId + 130 {
+            let want = t.nodes().binary_search(&v).ok().map(|i| i as u32);
+            assert_eq!(t.ordinal(v), want, "vertex {v}");
+        }
     }
 }

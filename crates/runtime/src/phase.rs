@@ -277,12 +277,16 @@ impl Phase for GhostPushPhase {
             let my_share = share(owned_hi - owned_lo, workers, env.worker_idx);
             m.telemetry
                 .trace(env.worker_idx, EventKind::GhostPush, my_share.len() as u64);
+            let cols: Vec<_> = self
+                .read_props
+                .iter()
+                .map(|&prop| (prop, m.props.column(prop)))
+                .collect();
             for k in my_share {
                 let ord = (owned_lo + k) as u32;
                 let v = ghosts.node_at(ord);
                 let local = (v - start) as usize;
-                for &prop in &self.read_props {
-                    let col = m.props.column(prop);
+                for &(prop, ref col) in &cols {
                     let bits = col.load_bits(local);
                     // Also refresh our own ghost slot so reads through the
                     // slot (if any) see the current value.
@@ -335,6 +339,14 @@ impl Phase for GhostReducePhase {
             EventKind::GhostReduce,
             my_share.len() as u64,
         );
+        let cols: Vec<_> = self
+            .reduce_props
+            .iter()
+            .map(|&(prop, op)| {
+                let col = m.props.column(prop);
+                (prop, op, bottom_bits(col.tag(), op), col)
+            })
+            .collect();
         for ord in my_share {
             let v = ghosts.node_at(ord as u32);
             if v >= start && v < end {
@@ -342,10 +354,9 @@ impl Phase for GhostReducePhase {
             }
             let owner = m.partition.owner(v);
             let owner_offset = v - m.partition.start(owner);
-            for &(prop, op) in &self.reduce_props {
-                let col = m.props.column(prop);
+            for &(prop, op, bottom, ref col) in &cols {
                 let bits = col.load_bits(num_local + ord);
-                if bits != bottom_bits(col.tag(), op) {
+                if bits != bottom {
                     env.comm.push_mut(owner, prop, op, owner_offset, bits);
                 }
             }

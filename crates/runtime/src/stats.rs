@@ -71,9 +71,7 @@ counters! {
     /// Header bytes sent (fixed per envelope; kept separate so "utilized"
     /// vs "effective" bandwidth can be reported as in Figure 8a).
     header_bytes_sent,
-    /// Remote read request entries put on the wire. Reads deduplicated by
-    /// in-flight combining count under `combined_read_hits` instead, so
-    /// logical reads = `read_entries + combined_read_hits`.
+    /// Remote read request entries put on the wire, one per remote read.
     read_entries,
     /// Remote write (reduction) entries issued.
     write_entries,
@@ -100,8 +98,8 @@ counters! {
     /// Buffered/in-flight entries failed by an abort sweep instead of being
     /// completed (their `read_done` continuations never ran).
     failed_entries,
-    /// Remote reads satisfied by piggybacking on an identical in-flight
-    /// request entry instead of a new wire entry (read combining).
+    /// Always 0: remote reads are not combined (hubs are ghosts instead,
+    /// DESIGN §11). Kept because the benchmark reports it.
     combined_read_hits,
     /// Barrier-consistent snapshots this machine contributed a shard to.
     checkpoints_taken,

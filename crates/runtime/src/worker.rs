@@ -34,7 +34,7 @@ use std::sync::Arc;
 /// Communication tuning for one worker: the knobs that shape the fast
 /// path, bundled so [`WorkerComm::new`] doesn't accumulate loose scalar
 /// arguments. Built by the cluster from the validated [`Config`]
-/// (`buffer_bytes`, `read_combining`, `pool_shards`).
+/// (`buffer_bytes`, `pool_shards`).
 ///
 /// [`Config`]: crate::config::Config
 #[derive(Clone)]
@@ -42,20 +42,15 @@ pub struct CommTuning {
     /// Bytes per message buffer: a buffer seals when one more entry would
     /// not fit.
     pub buffer_bytes: usize,
-    /// Combine duplicate in-flight reads of the same `(property, vertex)`
-    /// into one wire entry.
-    pub read_combining: bool,
     /// Buffer-pool shard hint for this worker (its worker index).
     pub pool_shard: usize,
 }
 
 impl CommTuning {
-    /// Combining on, shard 0 — mirrors the production defaults for tests
-    /// and detached endpoints.
+    /// Shard 0 — for tests and detached endpoints.
     pub fn fixed(buffer_bytes: usize) -> Self {
         CommTuning {
             buffer_bytes,
-            read_combining: true,
             pool_shard: 0,
         }
     }
@@ -73,36 +68,25 @@ pub struct SideRec {
     pub aux: u64,
 }
 
-/// One in-flight side structure: the continuation records logged while the
-/// request buffer filled, plus (under read combining) the wire entry index
-/// each record's value lives at.
-#[derive(Debug, Default)]
-struct SideEntry {
-    recs: Vec<SideRec>,
-    /// Wire entry index per record. Empty means the identity mapping
-    /// (record `i` ↔ entry `i`) — the only shape produced with combining
-    /// off, so the common path carries no per-record cost.
-    entry_idx: Vec<u32>,
-}
-
-/// Slab of in-flight side structures, indexed by the `side_id` echoed
-/// through request/response headers.
+/// Slab of in-flight side structures — the continuation records logged
+/// while a request buffer filled, one per wire entry — indexed by the
+/// `side_id` echoed through request/response headers.
 #[derive(Debug, Default)]
 struct SideSlab {
-    slots: Vec<Option<SideEntry>>,
+    slots: Vec<Option<Vec<SideRec>>>,
     free: Vec<u32>,
 }
 
 impl SideSlab {
-    fn insert(&mut self, entry: SideEntry) -> u32 {
+    fn insert(&mut self, recs: Vec<SideRec>) -> u32 {
         match self.free.pop() {
             Some(id) => {
                 debug_assert!(self.slots[id as usize].is_none());
-                self.slots[id as usize] = Some(entry);
+                self.slots[id as usize] = Some(recs);
                 id
             }
             None => {
-                self.slots.push(Some(entry));
+                self.slots.push(Some(recs));
                 (self.slots.len() - 1) as u32
             }
         }
@@ -111,18 +95,18 @@ impl SideSlab {
     /// Retires slot `id`, returning its records — or `None` when the slot
     /// is not in flight (out-of-range, never issued, or already consumed
     /// by an earlier response: the duplicated-response symptom).
-    fn take(&mut self, id: u32) -> Option<SideEntry> {
-        let entry = self.slots.get_mut(id as usize)?.take()?;
+    fn take(&mut self, id: u32) -> Option<Vec<SideRec>> {
+        let recs = self.slots.get_mut(id as usize)?.take()?;
         self.free.push(id);
-        Some(entry)
+        Some(recs)
     }
 
     /// Abandons every in-flight slot, returning the total record count.
     fn abandon(&mut self) -> usize {
         let mut n = 0;
         for (id, slot) in self.slots.iter_mut().enumerate() {
-            if let Some(entry) = slot.take() {
-                n += entry.recs.len();
+            if let Some(recs) = slot.take() {
+                n += recs.len();
                 self.free.push(id as u32);
             }
         }
@@ -140,27 +124,15 @@ pub struct Response {
     /// The envelope as received (`ReadResp` or `RmiResp`).
     pub env: Envelope,
     /// The continuation records logged when the requests were buffered,
-    /// in request order.
+    /// in request order: record `i` continues on wire entry `i`.
     pub recs: Vec<SideRec>,
-    /// Wire entry index per record (empty = identity; see read combining).
-    entry_idx: Vec<u32>,
 }
 
 impl Response {
-    /// The wire entry holding record `i`'s value. Identity unless read
-    /// combining folded several records onto one request entry.
-    #[inline]
-    pub fn entry_index(&self, i: usize) -> usize {
-        match self.entry_idx.get(i) {
-            Some(&e) => e as usize,
-            None => i,
-        }
-    }
-
     /// The read-response value for record `i` (a `ReadResp` payload).
     #[inline]
     pub fn read_value(&self, i: usize) -> u64 {
-        crate::message::resp_entry(&self.env.payload, self.entry_index(i))
+        crate::message::resp_entry(&self.env.payload, i)
     }
 
     /// Every continuation record with the value it continues on, in
@@ -170,19 +142,15 @@ impl Response {
     pub fn values(&self) -> ResponseValues<'_> {
         let payload = &self.env.payload[..];
         ResponseValues(match self.env.kind {
-            MsgKind::ReadResp if self.entry_idx.is_empty() => {
+            MsgKind::ReadResp => {
                 // `zip` would silently drop the continuations of a short
                 // response; fail as loudly as an indexed read would.
                 assert!(
                     payload.len() >= self.recs.len() * RESP_ENTRY_BYTES,
                     "read response carries fewer values than requests"
                 );
-                Values::Direct(self.recs.iter().zip(payload.chunks_exact(RESP_ENTRY_BYTES)))
+                Values::Read(self.recs.iter().zip(payload.chunks_exact(RESP_ENTRY_BYTES)))
             }
-            MsgKind::ReadResp => Values::Combined {
-                recs: self.recs.iter().zip(self.entry_idx.iter()),
-                payload,
-            },
             MsgKind::RmiResp => Values::Rmi(self.recs.iter().zip(rmi_resp_entries(payload))),
             kind => unreachable!("worker queues carry only responses, got {kind:?}"),
         })
@@ -192,17 +160,11 @@ impl Response {
 /// Iterator behind [`Response::values`].
 pub struct ResponseValues<'a>(Values<'a>);
 
-/// The shape of a response — one value per record, values shared through
-/// the combining index, or RMI replies — decided once per response, not
-/// per record.
+/// The shape of a response — read values or RMI replies — decided once per
+/// response, not per record.
 enum Values<'a> {
     /// Record `i` continues on wire entry `i`.
-    Direct(std::iter::Zip<std::slice::Iter<'a, SideRec>, std::slice::ChunksExact<'a, u8>>),
-    /// Record `i` continues on the wire entry its combining index names.
-    Combined {
-        recs: std::iter::Zip<std::slice::Iter<'a, SideRec>, std::slice::Iter<'a, u32>>,
-        payload: &'a [u8],
-    },
+    Read(std::iter::Zip<std::slice::Iter<'a, SideRec>, std::slice::ChunksExact<'a, u8>>),
     /// Record `i` continues on RMI reply `i`.
     Rmi(std::iter::Zip<std::slice::Iter<'a, SideRec>, RmiRespEntries<'a>>),
 }
@@ -213,14 +175,10 @@ impl Iterator for ResponseValues<'_> {
     #[inline]
     fn next(&mut self) -> Option<(SideRec, u64)> {
         match &mut self.0 {
-            Values::Direct(it) => {
+            Values::Read(it) => {
                 let (rec, bytes) = it.next()?;
                 let bytes = bytes.try_into().expect("chunks_exact yields 8 bytes");
                 Some((*rec, u64::from_le_bytes(bytes)))
-            }
-            Values::Combined { recs, payload } => {
-                let (rec, &entry) = recs.next()?;
-                Some((*rec, crate::message::resp_entry(payload, entry as usize)))
             }
             Values::Rmi(it) => {
                 let (rec, bytes) = it.next()?;
@@ -233,127 +191,21 @@ impl Iterator for ResponseValues<'_> {
     }
 }
 
-/// An open per-destination read buffer: wire payload, the continuation
-/// records awaiting its responses, and the wire-entry index each record
-/// fans out from (empty = identity mapping, i.e. no combining hits).
-type ReadBuffer = (Vec<u8>, Vec<SideRec>, Vec<u32>);
-
-/// Exact combining table over one destination's *unsealed* read buffer:
-/// `(property, vertex) → wire entry index`.
-///
-/// Open addressing with linear probing on a multiplicative hash. A slot is
-/// live only while its stamp equals the table's generation, so
-/// [`CombineTable::reset`] empties the table in O(1) at every seal. Nothing
-/// is ever evicted: the table doubles before it is half full, and a buffer
-/// holds at most `buffer_bytes / READ_ENTRY_BYTES` distinct keys, which
-/// bounds its size. Storage is allocated on the first insert, so a
-/// destination that is never read from costs nothing.
-#[derive(Debug)]
-struct CombineTable {
-    /// Power-of-two length (or empty before the first insert).
-    slots: Vec<CombineSlot>,
-    /// Current generation; never 0, the stamp of a never-written slot.
-    generation: u32,
-    /// Keys inserted in the current generation.
-    live: usize,
-}
-
-#[derive(Clone, Copy, Debug, Default)]
-struct CombineSlot {
-    key: u64,
-    entry: u32,
-    stamp: u32,
-}
-
-impl CombineTable {
-    const MIN_SLOTS: usize = 64;
-
-    fn new() -> Self {
-        CombineTable {
-            slots: Vec::new(),
-            generation: 1,
-            live: 0,
-        }
-    }
-
-    /// Home slot of `key` in a table of `len` (a power of two ≥ 2) slots:
-    /// the top bits of a Fibonacci-hash product.
-    #[inline]
-    fn home(key: u64, len: usize) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - len.trailing_zeros())) as usize
-    }
-
-    /// The wire entry already carrying `key` in this generation; otherwise
-    /// records `entry` for it and returns `None`.
-    #[inline]
-    fn get_or_insert(&mut self, key: u64, entry: u32) -> Option<u32> {
-        if self.live * 2 >= self.slots.len() {
-            self.grow();
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = Self::home(key, self.slots.len());
-        loop {
-            let slot = &mut self.slots[i];
-            if slot.stamp != self.generation {
-                *slot = CombineSlot {
-                    key,
-                    entry,
-                    stamp: self.generation,
-                };
-                self.live += 1;
-                return None;
-            }
-            if slot.key == key {
-                return Some(slot.entry);
-            }
-            i = (i + 1) & mask;
-        }
-    }
-
-    /// Doubles the table, re-inserting the current generation's keys.
-    #[cold]
-    fn grow(&mut self) {
-        let len = (self.slots.len() * 2).max(Self::MIN_SLOTS);
-        let old = std::mem::replace(&mut self.slots, vec![CombineSlot::default(); len]);
-        // A quarter full at most after the move, so no nested growth.
-        self.live = 0;
-        let generation = self.generation;
-        for slot in old.iter().filter(|s| s.stamp == generation) {
-            self.get_or_insert(slot.key, slot.entry);
-        }
-    }
-
-    /// Forgets every key. O(1) except once per 2³² resets, when the stamps
-    /// are wiped so a slot written 2³² generations ago cannot read as live.
-    #[inline]
-    fn reset(&mut self) {
-        self.live = 0;
-        self.generation = self.generation.wrapping_add(1);
-        if self.generation == 0 {
-            self.slots.iter_mut().for_each(|s| s.stamp = 0);
-            self.generation = 1;
-        }
-    }
-}
+/// An open per-destination request buffer: wire payload plus the
+/// continuation records awaiting its responses, one per entry.
+type RequestBuffer = (Vec<u8>, Vec<SideRec>);
 
 /// Per-worker communication endpoint.
 pub struct WorkerComm {
     machine: MachineId,
     worker: u16,
     buffer_bytes: usize,
-    /// Combine duplicate in-flight reads (see [`CommTuning`]).
-    read_combining: bool,
     /// Buffer-pool shard this worker recycles through.
     pool_shard: usize,
-    read_payloads: Vec<Option<ReadBuffer>>,
-    /// Per-destination combining table over the *current unsealed* read
-    /// buffer. Reset at seal, so combined records always share one request
-    /// message and therefore see the same copier-read instant
-    /// (bit-identical to combining off).
-    combine: Vec<CombineTable>,
+    read_payloads: Vec<Option<RequestBuffer>>,
     mut_payloads: Vec<Option<Vec<u8>>>,
     mut_kind: MsgKind,
-    rmi_payloads: Vec<Option<(Vec<u8>, Vec<SideRec>)>>,
+    rmi_payloads: Vec<Option<RequestBuffer>>,
     slab: SideSlab,
     resp_rx: Receiver<Envelope>,
     outbox: Sender<Envelope>,
@@ -385,14 +237,12 @@ pub struct WorkerComm {
     /// Pool-exhaustion count already traced, to report only deltas.
     last_exhausted: u64,
     rec_pool: Vec<Vec<SideRec>>,
-    idx_pool: Vec<Vec<u32>>,
     // Entry statistics are batched locally and published at flush time so
     // the per-edge hot path touches no shared counters.
     stat_reads: u64,
     stat_writes: u64,
     stat_ghosts: u64,
     stat_rmis: u64,
-    stat_combined: u64,
 }
 
 impl WorkerComm {
@@ -417,10 +267,8 @@ impl WorkerComm {
             machine,
             worker,
             buffer_bytes: tuning.buffer_bytes,
-            read_combining: tuning.read_combining,
             pool_shard: tuning.pool_shard,
             read_payloads: (0..num_machines).map(|_| None).collect(),
-            combine: (0..num_machines).map(|_| CombineTable::new()).collect(),
             mut_payloads: (0..num_machines).map(|_| None).collect(),
             mut_kind: MsgKind::Write,
             rmi_payloads: (0..num_machines).map(|_| None).collect(),
@@ -439,12 +287,10 @@ impl WorkerComm {
             sent_at: Vec::new(),
             last_exhausted: 0,
             rec_pool: Vec::new(),
-            idx_pool: Vec::new(),
             stat_reads: 0,
             stat_writes: 0,
             stat_ghosts: 0,
             stat_rmis: 0,
-            stat_combined: 0,
         }
     }
 
@@ -481,46 +327,22 @@ impl WorkerComm {
         self.rec_pool.pop().unwrap_or_default()
     }
 
-    fn take_idx(&mut self) -> Vec<u32> {
-        self.idx_pool.pop().unwrap_or_default()
-    }
-
     /// Buffers a remote read request to `dst` and logs the continuation
-    /// record. Under read combining, a second read of the same
-    /// `(property, vertex)` while the buffer is unsealed piggybacks on the
-    /// existing wire entry instead of adding one; the response value fans
-    /// out to every logged record. Seals automatically when the buffer is
-    /// full.
+    /// record; every read is a wire entry of its own. Seals automatically
+    /// when the buffer is full.
     pub fn push_read(&mut self, dst: MachineId, prop: PropId, offset: u32, rec: SideRec) {
         self.unpublished += 1;
-        let slot = dst as usize;
-        if self.read_payloads[slot].is_none() {
-            let buf = self.pool.acquire_or_alloc_on(self.pool_shard);
-            let recs = self.take_recs();
-            let idx = self.take_idx();
-            self.read_payloads[slot] = Some((buf, recs, idx));
-        }
-        {
-            let (buf, recs, idx) = self.read_payloads[slot].as_mut().unwrap();
-            if self.read_combining {
-                let entry = (buf.len() / READ_ENTRY_BYTES) as u32;
-                let key = ((prop.0 as u64) << 32) | offset as u64;
-                if let Some(hit) = self.combine[slot].get_or_insert(key, entry) {
-                    // The value is already on the wire; no new entry, no
-                    // capacity check needed.
-                    recs.push(rec);
-                    idx.push(hit);
-                    self.stat_combined += 1;
-                    return;
-                }
-                idx.push(entry);
-            }
-            push_read_entry(buf, prop.0, offset);
-            recs.push(rec);
-            self.stat_reads += 1;
-        }
-        if self.read_payloads[slot].as_ref().unwrap().0.len() + READ_ENTRY_BYTES > self.buffer_bytes
-        {
+        self.stat_reads += 1;
+        let (pool, shard, rec_pool) = (&self.pool, self.pool_shard, &mut self.rec_pool);
+        let (buf, recs) = self.read_payloads[dst as usize].get_or_insert_with(|| {
+            (
+                pool.acquire_or_alloc_on(shard),
+                rec_pool.pop().unwrap_or_default(),
+            )
+        });
+        push_read_entry(buf, prop.0, offset);
+        recs.push(rec);
+        if buf.len() + READ_ENTRY_BYTES > self.buffer_bytes {
             self.seal_read(dst);
         }
     }
@@ -617,12 +439,9 @@ impl WorkerComm {
     }
 
     fn seal_read(&mut self, dst: MachineId) {
-        if let Some((payload, recs, entry_idx)) = self.read_payloads[dst as usize].take() {
-            if self.read_combining {
-                self.combine[dst as usize].reset();
-            }
+        if let Some((payload, recs)) = self.read_payloads[dst as usize].take() {
             self.publish_pending();
-            let side_id = self.slab.insert(SideEntry { recs, entry_idx });
+            let side_id = self.slab.insert(recs);
             self.note_seal(payload.len(), Some(side_id));
             let _ = self.outbox.send(Envelope {
                 src: self.machine,
@@ -655,10 +474,7 @@ impl WorkerComm {
     fn seal_rmi(&mut self, dst: MachineId) {
         if let Some((payload, recs)) = self.rmi_payloads[dst as usize].take() {
             self.publish_pending();
-            let side_id = self.slab.insert(SideEntry {
-                recs,
-                entry_idx: Vec::new(),
-            });
+            let side_id = self.slab.insert(recs);
             self.note_seal(payload.len(), Some(side_id));
             let _ = self.outbox.send(Envelope {
                 src: self.machine,
@@ -726,12 +542,6 @@ impl WorkerComm {
                 .fetch_add(self.stat_rmis, Ordering::Relaxed);
             self.stat_rmis = 0;
         }
-        if self.stat_combined > 0 {
-            self.stats
-                .combined_read_hits
-                .fetch_add(self.stat_combined, Ordering::Relaxed);
-            self.stat_combined = 0;
-        }
     }
 
     /// Acknowledges a sequenced response envelope on this worker's lane.
@@ -778,7 +588,7 @@ impl WorkerComm {
                     }
                 }
             }
-            let Some(entry) = self.slab.take(env.side_id) else {
+            let Some(recs) = self.slab.take(env.side_id) else {
                 self.health.abort(JobError::Protocol(format!(
                     "machine {} worker {}: {:?} response names side structure {} which is \
                      not in flight (duplicated or stale response)",
@@ -787,11 +597,7 @@ impl WorkerComm {
                 self.pool.release_on(env.payload, self.pool_shard);
                 return None;
             };
-            return Some(Response {
-                env,
-                recs: entry.recs,
-                entry_idx: entry.entry_idx,
-            });
+            return Some(Response { env, recs });
         }
     }
 
@@ -810,9 +616,6 @@ impl WorkerComm {
         let mut recs = resp.recs;
         recs.clear();
         self.rec_pool.push(recs);
-        let mut idx = resp.entry_idx;
-        idx.clear();
-        self.idx_pool.push(idx);
         self.pool.release_on(resp.env.payload, self.pool_shard);
     }
 
@@ -827,13 +630,10 @@ impl WorkerComm {
         self.unpublished = 0;
         let mut failed = 0u64;
         for slot in self.read_payloads.iter_mut() {
-            if let Some((buf, recs, _idx)) = slot.take() {
+            if let Some((buf, recs)) = slot.take() {
                 failed += recs.len() as u64;
                 self.pool.release_on(buf, self.pool_shard);
             }
-        }
-        for table in self.combine.iter_mut() {
-            table.reset();
         }
         for slot in self.mut_payloads.iter_mut() {
             if let Some(buf) = slot.take() {
@@ -892,15 +692,14 @@ mod tests {
     use super::*;
     use crossbeam::channel::unbounded;
 
-    fn make_comm_tuned(tuning: CommTuning) -> (WorkerComm, Receiver<Envelope>, Sender<Envelope>) {
+    fn make_comm(buffer_bytes: usize) -> (WorkerComm, Receiver<Envelope>, Sender<Envelope>) {
         let (out_tx, out_rx) = unbounded();
         let (resp_tx, resp_rx) = unbounded();
-        let buffer_bytes = tuning.buffer_bytes;
         let comm = WorkerComm::new(
             0,
             0,
             2,
-            tuning,
+            CommTuning::fixed(buffer_bytes),
             resp_rx,
             out_tx,
             Arc::new(BufferPool::new(8, buffer_bytes)),
@@ -910,10 +709,6 @@ mod tests {
             false,
         );
         (comm, out_rx, resp_tx)
-    }
-
-    fn make_comm(buffer_bytes: usize) -> (WorkerComm, Receiver<Envelope>, Sender<Envelope>) {
-        make_comm_tuned(CommTuning::fixed(buffer_bytes))
     }
 
     /// A worker of a `machines`-machine cluster, with the shared counter
@@ -1056,28 +851,28 @@ mod tests {
         assert_eq!(comm.pending().load(Ordering::SeqCst), 0);
     }
 
+    /// Repeated reads of one vertex are each a wire entry of their own,
+    /// and each record continues on its own entry's value.
     #[test]
-    fn combining_dedups_in_flight_reads_and_fans_out() {
+    fn duplicate_reads_keep_their_own_wire_entries() {
         let (mut comm, out, resp_tx) = make_comm(1024);
-        // Three reads of vertex 5, one of vertex 6, one more of vertex 5:
-        // only two wire entries should go out.
-        comm.push_read(1, PropId(0), 5, SideRec { node: 10, aux: 0 });
-        comm.push_read(1, PropId(0), 5, SideRec { node: 11, aux: 1 });
-        comm.push_read(1, PropId(0), 6, SideRec { node: 12, aux: 2 });
-        comm.push_read(1, PropId(0), 5, SideRec { node: 13, aux: 3 });
-        assert_eq!(comm.pending().load(Ordering::SeqCst), 4);
+        for (i, off) in [5u32, 5, 6, 5].into_iter().enumerate() {
+            let rec = SideRec {
+                node: 10 + i as u32,
+                aux: i as u64,
+            };
+            comm.push_read(1, PropId(0), off, rec);
+        }
         comm.flush();
         let req = out.try_recv().unwrap();
-        assert_eq!(
-            crate::message::read_entry_count(&req.payload),
-            2,
-            "duplicates share one wire entry"
-        );
-        assert_eq!(comm.stats().combined_read_hits.load(Ordering::Relaxed), 2);
-        // Copier answers the two entries in wire order: v5 → 500, v6 → 600.
+        assert_eq!(crate::message::read_entry_count(&req.payload), 4);
+        assert_eq!(comm.stats().read_entries.load(Ordering::Relaxed), 4);
+        // The copier answers entry by entry: offset × 100.
         let mut payload = Vec::new();
-        crate::message::push_resp_entry(&mut payload, 500);
-        crate::message::push_resp_entry(&mut payload, 600);
+        for i in 0..4 {
+            let (_, off) = crate::message::read_entry(&req.payload, i);
+            crate::message::push_resp_entry(&mut payload, off as u64 * 100);
+        }
         resp_tx
             .send(Envelope {
                 src: 1,
@@ -1090,151 +885,10 @@ mod tests {
             })
             .unwrap();
         let r = comm.try_pop_response().unwrap();
-        assert_eq!(r.recs.len(), 4, "every continuation record survives");
-        let values: Vec<u64> = (0..r.recs.len()).map(|i| r.read_value(i)).collect();
-        assert_eq!(values, vec![500, 500, 600, 500]);
+        let values: Vec<(u64, u64)> = r.values().map(|(rec, bits)| (rec.aux, bits)).collect();
+        assert_eq!(values, vec![(0, 500), (1, 500), (2, 600), (3, 500)]);
         comm.finish_response(r);
         assert_eq!(comm.pending().load(Ordering::SeqCst), 0);
-    }
-
-    #[test]
-    fn combining_table_clears_at_seal() {
-        // Buffer fits exactly 2 read entries; a third distinct read seals.
-        let (mut comm, out, _resp) = make_comm(2 * READ_ENTRY_BYTES);
-        comm.push_read(1, PropId(0), 5, SideRec { node: 0, aux: 0 });
-        comm.push_read(1, PropId(0), 6, SideRec { node: 1, aux: 0 });
-        // Sealed at capacity. The same vertex again must be a fresh wire
-        // entry (its response will come from a later copier read).
-        comm.push_read(1, PropId(0), 5, SideRec { node: 2, aux: 0 });
-        comm.flush();
-        let envs: Vec<_> = out.try_iter().collect();
-        assert_eq!(envs.len(), 2);
-        assert_eq!(crate::message::read_entry_count(&envs[0].payload), 2);
-        assert_eq!(crate::message::read_entry_count(&envs[1].payload), 1);
-        assert_eq!(comm.stats().combined_read_hits.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn combining_disabled_keeps_duplicate_entries() {
-        let mut tuning = CommTuning::fixed(1024);
-        tuning.read_combining = false;
-        let (mut comm, out, _resp) = make_comm_tuned(tuning);
-        comm.push_read(1, PropId(0), 5, SideRec { node: 0, aux: 0 });
-        comm.push_read(1, PropId(0), 5, SideRec { node: 1, aux: 0 });
-        comm.flush();
-        let req = out.try_recv().unwrap();
-        assert_eq!(crate::message::read_entry_count(&req.payload), 2);
-        assert_eq!(comm.stats().combined_read_hits.load(Ordering::Relaxed), 0);
-    }
-
-    /// Two distinct offsets of property 0 whose keys share a home slot in a
-    /// minimum-size table.
-    fn colliding_offsets() -> (u32, u32) {
-        let home = |off: u32| CombineTable::home(off as u64, CombineTable::MIN_SLOTS);
-        let b = (1..).find(|&b| home(b) == home(0)).unwrap();
-        (0, b)
-    }
-
-    #[test]
-    fn combining_colliding_keys_keep_distinct_wire_entries() {
-        let (a, b) = colliding_offsets();
-        let (mut comm, out, resp_tx) = make_comm(1024);
-        for (i, off) in [a, b, a, b].into_iter().enumerate() {
-            comm.push_read(
-                1,
-                PropId(0),
-                off,
-                SideRec {
-                    node: 0,
-                    aux: i as u64,
-                },
-            );
-        }
-        comm.flush();
-        let req = out.try_recv().unwrap();
-        assert_eq!(crate::message::read_entry_count(&req.payload), 2);
-        assert_eq!(crate::message::read_entry(&req.payload, 0), (0, a));
-        assert_eq!(crate::message::read_entry(&req.payload, 1), (0, b));
-        let mut payload = Vec::new();
-        crate::message::push_resp_entry(&mut payload, 100);
-        crate::message::push_resp_entry(&mut payload, 200);
-        resp_tx
-            .send(Envelope {
-                src: 1,
-                dst: 0,
-                kind: MsgKind::ReadResp,
-                worker: req.worker,
-                side_id: req.side_id,
-                seq: 0,
-                payload,
-            })
-            .unwrap();
-        let r = comm.try_pop_response().unwrap();
-        let values: Vec<u64> = r.values().map(|(_, bits)| bits).collect();
-        assert_eq!(values, vec![100, 200, 100, 200]);
-        comm.finish_response(r);
-    }
-
-    #[test]
-    fn combine_table_grows_without_evicting() {
-        let mut t = CombineTable::new();
-        assert!(t.slots.is_empty(), "no storage before the first insert");
-        for k in 0..1000u64 {
-            assert_eq!(t.get_or_insert(k << 7, k as u32), None);
-        }
-        for k in 0..1000u64 {
-            assert_eq!(t.get_or_insert(k << 7, u32::MAX), Some(k as u32));
-        }
-        assert!(t.slots.len() > 2 * 1000 - 1 && t.slots.len().is_power_of_two());
-        t.reset();
-        assert_eq!(t.get_or_insert(0, 5), None, "reset forgets every key");
-    }
-
-    #[test]
-    fn combine_table_generation_wrap_cannot_resurrect_a_stale_slot() {
-        let mut t = CombineTable::new();
-        assert_eq!(t.get_or_insert(42, 7), None); // stamped with generation 1
-        t.generation = u32::MAX; // 2^32 - 2 seals later
-        assert_eq!(t.get_or_insert(43, 8), None);
-        t.reset(); // wraps: the generation counter is back at 1
-        assert_eq!(t.generation, 1);
-        assert_eq!(
-            t.get_or_insert(42, 0),
-            None,
-            "a slot stamped 2^32 generations ago must not read as live"
-        );
-        assert_eq!(t.get_or_insert(43, 1), None);
-    }
-
-    #[test]
-    fn combining_tables_are_lazy_and_sealed_per_destination() {
-        // Three machines; a buffer fits exactly 2 read entries.
-        let (mut comm, out, _pending, _pool) = make_comm_shared(3, 2 * READ_ENTRY_BYTES);
-        assert!(
-            comm.combine.iter().all(|t| t.slots.is_empty()),
-            "no table storage at construction"
-        );
-        comm.push_read(1, PropId(0), 5, SideRec { node: 0, aux: 0 });
-        assert!(!comm.combine[1].slots.is_empty());
-        assert!(
-            comm.combine[2].slots.is_empty(),
-            "only the destination read from"
-        );
-        comm.push_read(2, PropId(0), 5, SideRec { node: 1, aux: 0 });
-        // Destination 1 seals at capacity; destination 2 stays open.
-        comm.push_read(1, PropId(0), 6, SideRec { node: 2, aux: 0 });
-        assert_eq!(out.try_iter().count(), 1);
-        // Vertex 5 again: a hit on destination 2's open buffer, a fresh
-        // wire entry on destination 1's new one.
-        comm.push_read(2, PropId(0), 5, SideRec { node: 3, aux: 0 });
-        comm.push_read(1, PropId(0), 5, SideRec { node: 4, aux: 0 });
-        comm.flush();
-        let mut entries = [0usize; 3];
-        for env in out.try_iter() {
-            entries[env.dst as usize] += crate::message::read_entry_count(&env.payload);
-        }
-        assert_eq!(entries, [0, 1, 1]);
-        assert_eq!(comm.stats().combined_read_hits.load(Ordering::Relaxed), 1);
     }
 
     #[test]

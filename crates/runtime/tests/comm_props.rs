@@ -184,75 +184,6 @@ proptest! {
             prop_assert_eq!(value, offsets[aux as usize] as u64 + 1);
         }
     }
-
-    /// Read combining must be invisible to continuations: for any read
-    /// sequence (duplicates included, a small offset domain forces many),
-    /// the delivered `(aux → value)` mapping is bit-identical with
-    /// combining on and off, while the combined run never puts *more*
-    /// entries on the wire.
-    #[test]
-    fn combining_is_bit_identical(offsets in prop::collection::vec(0u32..16, 1..120),
-                                  buffer_bytes in 64usize..256) {
-        // Per run: delivered (aux, value) pairs, wire entries, combined hits.
-        type RunOutcome = (Vec<(u64, u64)>, usize, u64);
-        let mut runs: Vec<RunOutcome> = Vec::new();
-        for combining in [true, false] {
-            let (out_tx, out_rx) = unbounded();
-            let (resp_tx, resp_rx) = unbounded();
-            let pending = Arc::new(AtomicI64::new(0));
-            let mut tuning = CommTuning::fixed(buffer_bytes);
-            tuning.read_combining = combining;
-            let mut comm = WorkerComm::new(
-                0, 0, 2, tuning, resp_rx, out_tx,
-                Arc::new(BufferPool::new(4, buffer_bytes)),
-                pending.clone(),
-                Telemetry::detached(2, false),
-                Arc::new(ClusterHealth::new(2)),
-                false,
-            );
-            for (i, &off) in offsets.iter().enumerate() {
-                comm.push_read(1, PropId(3), off, SideRec { node: 0, aux: i as u64 });
-            }
-            comm.flush();
-            let mut wire_entries = 0usize;
-            let envs: Vec<Envelope> = out_rx.try_iter().collect();
-            for env in envs {
-                wire_entries += message::read_entry_count(&env.payload);
-                let n = message::read_entry_count(&env.payload);
-                let mut payload = Vec::new();
-                for i in 0..n {
-                    let (_prop, offset) = message::read_entry(&env.payload, i);
-                    message::push_resp_entry(&mut payload, offset as u64 + 1);
-                }
-                resp_tx.send(Envelope {
-                    src: env.dst,
-                    dst: env.src,
-                    kind: MsgKind::ReadResp,
-                    worker: env.worker,
-                    side_id: env.side_id,
-                    seq: 0,
-                    payload,
-                }).unwrap();
-            }
-            let mut seen: Vec<(u64, u64)> = Vec::new();
-            while let Some(resp) = comm.try_pop_response() {
-                for i in 0..resp.recs.len() {
-                    seen.push((resp.recs[i].aux, resp.read_value(i)));
-                }
-                comm.finish_response(resp);
-            }
-            seen.sort_unstable();
-            prop_assert_eq!(pending.load(Ordering::SeqCst), 0);
-            let hits = comm.stats().combined_read_hits.load(Ordering::SeqCst);
-            runs.push((seen, wire_entries, hits));
-        }
-        let (combined, plain) = (&runs[0], &runs[1]);
-        prop_assert_eq!(&combined.0, &plain.0, "continuation values identical");
-        prop_assert!(combined.1 <= plain.1, "combining never adds wire entries");
-        prop_assert_eq!(plain.1 - combined.1, combined.2 as usize,
-                        "every saved wire entry is an accounted hit");
-        prop_assert_eq!(plain.2, 0, "combining off never reports hits");
-    }
 }
 
 #[derive(Clone, Debug)]

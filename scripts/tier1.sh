@@ -44,7 +44,7 @@ echo "== wire-recover smoke (socket faults + SIGKILL a rank mid-run) =="
 # re-bootstrap.
 timeout 300 cargo run --release -p pgxd-bench --bin repro -- wire-recover --quick
 
-echo "== benchmark smoke (one pull_skew, local_pull, tcp_pull, query_pr, push_uniform and bfs_small run, answers checked against the oracle) =="
+echo "== benchmark smoke (one run of each of the seven workloads, answers checked against the oracle) =="
 # Not a performance gate — a one-second run measures nothing. The
 # repository benchmark verifies every result against the sequential
 # oracles and exits non-zero on any failed, refused or wrong operation.
@@ -63,6 +63,9 @@ bash benchmark/run.sh --workload query_pr --seed 7 --seconds 1 --trace 0
 # pushed PageRank (1e-9 of the oracle) and hop distances (bit-identical).
 bash benchmark/run.sh --workload push_uniform --seed 7 --seconds 1 --trace 0
 bash benchmark/run.sh --workload bfs_small --seed 7 --seconds 1 --trace 0
+# The job server's closed loop: served PageRank (which reads hubs through
+# their ghosts) and BFS, each checked against the oracle.
+bash benchmark/run.sh --workload serve_mix --seed 7 --seconds 1 --trace 0
 
 echo "== cargo doc --workspace --no-deps (warnings are errors) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

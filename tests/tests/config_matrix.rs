@@ -2,7 +2,7 @@
 //! engine's load-balancing and ghosting features must produce identical
 //! results — the features are performance knobs, never semantic ones.
 
-use pgxd::{BuildEngine, ChunkingMode, Engine, PartitioningMode, StatsSnapshot};
+use pgxd::{BuildEngine, ChunkingMode, Config, Engine, PartitioningMode, StatsSnapshot};
 use pgxd_algorithms as algos;
 use pgxd_baselines::seq;
 use pgxd_graph::generate::{self, RmatParams};
@@ -179,61 +179,71 @@ fn strict_distributed_mode_gives_same_results() {
     assert_eq!(wcc.component, seq::wcc(&g));
 }
 
-/// PageRank-pull on 4 machines with 1 KiB buffers (frequent seals, so the
-/// per-buffer combining table sees real pressure) and no ghosts.
-fn pull_with_combining(g: &Graph, combining: bool) -> (Vec<f64>, StatsSnapshot) {
-    let mut e = Engine::builder()
-        .machines(4)
-        .workers(2)
-        .copiers(1)
-        .buffer_bytes(1 << 10)
-        .read_combining(combining)
-        .engine(g)
-        .unwrap();
+/// PageRank-pull on 2 machines under the benchmark preset, whose ghost
+/// threshold follows the machine count — or with ghosts off. Returns the
+/// scores, the wire counters and the ghost count.
+fn pull_on_two_machines(g: &Graph, ghosts: bool) -> (Vec<f64>, StatsSnapshot, usize) {
+    let mut builder = Config::builder().machines(2).workers(2).copiers(1);
+    if !ghosts {
+        builder = builder.ghost_threshold(None);
+    }
+    let mut e = builder.engine(g).unwrap();
     let scores = algos::try_pagerank_pull(&mut e, 0.85, 10, 0.0)
         .unwrap()
         .scores;
-    (scores, e.cluster().total_stats())
+    (
+        scores,
+        e.cluster().total_stats(),
+        e.cluster().ghosts().len(),
+    )
 }
 
-/// Read combining is a wire optimisation only: off it never fires, on it
-/// deduplicates in-flight reads into strictly fewer request entries and
-/// messages, and the scores stay within f64 reassociation noise (response
-/// arrival order reassociates per-node sums between any two runs).
+/// Hubs are ghosts by default: on a skewed graph the derived threshold
+/// replicates them, which puts strictly fewer read entries and bytes on the
+/// wire than ghosts off, and the scores stay within f64 reassociation noise
+/// (a hub's sum folds its ghosted and remote terms in another order).
 #[test]
-fn read_combining_cuts_wire_traffic_not_results() {
+fn ghosts_cut_wire_traffic_not_results() {
     let g = generate::rmat(11, 16, RmatParams::skewed(), 2008);
-    let (plain_scores, plain) = pull_with_combining(&g, false);
-    let (combined_scores, combined) = pull_with_combining(&g, true);
-    assert_eq!(plain.combined_read_hits, 0, "combining off must not fire");
-    assert!(combined.combined_read_hits > 0);
+    let (plain_scores, plain, none) = pull_on_two_machines(&g, false);
+    let (ghost_scores, ghosted, ghosts) = pull_on_two_machines(&g, true);
+    assert_eq!(none, 0);
+    assert!(ghosts > 0, "the derived threshold ghosts R-MAT hubs");
+    assert_eq!(plain.combined_read_hits + ghosted.combined_read_hits, 0);
     assert!(
-        combined.read_entries < plain.read_entries,
-        "read entries: {} combined vs {} plain",
-        combined.read_entries,
+        ghosted.read_entries < plain.read_entries,
+        "read entries: {} ghosted vs {} plain",
+        ghosted.read_entries,
         plain.read_entries
     );
     assert!(
-        combined.msgs_sent < plain.msgs_sent,
-        "messages: {} combined vs {} plain",
-        combined.msgs_sent,
-        plain.msgs_sent
+        ghosted.bytes_sent < plain.bytes_sent,
+        "wire bytes: {} ghosted vs {} plain",
+        ghosted.bytes_sent,
+        plain.bytes_sent
     );
-    for (a, b) in plain_scores.iter().zip(&combined_scores) {
+    for (a, b) in plain_scores.iter().zip(&ghost_scores) {
         assert!((a - b).abs() <= 1e-12, "{a} vs {b}");
     }
 }
 
 /// On a star every spoke has one in-neighbor (the hub) and all spokes stay
 /// symmetric, so per-node sums are order-independent and a correct engine
-/// is bit-deterministic: combining must deduplicate heavily (every spoke
-/// pulls the hub) without changing a single bit.
+/// is bit-deterministic: ghosting the hub must not change a single bit.
 #[test]
-fn read_combining_is_bit_identical_on_a_star() {
+fn ghosts_are_bit_identical_on_a_star() {
     let g = generate::star(2048);
-    let (plain_scores, _) = pull_with_combining(&g, false);
-    let (combined_scores, combined) = pull_with_combining(&g, true);
-    assert!(combined.combined_read_hits > 0);
+    let (plain_scores, _, _) = pull_on_two_machines(&g, false);
+    let (ghost_scores, _, ghosts) = pull_on_two_machines(&g, true);
+    assert_eq!(ghosts, 1, "the hub, and only the hub");
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(bits(&plain_scores), bits(&combined_scores));
+    assert_eq!(bits(&plain_scores), bits(&ghost_scores));
+}
+
+/// On one machine every read is local: the preset selects no ghost.
+#[test]
+fn one_machine_engine_has_no_ghosts() {
+    let g = generate::rmat(11, 16, RmatParams::skewed(), 2008);
+    let e = Config::builder().machines(1).engine(&g).unwrap();
+    assert!(e.cluster().ghosts().is_empty());
 }
