@@ -105,7 +105,7 @@ pub const EXPERIMENTS: &[ExperimentInfo] = &[
     },
     ExperimentInfo {
         name: "verify",
-        desc: "cross-checks engine results against reference implementations",
+        desc: "asserts the paper's qualitative result shapes, PASS/FAIL per claim",
         run: |a| {
             let (text, all) = verify::report(&verify::run_checks(a.scale));
             println!("{text}");

@@ -1,6 +1,6 @@
 //! The driver-side engine facade (§4.2 top-level execution model).
 
-use crate::jobphase::{EdgeJobPhase, NodeJobPhase};
+use crate::jobphase::{EdgeJobPhase, JobCore, NodeJobPhase};
 use crate::prop::Prop;
 use crate::spec::JobSpec;
 use crate::task::{Dir, EdgeTask, NodeTask};
@@ -13,8 +13,8 @@ use pgxd_runtime::config::{ChunkingMode, Config, ConfigBuilder, TransportConfig}
 use pgxd_runtime::health::JobError;
 use pgxd_runtime::jobctx::{JobCtx, JobExec, JobOutcome};
 use pgxd_runtime::machine::RmiFn;
-use pgxd_runtime::phase::{GhostPushPhase, GhostReducePhase, JobState, Phase};
-use pgxd_runtime::props::{PropValue, ReduceOp};
+use pgxd_runtime::phase::{GhostPushPhase, JobState, Phase};
+use pgxd_runtime::props::{bottom_bits, PropValue, ReduceOp};
 use pgxd_runtime::stats::{Breakdown, StatsSnapshot};
 use pgxd_runtime::Cluster;
 use std::sync::Arc;
@@ -158,7 +158,7 @@ pub fn loopback_ranks<T: Send>(
 /// What one job execution cost (the driver's window into Figures 6a/6c).
 #[derive(Clone, Debug)]
 pub struct JobReport {
-    /// Wall time of the whole job (ghost phases + main phase).
+    /// Wall time of the whole job (ghost push phase + main phase).
     pub total: Duration,
     /// Wall time of the main phase only.
     pub main: Duration,
@@ -363,18 +363,13 @@ impl Engine {
         task: T,
         cancel: &CancelToken,
     ) -> Result<JobReport, JobError> {
-        let queues = self.build_edge_queues(dir);
-        // Chunk totals count only this process's queues — exactly what the
-        // completion tracker wants in both deployment shapes.
-        let total_chunks: usize = queues.iter().map(|q| q.len()).sum();
+        let queues = self.build_queues(dir, self.cluster.config().chunking);
         let main = Arc::new(EdgeJobPhase {
             task: Arc::new(task),
             dir,
-            reduces: spec.reduces.clone(),
-            queues,
-            job: self.cluster.job_state(total_chunks, cancel.clone()),
+            core: JobCore::new(&self.cluster, spec.reduces.clone(), queues, cancel),
         });
-        self.try_run_job_phases(spec, main.job.clone(), main, cancel)
+        self.try_run_job_phases(spec, main.core.job.clone(), main, cancel)
     }
 
     /// Runs a node-iterator job: `task.run` executes once per active
@@ -395,15 +390,14 @@ impl Engine {
         task: T,
         cancel: &CancelToken,
     ) -> Result<JobReport, JobError> {
-        let queues = self.build_node_queues();
-        let total_chunks: usize = queues.iter().map(|q| q.len()).sum();
+        // Node jobs have uniform per-vertex work: chunk by vertex count
+        // scaled from the edge target.
+        let queues = self.build_queues(Dir::Out, ChunkingMode::Node);
         let main = Arc::new(NodeJobPhase {
             task: Arc::new(task),
-            reduces: spec.reduces.clone(),
-            queues,
-            job: self.cluster.job_state(total_chunks, cancel.clone()),
+            core: JobCore::new(&self.cluster, spec.reduces.clone(), queues, cancel),
         });
-        self.try_run_job_phases(spec, main.job.clone(), main, cancel)
+        self.try_run_job_phases(spec, main.core.job.clone(), main, cancel)
     }
 
     /// Maps a fired token to its structured error.
@@ -421,7 +415,6 @@ impl Engine {
         main: Arc<dyn Phase>,
         cancel: &CancelToken,
     ) -> Result<JobReport, JobError> {
-        let has_ghosts = !self.cluster.ghosts().is_empty();
         let before = self.cluster.total_stats();
         let t0 = Instant::now();
 
@@ -429,6 +422,17 @@ impl Engine {
         // ran yet; bail before spinning up any phase.
         if let Some(err) = Self::cancel_error(cancel) {
             return Err(err);
+        }
+
+        // Every ghost slot of a reduced property starts at bottom: the
+        // workers' merges fold into it, and what leaves bottom is the
+        // machine's partial for the owner. Before the job-start barrier, so
+        // no peer's ghost sync can land first.
+        for m in self.cluster.machines() {
+            for &(prop, op) in &spec.reduces {
+                let col = m.props.column(prop);
+                col.fill_ghosts(bottom_bits(col.tag(), op));
+            }
         }
 
         // Multi-process clusters: sequential-region mutations (property
@@ -439,36 +443,22 @@ impl Engine {
         // termination protocol already orders the ranks.
         self.cluster.node_barrier()?;
 
-        if has_ghosts && !spec.is_empty() {
+        if !self.cluster.ghosts().is_empty() && !spec.reads.is_empty() {
             let job = self
                 .cluster
                 .job_state(self.cluster.phase_units(), cancel.clone());
-            self.cluster.try_run_labeled_phase(
-                "ghost_push",
-                Arc::new(GhostPushPhase {
-                    read_props: spec.reads.clone(),
-                    reduce_props: spec.reduces.clone(),
-                    job,
-                }),
-            )?;
+            let push = GhostPushPhase {
+                read_props: spec.reads.clone(),
+                job,
+            };
+            self.cluster
+                .try_run_labeled_phase("ghost_push", Arc::new(push))?;
         }
 
+        // The main phase also carries the ghost partials to their owners.
         let t_main = Instant::now();
         self.cluster.try_run_labeled_phase("main", main)?;
         let main_dur = t_main.elapsed();
-
-        if has_ghosts && !spec.reduces.is_empty() && !cancel.is_cancelled() {
-            let job = self
-                .cluster
-                .job_state(self.cluster.phase_units(), cancel.clone());
-            self.cluster.try_run_labeled_phase(
-                "ghost_reduce",
-                Arc::new(GhostReducePhase {
-                    reduce_props: spec.reduces.clone(),
-                    job,
-                }),
-            )?;
-        }
 
         // The phases ended at their barriers; a fired token now becomes
         // the job's structured result.
@@ -568,11 +558,11 @@ impl Engine {
         self.cluster.export_telemetry_with(dir, extra)
     }
 
-    /// Queue slots are indexed by machine id. In-process every slot is a
+    /// Chunk queues over each hosted machine's `dir` fragment, cut by
+    /// `mode`. Slots are indexed by machine id: in-process every slot is a
     /// real queue; on a rank of a multi-process cluster only the local
-    /// machine's slot is populated (peers chunk their own fragments), the
-    /// rest stay empty.
-    fn build_edge_queues(&self, dir: Dir) -> Vec<Arc<ChunkQueue>> {
+    /// machine's slot is populated (peers chunk their own fragments).
+    fn build_queues(&self, dir: Dir, mode: ChunkingMode) -> Vec<Arc<ChunkQueue>> {
         let config = self.cluster.config();
         let mut queues: Vec<Arc<ChunkQueue>> = (0..config.machines)
             .map(|_| Arc::new(ChunkQueue::new(Vec::new())))
@@ -582,51 +572,14 @@ impl Engine {
                 Dir::Out => &m.graph.out,
                 Dir::In => &m.graph.inn,
             };
-            let chunks = match config.chunking {
-                ChunkingMode::Edge => make_chunks(
-                    &frag.row_ptr,
-                    m.graph.num_local(),
-                    ChunkingMode::Edge,
-                    config.chunk_edges,
-                ),
+            let n = m.graph.num_local();
+            let target = match mode {
+                ChunkingMode::Edge => config.chunk_edges,
                 ChunkingMode::Node => {
-                    let target = node_target_from_edges(
-                        config.chunk_edges,
-                        m.graph.num_local(),
-                        frag.num_edges(),
-                    );
-                    make_chunks(
-                        &frag.row_ptr,
-                        m.graph.num_local(),
-                        ChunkingMode::Node,
-                        target,
-                    )
+                    node_target_from_edges(config.chunk_edges, n, frag.num_edges())
                 }
             };
-            queues[m.id as usize] = Arc::new(ChunkQueue::new(chunks));
-        }
-        queues
-    }
-
-    fn build_node_queues(&self) -> Vec<Arc<ChunkQueue>> {
-        let config = self.cluster.config();
-        let mut queues: Vec<Arc<ChunkQueue>> = (0..config.machines)
-            .map(|_| Arc::new(ChunkQueue::new(Vec::new())))
-            .collect();
-        for m in self.cluster.machines() {
-            // Node jobs have uniform per-vertex work; chunk by vertex
-            // count scaled from the edge target.
-            let target = node_target_from_edges(
-                config.chunk_edges,
-                m.graph.num_local(),
-                m.graph.out.num_edges(),
-            );
-            let chunks = make_chunks(
-                &m.graph.out.row_ptr,
-                m.graph.num_local(),
-                ChunkingMode::Node,
-                target,
-            );
+            let chunks = make_chunks(&frag.row_ptr, n, mode, target);
             queues[m.id as usize] = Arc::new(ChunkQueue::new(chunks));
         }
         queues

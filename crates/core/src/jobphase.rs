@@ -4,15 +4,26 @@
 //! Each worker: grab a chunk → for each active vertex run the task over
 //! its edges → store its fold accumulator → invoke locally-satisfied
 //! continuations → opportunistically drain responses → repeat; once the
-//! queue is empty, flush the request buffers and keep draining responses
-//! until the job is globally complete ("a particular job completes when
-//! the task list is empty and there are no unfinished remote requests").
+//! queue is empty, flush the request buffers, hand its ghost partials on,
+//! and keep draining responses until the job is globally complete ("a
+//! particular job completes when the task list is empty and there are no
+//! unfinished remote requests").
+//!
+//! Ghost partials leave inside this phase (§3.3's two stages, "first
+//! between cores and then between machines"): a worker whose tasks are
+//! done merges its private copies into the machine's ghost slots, and the
+//! machine's last worker to merge sends the slots to their owners. Each
+//! worker then retires one extra work unit, so the phase cannot complete
+//! before every partial has been published and applied.
 
 use crate::scope::{TaskScope, FOLD_NODE_BIT};
 use crate::task::{Dir, EdgeCtx, EdgeTask, NodeCtx, NodeTask, ReadDoneCtx};
-use pgxd_runtime::chunk::ChunkQueue;
+use pgxd_runtime::cancel::CancelToken;
+use pgxd_runtime::chunk::{Chunk, ChunkQueue};
 use pgxd_runtime::phase::{JobState, Phase, WorkerEnv};
 use pgxd_runtime::props::{PropId, ReduceOp};
+use pgxd_runtime::Cluster;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Invokes the pending locally-satisfied `read_done` continuations.
@@ -59,98 +70,129 @@ fn drain_responses<F: Fn(&mut ReadDoneCtx<'_, '_>)>(
     worked
 }
 
-/// Retires one executed chunk. The entries it buffered are published
-/// first: the chunk may be the phase's last work unit, and completion is
-/// read off `pending` (or the wave's counters) as soon as none is
-/// outstanding.
-fn retire_chunk(scope: &mut TaskScope<'_>, job: &JobState) {
-    scope.comm.publish_pending();
-    job.retire();
+/// What both job phase kinds share besides their task.
+pub(crate) struct JobCore {
+    reduces: Vec<(PropId, ReduceOp)>,
+    /// One chunk queue per machine.
+    queues: Vec<Arc<ChunkQueue>>,
+    pub job: Arc<JobState>,
+    /// Per machine: its workers that have not merged their private ghost
+    /// copies yet. The worker that takes it to zero sends the partials.
+    unmerged: Vec<AtomicUsize>,
 }
 
-/// Flush + drain until the phase is globally complete, then merge
-/// privatized ghosts. Shared tail of both job phase kinds.
-fn finish_phase<F: Fn(&mut ReadDoneCtx<'_, '_>)>(
-    scope: &mut TaskScope<'_>,
-    job: &JobState,
-    machine_id: usize,
-    worker_idx: usize,
-    read_done: &F,
-) {
-    job.mark_tasks_done(machine_id, worker_idx);
-    scope.comm.flush();
-    loop {
-        if drain_responses(scope, read_done) {
-            scope.comm.flush();
-            continue;
+impl JobCore {
+    /// A main phase over `queues` on the machines `cluster` hosts. Its work
+    /// units are the chunks plus one per worker, retired after that
+    /// worker's ghost merge (and, for the last, the partials' flush).
+    pub fn new(
+        cluster: &Cluster,
+        reduces: Vec<(PropId, ReduceOp)>,
+        queues: Vec<Arc<ChunkQueue>>,
+        cancel: &CancelToken,
+    ) -> Self {
+        let chunks: usize = queues.iter().map(|q| q.len()).sum();
+        let workers = cluster.config().workers;
+        JobCore {
+            reduces,
+            job: cluster.job_state(chunks + cluster.phase_units(), cancel.clone()),
+            unmerged: queues.iter().map(|_| AtomicUsize::new(workers)).collect(),
+            queues,
         }
-        if job.is_complete(scope.machine) {
-            break;
-        }
-        if scope.machine.health.is_aborted() {
-            // Exact termination can never be reached once envelopes were
-            // lost; fail the pending continuations and reach the barrier
-            // so every thread joins (the driver surfaces the JobError).
-            scope.comm.abort_in_flight();
-            break;
-        }
-        std::thread::yield_now();
     }
-    job.mark_drained(machine_id, worker_idx);
-    scope.merge_privs();
-    scope.publish_stats();
+
+    /// One worker's share of the phase: `chunk` runs over every chunk it
+    /// claims, then the worker passes its ghost partials on and drains
+    /// until the phase is globally complete.
+    fn run<C, F>(&self, env: &mut WorkerEnv<'_>, read_done: &F, mut chunk: C)
+    where
+        C: FnMut(&mut TaskScope<'_>, Chunk),
+        F: Fn(&mut ReadDoneCtx<'_, '_>),
+    {
+        let machine = env.machine;
+        let machine_id = machine.id as usize;
+        let mut scope = TaskScope::new(machine, env.comm, &self.reduces);
+        let (queue, job) = (&self.queues[machine_id], &*self.job);
+        let mut claims = 0u64;
+        while let Some(nodes) = queue.pop() {
+            claims += 1;
+            if job.cancel().is_cancelled() {
+                // Cooperative cancellation: retire this chunk unexecuted,
+                // claim-and-retire the remainder of the queue, and fall
+                // through to the normal end-of-phase drain + barrier so
+                // exact termination still reaches zero on every machine.
+                job.retire_many(1 + queue.drain_remaining());
+                break;
+            }
+            chunk(&mut scope, nodes);
+            // Publish before retire: the chunk may be the phase's last work
+            // unit, and completion is read off `pending` (or the wave's
+            // counters) as soon as none is outstanding.
+            scope.comm.publish_pending();
+            job.retire();
+            drain_responses(&mut scope, read_done);
+        }
+        machine.telemetry.record_chunk_claims(claims);
+
+        job.mark_tasks_done(machine_id, env.worker_idx);
+        scope.comm.flush();
+        // Only an edge task's `write_nbr` writes ghost slots, never a
+        // continuation, so this worker's private copies are final. AcqRel:
+        // the last worker's acquire sees every earlier worker's merge. A
+        // cancelled job's partials would never be read.
+        scope.merge_privs();
+        if self.unmerged[machine_id].fetch_sub(1, Ordering::AcqRel) == 1
+            && !job.cancel().is_cancelled()
+        {
+            scope.send_ghost_partials();
+        }
+        job.retire(); // every entry is published: `flush` above or in the send
+        loop {
+            if drain_responses(&mut scope, read_done) {
+                scope.comm.flush();
+                continue;
+            }
+            if job.is_complete(machine) {
+                break;
+            }
+            if machine.health.is_aborted() {
+                // Exact termination can never be reached once envelopes were
+                // lost; fail the pending continuations and reach the barrier
+                // so every thread joins (the driver surfaces the JobError).
+                scope.comm.abort_in_flight();
+                break;
+            }
+            std::thread::yield_now();
+        }
+        job.mark_drained(machine_id, env.worker_idx);
+        scope.publish_stats();
+    }
 }
 
 /// The main phase of an edge-iterator job.
 pub(crate) struct EdgeJobPhase<T: EdgeTask> {
     pub task: Arc<T>,
     pub dir: Dir,
-    pub reduces: Vec<(PropId, ReduceOp)>,
-    /// One chunk queue per machine.
-    pub queues: Vec<Arc<ChunkQueue>>,
-    pub job: Arc<JobState>,
+    pub core: JobCore,
 }
 
 impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
     fn execute(&self, env: &mut WorkerEnv<'_>) {
-        let machine = env.machine;
-        let machine_id = machine.id as usize;
-        let worker_idx = env.worker_idx;
-        let mut scope = TaskScope::new(machine, env.comm, &self.reduces);
         let task = &*self.task;
         let read_done = |ctx: &mut ReadDoneCtx<'_, '_>| task.read_done(ctx);
-        let queue = &self.queues[machine_id];
-
-        let mut claims = 0u64;
-        while let Some(chunk) = queue.pop() {
-            claims += 1;
-            if self.job.cancel().is_cancelled() {
-                // Cooperative cancellation: retire this chunk unexecuted,
-                // claim-and-retire the remainder of the queue, and fall
-                // through to the normal end-of-phase drain + barrier so
-                // exact termination still reaches zero on every machine.
-                self.job.retire();
-                self.job.retire_many(queue.drain_remaining());
-                break;
-            }
-            for node in chunk {
-                {
-                    let mut nctx = NodeCtx {
-                        scope: &mut scope,
-                        node,
-                    };
-                    if !task.filter(&mut nctx) {
-                        continue;
-                    }
+        let frag = match self.dir {
+            Dir::Out => &env.machine.graph.out,
+            Dir::In => &env.machine.graph.inn,
+        };
+        self.core.run(env, &read_done, |scope, nodes| {
+            for node in nodes {
+                if !task.filter(&mut NodeCtx { scope, node }) {
+                    continue;
                 }
-                let frag = match self.dir {
-                    Dir::Out => &machine.graph.out,
-                    Dir::In => &machine.graph.inn,
-                };
                 for edge in frag.edge_range(node) {
                     let target = frag.targets[edge];
                     let mut ctx = EdgeCtx {
-                        scope: &mut scope,
+                        scope,
                         node,
                         edge,
                         target,
@@ -159,58 +201,31 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
                     task.run(&mut ctx);
                 }
                 scope.flush_fold(node);
-                drain_local(&mut scope, &read_done);
+                drain_local(scope, &read_done);
             }
-            retire_chunk(&mut scope, &self.job);
-            drain_responses(&mut scope, &read_done);
-        }
-        machine.telemetry.record_chunk_claims(claims);
-        finish_phase(&mut scope, &self.job, machine_id, worker_idx, &read_done);
+        });
     }
 }
 
 /// The main phase of a node-iterator job.
 pub(crate) struct NodeJobPhase<T: NodeTask> {
     pub task: Arc<T>,
-    pub reduces: Vec<(PropId, ReduceOp)>,
-    pub queues: Vec<Arc<ChunkQueue>>,
-    pub job: Arc<JobState>,
+    pub core: JobCore,
 }
 
 impl<T: NodeTask> Phase for NodeJobPhase<T> {
     fn execute(&self, env: &mut WorkerEnv<'_>) {
-        let machine = env.machine;
-        let machine_id = machine.id as usize;
-        let worker_idx = env.worker_idx;
-        let mut scope = TaskScope::new(machine, env.comm, &self.reduces);
         let task = &*self.task;
         let read_done = |ctx: &mut ReadDoneCtx<'_, '_>| task.read_done(ctx);
-        let queue = &self.queues[machine_id];
-
-        let mut claims = 0u64;
-        while let Some(chunk) = queue.pop() {
-            claims += 1;
-            if self.job.cancel().is_cancelled() {
-                // Same cooperative-cancellation path as the edge phase.
-                self.job.retire();
-                self.job.retire_many(queue.drain_remaining());
-                break;
-            }
-            // A node task cannot read locally (only a continuation can, and
-            // `drain_responses` runs those), so there is no per-vertex drain.
-            for node in chunk {
-                let mut nctx = NodeCtx {
-                    scope: &mut scope,
-                    node,
-                };
+        // A node task cannot read locally (only a continuation can, and
+        // `drain_responses` runs those), so there is no per-vertex drain.
+        self.core.run(env, &read_done, |scope, nodes| {
+            for node in nodes {
+                let mut nctx = NodeCtx { scope, node };
                 if task.filter(&mut nctx) {
                     task.run(&mut nctx);
                 }
             }
-            retire_chunk(&mut scope, &self.job);
-            drain_responses(&mut scope, &read_done);
-        }
-        machine.telemetry.record_chunk_claims(claims);
-        finish_phase(&mut scope, &self.job, machine_id, worker_idx, &read_done);
+        });
     }
 }

@@ -8,7 +8,9 @@
 use pgxd_runtime::ids::MachineId;
 use pgxd_runtime::localgraph::EncTarget;
 use pgxd_runtime::machine::MachineState;
+use pgxd_runtime::message::MsgKind;
 use pgxd_runtime::props::{bottom_bits, reduce_bits, Column, PropId, PropValue, ReduceOp, TypeTag};
+use pgxd_runtime::telemetry::EventKind;
 use pgxd_runtime::worker::{SideRec, WorkerComm};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -301,16 +303,56 @@ impl<'a> TaskScope<'a> {
     /// ghost slots (stage one of the two-staged ghost synchronization:
     /// "first between cores and then between machines").
     pub fn merge_privs(&mut self) {
-        let num_local = self.machine.graph.num_local();
-        let privs = std::mem::take(&mut self.privs);
-        for pg in &privs {
-            let col = self.col(pg.prop);
+        let m = self.machine;
+        for pg in &self.privs {
+            let col = m.props.column(pg.prop);
             for (ord, &bits) in pg.vals.iter().enumerate() {
                 if bits != pg.bottom {
-                    col.reduce_bits_atomic(num_local + ord, pg.op, bits);
+                    col.reduce_bits_atomic(m.graph.num_local() + ord, pg.op, bits);
                 }
             }
         }
+    }
+
+    /// Stage two, run by the machine's last worker to merge: one
+    /// `GhostReduce` entry to the owner per ghost this machine does not own
+    /// and reduced property whose slot left bottom, flushed before
+    /// returning. No mutation entry may be buffered on entry.
+    pub fn send_ghost_partials(&mut self) {
+        let m = self.machine;
+        if self.privs.is_empty() {
+            return; // no ghosts, or nothing reduced
+        }
+        let (start, end) = (m.partition.start(m.id), m.partition.end(m.id));
+        let ghosts = m.ghosts.len();
+        m.telemetry.trace(
+            self.comm.worker() as usize,
+            EventKind::GhostReduce,
+            ghosts as u64,
+        );
+        let cols: Vec<_> = self
+            .privs
+            .iter()
+            .map(|pg| (pg, m.props.column(pg.prop)))
+            .collect();
+        self.comm.set_mut_kind(MsgKind::GhostReduce);
+        for ord in 0..ghosts {
+            let v = m.ghosts.node_at(ord as u32);
+            if v >= start && v < end {
+                continue; // we own the original; nothing to send
+            }
+            let owner = m.partition.owner(v);
+            let owner_offset = v - m.partition.start(owner);
+            for (pg, col) in &cols {
+                let bits = col.load_bits(m.graph.num_local() + ord);
+                if bits != pg.bottom {
+                    self.comm
+                        .push_mut(owner, pg.prop, pg.op, owner_offset, bits);
+                }
+            }
+        }
+        self.comm.flush();
+        self.comm.set_mut_kind(MsgKind::Write);
     }
 }
 

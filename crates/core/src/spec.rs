@@ -32,8 +32,8 @@ impl JobSpec {
     }
 
     /// Declares a property that the region writes with reduction `op`.
-    /// Ghost copies are bottom-initialized before, and merged to the owner
-    /// after, the region.
+    /// Ghost copies are bottom-initialized before the region, and merged
+    /// to the owner as each machine's workers finish their tasks.
     pub fn reduce<T: PropValue>(mut self, p: Prop<T>, op: ReduceOp) -> Self {
         assert!(
             !self.reduces.iter().any(|(id, _)| *id == p.id),
@@ -41,11 +41,6 @@ impl JobSpec {
         );
         self.reduces.push((p.id, op));
         self
-    }
-
-    /// True if the spec declares nothing (ghost phases can be skipped).
-    pub fn is_empty(&self) -> bool {
-        self.reads.is_empty() && self.reduces.is_empty()
     }
 }
 
@@ -60,8 +55,6 @@ mod tests {
         let s = JobSpec::new().read(a).reduce(b, ReduceOp::Sum);
         assert_eq!(s.reads, vec![PropId(0)]);
         assert_eq!(s.reduces, vec![(PropId(1), ReduceOp::Sum)]);
-        assert!(!s.is_empty());
-        assert!(JobSpec::new().is_empty());
     }
 
     #[test]

@@ -444,8 +444,8 @@ impl Cluster {
     }
 
     /// Number of phase work units this *process* contributes — what a
-    /// per-worker-retire phase (ghost push/reduce, drains) must pass as
-    /// `outstanding`. Equals `machines × workers` in-process and plain
+    /// per-worker-retire phase (the ghost push, drains) must pass as
+    /// `outstanding`, and what a main phase adds to its chunks. Equals `machines × workers` in-process and plain
     /// `workers` on a rank of a multi-process cluster.
     pub fn phase_units(&self) -> usize {
         self.machines.len() * self.config.workers

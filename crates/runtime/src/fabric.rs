@@ -33,6 +33,28 @@ pub struct MachineEndpoints {
     pub worker_tx: Vec<Sender<Envelope>>,
 }
 
+impl MachineEndpoints {
+    /// Routes an envelope that arrived for this machine: a response to the
+    /// originating worker's queue, anything else to the copiers. A dropped
+    /// queue means the machine's threads exited, which surfaces as
+    /// [`JobError::MachineDown`] instead of silently losing traffic.
+    pub fn deliver(&self, env: Envelope) -> Result<(), JobError> {
+        let machine = env.dst;
+        let sent = if env.kind.is_response() {
+            let w = env.worker as usize;
+            debug_assert!(w < self.worker_tx.len(), "bad worker index in response");
+            self.worker_tx[w].send(env).is_ok()
+        } else {
+            self.copier_tx.send(env).is_ok()
+        };
+        if sent {
+            Ok(())
+        } else {
+            Err(JobError::MachineDown { machine })
+        }
+    }
+}
+
 /// The cluster-wide message switch: backend-agnostic accounting and chaos
 /// over a pluggable [`Transport`].
 ///

@@ -1,20 +1,22 @@
 //! Parallel phases and job completion detection.
 //!
 //! A PGX.D *job* (one parallel region of the application, §4.2) executes as
-//! a short sequence of phases, each ending at a cluster-wide barrier:
+//! at most two phases, each ending at a cluster-wide barrier:
 //!
-//! 1. [`GhostPushPhase`] — only when ghosts exist and the job declares
-//!    read/reduce properties: bottom-initializes ghost slots for reduced
-//!    properties and broadcasts owner values for read properties.
+//! 1. [`GhostPushPhase`] — only when ghosts exist and the job reads a
+//!    property: broadcasts owner values into the ghost slots.
 //! 2. the main phase — defined in the `pgxd` crate, runs the user task over
-//!    the chunk queue with the run-to-completion worker loop.
-//! 3. [`GhostReducePhase`] — only when reduce properties are declared:
-//!    sends each machine's ghost partials back to the owners.
+//!    the chunk queue with the run-to-completion worker loop. Ghost partials
+//!    of reduced properties leave inside it: each worker merges its private
+//!    copies once its tasks are done, and the machine's last worker to
+//!    merge sends the slots to their owners before retiring its unit.
 //!
 //! Completion of a phase follows §3.2 exactly: "a particular job completes
 //! when the task list is empty and there are no unfinished remote
-//! requests". [`JobState`] counts the first half (chunks or producing
-//! workers); each worker asks its own machine for the second. There is one
+//! requests". [`JobState`] counts the first half (chunks and merging
+//! workers, or producing workers); each worker asks its own machine for
+//! the second, so a partial sent before its unit retires is waited for
+//! like any other entry. There is one
 //! protocol per mode: by default the in-process machines share the exact
 //! `pending` entry counter; under `strict_distributed` (forced by TCP) the
 //! termination wave of [`crate::term`] releases the phase. Either way the
@@ -25,7 +27,7 @@
 use crate::cancel::CancelToken;
 use crate::machine::MachineState;
 use crate::message::MsgKind;
-use crate::props::{bottom_bits, PropId, ReduceOp};
+use crate::props::{PropId, ReduceOp};
 use crate::stats::WorkerTiming;
 use crate::telemetry::EventKind;
 use crate::worker::{SideRec, WorkerComm};
@@ -56,8 +58,9 @@ pub trait Phase: Send + Sync {
 /// Shared completion state for one phase.
 #[derive(Debug)]
 pub struct JobState {
-    /// Outstanding work units: chunks for main phases, producing workers
-    /// for ghost phases, counted over the machines this process hosts. The
+    /// Outstanding work units: chunks plus one per worker for main phases,
+    /// producing workers for the ghost push, counted over the machines this
+    /// process hosts. The
     /// phase is complete when this reaches zero *and* the calling worker's
     /// machine says no remote request is unfinished
     /// ([`JobState::is_complete`]).
@@ -233,14 +236,12 @@ pub fn share(len: usize, parts: usize, idx: usize) -> std::ops::Range<usize> {
 
 /// Pre-synchronization of ghost copies (§3.3): "for properties that are to
 /// be read in the parallel region, PGX.D copies the original values into
-/// the ghost nodes prior to the execution step. For the properties that are
-/// to be written (reduced), the bottom value is set to each ghost copy at
-/// the beginning."
+/// the ghost nodes prior to the execution step." (The other half — "for the
+/// properties that are to be written (reduced), the bottom value is set to
+/// each ghost copy at the beginning" — is a driver-side fill before the job.)
 pub struct GhostPushPhase {
     /// Properties read in the upcoming region (values broadcast to ghosts).
     pub read_props: Vec<PropId>,
-    /// Properties reduced in the upcoming region (ghost slots bottomed).
-    pub reduce_props: Vec<(PropId, ReduceOp)>,
     /// Completion state; `outstanding` = total workers (each is a
     /// producer).
     pub job: Arc<JobState>,
@@ -253,23 +254,12 @@ impl Phase for GhostPushPhase {
         let ghosts = &m.ghosts;
         let num_local = m.graph.num_local();
 
-        // 1. Bottom-initialize this worker's slice of ghost slots for every
-        //    reduced property (plain stores; slices are disjoint).
-        let slice = share(ghosts.len(), workers, env.worker_idx);
-        for &(prop, op) in &self.reduce_props {
-            let col = m.props.column(prop);
-            let bottom = bottom_bits(col.tag(), op);
-            for ord in slice.clone() {
-                col.store_bits(num_local + ord, bottom);
-            }
-        }
-
-        // 2. Broadcast owner values of this machine's ghosted vertices for
-        //    every read property. Skipped once the job's token fired: the
-        //    results will be discarded, so only the barrier handshake
-        //    below still matters.
+        // Broadcast owner values of this machine's ghosted vertices for
+        // every read property. Skipped once the job's token fired: the
+        // results will be discarded, so only the barrier handshake below
+        // still matters.
         env.comm.set_mut_kind(MsgKind::GhostSync);
-        if !self.read_props.is_empty() && !ghosts.is_empty() && !self.job.cancel().is_cancelled() {
+        if !ghosts.is_empty() && !self.job.cancel().is_cancelled() {
             let start = m.partition.start(m.id);
             let end = m.partition.end(m.id);
             let owned_lo = ghosts.nodes().partition_point(|&v| v < start);
@@ -303,68 +293,6 @@ impl Phase for GhostPushPhase {
         self.job.retire(); // this worker produced everything it will
         drain_until_complete(env, &self.job, |_, _, _| {
             unreachable!("ghost push issues no reads")
-        });
-        env.comm.set_mut_kind(MsgKind::Write);
-    }
-}
-
-/// Post-reduction of ghost partials (§3.3): "the partial results from ghost
-/// nodes are reduced to the original value at the end of the step."
-pub struct GhostReducePhase {
-    /// Properties that were reduced in the region.
-    pub reduce_props: Vec<(PropId, ReduceOp)>,
-    /// Completion state; `outstanding` = total workers.
-    pub job: Arc<JobState>,
-}
-
-impl Phase for GhostReducePhase {
-    fn execute(&self, env: &mut WorkerEnv<'_>) {
-        let m = env.machine.clone();
-        let workers = m.config.workers;
-        let ghosts = &m.ghosts;
-        let num_local = m.graph.num_local();
-        let start = m.partition.start(m.id);
-        let end = m.partition.end(m.id);
-
-        env.comm.set_mut_kind(MsgKind::GhostReduce);
-        // A cancelled job's partials will never be read: skip the send
-        // loop and go straight to the barrier handshake.
-        let my_share = if self.job.cancel().is_cancelled() {
-            0..0
-        } else {
-            share(ghosts.len(), workers, env.worker_idx)
-        };
-        m.telemetry.trace(
-            env.worker_idx,
-            EventKind::GhostReduce,
-            my_share.len() as u64,
-        );
-        let cols: Vec<_> = self
-            .reduce_props
-            .iter()
-            .map(|&(prop, op)| {
-                let col = m.props.column(prop);
-                (prop, op, bottom_bits(col.tag(), op), col)
-            })
-            .collect();
-        for ord in my_share {
-            let v = ghosts.node_at(ord as u32);
-            if v >= start && v < end {
-                continue; // we own the original; nothing to send
-            }
-            let owner = m.partition.owner(v);
-            let owner_offset = v - m.partition.start(owner);
-            for &(prop, op, bottom, ref col) in &cols {
-                let bits = col.load_bits(num_local + ord);
-                if bits != bottom {
-                    env.comm.push_mut(owner, prop, op, owner_offset, bits);
-                }
-            }
-        }
-        env.comm.flush();
-        self.job.retire();
-        drain_until_complete(env, &self.job, |_, _, _| {
-            unreachable!("ghost reduce issues no reads")
         });
         env.comm.set_mut_kind(MsgKind::Write);
     }

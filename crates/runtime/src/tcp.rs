@@ -883,23 +883,6 @@ impl TcpTransport {
 }
 
 impl Shared {
-    /// Delivers an envelope into the local machine's queues.
-    fn deliver_local(ep: &MachineEndpoints, env: Envelope) -> Result<(), JobError> {
-        let dst = env.dst;
-        let sent = if env.kind.is_response() {
-            let w = env.worker as usize;
-            debug_assert!(w < ep.worker_tx.len(), "bad worker index in response");
-            ep.worker_tx[w].send(env).is_ok()
-        } else {
-            ep.copier_tx.send(env).is_ok()
-        };
-        if sent {
-            Ok(())
-        } else {
-            Err(JobError::MachineDown { machine: dst })
-        }
-    }
-
     /// Spawns a reader thread over `stream`. Requires the local endpoint
     /// to be registered (always true outside bootstrap races — sends
     /// only start once the cluster is assembled).
@@ -978,7 +961,7 @@ impl Shared {
                 shared.health.mark_departed(peer);
                 continue;
             }
-            if Self::deliver_local(&ep, env).is_err() {
+            if ep.deliver(env).is_err() {
                 // Local queues are gone: the machine is shutting down.
                 return;
             }
@@ -1198,7 +1181,7 @@ impl Transport for TcpTransport {
             let Some(ep) = shared.local.get() else {
                 return Err(JobError::MachineDown { machine: env.dst });
             };
-            return Shared::deliver_local(ep, env);
+            return ep.deliver(env);
         }
         let Some(writer) = shared
             .writers

@@ -169,26 +169,9 @@ impl Transport for InMemoryTransport {
     fn send(&self, env: Envelope) -> Result<(), JobError> {
         let dst = env.dst as usize;
         debug_assert!(dst < self.endpoints.len(), "bad destination machine");
-        let Some(ep) = self.endpoints[dst].get() else {
-            return Err(JobError::MachineDown {
-                machine: env.dst as MachineId,
-            });
-        };
-        let sent = if env.kind.is_response() {
-            let w = env.worker as usize;
-            debug_assert!(w < ep.worker_tx.len(), "bad worker index in response");
-            ep.worker_tx[w].send(env).is_ok()
-        } else {
-            ep.copier_tx.send(env).is_ok()
-        };
-        if sent {
-            Ok(())
-        } else {
-            // The receiving threads dropped their queue: the machine is
-            // torn down. Surface it instead of silently losing traffic.
-            Err(JobError::MachineDown {
-                machine: dst as MachineId,
-            })
+        match self.endpoints[dst].get() {
+            Some(ep) => ep.deliver(env),
+            None => Err(JobError::MachineDown { machine: env.dst }),
         }
     }
 

@@ -17,6 +17,12 @@ done
 echo "== cargo test -q =="
 cargo test -q
 
+echo "== benchmark unit tests (its own package and target directory) =="
+# The benchmark is a separate package, so `cargo test` above never builds
+# its tests; the smokes below never reach its `--trace 1` kernels, which
+# drive `JobState`/`drain_until_complete` directly.
+CARGO_TARGET_DIR=benchmark/target cargo test --release --offline -q --manifest-path benchmark/Cargo.toml
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

@@ -2,7 +2,11 @@
 //! engine's load-balancing and ghosting features must produce identical
 //! results — the features are performance knobs, never semantic ones.
 
-use pgxd::{BuildEngine, ChunkingMode, Config, Engine, PartitioningMode, StatsSnapshot};
+use pgxd::tasks::{on_edge, on_node};
+use pgxd::{
+    BuildEngine, ChunkingMode, Config, Dir, Engine, JobReport, JobSpec, PartitioningMode, Prop,
+    ReduceOp, StatsSnapshot, TelemetryConfig,
+};
 use pgxd_algorithms as algos;
 use pgxd_baselines::seq;
 use pgxd_graph::generate::{self, RmatParams};
@@ -238,6 +242,82 @@ fn ghosts_are_bit_identical_on_a_star() {
     assert_eq!(ghosts, 1, "the hub, and only the hub");
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&plain_scores), bits(&ghost_scores));
+}
+
+/// A reduce-only push job: every edge adds its source's id + 1 into the
+/// target's `p`, so a partial that is lost, doubled or seeded with
+/// anything but zero changes the sum.
+fn push_source_ids(e: &mut Engine, p: Prop<i64>) -> JobReport {
+    let spec = JobSpec::new().reduce(p, ReduceOp::Sum);
+    let task = on_edge(move |ctx| ctx.write_nbr(p, ReduceOp::Sum, ctx.node() as i64 + 1));
+    e.try_run_edge_job(Dir::Out, &spec, task).unwrap()
+}
+
+/// `build` on 3 machines over an R-MAT graph whose hubs a threshold of 8
+/// ghosts (`None` for ghosts off).
+fn ghosted(g: &Graph, workers: usize, ghosts: Option<usize>) -> Engine {
+    build(
+        g,
+        3,
+        workers,
+        PartitioningMode::Edge,
+        ChunkingMode::Edge,
+        ghosts,
+    )
+}
+
+/// Ghost partials leave inside the main phase: a push job that reads
+/// nothing is one phase, on a cluster that does ghost its hubs.
+#[test]
+fn ghosts_reduce_only_push_job_is_one_phase() {
+    let g = generate::rmat(8, 6, RmatParams::skewed(), 2009);
+    let mut e = Engine::builder()
+        .machines(3)
+        .ghost_threshold(Some(8))
+        .telemetry(TelemetryConfig { enabled: true })
+        .engine(&g)
+        .unwrap();
+    let p = e.add_prop("p", 0i64);
+    let before = e.cluster().phase_labels().len();
+    assert!(push_source_ids(&mut e, p).traffic.ghost_entries > 0);
+    assert_eq!(&e.cluster().phase_labels()[before..], ["main"]);
+}
+
+/// A job that reads `p` leaves owner values in `p`'s ghost slots; a Sum
+/// pushed into `p` next must start its partials from zero, not from those
+/// values — bit for bit what the same jobs give with ghosts off.
+#[test]
+fn ghosts_reduced_slots_start_at_bottom_after_a_read() {
+    let g = generate::rmat(8, 6, RmatParams::skewed(), 2010);
+    let run = |ghosts| {
+        let mut e = ghosted(&g, 1, ghosts);
+        let p = e.add_prop("p", 7i64);
+        e.try_run_node_job(&JobSpec::new().read(p), on_node(|_| {}))
+            .unwrap();
+        push_source_ids(&mut e, p);
+        (e.gather::<i64>(p), e.cluster().ghosts().len())
+    };
+    let ((plain, none), (ghosted, ghosts)) = (run(None), run(Some(8)));
+    assert!(none == 0 && ghosts > 0);
+    assert!(plain == ghosted, "ghost slots were not reset to bottom");
+}
+
+/// The cores of a machine combine before the machines do: a push job sends
+/// one partial per (ghost, non-owner machine) whatever the worker count,
+/// and the integer result does not move.
+#[test]
+fn ghosts_partials_are_per_machine_not_per_worker() {
+    let g = generate::rmat(9, 8, RmatParams::skewed(), 2011);
+    let run = |workers| {
+        let mut e = ghosted(&g, workers, Some(8));
+        let p = e.add_prop("p", 0i64);
+        let entries = push_source_ids(&mut e, p).traffic.ghost_entries;
+        (entries, e.gather::<i64>(p))
+    };
+    let (one, two) = (run(1), run(2));
+    assert!(one.0 > 0);
+    assert_eq!(one.0, two.0, "ghost entries at 1 vs 2 workers per machine");
+    assert!(one.1 == two.1, "sums at 1 vs 2 workers per machine");
 }
 
 /// On one machine every read is local: the preset selects no ghost.
