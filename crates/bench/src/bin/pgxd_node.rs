@@ -261,6 +261,7 @@ fn run_sweep(a: &Args, graph: &pgxd_graph::Graph) -> Result<(), String> {
     let mut out = String::new();
     out.push_str(&format!("rank={}\n", a.rank));
     out.push_str(&format!("machines={}\n", a.machines));
+    out.push_str(&format!("ghosts={}\n", engine.cluster().ghosts().len()));
     out.push_str(&format!("retransmits_local={local_retransmits}\n"));
     out.push_str(&format!("retransmits_total={total_retransmits}\n"));
     push_wire_lines(&mut out, &wire);

@@ -11,6 +11,8 @@
 //!   in-memory run to ≤ 1e-12 on PageRank scores and **bit-identically**
 //!   on the integer properties (WCC labels, hop distances) — same graph,
 //!   same partitions, same reduce fold order, different wire;
+//! * every rank ghosts as many vertices as the in-memory run, and at least
+//!   one, so each reading job's ghost push crosses the sockets;
 //! * under an injected lossy plan (15% envelope drops above the
 //!   transport) the cluster still converges to the same answers and the
 //!   allgathered retransmit telemetry is **nonzero** — PR 2's
@@ -40,6 +42,7 @@ const TOL: f64 = 1e-12;
 
 /// One rank's parsed `--out` file.
 struct NodeResult {
+    ghosts: usize,
     retransmits_total: u64,
     pagerank: Vec<f64>,
     wcc: Vec<u32>,
@@ -68,6 +71,7 @@ fn run_cluster(g: &GraphSpec, drop_per_mille: u16, tag: &str) -> Vec<NodeResult>
         .map(|out| {
             let out = read_out(out);
             NodeResult {
+                ghosts: out.num("ghosts"),
                 retransmits_total: out.num("retransmits_total"),
                 pagerank: out.f64s("pagerank"),
                 wcc: out.list("wcc"),
@@ -83,6 +87,13 @@ fn run_cluster(g: &GraphSpec, drop_per_mille: u16, tag: &str) -> Vec<NodeResult>
 /// (max |Δ| on PageRank, bit-identical?, total retransmits).
 fn check_run(name: &str, results: &[NodeResult], reference: &Reference) -> (f64, bool, u64) {
     for (rank, r) in results.iter().enumerate() {
+        assert!(
+            r.ghosts > 0 && r.ghosts == reference.ghosts,
+            "{name}: rank {rank} ghosts {} vertices, the in-memory run {} \
+             (both must ghost, and agree)",
+            r.ghosts,
+            reference.ghosts
+        );
         assert_eq!(
             r.pagerank.len(),
             reference.scores.len(),
@@ -126,6 +137,7 @@ fn check_run(name: &str, results: &[NodeResult], reference: &Reference) -> (f64,
 }
 
 struct Reference {
+    ghosts: usize,
     scores: Vec<f64>,
     wcc: Vec<u32>,
     hops: Vec<i64>,
@@ -145,6 +157,7 @@ fn reference(g: &GraphSpec) -> Reference {
     let wcc = algos::try_wcc(&mut e).unwrap();
     let hops = algos::try_hopdist(&mut e, 0).unwrap();
     Reference {
+        ghosts: e.cluster().ghosts().len(),
         scores: pr.scores,
         wcc: wcc.component,
         hops: hops.hops,

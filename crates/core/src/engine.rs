@@ -13,10 +13,11 @@ use pgxd_runtime::config::{ChunkingMode, Config, ConfigBuilder, TransportConfig}
 use pgxd_runtime::health::JobError;
 use pgxd_runtime::jobctx::{JobCtx, JobExec, JobOutcome};
 use pgxd_runtime::machine::RmiFn;
-use pgxd_runtime::phase::{GhostPushPhase, JobState, Phase};
+use pgxd_runtime::phase::{JobState, Phase};
 use pgxd_runtime::props::{bottom_bits, PropValue, ReduceOp};
 use pgxd_runtime::stats::{Breakdown, StatsSnapshot};
 use pgxd_runtime::Cluster;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -158,7 +159,8 @@ pub fn loopback_ranks<T: Send>(
 /// What one job execution cost (the driver's window into Figures 6a/6c).
 #[derive(Clone, Debug)]
 pub struct JobReport {
-    /// Wall time of the whole job (ghost push phase + main phase).
+    /// Wall time of the whole job: the driver's ghost-slot reset, the
+    /// job-start barrier and the main phase.
     pub total: Duration,
     /// Wall time of the main phase only.
     pub main: Duration,
@@ -367,9 +369,9 @@ impl Engine {
         let main = Arc::new(EdgeJobPhase {
             task: Arc::new(task),
             dir,
-            core: JobCore::new(&self.cluster, spec.reduces.clone(), queues, cancel),
+            core: JobCore::new(&self.cluster, spec, queues, cancel),
         });
-        self.try_run_job_phases(spec, main.core.job.clone(), main, cancel)
+        self.try_run_job_phase(spec, main.core.job.clone(), main, cancel)
     }
 
     /// Runs a node-iterator job: `task.run` executes once per active
@@ -395,9 +397,9 @@ impl Engine {
         let queues = self.build_queues(Dir::Out, ChunkingMode::Node);
         let main = Arc::new(NodeJobPhase {
             task: Arc::new(task),
-            core: JobCore::new(&self.cluster, spec.reduces.clone(), queues, cancel),
+            core: JobCore::new(&self.cluster, spec, queues, cancel),
         });
-        self.try_run_job_phases(spec, main.core.job.clone(), main, cancel)
+        self.try_run_job_phase(spec, main.core.job.clone(), main, cancel)
     }
 
     /// Maps a fired token to its structured error.
@@ -408,7 +410,7 @@ impl Engine {
         })
     }
 
-    fn try_run_job_phases(
+    fn try_run_job_phase(
         &mut self,
         spec: &JobSpec,
         main_job: Arc<JobState>,
@@ -426,13 +428,17 @@ impl Engine {
 
         // Every ghost slot of a reduced property starts at bottom: the
         // workers' merges fold into it, and what leaves bottom is the
-        // machine's partial for the owner. Before the job-start barrier, so
-        // no peer's ghost sync can land first.
+        // machine's partial for the owner. The count of ghost values of
+        // read properties stored restarts at zero (Relaxed: the job-start
+        // barrier, and every message after it, orders the store before any
+        // copier counts). Both before that barrier, so no peer's ghost sync
+        // can land first.
         for m in self.cluster.machines() {
             for &(prop, op) in &spec.reduces {
                 let col = m.props.column(prop);
                 col.fill_ghosts(bottom_bits(col.tag(), op));
             }
+            m.ghosts_synced.store(0, Ordering::Relaxed);
         }
 
         // Multi-process clusters: sequential-region mutations (property
@@ -443,24 +449,13 @@ impl Engine {
         // termination protocol already orders the ranks.
         self.cluster.node_barrier()?;
 
-        if !self.cluster.ghosts().is_empty() && !spec.reads.is_empty() {
-            let job = self
-                .cluster
-                .job_state(self.cluster.phase_units(), cancel.clone());
-            let push = GhostPushPhase {
-                read_props: spec.reads.clone(),
-                job,
-            };
-            self.cluster
-                .try_run_labeled_phase("ghost_push", Arc::new(push))?;
-        }
-
-        // The main phase also carries the ghost partials to their owners.
+        // The main phase also carries the ghost values to their readers and
+        // the ghost partials to their owners.
         let t_main = Instant::now();
         self.cluster.try_run_labeled_phase("main", main)?;
         let main_dur = t_main.elapsed();
 
-        // The phases ended at their barriers; a fired token now becomes
+        // The phase ended at its barrier; a fired token now becomes
         // the job's structured result.
         if let Some(err) = Self::cancel_error(cancel) {
             return Err(err);

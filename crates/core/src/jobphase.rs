@@ -1,26 +1,33 @@
 //! The main parallel phase: the run-to-completion worker loop over the
 //! chunk queue (§3.2).
 //!
-//! Each worker: grab a chunk → for each active vertex run the task over
-//! its edges → store its fold accumulator → invoke locally-satisfied
-//! continuations → opportunistically drain responses → repeat; once the
-//! queue is empty, flush the request buffers, hand its ghost partials on,
-//! and keep draining responses until the job is globally complete ("a
-//! particular job completes when the task list is empty and there are no
-//! unfinished remote requests").
+//! Each worker: push its share of the owned ghost values of the read
+//! properties and wait until its machine's ghost slots are filled → grab a
+//! chunk → for each active vertex run the task over its edges → store its
+//! fold accumulator → invoke locally-satisfied continuations →
+//! opportunistically drain responses → repeat; once the queue is empty,
+//! flush the request buffers, hand its ghost partials on, and keep
+//! draining responses until the job is globally complete ("a particular
+//! job completes when the task list is empty and there are no unfinished
+//! remote requests").
 //!
-//! Ghost partials leave inside this phase (§3.3's two stages, "first
-//! between cores and then between machines"): a worker whose tasks are
-//! done merges its private copies into the machine's ghost slots, and the
-//! machine's last worker to merge sends the slots to their owners. Each
-//! worker then retires one extra work unit, so the phase cannot complete
-//! before every partial has been published and applied.
+//! Both ghost synchronizations of §3.3 happen inside this phase, so a job
+//! is one phase whatever it reads and reduces. Read properties: each
+//! machine knows how many ghost values it will receive (ghosts × reads),
+//! so its workers start their chunks once a local count says they have
+//! landed ([`sync_ghosts`]). Reduced properties ("first between cores and
+//! then between machines"): a worker whose tasks are done merges its
+//! private copies into the machine's ghost slots, and the machine's last
+//! worker to merge sends the slots to their owners. Each worker then
+//! retires one extra work unit, so the phase cannot complete before every
+//! partial has been published and applied.
 
 use crate::scope::{TaskScope, FOLD_NODE_BIT};
+use crate::spec::JobSpec;
 use crate::task::{Dir, EdgeCtx, EdgeTask, NodeCtx, NodeTask, ReadDoneCtx};
 use pgxd_runtime::cancel::CancelToken;
 use pgxd_runtime::chunk::{Chunk, ChunkQueue};
-use pgxd_runtime::phase::{JobState, Phase, WorkerEnv};
+use pgxd_runtime::phase::{sync_ghosts, JobState, Phase, WorkerEnv};
 use pgxd_runtime::props::{PropId, ReduceOp};
 use pgxd_runtime::Cluster;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -72,6 +79,10 @@ fn drain_responses<F: Fn(&mut ReadDoneCtx<'_, '_>)>(
 
 /// What both job phase kinds share besides their task.
 pub(crate) struct JobCore {
+    reads: Vec<PropId>,
+    /// Ghost values each machine stores before its chunks start: ghosts ×
+    /// read properties (0: nothing to wait for).
+    ghost_target: u64,
     reduces: Vec<(PropId, ReduceOp)>,
     /// One chunk queue per machine.
     queues: Vec<Arc<ChunkQueue>>,
@@ -82,39 +93,46 @@ pub(crate) struct JobCore {
 }
 
 impl JobCore {
-    /// A main phase over `queues` on the machines `cluster` hosts. Its work
-    /// units are the chunks plus one per worker, retired after that
-    /// worker's ghost merge (and, for the last, the partials' flush).
+    /// A main phase of the job `spec` over `queues` on the machines
+    /// `cluster` hosts. Its work units are the chunks plus one per worker,
+    /// retired after that worker's ghost merge (and, for the last, the
+    /// partials' flush).
     pub fn new(
         cluster: &Cluster,
-        reduces: Vec<(PropId, ReduceOp)>,
+        spec: &JobSpec,
         queues: Vec<Arc<ChunkQueue>>,
         cancel: &CancelToken,
     ) -> Self {
         let chunks: usize = queues.iter().map(|q| q.len()).sum();
         let workers = cluster.config().workers;
         JobCore {
-            reduces,
+            reads: spec.reads.clone(),
+            ghost_target: (cluster.ghosts().len() * spec.reads.len()) as u64,
+            reduces: spec.reduces.clone(),
             job: cluster.job_state(chunks + cluster.phase_units(), cancel.clone()),
             unmerged: queues.iter().map(|_| AtomicUsize::new(workers)).collect(),
             queues,
         }
     }
 
-    /// One worker's share of the phase: `chunk` runs over every chunk it
-    /// claims, then the worker passes its ghost partials on and drains
-    /// until the phase is globally complete.
+    /// One worker's share of the phase: the ghost values of the read
+    /// properties are pushed and awaited, `chunk` runs over every chunk the
+    /// worker claims, then it passes its ghost partials on and drains until
+    /// the phase is globally complete.
     fn run<C, F>(&self, env: &mut WorkerEnv<'_>, read_done: &F, mut chunk: C)
     where
         C: FnMut(&mut TaskScope<'_>, Chunk),
         F: Fn(&mut ReadDoneCtx<'_, '_>),
     {
+        // An aborted cluster leaves the wait and skips the chunks; the
+        // drain below then falls through to the barrier.
+        let synced = self.ghost_target == 0 || sync_ghosts(env, &self.reads, self.ghost_target);
         let machine = env.machine;
         let machine_id = machine.id as usize;
         let mut scope = TaskScope::new(machine, env.comm, &self.reduces);
         let (queue, job) = (&self.queues[machine_id], &*self.job);
         let mut claims = 0u64;
-        while let Some(nodes) = queue.pop() {
+        while let Some(nodes) = synced.then(|| queue.pop()).flatten() {
             claims += 1;
             if job.cancel().is_cancelled() {
                 // Cooperative cancellation: retire this chunk unexecuted,

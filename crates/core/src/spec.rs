@@ -23,8 +23,14 @@ impl JobSpec {
     }
 
     /// Declares a property that the region reads (possibly from
-    /// neighbors). Ghost copies of it are refreshed before the region runs.
+    /// neighbors). Ghost copies of it are refreshed before any chunk runs.
+    /// A property the region reduces cannot also be read: its ghost slots
+    /// hold the region's partials, not the owner's value.
     pub fn read<T: PropValue>(mut self, p: Prop<T>) -> Self {
+        assert!(
+            !self.reduces.iter().any(|(id, _)| *id == p.id),
+            "property declared both read and reduced"
+        );
         if !self.reads.contains(&p.id) {
             self.reads.push(p.id);
         }
@@ -33,11 +39,16 @@ impl JobSpec {
 
     /// Declares a property that the region writes with reduction `op`.
     /// Ghost copies are bottom-initialized before the region, and merged
-    /// to the owner as each machine's workers finish their tasks.
+    /// to the owner as each machine's workers finish their tasks. It cannot
+    /// also be read (see [`JobSpec::read`]) or reduced twice.
     pub fn reduce<T: PropValue>(mut self, p: Prop<T>, op: ReduceOp) -> Self {
         assert!(
             !self.reduces.iter().any(|(id, _)| *id == p.id),
             "property declared reduced twice"
+        );
+        assert!(
+            !self.reads.contains(&p.id),
+            "property declared both read and reduced"
         );
         self.reduces.push((p.id, op));
         self
@@ -71,5 +82,19 @@ mod tests {
         let _ = JobSpec::new()
             .reduce(a, ReduceOp::Sum)
             .reduce(a, ReduceOp::Min);
+    }
+
+    #[test]
+    #[should_panic(expected = "both read and reduced")]
+    fn read_then_reduce_panics() {
+        let a: Prop<i64> = Prop::new(PropId(0));
+        let _ = JobSpec::new().read(a).reduce(a, ReduceOp::Sum);
+    }
+
+    #[test]
+    #[should_panic(expected = "both read and reduced")]
+    fn reduce_then_read_panics() {
+        let a: Prop<i64> = Prop::new(PropId(0));
+        let _ = JobSpec::new().reduce(a, ReduceOp::Sum).read(a);
     }
 }

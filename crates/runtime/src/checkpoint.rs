@@ -10,8 +10,10 @@
 //!
 //! Layout mirrors what a real deployment would persist per node: each
 //! machine owns a [`CheckpointStore`] holding a small *retention ring* of
-//! recent [`MachineCheckpoint`]s — one [`PropShard`] (owned cells + ghost
-//! replicas, FNV-1a checksummed) per live property. The store is also where
+//! recent [`MachineCheckpoint`]s — one [`PropShard`] (owned cells, FNV-1a
+//! checksummed) per live property. Ghost slots are per-job scratch — the
+//! next job that reads or reduces a property overwrites them before any
+//! task looks — so they are not saved. The store is also where
 //! storage faults live: a seeded [`StorageFaultPlan`] can lose, corrupt, or
 //! delay individual shard writes, and the driver finds out the same way a
 //! real deployment would — by reading back what the store durably holds and
@@ -19,11 +21,11 @@
 //! assembled cluster-wide [`Checkpoint`], which bundles every machine's
 //! shards with the [`JobProgress`] (iteration index + algorithm scalars)
 //! needed to resume. Because partitions are contiguous vertex ranges, a
-//! checkpoint taken on `P` machines can be *re-scattered* onto a degraded
-//! `P−1`-machine cluster: [`Checkpoint::global_bits`] reassembles the
-//! global column from the per-machine shards, and
+//! checkpoint taken on `P` machines restores onto any cluster of the same
+//! graph — the degraded `P−1`-machine one too: [`Checkpoint::global_bits`]
+//! reassembles the global column from the per-machine shards, and
 //! [`Cluster::restore_checkpoint`](crate::cluster::Cluster::restore_checkpoint)
-//! redistributes it under the survivors' new partitioning.
+//! redistributes it under the restoring cluster's partitioning.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,42 +63,35 @@ pub struct PropMeta {
     pub default_bits: u64,
 }
 
-/// One property's cells on one machine: the owned (partition-local) region
-/// followed by the ghost-replica region, checksummed together.
+/// One property's owned (partition-local) cells on one machine,
+/// checksummed.
 #[derive(Clone, Debug)]
 pub struct PropShard {
     pub id: PropId,
     /// Raw bits of the machine's owned cells, in partition order.
     pub owned: Vec<u64>,
-    /// Raw bits of the machine's ghost replicas, in ghost-ordinal order.
-    pub ghost: Vec<u64>,
-    /// FNV-1a over `owned` then `ghost`.
+    /// FNV-1a over `owned`.
     pub checksum: u64,
 }
 
 impl PropShard {
-    pub fn new(id: PropId, owned: Vec<u64>, ghost: Vec<u64>) -> Self {
-        let checksum = Self::compute(&owned, &ghost);
+    pub fn new(id: PropId, owned: Vec<u64>) -> Self {
+        let checksum = fnv1a_words(owned.iter().copied());
         PropShard {
             id,
             owned,
-            ghost,
             checksum,
         }
     }
 
-    fn compute(owned: &[u64], ghost: &[u64]) -> u64 {
-        fnv1a_words(owned.iter().chain(ghost.iter()).copied())
-    }
-
     /// Recomputes the checksum against the stored one.
     pub fn verify(&self) -> bool {
-        Self::compute(&self.owned, &self.ghost) == self.checksum
+        fnv1a_words(self.owned.iter().copied()) == self.checksum
     }
 
     /// Payload size of this shard.
     pub fn bytes(&self) -> usize {
-        (self.owned.len() + self.ghost.len()) * 8
+        self.owned.len() * 8
     }
 }
 
@@ -204,8 +199,8 @@ impl Checkpoint {
         Ok(())
     }
 
-    /// Reassembles one property's global column (owned cells only) from the
-    /// per-machine shards — the input to degraded-mode re-scattering.
+    /// Reassembles one property's global column from the per-machine
+    /// shards — what a restore re-scatters.
     pub fn global_bits(&self, id: PropId) -> Result<Vec<u64>, JobError> {
         let mut out = Vec::with_capacity(self.num_nodes);
         for mc in &self.machines {
@@ -347,9 +342,7 @@ pub fn encode_machine_checkpoint(buf: &mut Vec<u8>, mc: &MachineCheckpoint) {
         buf.extend_from_slice(&s.id.0.to_le_bytes());
         buf.extend_from_slice(&s.checksum.to_le_bytes());
         buf.extend_from_slice(&(s.owned.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&(s.ghost.len() as u32).to_le_bytes());
         put_words(buf, &s.owned);
-        put_words(buf, &s.ghost);
     }
 }
 
@@ -362,13 +355,10 @@ fn decode_mc(c: &mut Cursor<'_>) -> Option<MachineCheckpoint> {
         let id = PropId(c.u16()?);
         let checksum = c.u64()?;
         let owned_len = c.u32()? as usize;
-        let ghost_len = c.u32()? as usize;
         let owned = c.words(owned_len)?;
-        let ghost = c.words(ghost_len)?;
         shards.push(PropShard {
             id,
             owned,
-            ghost,
             checksum,
         });
     }
@@ -647,8 +637,8 @@ impl CheckpointStore {
 mod tests {
     use super::*;
 
-    fn shard(id: u16, owned: Vec<u64>, ghost: Vec<u64>) -> PropShard {
-        PropShard::new(PropId(id), owned, ghost)
+    fn shard(id: u16, owned: Vec<u64>) -> PropShard {
+        PropShard::new(PropId(id), owned)
     }
 
     fn meta(id: u16) -> PropMeta {
@@ -674,12 +664,12 @@ mod tests {
                 Arc::new(MachineCheckpoint {
                     machine: 0,
                     start: 0,
-                    shards: vec![shard(0, vec![10, 11, 12], vec![99])],
+                    shards: vec![shard(0, vec![10, 11, 12])],
                 }),
                 Arc::new(MachineCheckpoint {
                     machine: 1,
                     start: 3,
-                    shards: vec![shard(0, vec![13, 14], vec![98])],
+                    shards: vec![shard(0, vec![13, 14])],
                 }),
             ],
         }
@@ -687,13 +677,13 @@ mod tests {
 
     #[test]
     fn checksum_detects_corruption() {
-        let mut s = shard(0, vec![1, 2, 3], vec![4]);
+        let mut s = shard(0, vec![1, 2, 3]);
         assert!(s.verify());
         s.owned[1] ^= 1;
         assert!(!s.verify());
         // Position sensitivity: swapping equal-sum words changes the hash.
-        let a = shard(0, vec![1, 2], vec![]);
-        let b = shard(0, vec![2, 1], vec![]);
+        let a = shard(0, vec![1, 2]);
+        let b = shard(0, vec![2, 1]);
         assert_ne!(a.checksum, b.checksum);
     }
 
@@ -701,7 +691,7 @@ mod tests {
     fn verify_accepts_well_formed() {
         let c = two_machine_ckpt();
         assert!(c.verify().is_ok());
-        assert_eq!(c.bytes(), 7 * 8);
+        assert_eq!(c.bytes(), 5 * 8);
     }
 
     #[test]
@@ -734,7 +724,7 @@ mod tests {
         Arc::new(MachineCheckpoint {
             machine: 0,
             start: 0,
-            shards: vec![shard(0, vec![1, 2], vec![])],
+            shards: vec![shard(0, vec![1, 2])],
         })
     }
 
@@ -805,7 +795,7 @@ mod tests {
         let mc = MachineCheckpoint {
             machine: 3,
             start: 17,
-            shards: vec![shard(0, vec![10, 11], vec![99]), shard(2, vec![], vec![])],
+            shards: vec![shard(0, vec![10, 11]), shard(2, vec![])],
         };
         let mut buf = Vec::new();
         encode_machine_checkpoint(&mut buf, &mc);
@@ -813,7 +803,6 @@ mod tests {
         assert_eq!((back.machine, back.start), (3, 17));
         assert_eq!(back.shards.len(), 2);
         assert_eq!(back.shards[0].owned, vec![10, 11]);
-        assert_eq!(back.shards[0].ghost, vec![99]);
         assert_eq!(back.shards[0].checksum, mc.shards[0].checksum);
         // Truncation and trailing garbage are both rejected.
         assert!(decode_machine_checkpoint(&buf[..buf.len() - 1]).is_none());
@@ -829,7 +818,7 @@ mod tests {
         let mut mc = MachineCheckpoint {
             machine: 0,
             start: 0,
-            shards: vec![shard(0, vec![1, 2], vec![])],
+            shards: vec![shard(0, vec![1, 2])],
         };
         mc.shards[0].owned[0] ^= 1; // tamper, keep the checksum
         assert!(!mc.shards[0].verify());

@@ -443,17 +443,18 @@ impl Cluster {
         &self.pending
     }
 
-    /// Number of phase work units this *process* contributes — what a
-    /// per-worker-retire phase (the ghost push, drains) must pass as
-    /// `outstanding`, and what a main phase adds to its chunks. Equals `machines × workers` in-process and plain
-    /// `workers` on a rank of a multi-process cluster.
+    /// Number of phase work units this *process* contributes, one per
+    /// worker: what a main phase adds to its chunks, and what a phase whose
+    /// workers each retire once passes as `outstanding`. Equals
+    /// `machines × workers` in-process and plain `workers` on a rank of a
+    /// multi-process cluster.
     pub fn phase_units(&self) -> usize {
         self.machines.len() * self.config.workers
     }
 
     /// Builds a job-completion tracker for the machines hosted here:
-    /// `outstanding` counts *their* work units (their chunks, or
-    /// [`Cluster::phase_units`] producing workers). Each worker completes
+    /// `outstanding` counts *their* work units (chunks, and one per worker:
+    /// [`Cluster::phase_units`]). Each worker completes
     /// the phase through its own machine — the shared `pending` counter by
     /// default, the termination wave under `strict_distributed`.
     pub fn job_state(&self, outstanding: usize, cancel: CancelToken) -> Arc<JobState> {
@@ -690,12 +691,8 @@ impl Cluster {
                 .iter()
                 .map(|meta| {
                     let col = m.props.column(meta.id);
-                    let bits = |cells: std::ops::Range<usize>| cells.map(|i| col.load_bits(i));
-                    PropShard::new(
-                        meta.id,
-                        bits(0..col.len_local()).collect(),
-                        bits(col.len_local()..col.len_total()).collect(),
-                    )
+                    let owned = (0..col.len_local()).map(|i| col.load_bits(i)).collect();
+                    PropShard::new(meta.id, owned)
                 })
                 .collect();
             let mc = Arc::new(MachineCheckpoint {
@@ -750,13 +747,11 @@ impl Cluster {
     /// needed — `ckpt` already carries every machine's shards — so each
     /// process restores the machines it hosts.
     ///
-    /// Two shapes are supported: a cluster *identical* to the snapshot's
-    /// (same machine count, partition, ghost set) gets a bit-exact restore
-    /// of owned and ghost regions; any other shape — the degraded P−1
-    /// survivor cluster after a crash — gets each property's reassembled
-    /// global column re-scattered under *this* cluster's partitioning, with
-    /// ghost replicas re-primed from owner values (the next job's ghost
-    /// push / bottom-init overwrites them before any read).
+    /// Each property's reassembled global column is re-scattered under
+    /// *this* cluster's partitioning, so the snapshot's shape need not
+    /// match — the degraded P−1 survivor cluster after a crash restores
+    /// the same way. Ghost slots are left alone: the next job's ghost push
+    /// or bottom-fill overwrites them before any read.
     ///
     /// Health clocks are reset on success so a recovered run does not
     /// immediately re-trip the crash watchdog.
@@ -788,45 +783,13 @@ impl Cluster {
                 }
             }
         }
-        // Each hosted machine's own shards, when the snapshot was taken on a
-        // cluster of this very shape.
-        let own_shards = |m: &Arc<MachineState>| {
-            ckpt.machines.iter().find(|mc| {
-                mc.machine == m.id
-                    && mc.start == self.partition.start(m.id)
-                    && mc.owned_len() == m.num_local()
-                    && mc.shards.iter().all(|s| s.ghost.len() == self.ghosts.len())
-            })
-        };
-        let same_shape: Option<Vec<_>> = (ckpt.machines.len() == self.config.machines)
-            .then(|| self.machines.iter().map(own_shards).collect())
-            .flatten();
-        match same_shape {
-            Some(own) => {
-                for (m, mc) in self.machines.iter().zip(own) {
-                    for shard in &mc.shards {
-                        let col = m.props.column(shard.id);
-                        for (i, &bits) in shard.owned.iter().chain(&shard.ghost).enumerate() {
-                            col.store_bits(i, bits);
-                        }
-                    }
-                }
-            }
-            None => {
-                for meta in &ckpt.props {
-                    let global = ckpt.global_bits(meta.id)?;
-                    for m in &self.machines {
-                        let col = m.props.column(meta.id);
-                        let start = self.partition.start(m.id) as usize;
-                        for i in 0..m.num_local() {
-                            col.store_bits(i, global[start + i]);
-                        }
-                        let base = col.len_local();
-                        for ord in 0..self.ghosts.len() {
-                            let v = self.ghosts.node_at(ord as u32);
-                            col.store_bits(base + ord, global[v as usize]);
-                        }
-                    }
+        for meta in &ckpt.props {
+            let global = ckpt.global_bits(meta.id)?;
+            for m in &self.machines {
+                let col = m.props.column(meta.id);
+                let start = self.partition.start(m.id) as usize;
+                for (i, &bits) in global[start..start + m.num_local()].iter().enumerate() {
+                    col.store_bits(i, bits);
                 }
             }
         }

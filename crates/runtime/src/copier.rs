@@ -234,6 +234,11 @@ pub fn process_request(
                 applied.map_err(|index| out_of_range(m, env.kind, run.prop, index))?;
             }
             let n = mut_entry_count(&env.payload);
+            if env.kind == MsgKind::GhostSync {
+                // Release: a reader that sees the count sees the values.
+                // Duplicates never get here, so each entry counts once.
+                m.ghosts_synced.fetch_add(n as u64, Ordering::Release);
+            }
             m.pending.fetch_sub(n as i64, Ordering::AcqRel);
             m.term_consumed(n as u64);
             // One-way payloads are recycled into the *receiver's* pool

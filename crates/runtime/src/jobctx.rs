@@ -88,7 +88,7 @@ impl JobOutcome {
 /// events across all machines and workers.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct PhaseSpan {
-    /// Phase label (`"main"`, `"ghost_push"`, …).
+    /// Phase label (`"main"` for a job, `"phase"` for an unlabeled one).
     pub label: String,
     /// 1-based cluster phase epoch (the tracer event argument).
     pub epoch: u64,

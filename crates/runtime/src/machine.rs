@@ -17,7 +17,7 @@ use crate::telemetry::Telemetry;
 use crate::term::TermState;
 use crossbeam::channel::{Receiver, Sender};
 use parking_lot::RwLock;
-use std::sync::atomic::AtomicI64;
+use std::sync::atomic::{AtomicI64, AtomicU64};
 use std::sync::Arc;
 
 /// A remote method registered with the Communication Manager: executed by
@@ -63,6 +63,12 @@ pub struct MachineState {
     pub pending: Arc<AtomicI64>,
     /// Message-based barrier state (the Figure 5b measurement only).
     pub dist_barrier: Arc<DistBarrier>,
+    /// Ghost values stored for the running job (§3.3's pre-copy): the
+    /// `GhostSync` entries the copiers applied plus the owned values this
+    /// machine's own workers broadcast. A job that reads `r` properties
+    /// starts its chunks here once this reaches ghosts × `r`; the driver
+    /// zeroes it before each job.
+    pub ghosts_synced: AtomicU64,
     /// Cluster-shared liveness/abort state (reliability layer).
     pub health: Arc<ClusterHealth>,
     /// This machine's reliable-delivery state: sequence allocation,
@@ -122,6 +128,7 @@ impl MachineState {
             stats,
             pending,
             dist_barrier,
+            ghosts_synced: AtomicU64::new(0),
             health,
             reliability,
             rmi: RwLock::new(Vec::new()),

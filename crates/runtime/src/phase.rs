@@ -1,22 +1,25 @@
 //! Parallel phases and job completion detection.
 //!
 //! A PGX.D *job* (one parallel region of the application, §4.2) executes as
-//! at most two phases, each ending at a cluster-wide barrier:
+//! one phase, the main phase, ending at a cluster-wide barrier. It is
+//! defined in the `pgxd` crate and runs the user task over the chunk queue
+//! with the run-to-completion worker loop. Both halves of §3.3's ghost
+//! synchronization ride inside it:
 //!
-//! 1. [`GhostPushPhase`] — only when ghosts exist and the job reads a
-//!    property: broadcasts owner values into the ghost slots.
-//! 2. the main phase — defined in the `pgxd` crate, runs the user task over
-//!    the chunk queue with the run-to-completion worker loop. Ghost partials
-//!    of reduced properties leave inside it: each worker merges its private
-//!    copies once its tasks are done, and the machine's last worker to
-//!    merge sends the slots to their owners before retiring its unit.
+//! - owner values of read properties are pushed at its start
+//!   ([`sync_ghosts`]): each machine starts its chunks once the ghost
+//!   values it expects — a count it knows locally — have landed;
+//! - ghost partials of reduced properties leave at its end: each worker
+//!   merges its private copies once its tasks are done, and the machine's
+//!   last worker to merge sends the slots to their owners before retiring
+//!   its unit.
 //!
 //! Completion of a phase follows §3.2 exactly: "a particular job completes
 //! when the task list is empty and there are no unfinished remote
 //! requests". [`JobState`] counts the first half (chunks and merging
-//! workers, or producing workers); each worker asks its own machine for
-//! the second, so a partial sent before its unit retires is waited for
-//! like any other entry. There is one
+//! workers); each worker asks its own machine for the second, so a ghost
+//! value or partial sent before its unit retires is waited for like any
+//! other entry. There is one
 //! protocol per mode: by default the in-process machines share the exact
 //! `pending` entry counter; under `strict_distributed` (forced by TCP) the
 //! termination wave of [`crate::term`] releases the phase. Either way the
@@ -58,10 +61,9 @@ pub trait Phase: Send + Sync {
 /// Shared completion state for one phase.
 #[derive(Debug)]
 pub struct JobState {
-    /// Outstanding work units: chunks plus one per worker for main phases,
-    /// producing workers for the ghost push, counted over the machines this
-    /// process hosts. The
-    /// phase is complete when this reaches zero *and* the calling worker's
+    /// Outstanding work units: for a main phase, chunks plus one per
+    /// worker, counted over the machines this process hosts. The phase is
+    /// complete when this reaches zero *and* the calling worker's
     /// machine says no remote request is unfinished
     /// ([`JobState::is_complete`]).
     outstanding: AtomicUsize,
@@ -108,7 +110,7 @@ impl JobState {
         &self.cancel
     }
 
-    /// Retires one work unit (a finished chunk / a finished producer).
+    /// Retires one work unit (a finished chunk / a finished worker).
     ///
     /// Publish before retire: every entry the unit buffered must already
     /// be counted in `pending` — `WorkerComm::flush` or
@@ -236,66 +238,53 @@ pub fn share(len: usize, parts: usize, idx: usize) -> std::ops::Range<usize> {
 
 /// Pre-synchronization of ghost copies (§3.3): "for properties that are to
 /// be read in the parallel region, PGX.D copies the original values into
-/// the ghost nodes prior to the execution step." (The other half — "for the
-/// properties that are to be written (reduced), the bottom value is set to
-/// each ghost copy at the beginning" — is a driver-side fill before the job.)
-pub struct GhostPushPhase {
-    /// Properties read in the upcoming region (values broadcast to ghosts).
-    pub read_props: Vec<PropId>,
-    /// Completion state; `outstanding` = total workers (each is a
-    /// producer).
-    pub job: Arc<JobState>,
-}
-
-impl Phase for GhostPushPhase {
-    fn execute(&self, env: &mut WorkerEnv<'_>) {
-        let m = env.machine.clone();
-        let workers = m.config.workers;
-        let ghosts = &m.ghosts;
-        let num_local = m.graph.num_local();
-
-        // Broadcast owner values of this machine's ghosted vertices for
-        // every read property. Skipped once the job's token fired: the
-        // results will be discarded, so only the barrier handshake below
-        // still matters.
-        env.comm.set_mut_kind(MsgKind::GhostSync);
-        if !ghosts.is_empty() && !self.job.cancel().is_cancelled() {
-            let start = m.partition.start(m.id);
-            let end = m.partition.end(m.id);
-            let owned_lo = ghosts.nodes().partition_point(|&v| v < start);
-            let owned_hi = ghosts.nodes().partition_point(|&v| v < end);
-            let my_share = share(owned_hi - owned_lo, workers, env.worker_idx);
-            m.telemetry
-                .trace(env.worker_idx, EventKind::GhostPush, my_share.len() as u64);
-            let cols: Vec<_> = self
-                .read_props
-                .iter()
-                .map(|&prop| (prop, m.props.column(prop)))
-                .collect();
-            for k in my_share {
-                let ord = (owned_lo + k) as u32;
-                let v = ghosts.node_at(ord);
-                let local = (v - start) as usize;
-                for &(prop, ref col) in &cols {
-                    let bits = col.load_bits(local);
-                    // Also refresh our own ghost slot so reads through the
-                    // slot (if any) see the current value.
-                    col.store_bits(num_local + ord as usize, bits);
-                    for dst in 0..m.config.machines as u16 {
-                        if dst != m.id {
-                            env.comm.push_mut(dst, prop, ReduceOp::Assign, ord, bits);
-                        }
-                    }
-                }
+/// the ghost nodes prior to the execution step." Run by every worker of a
+/// main phase that reads `reads`, before its first chunk, even for a
+/// cancelled job (peers wait on its entries); `target` is ghosts ×
+/// `reads.len()`.
+///
+/// The worker broadcasts its share of the machine's owned ghosted vertices
+/// as `GhostSync` entries, counts them into the machine's `ghosts_synced`
+/// (the copiers add every entry they store), and waits for `target`: then
+/// every ghost value this machine reads has landed and every owned value
+/// its workers broadcast has been loaded. An owner's own ghost slots are
+/// never read (an owned target is a local index), so they are not written.
+/// Returns `false` if the cluster aborted during the wait.
+pub fn sync_ghosts(env: &mut WorkerEnv<'_>, reads: &[PropId], target: u64) -> bool {
+    let m = env.machine;
+    let (start, end) = (m.partition.start(m.id), m.partition.end(m.id));
+    let owned_lo = m.ghosts.nodes().partition_point(|&v| v < start);
+    let owned_hi = m.ghosts.nodes().partition_point(|&v| v < end);
+    let my_share = share(owned_hi - owned_lo, m.config.workers, env.worker_idx);
+    let mine = (my_share.len() * reads.len()) as u64;
+    m.telemetry
+        .trace(env.worker_idx, EventKind::GhostPush, my_share.len() as u64);
+    let cols: Vec<_> = reads
+        .iter()
+        .map(|&prop| (prop, m.props.column(prop)))
+        .collect();
+    env.comm.set_mut_kind(MsgKind::GhostSync);
+    for k in my_share {
+        let ord = (owned_lo + k) as u32;
+        let local = (m.ghosts.node_at(ord) - start) as usize;
+        for (prop, col) in &cols {
+            let bits = col.load_bits(local);
+            for dst in (0..m.config.machines as u16).filter(|&dst| dst != m.id) {
+                env.comm.push_mut(dst, *prop, ReduceOp::Assign, ord, bits);
             }
         }
-        env.comm.flush();
-        self.job.retire(); // this worker produced everything it will
-        drain_until_complete(env, &self.job, |_, _, _| {
-            unreachable!("ghost push issues no reads")
-        });
-        env.comm.set_mut_kind(MsgKind::Write);
     }
+    env.comm.flush();
+    env.comm.set_mut_kind(MsgKind::Write);
+    // AcqRel: the loads above happen before any worker here sees the target.
+    m.ghosts_synced.fetch_add(mine, Ordering::AcqRel);
+    while m.ghosts_synced.load(Ordering::Acquire) < target {
+        if m.health.is_aborted() {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+    true
 }
 
 /// A phase that crosses the *message-based* distributed barrier once: the

@@ -4,8 +4,8 @@
 
 use pgxd::tasks::{on_edge, on_node};
 use pgxd::{
-    BuildEngine, ChunkingMode, Config, Dir, Engine, JobReport, JobSpec, PartitioningMode, Prop,
-    ReduceOp, StatsSnapshot, TelemetryConfig,
+    BuildEngine, CancelToken, ChunkingMode, Config, Dir, Engine, FaultPlan, JobError, JobReport,
+    JobSpec, PartitioningMode, Prop, ReduceOp, ReliabilityConfig, StatsSnapshot, TelemetryConfig,
 };
 use pgxd_algorithms as algos;
 use pgxd_baselines::seq;
@@ -266,8 +266,22 @@ fn ghosted(g: &Graph, workers: usize, ghosts: Option<usize>) -> Engine {
     )
 }
 
-/// Ghost partials leave inside the main phase: a push job that reads
-/// nothing is one phase, on a cluster that does ghost its hubs.
+/// Pulls the sum of every vertex's in-neighbors' `x` into `acc` (reset to
+/// zero first), reading `x` through the ghosts.
+fn pull_sum(
+    e: &mut Engine,
+    x: Prop<i64>,
+    acc: Prop<i64>,
+    cancel: &CancelToken,
+) -> Result<JobReport, JobError> {
+    e.fill(acc, 0);
+    let task = on_edge(move |ctx| ctx.fold_nbr(x, acc, ReduceOp::Sum));
+    e.try_run_edge_job_with(Dir::In, &JobSpec::new().read(x), task, cancel)
+}
+
+/// Both ghost synchronizations ride inside the main phase: on a cluster
+/// that does ghost its hubs, a push job that only reduces, a pull job that
+/// reads and a node job that reads are each one phase.
 #[test]
 fn ghosts_reduce_only_push_job_is_one_phase() {
     let g = generate::rmat(8, 6, RmatParams::skewed(), 2009);
@@ -278,9 +292,110 @@ fn ghosts_reduce_only_push_job_is_one_phase() {
         .engine(&g)
         .unwrap();
     let p = e.add_prop("p", 0i64);
-    let before = e.cluster().phase_labels().len();
+    let acc = e.add_prop("acc", 0i64);
+    let labels = |e: &Engine| e.cluster().phase_labels().len();
+    let before = labels(&e);
     assert!(push_source_ids(&mut e, p).traffic.ghost_entries > 0);
     assert_eq!(&e.cluster().phase_labels()[before..], ["main"]);
+    let before = labels(&e);
+    let pull = pull_sum(&mut e, p, acc, &CancelToken::never()).unwrap();
+    assert!(pull.traffic.ghost_entries > 0);
+    assert_eq!(&e.cluster().phase_labels()[before..], ["main"]);
+    let before = labels(&e);
+    let read = JobSpec::new().read(p);
+    let node = e.try_run_node_job(&read, on_node(|_| {})).unwrap();
+    assert!(node.traffic.ghost_entries > 0);
+    assert_eq!(&e.cluster().phase_labels()[before..], ["main"]);
+}
+
+/// `ROUNDS` rounds on 3 machines × 2 workers: a node job gives every vertex
+/// a new `x`, then `pull_sum` reads it through the ghosts. Returns each
+/// round's sums and the final counters.
+fn fresh_rounds(
+    g: &Graph,
+    ghosts: Option<usize>,
+    plan: FaultPlan,
+) -> (Vec<Vec<i64>>, StatsSnapshot) {
+    const ROUNDS: i64 = 20;
+    let mut e = Engine::builder()
+        .machines(3)
+        .workers(2)
+        .copiers(1)
+        .ghost_threshold(ghosts)
+        .fault(plan)
+        .reliability(ReliabilityConfig::on())
+        .engine(g)
+        .unwrap();
+    let x = e.add_prop("x", 0i64);
+    let acc = e.add_prop("acc", 0i64);
+    let mut sums = Vec::new();
+    for round in 1..=ROUNDS {
+        let renew = on_node(move |ctx| {
+            let v = ctx.node() as i64;
+            ctx.set(x, (v + 1) * round % 1009);
+        });
+        e.try_run_node_job(&JobSpec::new(), renew).unwrap();
+        pull_sum(&mut e, x, acc, &CancelToken::never()).unwrap();
+        sums.push(e.gather::<i64>(acc));
+    }
+    (sums, e.cluster().total_stats())
+}
+
+/// A reader starts its chunks only once its machine's ghost slots hold
+/// this job's values: a value read one round stale changes an i64 sum,
+/// which is order-independent, so every round matches ghosts off bit for
+/// bit — with no fault, and with envelopes dropped, duplicated and
+/// reordered (a duplicate must not count towards the wait).
+#[test]
+fn ghosts_are_fresh_in_every_round() {
+    let g = generate::rmat(9, 8, RmatParams::skewed(), 2012);
+    let (plain, _) = fresh_rounds(&g, None, FaultPlan::none());
+    let (clean, stats) = fresh_rounds(&g, Some(8), FaultPlan::none());
+    assert!(stats.ghost_entries > 0);
+    assert!(plain == clean, "a clean ghosted run read a stale ghost");
+    let (lossy, stats) = fresh_rounds(&g, Some(8), FaultPlan::lossy(0x6057, 20, 50, 50));
+    assert!(stats.retransmits > 0, "2% drops must force retransmits");
+    assert!(stats.dup_suppressed > 0, "5% duplicates must be suppressed");
+    assert!(plain == lossy, "a lossy ghosted run read a stale ghost");
+}
+
+/// A reading job whose task fires its own token still pushes its ghost
+/// values (peers wait on them), returns `Cancelled` without hanging, and
+/// leaves the engine fit for the next job.
+#[test]
+fn ghosts_cancelled_reading_job_leaves_the_next_job_correct() {
+    let g = generate::rmat(8, 6, RmatParams::skewed(), 2013);
+    let run = |ghosts| {
+        let mut e = ghosted(&g, 2, ghosts);
+        let x = e.add_prop("x", 0i64);
+        let acc = e.add_prop("acc", 0i64);
+        e.try_run_node_job(
+            &JobSpec::new(),
+            on_node(move |ctx| {
+                let v = ctx.node() as i64;
+                ctx.set(x, v * v % 97);
+            }),
+        )
+        .unwrap();
+        let token = CancelToken::for_job(9);
+        let fire = token.clone();
+        let task = on_edge(move |ctx| {
+            fire.cancel();
+            ctx.fold_nbr(x, acc, ReduceOp::Sum);
+        });
+        let err = e
+            .try_run_edge_job_with(Dir::In, &JobSpec::new().read(x), task, &token)
+            .unwrap_err();
+        assert!(matches!(err, JobError::Cancelled { job: 9 }), "{err}");
+        pull_sum(&mut e, x, acc, &CancelToken::never()).unwrap();
+        (e.gather::<i64>(acc), e.cluster().ghosts().len())
+    };
+    let ((plain, none), (ghosted, ghosts)) = (run(None), run(Some(8)));
+    assert!(none == 0 && ghosts > 0);
+    assert!(
+        plain == ghosted,
+        "the job after a cancelled one read stale ghosts"
+    );
 }
 
 /// A job that reads `p` leaves owner values in `p`'s ghost slots; a Sum
