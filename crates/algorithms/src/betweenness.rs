@@ -7,7 +7,8 @@
 //! §4.1).
 
 use pgxd::{
-    Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop, ReduceOp,
+    Dir, EdgeCtx, EdgeTask, Engine, Fold, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop,
+    ReduceOp,
 };
 
 /// Result of betweenness centrality.
@@ -98,8 +99,8 @@ impl EdgeTask for PullCoef {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.dist) == self.level
     }
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        ctx.fold_nbr(self.coef, self.acc, ReduceOp::Sum);
+    fn fold(&self) -> Option<Fold> {
+        Some(Fold::new(self.coef, self.acc, ReduceOp::Sum))
     }
 }
 

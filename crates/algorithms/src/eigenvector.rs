@@ -3,7 +3,7 @@
 //! from its neighbors at every iteration step. PGX.D implements this
 //! algorithm with data pulling." (§5.2)
 
-use pgxd::{Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp};
+use pgxd::{Dir, Engine, Fold, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp};
 
 /// Result of eigenvector centrality.
 #[derive(Clone, Debug)]
@@ -12,17 +12,6 @@ pub struct EigenVectorResult {
     pub centrality: Vec<f64>,
     /// Power iterations executed.
     pub iterations: usize,
-}
-
-/// Pulls `ev` from each in-neighbor and accumulates into `nxt`.
-struct PullEv {
-    ev: Prop<f64>,
-    nxt: Prop<f64>,
-}
-impl EdgeTask for PullEv {
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        ctx.fold_nbr(self.ev, self.nxt, ReduceOp::Sum);
-    }
 }
 
 /// Normalizes: `ev = nxt / norm`, `sq = ev²` for the next norm, and the
@@ -76,7 +65,9 @@ pub fn try_eigenvector(
     let run = |engine: &mut Engine, iterations: &mut usize| -> Result<(), JobError> {
         for _ in 0..max_iters {
             *iterations += 1;
-            engine.try_run_edge_job(Dir::In, &JobSpec::new().read(ev), PullEv { ev, nxt })?;
+            // Pulls `ev` from each in-neighbor and accumulates into `nxt`.
+            let pull = Fold::new(ev, nxt, ReduceOp::Sum);
+            engine.try_run_edge_job(Dir::In, &JobSpec::new().read(ev), pull)?;
             engine.try_run_node_job(&JobSpec::new(), Square { nxt, sq })?;
             // Sequential region: global L2 norm.
             let norm = engine.reduce(sq, ReduceOp::Sum).sqrt();

@@ -2,7 +2,7 @@
 
 use pgxd::recover::{ResumableAlgorithm, StepOutcome};
 use pgxd::{
-    CancelToken, Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop,
+    CancelToken, Dir, EdgeCtx, EdgeTask, Engine, Fold, JobError, JobSpec, NodeCtx, NodeTask, Prop,
     ReduceOp,
 };
 
@@ -26,20 +26,6 @@ impl NodeTask for Scale {
         let d = ctx.out_degree();
         let pr = ctx.get(self.pr);
         ctx.set(self.tmp, if d > 0 { pr / d as f64 } else { 0.0 });
-    }
-}
-
-/// Pull kernel: `foreach(t: n.inNbrs) n.pr_nxt += t.tmp` — the variant
-/// "expensive or even disallowed in distributed frameworks" that PGX.D
-/// supports natively. No atomics: all in-edges of `n` run on one worker,
-/// so the sum stays in a register until `n`'s last edge.
-struct PullKernel {
-    tmp: Prop<f64>,
-    nxt: Prop<f64>,
-}
-impl EdgeTask for PullKernel {
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        ctx.fold_nbr(self.tmp, self.nxt, ReduceOp::Sum);
     }
 }
 
@@ -150,12 +136,13 @@ impl ResumableAlgorithm for ResumablePageRank {
         let cancel = &self.cancel;
         engine.try_run_node_job_with(&JobSpec::new(), Scale { pr, tmp }, cancel)?;
         if self.pull {
-            engine.try_run_edge_job_with(
-                Dir::In,
-                &JobSpec::new().read(tmp),
-                PullKernel { tmp, nxt },
-                cancel,
-            )?;
+            // `foreach(t: n.inNbrs) n.pr_nxt += t.tmp` — the variant
+            // "expensive or even disallowed in distributed frameworks" that
+            // PGX.D supports natively. No atomics: all in-edges of `n` run
+            // on one worker, so the sum stays in a register until `n`'s
+            // last edge.
+            let pull = Fold::new(tmp, nxt, ReduceOp::Sum);
+            engine.try_run_edge_job_with(Dir::In, &JobSpec::new().read(tmp), pull, cancel)?;
         } else {
             engine.try_run_edge_job_with(
                 Dir::Out,

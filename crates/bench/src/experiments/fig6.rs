@@ -180,7 +180,7 @@ pub fn run_fig6c(scale: Scale, machines: usize) -> Table {
 
 /// Accumulates the Figure 6c breakdown over one PageRank-pull run.
 pub fn measure_breakdown(engine: &mut Engine) -> Breakdown {
-    use pgxd::{Dir, EdgeCtx, EdgeTask, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp};
+    use pgxd::{Dir, Fold, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp};
     // A self-contained PR-pull iteration loop so each edge job's report
     // (the breakdown source) is accessible.
     struct Scale2 {
@@ -194,26 +194,18 @@ pub fn measure_breakdown(engine: &mut Engine) -> Breakdown {
             ctx.set(self.tmp, if d > 0 { pr / d as f64 } else { 0.0 });
         }
     }
-    struct Pull2 {
-        tmp: Prop<f64>,
-        nxt: Prop<f64>,
-    }
-    impl EdgeTask for Pull2 {
-        fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-            ctx.fold_nbr(self.tmp, self.nxt, ReduceOp::Sum);
-        }
-    }
     let n = engine.num_nodes() as f64;
     let pr = engine.add_prop("b_pr", 1.0 / n);
     let tmp = engine.add_prop("b_tmp", 0.0f64);
     let nxt = engine.add_prop("b_nxt", 0.0f64);
+    let pull = Fold::new(tmp, nxt, ReduceOp::Sum);
     let mut acc = Breakdown::default();
     for _ in 0..3 {
         engine
             .try_run_node_job(&JobSpec::new(), Scale2 { pr, tmp })
             .expect("scale job");
         let report = engine
-            .try_run_edge_job(Dir::In, &JobSpec::new().read(tmp), Pull2 { tmp, nxt })
+            .try_run_edge_job(Dir::In, &JobSpec::new().read(tmp), pull)
             .expect("pull job");
         acc.fully_parallel += report.breakdown.fully_parallel;
         acc.intra_machine += report.breakdown.intra_machine;

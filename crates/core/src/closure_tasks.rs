@@ -39,8 +39,8 @@ where
 }
 
 /// An [`EdgeTask`] built from `run` + `read_done` closures (pulls whose
-/// continuation does more than fold; a plain pull reduction is [`on_edge`]
-/// calling `fold_nbr`).
+/// continuation does more than fold; a plain pull reduction is a
+/// [`Fold`](crate::Fold)).
 pub struct EdgePullClosure<R, D> {
     run: R,
     done: D,

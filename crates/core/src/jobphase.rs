@@ -3,13 +3,13 @@
 //!
 //! Each worker: push its share of the owned ghost values of the read
 //! properties and wait until its machine's ghost slots are filled → grab a
-//! chunk → for each active vertex run the task over its edges → store its
-//! fold accumulator → invoke locally-satisfied continuations →
-//! opportunistically drain responses → repeat; once the queue is empty,
-//! flush the request buffers, hand its ghost partials on, and keep
-//! draining responses until the job is globally complete ("a particular
-//! job completes when the task list is empty and there are no unfinished
-//! remote requests").
+//! chunk → for each active vertex run the task over its edges (or fold
+//! them, for a task that declares a [`Fold`]) → invoke locally-satisfied
+//! continuations → opportunistically drain responses → repeat; once the
+//! queue is empty, flush the request buffers, hand its ghost partials on,
+//! and keep draining responses until the job is globally complete ("a
+//! particular job completes when the task list is empty and there are no
+//! unfinished remote requests").
 //!
 //! Both ghost synchronizations of §3.3 happen inside this phase, so a job
 //! is one phase whatever it reads and reduces. Read properties: each
@@ -22,13 +22,14 @@
 //! retires one extra work unit, so the phase cannot complete before every
 //! partial has been published and applied.
 
-use crate::scope::{TaskScope, FOLD_NODE_BIT};
+use crate::scope::{fold_record, TaskScope, FOLD_NODE_BIT};
 use crate::spec::JobSpec;
-use crate::task::{Dir, EdgeCtx, EdgeTask, NodeCtx, NodeTask, ReadDoneCtx};
+use crate::task::{Dir, EdgeCtx, EdgeTask, Fold, NodeCtx, NodeTask, ReadDoneCtx};
 use pgxd_runtime::cancel::CancelToken;
 use pgxd_runtime::chunk::{Chunk, ChunkQueue};
+use pgxd_runtime::localgraph::FragmentDir;
 use pgxd_runtime::phase::{sync_ghosts, JobState, Phase, WorkerEnv};
-use pgxd_runtime::props::{PropId, ReduceOp};
+use pgxd_runtime::props::{reduce_bits, PropId, PropValue, ReduceOp, TypeTag};
 use pgxd_runtime::Cluster;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -202,6 +203,11 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
             Dir::Out => &env.machine.graph.out,
             Dir::In => &env.machine.graph.inn,
         };
+        if let Some(fold) = task.fold() {
+            let chunk =
+                |scope: &mut TaskScope<'_>, nodes| fold_chunk(scope, frag, task, fold, nodes);
+            return self.core.run(env, &read_done, chunk);
+        }
         self.core.run(env, &read_done, |scope, nodes| {
             for node in nodes {
                 if !task.filter(&mut NodeCtx { scope, node }) {
@@ -218,11 +224,97 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
                     };
                     task.run(&mut ctx);
                 }
-                scope.flush_fold(node);
                 drain_local(scope, &read_done);
             }
         });
     }
+}
+
+/// One chunk of a declared fold: `(tag, op)` is dispatched here, once, so
+/// [`fold_loop`] runs with both fixed.
+fn fold_chunk<T: EdgeTask>(
+    scope: &mut TaskScope<'_>,
+    frag: &FragmentDir,
+    task: &T,
+    fold: Fold,
+    nodes: Chunk,
+) {
+    macro_rules! typed {
+        ($v:ty) => {
+            fold_typed::<$v, T>(scope, frag, task, fold, nodes)
+        };
+    }
+    match fold.tag {
+        TypeTag::F64 => typed!(f64),
+        TypeTag::I64 => typed!(i64),
+        TypeTag::U64 => typed!(u64),
+        TypeTag::U32 => typed!(u32),
+        TypeTag::Bool => typed!(bool),
+    }
+}
+
+fn fold_typed<V: PropValue, T: EdgeTask>(
+    scope: &mut TaskScope<'_>,
+    frag: &FragmentDir,
+    task: &T,
+    fold: Fold,
+    nodes: Chunk,
+) {
+    macro_rules! with {
+        ($op:expr) => {
+            fold_loop::<V, T>(scope, frag, task, fold, nodes, |a, b| {
+                V::from_bits(reduce_bits(V::TAG, $op, a.to_bits(), b.to_bits()))
+            })
+        };
+    }
+    match fold.op {
+        ReduceOp::Sum => with!(ReduceOp::Sum),
+        ReduceOp::Min => with!(ReduceOp::Min),
+        ReduceOp::Max => with!(ReduceOp::Max),
+        ReduceOp::Or => with!(ReduceOp::Or),
+        ReduceOp::And => with!(ReduceOp::And),
+        ReduceOp::Assign => with!(ReduceOp::Assign),
+    }
+}
+
+/// Folds the neighbors of each vertex of `nodes` that passes the filter:
+/// the vertex's cell is loaded into a register, every local or ghost
+/// neighbor's value is combined into it, and it is stored back after the
+/// vertex's last edge. A remote neighbor is a buffered read whose response
+/// the drain loop folds into the cell ([`TaskScope::fold_response`]); none
+/// drains before the chunk ends, so the store cannot overwrite one.
+fn fold_loop<V: PropValue, T: EdgeTask>(
+    scope: &mut TaskScope<'_>,
+    frag: &FragmentDir,
+    task: &T,
+    fold: Fold,
+    nodes: Chunk,
+    combine: impl Fn(V, V) -> V,
+) {
+    let (src_col, dst_col) = (scope.column(fold.src), scope.column(fold.dst));
+    let (src, dst) = (src_col.cells(), dst_col.cells());
+    let mut local_reads = 0;
+    for node in nodes {
+        if !task.filter(&mut NodeCtx { scope, node }) {
+            continue;
+        }
+        let rec = fold_record(node, &fold);
+        let mut acc = V::from_bits(dst[node].load(Ordering::Relaxed));
+        for &target in &frag.targets[frag.edge_range(node)] {
+            if target.is_remote() {
+                let gid = target.global_id();
+                scope
+                    .comm
+                    .push_read(gid.machine(), fold.src, gid.offset(), rec);
+            } else {
+                local_reads += 1;
+                let bits = src[target.local_index()].load(Ordering::Relaxed);
+                acc = combine(acc, V::from_bits(bits));
+            }
+        }
+        dst[node].store(acc.to_bits(), Ordering::Relaxed);
+    }
+    scope.count_local_reads(local_reads);
 }
 
 /// The main phase of a node-iterator job.

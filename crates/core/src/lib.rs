@@ -9,9 +9,9 @@
 //! * [`EdgeTask`] / [`NodeTask`] — the run-to-completion task interface
 //!   (§4.1.2): implement `run()` and the engine invokes it for every edge
 //!   (or node) of the graph in parallel, across machines. *Data pulling*
-//!   is [`EdgeCtx::fold_nbr`] when the pulled value is only folded into
-//!   the current vertex, and `read_nbr` + `read_done()` when the
-//!   continuation does more.
+//!   is a declared [`Fold`] when the pulled value is only folded into the
+//!   current vertex, and `read_nbr` + `read_done()` when the continuation
+//!   does more.
 //! * [`EdgeCtx`] / [`ReadDoneCtx`] / [`NodeCtx`] — the accessors the paper
 //!   exposes as `get_local` / `set_local` / `write_remote<OP>` /
 //!   `read_remote`, plus neighbor/degree/weight helpers.
@@ -23,16 +23,16 @@
 //! # Example: pull-mode PageRank kernel
 //!
 //! ```
-//! use pgxd::{BuildEngine, Engine, EdgeTask, EdgeCtx, Dir, JobSpec, Prop, ReduceOp};
+//! use pgxd::{BuildEngine, Engine, EdgeTask, Dir, Fold, JobSpec, Prop, ReduceOp};
 //! use pgxd_graph::generate;
 //!
 //! struct PullSum { src: Prop<f64>, dst: Prop<f64> }
 //! impl EdgeTask for PullSum {
-//!     fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
+//!     fn fold(&self) -> Option<Fold> {
 //!         // dst[v] += src[u], even cross-machine. One worker runs all of
 //!         // v's edges, so the sum needs no atomics and stays in a
 //!         // register until v's last edge.
-//!         ctx.fold_nbr(self.src, self.dst, ReduceOp::Sum);
+//!         Some(Fold::new(self.src, self.dst, ReduceOp::Sum))
 //!     }
 //! }
 //!
@@ -106,7 +106,7 @@ pub use recover::{
     EngineSource, Recovered, RecoveryDriver, ResumableAlgorithm, RetryPolicy, StepOutcome,
 };
 pub use spec::JobSpec;
-pub use task::{Dir, EdgeCtx, EdgeTask, NodeCtx, NodeTask, ReadDoneCtx};
+pub use task::{Dir, EdgeCtx, EdgeTask, Fold, NodeCtx, NodeTask, ReadDoneCtx};
 
 /// Closure-based ad-hoc kernels (see [`tasks::on_edge`]).
 pub mod tasks {

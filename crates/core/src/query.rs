@@ -40,7 +40,7 @@
 //! ```
 
 use crate::serve::{JobHandle, Lane, Session};
-use crate::task::{EdgeCtx, EdgeTask, NodeCtx, NodeTask};
+use crate::task::{EdgeCtx, EdgeTask, Fold, NodeCtx, NodeTask};
 use crate::{
     CancelReason, CancelToken, Dir, Engine, JobError, JobSpec, NodeId, Prop, PropValue, ReduceOp,
     ResumableAlgorithm, StepOutcome,
@@ -470,8 +470,8 @@ fn push_emit<T: PropValue>(
     }))
 }
 
-/// A lowered pull-mode `EdgeJob`, monomorphic in the value type: per edge
-/// it is `try_pagerank_pull`'s kernel, one `fold_nbr`.
+/// A lowered pull-mode `EdgeJob`: `try_pagerank_pull`'s declared fold
+/// behind the plan's vertex filter.
 struct PullJob<T: PropValue> {
     filter: Option<Fx<bool>>,
     /// `=` semantics: a vertex that passes the filter starts from the
@@ -479,9 +479,8 @@ struct PullJob<T: PropValue> {
     /// so every fold combines into the reset cell, and a vertex the filter
     /// excludes keeps its value.
     reset: Option<T>,
-    src: Prop<T>,
     target: Prop<T>,
-    op: ReduceOp,
+    fold: Fold,
 }
 
 impl<T: PropValue> EdgeTask for Arc<PullJob<T>> {
@@ -492,8 +491,8 @@ impl<T: PropValue> EdgeTask for Arc<PullJob<T>> {
         }
         pass
     }
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        ctx.fold_nbr(self.src, self.target, self.op);
+    fn fold(&self) -> Option<Fold> {
+        Some(self.fold)
     }
 }
 
@@ -534,9 +533,8 @@ fn pull_action<T: PropValue>(
     let job = PullJob {
         filter,
         reset,
-        src,
         target,
-        op,
+        fold: Fold::new(src, target, op),
     };
     edge_action(dir, JobSpec::new().read(src), job)
 }

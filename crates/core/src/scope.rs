@@ -5,34 +5,31 @@
 //! plain local load/store, a privatized ghost-slot reduction, or
 //! a buffered remote request.
 
+use crate::task::Fold;
 use pgxd_runtime::ids::MachineId;
 use pgxd_runtime::localgraph::EncTarget;
 use pgxd_runtime::machine::MachineState;
 use pgxd_runtime::message::MsgKind;
-use pgxd_runtime::props::{bottom_bits, reduce_bits, Column, PropId, PropValue, ReduceOp, TypeTag};
+use pgxd_runtime::props::{bottom_bits, reduce_bits, Column, PropId, ReduceOp, TypeTag};
 use pgxd_runtime::telemetry::EventKind;
 use pgxd_runtime::worker::{SideRec, WorkerComm};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Marks the record of a remote fold ([`TaskScope::fold_target`]): the
-/// drain loop folds its response into the target cell itself instead of
-/// calling `read_done`. The record's `aux` is the fold's [`fold_key`].
-/// Local vertex indices stay below 2³¹, so the bit is free.
+/// Marks the record of a remote fold ([`fold_record`]): the drain loop
+/// folds its response into the target cell itself instead of calling
+/// `read_done`. Local vertex indices stay below 2³¹, so the bit is free.
 pub(crate) const FOLD_NODE_BIT: u32 = 1 << 31;
 
-/// No fold accumulator is open (no [`fold_key`] takes this value).
-const NO_FOLD: u64 = u64::MAX;
-
-/// A fold's target property and reduction packed into one word: the key
-/// of the open accumulator and the `aux` of a remote fold's record.
-#[inline(always)]
-fn fold_key(dst: PropId, op: ReduceOp) -> u64 {
-    (dst.0 as u64) << 8 | op as u64
-}
-
-fn fold_key_prop(key: u64) -> PropId {
-    PropId((key >> 8) as u16)
+/// The record of a remote read that `fold` issues for local vertex
+/// `node`: the fold's target property and reduction packed into `aux`.
+#[inline]
+pub(crate) fn fold_record(node: usize, fold: &Fold) -> SideRec {
+    debug_assert!(node < FOLD_NODE_BIT as usize);
+    SideRec {
+        node: node as u32 | FOLD_NODE_BIT,
+        aux: (fold.dst.0 as u64) << 8 | fold.op as u64,
+    }
 }
 
 /// A thread-private ghost copy of one reduced property (§3.3 "Ghost
@@ -63,11 +60,6 @@ pub(crate) struct TaskScope<'a> {
     /// ("if the other node is in the same machine, read_done() is
     /// immediately invoked with the pointer to the local data").
     pub(crate) local_reads: Vec<(SideRec, u64)>,
-    /// The current vertex's open fold accumulator: which `(dst, op)` it
-    /// folds ([`NO_FOLD`] when none) and the value so far. It lives here,
-    /// not in the column, until the vertex's last edge has run.
-    fold_key: u64,
-    fold_acc: u64,
     /// Batched local-access statistics, published at phase end.
     stat_local_reads: u64,
     stat_local_writes: u64,
@@ -104,8 +96,6 @@ impl<'a> TaskScope<'a> {
             cols: Vec::new(),
             privs,
             local_reads: Vec::new(),
-            fold_key: NO_FOLD,
-            fold_acc: 0,
             stat_local_reads: 0,
             stat_local_writes: 0,
         }
@@ -115,11 +105,23 @@ impl<'a> TaskScope<'a> {
     /// falling back to the registry on the first touch only.
     #[inline(always)]
     pub fn col(&mut self, p: PropId) -> &Column {
-        let slot = match self.cols.iter().position(|(id, _)| *id == p) {
+        let slot = self.slot(p);
+        &self.cols[slot].1
+    }
+
+    /// [`Self::col`] as a handle of its own, for a loop that resolves its
+    /// columns once and still needs the scope.
+    pub fn column(&mut self, p: PropId) -> Arc<Column> {
+        let slot = self.slot(p);
+        Arc::clone(&self.cols[slot].1)
+    }
+
+    #[inline(always)]
+    fn slot(&mut self, p: PropId) -> usize {
+        match self.cols.iter().position(|(id, _)| *id == p) {
             Some(slot) => slot,
             None => self.resolve(p),
-        };
-        &self.cols[slot].1
+        }
     }
 
     /// First touch of `p` in this phase: one registry lookup, then cached.
@@ -190,67 +192,13 @@ impl<'a> TaskScope<'a> {
         self.local_reads.push((rec, bits));
     }
 
-    /// `dst[node] = op(dst[node], src[target])` for an edge of `node`. A
-    /// local or ghost `target` folds into the open accumulator — `T::TAG`
-    /// and (at an inlined call site) `op` are constants, so per edge this
-    /// is one load, one compare and the reduction itself. A remote one is
-    /// an ordinary buffered read whose record asks the drain loop to fold
-    /// the response ([`Self::fold_response`]).
-    #[inline(always)]
-    pub fn fold_target<T: PropValue>(
-        &mut self,
-        node: usize,
-        target: EncTarget,
-        src: PropId,
-        dst: PropId,
-        op: ReduceOp,
-    ) {
-        let key = fold_key(dst, op);
-        if target.is_remote() {
-            debug_assert!(node < FOLD_NODE_BIT as usize);
-            let rec = SideRec {
-                node: node as u32 | FOLD_NODE_BIT,
-                aux: key,
-            };
-            let gid = target.global_id();
-            self.comm.push_read(gid.machine(), src, gid.offset(), rec);
-            return;
-        }
-        self.stat_local_reads += 1;
-        let bits = self.col(src).load_bits(target.local_index());
-        if self.fold_key != key {
-            self.open_fold(node, key);
-        }
-        self.fold_acc = reduce_bits(T::TAG, op, self.fold_acc, bits);
-    }
-
-    /// Stores the open accumulator (if any) and starts one for `key` from
-    /// the vertex's current cell.
-    #[cold]
-    #[inline(never)]
-    fn open_fold(&mut self, node: usize, key: u64) {
-        self.flush_fold(node);
-        self.fold_acc = self.load_local(fold_key_prop(key), node);
-        self.fold_key = key;
-    }
-
-    /// Writes the open accumulator back to `node`'s cell: once per vertex,
-    /// after its last edge, and whenever a fold names another `(dst, op)`.
-    #[inline]
-    pub fn flush_fold(&mut self, node: usize) {
-        if self.fold_key != NO_FOLD {
-            self.store_local(fold_key_prop(self.fold_key), node, self.fold_acc);
-            self.fold_key = NO_FOLD;
-        }
-    }
-
     /// Folds the response to a remote fold's read into its vertex's cell.
     /// Every continuation of a vertex runs on its worker, so a plain load
     /// and store suffice.
     pub fn fold_response(&mut self, rec: SideRec, bits: u64) {
         let node = (rec.node & !FOLD_NODE_BIT) as usize;
         let op = ReduceOp::from_u8(rec.aux as u8).expect("a fold record carries its reduction");
-        let col = self.col(fold_key_prop(rec.aux));
+        let col = self.col(PropId((rec.aux >> 8) as u16));
         col.store_bits(node, reduce_bits(col.tag(), op, col.load_bits(node), bits));
     }
 
@@ -279,6 +227,12 @@ impl<'a> TaskScope<'a> {
         } else {
             self.comm.push_read(owner, p, offset, rec);
         }
+    }
+
+    /// Adds `n` locally answered reads to the batched statistics.
+    #[inline]
+    pub fn count_local_reads(&mut self, n: u64) {
+        self.stat_local_reads += n;
     }
 
     /// Publishes batched local-access statistics to the machine counters.

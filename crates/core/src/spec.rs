@@ -40,8 +40,14 @@ impl JobSpec {
     /// Declares a property that the region writes with reduction `op`.
     /// Ghost copies are bottom-initialized before the region, and merged
     /// to the owner as each machine's workers finish their tasks. It cannot
-    /// also be read (see [`JobSpec::read`]) or reduced twice.
+    /// also be read (see [`JobSpec::read`]) or reduced twice, and `op` must
+    /// be [defined](ReduceOp::defined_on) on `T`.
     pub fn reduce<T: PropValue>(mut self, p: Prop<T>, op: ReduceOp) -> Self {
+        assert!(
+            op.defined_on(T::TAG),
+            "{op:?} is not defined on {:?} properties",
+            T::TAG
+        );
         assert!(
             !self.reduces.iter().any(|(id, _)| *id == p.id),
             "property declared reduced twice"
@@ -82,6 +88,15 @@ mod tests {
         let _ = JobSpec::new()
             .reduce(a, ReduceOp::Sum)
             .reduce(a, ReduceOp::Min);
+    }
+
+    /// A logical reduction of an `f64` column would panic on the workers
+    /// and hang the driver; it is refused where it is declared.
+    #[test]
+    #[should_panic(expected = "Or is not defined on F64 properties")]
+    fn logical_reduce_of_f64_panics() {
+        let a: Prop<f64> = Prop::new(PropId(0));
+        let _ = JobSpec::new().reduce(a, ReduceOp::Or);
     }
 
     #[test]

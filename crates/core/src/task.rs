@@ -4,15 +4,15 @@
 //! once per edge (or node) and always returns; remote reads requested
 //! inside `run()` continue later in `read_done()`, on the *same* worker
 //! thread, with whatever state the task saved in its fields or in node
-//! properties (§4.1.2). A read whose continuation would only fold the
-//! value into the current vertex is [`EdgeCtx::fold_nbr`], which needs no
-//! `read_done()`.
+//! properties (§4.1.2). A pull whose continuation would only fold the
+//! value into the current vertex is declared instead, as a [`Fold`]: the
+//! engine then folds the edges itself, with no `run()` or `read_done()`.
 
 use crate::prop::Prop;
 use crate::scope::TaskScope;
 use pgxd_graph::NodeId;
 use pgxd_runtime::localgraph::EncTarget;
-use pgxd_runtime::props::{PropValue, ReduceOp};
+use pgxd_runtime::props::{PropId, PropValue, ReduceOp, TypeTag};
 use pgxd_runtime::worker::SideRec;
 
 /// Which neighbor set an edge task iterates: the paper's
@@ -27,7 +27,7 @@ pub enum Dir {
 }
 
 /// A neighborhood-iteration task: `run` executes for every (in- or out-)
-/// edge of every active vertex.
+/// edge of every active vertex — unless the task declares a [`Fold`].
 pub trait EdgeTask: Send + Sync + 'static {
     /// Vertex filter, evaluated once per vertex before its edges run
     /// ("a custom filter method which is evaluated for each vertex prior
@@ -36,12 +36,60 @@ pub trait EdgeTask: Send + Sync + 'static {
         true
     }
 
+    /// A pull reduction this task consists of. When it returns `Some`, the
+    /// engine folds every passing vertex's neighbors itself and never
+    /// calls `run`; the filter still runs first.
+    fn fold(&self) -> Option<Fold> {
+        None
+    }
+
     /// The per-edge kernel.
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>);
+    fn run(&self, _ctx: &mut EdgeCtx<'_, '_>) {}
 
     /// Continuation for reads issued by `run` (one callback per
     /// `read_nbr`). Guaranteed to execute on the worker that ran `run`.
     fn read_done(&self, _ctx: &mut ReadDoneCtx<'_, '_>) {}
+}
+
+/// A declared pull reduction: `dst[v] = op(dst[v], src[u])` for every edge
+/// `(v, u)` of every vertex `v` the filter passes.
+///
+/// All of `v`'s edges run on one worker, so local and ghosted values fold
+/// into a register that is stored to `dst[v]` once, after `v`'s last edge;
+/// remote values travel as reads whose responses are folded into the cell
+/// as they drain. A `Fold` is also a task on its own: the fold of every
+/// vertex.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Fold {
+    pub(crate) src: PropId,
+    pub(crate) dst: PropId,
+    pub(crate) tag: TypeTag,
+    pub(crate) op: ReduceOp,
+}
+
+impl Fold {
+    /// Folds `src` of each neighbor into `dst` of the vertex with `op`.
+    ///
+    /// Panics if `op` is not [defined](ReduceOp::defined_on) on `T`.
+    pub fn new<T: PropValue>(src: Prop<T>, dst: Prop<T>, op: ReduceOp) -> Fold {
+        assert!(
+            op.defined_on(T::TAG),
+            "{op:?} is not defined on {:?} properties",
+            T::TAG
+        );
+        Fold {
+            src: src.id,
+            dst: dst.id,
+            tag: T::TAG,
+            op,
+        }
+    }
+}
+
+impl EdgeTask for Fold {
+    fn fold(&self) -> Option<Fold> {
+        Some(*self)
+    }
 }
 
 /// A per-vertex task (the paper's node iterator): `run` executes once per
@@ -186,22 +234,6 @@ impl EdgeCtx<'_, '_> {
         self.read_nbr_tagged(p, 0);
     }
 
-    /// Pull reduction without a continuation: `dst[v] = op(dst[v], src[u])`
-    /// for the current vertex `v` and neighbor `u`. Local and ghosted
-    /// values fold into a register that is written to `dst[v]` once, after
-    /// `v`'s last edge (all of `v`'s edges run on one worker, so nothing
-    /// else touches the cell meanwhile); remote values travel like
-    /// [`Self::read_nbr`]'s and are folded in as their responses drain.
-    /// Until `v`'s edges are done, `dst[v]` in memory lags the fold, so
-    /// `run` must not `get` or `set` it. Use [`Self::read_nbr`] +
-    /// [`EdgeTask::read_done`] when the continuation does more than this
-    /// fold.
-    #[inline(always)]
-    pub fn fold_nbr<T: PropValue>(&mut self, src: Prop<T>, dst: Prop<T>, op: ReduceOp) {
-        self.scope
-            .fold_target::<T>(self.node, self.target, src.id, dst.id, op);
-    }
-
     /// Like [`Self::read_nbr`] with a user tag made available as
     /// [`ReadDoneCtx::aux`] — the paper's mechanism for state-machine tasks
     /// that continue more than once.
@@ -337,5 +369,19 @@ impl ReadDoneCtx<'_, '_> {
             aux,
         };
         self.scope.read_global(rec, v, p.id);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A logical fold of an `f64` column would panic on the workers and
+    /// hang the driver; it is refused where it is declared.
+    #[test]
+    #[should_panic(expected = "And is not defined on F64 properties")]
+    fn logical_fold_of_f64_panics() {
+        let p: Prop<f64> = Prop::new(PropId(0));
+        let _ = Fold::new(p, p, ReduceOp::And);
     }
 }

@@ -21,8 +21,8 @@ pub enum TraverseMode {
     /// Iterate the *neighbor* side and `write_nbr` into the target with
     /// the reduction operator (sources push).
     Push,
-    /// Iterate the target side and fold the source value in with
-    /// `fold_nbr` (destinations pull).
+    /// Iterate the target side and fold the source value in with a
+    /// declared `Fold` (destinations pull).
     Pull,
 }
 

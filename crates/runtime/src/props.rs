@@ -297,6 +297,13 @@ impl Column {
         self.cells.len()
     }
 
+    /// Every cell, owned then ghost: for a loop that resolves its column
+    /// once and then indexes it directly.
+    #[inline]
+    pub fn cells(&self) -> &[AtomicU64] {
+        &self.cells
+    }
+
     /// Plain (relaxed) load of raw bits.
     #[inline]
     pub fn load_bits(&self, i: usize) -> u64 {

@@ -55,8 +55,9 @@ echo "== benchmark smoke (one run of each of the seven workloads, answers checke
 # repository benchmark verifies every result against the sequential
 # oracles and exits non-zero on any failed, refused or wrong operation.
 bash benchmark/run.sh --workload pull_skew --seed 7 --seconds 1 --trace 0
-# One machine, one worker: every read is local, so every `fold_nbr` takes
-# the register path (folded per vertex, stored after its last edge).
+# One machine, one worker: every read is local, so the declared pull fold
+# takes only the register path (folded per vertex, stored after its last
+# edge).
 bash benchmark/run.sh --workload local_pull --seed 7 --seconds 1 --trace 0
 # The same job on two node-mode ranks over loopback TCP: the event-driven
 # termination wave (report, probe, answer, release) against the oracle.

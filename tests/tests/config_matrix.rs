@@ -4,8 +4,9 @@
 
 use pgxd::tasks::{on_edge, on_node};
 use pgxd::{
-    BuildEngine, CancelToken, ChunkingMode, Config, Dir, Engine, FaultPlan, JobError, JobReport,
-    JobSpec, PartitioningMode, Prop, ReduceOp, ReliabilityConfig, StatsSnapshot, TelemetryConfig,
+    BuildEngine, CancelToken, ChunkingMode, Config, Dir, EdgeTask, Engine, FaultPlan, Fold,
+    JobError, JobReport, JobSpec, NodeCtx, PartitioningMode, Prop, ReduceOp, ReliabilityConfig,
+    StatsSnapshot, TelemetryConfig,
 };
 use pgxd_algorithms as algos;
 use pgxd_baselines::seq;
@@ -275,7 +276,7 @@ fn pull_sum(
     cancel: &CancelToken,
 ) -> Result<JobReport, JobError> {
     e.fill(acc, 0);
-    let task = on_edge(move |ctx| ctx.fold_nbr(x, acc, ReduceOp::Sum));
+    let task = Fold::new(x, acc, ReduceOp::Sum);
     e.try_run_edge_job_with(Dir::In, &JobSpec::new().read(x), task, cancel)
 }
 
@@ -359,6 +360,21 @@ fn ghosts_are_fresh_in_every_round() {
     assert!(plain == lossy, "a lossy ghosted run read a stale ghost");
 }
 
+/// A pull whose filter fires its own job's token.
+struct FireThenPull {
+    fire: CancelToken,
+    pull: Fold,
+}
+impl EdgeTask for FireThenPull {
+    fn filter(&self, _: &mut NodeCtx<'_, '_>) -> bool {
+        self.fire.cancel();
+        true
+    }
+    fn fold(&self) -> Option<Fold> {
+        Some(self.pull)
+    }
+}
+
 /// A reading job whose task fires its own token still pushes its ghost
 /// values (peers wait on them), returns `Cancelled` without hanging, and
 /// leaves the engine fit for the next job.
@@ -378,11 +394,10 @@ fn ghosts_cancelled_reading_job_leaves_the_next_job_correct() {
         )
         .unwrap();
         let token = CancelToken::for_job(9);
-        let fire = token.clone();
-        let task = on_edge(move |ctx| {
-            fire.cancel();
-            ctx.fold_nbr(x, acc, ReduceOp::Sum);
-        });
+        let task = FireThenPull {
+            fire: token.clone(),
+            pull: Fold::new(x, acc, ReduceOp::Sum),
+        };
         let err = e
             .try_run_edge_job_with(Dir::In, &JobSpec::new().read(x), task, &token)
             .unwrap_err();
