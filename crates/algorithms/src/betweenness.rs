@@ -7,8 +7,8 @@
 //! §4.1).
 
 use pgxd::{
-    Dir, EdgeCtx, EdgeTask, Engine, Fold, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop,
-    ReduceOp,
+    Dir, EdgeTask, Engine, Fold, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop, ReduceOp,
+    Scatter,
 };
 
 /// Result of betweenness centrality.
@@ -36,9 +36,8 @@ impl EdgeTask for Expand {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.dist) == self.level
     }
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        let s = ctx.get(self.sigma);
-        ctx.write_nbr(self.sigma_add, ReduceOp::Sum, s);
+    fn scatter(&self) -> Option<Scatter> {
+        Some(Scatter::new(self.sigma, self.sigma_add, ReduceOp::Sum))
     }
 }
 
@@ -178,7 +177,8 @@ pub fn try_betweenness(
             loop {
                 engine.try_run_edge_job(
                     Dir::Out,
-                    &JobSpec::new().read(sigma).reduce(sigma_add, ReduceOp::Sum),
+                    // `sigma` is read at the frontier vertex itself only.
+                    &JobSpec::new().reduce(sigma_add, ReduceOp::Sum),
                     Expand {
                         dist,
                         sigma,

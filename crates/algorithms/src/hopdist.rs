@@ -1,10 +1,11 @@
 //! Hop Distance: breadth-first traversal from a root ("Hop Dist:
 //! Breadth-first traversal from the root", Table 2). Level-synchronous
-//! frontier expansion with a `Min` push of `hops + 1`.
+//! frontier expansion: a `Min` scatter of the frontier's `hops`, one
+//! added on arrival.
 
 use pgxd::recover::{ResumableAlgorithm, StepOutcome};
 use pgxd::{
-    Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop, ReduceOp,
+    Dir, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop, ReduceOp, Scatter,
 };
 
 /// Result of a hop-distance traversal.
@@ -16,6 +17,8 @@ pub struct HopDistResult {
     pub iterations: usize,
 }
 
+/// Frontier vertices scatter their `hops` to their out-neighbors' `nxt`;
+/// [`Advance`] adds the hop, so the minimum is taken before it.
 struct Expand {
     hops: Prop<i64>,
     nxt: Prop<i64>,
@@ -25,9 +28,8 @@ impl EdgeTask for Expand {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.frontier)
     }
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        let h = ctx.get(self.hops) + 1;
-        ctx.write_nbr(self.nxt, ReduceOp::Min, h);
+    fn scatter(&self) -> Option<Scatter> {
+        Some(Scatter::new(self.hops, self.nxt, ReduceOp::Min))
     }
 }
 
@@ -38,7 +40,8 @@ struct Advance {
 }
 impl NodeTask for Advance {
     fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
-        let cand = ctx.get(self.nxt);
+        // `nxt` is `i64::MAX` where nothing arrived; it stays unreachable.
+        let cand = ctx.get(self.nxt).saturating_add(1);
         if cand < ctx.get(self.hops) {
             ctx.set(self.hops, cand);
             ctx.set(self.frontier, true);

@@ -10,7 +10,9 @@
 //! undecided neighbor's; neighbors of new members drop out. Expected
 //! O(log n) rounds.
 
-use pgxd::{Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp};
+use pgxd::{
+    Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp, Scatter,
+};
 
 /// Result of the MIS computation.
 #[derive(Clone, Debug)]
@@ -66,9 +68,8 @@ impl EdgeTask for PushPrio {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.state) == UNDECIDED
     }
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        let p = ctx.get(self.prio);
-        ctx.write_nbr(self.nbr_max, ReduceOp::Max, p);
+    fn scatter(&self) -> Option<Scatter> {
+        Some(Scatter::new(self.prio, self.nbr_max, ReduceOp::Max))
     }
 }
 
@@ -143,7 +144,8 @@ pub fn try_mis(engine: &mut Engine) -> Result<MisResult, JobError> {
                     round: *rounds as u64,
                 },
             )?;
-            let push_spec = JobSpec::new().read(prio).reduce(nbr_max, ReduceOp::Max);
+            // `prio` is read at the pushing vertex itself only.
+            let push_spec = JobSpec::new().reduce(nbr_max, ReduceOp::Max);
             engine.try_run_edge_job(
                 Dir::Out,
                 &push_spec,

@@ -3,7 +3,7 @@
 use pgxd::recover::{ResumableAlgorithm, StepOutcome};
 use pgxd::{
     CancelToken, Dir, EdgeCtx, EdgeTask, Engine, Fold, JobError, JobSpec, NodeCtx, NodeTask, Prop,
-    ReduceOp,
+    ReduceOp, Scatter,
 };
 
 /// Result of a PageRank computation.
@@ -26,19 +26,6 @@ impl NodeTask for Scale {
         let d = ctx.out_degree();
         let pr = ctx.get(self.pr);
         ctx.set(self.tmp, if d > 0 { pr / d as f64 } else { 0.0 });
-    }
-}
-
-/// Push kernel: `foreach(t: n.outNbrs) t.pr_nxt += n.tmp` — the
-/// conventional form, which pays atomic accumulation.
-struct PushKernel {
-    tmp: Prop<f64>,
-    nxt: Prop<f64>,
-}
-impl EdgeTask for PushKernel {
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        let v = ctx.get(self.tmp);
-        ctx.write_nbr(self.nxt, ReduceOp::Sum, v);
     }
 }
 
@@ -144,12 +131,12 @@ impl ResumableAlgorithm for ResumablePageRank {
             let pull = Fold::new(tmp, nxt, ReduceOp::Sum);
             engine.try_run_edge_job_with(Dir::In, &JobSpec::new().read(tmp), pull, cancel)?;
         } else {
-            engine.try_run_edge_job_with(
-                Dir::Out,
-                &JobSpec::new().reduce(nxt, ReduceOp::Sum),
-                PushKernel { tmp, nxt },
-                cancel,
-            )?;
+            // `foreach(t: n.outNbrs) t.pr_nxt += n.tmp` — the conventional
+            // form, which pays atomic accumulation at local targets. `tmp`
+            // is loaded once per vertex and scattered over its out-edges.
+            let push = Scatter::new(tmp, nxt, ReduceOp::Sum);
+            let spec = JobSpec::new().reduce(nxt, ReduceOp::Sum);
+            engine.try_run_edge_job_with(Dir::Out, &spec, push, cancel)?;
         }
         engine.try_run_node_job_with(
             &JobSpec::new(),

@@ -3,8 +3,8 @@
 //! later be active again", §5.2).
 
 use pgxd::{
-    CancelToken, Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop,
-    ReduceOp,
+    CancelToken, Dir, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp,
+    Scatter,
 };
 
 /// Result of WCC.
@@ -29,9 +29,8 @@ impl EdgeTask for PushLabel {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.active)
     }
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        let c = ctx.get(self.comp);
-        ctx.write_nbr(self.nxt, ReduceOp::Min, c);
+    fn scatter(&self) -> Option<Scatter> {
+        Some(Scatter::new(self.comp, self.nxt, ReduceOp::Min))
     }
 }
 

@@ -342,7 +342,8 @@ impl Engine {
     /// of every vertex passing `task.filter`, across all machines. A
     /// machine crash, partition, or protocol violation surfaces as a
     /// structured [`JobError`] once every worker has reached the phase
-    /// barrier — no hang, no panic.
+    /// barrier — no hang, no panic. A declared fold or scatter that `spec`
+    /// does not cover panics here, on the driver, before the job starts.
     pub fn try_run_edge_job<T: EdgeTask>(
         &mut self,
         dir: Dir,
@@ -365,6 +366,7 @@ impl Engine {
         task: T,
         cancel: &CancelToken,
     ) -> Result<JobReport, JobError> {
+        spec.check_task(&task);
         let queues = self.build_queues(dir, self.cluster.config().chunking);
         let main = Arc::new(EdgeJobPhase {
             task: Arc::new(task),

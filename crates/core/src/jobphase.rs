@@ -4,12 +4,17 @@
 //! Each worker: push its share of the owned ghost values of the read
 //! properties and wait until its machine's ghost slots are filled → grab a
 //! chunk → for each active vertex run the task over its edges (or fold
-//! them, for a task that declares a [`Fold`]) → invoke locally-satisfied
+//! them, or scatter its value over them, for a task that declares a
+//! [`Fold`] or a [`Scatter`]) → invoke locally-satisfied
 //! continuations → opportunistically drain responses → repeat; once the
 //! queue is empty, flush the request buffers, hand its ghost partials on,
 //! and keep draining responses until the job is globally complete ("a
 //! particular job completes when the task list is empty and there are no
 //! unfinished remote requests").
+//!
+//! A declared fold or scatter runs without the task: per chunk its two
+//! columns are resolved once and `(tag, op)` is matched once
+//! ([`dispatch`]), so the edge loop is monomorphic in both.
 //!
 //! Both ghost synchronizations of §3.3 happen inside this phase, so a job
 //! is one phase whatever it reads and reduces. Read properties: each
@@ -24,12 +29,12 @@
 
 use crate::scope::{fold_record, TaskScope, FOLD_NODE_BIT};
 use crate::spec::JobSpec;
-use crate::task::{Dir, EdgeCtx, EdgeTask, Fold, NodeCtx, NodeTask, ReadDoneCtx};
+use crate::task::{Dir, EdgeCtx, EdgeTask, Fold, NodeCtx, NodeTask, ReadDoneCtx, Scatter};
 use pgxd_runtime::cancel::CancelToken;
 use pgxd_runtime::chunk::{Chunk, ChunkQueue};
 use pgxd_runtime::localgraph::FragmentDir;
 use pgxd_runtime::phase::{sync_ghosts, JobState, Phase, WorkerEnv};
-use pgxd_runtime::props::{reduce_bits, PropId, PropValue, ReduceOp, TypeTag};
+use pgxd_runtime::props::{cas_reduce, reduce_bits, PropId, PropValue, ReduceOp, TypeTag};
 use pgxd_runtime::Cluster;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -130,7 +135,7 @@ impl JobCore {
         let synced = self.ghost_target == 0 || sync_ghosts(env, &self.reads, self.ghost_target);
         let machine = env.machine;
         let machine_id = machine.id as usize;
-        let mut scope = TaskScope::new(machine, env.comm, &self.reduces);
+        let mut scope = TaskScope::new(machine, env.comm, &self.reads, &self.reduces);
         let (queue, job) = (&self.queues[machine_id], &*self.job);
         let mut claims = 0u64;
         while let Some(nodes) = synced.then(|| queue.pop()).flatten() {
@@ -155,8 +160,10 @@ impl JobCore {
 
         job.mark_tasks_done(machine_id, env.worker_idx);
         scope.comm.flush();
-        // Only an edge task's `write_nbr` writes ghost slots, never a
-        // continuation, so this worker's private copies are final. AcqRel:
+        // Private ghost copies are written only from an edge's own step —
+        // `write_nbr` or a declared scatter — never by a continuation (it
+        // reduces by global id, which reaches the owner), so this worker's
+        // copies are final. AcqRel:
         // the last worker's acquire sees every earlier worker's merge. A
         // cancelled job's partials would never be read.
         scope.merge_privs();
@@ -204,9 +211,15 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
             Dir::In => &env.machine.graph.inn,
         };
         if let Some(fold) = task.fold() {
-            let chunk =
-                |scope: &mut TaskScope<'_>, nodes| fold_chunk(scope, frag, task, fold, nodes);
-            return self.core.run(env, &read_done, chunk);
+            return self.core.run(env, &read_done, |scope, nodes| {
+                dispatch(fold.tag, fold.op, Declared(scope, frag, task, fold, nodes))
+            });
+        }
+        if let Some(scatter) = task.scatter() {
+            return self.core.run(env, &read_done, |scope, nodes| {
+                let chunk = Declared(scope, frag, task, scatter, nodes);
+                dispatch(scatter.tag, scatter.op, chunk)
+            });
         }
         self.core.run(env, &read_done, |scope, nodes| {
             for node in nodes {
@@ -230,44 +243,32 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
     }
 }
 
-/// One chunk of a declared fold: `(tag, op)` is dispatched here, once, so
-/// [`fold_loop`] runs with both fixed.
-fn fold_chunk<T: EdgeTask>(
-    scope: &mut TaskScope<'_>,
-    frag: &FragmentDir,
-    task: &T,
-    fold: Fold,
-    nodes: Chunk,
-) {
-    macro_rules! typed {
-        ($v:ty) => {
-            fold_typed::<$v, T>(scope, frag, task, fold, nodes)
-        };
-    }
-    match fold.tag {
-        TypeTag::F64 => typed!(f64),
-        TypeTag::I64 => typed!(i64),
-        TypeTag::U64 => typed!(u64),
-        TypeTag::U32 => typed!(u32),
-        TypeTag::Bool => typed!(bool),
+/// A chunk loop that is monomorphic in a value type and a reduction:
+/// [`dispatch`] matches `(tag, op)` once per chunk and calls `run` with
+/// both fixed, so `combine` is one constant-folded [`reduce_bits`].
+trait ReduceLoop {
+    fn run<V: PropValue>(self, op: ReduceOp, combine: impl Fn(V, V) -> V);
+}
+
+fn dispatch(tag: TypeTag, op: ReduceOp, body: impl ReduceLoop) {
+    match tag {
+        TypeTag::F64 => dispatch_op::<f64>(op, body),
+        TypeTag::I64 => dispatch_op::<i64>(op, body),
+        TypeTag::U64 => dispatch_op::<u64>(op, body),
+        TypeTag::U32 => dispatch_op::<u32>(op, body),
+        TypeTag::Bool => dispatch_op::<bool>(op, body),
     }
 }
 
-fn fold_typed<V: PropValue, T: EdgeTask>(
-    scope: &mut TaskScope<'_>,
-    frag: &FragmentDir,
-    task: &T,
-    fold: Fold,
-    nodes: Chunk,
-) {
+fn dispatch_op<V: PropValue>(op: ReduceOp, body: impl ReduceLoop) {
     macro_rules! with {
         ($op:expr) => {
-            fold_loop::<V, T>(scope, frag, task, fold, nodes, |a, b| {
+            body.run::<V>($op, |a: V, b: V| {
                 V::from_bits(reduce_bits(V::TAG, $op, a.to_bits(), b.to_bits()))
             })
         };
     }
-    match fold.op {
+    match op {
         ReduceOp::Sum => with!(ReduceOp::Sum),
         ReduceOp::Min => with!(ReduceOp::Min),
         ReduceOp::Max => with!(ReduceOp::Max),
@@ -277,44 +278,91 @@ fn fold_typed<V: PropValue, T: EdgeTask>(
     }
 }
 
-/// Folds the neighbors of each vertex of `nodes` that passes the filter:
+/// One chunk of a declared reduction `D` — a [`Fold`] or a [`Scatter`] —
+/// of a task over a fragment's edges.
+struct Declared<'c, 'a, T, D>(&'c mut TaskScope<'a>, &'c FragmentDir, &'c T, D, Chunk);
+
+/// Folds the neighbors of each vertex of the chunk that passes the filter:
 /// the vertex's cell is loaded into a register, every local or ghost
 /// neighbor's value is combined into it, and it is stored back after the
 /// vertex's last edge. A remote neighbor is a buffered read whose response
 /// the drain loop folds into the cell ([`TaskScope::fold_response`]); none
 /// drains before the chunk ends, so the store cannot overwrite one.
-fn fold_loop<V: PropValue, T: EdgeTask>(
-    scope: &mut TaskScope<'_>,
-    frag: &FragmentDir,
-    task: &T,
-    fold: Fold,
-    nodes: Chunk,
-    combine: impl Fn(V, V) -> V,
-) {
-    let (src_col, dst_col) = (scope.column(fold.src), scope.column(fold.dst));
-    let (src, dst) = (src_col.cells(), dst_col.cells());
-    let mut local_reads = 0;
-    for node in nodes {
-        if !task.filter(&mut NodeCtx { scope, node }) {
-            continue;
+impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Fold> {
+    fn run<V: PropValue>(self, _op: ReduceOp, combine: impl Fn(V, V) -> V) {
+        let Declared(scope, frag, task, fold, nodes) = self;
+        let (src_col, dst_col) = (scope.column(fold.src), scope.column(fold.dst));
+        let (src, dst) = (src_col.cells(), dst_col.cells());
+        let mut local_reads = 0;
+        for node in nodes {
+            if !task.filter(&mut NodeCtx { scope, node }) {
+                continue;
+            }
+            let rec = fold_record(node, &fold);
+            let mut acc = V::from_bits(dst[node].load(Ordering::Relaxed));
+            for &target in &frag.targets[frag.edge_range(node)] {
+                if target.is_remote() {
+                    let gid = target.global_id();
+                    scope
+                        .comm
+                        .push_read(gid.machine(), fold.src, gid.offset(), rec);
+                } else {
+                    local_reads += 1;
+                    let bits = src[target.local_index()].load(Ordering::Relaxed);
+                    acc = combine(acc, V::from_bits(bits));
+                }
+            }
+            dst[node].store(acc.to_bits(), Ordering::Relaxed);
         }
-        let rec = fold_record(node, &fold);
-        let mut acc = V::from_bits(dst[node].load(Ordering::Relaxed));
-        for &target in &frag.targets[frag.edge_range(node)] {
-            if target.is_remote() {
-                let gid = target.global_id();
-                scope
-                    .comm
-                    .push_read(gid.machine(), fold.src, gid.offset(), rec);
-            } else {
-                local_reads += 1;
-                let bits = src[target.local_index()].load(Ordering::Relaxed);
-                acc = combine(acc, V::from_bits(bits));
+        scope.count_local_reads(local_reads);
+    }
+}
+
+/// Scatters the value of each vertex of the chunk that passes the filter:
+/// `src[v]` is loaded once, then each target gets a write entry if remote,
+/// a plain combine into the worker's private copy if a ghost (the driver
+/// has checked that `(dst, op)` is declared reduced, so every worker keeps
+/// one), and otherwise the in-place reduction — a CAS, or a store for
+/// `Assign`.
+impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Scatter> {
+    fn run<V: PropValue>(self, op: ReduceOp, combine: impl Fn(V, V) -> V) {
+        let Declared(scope, frag, task, scatter, nodes) = self;
+        let (src_col, dst_col) = (scope.column(scatter.src), scope.column(scatter.dst));
+        let (src, dst) = (src_col.cells(), dst_col.cells());
+        let num_local = scope.machine.graph.num_local();
+        let slot = scope.private_slot(scatter.dst, op);
+        let mut local_writes = 0;
+        for node in nodes {
+            if !task.filter(&mut NodeCtx { scope, node }) {
+                continue;
+            }
+            let bits = src[node].load(Ordering::Relaxed);
+            let val = V::from_bits(bits);
+            let (comm, private) = scope.comm_and_private(slot);
+            for &target in &frag.targets[frag.edge_range(node)] {
+                if target.is_remote() {
+                    let gid = target.global_id();
+                    comm.push_mut(gid.machine(), scatter.dst, op, gid.offset(), bits);
+                    continue;
+                }
+                let index = target.local_index();
+                if index >= num_local {
+                    let copy = &mut private[index - num_local];
+                    *copy = combine(V::from_bits(*copy), val).to_bits();
+                    continue;
+                }
+                local_writes += 1;
+                if op == ReduceOp::Assign {
+                    dst[index].store(bits, Ordering::Relaxed);
+                } else {
+                    cas_reduce(&dst[index], bits, |cur, new| {
+                        combine(V::from_bits(cur), V::from_bits(new)).to_bits()
+                    });
+                }
             }
         }
-        dst[node].store(acc.to_bits(), Ordering::Relaxed);
+        scope.count_local_writes(local_writes);
     }
-    scope.count_local_reads(local_reads);
 }
 
 /// The main phase of a node-iterator job.

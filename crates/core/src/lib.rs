@@ -11,7 +11,8 @@
 //!   (or node) of the graph in parallel, across machines. *Data pulling*
 //!   is a declared [`Fold`] when the pulled value is only folded into the
 //!   current vertex, and `read_nbr` + `read_done()` when the continuation
-//!   does more.
+//!   does more. *Data pushing* is a declared [`Scatter`] when the pushed
+//!   value is a column of the current vertex, and `write_nbr` otherwise.
 //! * [`EdgeCtx`] / [`ReadDoneCtx`] / [`NodeCtx`] — the accessors the paper
 //!   exposes as `get_local` / `set_local` / `write_remote<OP>` /
 //!   `read_remote`, plus neighbor/degree/weight helpers.
@@ -106,7 +107,7 @@ pub use recover::{
     EngineSource, Recovered, RecoveryDriver, ResumableAlgorithm, RetryPolicy, StepOutcome,
 };
 pub use spec::JobSpec;
-pub use task::{Dir, EdgeCtx, EdgeTask, Fold, NodeCtx, NodeTask, ReadDoneCtx};
+pub use task::{Dir, EdgeCtx, EdgeTask, Fold, NodeCtx, NodeTask, ReadDoneCtx, Scatter};
 
 /// Closure-based ad-hoc kernels (see [`tasks::on_edge`]).
 pub mod tasks {

@@ -3,7 +3,8 @@
 //! The scope is where the Data Manager decisions of §3.3 happen at
 //! runtime: a property access against an [`EncTarget`] is resolved to a
 //! plain local load/store, a privatized ghost-slot reduction, or
-//! a buffered remote request.
+//! a buffered remote request. A ghost slot stands in for its vertex only
+//! for what the job declares; any other access goes to the owner.
 
 use crate::task::Fold;
 use pgxd_runtime::ids::MachineId;
@@ -56,6 +57,9 @@ pub(crate) struct TaskScope<'a> {
     /// Thread-private ghost copies (empty when the machine has no ghosts or
     /// the job reduces nothing).
     privs: Vec<PrivGhost>,
+    /// The properties the job declares read: the only ones whose ghost
+    /// slots hold the owner's value.
+    reads: &'a [PropId],
     /// Locally satisfied reads waiting for their `read_done` callback
     /// ("if the other node is in the same machine, read_done() is
     /// immediately invoked with the pointer to the local data").
@@ -69,6 +73,7 @@ impl<'a> TaskScope<'a> {
     pub fn new(
         machine: &'a Arc<MachineState>,
         comm: &'a mut WorkerComm,
+        reads: &'a [PropId],
         reduces: &[(PropId, ReduceOp)],
     ) -> Self {
         let num_ghosts = machine.graph.num_ghosts();
@@ -95,6 +100,7 @@ impl<'a> TaskScope<'a> {
             comm,
             cols: Vec::new(),
             privs,
+            reads,
             local_reads: Vec::new(),
             stat_local_reads: 0,
             stat_local_writes: 0,
@@ -163,13 +169,36 @@ impl<'a> TaskScope<'a> {
         let num_local = self.machine.graph.num_local();
         if index >= num_local {
             let ord = index - num_local;
-            if let Some(pg) = self.privs.iter_mut().find(|pg| pg.prop == p && pg.op == op) {
+            if let Some(slot) = self.private_slot(p, op) {
+                let pg = &mut self.privs[slot];
                 pg.vals[ord] = reduce_bits(pg.tag, op, pg.vals[ord], bits);
-                return;
+            } else {
+                // Not a declared `(p, op)`: no partial of it is sent, so
+                // the write goes to the owner like a remote one.
+                let v = self.machine.graph.ghosts().node_at(ord as u32);
+                self.reduce_global(v, p, op, bits);
             }
+            return;
         }
         self.stat_local_writes += 1;
         self.col(p).reduce_bits_atomic(index, op, bits);
+    }
+
+    /// The index of the private ghost copy of `(p, op)`, if the worker
+    /// keeps one.
+    pub fn private_slot(&self, p: PropId, op: ReduceOp) -> Option<usize> {
+        self.privs.iter().position(|pg| pg.prop == p && pg.op == op)
+    }
+
+    /// The worker's buffers with the private ghost copy `slot` (empty for
+    /// `None`), borrowed together for a loop that writes through both.
+    #[inline]
+    pub fn comm_and_private(&mut self, slot: Option<usize>) -> (&mut WorkerComm, &mut [u64]) {
+        let vals = match slot {
+            Some(slot) => &mut self.privs[slot].vals[..],
+            None => &mut [],
+        };
+        (&mut *self.comm, vals)
     }
 
     /// Issues a read against an encoded target; local targets are answered
@@ -179,8 +208,20 @@ impl<'a> TaskScope<'a> {
         if target.is_remote() {
             let gid = target.global_id();
             self.comm.push_read(gid.machine(), p, gid.offset(), rec);
+            return;
+        }
+        let index = target.local_index();
+        let num_local = self.machine.graph.num_local();
+        if index >= num_local && !self.reads.contains(&p) {
+            // Only a declared read's ghost slots are refreshed for the job.
+            let v = self
+                .machine
+                .graph
+                .ghosts()
+                .node_at((index - num_local) as u32);
+            self.read_global(rec, v, p);
         } else {
-            self.read_local(rec, p, target.local_index());
+            self.read_local(rec, p, index);
         }
     }
 
@@ -233,6 +274,12 @@ impl<'a> TaskScope<'a> {
     #[inline]
     pub fn count_local_reads(&mut self, n: u64) {
         self.stat_local_reads += n;
+    }
+
+    /// Adds `n` local (non-ghost) writes to the batched statistics.
+    #[inline]
+    pub fn count_local_writes(&mut self, n: u64) {
+        self.stat_local_writes += n;
     }
 
     /// Publishes batched local-access statistics to the machine counters.

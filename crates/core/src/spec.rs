@@ -6,6 +6,7 @@
 //! synchronization of properties between ghost nodes between each job."
 
 use crate::prop::Prop;
+use crate::task::EdgeTask;
 use pgxd_runtime::props::{PropId, PropValue, ReduceOp};
 
 /// Declares how a parallel region uses its properties.
@@ -59,11 +60,37 @@ impl JobSpec {
         self.reduces.push((p.id, op));
         self
     }
+
+    /// Checks what an edge task declares against this job: a fold's `src`
+    /// must be declared read (only then are its ghost slots refreshed) and
+    /// a scatter's `(dst, op)` declared reduced (only then does a worker
+    /// keep a private copy of its ghost slots). Panics otherwise, or when
+    /// the task declares both a fold and a scatter.
+    pub(crate) fn check_task<T: EdgeTask>(&self, task: &T) {
+        let (fold, scatter) = (task.fold(), task.scatter());
+        assert!(
+            fold.is_none() || scatter.is_none(),
+            "an edge task declares both a fold and a scatter"
+        );
+        if let Some(fold) = fold {
+            assert!(
+                self.reads.contains(&fold.src),
+                "a fold's source property is not declared read"
+            );
+        }
+        if let Some(s) = scatter {
+            assert!(
+                self.reduces.contains(&(s.dst, s.op)),
+                "a scatter's target property is not declared reduced with its op"
+            );
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::{Fold, Scatter};
 
     #[test]
     fn builder_accumulates() {
@@ -111,5 +138,59 @@ mod tests {
     fn reduce_then_read_panics() {
         let a: Prop<i64> = Prop::new(PropId(0));
         let _ = JobSpec::new().reduce(a, ReduceOp::Sum).read(a);
+    }
+
+    #[test]
+    #[should_panic(expected = "a fold's source property is not declared read")]
+    fn fold_of_an_undeclared_source_panics() {
+        let (a, b): (Prop<i64>, Prop<i64>) = (Prop::new(PropId(0)), Prop::new(PropId(1)));
+        JobSpec::new()
+            .read(b)
+            .check_task(&Fold::new(a, b, ReduceOp::Sum));
+    }
+
+    #[test]
+    #[should_panic(expected = "a scatter's target property is not declared reduced")]
+    fn scatter_into_an_undeclared_target_panics() {
+        let (a, b): (Prop<i64>, Prop<i64>) = (Prop::new(PropId(0)), Prop::new(PropId(1)));
+        JobSpec::new().check_task(&Scatter::new(a, b, ReduceOp::Sum));
+    }
+
+    #[test]
+    #[should_panic(expected = "a scatter's target property is not declared reduced")]
+    fn scatter_with_another_op_than_declared_panics() {
+        let (a, b): (Prop<i64>, Prop<i64>) = (Prop::new(PropId(0)), Prop::new(PropId(1)));
+        let spec = JobSpec::new().reduce(b, ReduceOp::Min);
+        spec.check_task(&Scatter::new(a, b, ReduceOp::Max));
+    }
+
+    #[test]
+    #[should_panic(expected = "declares both a fold and a scatter")]
+    fn task_declaring_fold_and_scatter_panics() {
+        struct Both(Fold, Scatter);
+        impl EdgeTask for Both {
+            fn fold(&self) -> Option<Fold> {
+                Some(self.0)
+            }
+            fn scatter(&self) -> Option<Scatter> {
+                Some(self.1)
+            }
+        }
+        let (a, b): (Prop<i64>, Prop<i64>) = (Prop::new(PropId(0)), Prop::new(PropId(1)));
+        let spec = JobSpec::new().read(a).reduce(b, ReduceOp::Sum);
+        spec.check_task(&Both(
+            Fold::new(a, a, ReduceOp::Sum),
+            Scatter::new(a, b, ReduceOp::Sum),
+        ));
+    }
+
+    #[test]
+    fn declared_fold_and_scatter_pass() {
+        let (a, b): (Prop<i64>, Prop<i64>) = (Prop::new(PropId(0)), Prop::new(PropId(1)));
+        JobSpec::new()
+            .read(a)
+            .check_task(&Fold::new(a, b, ReduceOp::Sum));
+        let spec = JobSpec::new().reduce(b, ReduceOp::Min);
+        spec.check_task(&Scatter::new(a, b, ReduceOp::Min));
     }
 }

@@ -5,8 +5,9 @@
 //! inside `run()` continue later in `read_done()`, on the *same* worker
 //! thread, with whatever state the task saved in its fields or in node
 //! properties (§4.1.2). A pull whose continuation would only fold the
-//! value into the current vertex is declared instead, as a [`Fold`]: the
-//! engine then folds the edges itself, with no `run()` or `read_done()`.
+//! value into the current vertex is declared instead, as a [`Fold`], and a
+//! push of a column of the current vertex as a [`Scatter`]: the engine then
+//! runs the edges itself, with no `run()` or `read_done()`.
 
 use crate::prop::Prop;
 use crate::scope::TaskScope;
@@ -27,7 +28,8 @@ pub enum Dir {
 }
 
 /// A neighborhood-iteration task: `run` executes for every (in- or out-)
-/// edge of every active vertex — unless the task declares a [`Fold`].
+/// edge of every active vertex — unless the task declares a [`Fold`] or a
+/// [`Scatter`].
 pub trait EdgeTask: Send + Sync + 'static {
     /// Vertex filter, evaluated once per vertex before its edges run
     /// ("a custom filter method which is evaluated for each vertex prior
@@ -40,6 +42,14 @@ pub trait EdgeTask: Send + Sync + 'static {
     /// engine folds every passing vertex's neighbors itself and never
     /// calls `run`; the filter still runs first.
     fn fold(&self) -> Option<Fold> {
+        None
+    }
+
+    /// A push reduction this task consists of. When it returns `Some`, the
+    /// engine scatters every passing vertex's value over its neighbors
+    /// itself and never calls `run`; the filter still runs first. A task
+    /// declares a fold or a scatter, not both.
+    fn scatter(&self) -> Option<Scatter> {
         None
     }
 
@@ -72,11 +82,7 @@ impl Fold {
     ///
     /// Panics if `op` is not [defined](ReduceOp::defined_on) on `T`.
     pub fn new<T: PropValue>(src: Prop<T>, dst: Prop<T>, op: ReduceOp) -> Fold {
-        assert!(
-            op.defined_on(T::TAG),
-            "{op:?} is not defined on {:?} properties",
-            T::TAG
-        );
+        assert_defined::<T>(op);
         Fold {
             src: src.id,
             dst: dst.id,
@@ -90,6 +96,52 @@ impl EdgeTask for Fold {
     fn fold(&self) -> Option<Fold> {
         Some(*self)
     }
+}
+
+/// A declared push reduction: `dst[u] = op(dst[u], src[v])` for every edge
+/// `(v, u)` of every vertex `v` the filter passes.
+///
+/// `src[v]` is loaded once per vertex and written to each target: into the
+/// worker's private copy for a ghost, reduced in place for any other local
+/// vertex, buffered as a write entry for a remote one. A `Scatter` is also a
+/// task on its own: the scatter of every vertex.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Scatter {
+    pub(crate) src: PropId,
+    pub(crate) dst: PropId,
+    pub(crate) tag: TypeTag,
+    pub(crate) op: ReduceOp,
+}
+
+impl Scatter {
+    /// Reduces `src` of the vertex into `dst` of each neighbor with `op`.
+    ///
+    /// Panics if `op` is not [defined](ReduceOp::defined_on) on `T`.
+    pub fn new<T: PropValue>(src: Prop<T>, dst: Prop<T>, op: ReduceOp) -> Scatter {
+        assert_defined::<T>(op);
+        Scatter {
+            src: src.id,
+            dst: dst.id,
+            tag: T::TAG,
+            op,
+        }
+    }
+}
+
+impl EdgeTask for Scatter {
+    fn scatter(&self) -> Option<Scatter> {
+        Some(*self)
+    }
+}
+
+/// A declared reduction is refused where it is written, not on the workers
+/// (where a panic would hang the driver).
+fn assert_defined<T: PropValue>(op: ReduceOp) {
+    assert!(
+        op.defined_on(T::TAG),
+        "{op:?} is not defined on {:?} properties",
+        T::TAG
+    );
 }
 
 /// A per-vertex task (the paper's node iterator): `run` executes once per
@@ -218,8 +270,9 @@ impl EdgeCtx<'_, '_> {
     }
 
     /// `write_remote<OP>`: reduces `val` into the neighbor's property —
-    /// applied immediately if the neighbor is local or ghosted, buffered
-    /// into a write-request message otherwise (the *data pushing* pattern).
+    /// applied immediately if the neighbor is local, or ghosted and the job
+    /// declares `(p, op)` reduced; buffered into a write-request message
+    /// otherwise (the *data pushing* pattern).
     #[inline]
     pub fn write_nbr<T: PropValue>(&mut self, p: Prop<T>, op: ReduceOp, val: T) {
         self.scope
@@ -228,7 +281,8 @@ impl EdgeCtx<'_, '_> {
 
     /// `read_remote`: requests the neighbor's property value; continues in
     /// [`EdgeTask::read_done`] (the *data pulling* pattern, which
-    /// conventional systems disallow).
+    /// conventional systems disallow). A ghosted neighbor is read locally
+    /// only when the job declares `p` read.
     #[inline]
     pub fn read_nbr<T: PropValue>(&mut self, p: Prop<T>) {
         self.read_nbr_tagged(p, 0);
@@ -383,5 +437,12 @@ mod tests {
     fn logical_fold_of_f64_panics() {
         let p: Prop<f64> = Prop::new(PropId(0));
         let _ = Fold::new(p, p, ReduceOp::And);
+    }
+
+    #[test]
+    #[should_panic(expected = "Or is not defined on F64 properties")]
+    fn logical_scatter_of_f64_panics() {
+        let p: Prop<f64> = Prop::new(PropId(0));
+        let _ = Scatter::new(p, p, ReduceOp::Or);
     }
 }

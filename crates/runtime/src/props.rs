@@ -182,7 +182,7 @@ pub fn bottom_bits(tag: TypeTag, op: ReduceOp) -> u64 {
 /// Folds `new` into `cell` with `f` by a CAS loop; writes nothing when `f`
 /// leaves the value unchanged (e.g. Min with a larger candidate).
 #[inline(always)]
-fn cas_reduce(cell: &AtomicU64, new: u64, f: impl Fn(u64, u64) -> u64) {
+pub fn cas_reduce(cell: &AtomicU64, new: u64, f: impl Fn(u64, u64) -> u64) {
     let mut cur = cell.load(Ordering::Relaxed);
     loop {
         let next = f(cur, new);

@@ -67,7 +67,9 @@ bash benchmark/run.sh --workload tcp_pull --seed 7 --seconds 1 --trace 0
 # the query BFS to bit-identity with both.
 bash benchmark/run.sh --workload query_pr --seed 7 --seconds 1 --trace 0
 # The only answers that pass through the copiers' remote reductions:
-# pushed PageRank (1e-9 of the oracle) and hop distances (bit-identical).
+# pushed PageRank (1e-9 of the oracle) and hop distances (bit-identical),
+# both declared scatters (each vertex's value loaded once and written to
+# its out-neighbors: in place, into a private ghost copy, or on the wire).
 bash benchmark/run.sh --workload push_uniform --seed 7 --seconds 1 --trace 0
 bash benchmark/run.sh --workload bfs_small --seed 7 --seconds 1 --trace 0
 # The job server's closed loop: served PageRank (which reads hubs through

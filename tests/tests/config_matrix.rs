@@ -457,3 +457,85 @@ fn one_machine_engine_has_no_ghosts() {
     let e = Config::builder().machines(1).engine(&g).unwrap();
     assert!(e.cluster().ghosts().is_empty());
 }
+
+/// Hop distance and WCC push through the workers' private ghost copies
+/// (declared scatters): on 3 machines × 2 workers with hubs ghosted at
+/// threshold 8, bit-identical to ghosts off.
+#[test]
+fn ghosts_scatter_jobs_are_bit_identical() {
+    let g = generate::rmat(9, 8, RmatParams::skewed(), 2014);
+    let root = (0..g.num_nodes() as u32)
+        .max_by_key(|&v| g.out_degree(v))
+        .unwrap();
+    let run = |ghosts| {
+        let mut e = ghosted(&g, 2, ghosts);
+        let hops = algos::try_hopdist(&mut e, root).unwrap().hops;
+        let wcc = algos::try_wcc(&mut e).unwrap().component;
+        (hops, wcc, e.cluster().ghosts().len())
+    };
+    let ((hops, wcc, none), (ghost_hops, ghost_wcc, ghosts)) = (run(None), run(Some(8)));
+    assert!(none == 0 && ghosts > 0);
+    assert!(hops.iter().filter(|&&h| h != i64::MAX).count() > 100);
+    assert_eq!(hops, ghost_hops, "hop distances");
+    assert_eq!(wcc, ghost_wcc, "WCC labels");
+}
+
+/// A write to a ghosted neighbor that the job does not declare reduced —
+/// or declares with another op — has no private copy to go to and is never
+/// part of a partial: it goes to the owner, like a remote one.
+#[test]
+fn ghosts_undeclared_writes_reach_the_owner() {
+    let g = generate::rmat(8, 8, RmatParams::skewed(), 2015);
+    let want: Vec<i64> = (0..g.num_nodes() as u32)
+        .map(|v| g.in_degree(v) as i64)
+        .collect();
+    for spec_op in [None, Some(ReduceOp::Max)] {
+        let mut e = build(
+            &g,
+            2,
+            2,
+            PartitioningMode::Edge,
+            ChunkingMode::Edge,
+            Some(16),
+        );
+        assert!(!e.cluster().ghosts().is_empty());
+        let d = e.add_prop("d", 0i64);
+        let spec = spec_op.map_or(JobSpec::new(), |op| JobSpec::new().reduce(d, op));
+        let task = on_edge(move |ctx| ctx.write_nbr(d, ReduceOp::Sum, 1i64));
+        e.try_run_edge_job(Dir::Out, &spec, task).unwrap();
+        assert_eq!(e.gather::<i64>(d), want, "declared {spec_op:?}");
+    }
+}
+
+/// A read of a ghosted neighbor's property that the job does not declare
+/// read gets the owner's value, not the ghost slot's stale one.
+#[test]
+fn ghosts_undeclared_reads_see_the_owner() {
+    struct SumIn {
+        x: Prop<i64>,
+        acc: Prop<i64>,
+    }
+    impl EdgeTask for SumIn {
+        fn run(&self, ctx: &mut pgxd::EdgeCtx<'_, '_>) {
+            ctx.read_nbr(self.x);
+        }
+        fn read_done(&self, ctx: &mut pgxd::ReadDoneCtx<'_, '_>) {
+            let (cur, got) = (ctx.get(self.acc), ctx.value::<i64>());
+            ctx.set(self.acc, cur + got);
+        }
+    }
+    let g = generate::rmat(8, 8, RmatParams::skewed(), 2016);
+    let want: Vec<i64> = (0..g.num_nodes() as u32)
+        .map(|v| g.in_neighbors(v).iter().map(|&u| u as i64 + 1).sum())
+        .collect();
+    let mut e = ghosted(&g, 2, Some(8));
+    assert!(!e.cluster().ghosts().is_empty());
+    let x = e.add_prop("x", 0i64);
+    let acc = e.add_prop("acc", 0i64);
+    for v in 0..g.num_nodes() as u32 {
+        e.set(x, v, v as i64 + 1);
+    }
+    e.try_run_edge_job(Dir::In, &JobSpec::new(), SumIn { x, acc })
+        .unwrap();
+    assert_eq!(e.gather::<i64>(acc), want);
+}
