@@ -3,7 +3,7 @@
 //! from its neighbors at every iteration step. PGX.D implements this
 //! algorithm with data pulling." (§5.2)
 
-use pgxd::{Dir, Engine, Fold, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp};
+use pgxd::{Dir, Engine, Fold, JobError, JobSpec, NodeChunk, NodeTask, Prop, ReduceOp};
 
 /// Result of eigenvector centrality.
 #[derive(Clone, Debug)]
@@ -24,13 +24,17 @@ struct Normalize {
     inv_norm: f64,
 }
 impl NodeTask for Normalize {
-    fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
-        let new = ctx.get(self.nxt) * self.inv_norm;
-        let old = ctx.get(self.ev);
-        ctx.set(self.ev, new);
-        ctx.set(self.nxt, 0.0);
-        ctx.set(self.sq, new * new);
-        ctx.set(self.diff, (new - old).abs());
+    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let (ev, nxt) = (chunk.col(self.ev), chunk.col(self.nxt));
+        let (sq, diff) = (chunk.col(self.sq), chunk.col(self.diff));
+        for v in chunk.nodes() {
+            let new = nxt.get(v) * self.inv_norm;
+            let old = ev.get(v);
+            ev.set(v, new);
+            nxt.set(v, 0.0);
+            sq.set(v, new * new);
+            diff.set(v, (new - old).abs());
+        }
     }
 }
 
@@ -40,9 +44,12 @@ struct Square {
     sq: Prop<f64>,
 }
 impl NodeTask for Square {
-    fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
-        let v = ctx.get(self.nxt);
-        ctx.set(self.sq, v * v);
+    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let (nxt, sq) = (chunk.col(self.nxt), chunk.col(self.sq));
+        for v in chunk.nodes() {
+            let x = nxt.get(v);
+            sq.set(v, x * x);
+        }
     }
 }
 

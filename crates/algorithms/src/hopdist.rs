@@ -5,7 +5,8 @@
 
 use pgxd::recover::{ResumableAlgorithm, StepOutcome};
 use pgxd::{
-    Dir, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop, ReduceOp, Scatter,
+    Dir, EdgeTask, Engine, JobError, JobSpec, NodeChunk, NodeCtx, NodeId, NodeTask, Prop, ReduceOp,
+    Scatter,
 };
 
 /// Result of a hop-distance traversal.
@@ -39,16 +40,18 @@ struct Advance {
     frontier: Prop<bool>,
 }
 impl NodeTask for Advance {
-    fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
-        // `nxt` is `i64::MAX` where nothing arrived; it stays unreachable.
-        let cand = ctx.get(self.nxt).saturating_add(1);
-        if cand < ctx.get(self.hops) {
-            ctx.set(self.hops, cand);
-            ctx.set(self.frontier, true);
-        } else {
-            ctx.set(self.frontier, false);
+    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let (hops, nxt) = (chunk.col(self.hops), chunk.col(self.nxt));
+        let frontier = chunk.col(self.frontier);
+        for v in chunk.nodes() {
+            // `nxt` is `i64::MAX` where nothing arrived; it stays
+            // unreachable.
+            let (cand, cur) = (nxt.get(v).saturating_add(1), hops.get(v));
+            let closer = cand < cur;
+            hops.set(v, if closer { cand } else { cur });
+            frontier.set(v, closer);
+            nxt.set(v, i64::MAX);
         }
-        ctx.set(self.nxt, i64::MAX);
     }
 }
 

@@ -2,8 +2,8 @@
 
 use pgxd::recover::{ResumableAlgorithm, StepOutcome};
 use pgxd::{
-    CancelToken, Dir, EdgeCtx, EdgeTask, Engine, Fold, JobError, JobSpec, NodeCtx, NodeTask, Prop,
-    ReduceOp, Scatter,
+    CancelToken, Dir, EdgeCtx, EdgeTask, Engine, Fold, JobError, JobSpec, NodeChunk, NodeCtx,
+    NodeTask, Prop, ReduceOp, Scatter,
 };
 
 /// Result of a PageRank computation.
@@ -22,10 +22,15 @@ struct Scale {
     tmp: Prop<f64>,
 }
 impl NodeTask for Scale {
-    fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
-        let d = ctx.out_degree();
-        let pr = ctx.get(self.pr);
-        ctx.set(self.tmp, if d > 0 { pr / d as f64 } else { 0.0 });
+    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let (pr, tmp) = (chunk.col(self.pr), chunk.col(self.tmp));
+        for v in chunk.nodes() {
+            // The quotient is taken on every vertex and then picked, so the
+            // loop has no branch on the degree.
+            let d = chunk.out_degree(v);
+            let scaled = pr.get(v) / d as f64;
+            tmp.set(v, if d > 0 { scaled } else { 0.0 });
+        }
     }
 }
 
@@ -39,12 +44,19 @@ struct Apply {
     damping: f64,
 }
 impl NodeTask for Apply {
-    fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
-        let old = ctx.get(self.pr);
-        let new = self.base + self.damping * ctx.get(self.nxt);
-        ctx.set(self.pr, new);
-        ctx.set(self.nxt, 0.0);
-        ctx.set(self.diff, (new - old).abs());
+    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let (pr, nxt, diff) = (
+            chunk.col(self.pr),
+            chunk.col(self.nxt),
+            chunk.col(self.diff),
+        );
+        for v in chunk.nodes() {
+            let old = pr.get(v);
+            let new = self.base + self.damping * nxt.get(v);
+            pr.set(v, new);
+            nxt.set(v, 0.0);
+            diff.set(v, (new - old).abs());
+        }
     }
 }
 
@@ -263,13 +275,16 @@ struct DeltaApply {
     threshold: f64,
 }
 impl NodeTask for DeltaApply {
-    fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
-        let nd = self.damping * ctx.get(self.nxt);
-        ctx.set(self.nxt, 0.0);
-        let pr = ctx.get(self.pr);
-        ctx.set(self.pr, pr + nd);
-        ctx.set(self.delta, nd);
-        ctx.set(self.active, nd >= self.threshold);
+    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let (pr, delta) = (chunk.col(self.pr), chunk.col(self.delta));
+        let (nxt, active) = (chunk.col(self.nxt), chunk.col(self.active));
+        for v in chunk.nodes() {
+            let nd = self.damping * nxt.get(v);
+            nxt.set(v, 0.0);
+            pr.set(v, pr.get(v) + nd);
+            delta.set(v, nd);
+            active.set(v, nd >= self.threshold);
+        }
     }
 }
 

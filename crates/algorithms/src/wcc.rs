@@ -3,8 +3,8 @@
 //! later be active again", §5.2).
 
 use pgxd::{
-    CancelToken, Dir, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp,
-    Scatter,
+    CancelToken, Dir, EdgeTask, Engine, JobError, JobSpec, NodeChunk, NodeCtx, NodeTask, Prop,
+    ReduceOp, Scatter,
 };
 
 /// Result of WCC.
@@ -42,18 +42,17 @@ struct Adopt {
     changed: Prop<bool>,
 }
 impl NodeTask for Adopt {
-    fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
-        let new = ctx.get(self.nxt);
-        let cur = ctx.get(self.comp);
-        if new < cur {
-            ctx.set(self.comp, new);
-            ctx.set(self.active, true);
-            ctx.set(self.changed, true);
-        } else {
-            ctx.set(self.active, false);
-            ctx.set(self.changed, false);
+    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let (comp, nxt) = (chunk.col(self.comp), chunk.col(self.nxt));
+        let (active, changed) = (chunk.col(self.active), chunk.col(self.changed));
+        for v in chunk.nodes() {
+            let (new, cur) = (nxt.get(v), comp.get(v));
+            let adopt = new < cur;
+            comp.set(v, if adopt { new } else { cur });
+            active.set(v, adopt);
+            changed.set(v, adopt);
+            nxt.set(v, u32::MAX);
         }
-        ctx.set(self.nxt, u32::MAX);
     }
 }
 

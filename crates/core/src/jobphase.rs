@@ -5,7 +5,8 @@
 //! properties and wait until its machine's ghost slots are filled → grab a
 //! chunk → for each active vertex run the task over its edges (or fold
 //! them, or scatter its value over them, for a task that declares a
-//! [`Fold`] or a [`Scatter`]) → invoke locally-satisfied
+//! [`Fold`] or a [`Scatter`]), or run a node task over the whole chunk
+//! ([`NodeTask::run_chunk`]) → invoke locally-satisfied
 //! continuations → opportunistically drain responses → repeat; once the
 //! queue is empty, flush the request buffers, hand its ghost partials on,
 //! and keep draining responses until the job is globally complete ("a
@@ -29,7 +30,9 @@
 
 use crate::scope::{fold_record, TaskScope, FOLD_NODE_BIT};
 use crate::spec::JobSpec;
-use crate::task::{Dir, EdgeCtx, EdgeTask, Fold, NodeCtx, NodeTask, ReadDoneCtx, Scatter};
+use crate::task::{
+    Dir, EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, ReadDoneCtx, Scatter,
+};
 use pgxd_runtime::cancel::CancelToken;
 use pgxd_runtime::chunk::{Chunk, ChunkQueue};
 use pgxd_runtime::localgraph::FragmentDir;
@@ -378,12 +381,7 @@ impl<T: NodeTask> Phase for NodeJobPhase<T> {
         // A node task cannot read locally (only a continuation can, and
         // `drain_responses` runs those), so there is no per-vertex drain.
         self.core.run(env, &read_done, |scope, nodes| {
-            for node in nodes {
-                let mut nctx = NodeCtx { scope, node };
-                if task.filter(&mut nctx) {
-                    task.run(&mut nctx);
-                }
-            }
+            task.run_chunk(&mut NodeChunk::new(scope, nodes))
         });
     }
 }

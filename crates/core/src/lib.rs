@@ -8,14 +8,18 @@
 //!   parallel regions as jobs).
 //! * [`EdgeTask`] / [`NodeTask`] — the run-to-completion task interface
 //!   (§4.1.2): implement `run()` and the engine invokes it for every edge
-//!   (or node) of the graph in parallel, across machines. *Data pulling*
-//!   is a declared [`Fold`] when the pulled value is only folded into the
-//!   current vertex, and `read_nbr` + `read_done()` when the continuation
-//!   does more. *Data pushing* is a declared [`Scatter`] when the pushed
-//!   value is a column of the current vertex, and `write_nbr` otherwise.
+//!   (or node) of the graph in parallel, across machines. A node task
+//!   whose body is column arithmetic on the vertex implements
+//!   `run_chunk()` instead, which runs once per chunk of vertices over
+//!   [`Col`] views resolved once per chunk. *Data pulling* is a declared
+//!   [`Fold`] when the pulled value is only folded into the current
+//!   vertex, and `read_nbr` + `read_done()` when the continuation does
+//!   more. *Data pushing* is a declared [`Scatter`] when the pushed value
+//!   is a column of the current vertex, and `write_nbr` otherwise.
 //! * [`EdgeCtx`] / [`ReadDoneCtx`] / [`NodeCtx`] — the accessors the paper
 //!   exposes as `get_local` / `set_local` / `write_remote<OP>` /
-//!   `read_remote`, plus neighbor/degree/weight helpers.
+//!   `read_remote`, plus neighbor/degree/weight helpers; [`NodeChunk`] is
+//!   a node task's chunk, with its vertices, views and degrees.
 //! * [`JobSpec`] — the per-job property declaration ("the program needs to
 //!   define what properties are used in the region as well as how they are
 //!   used — to be read or to be written (reduced)"), which drives the
@@ -107,7 +111,9 @@ pub use recover::{
     EngineSource, Recovered, RecoveryDriver, ResumableAlgorithm, RetryPolicy, StepOutcome,
 };
 pub use spec::JobSpec;
-pub use task::{Dir, EdgeCtx, EdgeTask, Fold, NodeCtx, NodeTask, ReadDoneCtx, Scatter};
+pub use task::{
+    Col, Dir, EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, ReadDoneCtx, Scatter,
+};
 
 /// Closure-based ad-hoc kernels (see [`tasks::on_edge`]).
 pub mod tasks {

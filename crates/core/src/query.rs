@@ -3,9 +3,10 @@
 //! `pgxd-query` turns query text into a [`Program`] — an optimized
 //! logical plan over property *slots*. This module is the other half:
 //! [`execute`] materializes the slots as real property columns of a live
-//! [`Engine`], lowers the plan against them once — every expression a
-//! task evaluates to a typed closure over `Prop` handles, every step to a
-//! job that loops re-run as it is — and runs the lowered steps on the
+//! [`Engine`], lowers the plan against them once — every expression to a
+//! typed closure over `Prop` handles (a node job's to chunk kernels that
+//! fill a lane per chunk), every step to a job that loops re-run as it
+//! is — and runs the lowered steps on the
 //! same primitives hand-written algorithms use: `try_run_node_job_with`,
 //! `try_run_edge_job_with`, driver-side `fill`/`reduce`/`count_true`.
 //! Nothing here bypasses the barrier protocol, so compiled queries
@@ -40,7 +41,7 @@
 //! ```
 
 use crate::serve::{JobHandle, Lane, Session};
-use crate::task::{EdgeCtx, EdgeTask, Fold, NodeCtx, NodeTask};
+use crate::task::{EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask};
 use crate::{
     CancelReason, CancelToken, Dir, Engine, JobError, JobSpec, NodeId, Prop, PropValue, ReduceOp,
     ResumableAlgorithm, StepOutcome,
@@ -154,29 +155,68 @@ fn cancel_error(cancel: &CancelToken) -> Option<JobError> {
 
 // ---- lowering: expressions to typed closures --------------------------
 //
-// Every expression a task evaluates is lowered once, before the first job
+// Every expression a job evaluates is lowered once, before the first job
 // runs: slots become `Prop<T>` handles, `N` and literals are captured,
-// coercions are picked from the static types. What is left per vertex or
-// per edge is a call of a closure over plain `f64`/`i64`/`bool` — no
-// `Val`, no slot table. `pgxd_query::eval` is the reference these closures
-// are property-tested against (`tests/tests/query_lowering_props.rs`); the
+// coercions are picked from the static types. There are two sites, with
+// one tree walk ([`Exec`]) for both. A node job's expressions are chunk
+// kernels ([`Lanes`]): each tree node is one closure call per chunk that
+// fills a lane, one plain `f64`/`i64`/`bool` per vertex, from the columns
+// it resolved once for the chunk. The expressions of an edge job — its
+// filters, the pull reset, the push body — run where its context is one
+// vertex ([`Vertex`]): a closure call per vertex. Neither touches a `Val`
+// or the slot table. `pgxd_query::eval` is the reference both are
+// property-tested against (`tests/tests/query_lowering_props.rs`); the
 // executor itself only calls it for driver-side scalars.
 
-/// A lowered expression, evaluated against the vertex a job is visiting.
-/// One family for every site: edge tasks pass [`vertex_of`] their context.
-type Fx<T> = Box<dyn Fn(&mut NodeCtx<'_, '_>) -> T + Send + Sync>;
+/// Where a lowered expression is evaluated: what a non-leaf lowers to,
+/// and how each operator is built there.
+trait Site: Sized + 'static {
+    type Dyn<T: PropValue>: Send + Sync + 'static;
 
-/// A lowered `v.p = e`.
-type Store = Box<dyn Fn(&mut NodeCtx<'_, '_>) + Send + Sync>;
+    /// `v.out_degree` (`out`) or `v.in_degree`.
+    fn degree(out: bool) -> Self::Dyn<i64>;
+
+    fn un<T: PropValue, R: PropValue>(
+        a: Operand<T, Self>,
+        f: impl Fn(T) -> R + Send + Sync + 'static,
+    ) -> Self::Dyn<R>;
+
+    fn bin<T: PropValue, R: PropValue>(
+        a: Operand<T, Self>,
+        b: Operand<T, Self>,
+        f: impl Fn(T, T) -> R + Send + Sync + 'static,
+    ) -> Self::Dyn<R>;
+
+    fn tern<T: PropValue>(
+        cond: Operand<bool, Self>,
+        then: Operand<T, Self>,
+        other: Operand<T, Self>,
+    ) -> Self::Dyn<T>;
+}
 
 /// What an expression lowers to. Leaves stay visible so that the operator
 /// above reads the constant or the column itself instead of calling a
 /// closure for it.
-enum Operand<T: PropValue> {
+enum Operand<T: PropValue, S: Site> {
     Const(T),
     Load(Prop<T>),
-    Dyn(Fx<T>),
+    Dyn(S::Dyn<T>),
 }
+
+impl<T: PropValue, S: Site> Operand<T, S> {
+    fn into_dyn(self) -> S::Dyn<T> {
+        match self {
+            Operand::Dyn(f) => f,
+            leaf => S::un(leaf, |x| x),
+        }
+    }
+}
+
+/// One vertex of an edge job. Edge tasks pass [`vertex_of`] their context.
+struct Vertex;
+
+/// A lowered expression, evaluated against the vertex a job is visiting.
+type Fx<T> = Box<dyn Fn(&mut NodeCtx<'_, '_>) -> T + Send + Sync>;
 
 /// Expands `$k` once per operand shape, with `$get` bound to a statically
 /// dispatched getter of that shape.
@@ -205,69 +245,200 @@ fn vertex_of<'x, 'a>(ctx: &'x mut EdgeCtx<'_, 'a>) -> NodeCtx<'x, 'a> {
     }
 }
 
-impl<T: PropValue> Operand<T> {
-    fn into_fx(self) -> Fx<T> {
-        match self {
-            Operand::Dyn(f) => f,
-            leaf => fused!(leaf, |get| Box::new(get) as Fx<T>),
+impl Site for Vertex {
+    type Dyn<T: PropValue> = Fx<T>;
+
+    fn degree(out: bool) -> Fx<i64> {
+        match out {
+            true => Box::new(|c| c.out_degree() as i64),
+            false => Box::new(|c| c.in_degree() as i64),
         }
     }
 
-    fn store(self, p: Prop<T>) -> Store {
-        fused!(self, |get| Box::new(move |c: &mut NodeCtx<'_, '_>| {
-            let v = get(c);
-            c.set(p, v)
-        }) as Store)
+    fn un<T: PropValue, R: PropValue>(
+        a: Operand<T, Self>,
+        f: impl Fn(T) -> R + Send + Sync + 'static,
+    ) -> Fx<R> {
+        fused!(a, |a| Box::new(move |c: &mut NodeCtx<'_, '_>| f(a(c)))
+            as Fx<R>)
+    }
+
+    fn bin<T: PropValue, R: PropValue>(
+        a: Operand<T, Self>,
+        b: Operand<T, Self>,
+        f: impl Fn(T, T) -> R + Send + Sync + 'static,
+    ) -> Fx<R> {
+        fused!(a, |a| fused!(
+            b,
+            |b| Box::new(move |c: &mut NodeCtx<'_, '_>| {
+                let x = a(c);
+                f(x, b(c))
+            }) as Fx<R>
+        ))
+    }
+
+    fn tern<T: PropValue>(
+        cond: Operand<bool, Self>,
+        then: Operand<T, Self>,
+        other: Operand<T, Self>,
+    ) -> Fx<T> {
+        let cond = cond.into_dyn();
+        fused!(then, |t| fused!(
+            other,
+            |o| Box::new(move |c: &mut NodeCtx<'_, '_>| if cond(c) { t(c) } else { o(c) }) as Fx<T>
+        ))
     }
 }
 
-fn un<T: PropValue, R: PropValue>(
-    a: Operand<T>,
+/// A chunk of a node job: an expression fills a lane, one value per
+/// vertex of the chunk, in the chunk's order.
+///
+/// `&&`, `||` and `?:` fill the lanes of both branches and then pick,
+/// which is the per-vertex result only because every lowered expression is
+/// pure and total: `i64` arithmetic wraps, `/` is computed in `f64`, loads
+/// and degrees are of the current vertex, and nothing panics or writes. An
+/// operator that can fail or has an effect must not be lowered here.
+struct Lanes;
+
+/// A lowered expression over a chunk: its lane.
+type Kx<T> = Box<dyn Fn(&mut NodeChunk<'_, '_>) -> Vec<T> + Send + Sync>;
+
+/// [`fused!`] for [`Lanes`]: `$get` prepares the operand for a chunk — the
+/// constant, the column resolved once, or the operand's lane — and hands
+/// back a getter of `(lane index, vertex)`.
+macro_rules! lanes {
+    ($operand:expr, |$get:ident| $k:expr) => {
+        match $operand {
+            Operand::Const(k) => {
+                let $get = move |_: &mut NodeChunk<'_, '_>| move |_: usize, _: usize| k;
+                $k
+            }
+            Operand::Load(p) => {
+                let $get = move |ch: &mut NodeChunk<'_, '_>| {
+                    let col = ch.col(p);
+                    move |_: usize, v: usize| col.get(v)
+                };
+                $k
+            }
+            Operand::Dyn(f) => {
+                let $get = move |ch: &mut NodeChunk<'_, '_>| {
+                    let lane = f(ch);
+                    move |i: usize, _: usize| lane[i]
+                };
+                $k
+            }
+        }
+    };
+}
+
+impl Site for Lanes {
+    type Dyn<T: PropValue> = Kx<T>;
+
+    fn degree(out: bool) -> Kx<i64> {
+        match out {
+            true => Box::new(|ch| ch.nodes().map(|v| ch.out_degree(v) as i64).collect()),
+            false => Box::new(|ch| ch.nodes().map(|v| ch.in_degree(v) as i64).collect()),
+        }
+    }
+
+    fn un<T: PropValue, R: PropValue>(
+        a: Operand<T, Self>,
+        f: impl Fn(T) -> R + Send + Sync + 'static,
+    ) -> Kx<R> {
+        lanes!(a, |a| Box::new(move |ch: &mut NodeChunk<'_, '_>| {
+            let a = a(ch);
+            ch.nodes().enumerate().map(|(i, v)| f(a(i, v))).collect()
+        }) as Kx<R>)
+    }
+
+    fn bin<T: PropValue, R: PropValue>(
+        a: Operand<T, Self>,
+        b: Operand<T, Self>,
+        f: impl Fn(T, T) -> R + Send + Sync + 'static,
+    ) -> Kx<R> {
+        lanes!(a, |a| lanes!(
+            b,
+            |b| Box::new(move |ch: &mut NodeChunk<'_, '_>| {
+                let (a, b) = (a(ch), b(ch));
+                let lane = ch.nodes().enumerate();
+                lane.map(|(i, v)| f(a(i, v), b(i, v))).collect()
+            }) as Kx<R>
+        ))
+    }
+
+    fn tern<T: PropValue>(
+        cond: Operand<bool, Self>,
+        then: Operand<T, Self>,
+        other: Operand<T, Self>,
+    ) -> Kx<T> {
+        let cond = cond.into_dyn();
+        lanes!(then, |t| lanes!(
+            other,
+            |o| Box::new(move |ch: &mut NodeChunk<'_, '_>| {
+                let (pick, t, o) = (cond(ch), t(ch), o(ch));
+                let lane = ch.nodes().enumerate();
+                lane.map(|(i, v)| if pick[i] { t(i, v) } else { o(i, v) })
+                    .collect()
+            }) as Kx<T>
+        ))
+    }
+}
+
+/// A lowered `v.p = e` over a chunk: `e`'s value is stored on every vertex
+/// the mask (if any) passes.
+type LaneWrite = Box<dyn Fn(&mut NodeChunk<'_, '_>, Option<&[bool]>) + Send + Sync>;
+
+fn lane_write<T: PropValue>(value: Operand<T, Lanes>, p: Prop<T>) -> LaneWrite {
+    lanes!(
+        value,
+        |get| Box::new(move |ch: &mut NodeChunk<'_, '_>, mask: Option<&[bool]>| {
+            let (get, col) = (get(ch), ch.col(p));
+            for (i, v) in ch.nodes().enumerate() {
+                if mask.is_none_or(|mask| mask[i]) {
+                    col.set(v, get(i, v));
+                }
+            }
+        }) as LaneWrite
+    )
+}
+
+fn un<S: Site, T: PropValue, R: PropValue>(
+    a: Operand<T, S>,
     f: impl Fn(T) -> R + Send + Sync + 'static,
-) -> Operand<R> {
-    Operand::Dyn(fused!(
-        a,
-        |a| Box::new(move |c: &mut NodeCtx<'_, '_>| f(a(c))) as Fx<R>
-    ))
+) -> Operand<R, S> {
+    Operand::Dyn(S::un(a, f))
 }
 
-fn bin<T: PropValue, R: PropValue>(
-    a: Operand<T>,
-    b: Operand<T>,
+fn bin<S: Site, T: PropValue, R: PropValue>(
+    a: Operand<T, S>,
+    b: Operand<T, S>,
     f: impl Fn(T, T) -> R + Send + Sync + 'static,
-) -> Operand<R> {
-    Operand::Dyn(fused!(a, |a| fused!(
-        b,
-        |b| Box::new(move |c: &mut NodeCtx<'_, '_>| {
-            let x = a(c);
-            f(x, b(c))
-        }) as Fx<R>
-    )))
+) -> Operand<R, S> {
+    Operand::Dyn(S::bin(a, b, f))
 }
 
-/// `&&` (`and`) or `||`: the right operand runs only if the left one does
-/// not decide.
-fn logic(a: Operand<bool>, b: Operand<bool>, and: bool) -> Operand<bool> {
-    Operand::Dyn(fused!(a, |a| fused!(b, |b| if and {
-        Box::new(move |c: &mut NodeCtx<'_, '_>| a(c) && b(c)) as Fx<bool>
-    } else {
-        Box::new(move |c: &mut NodeCtx<'_, '_>| a(c) || b(c)) as Fx<bool>
-    })))
+/// `&&` (`and`) or `||`. Both operands are evaluated, which is sound only
+/// because lowered expressions are pure and total (see [`Lanes`]).
+fn logic<S: Site>(a: Operand<bool, S>, b: Operand<bool, S>, and: bool) -> Operand<bool, S> {
+    match and {
+        true => bin(a, b, |x: bool, y: bool| x && y),
+        false => bin(a, b, |x: bool, y: bool| x || y),
+    }
 }
 
-fn tern<T: PropValue>(cond: Operand<bool>, then: Operand<T>, other: Operand<T>) -> Operand<T> {
-    let cond = cond.into_fx();
-    Operand::Dyn(fused!(then, |t| fused!(
-        other,
-        |o| Box::new(move |c: &mut NodeCtx<'_, '_>| if cond(c) { t(c) } else { o(c) }) as Fx<T>
-    )))
+fn tern<S: Site, T: PropValue>(
+    cond: Operand<bool, S>,
+    then: Operand<T, S>,
+    other: Operand<T, S>,
+) -> Operand<T, S> {
+    Operand::Dyn(S::tern(cond, then, other))
 }
 
-fn compare<T: PropValue + PartialOrd>(
+fn compare<S: Site, T: PropValue + PartialOrd>(
     op: BinOp,
-    a: Operand<T>,
-    b: Operand<T>,
-) -> Option<Operand<bool>> {
+    a: Operand<T, S>,
+    b: Operand<T, S>,
+) -> Option<Operand<bool, S>> {
     Some(match op {
         BinOp::Eq => bin(a, b, |x: T, y: T| x == y),
         BinOp::Ne => bin(a, b, |x: T, y: T| x != y),
@@ -297,7 +468,7 @@ fn ill_typed(e: &TExpr) -> JobError {
 }
 
 impl Exec<'_> {
-    fn f64(&self, e: &TExpr) -> Result<Operand<f64>, JobError> {
+    fn f64<S: Site>(&self, e: &TExpr) -> Result<Operand<f64, S>, JobError> {
         Ok(match &e.kind {
             TExprKind::ConstF64(v) => Operand::Const(*v),
             TExprKind::Load { slot, .. } => match prop_at(self.slots, *slot) {
@@ -337,7 +508,7 @@ impl Exec<'_> {
         })
     }
 
-    fn i64(&self, e: &TExpr) -> Result<Operand<i64>, JobError> {
+    fn i64<S: Site>(&self, e: &TExpr) -> Result<Operand<i64, S>, JobError> {
         Ok(match &e.kind {
             TExprKind::ConstI64(v) => Operand::Const(*v),
             TExprKind::NodeCount => Operand::Const(self.n),
@@ -345,8 +516,8 @@ impl Exec<'_> {
                 Some(AnyProp::I64(p)) => Operand::Load(p),
                 _ => return Err(ill_typed(e)),
             },
-            TExprKind::OutDegree { .. } => Operand::Dyn(Box::new(|c| c.out_degree() as i64)),
-            TExprKind::InDegree { .. } => Operand::Dyn(Box::new(|c| c.in_degree() as i64)),
+            TExprKind::OutDegree { .. } => Operand::Dyn(S::degree(true)),
+            TExprKind::InDegree { .. } => Operand::Dyn(S::degree(false)),
             TExprKind::Unary { op, expr } => match op {
                 TUnOp::Neg => un(self.i64(expr)?, i64::wrapping_neg),
                 TUnOp::Abs => un(self.i64(expr)?, i64::wrapping_abs),
@@ -368,7 +539,7 @@ impl Exec<'_> {
         })
     }
 
-    fn bool(&self, e: &TExpr) -> Result<Operand<bool>, JobError> {
+    fn bool<S: Site>(&self, e: &TExpr) -> Result<Operand<bool, S>, JobError> {
         Ok(match &e.kind {
             TExprKind::ConstBool(v) => Operand::Const(*v),
             TExprKind::Load { slot, .. } => match prop_at(self.slots, *slot) {
@@ -395,21 +566,21 @@ impl Exec<'_> {
         })
     }
 
-    /// `v.<prop> = e`, typed by the column.
-    fn store(&self, prop: AnyProp, e: &TExpr) -> Result<Store, JobError> {
+    /// `v.<prop> = e` over a chunk, typed by the column.
+    fn write(&self, prop: AnyProp, e: &TExpr) -> Result<LaneWrite, JobError> {
         Ok(match prop {
-            AnyProp::F64(p) => self.f64(e)?.store(p),
-            AnyProp::I64(p) => self.i64(e)?.store(p),
-            AnyProp::Bool(p) => self.bool(e)?.store(p),
+            AnyProp::F64(p) => lane_write(self.f64(e)?, p),
+            AnyProp::I64(p) => lane_write(self.i64(e)?, p),
+            AnyProp::Bool(p) => lane_write(self.bool(e)?, p),
         })
     }
 
-    fn filter(&self, f: &PFilter) -> Result<Option<Fx<bool>>, JobError> {
+    fn filter<S: Site>(&self, f: &PFilter) -> Result<Option<S::Dyn<bool>>, JobError> {
         Ok(match f {
             PFilter::None => None,
-            PFilter::Inline(pred) => Some(self.bool(pred)?.into_fx()),
+            PFilter::Inline(pred) => Some(self.bool::<S>(pred)?.into_dyn()),
             PFilter::Mask { slot } => match prop_at(self.slots, *slot) {
-                Some(AnyProp::Bool(p)) => Some(Operand::Load(p).into_fx()),
+                Some(AnyProp::Bool(p)) => Some(Operand::<bool, S>::Load(p).into_dyn()),
                 _ => None,
             },
         })
@@ -426,19 +597,22 @@ fn passes(filter: &Option<Fx<bool>>, ctx: &mut NodeCtx<'_, '_>) -> bool {
 }
 
 /// A lowered `NodeJob` (and the per-vertex half of a general global
-/// aggregate): the writes, in order, on every vertex passing the filter.
-struct NodeJob {
-    filter: Option<Fx<bool>>,
-    writes: Vec<Store>,
+/// aggregate), as a chunk kernel: the filter's mask lane, then each write
+/// over the whole chunk, in statement order. That is what the per-vertex
+/// order — filter, then every statement, one vertex at a time — computes,
+/// because a node job's statements read and write only the current
+/// vertex: whichever order the vertices go in, no vertex sees another's
+/// writes.
+struct NodeKernel {
+    mask: Option<Kx<bool>>,
+    writes: Vec<LaneWrite>,
 }
 
-impl NodeTask for Arc<NodeJob> {
-    fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
-        passes(&self.filter, ctx)
-    }
-    fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
+impl NodeTask for Arc<NodeKernel> {
+    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let mask = self.mask.as_ref().map(|mask| mask(chunk));
         for write in &self.writes {
-            write(ctx);
+            write(chunk, mask.as_deref());
         }
     }
 }
@@ -460,7 +634,7 @@ impl EdgeTask for Arc<PushJob> {
 }
 
 fn push_emit<T: PropValue>(
-    body: Operand<T>,
+    body: Operand<T, Vertex>,
     target: Prop<T>,
     op: ReduceOp,
 ) -> Box<dyn Fn(&mut EdgeCtx<'_, '_>) + Send + Sync> {
@@ -500,7 +674,7 @@ impl<T: PropValue> EdgeTask for Arc<PullJob<T>> {
 /// enclosing loop asks.
 type Action = Box<dyn Fn(&mut Engine, &CancelToken) -> Result<(), JobError> + Send + Sync>;
 
-fn node_action(job: NodeJob) -> Action {
+fn node_action(job: NodeKernel) -> Action {
     let job = Arc::new(job);
     Box::new(move |engine, cancel| {
         engine
@@ -597,15 +771,15 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
             })
         }
         PStep::NodeJob { filter, writes } => {
-            let mut stores = Vec::with_capacity(writes.len());
+            let mut lowered = Vec::with_capacity(writes.len());
             for (slot, expr) in writes {
                 if let Some(prop) = prop_at(ex.slots, *slot) {
-                    stores.push(ex.store(prop, expr)?);
+                    lowered.push(ex.write(prop, expr)?);
                 }
             }
-            node_action(NodeJob {
-                filter: ex.filter(filter)?,
-                writes: stores,
+            node_action(NodeKernel {
+                mask: ex.filter::<Lanes>(filter)?,
+                writes: lowered,
             })
         }
         PStep::EdgeJob {
@@ -636,7 +810,7 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
                     };
                     let job = PushJob {
                         filter: match nbr_filter {
-                            Some(pred) => Some(ex.bool(pred)?.into_fx()),
+                            Some(pred) => Some(ex.bool::<Vertex>(pred)?.into_dyn()),
                             None => None,
                         },
                         emit: match target {
@@ -670,7 +844,7 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
                     let Some(src) = prop_at(ex.slots, src) else {
                         return Ok(None);
                     };
-                    let filter = ex.filter(vertex_filter)?;
+                    let filter = ex.filter::<Vertex>(vertex_filter)?;
                     // Folded with `reduce_bits`, as push mode's
                     // `reduce_bits_atomic` folds (DESIGN.md §17.4).
                     let foldable = matches!(op, ReduceOp::Sum | ReduceOp::Min | ReduceOp::Max);
@@ -828,8 +1002,7 @@ impl DriverEnv<'_> {
         // The per-vertex half as one expression — a bodiless aggregate is
         // `count` (1 per vertex), inactive vertices contribute the
         // reduction identity — lowered here, next to the scratch column
-        // its closure writes; per vertex it is a closure call like any
-        // node job's.
+        // it writes, to a chunk kernel like any node job's.
         let mut value = body.cloned().unwrap_or_else(|| constant(Val::I64(1)));
         if let Some(f) = filter {
             value = TExpr {
@@ -847,9 +1020,9 @@ impl DriverEnv<'_> {
             Ty::I64 => AnyProp::I64(self.engine.add_prop("$agg", 0i64)),
             Ty::Bool => AnyProp::Bool(self.engine.add_prop("$agg", false)),
         };
-        let result = self.ex.store(scratch, &value).and_then(|write| {
-            let job = Arc::new(NodeJob {
-                filter: None,
+        let result = self.ex.write(scratch, &value).and_then(|write| {
+            let job = Arc::new(NodeKernel {
+                mask: None,
                 writes: vec![write],
             });
             self.engine

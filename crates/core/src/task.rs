@@ -7,14 +7,22 @@
 //! properties (§4.1.2). A pull whose continuation would only fold the
 //! value into the current vertex is declared instead, as a [`Fold`], and a
 //! push of a column of the current vertex as a [`Scatter`]: the engine then
-//! runs the edges itself, with no `run()` or `read_done()`.
+//! runs the edges itself, with no `run()` or `read_done()`. A node task
+//! runs a chunk of vertices at a time ([`NodeTask::run_chunk`]); one whose
+//! body is column arithmetic on the vertex resolves its columns once per
+//! chunk ([`NodeChunk::col`]) instead of once per access.
 
 use crate::prop::Prop;
 use crate::scope::TaskScope;
 use pgxd_graph::NodeId;
+use pgxd_runtime::chunk::Chunk;
 use pgxd_runtime::localgraph::EncTarget;
 use pgxd_runtime::props::{PropId, PropValue, ReduceOp, TypeTag};
 use pgxd_runtime::worker::SideRec;
+use std::marker::PhantomData;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Which neighbor set an edge task iterates: the paper's
 /// `outnbr_iter_task` / `innbr_iter_task` split. `In` is what enables the
@@ -144,19 +152,119 @@ fn assert_defined<T: PropValue>(op: ReduceOp) {
     );
 }
 
-/// A per-vertex task (the paper's node iterator): `run` executes once per
-/// active vertex.
+/// A per-vertex task (the paper's node iterator): `run_chunk` executes
+/// once per chunk of the machine's vertices, and by default runs `filter`,
+/// then `run`, on each vertex of the chunk in turn.
 pub trait NodeTask: Send + Sync + 'static {
     /// Vertex filter (see [`EdgeTask::filter`]).
     fn filter(&self, _ctx: &mut NodeCtx<'_, '_>) -> bool {
         true
     }
 
-    /// The per-vertex kernel.
-    fn run(&self, ctx: &mut NodeCtx<'_, '_>);
+    /// The per-vertex kernel of the default [`Self::run_chunk`].
+    fn run(&self, _ctx: &mut NodeCtx<'_, '_>) {}
+
+    /// The kernel over one chunk. A task whose body only reads and writes
+    /// columns of the vertex overrides it with a loop over [`Col`] views,
+    /// resolved once per chunk, and then neither `filter` nor `run` is
+    /// called.
+    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+        for v in chunk.nodes() {
+            let mut ctx = chunk.ctx(v);
+            if self.filter(&mut ctx) {
+                self.run(&mut ctx);
+            }
+        }
+    }
 
     /// Continuation for reads issued by `run`.
     fn read_done(&self, _ctx: &mut ReadDoneCtx<'_, '_>) {}
+}
+
+/// One chunk of a node job: a run of the machine's vertices, addressed by
+/// local index (`0..` the machine's vertex count), all processed by one
+/// worker.
+pub struct NodeChunk<'s, 'a> {
+    scope: &'s mut TaskScope<'a>,
+    nodes: Chunk,
+    out_rows: &'a [usize],
+    in_rows: &'a [usize],
+}
+
+impl<'s, 'a> NodeChunk<'s, 'a> {
+    pub(crate) fn new(scope: &'s mut TaskScope<'a>, nodes: Chunk) -> Self {
+        let graph = &scope.machine.graph;
+        let (out_rows, in_rows) = (&graph.out.row_ptr[..], &graph.inn.row_ptr[..]);
+        NodeChunk {
+            scope,
+            nodes,
+            out_rows,
+            in_rows,
+        }
+    }
+
+    /// The chunk's vertices, as local indices.
+    #[inline]
+    pub fn nodes(&self) -> Range<usize> {
+        self.nodes.clone()
+    }
+
+    /// A typed view of `p`'s owned cells, resolved once: hold it for the
+    /// chunk's loop.
+    pub fn col<T: PropValue>(&mut self, p: Prop<T>) -> Col<T> {
+        let column = self.scope.col(p.id);
+        Col {
+            cells: column.share_cells(),
+            owned: column.len_local(),
+            _marker: PhantomData,
+        }
+    }
+
+    /// Full out-degree of local vertex `v`.
+    #[inline]
+    pub fn out_degree(&self, v: usize) -> usize {
+        self.out_rows[v + 1] - self.out_rows[v]
+    }
+
+    /// Full in-degree of local vertex `v`.
+    #[inline]
+    pub fn in_degree(&self, v: usize) -> usize {
+        self.in_rows[v + 1] - self.in_rows[v]
+    }
+
+    /// The per-vertex context of `v`, a vertex of this chunk: for what a
+    /// [`Col`] does not do (its global id, `reduce_global`, `rmi`).
+    pub fn ctx(&mut self, v: usize) -> NodeCtx<'_, 'a> {
+        assert!(self.nodes.contains(&v), "vertex {v} is not in the chunk");
+        NodeCtx {
+            scope: self.scope,
+            node: v,
+        }
+    }
+}
+
+/// A typed view of one column's owned cells ([`NodeChunk::col`]). A ghost
+/// slot is out of its reach: an index at or past the machine's vertex
+/// count panics, which fails the job.
+pub struct Col<T: PropValue> {
+    cells: Arc<[AtomicU64]>,
+    owned: usize,
+    _marker: PhantomData<fn() -> T>,
+}
+
+impl<T: PropValue> Col<T> {
+    /// The value of local vertex `v`.
+    #[inline]
+    pub fn get(&self, v: usize) -> T {
+        T::from_bits(self.cells[..self.owned][v].load(Ordering::Relaxed))
+    }
+
+    /// Writes the value of local vertex `v`. Safe without atomics because
+    /// one vertex is processed by one worker.
+    #[inline]
+    pub fn set(&self, v: usize, x: T) {
+        self.cells[..self.owned][v].store(x.to_bits(), Ordering::Relaxed);
+    }
 }
 
 /// Context over the *current vertex* (filters and node tasks).
@@ -429,6 +537,53 @@ impl ReadDoneCtx<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BuildEngine, Engine, JobSpec};
+    use pgxd_graph::generate;
+    use pgxd_runtime::health::JobError;
+    use std::sync::atomic::AtomicBool;
+
+    /// Indexes the first ghost slot of `p` through a [`Col`].
+    struct PeekGhost {
+        p: Prop<f64>,
+        had_ghosts: Arc<AtomicBool>,
+    }
+    impl NodeTask for PeekGhost {
+        fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+            let graph = &chunk.scope.machine.graph;
+            let first_ghost = graph.num_local();
+            if graph.num_ghosts() > 0 {
+                self.had_ghosts.store(true, Ordering::Relaxed);
+            }
+            chunk.col(self.p).get(first_ghost);
+        }
+    }
+
+    /// A `Col` view ends at the owned cells: the index of a ghost slot
+    /// panics on the worker, which fails the job.
+    #[test]
+    fn col_cannot_reach_a_ghost_slot() {
+        let g = generate::star(32);
+        let mut e = Engine::builder()
+            .machines(2)
+            .ghost_threshold(Some(8))
+            .engine(&g)
+            .unwrap();
+        let p = e.add_prop("p", 1.0f64);
+        let had_ghosts = Arc::new(AtomicBool::new(false));
+        let task = PeekGhost {
+            p,
+            had_ghosts: had_ghosts.clone(),
+        };
+        let err = e.try_run_node_job(&JobSpec::new(), task).unwrap_err();
+        assert!(
+            had_ghosts.load(Ordering::Relaxed),
+            "the hub must be ghosted"
+        );
+        let JobError::Protocol(msg) = err else {
+            panic!("expected a protocol error, got {err:?}");
+        };
+        assert!(msg.contains("task panicked: index out of bounds"), "{msg}");
+    }
 
     /// A logical fold of an `f64` column would panic on the workers and
     /// hang the driver; it is refused where it is declared.

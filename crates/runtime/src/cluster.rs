@@ -33,7 +33,9 @@ use crate::worker::{CommTuning, WorkerComm};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use parking_lot::{Condvar, Mutex};
 use pgxd_graph::{Graph, NodeId};
+use std::any::Any;
 use std::collections::VecDeque;
+use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
@@ -1313,8 +1315,18 @@ fn poller_tick(m: &MachineState, fabric: &Fabric, watchdog_ms: u64) {
     }
 }
 
+/// The message a panic was raised with (`panic!` with a literal or with
+/// format arguments).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(msg) => msg,
+        None => payload.downcast_ref::<String>().map_or("?", String::as_str),
+    }
+}
+
 /// Worker thread: waits for phases, executes them, and synchronizes at the
-/// cluster barrier. The worker's [`WorkerComm`] persists across phases.
+/// cluster barrier. The worker's [`WorkerComm`] persists across phases. A
+/// phase that panics fails the job and still reaches the barrier.
 fn worker_loop(
     m: Arc<MachineState>,
     worker_idx: usize,
@@ -1358,13 +1370,25 @@ fn worker_loop(
             }
         };
         tele.trace(worker_idx, EventKind::PhaseStart, my_epoch);
-        {
+        let executed = std::panic::catch_unwind(AssertUnwindSafe(|| {
             let mut env = WorkerEnv {
                 machine: &m,
                 worker_idx,
                 comm: &mut comm,
             };
             phase.execute(&mut env);
+        }));
+        if let Err(payload) = executed {
+            // A panicking task fails the job instead of stranding the
+            // barrier: what the worker had in flight is dropped, the abort
+            // sends every peer out of its drain loop, and this worker
+            // still reaches the barrier below.
+            comm.abort_in_flight();
+            m.health.abort(JobError::Protocol(format!(
+                "machine {} worker {worker_idx}: task panicked: {}",
+                m.id,
+                panic_message(&*payload)
+            )));
         }
         tele.trace(worker_idx, EventKind::PhaseEnd, my_epoch);
         tele.trace(worker_idx, EventKind::BarrierEnter, my_epoch);

@@ -261,7 +261,7 @@ impl PropValue for bool {
 #[derive(Debug)]
 pub struct Column {
     tag: TypeTag,
-    cells: Box<[AtomicU64]>,
+    cells: Arc<[AtomicU64]>,
     len_local: usize,
 }
 
@@ -302,6 +302,13 @@ impl Column {
     #[inline]
     pub fn cells(&self) -> &[AtomicU64] {
         &self.cells
+    }
+
+    /// Every cell, as a handle of its own: for a view that holds the cells'
+    /// pointer and length itself, where a loop over a borrow of the column
+    /// re-reads them through it after every store.
+    pub fn share_cells(&self) -> Arc<[AtomicU64]> {
+        Arc::clone(&self.cells)
     }
 
     /// Plain (relaxed) load of raw bits.

@@ -57,14 +57,17 @@ echo "== benchmark smoke (one run of each of the seven workloads, answers checke
 bash benchmark/run.sh --workload pull_skew --seed 7 --seconds 1 --trace 0
 # One machine, one worker: every read is local, so the declared pull fold
 # takes only the register path (folded per vertex, stored after its last
-# edge).
+# edge), and the node jobs around it (`Scale`, `Apply`) run a chunk at a
+# time over column views resolved once per chunk.
 bash benchmark/run.sh --workload local_pull --seed 7 --seconds 1 --trace 0
 # The same job on two node-mode ranks over loopback TCP: the event-driven
 # termination wave (report, probe, answer, release) against the oracle.
 bash benchmark/run.sh --workload tcp_pull --seed 7 --seconds 1 --trace 0
 # The query layer on the benchmark's own graph: the only place the query
 # PageRank is held to 1e-12 of the built-in *and* 1e-9 of the oracle, and
-# the query BFS to bit-identity with both.
+# the query BFS to bit-identity with both. Its node jobs are lowered to
+# chunk kernels (one lane per expression node per chunk, a mask lane for
+# the filter, the writes in statement order).
 bash benchmark/run.sh --workload query_pr --seed 7 --seconds 1 --trace 0
 # The only answers that pass through the copiers' remote reductions:
 # pushed PageRank (1e-9 of the oracle) and hop distances (bit-identical),

@@ -75,6 +75,49 @@ fn wcc_identical_across_key_configurations() {
     }
 }
 
+/// The built-in node tasks that run a chunk at a time compute what they
+/// computed per vertex whatever the chunk boundaries: `chunk_edges(1)`
+/// makes every node chunk one vertex. Hop distance and WCC are integers and
+/// bit-identical everywhere; PageRank and eigenvector sum floats in an
+/// order only a single worker fixes.
+#[test]
+fn chunk_kernels_are_chunk_invariant() {
+    let g = generate::rmat(8, 6, RmatParams::skewed(), 2003);
+    for machines in [1usize, 3] {
+        for workers in [1usize, 2] {
+            let run = |chunk_edges: Option<usize>| {
+                let mut builder = Engine::builder()
+                    .machines(machines)
+                    .workers(workers)
+                    .ghost_threshold(Some(16));
+                if let Some(edges) = chunk_edges {
+                    builder = builder.chunk_edges(edges);
+                }
+                let mut e = builder.engine(&g).unwrap();
+                let hops = algos::try_hopdist(&mut e, 0).unwrap().hops;
+                let comp = algos::try_wcc(&mut e).unwrap().component;
+                let pr = algos::try_pagerank_pull(&mut e, 0.85, 10, 0.0).unwrap();
+                let ev = algos::try_eigenvector(&mut e, 10, 0.0).unwrap();
+                (hops, comp, [pr.scores, ev.centrality])
+            };
+            let (preset, single) = (run(None), run(Some(1)));
+            let at = format!("m={machines} w={workers}");
+            assert_eq!(preset.0, single.0, "hops, {at}");
+            assert_eq!(preset.1, single.1, "wcc, {at}");
+            for (a, b) in preset.2.iter().zip(&single.2) {
+                if machines == 1 && workers == 1 {
+                    let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(a), bits(b), "{at}");
+                } else {
+                    for (x, y) in a.iter().zip(b) {
+                        assert!((x - y).abs() < 1e-12, "{at}: {x} vs {y}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn more_machines_than_meaningful_partitions() {
     // 8 machines for a 30-node graph: several partitions own almost

@@ -176,6 +176,63 @@ fn dist_barrier_stress() {
     }
 }
 
+/// Runs `job` on a thread of its own and fails the test if it has not
+/// returned within 20 s, instead of hanging the suite.
+fn under_watchdog<R: Send + 'static>(job: impl FnOnce() -> R + Send + 'static) -> R {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let thread = std::thread::spawn(move || {
+        let _ = tx.send(job());
+    });
+    let result = rx
+        .recv_timeout(std::time::Duration::from_secs(20))
+        .expect("the job hung (or its thread panicked) instead of failing");
+    thread.join().expect("the job's thread returned its result");
+    result
+}
+
+fn assert_task_panicked(err: pgxd::JobError) {
+    let pgxd::JobError::Protocol(msg) = err else {
+        panic!("expected a protocol error, got {err:?}");
+    };
+    assert!(msg.contains("task panicked: boom at vertex 3"), "{msg}");
+}
+
+/// A task that panics on one vertex fails the job on every machine — the
+/// worker's barrier is still reached — and the abort is sticky.
+#[test]
+fn panicking_node_task_fails_the_job() {
+    under_watchdog(|| {
+        let g = generate::ring(64);
+        let mut e = engine(2, &g);
+        let boom = pgxd::tasks::on_node(|ctx| {
+            if ctx.node() == 3 {
+                panic!("boom at vertex 3");
+            }
+        });
+        let err = e.try_run_node_job(&pgxd::JobSpec::new(), boom).unwrap_err();
+        assert_task_panicked(err);
+        let again = e.try_run_node_job(&pgxd::JobSpec::new(), pgxd::tasks::on_node(|_| {}));
+        assert_task_panicked(again.unwrap_err());
+    });
+}
+
+#[test]
+fn panicking_edge_task_fails_the_job() {
+    under_watchdog(|| {
+        let g = generate::ring(64);
+        let mut e = engine(2, &g);
+        let boom = pgxd::tasks::on_edge(|ctx| {
+            if ctx.node() == 3 {
+                panic!("boom at vertex {}", ctx.node());
+            }
+        });
+        let err = e
+            .try_run_edge_job(pgxd::Dir::Out, &pgxd::JobSpec::new(), boom)
+            .unwrap_err();
+        assert_task_panicked(err);
+    });
+}
+
 #[test]
 fn rmi_from_algorithm_context() {
     use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,5 +1,6 @@
-//! Lowered ≡ `eval`: the typed closures `pgxd::query::execute` builds once
-//! per execution return, bit for bit, what the reference tree evaluator
+//! Lowered ≡ `eval`: the closures `pgxd::query::execute` builds once per
+//! execution — chunk kernels for node jobs, per-vertex closures for edge
+//! jobs — return, bit for bit, what the reference tree evaluator
 //! `pgxd_query::eval` returns for the same expression on the same vertex.
 //!
 //! Programs are assembled from plan steps directly (no text), so the
@@ -7,17 +8,21 @@
 //! every `BinOp`, `TUnOp` and ternary shape over all three value types,
 //! loads of all three, degrees, `N`, integer `/` (computed in f64,
 //! including ÷0), wrapping `i64` add/neg/abs at `i64::MIN`/`MAX`,
-//! short-circuit `&&`/`||`, over columns holding NaN, ±0.0, ±INF and
-//! subnormals. A node job checks the node context (writes and the `where`
-//! hook), a push job the edge context (body and neighbor filter), a
-//! filtered pull job the fold and its per-vertex reset, and an f64
-//! `min`/`max` aggregate runs in both modes.
+//! `&&`/`||`, over columns holding NaN, ±0.0, ±INF and subnormals. A node
+//! job checks the node context (two writes, the second reading the
+//! first's column, behind a `where` mask; in the preset's chunks and in
+//! one-vertex chunks), a push job the edge context (body and neighbor
+//! filter), a filtered pull job the fold and its per-vertex reset, and an
+//! f64 `min`/`max` aggregate runs in both modes.
 //!
-//! Mutation-checked: with `bin` applying `f(b, a)`, with the integer-`/`
-//! closure dividing before widening, with `ToF64` reinterpreting bits, and
-//! with `logic` ignoring its `and` flag, `node_context` and `edge_context`
-//! both fail within the first cases; with the pull reset ignoring the
-//! filter (what the whole-column prefill did), `filtered_pull` does.
+//! Mutation-checked: with the integer-`/` closure dividing before
+//! widening, with `ToF64` reinterpreting bits, and with `logic` ignoring
+//! its `and` flag, `node_context` and `edge_context` fail within the first
+//! cases; with a site's `bin` applying `f(b, a)`, that site's test does
+//! (`node_context` for lanes, `edge_context` for one vertex); with the
+//! node kernel running its writes in reverse order or ignoring the mask,
+//! `node_context` does; with the pull reset ignoring the filter (what the
+//! whole-column prefill did), `filtered_pull` does.
 
 use pgxd::query::{execute, OptReport, Plan, Program, QueryResult, Span, TraverseMode, Ty, Val};
 use pgxd::{BuildEngine, CancelToken, Engine, ReduceOp};
@@ -36,6 +41,8 @@ const I: [usize; 2] = [2, 3];
 const B: [usize; 2] = [4, 5];
 /// The column a job writes, typed per case.
 const OUT: usize = 6;
+/// The column a node job's second statement writes, from `OUT`.
+const OUT2: usize = 7;
 
 const F64S: [f64; 10] = [
     f64::NAN,
@@ -184,16 +191,20 @@ impl Columns {
 }
 
 /// The reference environment: `eval` reads the same columns and degrees
-/// the engine serves.
+/// the engine serves, and `out` as the `OUT` column.
 struct RefEnv<'a> {
     g: &'a Graph,
     cols: &'a Columns,
+    out: &'a [Val],
     v: usize,
 }
 
 impl EvalEnv for RefEnv<'_> {
     fn load(&mut self, slot: usize, _: WhichVar) -> Val {
-        self.cols.0[self.v][slot]
+        match slot {
+            OUT => self.out[self.v],
+            _ => self.cols.0[self.v][slot],
+        }
     }
     fn out_degree(&mut self, _: WhichVar) -> i64 {
         self.g.out_degree(self.v as NodeId) as i64
@@ -207,7 +218,11 @@ impl EvalEnv for RefEnv<'_> {
 }
 
 fn reference(g: &Graph, cols: &Columns, expr: &TExpr) -> Vec<Val> {
-    let at = |v| eval(expr, &mut RefEnv { g, cols, v });
+    reference_with_out(g, cols, &[], expr)
+}
+
+fn reference_with_out(g: &Graph, cols: &Columns, out: &[Val], expr: &TExpr) -> Vec<Val> {
+    let at = |v| eval(expr, &mut RefEnv { g, cols, out, v });
     (0..g.num_nodes()).map(at).collect()
 }
 
@@ -219,9 +234,23 @@ fn bits(v: Val) -> u64 {
     }
 }
 
-/// Runs `job` after seeding the input columns and `OUT` (typed `out_ty`,
-/// filled with `out_init`); returns `OUT`'s bit patterns.
-fn run(g: &Graph, cols: &Columns, out_ty: Ty, out_init: Val, job: PStep) -> Vec<u64> {
+/// Runs `job` after seeding the input columns and `OUT` (filled with
+/// `out_init`, and typed by it); returns `OUT`'s bit patterns.
+fn run(g: &Graph, cols: &Columns, out_init: Val, job: PStep) -> Vec<u64> {
+    run_on(g, cols, &[out_init], job, OUT, None)
+}
+
+/// Runs `job` after seeding the input columns and `OUT`, `OUT2`, … with
+/// `outs` (each typed by its value), on an engine of the unit-test preset
+/// or with `chunk_edges`; returns the bit patterns of column `output`.
+fn run_on(
+    g: &Graph,
+    cols: &Columns,
+    outs: &[Val],
+    job: PStep,
+    output: usize,
+    chunk_edges: Option<usize>,
+) -> Vec<u64> {
     let prop = |name: &str, ty| {
         Some(PropInfo {
             name: name.into(),
@@ -229,19 +258,22 @@ fn run(g: &Graph, cols: &Columns, out_ty: Ty, out_init: Val, job: PStep) -> Vec<
             span: Span::default(),
         })
     };
-    let props = vec![
+    let mut props = vec![
         prop("a", Ty::F64),
         prop("b", Ty::F64),
         prop("i", Ty::I64),
         prop("j", Ty::I64),
         prop("p", Ty::Bool),
         prop("q", Ty::Bool),
-        prop("out", out_ty),
     ];
-    let mut steps = vec![PStep::Fill {
-        slot: OUT,
-        value: constant(out_init),
-    }];
+    let mut steps = Vec::new();
+    for (k, &init) in outs.iter().enumerate() {
+        props.push(prop(&format!("out{k}"), init.ty()));
+        steps.push(PStep::Fill {
+            slot: OUT + k,
+            value: constant(init),
+        });
+    }
     for (v, row) in cols.0.iter().enumerate() {
         for (slot, &value) in row.iter().enumerate() {
             steps.push(PStep::PointSet {
@@ -256,12 +288,16 @@ fn run(g: &Graph, cols: &Columns, out_ty: Ty, out_init: Val, job: PStep) -> Vec<
         plan: Plan {
             props,
             steps,
-            output: SOutput::Column { slot: OUT },
+            output: SOutput::Column { slot: output },
         },
         report: OptReport::default(),
         nodes: g.num_nodes() as u64,
     };
-    let mut engine = Engine::builder().machines(2).engine(g).unwrap();
+    let mut builder = Engine::builder().machines(2);
+    if let Some(edges) = chunk_edges {
+        builder = builder.chunk_edges(edges);
+    }
+    let mut engine = builder.engine(g).unwrap();
     match execute(&mut engine, &program, &CancelToken::never()).unwrap() {
         QueryResult::Column { values, .. } => match values {
             pgxd::query::QueryColumn::F64(xs) => xs.into_iter().map(f64::to_bits).collect(),
@@ -275,8 +311,11 @@ fn run(g: &Graph, cols: &Columns, out_ty: Ty, out_init: Val, job: PStep) -> Vec<
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Node context: `foreach v where <filter> { v.out = <expr>; }` on a
-    /// graph with uneven degrees.
+    /// Node context: `foreach v where <filter> { v.out = <expr>; v.out2 =
+    /// <cond> ? v.out : <other>; }` on a graph with uneven degrees, in
+    /// chunks of the preset's size and of one vertex each. The second
+    /// statement reads what the first wrote, so the statements must run in
+    /// order on each vertex, and only where the filter holds.
     #[test]
     fn node_context(seed in any::<u64>()) {
         let mut rng = TestRng::new(seed);
@@ -284,20 +323,36 @@ proptest! {
         let cols = Columns::random(&mut rng, g.num_nodes());
         let ty = pick(&mut rng, &[Ty::F64, Ty::I64, Ty::Bool]);
         let (filter, expr) = (gen(&mut rng, Ty::Bool, 3), gen(&mut rng, ty, 4));
-        let init = random_val(&mut rng, ty);
+        let (cond, then) = (gen(&mut rng, Ty::Bool, 2), Box::new(e(ty, TExprKind::Load {
+            slot: OUT,
+            var: WhichVar::Outer,
+        })));
+        let other = Box::new(gen(&mut rng, ty, 3));
+        let expr2 = e(ty, TExprKind::Ternary { cond: Box::new(cond), then, other });
+        let inits = [random_val(&mut rng, ty), random_val(&mut rng, ty)];
 
         let pass = reference(&g, &cols, &filter);
-        let want: Vec<u64> = reference(&g, &cols, &expr)
-            .into_iter()
-            .zip(pass)
-            .map(|(v, pass)| bits(if pass.as_bool() { v } else { init }))
-            .collect();
+        let masked = |values: Vec<Val>, init: Val| -> Vec<Val> {
+            let pick = |(v, pass): (Val, &Val)| if pass.as_bool() { v } else { init };
+            values.into_iter().zip(&pass).map(pick).collect()
+        };
+        let out = masked(reference(&g, &cols, &expr), inits[0]);
+        let out2 = masked(reference_with_out(&g, &cols, &out, &expr2), inits[1]);
         let job = PStep::NodeJob {
             filter: PFilter::Inline(filter.clone()),
-            writes: vec![(OUT, expr.clone())],
+            writes: vec![(OUT, expr.clone()), (OUT2, expr2.clone())],
         };
-        let got = run(&g, &cols, ty, init, job);
-        prop_assert_eq!(got, want, "filter {:?}\nexpr {:?}", filter, expr);
+        for chunk_edges in [None, Some(1)] {
+            for (slot, want) in [(OUT, &out), (OUT2, &out2)] {
+                let want: Vec<u64> = want.iter().map(|&v| bits(v)).collect();
+                let got = run_on(&g, &cols, &inits, job.clone(), slot, chunk_edges);
+                prop_assert_eq!(
+                    got, want,
+                    "chunk_edges {:?} slot {}\nfilter {:?}\nexpr {:?}\nexpr2 {:?}",
+                    chunk_edges, slot, filter, expr, expr2
+                );
+            }
+        }
     }
 
     /// Edge context: on a ring every vertex has one in-neighbor, so
@@ -338,7 +393,7 @@ proptest! {
             body: expr.clone(),
             prefill: true,
         };
-        let got = run(&g, &cols, ty, random_val(&mut rng, ty), job);
+        let got = run(&g, &cols, random_val(&mut rng, ty), job);
         prop_assert_eq!(got, want, "{:?} filter {:?}\nexpr {:?}", op, filter, expr);
     }
 
@@ -380,7 +435,7 @@ proptest! {
             body: e(Ty::I64, TExprKind::Load { slot: I[0], var: WhichVar::Inner }),
             prefill: true,
         };
-        let got = run(&g, &cols, Ty::I64, init, job);
+        let got = run(&g, &cols, init, job);
         prop_assert_eq!(got, want, "{:?} filter {:?}", op, filter);
     }
 
@@ -420,8 +475,8 @@ proptest! {
             body: e(Ty::F64, TExprKind::Load { slot: F[0], var: WhichVar::Inner }),
             prefill: true,
         };
-        let pull = run(&g, &cols, Ty::F64, Val::F64(0.5), job(TraverseMode::Pull));
-        let push = run(&g, &cols, Ty::F64, Val::F64(0.5), job(TraverseMode::Push));
+        let pull = run(&g, &cols, Val::F64(0.5), job(TraverseMode::Pull));
+        let push = run(&g, &cols, Val::F64(0.5), job(TraverseMode::Push));
         prop_assert_eq!(&pull, &want, "pull {:?}", op);
         prop_assert_eq!(&push, &want, "push {:?}", op);
     }
