@@ -3,9 +3,10 @@
 //!
 //! Each worker: push its share of the owned ghost values of the read
 //! properties and wait until its machine's ghost slots are filled → grab a
-//! chunk → for each active vertex run the task over its edges (or fold
-//! them, or scatter its value over them, for a task that declares a
-//! [`Fold`] or a [`Scatter`]), or run a node task over the whole chunk
+//! chunk → run an edge task's chunk prologue ([`EdgeTask::prepare`]), then
+//! for each active vertex run the task over its edges (or fold them, or
+//! scatter its value over them, for a task that declares a [`Fold`] or a
+//! [`Scatter`]), or run a node task over the whole chunk
 //! ([`NodeTask::run_chunk`]) → invoke locally-satisfied
 //! continuations → opportunistically drain responses → repeat; once the
 //! queue is empty, flush the request buffers, hand its ghost partials on,
@@ -213,18 +214,24 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
             Dir::Out => &env.machine.graph.out,
             Dir::In => &env.machine.graph.inn,
         };
+        let prepare = |scope: &mut TaskScope<'_>, nodes: &Chunk| {
+            task.prepare(&mut NodeChunk::new(scope, nodes.clone()))
+        };
         if let Some(fold) = task.fold() {
             return self.core.run(env, &read_done, |scope, nodes| {
+                prepare(scope, &nodes);
                 dispatch(fold.tag, fold.op, Declared(scope, frag, task, fold, nodes))
             });
         }
         if let Some(scatter) = task.scatter() {
             return self.core.run(env, &read_done, |scope, nodes| {
+                prepare(scope, &nodes);
                 let chunk = Declared(scope, frag, task, scatter, nodes);
                 dispatch(scatter.tag, scatter.op, chunk)
             });
         }
         self.core.run(env, &read_done, |scope, nodes| {
+            prepare(scope, &nodes);
             for node in nodes {
                 if !task.filter(&mut NodeCtx { scope, node }) {
                     continue;

@@ -117,10 +117,7 @@ pub use task::{
 
 /// Closure-based ad-hoc kernels (see [`tasks::on_edge`]).
 pub mod tasks {
-    pub use crate::closure_tasks::{
-        on_edge, on_edge_filtered, on_edge_pull, on_node, on_node_filtered, EdgeClosure,
-        EdgePullClosure, FilteredEdgeClosure, FilteredNodeClosure, NodeClosure,
-    };
+    pub use crate::closure_tasks::{on_edge, on_node, EdgeClosure, NodeClosure};
 }
 
 // Re-exports so algorithm code only needs `pgxd`.

@@ -4,10 +4,11 @@
 //! logical plan over property *slots*. This module is the other half:
 //! [`execute`] materializes the slots as real property columns of a live
 //! [`Engine`], lowers the plan against them once — every expression to a
-//! typed closure over `Prop` handles (a node job's to chunk kernels that
-//! fill a lane per chunk), every step to a job that loops re-run as it
-//! is — and runs the lowered steps on the
-//! same primitives hand-written algorithms use: `try_run_node_job_with`,
+//! chunk kernel over `Prop` handles that fills a lane per chunk, every
+//! step to a job that loops re-run as it is: a node job is a kernel, an
+//! edge job a kernel as its chunk prologue plus a declared [`Fold`] or
+//! [`Scatter`] — and runs the lowered steps on the same primitives
+//! hand-written algorithms use: `try_run_node_job_with`,
 //! `try_run_edge_job_with`, driver-side `fill`/`reduce`/`count_true`.
 //! Nothing here bypasses the barrier protocol, so compiled queries
 //! inherit cancellation, deadlines, and fault surfacing for free.
@@ -41,7 +42,7 @@
 //! ```
 
 use crate::serve::{JobHandle, Lane, Session};
-use crate::task::{EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask};
+use crate::task::{EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, Scatter};
 use crate::{
     CancelReason, CancelToken, Dir, Engine, JobError, JobSpec, NodeId, Prop, PropValue, ReduceOp,
     ResumableAlgorithm, StepOutcome,
@@ -55,8 +56,8 @@ pub use pgxd_query::{
 
 use pgxd_query::ast::BinOp;
 use pgxd_query::{
-    const_val, eval, identity, AggFn, EvalEnv, NbrSet, PFilter, PStep, SOutput, TExpr, TExprKind,
-    TUnOp, WhichVar,
+    agg_needs_column, const_val, eval, identity, AggFn, EvalEnv, NbrSet, PFilter, PStep, SOutput,
+    TExpr, TExprKind, TUnOp, WhichVar,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -81,35 +82,43 @@ impl AnyProp {
     }
 }
 
-/// Creates one engine property per live plan slot, preserving slot order
-/// (eliminated slots stay `None` and never touch the engine).
-fn create_props(engine: &mut Engine, program: &Program) -> Vec<Option<AnyProp>> {
-    program
-        .plan
-        .props
-        .iter()
-        .map(|info| {
-            info.as_ref().map(|i| match i.ty {
-                Ty::F64 => AnyProp::F64(engine.add_prop(&i.name, 0.0f64)),
-                Ty::I64 => AnyProp::I64(engine.add_prop(&i.name, 0i64)),
-                Ty::Bool => AnyProp::Bool(engine.add_prop(&i.name, false)),
-            })
-        })
-        .collect()
+/// The columns one execution creates: one per live plan slot, in slot
+/// order (eliminated slots stay `None` and never touch the engine), then
+/// the program's `$agg` columns.
+#[derive(Default)]
+struct Columns {
+    slots: Vec<Option<AnyProp>>,
+    aggs: Vec<AnyProp>,
 }
 
-fn drop_props(engine: &mut Engine, slots: &[Option<AnyProp>]) {
-    for prop in slots.iter().flatten() {
+fn create_props(engine: &mut Engine, program: &Program) -> Columns {
+    let mut add = |name: &str, ty| match ty {
+        Ty::F64 => AnyProp::F64(engine.add_prop(name, 0.0f64)),
+        Ty::I64 => AnyProp::I64(engine.add_prop(name, 0i64)),
+        Ty::Bool => AnyProp::Bool(engine.add_prop(name, false)),
+    };
+    let props = &program.plan.props;
+    Columns {
+        slots: props
+            .iter()
+            .map(|info| info.as_ref().map(|i| add(&i.name, i.ty)))
+            .collect(),
+        aggs: program
+            .agg_columns()
+            .into_iter()
+            .map(|ty| add("$agg", ty))
+            .collect(),
+    }
+}
+
+fn drop_props(engine: &mut Engine, cols: &Columns) {
+    for prop in cols.slots.iter().flatten().chain(&cols.aggs) {
         match *prop {
             AnyProp::F64(p) => engine.drop_prop(p),
             AnyProp::I64(p) => engine.drop_prop(p),
             AnyProp::Bool(p) => engine.drop_prop(p),
         }
     }
-}
-
-fn prop_at(slots: &[Option<AnyProp>], slot: usize) -> Option<AnyProp> {
-    slots.get(slot).copied().flatten()
 }
 
 fn fill_prop(engine: &Engine, prop: AnyProp, v: Val) {
@@ -138,14 +147,6 @@ fn reduce_prop(engine: &Engine, prop: AnyProp, op: ReduceOp) -> Val {
     }
 }
 
-fn push_spec(target: AnyProp, op: ReduceOp) -> JobSpec {
-    match target {
-        AnyProp::F64(p) => JobSpec::new().reduce(p, op),
-        AnyProp::I64(p) => JobSpec::new().reduce(p, op),
-        AnyProp::Bool(p) => JobSpec::new().reduce(p, op),
-    }
-}
-
 fn cancel_error(cancel: &CancelToken) -> Option<JobError> {
     cancel.fired().map(|reason| match reason {
         CancelReason::Explicit => JobError::Cancelled { job: cancel.job() },
@@ -153,159 +154,68 @@ fn cancel_error(cancel: &CancelToken) -> Option<JobError> {
     })
 }
 
-// ---- lowering: expressions to typed closures --------------------------
+/// A literal of `v`'s type.
+fn const_expr(v: Val) -> TExpr {
+    TExpr {
+        span: Span::default(),
+        ty: v.ty(),
+        kind: match v {
+            Val::F64(x) => TExprKind::ConstF64(x),
+            Val::I64(x) => TExprKind::ConstI64(x),
+            Val::Bool(x) => TExprKind::ConstBool(x),
+        },
+    }
+}
+
+// ---- lowering: expressions to chunk kernels ---------------------------
 //
 // Every expression a job evaluates is lowered once, before the first job
 // runs: slots become `Prop<T>` handles, `N` and literals are captured,
-// coercions are picked from the static types. There are two sites, with
-// one tree walk ([`Exec`]) for both. A node job's expressions are chunk
-// kernels ([`Lanes`]): each tree node is one closure call per chunk that
-// fills a lane, one plain `f64`/`i64`/`bool` per vertex, from the columns
-// it resolved once for the chunk. The expressions of an edge job — its
-// filters, the pull reset, the push body — run where its context is one
-// vertex ([`Vertex`]): a closure call per vertex. Neither touches a `Val`
-// or the slot table. `pgxd_query::eval` is the reference both are
-// property-tested against (`tests/tests/query_lowering_props.rs`); the
-// executor itself only calls it for driver-side scalars.
+// coercions are picked from the static types. There is one site, the
+// chunk: each tree node is one closure call per chunk that fills a lane,
+// one plain `f64`/`i64`/`bool` per vertex, from the columns it resolved
+// once for the chunk. A node job is such a kernel ([`NodeKernel`]); an
+// edge job runs one as its chunk prologue ([`EdgeKernel`]), which stores
+// its filter and its value in columns its declared fold or scatter reads.
+// Nothing touches a `Val` or the slot table. `pgxd_query::eval` is the
+// reference the kernels are property-tested against
+// (`tests/tests/query_lowering_props.rs`); the executor itself only calls
+// it for driver-side scalars.
 
-/// Where a lowered expression is evaluated: what a non-leaf lowers to,
-/// and how each operator is built there.
-trait Site: Sized + 'static {
-    type Dyn<T: PropValue>: Send + Sync + 'static;
-
-    /// `v.out_degree` (`out`) or `v.in_degree`.
-    fn degree(out: bool) -> Self::Dyn<i64>;
-
-    fn un<T: PropValue, R: PropValue>(
-        a: Operand<T, Self>,
-        f: impl Fn(T) -> R + Send + Sync + 'static,
-    ) -> Self::Dyn<R>;
-
-    fn bin<T: PropValue, R: PropValue>(
-        a: Operand<T, Self>,
-        b: Operand<T, Self>,
-        f: impl Fn(T, T) -> R + Send + Sync + 'static,
-    ) -> Self::Dyn<R>;
-
-    fn tern<T: PropValue>(
-        cond: Operand<bool, Self>,
-        then: Operand<T, Self>,
-        other: Operand<T, Self>,
-    ) -> Self::Dyn<T>;
-}
-
-/// What an expression lowers to. Leaves stay visible so that the operator
-/// above reads the constant or the column itself instead of calling a
-/// closure for it.
-enum Operand<T: PropValue, S: Site> {
-    Const(T),
-    Load(Prop<T>),
-    Dyn(S::Dyn<T>),
-}
-
-impl<T: PropValue, S: Site> Operand<T, S> {
-    fn into_dyn(self) -> S::Dyn<T> {
-        match self {
-            Operand::Dyn(f) => f,
-            leaf => S::un(leaf, |x| x),
-        }
-    }
-}
-
-/// One vertex of an edge job. Edge tasks pass [`vertex_of`] their context.
-struct Vertex;
-
-/// A lowered expression, evaluated against the vertex a job is visiting.
-type Fx<T> = Box<dyn Fn(&mut NodeCtx<'_, '_>) -> T + Send + Sync>;
-
-/// Expands `$k` once per operand shape, with `$get` bound to a statically
-/// dispatched getter of that shape.
-macro_rules! fused {
-    ($operand:expr, |$get:ident| $k:expr) => {
-        match $operand {
-            Operand::Const(k) => {
-                let $get = move |_: &mut NodeCtx<'_, '_>| k;
-                $k
-            }
-            Operand::Load(p) => {
-                let $get = move |c: &mut NodeCtx<'_, '_>| c.get(p);
-                $k
-            }
-            Operand::Dyn($get) => $k,
-        }
-    };
-}
-
-/// The iterated vertex of an edge context, as the node context lowered
-/// expressions take.
-fn vertex_of<'x, 'a>(ctx: &'x mut EdgeCtx<'_, 'a>) -> NodeCtx<'x, 'a> {
-    NodeCtx {
-        scope: &mut *ctx.scope,
-        node: ctx.node,
-    }
-}
-
-impl Site for Vertex {
-    type Dyn<T: PropValue> = Fx<T>;
-
-    fn degree(out: bool) -> Fx<i64> {
-        match out {
-            true => Box::new(|c| c.out_degree() as i64),
-            false => Box::new(|c| c.in_degree() as i64),
-        }
-    }
-
-    fn un<T: PropValue, R: PropValue>(
-        a: Operand<T, Self>,
-        f: impl Fn(T) -> R + Send + Sync + 'static,
-    ) -> Fx<R> {
-        fused!(a, |a| Box::new(move |c: &mut NodeCtx<'_, '_>| f(a(c)))
-            as Fx<R>)
-    }
-
-    fn bin<T: PropValue, R: PropValue>(
-        a: Operand<T, Self>,
-        b: Operand<T, Self>,
-        f: impl Fn(T, T) -> R + Send + Sync + 'static,
-    ) -> Fx<R> {
-        fused!(a, |a| fused!(
-            b,
-            |b| Box::new(move |c: &mut NodeCtx<'_, '_>| {
-                let x = a(c);
-                f(x, b(c))
-            }) as Fx<R>
-        ))
-    }
-
-    fn tern<T: PropValue>(
-        cond: Operand<bool, Self>,
-        then: Operand<T, Self>,
-        other: Operand<T, Self>,
-    ) -> Fx<T> {
-        let cond = cond.into_dyn();
-        fused!(then, |t| fused!(
-            other,
-            |o| Box::new(move |c: &mut NodeCtx<'_, '_>| if cond(c) { t(c) } else { o(c) }) as Fx<T>
-        ))
-    }
-}
-
-/// A chunk of a node job: an expression fills a lane, one value per
-/// vertex of the chunk, in the chunk's order.
+/// A lowered expression over a chunk: its lane, one value per vertex of
+/// the chunk, in the chunk's order.
 ///
 /// `&&`, `||` and `?:` fill the lanes of both branches and then pick,
 /// which is the per-vertex result only because every lowered expression is
 /// pure and total: `i64` arithmetic wraps, `/` is computed in `f64`, loads
 /// and degrees are of the current vertex, and nothing panics or writes. An
 /// operator that can fail or has an effect must not be lowered here.
-struct Lanes;
-
-/// A lowered expression over a chunk: its lane.
 type Kx<T> = Box<dyn Fn(&mut NodeChunk<'_, '_>) -> Vec<T> + Send + Sync>;
 
-/// [`fused!`] for [`Lanes`]: `$get` prepares the operand for a chunk — the
-/// constant, the column resolved once, or the operand's lane — and hands
-/// back a getter of `(lane index, vertex)`.
+/// What an expression lowers to. Leaves stay visible so that the operator
+/// above reads the constant or the column itself instead of a lane.
+enum Operand<T: PropValue> {
+    Const(T),
+    Load(Prop<T>),
+    Dyn(Kx<T>),
+}
+
+impl<T: PropValue> Operand<T> {
+    fn into_dyn(self) -> Kx<T> {
+        match self {
+            Operand::Const(k) => Box::new(move |ch| vec![k; ch.nodes().len()]),
+            Operand::Load(p) => Box::new(move |ch| {
+                let col = ch.col(p);
+                ch.nodes().map(|v| col.get(v)).collect()
+            }),
+            Operand::Dyn(f) => f,
+        }
+    }
+}
+
+/// Expands `$k` once per operand shape, with `$get` bound to what prepares
+/// the operand for a chunk — the constant, the column resolved once, or
+/// the operand's lane — and hands back a getter of `(lane index, vertex)`.
 macro_rules! lanes {
     ($operand:expr, |$get:ident| $k:expr) => {
         match $operand {
@@ -331,64 +241,82 @@ macro_rules! lanes {
     };
 }
 
-impl Site for Lanes {
-    type Dyn<T: PropValue> = Kx<T>;
+/// `v.out_degree` (`out`) or `v.in_degree`.
+fn degree(out: bool) -> Operand<i64> {
+    Operand::Dyn(match out {
+        true => Box::new(|ch| ch.nodes().map(|v| ch.out_degree(v) as i64).collect()),
+        false => Box::new(|ch| ch.nodes().map(|v| ch.in_degree(v) as i64).collect()),
+    })
+}
 
-    fn degree(out: bool) -> Kx<i64> {
-        match out {
-            true => Box::new(|ch| ch.nodes().map(|v| ch.out_degree(v) as i64).collect()),
-            false => Box::new(|ch| ch.nodes().map(|v| ch.in_degree(v) as i64).collect()),
-        }
-    }
+fn un<T: PropValue, R: PropValue>(
+    a: Operand<T>,
+    f: impl Fn(T) -> R + Send + Sync + 'static,
+) -> Operand<R> {
+    Operand::Dyn(lanes!(a, |a| Box::new(move |ch: &mut NodeChunk<'_, '_>| {
+        let a = a(ch);
+        ch.nodes().enumerate().map(|(i, v)| f(a(i, v))).collect()
+    }) as Kx<R>))
+}
 
-    fn un<T: PropValue, R: PropValue>(
-        a: Operand<T, Self>,
-        f: impl Fn(T) -> R + Send + Sync + 'static,
-    ) -> Kx<R> {
-        lanes!(a, |a| Box::new(move |ch: &mut NodeChunk<'_, '_>| {
-            let a = a(ch);
-            ch.nodes().enumerate().map(|(i, v)| f(a(i, v))).collect()
-        }) as Kx<R>)
-    }
+fn bin<T: PropValue, R: PropValue>(
+    a: Operand<T>,
+    b: Operand<T>,
+    f: impl Fn(T, T) -> R + Send + Sync + 'static,
+) -> Operand<R> {
+    Operand::Dyn(lanes!(a, |a| lanes!(
+        b,
+        |b| Box::new(move |ch: &mut NodeChunk<'_, '_>| {
+            let (a, b) = (a(ch), b(ch));
+            let lane = ch.nodes().enumerate();
+            lane.map(|(i, v)| f(a(i, v), b(i, v))).collect()
+        }) as Kx<R>
+    )))
+}
 
-    fn bin<T: PropValue, R: PropValue>(
-        a: Operand<T, Self>,
-        b: Operand<T, Self>,
-        f: impl Fn(T, T) -> R + Send + Sync + 'static,
-    ) -> Kx<R> {
-        lanes!(a, |a| lanes!(
-            b,
-            |b| Box::new(move |ch: &mut NodeChunk<'_, '_>| {
-                let (a, b) = (a(ch), b(ch));
-                let lane = ch.nodes().enumerate();
-                lane.map(|(i, v)| f(a(i, v), b(i, v))).collect()
-            }) as Kx<R>
-        ))
-    }
+fn tern<T: PropValue>(cond: Operand<bool>, then: Operand<T>, other: Operand<T>) -> Operand<T> {
+    let cond = cond.into_dyn();
+    Operand::Dyn(lanes!(then, |t| lanes!(
+        other,
+        |o| Box::new(move |ch: &mut NodeChunk<'_, '_>| {
+            let (pick, t, o) = (cond(ch), t(ch), o(ch));
+            let lane = ch.nodes().enumerate();
+            lane.map(|(i, v)| if pick[i] { t(i, v) } else { o(i, v) })
+                .collect()
+        }) as Kx<T>
+    )))
+}
 
-    fn tern<T: PropValue>(
-        cond: Operand<bool, Self>,
-        then: Operand<T, Self>,
-        other: Operand<T, Self>,
-    ) -> Kx<T> {
-        let cond = cond.into_dyn();
-        lanes!(then, |t| lanes!(
-            other,
-            |o| Box::new(move |ch: &mut NodeChunk<'_, '_>| {
-                let (pick, t, o) = (cond(ch), t(ch), o(ch));
-                let lane = ch.nodes().enumerate();
-                lane.map(|(i, v)| if pick[i] { t(i, v) } else { o(i, v) })
-                    .collect()
-            }) as Kx<T>
-        ))
+/// `&&` (`and`) or `||`. Both operands are evaluated, which is sound only
+/// because lowered expressions are pure and total (see [`Kx`]).
+fn logic(a: Operand<bool>, b: Operand<bool>, and: bool) -> Operand<bool> {
+    match and {
+        true => bin(a, b, |x: bool, y: bool| x && y),
+        false => bin(a, b, |x: bool, y: bool| x || y),
     }
+}
+
+fn compare<T: PropValue + PartialOrd>(
+    op: BinOp,
+    a: Operand<T>,
+    b: Operand<T>,
+) -> Option<Operand<bool>> {
+    Some(match op {
+        BinOp::Eq => bin(a, b, |x: T, y: T| x == y),
+        BinOp::Ne => bin(a, b, |x: T, y: T| x != y),
+        BinOp::Lt => bin(a, b, |x: T, y: T| x < y),
+        BinOp::Le => bin(a, b, |x: T, y: T| x <= y),
+        BinOp::Gt => bin(a, b, |x: T, y: T| x > y),
+        BinOp::Ge => bin(a, b, |x: T, y: T| x >= y),
+        _ => return None,
+    })
 }
 
 /// A lowered `v.p = e` over a chunk: `e`'s value is stored on every vertex
 /// the mask (if any) passes.
 type LaneWrite = Box<dyn Fn(&mut NodeChunk<'_, '_>, Option<&[bool]>) + Send + Sync>;
 
-fn lane_write<T: PropValue>(value: Operand<T, Lanes>, p: Prop<T>) -> LaneWrite {
+fn lane_write<T: PropValue>(value: Operand<T>, p: Prop<T>) -> LaneWrite {
     lanes!(
         value,
         |get| Box::new(move |ch: &mut NodeChunk<'_, '_>, mask: Option<&[bool]>| {
@@ -402,51 +330,13 @@ fn lane_write<T: PropValue>(value: Operand<T, Lanes>, p: Prop<T>) -> LaneWrite {
     )
 }
 
-fn un<S: Site, T: PropValue, R: PropValue>(
-    a: Operand<T, S>,
-    f: impl Fn(T) -> R + Send + Sync + 'static,
-) -> Operand<R, S> {
-    Operand::Dyn(S::un(a, f))
-}
-
-fn bin<S: Site, T: PropValue, R: PropValue>(
-    a: Operand<T, S>,
-    b: Operand<T, S>,
-    f: impl Fn(T, T) -> R + Send + Sync + 'static,
-) -> Operand<R, S> {
-    Operand::Dyn(S::bin(a, b, f))
-}
-
-/// `&&` (`and`) or `||`. Both operands are evaluated, which is sound only
-/// because lowered expressions are pure and total (see [`Lanes`]).
-fn logic<S: Site>(a: Operand<bool, S>, b: Operand<bool, S>, and: bool) -> Operand<bool, S> {
-    match and {
-        true => bin(a, b, |x: bool, y: bool| x && y),
-        false => bin(a, b, |x: bool, y: bool| x || y),
-    }
-}
-
-fn tern<S: Site, T: PropValue>(
-    cond: Operand<bool, S>,
-    then: Operand<T, S>,
-    other: Operand<T, S>,
-) -> Operand<T, S> {
-    Operand::Dyn(S::tern(cond, then, other))
-}
-
-fn compare<S: Site, T: PropValue + PartialOrd>(
-    op: BinOp,
-    a: Operand<T, S>,
-    b: Operand<T, S>,
-) -> Option<Operand<bool, S>> {
-    Some(match op {
-        BinOp::Eq => bin(a, b, |x: T, y: T| x == y),
-        BinOp::Ne => bin(a, b, |x: T, y: T| x != y),
-        BinOp::Lt => bin(a, b, |x: T, y: T| x < y),
-        BinOp::Le => bin(a, b, |x: T, y: T| x <= y),
-        BinOp::Gt => bin(a, b, |x: T, y: T| x > y),
-        BinOp::Ge => bin(a, b, |x: T, y: T| x >= y),
-        _ => return None,
+/// Stores the mask itself in `p`: a filter's value on every vertex.
+fn mask_write(p: Prop<bool>) -> LaneWrite {
+    Box::new(move |ch, mask| {
+        let col = ch.col(p);
+        for (i, v) in ch.nodes().enumerate() {
+            col.set(v, mask.is_none_or(|mask| mask[i]));
+        }
     })
 }
 
@@ -455,7 +345,7 @@ fn compare<S: Site, T: PropValue + PartialOrd>(
 /// closure to build; a tree it could not have produced (hand-built plans)
 /// is refused, not evaluated to a dummy.
 struct Exec<'a> {
-    slots: &'a [Option<AnyProp>],
+    cols: &'a Columns,
     n: i64,
     cancel: &'a CancelToken,
 }
@@ -468,10 +358,14 @@ fn ill_typed(e: &TExpr) -> JobError {
 }
 
 impl Exec<'_> {
-    fn f64<S: Site>(&self, e: &TExpr) -> Result<Operand<f64, S>, JobError> {
+    fn prop(&self, slot: usize) -> Option<AnyProp> {
+        self.cols.slots.get(slot).copied().flatten()
+    }
+
+    fn f64(&self, e: &TExpr) -> Result<Operand<f64>, JobError> {
         Ok(match &e.kind {
             TExprKind::ConstF64(v) => Operand::Const(*v),
-            TExprKind::Load { slot, .. } => match prop_at(self.slots, *slot) {
+            TExprKind::Load { slot, .. } => match self.prop(*slot) {
                 Some(AnyProp::F64(p)) => Operand::Load(p),
                 _ => return Err(ill_typed(e)),
             },
@@ -508,16 +402,16 @@ impl Exec<'_> {
         })
     }
 
-    fn i64<S: Site>(&self, e: &TExpr) -> Result<Operand<i64, S>, JobError> {
+    fn i64(&self, e: &TExpr) -> Result<Operand<i64>, JobError> {
         Ok(match &e.kind {
             TExprKind::ConstI64(v) => Operand::Const(*v),
             TExprKind::NodeCount => Operand::Const(self.n),
-            TExprKind::Load { slot, .. } => match prop_at(self.slots, *slot) {
+            TExprKind::Load { slot, .. } => match self.prop(*slot) {
                 Some(AnyProp::I64(p)) => Operand::Load(p),
                 _ => return Err(ill_typed(e)),
             },
-            TExprKind::OutDegree { .. } => Operand::Dyn(S::degree(true)),
-            TExprKind::InDegree { .. } => Operand::Dyn(S::degree(false)),
+            TExprKind::OutDegree { .. } => degree(true),
+            TExprKind::InDegree { .. } => degree(false),
             TExprKind::Unary { op, expr } => match op {
                 TUnOp::Neg => un(self.i64(expr)?, i64::wrapping_neg),
                 TUnOp::Abs => un(self.i64(expr)?, i64::wrapping_abs),
@@ -539,10 +433,10 @@ impl Exec<'_> {
         })
     }
 
-    fn bool<S: Site>(&self, e: &TExpr) -> Result<Operand<bool, S>, JobError> {
+    fn bool(&self, e: &TExpr) -> Result<Operand<bool>, JobError> {
         Ok(match &e.kind {
             TExprKind::ConstBool(v) => Operand::Const(*v),
-            TExprKind::Load { slot, .. } => match prop_at(self.slots, *slot) {
+            TExprKind::Load { slot, .. } => match self.prop(*slot) {
                 Some(AnyProp::Bool(p)) => Operand::Load(p),
                 _ => return Err(ill_typed(e)),
             },
@@ -575,12 +469,12 @@ impl Exec<'_> {
         })
     }
 
-    fn filter<S: Site>(&self, f: &PFilter) -> Result<Option<S::Dyn<bool>>, JobError> {
+    fn filter(&self, f: &PFilter) -> Result<Option<Operand<bool>>, JobError> {
         Ok(match f {
             PFilter::None => None,
-            PFilter::Inline(pred) => Some(self.bool::<S>(pred)?.into_dyn()),
-            PFilter::Mask { slot } => match prop_at(self.slots, *slot) {
-                Some(AnyProp::Bool(p)) => Some(Operand::<bool, S>::Load(p).into_dyn()),
+            PFilter::Inline(pred) => Some(self.bool(pred)?),
+            PFilter::Mask { slot } => match self.prop(*slot) {
+                Some(AnyProp::Bool(p)) => Some(Operand::Load(p)),
                 _ => None,
             },
         })
@@ -588,13 +482,6 @@ impl Exec<'_> {
 }
 
 // ---- lowering: steps to re-runnable jobs ------------------------------
-
-fn passes(filter: &Option<Fx<bool>>, ctx: &mut NodeCtx<'_, '_>) -> bool {
-    match filter {
-        Some(f) => f(ctx),
-        None => true,
-    }
-}
 
 /// A lowered `NodeJob` (and the per-vertex half of a general global
 /// aggregate), as a chunk kernel: the filter's mask lane, then each write
@@ -608,8 +495,8 @@ struct NodeKernel {
     writes: Vec<LaneWrite>,
 }
 
-impl NodeTask for Arc<NodeKernel> {
-    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+impl NodeKernel {
+    fn apply(&self, chunk: &mut NodeChunk<'_, '_>) {
         let mask = self.mask.as_ref().map(|mask| mask(chunk));
         for write in &self.writes {
             write(chunk, mask.as_deref());
@@ -617,56 +504,75 @@ impl NodeTask for Arc<NodeKernel> {
     }
 }
 
-/// A lowered push-mode `EdgeJob`: sources passing the neighbor filter
-/// reduce their value into the far end of every edge.
-struct PushJob {
-    filter: Option<Fx<bool>>,
-    emit: Box<dyn Fn(&mut EdgeCtx<'_, '_>) + Send + Sync>,
-}
-
-impl EdgeTask for Arc<PushJob> {
-    fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
-        passes(&self.filter, ctx)
-    }
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        (self.emit)(ctx)
+impl NodeTask for Arc<NodeKernel> {
+    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+        self.apply(chunk)
     }
 }
 
-fn push_emit<T: PropValue>(
-    body: Operand<T, Vertex>,
-    target: Prop<T>,
-    op: ReduceOp,
-) -> Box<dyn Fn(&mut EdgeCtx<'_, '_>) + Send + Sync> {
-    fused!(body, |body| Box::new(move |c: &mut EdgeCtx<'_, '_>| {
-        let v = body(&mut vertex_of(c));
-        c.write_nbr(target, op, v)
-    }))
+/// A lowered `EdgeJob`: a chunk kernel as its prologue — it stores the
+/// iterating vertex's filter in `$pass` and a push body in `$val`, and
+/// resets a pull's passing targets for `=` — then the declared fold or
+/// scatter over the vertices whose `pass` cell is set.
+struct EdgeKernel {
+    prologue: NodeKernel,
+    pass: Option<Prop<bool>>,
+    fold: Option<Fold>,
+    scatter: Option<Scatter>,
 }
 
-/// A lowered pull-mode `EdgeJob`: `try_pagerank_pull`'s declared fold
-/// behind the plan's vertex filter.
-struct PullJob<T: PropValue> {
-    filter: Option<Fx<bool>>,
-    /// `=` semantics: a vertex that passes the filter starts from the
-    /// reduction identity. The hook runs before any of the vertex's edges,
-    /// so every fold combines into the reset cell, and a vertex the filter
-    /// excludes keeps its value.
-    reset: Option<T>,
-    target: Prop<T>,
-    fold: Fold,
-}
-
-impl<T: PropValue> EdgeTask for Arc<PullJob<T>> {
+impl EdgeTask for Arc<EdgeKernel> {
+    fn prepare(&self, chunk: &mut NodeChunk<'_, '_>) {
+        self.prologue.apply(chunk)
+    }
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
-        let pass = passes(&self.filter, ctx);
-        if let (true, Some(identity)) = (pass, self.reset) {
-            ctx.set(self.target, identity);
-        }
-        pass
+        self.pass.is_none_or(|p| ctx.get(p))
     }
     fn fold(&self) -> Option<Fold> {
-        Some(self.fold)
+        self.fold
+    }
+    fn scatter(&self) -> Option<Scatter> {
+        self.scatter
+    }
+}
+
+/// What an edge job declares, with the spec that admits it: a pull folds
+/// the neighbors' `src` (read), a push scatters the vertex's `src` into
+/// `target` (reduced). Only `sum`, `min` and `max` of matching `f64` or
+/// `i64` columns, which is all sema produces; folded with `reduce_bits` in
+/// both modes (DESIGN.md §17.4).
+fn declare(
+    pull: bool,
+    src: AnyProp,
+    target: AnyProp,
+    op: ReduceOp,
+) -> Option<(JobSpec, Option<Fold>, Option<Scatter>)> {
+    fn typed<T: PropValue>(
+        pull: bool,
+        src: Prop<T>,
+        dst: Prop<T>,
+        op: ReduceOp,
+    ) -> (JobSpec, Option<Fold>, Option<Scatter>) {
+        match pull {
+            true => (
+                JobSpec::new().read(src),
+                Some(Fold::new(src, dst, op)),
+                None,
+            ),
+            false => (
+                JobSpec::new().reduce(dst, op),
+                None,
+                Some(Scatter::new(src, dst, op)),
+            ),
+        }
+    }
+    if !matches!(op, ReduceOp::Sum | ReduceOp::Min | ReduceOp::Max) {
+        return None;
+    }
+    match (src, target) {
+        (AnyProp::F64(s), AnyProp::F64(t)) => Some(typed(pull, s, t, op)),
+        (AnyProp::I64(s), AnyProp::I64(t)) => Some(typed(pull, s, t, op)),
+        _ => None,
     }
 }
 
@@ -683,34 +589,13 @@ fn node_action(job: NodeKernel) -> Action {
     })
 }
 
-fn edge_action<J>(dir: Dir, spec: JobSpec, job: J) -> Action
-where
-    Arc<J>: EdgeTask,
-    J: Send + Sync + 'static,
-{
+fn edge_action(dir: Dir, spec: JobSpec, job: EdgeKernel) -> Action {
     let job = Arc::new(job);
     Box::new(move |engine, cancel| {
         engine
             .try_run_edge_job_with(dir, &spec, Arc::clone(&job), cancel)
             .map(|_| ())
     })
-}
-
-fn pull_action<T: PropValue>(
-    dir: Dir,
-    filter: Option<Fx<bool>>,
-    reset: Option<T>,
-    src: Prop<T>,
-    target: Prop<T>,
-    op: ReduceOp,
-) -> Action {
-    let job = PullJob {
-        filter,
-        reset,
-        target,
-        fold: Fold::new(src, target, op),
-    };
-    edge_action(dir, JobSpec::new().read(src), job)
 }
 
 /// The plan with every slot, expression and job resolved. Holds `Prop`
@@ -742,7 +627,7 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
         }
         PStep::Fill { slot, value } => {
             // `finalize` guarantees fill values are constants.
-            let (Some(prop), Some(v)) = (prop_at(ex.slots, *slot), const_val(value)) else {
+            let (Some(prop), Some(v)) = (ex.prop(*slot), const_val(value)) else {
                 return Ok(None);
             };
             Box::new(move |engine, _| {
@@ -755,11 +640,9 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
             vertex,
             value,
         } => {
-            let (Some(prop), Some(vx), Some(v)) = (
-                prop_at(ex.slots, *slot),
-                const_val(vertex),
-                const_val(value),
-            ) else {
+            let (Some(prop), Some(vx), Some(v)) =
+                (ex.prop(*slot), const_val(vertex), const_val(value))
+            else {
                 return Ok(None);
             };
             let vx = vx.as_i64();
@@ -773,12 +656,12 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
         PStep::NodeJob { filter, writes } => {
             let mut lowered = Vec::with_capacity(writes.len());
             for (slot, expr) in writes {
-                if let Some(prop) = prop_at(ex.slots, *slot) {
+                if let Some(prop) = ex.prop(*slot) {
                     lowered.push(ex.write(prop, expr)?);
                 }
             }
             node_action(NodeKernel {
-                mask: ex.filter::<Lanes>(filter)?,
+                mask: ex.filter(filter)?.map(Operand::into_dyn),
                 writes: lowered,
             })
         }
@@ -791,84 +674,92 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
             vertex_filter,
             body,
             prefill,
+            pass,
+            value,
             ..
         } => {
-            let Some(target) = prop_at(ex.slots, *target) else {
+            let Some(target) = ex.prop(*target) else {
                 return Ok(None);
             };
             let op = *op;
             // `=`-assigned aggregates start from the reduction identity
             // (same as the hand-written kernels' reset pass).
             let identity = prefill.then(|| identity(op, target.ty()));
-            match mode {
-                TraverseMode::Push => {
-                    // Sources iterate and push into the target: the edge
-                    // set the query names is walked from the far side.
-                    let dir = match set {
-                        NbrSet::In => Dir::Out,
-                        NbrSet::Out => Dir::In,
-                    };
-                    let job = PushJob {
-                        filter: match nbr_filter {
-                            Some(pred) => Some(ex.bool::<Vertex>(pred)?.into_dyn()),
-                            None => None,
-                        },
-                        emit: match target {
-                            AnyProp::F64(p) => push_emit(ex.f64(body)?, p, op),
-                            AnyProp::I64(p) => push_emit(ex.i64(body)?, p, op),
-                            AnyProp::Bool(p) => push_emit(ex.bool(body)?, p, op),
-                        },
-                    };
-                    let run = edge_action(dir, push_spec(target, op), job);
-                    // Targets are on the far side of the iteration, so the
-                    // whole column is reset before the job.
-                    Box::new(move |engine, cancel| {
-                        if let Some(v) = identity {
-                            fill_prop(engine, target, v);
-                        }
-                        run(engine, cancel)
-                    })
-                }
-                TraverseMode::Pull => {
-                    // Targets iterate and read the source column; the
-                    // direction pass only chooses pull for bare loads.
-                    let dir = match set {
-                        NbrSet::In => Dir::In,
-                        NbrSet::Out => Dir::Out,
-                    };
-                    let Some(src) = body.as_bare_load(WhichVar::Inner) else {
-                        return Err(JobError::Protocol(
-                            "pull-mode edge job whose body is not a bare neighbor load".into(),
-                        ));
-                    };
-                    let Some(src) = prop_at(ex.slots, src) else {
-                        return Ok(None);
-                    };
-                    let filter = ex.filter::<Vertex>(vertex_filter)?;
-                    // Folded with `reduce_bits`, as push mode's
-                    // `reduce_bits_atomic` folds (DESIGN.md §17.4).
-                    let foldable = matches!(op, ReduceOp::Sum | ReduceOp::Min | ReduceOp::Max);
-                    match (target, src) {
-                        (AnyProp::F64(t), AnyProp::F64(s)) if foldable => {
-                            pull_action(dir, filter, identity.map(Val::as_f64), s, t, op)
-                        }
-                        (AnyProp::I64(t), AnyProp::I64(s)) if foldable => {
-                            pull_action(dir, filter, identity.map(Val::as_i64), s, t, op)
-                        }
-                        _ => {
-                            return Err(JobError::Protocol(format!(
-                                "pull-mode edge job cannot {op:?}-reduce {} into {}",
-                                src.ty(),
-                                target.ty()
-                            )))
-                        }
-                    }
-                }
+            let (pull, filter) = match mode {
+                TraverseMode::Push => (false, nbr_filter.as_ref().map(|f| ex.bool(f)).transpose()?),
+                TraverseMode::Pull => (true, ex.filter(vertex_filter)?),
                 TraverseMode::Unchosen => {
                     return Err(JobError::Protocol(
                         "unoptimized plan reached the executor (direction pass did not run)".into(),
                     ))
                 }
+            };
+            // Targets iterate the edge set the query names and fold the
+            // source column in; sources walk it from the far side.
+            let dir = match (set, pull) {
+                (NbrSet::In, true) | (NbrSet::Out, false) => Dir::In,
+                (NbrSet::Out, true) | (NbrSet::In, false) => Dir::Out,
+            };
+            let mut writes = Vec::new();
+            // The filter reads its own bool column, or the `$pass` column
+            // the prologue stores its mask in.
+            let pass = match (pass.map(|slot| ex.prop(slot)), &filter) {
+                (None, None) => None,
+                (None, Some(Operand::Load(p))) => Some(*p),
+                (Some(Some(AnyProp::Bool(p))), Some(_)) => {
+                    writes.push(mask_write(p));
+                    Some(p)
+                }
+                _ => {
+                    return Err(JobError::Protocol(
+                        "edge job whose filter is neither a bool column nor has a scratch one"
+                            .into(),
+                    ))
+                }
+            };
+            // A pull's targets are the iterating vertices: those that
+            // pass start from the identity, the others keep their value.
+            if let (true, Some(v)) = (pull, identity) {
+                writes.push(ex.write(target, &const_expr(v))?);
+            }
+            // The reduction reads the body's own column, or (a push only)
+            // the `$val` column the prologue stores the body in.
+            let src = match (value.map(|slot| ex.prop(slot)), pull) {
+                (None, _) => body.as_bare_load(WhichVar::Inner).and_then(|s| ex.prop(s)),
+                (Some(Some(scratch)), false) => {
+                    writes.push(ex.write(scratch, body)?);
+                    Some(scratch)
+                }
+                _ => None,
+            };
+            let Some((spec, fold, scatter)) = src.and_then(|src| declare(pull, src, target, op))
+            else {
+                return Err(JobError::Protocol(format!(
+                    "{mode}-mode edge job cannot {op:?}-reduce its value into {}",
+                    target.ty()
+                )));
+            };
+            // A prologue with nothing to store needs no mask lane either.
+            let mask = match writes.is_empty() {
+                true => None,
+                false => filter.map(Operand::into_dyn),
+            };
+            let prologue = NodeKernel { mask, writes };
+            let job = EdgeKernel {
+                prologue,
+                pass,
+                fold,
+                scatter,
+            };
+            let run = edge_action(dir, spec, job);
+            match (pull, identity) {
+                // A push's targets are on the far side of the iteration,
+                // so the whole column is reset before the job.
+                (false, Some(v)) => Box::new(move |engine, cancel| {
+                    fill_prop(engine, target, v);
+                    run(engine, cancel)
+                }),
+                _ => run,
             }
         }
     };
@@ -952,37 +843,35 @@ impl DriverEnv<'_> {
             AggFn::Min => ReduceOp::Min,
             AggFn::Max => ReduceOp::Max,
         };
-        if agg == AggFn::Count {
-            match filter {
-                // `count(v)` is folded to N by the optimizer; keep the
-                // driver total anyway.
-                None => return Ok(Val::I64(self.ex.n)),
-                Some(f) => {
-                    // Fast path: counting a bare boolean column is the
-                    // engine's native frontier test.
-                    if let Some(slot) = f.as_bare_load(WhichVar::Outer) {
-                        if let Some(AnyProp::Bool(p)) = prop_at(self.ex.slots, slot) {
-                            return Ok(Val::I64(self.engine.count_true(p) as i64));
-                        }
-                    }
-                }
-            }
+        if agg_needs_column(agg, filter, body) {
+            return self.scratch_reduce(op, filter, body, ty);
         }
-        // Fast path: unfiltered reduction over a bare column maps to the
-        // engine's native tree reduce — this is what convergence checks
-        // like `sum(v) v.diff` compile to.
-        if filter.is_none() {
-            if let Some(slot) = body.and_then(|b| b.as_bare_load(WhichVar::Outer)) {
-                if let Some(prop) = prop_at(self.ex.slots, slot) {
-                    return Ok(reduce_prop(self.engine, prop, op));
-                }
+        let bare = filter
+            .or(body)
+            .and_then(|e| e.as_bare_load(WhichVar::Outer));
+        match (agg, bare.map(|slot| self.ex.prop(slot))) {
+            // `count(v)` is folded to N by the optimizer; keep the driver
+            // total anyway.
+            (AggFn::Count, None) => Ok(Val::I64(self.ex.n)),
+            // Counting a bare boolean column is the engine's native
+            // frontier test.
+            (AggFn::Count, Some(Some(AnyProp::Bool(p)))) => {
+                Ok(Val::I64(self.engine.count_true(p) as i64))
             }
+            // An unfiltered reduction over a bare column is the engine's
+            // native tree reduce — what convergence checks like `sum(v)
+            // v.diff` compile to.
+            (AggFn::Sum | AggFn::Min | AggFn::Max, Some(Some(prop))) => {
+                Ok(reduce_prop(self.engine, prop, op))
+            }
+            _ => Err(JobError::Protocol(
+                "aggregate over a column the executor did not create".into(),
+            )),
         }
-        self.scratch_reduce(op, filter, body, ty)
     }
 
-    /// General aggregate: materialize per-vertex contributions into a
-    /// scratch column, reduce it, and drop the scratch no matter what.
+    /// General aggregate: materialize per-vertex contributions into the
+    /// program's `$agg` column of its type, and reduce it.
     fn scratch_reduce(
         &mut self,
         op: ReduceOp,
@@ -990,20 +879,14 @@ impl DriverEnv<'_> {
         body: Option<&TExpr>,
         ty: Ty,
     ) -> Result<Val, JobError> {
-        let constant = |v: Val| TExpr {
-            span: Span::default(),
-            ty: v.ty(),
-            kind: match v {
-                Val::F64(x) => TExprKind::ConstF64(x),
-                Val::I64(x) => TExprKind::ConstI64(x),
-                Val::Bool(x) => TExprKind::ConstBool(x),
-            },
+        let Some(&scratch) = self.ex.cols.aggs.iter().find(|p| p.ty() == ty) else {
+            return Err(JobError::Protocol(format!("no {ty} `$agg` column")));
         };
         // The per-vertex half as one expression — a bodiless aggregate is
         // `count` (1 per vertex), inactive vertices contribute the
-        // reduction identity — lowered here, next to the scratch column
-        // it writes, to a chunk kernel like any node job's.
-        let mut value = body.cloned().unwrap_or_else(|| constant(Val::I64(1)));
+        // reduction identity — lowered here, next to the column it
+        // writes, to a chunk kernel like any node job's.
+        let mut value = body.cloned().unwrap_or_else(|| const_expr(Val::I64(1)));
         if let Some(f) = filter {
             value = TExpr {
                 span: f.span,
@@ -1011,26 +894,17 @@ impl DriverEnv<'_> {
                 kind: TExprKind::Ternary {
                     cond: Box::new(f.clone()),
                     then: Box::new(value),
-                    other: Box::new(constant(identity(op, ty))),
+                    other: Box::new(const_expr(identity(op, ty))),
                 },
             };
         }
-        let scratch = match ty {
-            Ty::F64 => AnyProp::F64(self.engine.add_prop("$agg", 0.0f64)),
-            Ty::I64 => AnyProp::I64(self.engine.add_prop("$agg", 0i64)),
-            Ty::Bool => AnyProp::Bool(self.engine.add_prop("$agg", false)),
-        };
-        let result = self.ex.write(scratch, &value).and_then(|write| {
-            let job = Arc::new(NodeKernel {
-                mask: None,
-                writes: vec![write],
-            });
-            self.engine
-                .try_run_node_job_with(&JobSpec::new(), job, self.ex.cancel)?;
-            Ok(reduce_prop(self.engine, scratch, op))
+        let job = Arc::new(NodeKernel {
+            mask: None,
+            writes: vec![self.ex.write(scratch, &value)?],
         });
-        drop_props(self.engine, &[Some(scratch)]);
-        result
+        self.engine
+            .try_run_node_job_with(&JobSpec::new(), job, self.ex.cancel)?;
+        Ok(reduce_prop(self.engine, scratch, op))
     }
 }
 
@@ -1082,7 +956,7 @@ fn gather_output(
                 .as_ref()
                 .map(|p| p.name.clone())
                 .unwrap_or_default();
-            let Some(prop) = prop_at(ex.slots, *slot) else {
+            let Some(prop) = ex.prop(*slot) else {
                 return Err(JobError::Protocol(
                     "query output column was eliminated".into(),
                 ));
@@ -1115,9 +989,9 @@ pub fn execute(
             engine.num_nodes()
         )));
     }
-    let slots = create_props(engine, program);
+    let cols = create_props(engine, program);
     let ex = Exec {
-        slots: &slots,
+        cols: &cols,
         n: program.nodes as i64,
         cancel,
     };
@@ -1127,7 +1001,7 @@ pub fn execute(
         run_steps(engine, &steps, &ex)?;
         gather_output(engine, program, &ex)
     });
-    drop_props(engine, &slots);
+    drop_props(engine, &cols);
     result
 }
 
@@ -1222,8 +1096,8 @@ impl QuerySessionExt for Session<Engine> {
 /// through checkpoints — the driver's own iteration counter is enough.
 pub struct RecoverableQuery {
     program: Program,
-    slots: Vec<Option<AnyProp>>,
-    /// The plan lowered against `slots` by `setup`; a plan that does not
+    cols: Columns,
+    /// The plan lowered against `cols` by `setup`; a plan that does not
     /// lower fails its first `step`.
     steps: Result<Vec<LStep>, JobError>,
 }
@@ -1240,7 +1114,7 @@ impl RecoverableQuery {
     pub fn new(program: Program) -> Self {
         RecoverableQuery {
             program,
-            slots: Vec::new(),
+            cols: Columns::default(),
             steps: Ok(Vec::new()),
         }
     }
@@ -1257,7 +1131,7 @@ impl RecoverableQuery {
 
     fn exec<'a>(&'a self, cancel: &'a CancelToken) -> Exec<'a> {
         Exec {
-            slots: &self.slots,
+            cols: &self.cols,
             n: self.program.nodes as i64,
             cancel,
         }
@@ -1272,7 +1146,7 @@ impl ResumableAlgorithm for RecoverableQuery {
         // restore re-binds shards by id. Values are (re)seeded by the
         // prelude at iteration 0 or overwritten by the restored
         // checkpoint.
-        self.slots = create_props(engine, &self.program);
+        self.cols = create_props(engine, &self.program);
         let never = CancelToken::never();
         self.steps = lower_steps(&self.program.plan.steps, &self.exec(&never));
     }
@@ -1306,7 +1180,7 @@ impl ResumableAlgorithm for RecoverableQuery {
         };
         // The lowered plan goes before the columns it names.
         self.steps = Ok(Vec::new());
-        drop_props(engine, &self.slots);
+        drop_props(engine, &self.cols);
         result
     }
 }
@@ -1411,9 +1285,9 @@ mod tests {
         )
         .unwrap();
         let cancel = CancelToken::for_job(7);
-        let slots = create_props(&mut engine, &program);
+        let cols = create_props(&mut engine, &program);
         let ex = Exec {
-            slots: &slots,
+            cols: &cols,
             n: 8,
             cancel: &cancel,
         };
@@ -1429,14 +1303,63 @@ mod tests {
 
         let err = run_steps(&mut engine, &steps, &ex).unwrap_err();
         assert!(matches!(err, JobError::Cancelled { job: 7 }), "{err:?}");
-        let Some(AnyProp::I64(x)) = slots[0] else {
+        let Some(AnyProp::I64(x)) = cols.slots[0] else {
             panic!("x is the first slot");
         };
         assert_eq!(engine.gather(x), vec![1i64; 8], "exactly one pass ran");
 
-        drop_props(&mut engine, &slots);
+        drop_props(&mut engine, &cols);
         assert_eq!(live_props(&engine), baseline, "columns outlived the cancel");
         drop(steps);
+    }
+
+    /// Property ids taken by `run`: the ids of probe columns created before
+    /// and after it are that many apart (ids are never reused).
+    fn ids_used(engine: &mut Engine, run: impl FnOnce(&mut Engine)) -> usize {
+        let probe = |engine: &mut Engine| {
+            let p = engine.add_prop("probe", 0i64);
+            engine.drop_prop(p);
+            p.id().0 as usize
+        };
+        let before = probe(engine);
+        run(engine);
+        probe(engine) - before - 1
+    }
+
+    /// A general aggregate evaluated on every loop pass reuses one `$agg`
+    /// column, created with the program's and counted by `live_props`:
+    /// one execution takes exactly `live_props` property ids, directly and
+    /// as a `RecoverableQuery`.
+    #[test]
+    fn aggregates_reuse_one_counted_column() {
+        let text = "prop x: i64 = 0;\n\
+                    iterate max 50 {\n\
+                      foreach v { v.x = v.x + 1; }\n\
+                      until sum(v where v.x > 0) v.x < 0;\n\
+                    }\n\
+                    return (sum(v where v.x > 1) v.x) + count(v where v.x > 2);";
+        let g = generate::ring(8);
+        let mut engine = Engine::builder().machines(2).engine(&g).unwrap();
+        let program = compile(text, 8).unwrap();
+        assert_eq!(program.live_props(), 2, "x and one i64 `$agg`");
+
+        let used = ids_used(&mut engine, |engine| {
+            let r = execute(engine, &program, &CancelToken::never()).unwrap();
+            assert_eq!(r.as_scalar().unwrap().as_i64(), 50 * 8 + 8);
+        });
+        assert_eq!(used, program.live_props());
+
+        let mut rq = RecoverableQuery::new(program.clone());
+        let used = ids_used(&mut engine, |engine| {
+            rq.setup(engine);
+            let mut iteration = 0;
+            while rq.step(engine, iteration).unwrap() == StepOutcome::Continue {
+                iteration += 1;
+            }
+            rq.finish(engine).unwrap();
+        });
+        assert_eq!(used, program.live_props());
+        assert_eq!(live_props(&engine), 0);
     }
 
     #[test]

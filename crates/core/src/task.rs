@@ -10,7 +10,9 @@
 //! runs the edges itself, with no `run()` or `read_done()`. A node task
 //! runs a chunk of vertices at a time ([`NodeTask::run_chunk`]); one whose
 //! body is column arithmetic on the vertex resolves its columns once per
-//! chunk ([`NodeChunk::col`]) instead of once per access.
+//! chunk ([`NodeChunk::col`]) instead of once per access. An edge task
+//! can do the same ahead of a chunk's edges ([`EdgeTask::prepare`]), e.g.
+//! to compute the column a declared scatter pushes.
 
 use crate::prop::Prop;
 use crate::scope::TaskScope;
@@ -39,6 +41,19 @@ pub enum Dir {
 /// edge of every active vertex — unless the task declares a [`Fold`] or a
 /// [`Scatter`].
 pub trait EdgeTask: Send + Sync + 'static {
+    /// The chunk's prologue: runs once per chunk, on the worker that
+    /// claimed it, before any of the chunk's filters or edges, whichever
+    /// loop runs them (a declared fold, a declared scatter, or `run`). It
+    /// reaches the chunk's owned cells through [`NodeChunk::col`].
+    ///
+    /// Evaluating the whole chunk here equals evaluating each vertex just
+    /// before its own edges as long as it reads no cell the job's edges
+    /// write: edges of earlier chunks have run by then, and a vertex's own
+    /// edges have not. A compiled query's prologue meets that: sema refuses
+    /// a neighbor aggregate that reads its own target, and a pull's `where`
+    /// reads only cells of the vertex, which no other vertex's fold writes.
+    fn prepare(&self, _chunk: &mut NodeChunk<'_, '_>) {}
+
     /// Vertex filter, evaluated once per vertex before its edges run
     /// ("a custom filter method which is evaluated for each vertex prior
     /// to its execution"). Return `false` to skip the vertex entirely.
@@ -358,13 +373,6 @@ impl EdgeCtx<'_, '_> {
         }
     }
 
-    /// True when the neighbor lives on another machine *and* is not
-    /// ghosted (i.e. touching it costs a message).
-    #[inline]
-    pub fn is_nbr_remote(&self) -> bool {
-        self.target.is_remote()
-    }
-
     /// `get_local` on the current vertex.
     #[inline]
     pub fn get<T: PropValue>(&mut self, p: Prop<T>) -> T {
@@ -432,38 +440,6 @@ impl EdgeCtx<'_, '_> {
     #[inline]
     pub fn in_degree(&self) -> usize {
         self.scope.machine.graph.inn.degree(self.node)
-    }
-
-    /// Full out-degree of the neighbor, when known without communication
-    /// (local vertices and ghosted hubs); `None` for plain remote
-    /// neighbors.
-    #[inline]
-    pub fn nbr_out_degree(&self) -> Option<usize> {
-        if self.target.is_remote() {
-            None
-        } else {
-            Some(
-                self.scope
-                    .machine
-                    .graph
-                    .out_degree_of_index(self.target.local_index()),
-            )
-        }
-    }
-
-    /// Full in-degree of the neighbor, when known without communication.
-    #[inline]
-    pub fn nbr_in_degree(&self) -> Option<usize> {
-        if self.target.is_remote() {
-            None
-        } else {
-            Some(
-                self.scope
-                    .machine
-                    .graph
-                    .in_degree_of_index(self.target.local_index()),
-            )
-        }
     }
 
     /// `write_remote` to an arbitrary vertex by global id.
@@ -583,6 +559,75 @@ mod tests {
             panic!("expected a protocol error, got {err:?}");
         };
         assert!(msg.contains("task panicked: index out of bounds"), "{msg}");
+    }
+
+    /// Counts its `prepare` calls per vertex in `prepared`, and each filter
+    /// call that finds its vertex's count other than 1 in `early`; runs its
+    /// edges as `fold`, as `scatter`, or through `run` if neither is set.
+    struct Prologue {
+        prepared: Prop<i64>,
+        fold: Option<Fold>,
+        scatter: Option<Scatter>,
+        filters: Arc<AtomicU64>,
+        early: Arc<AtomicU64>,
+    }
+    impl EdgeTask for Prologue {
+        fn prepare(&self, chunk: &mut NodeChunk<'_, '_>) {
+            let prepared = chunk.col(self.prepared);
+            for v in chunk.nodes() {
+                prepared.set(v, prepared.get(v) + 1);
+            }
+        }
+        fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
+            self.filters.fetch_add(1, Ordering::Relaxed);
+            if ctx.get(self.prepared) != 1 {
+                self.early.fetch_add(1, Ordering::Relaxed);
+            }
+            true
+        }
+        fn fold(&self) -> Option<Fold> {
+            self.fold
+        }
+        fn scatter(&self) -> Option<Scatter> {
+            self.scatter
+        }
+    }
+
+    /// `prepare` runs once per chunk, before the chunk's first filter,
+    /// whichever loop runs the edges: every vertex is prepared exactly
+    /// once and no filter finds its vertex unprepared, in one-vertex chunks
+    /// and in larger ones.
+    #[test]
+    fn prepare_runs_once_per_chunk_before_its_filters() {
+        let g = generate::rmat(6, 4, generate::RmatParams::skewed(), 11);
+        let n = g.num_nodes();
+        for chunk_edges in [1, 64] {
+            let builder = Engine::builder().machines(2).chunk_edges(chunk_edges);
+            let mut e = builder.engine(&g).unwrap();
+            let x = e.add_prop("x", 0i64);
+            let (fold, scatter) = (Fold::new(x, x, ReduceOp::Max), ReduceOp::Max);
+            for shape in 0..3 {
+                let prepared = e.add_prop("prepared", 0i64);
+                let task = Prologue {
+                    prepared,
+                    fold: (shape == 0).then_some(fold),
+                    scatter: (shape == 1).then(|| Scatter::new(prepared, x, scatter)),
+                    filters: Arc::default(),
+                    early: Arc::default(),
+                };
+                let spec = match shape {
+                    0 => JobSpec::new().read(x),
+                    1 => JobSpec::new().reduce(x, scatter),
+                    _ => JobSpec::new(),
+                };
+                let (filters, early) = (task.filters.clone(), task.early.clone());
+                e.try_run_edge_job(Dir::Out, &spec, task).unwrap();
+                assert_eq!(e.gather(prepared), vec![1i64; n], "shape {shape}");
+                assert_eq!(filters.load(Ordering::Relaxed), n as u64, "shape {shape}");
+                assert_eq!(early.load(Ordering::Relaxed), 0, "shape {shape}");
+                e.drop_prop(prepared);
+            }
+        }
     }
 
     /// A logical fold of an `f64` column would panic on the workers and

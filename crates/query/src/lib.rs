@@ -44,7 +44,9 @@ pub mod span;
 pub use ast::{AggFn, NbrSet};
 pub use opt::OptReport;
 pub use plan::{PFilter, PStep, Plan, TraverseMode};
-pub use program::{const_val, eval, identity, EvalEnv, Program, QueryColumn, QueryResult, Val};
+pub use program::{
+    agg_needs_column, const_val, eval, identity, EvalEnv, Program, QueryColumn, QueryResult, Val,
+};
 pub use sema::{PropInfo, SOutput, TExpr, TExprKind, TUnOp, Ty, WhichVar};
 pub use span::{ErrorKind, QueryError, Span};
 

@@ -12,14 +12,16 @@
 //! 3. **Push-vs-pull direction choice** — a neighbor aggregate whose
 //!    body is a bare neighbor-property read (and has no neighbor filter)
 //!    pulls (one remote read per edge that does not reach a ghosted hub);
-//!    anything else pushes the computed value with `write_nbr`.
+//!    anything else pushes its value with a declared scatter. The pass
+//!    also allocates the scratch columns the job's chunk prologue fills
+//!    ([`add_scratch`]).
 //! 4. **Dead-property elimination** — a backward liveness fixpoint from
 //!    the query outputs removes properties (and the jobs that only fed
 //!    them) that cannot affect the result.
 
 use crate::ast::{AggFn, BinOp};
 use crate::plan::{PFilter, PStep, Plan, TraverseMode};
-use crate::sema::{SOutput, TExpr, TExprKind, TUnOp, Ty, WhichVar};
+use crate::sema::{PropInfo, SOutput, TExpr, TExprKind, TUnOp, Ty, WhichVar};
 use crate::span::QueryError;
 use std::collections::BTreeSet;
 
@@ -33,7 +35,8 @@ pub struct OptReport {
     pub pushed_filters: usize,
     /// Direction chosen per edge job (target property name, mode).
     pub directions: Vec<(String, TraverseMode)>,
-    /// Declared properties removed as dead (synthetic masks excluded).
+    /// Declared properties removed as dead (synthetic `$` columns
+    /// excluded).
     pub eliminated: Vec<String>,
 }
 
@@ -250,7 +253,7 @@ fn push_filters(plan: &mut Plan, report: &mut OptReport) {
 
 fn push_filters_block(
     steps: &mut Vec<PStep>,
-    props: &mut [Option<crate::sema::PropInfo>],
+    props: &mut [Option<PropInfo>],
     report: &mut OptReport,
 ) {
     let mut i = 0;
@@ -317,13 +320,12 @@ fn push_filters_block(
 // ---- pass 3: direction choice -----------------------------------------
 
 fn choose_directions(plan: &mut Plan, report: &mut OptReport) -> Result<(), QueryError> {
-    let props = plan.props.clone();
-    choose_directions_block(&mut plan.steps, &props, report)
+    choose_directions_block(&mut plan.steps, &mut plan.props, report)
 }
 
 fn choose_directions_block(
     steps: &mut [PStep],
-    props: &[Option<crate::sema::PropInfo>],
+    props: &mut Vec<Option<PropInfo>>,
     report: &mut OptReport,
 ) -> Result<(), QueryError> {
     for step in steps {
@@ -358,6 +360,7 @@ fn choose_directions_block(
                     .map(|p| p.name.clone())
                     .unwrap_or_else(|| format!("#{target}"));
                 report.directions.push((name, *mode));
+                add_scratch(step, props);
             }
             PStep::Loop { body, .. } => choose_directions_block(body, props, report)?,
             _ => {}
@@ -366,18 +369,59 @@ fn choose_directions_block(
     Ok(())
 }
 
+/// Allocates the scratch columns of an edge job whose direction is chosen,
+/// as plan properties like the naive plan's `$mask` columns: a `$pass` for
+/// a filter of the iterating vertex that is not a bool column already, and
+/// a `$val` for a push body that is not a bare load. The executor fills
+/// them in the job's chunk prologue, so that its edges run as a declared
+/// fold (of the source column) or scatter (of the body's column).
+pub fn add_scratch(step: &mut PStep, props: &mut Vec<Option<PropInfo>>) {
+    let PStep::EdgeJob {
+        span,
+        mode,
+        nbr_filter,
+        vertex_filter,
+        body,
+        pass,
+        value,
+        ..
+    } = step
+    else {
+        return;
+    };
+    let (filter, var) = match (*mode, &*vertex_filter) {
+        (TraverseMode::Push, _) => (nbr_filter.as_ref(), WhichVar::Inner),
+        (_, PFilter::Inline(pred)) => (Some(pred), WhichVar::Outer),
+        _ => (None, WhichVar::Outer),
+    };
+    let mut scratch = |name: &str, ty| {
+        let slot = props.len();
+        props.push(Some(PropInfo {
+            name: format!("{name}{slot}"),
+            ty,
+            span: *span,
+        }));
+        Some(slot)
+    };
+    if filter.is_some_and(|f| f.as_bare_load(var).is_none()) {
+        *pass = scratch("$pass", Ty::Bool);
+    }
+    if *mode == TraverseMode::Push && body.as_bare_load(WhichVar::Inner).is_none() {
+        *value = scratch("$val", body.ty);
+    }
+}
+
 // ---- pass 4: dead-property elimination --------------------------------
 
 fn eliminate_dead_props(plan: &mut Plan, report: &mut OptReport) {
-    // Seed: the output, plus every driver-side scalar (until conditions).
+    // Seed: the output column, plus every driver-side scalar.
     let mut live: BTreeSet<usize> = BTreeSet::new();
-    match &plan.output {
-        SOutput::Column { slot } => {
-            live.insert(*slot);
-        }
-        SOutput::Scalar { expr } => expr_reads(expr, &mut live),
+    if let SOutput::Column { slot } = plan.output {
+        live.insert(slot);
     }
-    seed_until(&plan.steps, &mut live);
+    for e in plan.driver_scalars() {
+        expr_reads(e, &mut live);
+    }
 
     // Backward fixpoint: a job that writes a live slot makes everything
     // it reads (body, filters, masks) live too.
@@ -396,20 +440,9 @@ fn eliminate_dead_props(plan: &mut Plan, report: &mut OptReport) {
             continue;
         }
         if let Some(info) = p.take() {
-            if !info.name.starts_with("$mask") {
+            if !info.name.starts_with('$') {
                 report.eliminated.push(info.name);
             }
-        }
-    }
-}
-
-fn seed_until(steps: &[PStep], live: &mut BTreeSet<usize>) {
-    for step in steps {
-        if let PStep::Loop { body, until, .. } = step {
-            if let Some(u) = until {
-                expr_reads(u, live);
-            }
-            seed_until(body, live);
         }
     }
 }
@@ -447,6 +480,8 @@ fn mark_block(steps: &[PStep], live: &mut BTreeSet<usize>) {
                 nbr_filter,
                 vertex_filter,
                 body,
+                pass,
+                value,
                 ..
             } => {
                 if live.contains(target) {
@@ -455,6 +490,7 @@ fn mark_block(steps: &[PStep], live: &mut BTreeSet<usize>) {
                     }
                     filter_reads(vertex_filter, live);
                     expr_reads(body, live);
+                    live.extend(pass.iter().chain(value));
                 }
             }
             PStep::Loop { body, .. } => mark_block(body, live),

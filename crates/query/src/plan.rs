@@ -18,8 +18,8 @@ use pgxd_runtime::ReduceOp;
 pub enum TraverseMode {
     /// Naive plan — the direction pass must run before execution.
     Unchosen,
-    /// Iterate the *neighbor* side and `write_nbr` into the target with
-    /// the reduction operator (sources push).
+    /// Iterate the *neighbor* side and scatter the value into the target
+    /// with a declared `Scatter` (sources push).
     Push,
     /// Iterate the target side and fold the source value in with a
     /// declared `Fold` (destinations pull).
@@ -86,6 +86,13 @@ pub enum PStep {
         /// Fill `target` with the reduction identity first (`=` assignment
         /// semantics).
         prefill: bool,
+        /// Scratch columns the direction pass allocates and the executor
+        /// fills a chunk at a time, before the chunk's edges: whether the
+        /// iterating vertex passes a filter that is not a bool column
+        /// already (`$pass`), and a push body that is not a bare load
+        /// (`$val`).
+        pass: Option<usize>,
+        value: Option<usize>,
     },
     /// Fixpoint block; `until` is evaluated driver-side after each pass.
     Loop {
@@ -103,6 +110,27 @@ pub struct Plan {
     pub props: Vec<Option<PropInfo>>,
     pub steps: Vec<PStep>,
     pub output: SOutput,
+}
+
+impl Plan {
+    /// The expressions the driver evaluates: every `until` condition, and a
+    /// scalar output.
+    pub(crate) fn driver_scalars(&self) -> Vec<&TExpr> {
+        fn untils<'a>(steps: &'a [PStep], out: &mut Vec<&'a TExpr>) {
+            for step in steps {
+                if let PStep::Loop { body, until, .. } = step {
+                    out.extend(until);
+                    untils(body, out);
+                }
+            }
+        }
+        let mut out = Vec::new();
+        untils(&self.steps, &mut out);
+        if let SOutput::Scalar { expr } = &self.output {
+            out.push(expr);
+        }
+        out
+    }
 }
 
 /// Lower typed statements to the naive plan.
@@ -152,6 +180,8 @@ fn lower_block(stmts: Vec<SStmt>, props: &mut Vec<Option<PropInfo>>) -> Vec<PSte
                     vertex_filter,
                     body: t.body,
                     prefill: true,
+                    pass: None,
+                    value: None,
                 });
             }
             SStmt::Loop { max, body, until } => {
@@ -260,14 +290,20 @@ fn render_steps(steps: &[PStep], props: &[Option<PropInfo>], depth: usize, out: 
                 vertex_filter,
                 body,
                 prefill,
+                pass,
+                value,
                 ..
             } => {
                 let set_name = match set {
                     NbrSet::In => "in-nbrs",
                     NbrSet::Out => "out-nbrs",
                 };
+                let into = |scratch: &Option<usize>| match scratch {
+                    Some(slot) => format!(" into {}", prop_name(props, *slot)),
+                    None => String::new(),
+                };
                 out.push_str(&format!(
-                    "{pad}edge-job [{mode}] {set_name} {op:?} -> {}{}{}{}\n",
+                    "{pad}edge-job [{mode}] {set_name} {op:?} -> {}{}{}{}{}\n",
                     prop_name(props, *target),
                     if *prefill { " (prefill identity)" } else { "" },
                     match nbr_filter {
@@ -275,8 +311,13 @@ fn render_steps(steps: &[PStep], props: &[Option<PropInfo>], depth: usize, out: 
                         None => String::new(),
                     },
                     render_filter(vertex_filter, props),
+                    into(pass),
                 ));
-                out.push_str(&format!("{pad}  value {}\n", render_expr(body, props)));
+                out.push_str(&format!(
+                    "{pad}  value {}{}\n",
+                    render_expr(body, props),
+                    into(value)
+                ));
             }
             PStep::Loop { max, body, until } => {
                 let bound = match max {

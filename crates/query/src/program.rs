@@ -4,11 +4,11 @@
 //! The query crate is engine-agnostic — it knows nothing about props,
 //! ghosts or jobs. An executor (e.g. `pgxd::query`) walks the steps of
 //! [`Program::plan`] and decides how each expression runs: `pgxd::query`
-//! lowers everything a task evaluates per vertex or per edge to typed
-//! closures once per execution, and calls [`eval`] only for what runs once
-//! per step — driver-side scalars, through an [`EvalEnv`] whose
-//! `global_agg` launches reduction jobs. [`eval`] is the semantics those
-//! closures are held to (bit for bit, by a property test), so it stays
+//! lowers everything a task evaluates per vertex to chunk kernels once per
+//! execution, and calls [`eval`] only for what runs once per step —
+//! driver-side scalars, through an [`EvalEnv`] whose `global_agg` launches
+//! reduction jobs. [`eval`] is the semantics those kernels are held to
+//! (bit for bit, by a property test), so it stays
 //! defined over every expression. The typed-IR invariants established by
 //! semantic analysis (matching operand types, boolean conditions,
 //! aggregates only in driver contexts) make it total: it never panics on
@@ -85,6 +85,20 @@ pub fn identity(op: ReduceOp, ty: Ty) -> Val {
         // Sema rejects bool aggregation targets and other ops never
         // reach here; return a harmless default rather than panic.
         (_, ty) => Val::zero(ty),
+    }
+}
+
+/// Whether a driver-side aggregate is evaluated into an `$agg` column of its
+/// type, or answered without one: `count(v)` is `N`, `count(v where
+/// v.<bool column>)` counts the column, and an unfiltered aggregate of a
+/// bare column reduces that column.
+pub fn agg_needs_column(agg: AggFn, filter: Option<&TExpr>, body: Option<&TExpr>) -> bool {
+    let bare = |e: Option<&TExpr>| e.is_some_and(|e| e.as_bare_load(WhichVar::Outer).is_some());
+    match (agg, filter) {
+        (AggFn::Count, None) => false,
+        (AggFn::Count, filter) => !bare(filter),
+        (_, None) => !bare(body),
+        _ => true,
     }
 }
 
@@ -239,9 +253,30 @@ pub struct Program {
 
 impl Program {
     /// Number of properties the executor will create (admission control
-    /// cost of running this query).
+    /// cost of running this query): the live plan slots and the
+    /// [`Self::agg_columns`].
     pub fn live_props(&self) -> usize {
-        self.plan.props.iter().flatten().count()
+        self.plan.props.iter().flatten().count() + self.agg_columns().len()
+    }
+
+    /// The types of the `$agg` columns the executor creates with the plan's
+    /// columns: one per type of the driver-side aggregates (in `until`
+    /// conditions and a scalar output) that [`agg_needs_column`], in order
+    /// of first use. Each evaluation of such an aggregate reuses its
+    /// type's column.
+    pub fn agg_columns(&self) -> Vec<Ty> {
+        let mut out = Vec::new();
+        for e in self.plan.driver_scalars() {
+            e.walk(&mut |e| {
+                if let TExprKind::GlobalAgg { agg, filter, body } = &e.kind {
+                    let needs = agg_needs_column(*agg, filter.as_deref(), body.as_deref());
+                    if needs && !out.contains(&e.ty) {
+                        out.push(e.ty);
+                    }
+                }
+            });
+        }
+        out
     }
 
     /// The text attached to `JobReport.plan`: optimized plan plus the

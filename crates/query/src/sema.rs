@@ -135,27 +135,29 @@ impl TExpr {
         }
     }
 
-    /// Calls `f` with the slot and span of every property load in the tree.
-    pub fn for_each_load(&self, f: &mut impl FnMut(usize, Span)) {
+    /// Calls `f` on every node of the tree, parents first.
+    pub(crate) fn walk<'a>(&'a self, f: &mut impl FnMut(&'a TExpr)) {
+        f(self);
         match &self.kind {
-            TExprKind::Load { slot, .. } => f(*slot, self.span),
-            TExprKind::Unary { expr, .. } => expr.for_each_load(f),
-            TExprKind::Binary { lhs, rhs, .. } => {
-                lhs.for_each_load(f);
-                rhs.for_each_load(f);
-            }
+            TExprKind::Unary { expr, .. } => expr.walk(f),
+            TExprKind::Binary { lhs, rhs, .. } => [lhs, rhs].into_iter().for_each(|e| e.walk(f)),
             TExprKind::Ternary { cond, then, other } => {
-                cond.for_each_load(f);
-                then.for_each_load(f);
-                other.for_each_load(f);
+                [cond, then, other].into_iter().for_each(|e| e.walk(f))
             }
             TExprKind::GlobalAgg { filter, body, .. } => {
-                for e in filter.iter().chain(body) {
-                    e.for_each_load(f);
-                }
+                filter.iter().chain(body).for_each(|e| e.walk(f))
             }
             _ => {}
         }
+    }
+
+    /// Calls `f` with the slot and span of every property load in the tree.
+    pub fn for_each_load(&self, f: &mut impl FnMut(usize, Span)) {
+        self.walk(&mut |e| {
+            if let TExprKind::Load { slot, .. } = e.kind {
+                f(slot, e.span)
+            }
+        })
     }
 }
 

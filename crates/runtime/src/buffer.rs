@@ -181,11 +181,6 @@ impl BufferPool {
         self.buffer_bytes
     }
 
-    /// Number of free-list shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// A stable shard hint for the current thread, used by the hint-less
     /// entry points.
     fn thread_shard() -> usize {

@@ -8,8 +8,8 @@
 //! than the specified threshold value."
 //!
 //! The ghost table is identical on every machine: the sorted list of
-//! ghosted vertices (in the global `0..N` numbering) and their full
-//! degrees. Machine-local ghost *slots* are indexed by the vertex's
+//! ghosted vertices (in the global `0..N` numbering). Machine-local ghost
+//! *slots* are indexed by the vertex's
 //! ordinal in this list; property columns allocate `len_ghost` extra cells
 //! after the owned region, so slot `k` of property `p` lives at column
 //! index `len_local + k`. A rank bitmap over all vertices, built once with
@@ -24,8 +24,6 @@ use std::sync::Arc;
 pub struct GhostTable {
     /// Ghosted vertices, sorted ascending (global numbering).
     nodes: Arc<Vec<NodeId>>,
-    /// `(in_degree, out_degree)` of each ghosted vertex, by ordinal.
-    degrees: Arc<Vec<(u32, u32)>>,
     /// Ghost membership of the graph's vertices, 64 per word, each word
     /// paired with the number of ghosts before it: a ghost's ordinal is
     /// that count plus the set bits below its own. Empty when nothing is
@@ -53,10 +51,6 @@ impl GhostTable {
 
     /// The table over `nodes` (sorted, distinct).
     fn over(graph: &Graph, nodes: Vec<NodeId>) -> Self {
-        let degrees = nodes
-            .iter()
-            .map(|&v| (graph.in_degree(v) as u32, graph.out_degree(v) as u32))
-            .collect();
         let mut ranks = Vec::new();
         if !nodes.is_empty() {
             ranks = vec![(0u32, 0u64); graph.num_nodes().div_ceil(64)];
@@ -71,7 +65,6 @@ impl GhostTable {
         }
         GhostTable {
             nodes: Arc::new(nodes),
-            degrees: Arc::new(degrees),
             ranks: Arc::new(ranks),
         }
     }
@@ -107,14 +100,6 @@ impl GhostTable {
     pub fn node_at(&self, ord: u32) -> NodeId {
         self.nodes[ord as usize]
     }
-
-    /// Full `(in, out)` degree of the ghosted vertex at `ord` — available
-    /// locally on every machine so algorithms can use `t.degree()` on hubs
-    /// without communication.
-    #[inline]
-    pub fn degree_at(&self, ord: u32) -> (u32, u32) {
-        self.degrees[ord as usize]
-    }
 }
 
 #[cfg(test)]
@@ -137,7 +122,6 @@ mod tests {
         assert_eq!(t.nodes(), &[0]);
         assert_eq!(t.ordinal(0), Some(0));
         assert_eq!(t.ordinal(3), None);
-        assert_eq!(t.degree_at(0), (50, 50));
     }
 
     #[test]
@@ -156,7 +140,6 @@ mod tests {
         assert_eq!(t.ordinal(4), None);
         assert_eq!(t.ordinal(8), None, "past the graph");
         assert_eq!(t.node_at(1), 2);
-        assert_eq!(t.degree_at(0), (1, 1));
     }
 
     /// The rank bitmap answers what a search of the sorted list would,

@@ -148,11 +148,6 @@ impl JobExec {
     pub fn queue_wait_ns(&self) -> u64 {
         self.dispatch_ns.saturating_sub(self.enqueue_ns)
     }
-
-    /// Wall time the job held the cluster, nanoseconds.
-    pub fn run_ns(&self) -> u64 {
-        self.done_ns.saturating_sub(self.dispatch_ns)
-    }
 }
 
 #[cfg(test)]

@@ -222,27 +222,6 @@ impl LocalGraph {
         self.start_node + local as NodeId
     }
 
-    /// Full out-degree of a *column index*: owned vertices use the
-    /// fragment rows; ghost slots use the ghost table's recorded degree.
-    #[inline]
-    pub fn out_degree_of_index(&self, index: usize) -> usize {
-        if index < self.num_local {
-            self.out.degree(index)
-        } else {
-            self.ghosts.degree_at((index - self.num_local) as u32).1 as usize
-        }
-    }
-
-    /// Full in-degree of a column index (see [`Self::out_degree_of_index`]).
-    #[inline]
-    pub fn in_degree_of_index(&self, index: usize) -> usize {
-        if index < self.num_local {
-            self.inn.degree(index)
-        } else {
-            self.ghosts.degree_at((index - self.num_local) as u32).0 as usize
-        }
-    }
-
     /// Whether a column index denotes a ghost slot.
     #[inline]
     pub fn is_ghost_index(&self, index: usize) -> bool {
@@ -314,9 +293,6 @@ mod tests {
                 assert_eq!(tgt.local_index(), f1.num_local());
             }
         }
-        // Degree of the ghost slot resolves through the ghost table.
-        assert_eq!(f1.out_degree_of_index(f1.num_local()), 6);
-        assert_eq!(f1.in_degree_of_index(f1.num_local()), 6);
         assert!(f1.is_ghost_index(f1.num_local()));
     }
 

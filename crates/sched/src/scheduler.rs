@@ -94,11 +94,6 @@ impl Scheduler {
         self.running.values().sum()
     }
 
-    /// True when nothing is queued or running.
-    pub fn is_idle(&self) -> bool {
-        self.queued() == 0 && self.running() == 0
-    }
-
     /// Enqueues a job, rejecting with [`JobError::QueueFull`] when the
     /// global queue is at depth.
     pub fn submit(&mut self, meta: JobMeta) -> Result<(), JobError> {

@@ -265,18 +265,6 @@ impl<T: 'static> JobHandle<T> {
         }
     }
 
-    /// Non-blocking [`JobHandle::join`]: `None` while the job is still
-    /// queued or running.
-    pub fn try_join(&self) -> Option<Result<T, JobError>> {
-        match self.rx.try_recv() {
-            Ok((result, _report)) => Some(Self::downcast(result)),
-            Err(mpsc::TryRecvError::Empty) => None,
-            Err(mpsc::TryRecvError::Disconnected) => {
-                Some(Err(JobError::Protocol("job server shut down".into())))
-            }
-        }
-    }
-
     fn downcast(result: JobResult) -> Result<T, JobError> {
         result.map(|boxed| {
             *boxed

@@ -65,9 +65,10 @@ bash benchmark/run.sh --workload local_pull --seed 7 --seconds 1 --trace 0
 bash benchmark/run.sh --workload tcp_pull --seed 7 --seconds 1 --trace 0
 # The query layer on the benchmark's own graph: the only place the query
 # PageRank is held to 1e-12 of the built-in *and* 1e-9 of the oracle, and
-# the query BFS to bit-identity with both. Its node jobs are lowered to
-# chunk kernels (one lane per expression node per chunk, a mask lane for
-# the filter, the writes in statement order).
+# the query BFS to bit-identity with both. Every expression is a chunk
+# kernel (one lane per expression node per chunk, a mask lane for the
+# filter, the writes in statement order): a node job is one, and an edge
+# job is a declared fold or scatter behind one as its chunk prologue.
 bash benchmark/run.sh --workload query_pr --seed 7 --seconds 1 --trace 0
 # The only answers that pass through the copiers' remote reductions:
 # pushed PageRank (1e-9 of the oracle) and hop distances (bit-identical),

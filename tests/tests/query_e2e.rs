@@ -9,7 +9,7 @@
 
 use pgxd::query::{compile, execute, QuerySessionExt, QuerySubmitError};
 use pgxd::serve::{Lane, ServeEngine};
-use pgxd::{BuildEngine, CancelToken, Engine, JobError};
+use pgxd::{BuildEngine, CancelToken, Engine, JobError, TelemetryConfig};
 use pgxd_algorithms as algos;
 use pgxd_graph::generate::{self, rmat, RmatParams};
 use std::time::Duration;
@@ -134,6 +134,49 @@ fn hopdist_query_matches_builtin() {
 
     drop(session);
     server.shutdown();
+}
+
+/// The query runs the built-ins' jobs and traffic: its BFS is a declared
+/// scatter that puts as many write entries on the wire and makes as many
+/// local writes as `try_hopdist`'s, and one loop pass runs two jobs for
+/// BFS (the scatter, then the advance) and three for PageRank (the
+/// contribution, the pull fold, the update).
+#[test]
+fn query_jobs_and_traffic_match_the_builtins() {
+    let g = twt_s();
+    let n = g.num_nodes() as u64;
+    let traced = || {
+        Engine::builder()
+            .machines(4)
+            .workers(2)
+            .copiers(1)
+            .telemetry(TelemetryConfig { enabled: true })
+            .engine(&g)
+            .unwrap()
+    };
+    let never = CancelToken::never();
+
+    let mut golden = traced();
+    let levels = algos::try_hopdist(&mut golden, 0).unwrap().iterations;
+    let want = golden.cluster().total_stats();
+    let bfs = compile(HOPDIST, n).unwrap();
+    // One scratch column, `$val` for `u.hops + 1`: the filter is a column.
+    assert_eq!(bfs.live_props(), 4, "{}", bfs.render());
+    let mut e = traced();
+    execute(&mut e, &bfs, &never).unwrap();
+    let got = e.cluster().total_stats();
+    assert!(want.write_entries > 0 && want.local_writes > 0);
+    assert_eq!(got.write_entries, want.write_entries);
+    assert_eq!(got.local_writes, want.local_writes);
+    assert_eq!(e.cluster().phase_labels().len(), 2 * levels);
+
+    let pagerank_labels = |passes: u32| {
+        let text = PAGERANK.replace("max 12", &format!("max {passes}"));
+        let mut e = traced();
+        execute(&mut e, &compile(&text, n).unwrap(), &never).unwrap();
+        e.cluster().phase_labels().len()
+    };
+    assert_eq!(pagerank_labels(2) - pagerank_labels(1), 3);
 }
 
 /// A filtered global aggregate matches the same sum computed from the

@@ -1,33 +1,39 @@
-//! Lowered ≡ `eval`: the closures `pgxd::query::execute` builds once per
-//! execution — chunk kernels for node jobs, per-vertex closures for edge
-//! jobs — return, bit for bit, what the reference tree evaluator
-//! `pgxd_query::eval` returns for the same expression on the same vertex.
+//! Lowered ≡ `eval`: the chunk kernels `pgxd::query::execute` builds once
+//! per execution — a node job's, and an edge job's prologue, which fills
+//! the columns its declared fold or scatter then reads — return, bit for
+//! bit, what the reference tree evaluator `pgxd_query::eval` returns for
+//! the same expression on the same vertex.
 //!
-//! Programs are assembled from plan steps directly (no text), so the
+//! Programs are assembled from plan steps directly (no text; an edge job
+//! gets its scratch columns from the optimizer's own `add_scratch`), so the
 //! expressions cover what sema can type but the parser rarely writes:
 //! every `BinOp`, `TUnOp` and ternary shape over all three value types,
 //! loads of all three, degrees, `N`, integer `/` (computed in f64,
 //! including ÷0), wrapping `i64` add/neg/abs at `i64::MIN`/`MAX`,
 //! `&&`/`||`, over columns holding NaN, ±0.0, ±INF and subnormals. A node
 //! job checks the node context (two writes, the second reading the
-//! first's column, behind a `where` mask; in the preset's chunks and in
-//! one-vertex chunks), a push job the edge context (body and neighbor
-//! filter), a filtered pull job the fold and its per-vertex reset, and an
-//! f64 `min`/`max` aggregate runs in both modes.
+//! first's column, behind a `where` mask), a push job the edge context
+//! (body and neighbor filter, scattered), a filtered pull job the fold and
+//! its per-vertex reset, and an f64 `min`/`max` aggregate runs in both
+//! modes. The first three run in the preset's chunks and in one-vertex
+//! chunks, the edge jobs with ghosts on, so prologue → filter → fold or
+//! scatter is pinned on every ragged chunk.
 //!
 //! Mutation-checked: with the integer-`/` closure dividing before
-//! widening, with `ToF64` reinterpreting bits, and with `logic` ignoring
-//! its `and` flag, `node_context` and `edge_context` fail within the first
-//! cases; with a site's `bin` applying `f(b, a)`, that site's test does
-//! (`node_context` for lanes, `edge_context` for one vertex); with the
-//! node kernel running its writes in reverse order or ignoring the mask,
-//! `node_context` does; with the pull reset ignoring the filter (what the
-//! whole-column prefill did), `filtered_pull` does.
+//! widening, with `ToF64` reinterpreting bits, with `logic` ignoring its
+//! `and` flag, and with `bin` applying `f(b, a)`, `node_context` and
+//! `edge_context` fail within the first cases; with the node kernel running
+//! its writes in reverse order or ignoring the mask, `node_context` does;
+//! with the edge phase skipping `prepare`, or the edge kernel's filter
+//! ignoring its `$pass` column, `edge_context` and `filtered_pull` do; with
+//! the pull reset ignoring the mask (what the whole-column prefill did),
+//! `filtered_pull` does.
 
 use pgxd::query::{execute, OptReport, Plan, Program, QueryResult, Span, TraverseMode, Ty, Val};
 use pgxd::{BuildEngine, CancelToken, Engine, ReduceOp};
 use pgxd_graph::{generate, Graph, NodeId};
 use pgxd_query::ast::BinOp;
+use pgxd_query::opt::add_scratch;
 use pgxd_query::{
     eval, EvalEnv, NbrSet, PFilter, PStep, PropInfo, SOutput, TExpr, TExprKind, TUnOp, WhichVar,
 };
@@ -234,22 +240,40 @@ fn bits(v: Val) -> u64 {
     }
 }
 
-/// Runs `job` after seeding the input columns and `OUT` (filled with
-/// `out_init`, and typed by it); returns `OUT`'s bit patterns.
-fn run(g: &Graph, cols: &Columns, out_init: Val, job: PStep) -> Vec<u64> {
-    run_on(g, cols, &[out_init], job, OUT, None)
+/// The 2-machine engine a case runs on: the unit-test preset, optionally
+/// with `chunk_edges` and a ghost threshold.
+#[derive(Clone, Copy, Debug, Default)]
+struct Shape {
+    chunk_edges: Option<usize>,
+    ghosts: Option<usize>,
 }
 
-/// Runs `job` after seeding the input columns and `OUT`, `OUT2`, … with
-/// `outs` (each typed by its value), on an engine of the unit-test preset
-/// or with `chunk_edges`; returns the bit patterns of column `output`.
+/// The preset's chunks and one-vertex chunks, both with ghosts over
+/// `threshold`.
+fn ghosted(threshold: usize) -> [Shape; 2] {
+    [None, Some(1)].map(|chunk_edges| Shape {
+        chunk_edges,
+        ghosts: Some(threshold),
+    })
+}
+
+/// Runs `job` after seeding the input columns and `OUT` (filled with
+/// `out_init`, and typed by it); returns `OUT`'s bit patterns.
+fn run(g: &Graph, cols: &Columns, out_init: Val, job: PStep, shape: Shape) -> Vec<u64> {
+    run_on(g, cols, &[out_init], job, OUT, shape)
+}
+
+/// Runs `job`, with the scratch columns the optimizer would give it, after
+/// seeding the input columns and `OUT`, `OUT2`, … with `outs` (each typed
+/// by its value), on an engine of `shape`; returns the bit patterns of
+/// column `output`.
 fn run_on(
     g: &Graph,
     cols: &Columns,
     outs: &[Val],
-    job: PStep,
+    mut job: PStep,
     output: usize,
-    chunk_edges: Option<usize>,
+    shape: Shape,
 ) -> Vec<u64> {
     let prop = |name: &str, ty| {
         Some(PropInfo {
@@ -283,6 +307,7 @@ fn run_on(
             });
         }
     }
+    add_scratch(&mut job, &mut props);
     steps.push(job);
     let program = Program {
         plan: Plan {
@@ -293,8 +318,8 @@ fn run_on(
         report: OptReport::default(),
         nodes: g.num_nodes() as u64,
     };
-    let mut builder = Engine::builder().machines(2);
-    if let Some(edges) = chunk_edges {
+    let mut builder = Engine::builder().machines(2).ghost_threshold(shape.ghosts);
+    if let Some(edges) = shape.chunk_edges {
         builder = builder.chunk_edges(edges);
     }
     let mut engine = builder.engine(g).unwrap();
@@ -343,9 +368,10 @@ proptest! {
             writes: vec![(OUT, expr.clone()), (OUT2, expr2.clone())],
         };
         for chunk_edges in [None, Some(1)] {
+            let shape = Shape { chunk_edges, ghosts: None };
             for (slot, want) in [(OUT, &out), (OUT2, &out2)] {
                 let want: Vec<u64> = want.iter().map(|&v| bits(v)).collect();
-                let got = run_on(&g, &cols, &inits, job.clone(), slot, chunk_edges);
+                let got = run_on(&g, &cols, &inits, job.clone(), slot, shape);
                 prop_assert_eq!(
                     got, want,
                     "chunk_edges {:?} slot {}\nfilter {:?}\nexpr {:?}\nexpr2 {:?}",
@@ -357,7 +383,9 @@ proptest! {
 
     /// Edge context: on a ring every vertex has one in-neighbor, so
     /// `v.out = op(u in v.in_nbrs where <filter>) <expr>` is one reduction
-    /// of the neighbor's value into the identity — or none.
+    /// of the neighbor's value into the identity — or none. Every vertex
+    /// is a ghost on the other machine, so the scatter goes through the
+    /// private copies.
     #[test]
     fn edge_context(seed in any::<u64>()) {
         let mut rng = TestRng::new(seed);
@@ -392,12 +420,17 @@ proptest! {
             vertex_filter: PFilter::None,
             body: expr.clone(),
             prefill: true,
+            pass: None,
+            value: None,
         };
-        let got = run(&g, &cols, random_val(&mut rng, ty), job);
-        prop_assert_eq!(got, want, "{:?} filter {:?}\nexpr {:?}", op, filter, expr);
+        let init = random_val(&mut rng, ty);
+        for shape in ghosted(0) {
+            let got = run(&g, &cols, init, job.clone(), shape);
+            prop_assert_eq!(&got, &want, "{:?} {:?} filter {:?}\nexpr {:?}", shape, op, filter, expr);
+        }
     }
 
-    /// The pull continuation and its reset: `foreach v where <filter>
+    /// The pull fold and its reset: `foreach v where <filter>
     /// { v.out = op(u in v.in_nbrs) u.i; }` folds the in-neighbors' values
     /// from the identity where the filter holds and leaves `out` alone
     /// where it does not. (`i64` only: its three reductions do not depend
@@ -434,9 +467,13 @@ proptest! {
             vertex_filter: PFilter::Inline(filter.clone()),
             body: e(Ty::I64, TExprKind::Load { slot: I[0], var: WhichVar::Inner }),
             prefill: true,
+            pass: None,
+            value: None,
         };
-        let got = run(&g, &cols, init, job);
-        prop_assert_eq!(got, want, "{:?} filter {:?}", op, filter);
+        for shape in ghosted(2) {
+            let got = run(&g, &cols, init, job.clone(), shape);
+            prop_assert_eq!(&got, &want, "{:?} {:?} filter {:?}", shape, op, filter);
+        }
     }
 
     /// Pull and push fold with the same `reduce_bits`, so the same f64
@@ -474,9 +511,12 @@ proptest! {
             vertex_filter: PFilter::None,
             body: e(Ty::F64, TExprKind::Load { slot: F[0], var: WhichVar::Inner }),
             prefill: true,
+            pass: None,
+            value: None,
         };
-        let pull = run(&g, &cols, Val::F64(0.5), job(TraverseMode::Pull));
-        let push = run(&g, &cols, Val::F64(0.5), job(TraverseMode::Push));
+        let shape = Shape::default();
+        let pull = run(&g, &cols, Val::F64(0.5), job(TraverseMode::Pull), shape);
+        let push = run(&g, &cols, Val::F64(0.5), job(TraverseMode::Push), shape);
         prop_assert_eq!(&pull, &want, "pull {:?}", op);
         prop_assert_eq!(&push, &want, "push {:?}", op);
     }
