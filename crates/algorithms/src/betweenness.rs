@@ -8,7 +8,7 @@
 
 use pgxd::{
     Dir, EdgeTask, Engine, Fold, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop, ReduceOp,
-    Scatter,
+    Reduction, Scatter,
 };
 
 /// Result of betweenness centrality.
@@ -36,8 +36,8 @@ impl EdgeTask for Expand {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.dist) == self.level
     }
-    fn scatter(&self) -> Option<Scatter> {
-        Some(Scatter::new(self.sigma, self.sigma_add, ReduceOp::Sum))
+    fn reduction(&self) -> Option<Reduction> {
+        Some(Scatter::new(self.sigma, self.sigma_add, ReduceOp::Sum).into())
     }
 }
 
@@ -98,8 +98,8 @@ impl EdgeTask for PullCoef {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.dist) == self.level
     }
-    fn fold(&self) -> Option<Fold> {
-        Some(Fold::new(self.coef, self.acc, ReduceOp::Sum))
+    fn reduction(&self) -> Option<Reduction> {
+        Some(Fold::new(self.coef, self.acc, ReduceOp::Sum).into())
     }
 }
 
@@ -177,8 +177,7 @@ pub fn try_betweenness(
             loop {
                 engine.try_run_edge_job(
                     Dir::Out,
-                    // `sigma` is read at the frontier vertex itself only.
-                    &JobSpec::new().reduce(sigma_add, ReduceOp::Sum),
+                    &JobSpec::new(),
                     Expand {
                         dist,
                         sigma,
@@ -216,7 +215,7 @@ pub fn try_betweenness(
                 )?;
                 engine.try_run_edge_job(
                     Dir::Out,
-                    &JobSpec::new().read(coef),
+                    &JobSpec::new(),
                     PullCoef {
                         dist,
                         coef,

@@ -74,7 +74,7 @@ pub fn try_eigenvector(
             *iterations += 1;
             // Pulls `ev` from each in-neighbor and accumulates into `nxt`.
             let pull = Fold::new(ev, nxt, ReduceOp::Sum);
-            engine.try_run_edge_job(Dir::In, &JobSpec::new().read(ev), pull)?;
+            engine.try_run_edge_job(Dir::In, &JobSpec::new(), pull)?;
             engine.try_run_node_job(&JobSpec::new(), Square { nxt, sq })?;
             // Sequential region: global L2 norm.
             let norm = engine.reduce(sq, ReduceOp::Sum).sqrt();

@@ -6,7 +6,7 @@
 use pgxd::recover::{ResumableAlgorithm, StepOutcome};
 use pgxd::{
     Dir, EdgeTask, Engine, JobError, JobSpec, NodeChunk, NodeCtx, NodeId, NodeTask, Prop, ReduceOp,
-    Scatter,
+    Reduction, Scatter,
 };
 
 /// Result of a hop-distance traversal.
@@ -29,8 +29,8 @@ impl EdgeTask for Expand {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.frontier)
     }
-    fn scatter(&self) -> Option<Scatter> {
-        Some(Scatter::new(self.hops, self.nxt, ReduceOp::Min))
+    fn reduction(&self) -> Option<Reduction> {
+        Some(Scatter::new(self.hops, self.nxt, ReduceOp::Min).into())
     }
 }
 
@@ -95,7 +95,7 @@ impl ResumableAlgorithm for ResumableHopDist {
         }
         engine.try_run_edge_job(
             Dir::Out,
-            &JobSpec::new().reduce(nxt, ReduceOp::Min),
+            &JobSpec::new(),
             Expand {
                 hops,
                 nxt,

@@ -8,7 +8,9 @@
 //! peeling loop repeatedly removes vertices whose remaining degree is
 //! below `k`, notifying neighbors with a `Sum(-1)` push.
 
-use pgxd::{Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp};
+use pgxd::{
+    Dir, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp, Reduction, Scatter,
+};
 
 /// Result of the k-core peeling.
 #[derive(Clone, Debug)]
@@ -42,8 +44,10 @@ impl NodeTask for MarkDying {
     }
 }
 
-/// Dying vertices decrement each neighbor's remaining degree.
+/// Dying vertices decrement each neighbor's remaining degree: they
+/// scatter a column that is −1 everywhere.
 struct NotifyNeighbors {
+    minus_one: Prop<i64>,
     deg: Prop<i64>,
     dying: Prop<bool>,
 }
@@ -51,8 +55,8 @@ impl EdgeTask for NotifyNeighbors {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.dying)
     }
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        ctx.write_nbr(self.deg, ReduceOp::Sum, -1i64);
+    fn reduction(&self) -> Option<Reduction> {
+        Some(Scatter::new(self.minus_one, self.deg, ReduceOp::Sum).into())
     }
 }
 
@@ -74,6 +78,7 @@ pub fn try_kcore(engine: &mut Engine, max_k: i64) -> Result<KCoreResult, JobErro
     let alive = engine.add_prop("kc_alive", true);
     let dying = engine.add_prop("kc_dying", false);
     let core = engine.add_prop("kc_core", 0i64);
+    let minus_one = engine.add_prop("kc_minus_one", -1i64);
 
     let run =
         |engine: &mut Engine, iterations: &mut usize, max_core: &mut i64| -> Result<(), JobError> {
@@ -98,9 +103,14 @@ pub fn try_kcore(engine: &mut Engine, max_k: i64) -> Result<KCoreResult, JobErro
                         break;
                     }
                     *iterations += 2;
-                    let spec = JobSpec::new().reduce(deg, ReduceOp::Sum);
-                    engine.try_run_edge_job(Dir::Out, &spec, NotifyNeighbors { deg, dying })?;
-                    engine.try_run_edge_job(Dir::In, &spec, NotifyNeighbors { deg, dying })?;
+                    for dir in [Dir::Out, Dir::In] {
+                        let notify = NotifyNeighbors {
+                            minus_one,
+                            deg,
+                            dying,
+                        };
+                        engine.try_run_edge_job(dir, &JobSpec::new(), notify)?;
+                    }
                 }
                 let survivors = engine.count_true(alive);
                 if survivors == 0 {
@@ -129,6 +139,7 @@ pub fn try_kcore(engine: &mut Engine, max_k: i64) -> Result<KCoreResult, JobErro
     engine.drop_prop(alive);
     engine.drop_prop(dying);
     engine.drop_prop(core);
+    engine.drop_prop(minus_one);
     outcome?;
     Ok(KCoreResult {
         max_core,

@@ -11,7 +11,7 @@
 //! O(log n) rounds.
 
 use pgxd::{
-    Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp, Scatter,
+    Dir, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp, Reduction, Scatter,
 };
 
 /// Result of the MIS computation.
@@ -68,8 +68,8 @@ impl EdgeTask for PushPrio {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.state) == UNDECIDED
     }
-    fn scatter(&self) -> Option<Scatter> {
-        Some(Scatter::new(self.prio, self.nbr_max, ReduceOp::Max))
+    fn reduction(&self) -> Option<Reduction> {
+        Some(Scatter::new(self.prio, self.nbr_max, ReduceOp::Max).into())
     }
 }
 
@@ -91,7 +91,8 @@ impl NodeTask for Join {
     }
 }
 
-/// New members exclude their still-undecided neighbors.
+/// New members exclude their still-undecided neighbors: the filter passes
+/// only them, so the `joined` they scatter is `true`.
 struct Exclude {
     joined: Prop<bool>,
     excluded_flag: Prop<bool>,
@@ -100,8 +101,8 @@ impl EdgeTask for Exclude {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.joined)
     }
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        ctx.write_nbr(self.excluded_flag, ReduceOp::Or, true);
+    fn reduction(&self) -> Option<Reduction> {
+        Some(Scatter::new(self.joined, self.excluded_flag, ReduceOp::Or).into())
     }
 }
 
@@ -144,26 +145,14 @@ pub fn try_mis(engine: &mut Engine) -> Result<MisResult, JobError> {
                     round: *rounds as u64,
                 },
             )?;
-            // `prio` is read at the pushing vertex itself only.
-            let push_spec = JobSpec::new().reduce(nbr_max, ReduceOp::Max);
-            engine.try_run_edge_job(
-                Dir::Out,
-                &push_spec,
-                PushPrio {
+            for dir in [Dir::Out, Dir::In] {
+                let push = PushPrio {
                     state,
                     prio,
                     nbr_max,
-                },
-            )?;
-            engine.try_run_edge_job(
-                Dir::In,
-                &push_spec,
-                PushPrio {
-                    state,
-                    prio,
-                    nbr_max,
-                },
-            )?;
+                };
+                engine.try_run_edge_job(dir, &JobSpec::new(), push)?;
+            }
             engine.try_run_node_job(
                 &JobSpec::new(),
                 Join {
@@ -173,23 +162,13 @@ pub fn try_mis(engine: &mut Engine) -> Result<MisResult, JobError> {
                     joined,
                 },
             )?;
-            let excl_spec = JobSpec::new().reduce(excluded_flag, ReduceOp::Or);
-            engine.try_run_edge_job(
-                Dir::Out,
-                &excl_spec,
-                Exclude {
+            for dir in [Dir::Out, Dir::In] {
+                let exclude = Exclude {
                     joined,
                     excluded_flag,
-                },
-            )?;
-            engine.try_run_edge_job(
-                Dir::In,
-                &excl_spec,
-                Exclude {
-                    joined,
-                    excluded_flag,
-                },
-            )?;
+                };
+                engine.try_run_edge_job(dir, &JobSpec::new(), exclude)?;
+            }
             engine.try_run_node_job(
                 &JobSpec::new(),
                 ApplyExclusions {

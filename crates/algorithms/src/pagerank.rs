@@ -2,8 +2,8 @@
 
 use pgxd::recover::{ResumableAlgorithm, StepOutcome};
 use pgxd::{
-    CancelToken, Dir, EdgeCtx, EdgeTask, Engine, Fold, JobError, JobSpec, NodeChunk, NodeCtx,
-    NodeTask, Prop, ReduceOp, Scatter,
+    CancelToken, Dir, EdgeTask, Engine, Fold, JobError, JobSpec, NodeChunk, NodeCtx, NodeTask,
+    Prop, ReduceOp, Reduction, Scatter,
 };
 
 /// Result of a PageRank computation.
@@ -141,14 +141,13 @@ impl ResumableAlgorithm for ResumablePageRank {
             // on one worker, so the sum stays in a register until `n`'s
             // last edge.
             let pull = Fold::new(tmp, nxt, ReduceOp::Sum);
-            engine.try_run_edge_job_with(Dir::In, &JobSpec::new().read(tmp), pull, cancel)?;
+            engine.try_run_edge_job_with(Dir::In, &JobSpec::new(), pull, cancel)?;
         } else {
             // `foreach(t: n.outNbrs) t.pr_nxt += n.tmp` — the conventional
             // form, which pays atomic accumulation at local targets. `tmp`
             // is loaded once per vertex and scattered over its out-edges.
             let push = Scatter::new(tmp, nxt, ReduceOp::Sum);
-            let spec = JobSpec::new().reduce(nxt, ReduceOp::Sum);
-            engine.try_run_edge_job_with(Dir::Out, &spec, push, cancel)?;
+            engine.try_run_edge_job_with(Dir::Out, &JobSpec::new(), push, cancel)?;
         }
         engine.try_run_node_job_with(
             &JobSpec::new(),
@@ -249,20 +248,28 @@ pub fn try_pagerank_push_with(
 /// Delta-push kernel of the approximate variant: only *active* vertices
 /// propagate, and a vertex deactivates once its delta falls under the
 /// threshold (§5.2: "this method performs a decreasing amount of
-/// computation and communication as the iteration continues").
+/// computation and communication as the iteration continues"). The
+/// chunk's prologue divides each delta by its vertex's out-degree into
+/// `share`, which the active vertices scatter.
 struct DeltaPush {
     delta: Prop<f64>,
+    share: Prop<f64>,
     nxt: Prop<f64>,
     active: Prop<bool>,
 }
 impl EdgeTask for DeltaPush {
+    fn prepare(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let (delta, share) = (chunk.col(self.delta), chunk.col(self.share));
+        for v in chunk.nodes() {
+            // A vertex without out-edges pushes nothing, whatever its share.
+            share.set(v, delta.get(v) / chunk.out_degree(v) as f64);
+        }
+    }
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.active)
     }
-    fn run(&self, ctx: &mut EdgeCtx<'_, '_>) {
-        let d = ctx.out_degree() as f64;
-        let delta = ctx.get(self.delta);
-        ctx.write_nbr(self.nxt, ReduceOp::Sum, delta / d);
+    fn reduction(&self) -> Option<Reduction> {
+        Some(Scatter::new(self.share, self.nxt, ReduceOp::Sum).into())
     }
 }
 
@@ -303,17 +310,20 @@ pub fn try_pagerank_approx(
     let init = (1.0 - damping) / n as f64;
     let pr = engine.add_prop("apr", init);
     let delta = engine.add_prop("apr_delta", init);
+    let share = engine.add_prop("apr_share", 0.0f64);
     let nxt = engine.add_prop("apr_nxt", 0.0f64);
     let active = engine.add_prop("apr_active", true);
 
     let run = |engine: &mut Engine, iterations: &mut usize| -> Result<(), JobError> {
         for _ in 0..max_iters {
             *iterations += 1;
-            engine.try_run_edge_job(
-                Dir::Out,
-                &JobSpec::new().reduce(nxt, ReduceOp::Sum),
-                DeltaPush { delta, nxt, active },
-            )?;
+            let push = DeltaPush {
+                delta,
+                share,
+                nxt,
+                active,
+            };
+            engine.try_run_edge_job(Dir::Out, &JobSpec::new(), push)?;
             engine.try_run_node_job(
                 &JobSpec::new(),
                 DeltaApply {
@@ -338,6 +348,7 @@ pub fn try_pagerank_approx(
     let scores = engine.gather(pr);
     engine.drop_prop(pr);
     engine.drop_prop(delta);
+    engine.drop_prop(share);
     engine.drop_prop(nxt);
     engine.drop_prop(active);
     outcome?;

@@ -52,8 +52,13 @@ impl NodeTask for Settle {
 /// Computes shortest-path distances from `root`. Unweighted graphs use
 /// weight 1 per edge (making this equivalent to [`try_hopdist`](crate::try_hopdist)
 /// with `f64` levels). Returns `Err` instead of panicking when the cluster
-/// aborts mid-job (machine crash, retry exhaustion).
+/// aborts mid-job (machine crash, retry exhaustion), and a
+/// [`JobError::Protocol`] naming the negative cycle when one is reachable
+/// from `root`: without one, every distance is settled within as many
+/// rounds as there are vertices, so a vertex still improving after that
+/// lies on or behind such a cycle.
 pub fn try_sssp(engine: &mut Engine, root: NodeId) -> Result<SsspResult, JobError> {
+    let n = engine.num_nodes();
     let dist = engine.add_prop("sssp_dist", f64::INFINITY);
     let nxt = engine.add_prop("sssp_nxt", f64::INFINITY);
     let active = engine.add_prop("sssp_active", false);
@@ -63,6 +68,12 @@ pub fn try_sssp(engine: &mut Engine, root: NodeId) -> Result<SsspResult, JobErro
 
     let run = |engine: &mut Engine, iterations: &mut usize| -> Result<(), JobError> {
         while engine.count_true(active) > 0 {
+            if *iterations == n {
+                return Err(JobError::Protocol(format!(
+                    "a negative cycle is reachable from vertex {root}: \
+                     distances still improve after {n} rounds"
+                )));
+            }
             *iterations += 1;
             engine.try_run_edge_job(
                 Dir::Out,
@@ -144,6 +155,22 @@ mod tests {
                 "{x} vs {y}"
             );
         }
+    }
+
+    /// Vertices 0 and 1 form a cycle of weight −2: the run fails instead
+    /// of relaxing it forever, and leaves no column behind.
+    #[test]
+    fn negative_cycle_is_an_error() {
+        let text = "0 1 -1\n1 0 -1\n1 2 1\n";
+        let g = pgxd_graph::io::read_text_edge_list(text.as_bytes()).unwrap();
+        let mut e = engine(2, &g);
+        let live = e.cluster().machine(0).props.live().len();
+        let err = try_sssp(&mut e, 0).unwrap_err();
+        let JobError::Protocol(msg) = err else {
+            panic!("expected a protocol error, got {err:?}");
+        };
+        assert!(msg.contains("negative cycle"), "{msg}");
+        assert_eq!(e.cluster().machine(0).props.live().len(), live);
     }
 
     #[test]

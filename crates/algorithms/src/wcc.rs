@@ -4,7 +4,7 @@
 
 use pgxd::{
     CancelToken, Dir, EdgeTask, Engine, JobError, JobSpec, NodeChunk, NodeCtx, NodeTask, Prop,
-    ReduceOp, Scatter,
+    ReduceOp, Reduction, Scatter,
 };
 
 /// Result of WCC.
@@ -29,8 +29,8 @@ impl EdgeTask for PushLabel {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         ctx.get(self.active)
     }
-    fn scatter(&self) -> Option<Scatter> {
-        Some(Scatter::new(self.comp, self.nxt, ReduceOp::Min))
+    fn reduction(&self) -> Option<Reduction> {
+        Some(Scatter::new(self.comp, self.nxt, ReduceOp::Min).into())
     }
 }
 
@@ -81,20 +81,11 @@ pub fn try_wcc_with(engine: &mut Engine, cancel: &CancelToken) -> Result<WccResu
     let run = |engine: &mut Engine, iterations: &mut usize| -> Result<(), JobError> {
         loop {
             *iterations += 1;
-            let spec = JobSpec::new().reduce(nxt, ReduceOp::Min);
             // Weak connectivity: propagate along out-edges AND in-edges.
-            engine.try_run_edge_job_with(
-                Dir::Out,
-                &spec,
-                PushLabel { comp, nxt, active },
-                cancel,
-            )?;
-            engine.try_run_edge_job_with(
-                Dir::In,
-                &spec,
-                PushLabel { comp, nxt, active },
-                cancel,
-            )?;
+            for dir in [Dir::Out, Dir::In] {
+                let push = PushLabel { comp, nxt, active };
+                engine.try_run_edge_job_with(dir, &JobSpec::new(), push, cancel)?;
+            }
             engine.try_run_node_job_with(
                 &JobSpec::new(),
                 Adopt {

@@ -54,7 +54,8 @@ pub fn wcc(g: &Graph) -> Vec<u32> {
     comp
 }
 
-/// Bellman-Ford shortest paths from `root` along out-edges.
+/// Bellman-Ford shortest paths from `root` along out-edges. Requires that
+/// no negative cycle is reachable from `root`: on one, it never returns.
 pub fn sssp(g: &Graph, root: NodeId) -> Vec<f64> {
     let n = g.num_nodes();
     let mut dist = vec![f64::INFINITY; n];

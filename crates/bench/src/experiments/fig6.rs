@@ -205,7 +205,7 @@ pub fn measure_breakdown(engine: &mut Engine) -> Breakdown {
             .try_run_node_job(&JobSpec::new(), Scale2 { pr, tmp })
             .expect("scale job");
         let report = engine
-            .try_run_edge_job(Dir::In, &JobSpec::new().read(tmp), pull)
+            .try_run_edge_job(Dir::In, &JobSpec::new(), pull)
             .expect("pull job");
         acc.fully_parallel += report.breakdown.fully_parallel;
         acc.intra_machine += report.breakdown.intra_machine;

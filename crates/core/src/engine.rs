@@ -13,7 +13,7 @@ use pgxd_runtime::config::{ChunkingMode, Config, ConfigBuilder, TransportConfig}
 use pgxd_runtime::health::JobError;
 use pgxd_runtime::jobctx::{JobCtx, JobExec, JobOutcome};
 use pgxd_runtime::machine::RmiFn;
-use pgxd_runtime::phase::{JobState, Phase};
+use pgxd_runtime::phase::Phase;
 use pgxd_runtime::props::{bottom_bits, PropValue, ReduceOp};
 use pgxd_runtime::stats::{Breakdown, StatsSnapshot};
 use pgxd_runtime::Cluster;
@@ -339,11 +339,17 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Runs an edge-iterator job: `task.run` executes for every `dir`-edge
-    /// of every vertex passing `task.filter`, across all machines. A
-    /// machine crash, partition, or protocol violation surfaces as a
-    /// structured [`JobError`] once every worker has reached the phase
-    /// barrier — no hang, no panic. A declared fold or scatter that `spec`
-    /// does not cover panics here, on the driver, before the job starts.
+    /// of every vertex passing `task.filter`, across all machines — or,
+    /// for a task that declares a [`Reduction`](crate::Reduction), the
+    /// engine folds or scatters over those edges itself. A machine crash,
+    /// partition, or protocol violation surfaces as a structured
+    /// [`JobError`] once every worker has reached the phase barrier — no
+    /// hang, no panic.
+    ///
+    /// `spec` lists what the job reads and reduces beyond its declaration:
+    /// a fold's source is read and a scatter's `(dst, op)` reduced without
+    /// being listed. A `spec` entry that contradicts the declaration panics
+    /// here, on the driver, before the job starts.
     pub fn try_run_edge_job<T: EdgeTask>(
         &mut self,
         dir: Dir,
@@ -366,14 +372,15 @@ impl Engine {
         task: T,
         cancel: &CancelToken,
     ) -> Result<JobReport, JobError> {
-        spec.check_task(&task);
+        let reduction = task.reduction();
         let queues = self.build_queues(dir, self.cluster.config().chunking);
         let main = Arc::new(EdgeJobPhase {
             task: Arc::new(task),
+            reduction,
             dir,
-            core: JobCore::new(&self.cluster, spec, queues, cancel),
+            core: JobCore::new(&self.cluster, spec, reduction, queues, cancel),
         });
-        self.try_run_job_phase(spec, main.core.job.clone(), main, cancel)
+        self.try_run_job_phase(&main.core, main.clone(), cancel)
     }
 
     /// Runs a node-iterator job: `task.run` executes once per active
@@ -399,9 +406,9 @@ impl Engine {
         let queues = self.build_queues(Dir::Out, ChunkingMode::Node);
         let main = Arc::new(NodeJobPhase {
             task: Arc::new(task),
-            core: JobCore::new(&self.cluster, spec, queues, cancel),
+            core: JobCore::new(&self.cluster, spec, None, queues, cancel),
         });
-        self.try_run_job_phase(spec, main.core.job.clone(), main, cancel)
+        self.try_run_job_phase(&main.core, main.clone(), cancel)
     }
 
     /// Maps a fired token to its structured error.
@@ -412,10 +419,10 @@ impl Engine {
         })
     }
 
+    /// Runs the job `main`, whose phase state is `core`.
     fn try_run_job_phase(
         &mut self,
-        spec: &JobSpec,
-        main_job: Arc<JobState>,
+        core: &JobCore,
         main: Arc<dyn Phase>,
         cancel: &CancelToken,
     ) -> Result<JobReport, JobError> {
@@ -436,7 +443,7 @@ impl Engine {
         // copier counts). Both before that barrier, so no peer's ghost sync
         // can land first.
         for m in self.cluster.machines() {
-            for &(prop, op) in &spec.reduces {
+            for &(prop, op) in &core.reduces {
                 let col = m.props.column(prop);
                 col.fill_ghosts(bottom_bits(col.tag(), op));
             }
@@ -464,7 +471,7 @@ impl Engine {
         }
 
         let total = t0.elapsed();
-        self.last_timings = main_job.timings();
+        self.last_timings = core.job.timings();
         let breakdown = Breakdown::from_timings(&self.last_timings);
         if let Some(acc) = &mut self.job_acc {
             acc.compute_s += breakdown.fully_parallel;

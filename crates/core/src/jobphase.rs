@@ -5,8 +5,8 @@
 //! properties and wait until its machine's ghost slots are filled → grab a
 //! chunk → run an edge task's chunk prologue ([`EdgeTask::prepare`]), then
 //! for each active vertex run the task over its edges (or fold them, or
-//! scatter its value over them, for a task that declares a [`Fold`] or a
-//! [`Scatter`]), or run a node task over the whole chunk
+//! scatter its value over them, for a task that declares a [`Reduction`]),
+//! or run a node task over the whole chunk
 //! ([`NodeTask::run_chunk`]) → invoke locally-satisfied
 //! continuations → opportunistically drain responses → repeat; once the
 //! queue is empty, flush the request buffers, hand its ghost partials on,
@@ -32,7 +32,7 @@
 use crate::scope::{fold_record, TaskScope, FOLD_NODE_BIT};
 use crate::spec::JobSpec;
 use crate::task::{
-    Dir, EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, ReadDoneCtx, Scatter,
+    Dir, EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, ReadDoneCtx, Reduction, Scatter,
 };
 use pgxd_runtime::cancel::CancelToken;
 use pgxd_runtime::chunk::{Chunk, ChunkQueue};
@@ -93,7 +93,8 @@ pub(crate) struct JobCore {
     /// Ghost values each machine stores before its chunks start: ghosts ×
     /// read properties (0: nothing to wait for).
     ghost_target: u64,
-    reduces: Vec<(PropId, ReduceOp)>,
+    /// What the job reduces; the driver bottom-fills their ghost slots.
+    pub reduces: Vec<(PropId, ReduceOp)>,
     /// One chunk queue per machine.
     queues: Vec<Arc<ChunkQueue>>,
     pub job: Arc<JobState>,
@@ -103,22 +104,28 @@ pub(crate) struct JobCore {
 }
 
 impl JobCore {
-    /// A main phase of the job `spec` over `queues` on the machines
-    /// `cluster` hosts. Its work units are the chunks plus one per worker,
-    /// retired after that worker's ghost merge (and, for the last, the
-    /// partials' flush).
+    /// A main phase of the job `spec`, plus what its declared `reduction`
+    /// implies ([`JobSpec::declare`]; a contradiction panics here, on the
+    /// driver), over `queues` on the machines `cluster` hosts. Its work
+    /// units are the chunks plus one per worker, retired after that
+    /// worker's ghost merge (and, for the last, the partials' flush).
     pub fn new(
         cluster: &Cluster,
         spec: &JobSpec,
+        reduction: Option<Reduction>,
         queues: Vec<Arc<ChunkQueue>>,
         cancel: &CancelToken,
     ) -> Self {
+        let mut spec = spec.clone();
+        if let Some(reduction) = reduction {
+            spec.declare(reduction);
+        }
         let chunks: usize = queues.iter().map(|q| q.len()).sum();
         let workers = cluster.config().workers;
         JobCore {
-            reads: spec.reads.clone(),
             ghost_target: (cluster.ghosts().len() * spec.reads.len()) as u64,
-            reduces: spec.reduces.clone(),
+            reads: spec.reads,
+            reduces: spec.reduces,
             job: cluster.job_state(chunks + cluster.phase_units(), cancel.clone()),
             unmerged: queues.iter().map(|_| AtomicUsize::new(workers)).collect(),
             queues,
@@ -202,6 +209,8 @@ impl JobCore {
 /// The main phase of an edge-iterator job.
 pub(crate) struct EdgeJobPhase<T: EdgeTask> {
     pub task: Arc<T>,
+    /// The task's declaration, asked for once, on the driver.
+    pub reduction: Option<Reduction>,
     pub dir: Dir,
     pub core: JobCore,
 }
@@ -217,39 +226,37 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
         let prepare = |scope: &mut TaskScope<'_>, nodes: &Chunk| {
             task.prepare(&mut NodeChunk::new(scope, nodes.clone()))
         };
-        if let Some(fold) = task.fold() {
-            return self.core.run(env, &read_done, |scope, nodes| {
+        match self.reduction {
+            Some(Reduction::Fold(fold)) => self.core.run(env, &read_done, |scope, nodes| {
                 prepare(scope, &nodes);
                 dispatch(fold.tag, fold.op, Declared(scope, frag, task, fold, nodes))
-            });
-        }
-        if let Some(scatter) = task.scatter() {
-            return self.core.run(env, &read_done, |scope, nodes| {
+            }),
+            Some(Reduction::Scatter(scatter)) => self.core.run(env, &read_done, |scope, nodes| {
                 prepare(scope, &nodes);
                 let chunk = Declared(scope, frag, task, scatter, nodes);
                 dispatch(scatter.tag, scatter.op, chunk)
-            });
+            }),
+            None => self.core.run(env, &read_done, |scope, nodes| {
+                prepare(scope, &nodes);
+                for node in nodes {
+                    if !task.filter(&mut NodeCtx { scope, node }) {
+                        continue;
+                    }
+                    for edge in frag.edge_range(node) {
+                        let target = frag.targets[edge];
+                        let mut ctx = EdgeCtx {
+                            scope,
+                            node,
+                            edge,
+                            target,
+                            dir: self.dir,
+                        };
+                        task.run(&mut ctx);
+                    }
+                    drain_local(scope, &read_done);
+                }
+            }),
         }
-        self.core.run(env, &read_done, |scope, nodes| {
-            prepare(scope, &nodes);
-            for node in nodes {
-                if !task.filter(&mut NodeCtx { scope, node }) {
-                    continue;
-                }
-                for edge in frag.edge_range(node) {
-                    let target = frag.targets[edge];
-                    let mut ctx = EdgeCtx {
-                        scope,
-                        node,
-                        edge,
-                        target,
-                        dir: self.dir,
-                    };
-                    task.run(&mut ctx);
-                }
-                drain_local(scope, &read_done);
-            }
-        });
     }
 }
 
@@ -330,9 +337,8 @@ impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Fold> {
 
 /// Scatters the value of each vertex of the chunk that passes the filter:
 /// `src[v]` is loaded once, then each target gets a write entry if remote,
-/// a plain combine into the worker's private copy if a ghost (the driver
-/// has checked that `(dst, op)` is declared reduced, so every worker keeps
-/// one), and otherwise the in-place reduction — a CAS, or a store for
+/// a plain combine into the worker's private copy if a ghost (the scatter
+/// declares `(dst, op)` reduced, so every worker keeps one), and otherwise the in-place reduction — a CAS, or a store for
 /// `Assign`.
 impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Scatter> {
     fn run<V: PropValue>(self, op: ReduceOp, combine: impl Fn(V, V) -> V) {

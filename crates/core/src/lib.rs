@@ -11,11 +11,12 @@
 //!   (or node) of the graph in parallel, across machines. A node task
 //!   whose body is column arithmetic on the vertex implements
 //!   `run_chunk()` instead, which runs once per chunk of vertices over
-//!   [`Col`] views resolved once per chunk. *Data pulling* is a declared
-//!   [`Fold`] when the pulled value is only folded into the current
+//!   [`Col`] views resolved once per chunk. An edge task whose body is one
+//!   reduction declares it instead, as its [`Reduction`]: *data pulling*
+//!   is a [`Fold`] when the pulled value is only folded into the current
 //!   vertex, and `read_nbr` + `read_done()` when the continuation does
-//!   more. *Data pushing* is a declared [`Scatter`] when the pushed value
-//!   is a column of the current vertex, and `write_nbr` otherwise.
+//!   more; *data pushing* is a [`Scatter`] when the pushed value is a
+//!   column of the current vertex, and `write_nbr` otherwise.
 //! * [`EdgeCtx`] / [`ReadDoneCtx`] / [`NodeCtx`] — the accessors the paper
 //!   exposes as `get_local` / `set_local` / `write_remote<OP>` /
 //!   `read_remote`, plus neighbor/degree/weight helpers; [`NodeChunk`] is
@@ -23,21 +24,23 @@
 //! * [`JobSpec`] — the per-job property declaration ("the program needs to
 //!   define what properties are used in the region as well as how they are
 //!   used — to be read or to be written (reduced)"), which drives the
-//!   automatic ghost synchronization.
+//!   automatic ghost synchronization. A declared [`Reduction`] states its
+//!   own share (a fold reads its source, a scatter reduces its target), so
+//!   the spec lists only what the job uses beyond it.
 //!
 //! # Example: pull-mode PageRank kernel
 //!
 //! ```
-//! use pgxd::{BuildEngine, Engine, EdgeTask, Dir, Fold, JobSpec, Prop, ReduceOp};
+//! use pgxd::{BuildEngine, Engine, EdgeTask, Dir, Fold, JobSpec, Prop, ReduceOp, Reduction};
 //! use pgxd_graph::generate;
 //!
 //! struct PullSum { src: Prop<f64>, dst: Prop<f64> }
 //! impl EdgeTask for PullSum {
-//!     fn fold(&self) -> Option<Fold> {
+//!     fn reduction(&self) -> Option<Reduction> {
 //!         // dst[v] += src[u], even cross-machine. One worker runs all of
 //!         // v's edges, so the sum needs no atomics and stays in a
 //!         // register until v's last edge.
-//!         Some(Fold::new(self.src, self.dst, ReduceOp::Sum))
+//!         Some(Fold::new(self.src, self.dst, ReduceOp::Sum).into())
 //!     }
 //! }
 //!
@@ -45,8 +48,9 @@
 //! let mut engine = Engine::builder().machines(2).engine(&g).unwrap();
 //! let src = engine.add_prop("src", 1.0f64);
 //! let dst = engine.add_prop("dst", 0.0f64);
+//! // The fold reads `src`: the job's spec need not say so again.
 //! engine
-//!     .try_run_edge_job(Dir::In, &JobSpec::new().read(src), PullSum { src, dst })
+//!     .try_run_edge_job(Dir::In, &JobSpec::new(), PullSum { src, dst })
 //!     .unwrap();
 //! // Every ring node has exactly one in-neighbor with src == 1.0.
 //! assert_eq!(engine.gather(dst), vec![1.0f64; 64]);
@@ -112,7 +116,8 @@ pub use recover::{
 };
 pub use spec::JobSpec;
 pub use task::{
-    Col, Dir, EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, ReadDoneCtx, Scatter,
+    Col, Dir, EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, ReadDoneCtx, Reduction,
+    Scatter,
 };
 
 /// Closure-based ad-hoc kernels (see [`tasks::on_edge`]).

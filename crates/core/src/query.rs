@@ -42,7 +42,7 @@
 //! ```
 
 use crate::serve::{JobHandle, Lane, Session};
-use crate::task::{EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, Scatter};
+use crate::task::{EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, Reduction, Scatter};
 use crate::{
     CancelReason, CancelToken, Dir, Engine, JobError, JobSpec, NodeId, Prop, PropValue, ReduceOp,
     ResumableAlgorithm, StepOutcome,
@@ -517,8 +517,7 @@ impl NodeTask for Arc<NodeKernel> {
 struct EdgeKernel {
     prologue: NodeKernel,
     pass: Option<Prop<bool>>,
-    fold: Option<Fold>,
-    scatter: Option<Scatter>,
+    reduction: Reduction,
 }
 
 impl EdgeTask for Arc<EdgeKernel> {
@@ -528,42 +527,21 @@ impl EdgeTask for Arc<EdgeKernel> {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         self.pass.is_none_or(|p| ctx.get(p))
     }
-    fn fold(&self) -> Option<Fold> {
-        self.fold
-    }
-    fn scatter(&self) -> Option<Scatter> {
-        self.scatter
+    fn reduction(&self) -> Option<Reduction> {
+        Some(self.reduction)
     }
 }
 
-/// What an edge job declares, with the spec that admits it: a pull folds
-/// the neighbors' `src` (read), a push scatters the vertex's `src` into
-/// `target` (reduced). Only `sum`, `min` and `max` of matching `f64` or
+/// What an edge job declares: a pull folds the neighbors' `src` into the
+/// vertex's `target`, a push scatters the vertex's `src` into the
+/// neighbors' `target`. Only `sum`, `min` and `max` of matching `f64` or
 /// `i64` columns, which is all sema produces; folded with `reduce_bits` in
 /// both modes (DESIGN.md §17.4).
-fn declare(
-    pull: bool,
-    src: AnyProp,
-    target: AnyProp,
-    op: ReduceOp,
-) -> Option<(JobSpec, Option<Fold>, Option<Scatter>)> {
-    fn typed<T: PropValue>(
-        pull: bool,
-        src: Prop<T>,
-        dst: Prop<T>,
-        op: ReduceOp,
-    ) -> (JobSpec, Option<Fold>, Option<Scatter>) {
+fn declare(pull: bool, src: AnyProp, target: AnyProp, op: ReduceOp) -> Option<Reduction> {
+    fn typed<T: PropValue>(pull: bool, src: Prop<T>, dst: Prop<T>, op: ReduceOp) -> Reduction {
         match pull {
-            true => (
-                JobSpec::new().read(src),
-                Some(Fold::new(src, dst, op)),
-                None,
-            ),
-            false => (
-                JobSpec::new().reduce(dst, op),
-                None,
-                Some(Scatter::new(src, dst, op)),
-            ),
+            true => Fold::new(src, dst, op).into(),
+            false => Scatter::new(src, dst, op).into(),
         }
     }
     if !matches!(op, ReduceOp::Sum | ReduceOp::Min | ReduceOp::Max) {
@@ -589,11 +567,11 @@ fn node_action(job: NodeKernel) -> Action {
     })
 }
 
-fn edge_action(dir: Dir, spec: JobSpec, job: EdgeKernel) -> Action {
+fn edge_action(dir: Dir, job: EdgeKernel) -> Action {
     let job = Arc::new(job);
     Box::new(move |engine, cancel| {
         engine
-            .try_run_edge_job_with(dir, &spec, Arc::clone(&job), cancel)
+            .try_run_edge_job_with(dir, &JobSpec::new(), Arc::clone(&job), cancel)
             .map(|_| ())
     })
 }
@@ -732,8 +710,7 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
                 }
                 _ => None,
             };
-            let Some((spec, fold, scatter)) = src.and_then(|src| declare(pull, src, target, op))
-            else {
+            let Some(reduction) = src.and_then(|src| declare(pull, src, target, op)) else {
                 return Err(JobError::Protocol(format!(
                     "{mode}-mode edge job cannot {op:?}-reduce its value into {}",
                     target.ty()
@@ -748,10 +725,9 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
             let job = EdgeKernel {
                 prologue,
                 pass,
-                fold,
-                scatter,
+                reduction,
             };
-            let run = edge_action(dir, spec, job);
+            let run = edge_action(dir, job);
             match (pull, identity) {
                 // A push's targets are on the far side of the iteration,
                 // so the whole column is reset before the job.

@@ -6,10 +6,12 @@
 //! synchronization of properties between ghost nodes between each job."
 
 use crate::prop::Prop;
-use crate::task::EdgeTask;
+use crate::task::Reduction;
 use pgxd_runtime::props::{PropId, PropValue, ReduceOp};
 
-/// Declares how a parallel region uses its properties.
+/// Declares how a parallel region uses its properties. An edge job's
+/// [`Reduction`] adds what it implies, so only what the job reads or
+/// reduces beyond its declaration is listed here.
 #[derive(Clone, Debug, Default)]
 pub struct JobSpec {
     pub(crate) reads: Vec<PropId>,
@@ -18,7 +20,8 @@ pub struct JobSpec {
 
 impl JobSpec {
     /// An empty declaration (no remote reads, no reductions): suitable for
-    /// jobs that only touch node-local state.
+    /// jobs that only touch node-local state, or whose declared
+    /// [`Reduction`] says it all.
     pub fn new() -> Self {
         JobSpec::default()
     }
@@ -28,13 +31,7 @@ impl JobSpec {
     /// A property the region reduces cannot also be read: its ghost slots
     /// hold the region's partials, not the owner's value.
     pub fn read<T: PropValue>(mut self, p: Prop<T>) -> Self {
-        assert!(
-            !self.reduces.iter().any(|(id, _)| *id == p.id),
-            "property declared both read and reduced"
-        );
-        if !self.reads.contains(&p.id) {
-            self.reads.push(p.id);
-        }
+        self.add_read(p.id);
         self
     }
 
@@ -49,48 +46,50 @@ impl JobSpec {
             "{op:?} is not defined on {:?} properties",
             T::TAG
         );
-        assert!(
-            !self.reduces.iter().any(|(id, _)| *id == p.id),
-            "property declared reduced twice"
-        );
-        assert!(
-            !self.reads.contains(&p.id),
-            "property declared both read and reduced"
-        );
-        self.reduces.push((p.id, op));
+        self.add_reduce(p.id, op);
         self
     }
 
-    /// Checks what an edge task declares against this job: a fold's `src`
-    /// must be declared read (only then are its ghost slots refreshed) and
-    /// a scatter's `(dst, op)` declared reduced (only then does a worker
-    /// keep a private copy of its ghost slots). Panics otherwise, or when
-    /// the task declares both a fold and a scatter.
-    pub(crate) fn check_task<T: EdgeTask>(&self, task: &T) {
-        let (fold, scatter) = (task.fold(), task.scatter());
+    /// Adds what `reduction` implies: a fold reads its `src`, a scatter
+    /// reduces its `dst` with its `op`. An entry already declared the same
+    /// way is kept once; a contradicting one panics as `read` and `reduce`
+    /// do.
+    pub(crate) fn declare(&mut self, reduction: Reduction) {
+        match reduction {
+            Reduction::Fold(fold) => self.add_read(fold.src),
+            Reduction::Scatter(s) if !self.reduces.contains(&(s.dst, s.op)) => {
+                self.add_reduce(s.dst, s.op)
+            }
+            Reduction::Scatter(_) => {}
+        }
+    }
+
+    fn add_read(&mut self, id: PropId) {
         assert!(
-            fold.is_none() || scatter.is_none(),
-            "an edge task declares both a fold and a scatter"
+            !self.reduces.iter().any(|&(p, _)| p == id),
+            "property declared both read and reduced"
         );
-        if let Some(fold) = fold {
-            assert!(
-                self.reads.contains(&fold.src),
-                "a fold's source property is not declared read"
-            );
+        if !self.reads.contains(&id) {
+            self.reads.push(id);
         }
-        if let Some(s) = scatter {
-            assert!(
-                self.reduces.contains(&(s.dst, s.op)),
-                "a scatter's target property is not declared reduced with its op"
-            );
-        }
+    }
+
+    fn add_reduce(&mut self, id: PropId, op: ReduceOp) {
+        assert!(
+            !self.reduces.iter().any(|&(p, _)| p == id),
+            "property declared reduced twice"
+        );
+        assert!(
+            !self.reads.contains(&id),
+            "property declared both read and reduced"
+        );
+        self.reduces.push((id, op));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::task::{Fold, Scatter};
 
     #[test]
     fn builder_accumulates() {
@@ -138,59 +137,5 @@ mod tests {
     fn reduce_then_read_panics() {
         let a: Prop<i64> = Prop::new(PropId(0));
         let _ = JobSpec::new().reduce(a, ReduceOp::Sum).read(a);
-    }
-
-    #[test]
-    #[should_panic(expected = "a fold's source property is not declared read")]
-    fn fold_of_an_undeclared_source_panics() {
-        let (a, b): (Prop<i64>, Prop<i64>) = (Prop::new(PropId(0)), Prop::new(PropId(1)));
-        JobSpec::new()
-            .read(b)
-            .check_task(&Fold::new(a, b, ReduceOp::Sum));
-    }
-
-    #[test]
-    #[should_panic(expected = "a scatter's target property is not declared reduced")]
-    fn scatter_into_an_undeclared_target_panics() {
-        let (a, b): (Prop<i64>, Prop<i64>) = (Prop::new(PropId(0)), Prop::new(PropId(1)));
-        JobSpec::new().check_task(&Scatter::new(a, b, ReduceOp::Sum));
-    }
-
-    #[test]
-    #[should_panic(expected = "a scatter's target property is not declared reduced")]
-    fn scatter_with_another_op_than_declared_panics() {
-        let (a, b): (Prop<i64>, Prop<i64>) = (Prop::new(PropId(0)), Prop::new(PropId(1)));
-        let spec = JobSpec::new().reduce(b, ReduceOp::Min);
-        spec.check_task(&Scatter::new(a, b, ReduceOp::Max));
-    }
-
-    #[test]
-    #[should_panic(expected = "declares both a fold and a scatter")]
-    fn task_declaring_fold_and_scatter_panics() {
-        struct Both(Fold, Scatter);
-        impl EdgeTask for Both {
-            fn fold(&self) -> Option<Fold> {
-                Some(self.0)
-            }
-            fn scatter(&self) -> Option<Scatter> {
-                Some(self.1)
-            }
-        }
-        let (a, b): (Prop<i64>, Prop<i64>) = (Prop::new(PropId(0)), Prop::new(PropId(1)));
-        let spec = JobSpec::new().read(a).reduce(b, ReduceOp::Sum);
-        spec.check_task(&Both(
-            Fold::new(a, a, ReduceOp::Sum),
-            Scatter::new(a, b, ReduceOp::Sum),
-        ));
-    }
-
-    #[test]
-    fn declared_fold_and_scatter_pass() {
-        let (a, b): (Prop<i64>, Prop<i64>) = (Prop::new(PropId(0)), Prop::new(PropId(1)));
-        JobSpec::new()
-            .read(a)
-            .check_task(&Fold::new(a, b, ReduceOp::Sum));
-        let spec = JobSpec::new().reduce(b, ReduceOp::Min);
-        spec.check_task(&Scatter::new(a, b, ReduceOp::Min));
     }
 }

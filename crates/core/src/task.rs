@@ -6,13 +6,15 @@
 //! thread, with whatever state the task saved in its fields or in node
 //! properties (§4.1.2). A pull whose continuation would only fold the
 //! value into the current vertex is declared instead, as a [`Fold`], and a
-//! push of a column of the current vertex as a [`Scatter`]: the engine then
-//! runs the edges itself, with no `run()` or `read_done()`. A node task
-//! runs a chunk of vertices at a time ([`NodeTask::run_chunk`]); one whose
-//! body is column arithmetic on the vertex resolves its columns once per
-//! chunk ([`NodeChunk::col`]) instead of once per access. An edge task
-//! can do the same ahead of a chunk's edges ([`EdgeTask::prepare`]), e.g.
-//! to compute the column a declared scatter pushes.
+//! push of a column of the current vertex as a [`Scatter`]: the task's
+//! [`Reduction`]. The engine then runs the edges itself, with no `run()` or
+//! `read_done()`, and derives from the declaration what the job reads or
+//! reduces. A node task runs a chunk of vertices at a time
+//! ([`NodeTask::run_chunk`]); one whose body is column arithmetic on the
+//! vertex resolves its columns once per chunk ([`NodeChunk::col`]) instead
+//! of once per access. An edge task can do the same ahead of a chunk's
+//! edges ([`EdgeTask::prepare`]), e.g. to compute the column a declared
+//! scatter pushes.
 
 use crate::prop::Prop;
 use crate::scope::TaskScope;
@@ -38,8 +40,8 @@ pub enum Dir {
 }
 
 /// A neighborhood-iteration task: `run` executes for every (in- or out-)
-/// edge of every active vertex — unless the task declares a [`Fold`] or a
-/// [`Scatter`].
+/// edge of every active vertex — unless the task declares a
+/// [`Reduction`].
 pub trait EdgeTask: Send + Sync + 'static {
     /// The chunk's prologue: runs once per chunk, on the worker that
     /// claimed it, before any of the chunk's filters or edges, whichever
@@ -61,18 +63,11 @@ pub trait EdgeTask: Send + Sync + 'static {
         true
     }
 
-    /// A pull reduction this task consists of. When it returns `Some`, the
-    /// engine folds every passing vertex's neighbors itself and never
-    /// calls `run`; the filter still runs first.
-    fn fold(&self) -> Option<Fold> {
-        None
-    }
-
-    /// A push reduction this task consists of. When it returns `Some`, the
-    /// engine scatters every passing vertex's value over its neighbors
-    /// itself and never calls `run`; the filter still runs first. A task
-    /// declares a fold or a scatter, not both.
-    fn scatter(&self) -> Option<Scatter> {
+    /// The reduction this task consists of. When it returns `Some`, the
+    /// engine folds every passing vertex's neighbors, or scatters its value
+    /// over them, itself and never calls `run`; the filter still runs
+    /// first. The driver asks once per job.
+    fn reduction(&self) -> Option<Reduction> {
         None
     }
 
@@ -116,8 +111,8 @@ impl Fold {
 }
 
 impl EdgeTask for Fold {
-    fn fold(&self) -> Option<Fold> {
-        Some(*self)
+    fn reduction(&self) -> Option<Reduction> {
+        Some((*self).into())
     }
 }
 
@@ -152,8 +147,38 @@ impl Scatter {
 }
 
 impl EdgeTask for Scatter {
-    fn scatter(&self) -> Option<Scatter> {
-        Some(*self)
+    fn reduction(&self) -> Option<Reduction> {
+        Some((*self).into())
+    }
+}
+
+/// A declared edge reduction: what an [`EdgeTask`] runs instead of `run`.
+///
+/// It is also the job's declaration of what it reads or reduces, merged
+/// into the caller's [`JobSpec`](crate::JobSpec) on the driver: a fold's
+/// `src` is read (its ghost slots are refreshed before the job), and a
+/// scatter's `(dst, op)` is reduced (each worker keeps a private copy of
+/// its ghost slots). A spec entry that says the same is a no-op; one that
+/// contradicts it panics there, before the job starts, as
+/// [`JobSpec::read`](crate::JobSpec::read) and
+/// [`JobSpec::reduce`](crate::JobSpec::reduce) do.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reduction {
+    /// A pull: fold the neighbors' `src` into the vertex's `dst`.
+    Fold(Fold),
+    /// A push: reduce the vertex's `src` into the neighbors' `dst`.
+    Scatter(Scatter),
+}
+
+impl From<Fold> for Reduction {
+    fn from(fold: Fold) -> Reduction {
+        Reduction::Fold(fold)
+    }
+}
+
+impl From<Scatter> for Reduction {
+    fn from(scatter: Scatter) -> Reduction {
+        Reduction::Scatter(scatter)
     }
 }
 
@@ -563,11 +588,10 @@ mod tests {
 
     /// Counts its `prepare` calls per vertex in `prepared`, and each filter
     /// call that finds its vertex's count other than 1 in `early`; runs its
-    /// edges as `fold`, as `scatter`, or through `run` if neither is set.
+    /// edges as `reduction`, or through `run` if it is `None`.
     struct Prologue {
         prepared: Prop<i64>,
-        fold: Option<Fold>,
-        scatter: Option<Scatter>,
+        reduction: Option<Reduction>,
         filters: Arc<AtomicU64>,
         early: Arc<AtomicU64>,
     }
@@ -585,11 +609,8 @@ mod tests {
             }
             true
         }
-        fn fold(&self) -> Option<Fold> {
-            self.fold
-        }
-        fn scatter(&self) -> Option<Scatter> {
-            self.scatter
+        fn reduction(&self) -> Option<Reduction> {
+            self.reduction
         }
     }
 
@@ -605,23 +626,20 @@ mod tests {
             let builder = Engine::builder().machines(2).chunk_edges(chunk_edges);
             let mut e = builder.engine(&g).unwrap();
             let x = e.add_prop("x", 0i64);
-            let (fold, scatter) = (Fold::new(x, x, ReduceOp::Max), ReduceOp::Max);
             for shape in 0..3 {
                 let prepared = e.add_prop("prepared", 0i64);
                 let task = Prologue {
                     prepared,
-                    fold: (shape == 0).then_some(fold),
-                    scatter: (shape == 1).then(|| Scatter::new(prepared, x, scatter)),
+                    reduction: match shape {
+                        0 => Some(Fold::new(x, x, ReduceOp::Max).into()),
+                        1 => Some(Scatter::new(prepared, x, ReduceOp::Max).into()),
+                        _ => None,
+                    },
                     filters: Arc::default(),
                     early: Arc::default(),
                 };
-                let spec = match shape {
-                    0 => JobSpec::new().read(x),
-                    1 => JobSpec::new().reduce(x, scatter),
-                    _ => JobSpec::new(),
-                };
                 let (filters, early) = (task.filters.clone(), task.early.clone());
-                e.try_run_edge_job(Dir::Out, &spec, task).unwrap();
+                e.try_run_edge_job(Dir::Out, &JobSpec::new(), task).unwrap();
                 assert_eq!(e.gather(prepared), vec![1i64; n], "shape {shape}");
                 assert_eq!(filters.load(Ordering::Relaxed), n as u64, "shape {shape}");
                 assert_eq!(early.load(Ordering::Relaxed), 0, "shape {shape}");

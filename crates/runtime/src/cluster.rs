@@ -16,7 +16,7 @@ use crate::config::{Config, TransportBackend};
 use crate::copier;
 use crate::fabric::{make_endpoints, Fabric, MachineEndpoints};
 use crate::ghost::GhostTable;
-use crate::health::{ClusterHealth, JobError};
+use crate::health::{panic_message, ClusterHealth, JobError};
 use crate::ids::MachineId;
 use crate::jobctx::{JobCtx, JobExec, JobOutcome, PhaseSpan};
 use crate::localgraph::LocalGraph;
@@ -33,7 +33,6 @@ use crate::worker::{CommTuning, WorkerComm};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
 use parking_lot::{Condvar, Mutex};
 use pgxd_graph::{Graph, NodeId};
-use std::any::Any;
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
@@ -1312,15 +1311,6 @@ fn poller_tick(m: &MachineState, fabric: &Fabric, watchdog_ms: u64) {
                 }
             }
         }
-    }
-}
-
-/// The message a panic was raised with (`panic!` with a literal or with
-/// format arguments).
-fn panic_message(payload: &(dyn Any + Send)) -> &str {
-    match payload.downcast_ref::<&str>() {
-        Some(msg) => msg,
-        None => payload.downcast_ref::<String>().map_or("?", String::as_str),
     }
 }
 

@@ -502,6 +502,15 @@ impl FlapDetector {
     }
 }
 
+/// The message a panic was raised with (`panic!` with a literal or with
+/// format arguments), for the error that fails its job.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    match payload.downcast_ref::<&str>() {
+        Some(msg) => msg,
+        None => payload.downcast_ref::<String>().map_or("?", String::as_str),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -44,13 +44,14 @@ use crate::ServeEngine;
 use parking_lot::{Condvar, Mutex};
 use pgxd_runtime::cancel::{CancelReason, CancelToken};
 use pgxd_runtime::config::ServeConfig;
-use pgxd_runtime::health::{JobError, RetryBudget};
+use pgxd_runtime::health::{panic_message, JobError, RetryBudget};
 use pgxd_runtime::jobctx::{JobCtx, JobExec, JobOutcome, PhaseSpan};
 use pgxd_runtime::props::PropId;
 use pgxd_runtime::telemetry::{EventKind, Telemetry};
 use std::any::Any;
 use std::collections::HashMap;
 use std::marker::PhantomData;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -724,7 +725,16 @@ fn run_one<E: ServeEngine>(
     );
     let before = engine.live_prop_ids();
     let run_started = Instant::now();
-    let result = (qj.run)(engine, &qj.token);
+    // A panicking body fails its own job, not the dispatcher: the jobs
+    // queued behind it still run.
+    let body = AssertUnwindSafe(|| (qj.run)(engine, &qj.token));
+    let (result, panicked) = match std::panic::catch_unwind(body) {
+        Ok(result) => (result, false),
+        Err(payload) => {
+            let msg = format!("job {} panicked: {}", meta.id, panic_message(&*payload));
+            (Err(JobError::Protocol(msg)), true)
+        }
+    };
     let run = run_started.elapsed();
     let outcome = match &result {
         Ok(_) => JobOutcome::Done,
@@ -738,30 +748,29 @@ fn run_one<E: ServeEngine>(
         .filter(|id| !before.contains(id))
         .collect();
 
-    match &result {
-        Err(err) if err.is_cancellation() => {
-            // A killed job's scratch columns are garbage; free them now so
-            // a cancelled batch job cannot leak memory into the budget.
-            for id in created {
-                engine.reclaim_prop(id);
-            }
+    if panicked || outcome == JobOutcome::Cancelled {
+        // A killed or panicked job's scratch columns are garbage; free them
+        // now so it cannot leak memory into the budget.
+        for id in created {
+            engine.reclaim_prop(id);
+        }
+    } else if !created.is_empty() {
+        shared
+            .state
+            .lock()
+            .session_props
+            .entry(meta.session)
+            .or_default()
+            .extend(created);
+    }
+    if let Err(err) = &result {
+        if err.is_cancellation() {
             let stats = telemetry.stats();
             if matches!(err, JobError::DeadlineExceeded { .. }) {
                 stats.jobs_deadline_missed.fetch_add(1, Ordering::Relaxed);
             }
             stats.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
             telemetry.trace(0, EventKind::JobCancel, meta.id);
-        }
-        _ => {
-            if !created.is_empty() {
-                shared
-                    .state
-                    .lock()
-                    .session_props
-                    .entry(meta.session)
-                    .or_default()
-                    .extend(created);
-            }
         }
     }
 

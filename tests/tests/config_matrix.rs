@@ -5,8 +5,8 @@
 use pgxd::tasks::{on_edge, on_node};
 use pgxd::{
     BuildEngine, CancelToken, ChunkingMode, Config, Dir, EdgeTask, Engine, FaultPlan, Fold,
-    JobError, JobReport, JobSpec, NodeCtx, PartitioningMode, Prop, ReduceOp, ReliabilityConfig,
-    StatsSnapshot, TelemetryConfig,
+    JobError, JobReport, JobSpec, NodeCtx, PartitioningMode, Prop, ReduceOp, Reduction,
+    ReliabilityConfig, StatsSnapshot, TelemetryConfig,
 };
 use pgxd_algorithms as algos;
 use pgxd_baselines::seq;
@@ -413,8 +413,8 @@ impl EdgeTask for FireThenPull {
         self.fire.cancel();
         true
     }
-    fn fold(&self) -> Option<Fold> {
-        Some(self.pull)
+    fn reduction(&self) -> Option<Reduction> {
+        Some(self.pull.into())
     }
 }
 

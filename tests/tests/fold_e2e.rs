@@ -11,7 +11,11 @@
 //! order). Two more cases reset passing vertices in the filter hook (the
 //! query's `=` semantics) while filtered vertices keep their value, and
 //! fold into a vertex whose every in-edge is remote and one with none.
-//! The last pins the job's counters to an in-edge census of the graph.
+//! Another pins the job's counters to an in-edge census of the graph. The
+//! last runs each declared case again with an empty spec, with ghosts on:
+//! the fold's own declaration of its read gives the same columns and
+//! counters, bit for bit; and a spec that reduces the fold's source
+//! panics on the driver before the job starts.
 //!
 //! Mutation-checked: without the store after a vertex's last edge, every
 //! case but the census fails; without the filter call,
@@ -19,8 +23,8 @@
 //! batched local-read count, the census does.
 
 use pgxd::{
-    BuildEngine, Dir, EdgeTask, Engine, Fold, JobSpec, NodeCtx, Prop, PropValue, ReadDoneCtx,
-    ReduceOp,
+    BuildEngine, Dir, EdgeTask, Engine, Fold, JobSpec, NodeChunk, NodeCtx, Prop, PropValue,
+    ReadDoneCtx, ReduceOp, Reduction, StatsSnapshot,
 };
 use pgxd_graph::builder::graph_from_edges;
 use pgxd_graph::{generate, Graph, NodeId};
@@ -105,8 +109,8 @@ impl<T: PropValue> EdgeTask for FoldReset<T> {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         reset_passing(ctx, self.dst, self.op)
     }
-    fn fold(&self) -> Option<Fold> {
-        Some(self.fold)
+    fn reduction(&self) -> Option<Reduction> {
+        Some(self.fold.into())
     }
 }
 
@@ -293,4 +297,109 @@ fn counters_match_the_in_edge_census() {
         .unwrap();
     assert_eq!(report.traffic.local_reads, local);
     assert_eq!(report.traffic.read_entries, remote);
+}
+
+/// The counters a derived spec must leave as they are: every entry the
+/// job put on the wire or answered in place.
+fn entries(t: &StatsSnapshot) -> [u64; 5] {
+    [
+        t.read_entries,
+        t.write_entries,
+        t.ghost_entries,
+        t.local_reads,
+        t.local_writes,
+    ]
+}
+
+/// Runs `task` over in-edges on a fresh ghosted engine with seeded
+/// columns, under `JobSpec::new().read(src)` or an empty spec; returns the
+/// target and the job's entry counters.
+fn run_spec<T: Value, J: EdgeTask>(
+    g: &Graph,
+    machines: usize,
+    explicit: bool,
+    make: impl FnOnce(Prop<T>, Prop<T>) -> J,
+) -> (Vec<T>, [u64; 5]) {
+    let mut e = engine(g, machines, true);
+    let src = e.add_prop("src", T::init(0));
+    let dst = e.add_prop("dst", T::init(0));
+    for v in 0..e.num_nodes() as NodeId {
+        e.set(src, v, T::src(v as u64));
+        e.set(dst, v, T::init(v as u64));
+    }
+    let spec = match explicit {
+        true => JobSpec::new().read(src),
+        false => JobSpec::new(),
+    };
+    let report = e.try_run_edge_job(Dir::In, &spec, make(src, dst)).unwrap();
+    (e.gather(dst), entries(&report.traffic))
+}
+
+/// Both declared cases, each under an empty spec and under the explicit
+/// one: the same counters, and the same columns (bit for bit for `i64`;
+/// an `f64` sum's remote responses drain in arrival order, as above).
+fn derived_spec_matches_explicit<T: Value + PartialEq>() {
+    let g = test_graph();
+    for machines in [1, 2, 3] {
+        for op in OPS {
+            let case = format!("{op:?} machines={machines}");
+            let fold = |src, dst| Fold::new(src, dst, op);
+            let reset = |src, dst| FoldReset::<T> {
+                dst,
+                fold: Fold::new(src, dst, op),
+                op,
+            };
+            let runs = [
+                (
+                    run_spec(&g, machines, false, fold),
+                    run_spec(&g, machines, true, fold),
+                ),
+                (
+                    run_spec(&g, machines, false, reset),
+                    run_spec(&g, machines, true, reset),
+                ),
+            ];
+            for ((got, got_entries), (want, want_entries)) in runs {
+                // A reset vertex with no in-edge keeps the identity, ±inf.
+                if got != want {
+                    T::assert_same(&got, &want, &case);
+                }
+                assert_eq!(got_entries, want_entries, "{case}");
+            }
+        }
+    }
+}
+
+/// A fold's source is read without being listed: an empty spec runs the
+/// same job as one that lists it.
+#[test]
+fn derived_spec_matches_explicit_i64() {
+    derived_spec_matches_explicit::<i64>();
+}
+
+#[test]
+fn derived_spec_matches_explicit_f64() {
+    derived_spec_matches_explicit::<f64>();
+}
+
+/// Declares `.0` and fails the job if it ever starts: a spec that
+/// contradicts the declaration must panic on the driver before that.
+struct Unstarted(Reduction);
+impl EdgeTask for Unstarted {
+    fn prepare(&self, _chunk: &mut NodeChunk<'_, '_>) {
+        panic!("the job started");
+    }
+    fn reduction(&self) -> Option<Reduction> {
+        Some(self.0)
+    }
+}
+
+#[test]
+#[should_panic(expected = "property declared both read and reduced")]
+fn fold_of_a_source_declared_reduced_panics_on_the_driver() {
+    let mut e = engine(&test_graph(), 2, true);
+    let (src, dst) = (e.add_prop("src", 0i64), e.add_prop("dst", 0i64));
+    let spec = JobSpec::new().reduce(src, ReduceOp::Sum);
+    let task = Unstarted(Fold::new(src, dst, ReduceOp::Sum).into());
+    let _ = e.try_run_edge_job(Dir::In, &spec, task);
 }

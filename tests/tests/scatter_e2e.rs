@@ -9,16 +9,20 @@
 //! ghosts {off, 16}, on 2 workers through 64-byte buffers. `i64` and `bool`
 //! must be bit-identical (and equal a sequential model); `f64` within
 //! 1e-12. Two more cases skip filtered vertices, and scatter from a vertex
-//! whose every out-edge is remote and from one with none. The last pins the
-//! job's counters to an out-edge census of the graph.
+//! whose every out-edge is remote and from one with none. Another pins the
+//! job's counters to an out-edge census of the graph. The last runs each
+//! declared case again with an empty spec, with ghosts on: the scatter's
+//! own declaration of its reduction gives the same columns and counters;
+//! and a spec that reads the target, or reduces it with another op,
+//! panics on the driver before the job starts.
 //!
 //! Mutation-checked: without the filter call, the filtered case and the
 //! census fail; with ghost targets reduced in place instead of into the
 //! private copy, the census fails.
 
 use pgxd::{
-    BuildEngine, Dir, EdgeCtx, EdgeTask, Engine, JobSpec, NodeCtx, Prop, PropValue, ReduceOp,
-    Scatter,
+    BuildEngine, Dir, EdgeCtx, EdgeTask, Engine, JobSpec, NodeChunk, NodeCtx, Prop, PropValue,
+    ReduceOp, Reduction, Scatter, StatsSnapshot,
 };
 use pgxd_graph::builder::graph_from_edges;
 use pgxd_graph::{generate, Graph, NodeId};
@@ -114,8 +118,8 @@ impl EdgeTask for Declared {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
         !self.filtered || passes(ctx.node())
     }
-    fn scatter(&self) -> Option<Scatter> {
-        Some(self.scatter)
+    fn reduction(&self) -> Option<Reduction> {
+        Some(self.scatter.into())
     }
 }
 
@@ -291,4 +295,104 @@ fn counters_match_the_out_edge_census() {
     let report = e.try_run_edge_job(Dir::Out, &spec, task).unwrap();
     assert_eq!(report.traffic.local_writes, local);
     assert_eq!(report.traffic.write_entries, remote);
+}
+
+/// The counters a derived spec must leave as they are: every entry the
+/// job put on the wire or applied in place.
+fn entries(t: &StatsSnapshot) -> [u64; 5] {
+    [
+        t.read_entries,
+        t.write_entries,
+        t.ghost_entries,
+        t.local_reads,
+        t.local_writes,
+    ]
+}
+
+/// Runs the declared push of `src` into `dst` with `op` over out-edges on
+/// a fresh ghosted engine with seeded columns, under
+/// `JobSpec::new().reduce(dst, op)` or an empty spec; returns the target
+/// and the job's entry counters.
+fn run_spec<T: Value>(
+    g: &Graph,
+    machines: usize,
+    op: ReduceOp,
+    filtered: bool,
+    explicit: bool,
+) -> (Vec<T>, [u64; 5]) {
+    let mut e = engine(g, machines, true);
+    let src = e.add_prop("src", T::init(0));
+    let dst = e.add_prop("dst", T::init(0));
+    for v in 0..e.num_nodes() as NodeId {
+        e.set(src, v, T::src(v as u64));
+        e.set(dst, v, T::init(v as u64));
+    }
+    let spec = match explicit {
+        true => JobSpec::new().reduce(dst, op),
+        false => JobSpec::new(),
+    };
+    let scatter = Scatter::new(src, dst, op);
+    let task = Declared { scatter, filtered };
+    let report = e.try_run_edge_job(Dir::Out, &spec, task).unwrap();
+    (e.gather(dst), entries(&report.traffic))
+}
+
+/// Every declared case under an empty spec and under the explicit one:
+/// the same counters, and the same columns (bit for bit for `i64` and
+/// `bool`; an `f64` sum's reductions land in arrival order, as above).
+fn derived_spec_matches<T: Value>(ops: &[ReduceOp]) {
+    let g = test_graph();
+    for machines in [1, 2, 3] {
+        for &op in ops {
+            for filtered in [false, true] {
+                let case = format!("{op:?} machines={machines} filtered={filtered}");
+                let (got, got_entries) = run_spec::<T>(&g, machines, op, filtered, false);
+                let (want, want_entries) = run_spec::<T>(&g, machines, op, filtered, true);
+                assert_same(&got, &want, &case);
+                assert_eq!(got_entries, want_entries, "{case}");
+            }
+        }
+    }
+}
+
+/// A scatter's target is reduced without being listed: an empty spec runs
+/// the same job as one that lists it.
+#[test]
+fn derived_spec_matches_explicit() {
+    derived_spec_matches::<i64>(&OPS);
+    derived_spec_matches::<f64>(&OPS);
+    derived_spec_matches::<bool>(&[ReduceOp::Or]);
+}
+
+/// Declares `.0` and fails the job if it ever starts: a spec that
+/// contradicts the declaration must panic on the driver before that.
+struct Unstarted(Reduction);
+impl EdgeTask for Unstarted {
+    fn prepare(&self, _chunk: &mut NodeChunk<'_, '_>) {
+        panic!("the job started");
+    }
+    fn reduction(&self) -> Option<Reduction> {
+        Some(self.0)
+    }
+}
+
+/// Runs a `Max` scatter between two ghosted `i64` columns under the spec
+/// `spec` makes of its target.
+fn run_unstarted(spec: impl FnOnce(Prop<i64>) -> JobSpec) {
+    let mut e = engine(&test_graph(), 2, true);
+    let (src, dst) = (e.add_prop("src", 0i64), e.add_prop("dst", 0i64));
+    let task = Unstarted(Scatter::new(src, dst, ReduceOp::Max).into());
+    let _ = e.try_run_edge_job(Dir::Out, &spec(dst), task);
+}
+
+#[test]
+#[should_panic(expected = "property declared both read and reduced")]
+fn scatter_into_a_target_declared_read_panics_on_the_driver() {
+    run_unstarted(|dst| JobSpec::new().read(dst));
+}
+
+#[test]
+#[should_panic(expected = "property declared reduced twice")]
+fn scatter_with_another_op_than_declared_panics_on_the_driver() {
+    run_unstarted(|dst| JobSpec::new().reduce(dst, ReduceOp::Min));
 }

@@ -283,3 +283,46 @@ fn serving_telemetry_is_populated() {
     assert_eq!(waits.count(), 5, "every dispatch records its queue wait");
     assert!(waits.mean() > 0.0);
 }
+
+/// A job whose body panics on the driver fails alone: it joins with a
+/// protocol error naming the panic, the columns it created are reclaimed,
+/// and the dispatcher goes on to run the next job.
+#[test]
+fn panicking_job_fails_alone() {
+    let g = generate::ring(32);
+    let server = engine(2, &g).into_server();
+    let session = server.session("careless");
+    let live = || {
+        let probe = |e: &mut Engine, _: &_| Ok(e.live_prop_ids().len());
+        session.submit(Lane::Interactive, 0, probe).unwrap().join()
+    };
+    let baseline = live().unwrap();
+
+    // Vertex 1000 is past the ring's 32, after the algorithm made its
+    // columns.
+    let bad = session
+        .submit(Lane::Batch, 3, |e: &mut Engine, _| {
+            Ok(algos::try_hopdist(e, 1000)?.hops)
+        })
+        .unwrap();
+    match bad.join() {
+        Err(JobError::Protocol(msg)) => assert!(msg.contains("panicked"), "{msg}"),
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+
+    let good = session
+        .submit(Lane::Batch, 3, |e: &mut Engine, _| {
+            Ok(algos::try_hopdist(e, 0)?.hops)
+        })
+        .unwrap();
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || tx.send(good.join()));
+    let hops = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("the job after a panicking one never completed")
+        .unwrap();
+    assert_eq!(hops, (0..32).collect::<Vec<i64>>());
+    assert_eq!(live().unwrap(), baseline, "the panicked job leaked columns");
+    drop(session);
+    server.shutdown();
+}
