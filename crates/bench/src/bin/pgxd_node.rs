@@ -18,10 +18,11 @@
 //!
 //! * **Legacy sweep** (default): each rank runs PageRank (pull), WCC and
 //!   Hop Dist, then writes its full result vectors (f64 bit patterns in
-//!   hex — exact, no formatting loss) plus cluster-wide retransmit
-//!   telemetry and its own termination-wait quantiles to `--out`. The
-//!   `repro wire` experiment asserts every rank writes identical result
-//!   lines and diffs them against an in-memory run.
+//!   hex — exact, no formatting loss), the ghost candidate count and its
+//!   machine's mirror slots, cluster-wide retransmit telemetry and its
+//!   own termination-wait quantiles to `--out`. The `repro wire`
+//!   experiment asserts every rank writes identical result lines and
+//!   diffs them and the slot count against an in-memory run.
 //!
 //! * **Fault-tolerant PageRank** (`--checkpoint-every K > 0`): the rank
 //!   hands stepwise resumable PageRank to
@@ -262,6 +263,8 @@ fn run_sweep(a: &Args, graph: &pgxd_graph::Graph) -> Result<(), String> {
     out.push_str(&format!("rank={}\n", a.rank));
     out.push_str(&format!("machines={}\n", a.machines));
     out.push_str(&format!("ghosts={}\n", engine.cluster().ghosts().len()));
+    let mirrors = engine.cluster().machines()[0].graph.num_ghosts();
+    out.push_str(&format!("mirrors={mirrors}\n"));
     out.push_str(&format!("retransmits_local={local_retransmits}\n"));
     out.push_str(&format!("retransmits_total={total_retransmits}\n"));
     push_wire_lines(&mut out, &wire);

@@ -8,11 +8,14 @@
 //!   rank-ordered collectives, so the SPMD model makes results globally
 //!   replicated);
 //! * the multi-process TCP cluster agrees with a single-process
-//!   in-memory run to ≤ 1e-12 on PageRank scores and **bit-identically**
-//!   on the integer properties (WCC labels, hop distances) — same graph,
-//!   same partitions, same reduce fold order, different wire;
-//! * every rank ghosts as many vertices as the in-memory run, and at least
-//!   one, so each reading job's ghost push crosses the sockets;
+//!   in-memory run **bit-identically** on PageRank scores and the integer
+//!   properties (WCC labels, hop distances) — same graph, same partitions,
+//!   same mirrors (so every pull folds locally in edge order), same reduce
+//!   fold order, different wire;
+//! * every rank selects as many ghost candidates as the in-memory run, and
+//!   at least one, and keeps as many mirror slots as the same machine of
+//!   the in-memory run, at least one, so each reading job's ghost push
+//!   crosses the sockets;
 //! * under an injected lossy plan (15% envelope drops above the
 //!   transport) the cluster still converges to the same answers and the
 //!   allgathered retransmit telemetry is **nonzero** — PR 2's
@@ -35,14 +38,10 @@ const MACHINES: usize = 2;
 /// that a run with no reliable drop, hence no retransmit to show, is
 /// vanishingly rare.
 const LOSSY_DROP_PER_MILLE: u16 = 150;
-/// PageRank score tolerance vs the in-memory run. The fold order is
-/// identical (rank-ordered gather), so in practice the bits match; the
-/// acceptance bound is the reassociation floor.
-const TOL: f64 = 1e-12;
-
 /// One rank's parsed `--out` file.
 struct NodeResult {
     ghosts: usize,
+    mirrors: usize,
     retransmits_total: u64,
     pagerank: Vec<f64>,
     wcc: Vec<u32>,
@@ -72,6 +71,7 @@ fn run_cluster(g: &GraphSpec, drop_per_mille: u16, tag: &str) -> Vec<NodeResult>
             let out = read_out(out);
             NodeResult {
                 ghosts: out.num("ghosts"),
+                mirrors: out.num("mirrors"),
                 retransmits_total: out.num("retransmits_total"),
                 pagerank: out.f64s("pagerank"),
                 wcc: out.list("wcc"),
@@ -83,9 +83,9 @@ fn run_cluster(g: &GraphSpec, drop_per_mille: u16, tag: &str) -> Vec<NodeResult>
     results
 }
 
-/// Checks one cluster run against the in-memory reference; returns
-/// (max |Δ| on PageRank, bit-identical?, total retransmits).
-fn check_run(name: &str, results: &[NodeResult], reference: &Reference) -> (f64, bool, u64) {
+/// Checks one cluster run against the in-memory reference; returns its
+/// total retransmits.
+fn check_run(name: &str, results: &[NodeResult], reference: &Reference) -> u64 {
     for (rank, r) in results.iter().enumerate() {
         assert!(
             r.ghosts > 0 && r.ghosts == reference.ghosts,
@@ -93,6 +93,12 @@ fn check_run(name: &str, results: &[NodeResult], reference: &Reference) -> (f64,
              (both must ghost, and agree)",
             r.ghosts,
             reference.ghosts
+        );
+        assert!(
+            r.mirrors > 0 && r.mirrors == reference.mirrors[rank],
+            "{name}: rank {rank} keeps {} mirror slots, its machine in memory {}",
+            r.mirrors,
+            reference.mirrors[rank]
         );
         assert_eq!(
             r.pagerank.len(),
@@ -114,15 +120,10 @@ fn check_run(name: &str, results: &[NodeResult], reference: &Reference) -> (f64,
         );
     }
     let r0 = &results[0];
-    let max_delta = r0
-        .pagerank
-        .iter()
-        .zip(&reference.scores)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f64, f64::max);
-    assert!(
-        max_delta <= TOL,
-        "{name}: TCP PageRank diverges from in-memory by {max_delta:e} (> {TOL:e})"
+    assert_eq!(
+        bits(&r0.pagerank),
+        bits(&reference.scores),
+        "{name}: TCP PageRank must be bit-identical to the in-memory run"
     );
     assert_eq!(
         r0.wcc, reference.wcc,
@@ -132,12 +133,13 @@ fn check_run(name: &str, results: &[NodeResult], reference: &Reference) -> (f64,
         r0.hopdist, reference.hops,
         "{name}: hop distances must be bit-identical across backends"
     );
-    let bit_identical = bits(&r0.pagerank) == bits(&reference.scores);
-    (max_delta, bit_identical, r0.retransmits_total)
+    r0.retransmits_total
 }
 
 struct Reference {
     ghosts: usize,
+    /// Mirror slots per machine.
+    mirrors: Vec<usize>,
     scores: Vec<f64>,
     wcc: Vec<u32>,
     hops: Vec<i64>,
@@ -158,6 +160,12 @@ fn reference(g: &GraphSpec) -> Reference {
     let hops = algos::try_hopdist(&mut e, 0).unwrap();
     Reference {
         ghosts: e.cluster().ghosts().len(),
+        mirrors: e
+            .cluster()
+            .machines()
+            .iter()
+            .map(|m| m.graph.num_ghosts())
+            .collect(),
         scores: pr.scores,
         wcc: wcc.component,
         hops: hops.hops,
@@ -171,13 +179,13 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Table {
 
     eprintln!("[wire] spawning {MACHINES}-process TCP cluster (clean wire)");
     let clean = run_cluster(&g, 0, "clean");
-    let (clean_delta, clean_bits, clean_rtx) = check_run("clean", &clean, &reference);
+    let clean_rtx = check_run("clean", &clean, &reference);
 
     eprintln!(
         "[wire] spawning {MACHINES}-process TCP cluster ({LOSSY_DROP_PER_MILLE}‰ envelope drops)"
     );
     let lossy = run_cluster(&g, LOSSY_DROP_PER_MILLE, "lossy");
-    let (lossy_delta, lossy_bits, lossy_rtx) = check_run("lossy", &lossy, &reference);
+    let lossy_rtx = check_run("lossy", &lossy, &reference);
     assert!(
         lossy_rtx > 0,
         "lossy run reported zero retransmits — the injected drop plan \
@@ -189,28 +197,13 @@ pub fn run_experiment(scale: Scale, quick: bool) -> Table {
             "wire — {MACHINES}-process TCP cluster vs in-memory ({})",
             g.spec
         ),
-        vec![
-            "max|Δ| pagerank".into(),
-            "bit-identical".into(),
-            "retransmits".into(),
-        ],
-        "Δ vs single-process in-memory run; bit-identical counts all three algorithms",
+        vec!["retransmits".into()],
+        "every row is bit-identical to the single-process in-memory run on all three algorithms",
     );
-    t.push_row(
-        "tcp clean",
-        vec![
-            Some(clean_delta),
-            Some(clean_bits as u8 as f64),
-            Some(clean_rtx as f64),
-        ],
-    );
+    t.push_row("tcp clean", vec![Some(clean_rtx as f64)]);
     t.push_row(
         &format!("tcp lossy ({LOSSY_DROP_PER_MILLE}‰ drop)"),
-        vec![
-            Some(lossy_delta),
-            Some(lossy_bits as u8 as f64),
-            Some(lossy_rtx as f64),
-        ],
+        vec![Some(lossy_rtx as f64)],
     );
     t
 }

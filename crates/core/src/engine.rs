@@ -200,14 +200,15 @@ impl Engine {
     }
 
     /// Starts configuring an engine from the **unit-test preset**
-    /// ([`Config::test`]`(2)`: 2 machines × 1 worker, 1 KB message buffers,
-    /// 256-edge chunks, no ghosts), which makes small graphs exercise the
-    /// buffering and flushing paths; finish with [`BuildEngine::engine`].
+    /// ([`Config::test_builder`]: 2 machines × 1 worker, 1 KB message
+    /// buffers, 256-edge chunks, the shipped ghost rule), which makes small
+    /// graphs exercise the buffering and flushing paths; finish with
+    /// [`BuildEngine::engine`].
     /// Anything that is measured or shipped starts from
     /// [`Config::builder`] — the benchmark preset — instead; the setters
     /// are the same [`ConfigBuilder`] either way.
     pub fn builder() -> ConfigBuilder {
-        ConfigBuilder::from(Config::test(2))
+        Config::test_builder()
     }
 
     /// The underlying cluster (benchmarks reach through for counters).

@@ -1,8 +1,9 @@
 //! The main parallel phase: the run-to-completion worker loop over the
 //! chunk queue (§3.2).
 //!
-//! Each worker: push its share of the owned ghost values of the read
-//! properties and wait until its machine's ghost slots are filled → grab a
+//! Each worker: push its share of the owned values of the read properties
+//! to the machines that mirror them and wait until its machine's mirror
+//! slots are filled → grab a
 //! chunk → run an edge task's chunk prologue ([`EdgeTask::prepare`]), then
 //! for each active vertex run the task over its edges (or fold them, or
 //! scatter its value over them, for a task that declares a [`Reduction`]),
@@ -20,11 +21,11 @@
 //!
 //! Both ghost synchronizations of §3.3 happen inside this phase, so a job
 //! is one phase whatever it reads and reduces. Read properties: each
-//! machine knows how many ghost values it will receive (ghosts × reads),
-//! so its workers start their chunks once a local count says they have
-//! landed ([`sync_ghosts`]). Reduced properties ("first between cores and
-//! then between machines"): a worker whose tasks are done merges its
-//! private copies into the machine's ghost slots, and the machine's last
+//! machine knows how many values it will receive (its mirror slots ×
+//! reads), so its workers start their chunks once a local count says they
+//! have landed ([`sync_ghosts`]). Reduced properties ("first between cores
+//! and then between machines"): a worker whose tasks are done merges its
+//! private copies into the machine's mirror slots, and the machine's last
 //! worker to merge sends the slots to their owners. Each worker then
 //! retires one extra work unit, so the phase cannot complete before every
 //! partial has been published and applied.
@@ -90,9 +91,6 @@ fn drain_responses<F: Fn(&mut ReadDoneCtx<'_, '_>)>(
 /// What both job phase kinds share besides their task.
 pub(crate) struct JobCore {
     reads: Vec<PropId>,
-    /// Ghost values each machine stores before its chunks start: ghosts ×
-    /// read properties (0: nothing to wait for).
-    ghost_target: u64,
     /// What the job reduces; the driver bottom-fills their ghost slots.
     pub reduces: Vec<(PropId, ReduceOp)>,
     /// One chunk queue per machine.
@@ -123,7 +121,6 @@ impl JobCore {
         let chunks: usize = queues.iter().map(|q| q.len()).sum();
         let workers = cluster.config().workers;
         JobCore {
-            ghost_target: (cluster.ghosts().len() * spec.reads.len()) as u64,
             reads: spec.reads,
             reduces: spec.reduces,
             job: cluster.job_state(chunks + cluster.phase_units(), cancel.clone()),
@@ -143,7 +140,7 @@ impl JobCore {
     {
         // An aborted cluster leaves the wait and skips the chunks; the
         // drain below then falls through to the barrier.
-        let synced = self.ghost_target == 0 || sync_ghosts(env, &self.reads, self.ghost_target);
+        let synced = sync_ghosts(env, &self.reads);
         let machine = env.machine;
         let machine_id = machine.id as usize;
         let mut scope = TaskScope::new(machine, env.comm, &self.reads, &self.reduces);

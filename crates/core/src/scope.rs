@@ -54,8 +54,8 @@ pub(crate) struct TaskScope<'a> {
     /// column without the registry — and the cache never grows with how
     /// many ids the engine has issued over its lifetime.
     cols: Vec<(PropId, Arc<Column>)>,
-    /// Thread-private ghost copies (empty when the machine has no ghosts or
-    /// the job reduces nothing).
+    /// Thread-private ghost copies (empty when the machine has no mirror
+    /// slots or the job reduces nothing).
     privs: Vec<PrivGhost>,
     /// The properties the job declares read: the only ones whose ghost
     /// slots hold the owner's value.
@@ -175,7 +175,7 @@ impl<'a> TaskScope<'a> {
             } else {
                 // Not a declared `(p, op)`: no partial of it is sent, so
                 // the write goes to the owner like a remote one.
-                let v = self.machine.graph.ghosts().node_at(ord as u32);
+                let v = self.machine.graph.mirrors().node_at(ord);
                 self.reduce_global(v, p, op, bits);
             }
             return;
@@ -214,11 +214,7 @@ impl<'a> TaskScope<'a> {
         let num_local = self.machine.graph.num_local();
         if index >= num_local && !self.reads.contains(&p) {
             // Only a declared read's ghost slots are refreshed for the job.
-            let v = self
-                .machine
-                .graph
-                .ghosts()
-                .node_at((index - num_local) as u32);
+            let v = self.machine.graph.mirrors().node_at(index - num_local);
             self.read_global(rec, v, p);
         } else {
             self.read_local(rec, p, index);
@@ -316,20 +312,19 @@ impl<'a> TaskScope<'a> {
     }
 
     /// Stage two, run by the machine's last worker to merge: one
-    /// `GhostReduce` entry to the owner per ghost this machine does not own
-    /// and reduced property whose slot left bottom, flushed before
-    /// returning. No mutation entry may be buffered on entry.
+    /// `GhostReduce` entry to the owner per mirror slot and reduced
+    /// property that left bottom, flushed before returning. No mutation
+    /// entry may be buffered on entry.
     pub fn send_ghost_partials(&mut self) {
         let m = self.machine;
         if self.privs.is_empty() {
-            return; // no ghosts, or nothing reduced
+            return; // no mirrors, or nothing reduced
         }
-        let (start, end) = (m.partition.start(m.id), m.partition.end(m.id));
-        let ghosts = m.ghosts.len();
+        let (mirrors, num_local) = (m.graph.mirrors(), m.graph.num_local());
         m.telemetry.trace(
             self.comm.worker() as usize,
             EventKind::GhostReduce,
-            ghosts as u64,
+            mirrors.len() as u64,
         );
         let cols: Vec<_> = self
             .privs
@@ -337,18 +332,17 @@ impl<'a> TaskScope<'a> {
             .map(|pg| (pg, m.props.column(pg.prop)))
             .collect();
         self.comm.set_mut_kind(MsgKind::GhostReduce);
-        for ord in 0..ghosts {
-            let v = m.ghosts.node_at(ord as u32);
-            if v >= start && v < end {
-                continue; // we own the original; nothing to send
-            }
-            let owner = m.partition.owner(v);
-            let owner_offset = v - m.partition.start(owner);
-            for (pg, col) in &cols {
-                let bits = col.load_bits(m.graph.num_local() + ord);
-                if bits != pg.bottom {
-                    self.comm
-                        .push_mut(owner, pg.prop, pg.op, owner_offset, bits);
+        for owner in (0..m.config.machines as MachineId).filter(|&o| o != m.id) {
+            let owner_start = m.partition.start(owner);
+            for &slot in mirrors.from_owner(owner) {
+                let slot = slot as usize;
+                let owner_offset = mirrors.node_at(slot) - owner_start;
+                for (pg, col) in &cols {
+                    let bits = col.load_bits(num_local + slot);
+                    if bits != pg.bottom {
+                        self.comm
+                            .push_mut(owner, pg.prop, pg.op, owner_offset, bits);
+                    }
                 }
             }
         }

@@ -60,7 +60,12 @@ impl ServeEngine for Engine {
         MemProfile {
             nodes: cluster.num_nodes(),
             machines: cluster.machines().len(),
-            ghosts: cluster.ghosts().len(),
+            ghosts: cluster
+                .machines()
+                .iter()
+                .map(|m| m.graph.num_ghosts())
+                .max()
+                .unwrap_or(0),
             send_buffers_per_machine: config.send_buffers_per_machine,
             buffer_bytes: config.buffer_bytes,
             live_props: cluster.machines()[0].props.live().len(),

@@ -393,7 +393,7 @@ impl EdgeCtx<'_, '_> {
             if idx < g.num_local() {
                 g.to_global(idx)
             } else {
-                g.ghosts().node_at((idx - g.num_local()) as u32)
+                g.mirrors().node_at(idx - g.num_local())
             }
         }
     }

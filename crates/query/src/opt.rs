@@ -11,7 +11,7 @@
 //!    hook, deleting one job and one property per clause.
 //! 3. **Push-vs-pull direction choice** — a neighbor aggregate whose
 //!    body is a bare neighbor-property read (and has no neighbor filter)
-//!    pulls (one remote read per edge that does not reach a ghosted hub);
+//!    pulls (a remote read only for an edge that reaches no mirror slot);
 //!    anything else pushes its value with a declared scatter. The pass
 //!    also allocates the scratch columns the job's chunk prologue fills
 //!    ([`add_scratch`]).

@@ -133,7 +133,8 @@ struct ActiveJob {
 
 impl Cluster {
     /// Loads `graph` into a simulated cluster: partitions it, selects
-    /// ghosts, builds per-machine fragments, and starts all threads.
+    /// ghost candidates, builds per-machine fragments (each with its mirror
+    /// slots), and starts all threads.
     pub fn load(graph: &Graph, config: Config) -> Result<Cluster, String> {
         let ghosts = GhostTable::build(graph, config.ghost_threshold);
         Self::load_in_process(graph, config, ghosts)
@@ -235,7 +236,6 @@ impl Cluster {
                 config.clone(),
                 local,
                 partition.clone(),
-                ghosts.clone(),
                 rx,
                 unbounded(),
                 pending.clone(),
@@ -418,7 +418,8 @@ impl Cluster {
         &self.partition
     }
 
-    /// The shared ghost table.
+    /// The ghost candidates (each machine's slots are its
+    /// [`LocalGraph::mirrors`]).
     pub fn ghosts(&self) -> &GhostTable {
         &self.ghosts
     }

@@ -492,9 +492,10 @@ pub struct Config {
     /// back-pressure.
     pub send_buffers_per_machine: usize,
     /// Ghost-node degree threshold: nodes whose in- or out-degree exceeds
-    /// this are replicated on every machine. `None` disables ghosts. Unless
-    /// set, [`ConfigBuilder::build`] derives 16 × `machines`, and `None`
-    /// on one machine.
+    /// this are ghost candidates, and a machine mirrors a candidate it does
+    /// not own when one of its vertices shares an edge with it. `None`
+    /// disables ghosts. Unless set, [`ConfigBuilder::build`] derives
+    /// `Some(0)` (every vertex with an edge), and `None` on one machine.
     pub ghost_threshold: Option<usize>,
     /// Vertex or edge partitioning.
     pub partitioning: PartitioningMode,
@@ -529,14 +530,6 @@ pub struct Config {
     pub serve: ServeConfig,
 }
 
-/// Ghost-threshold degree per machine: a vertex is ghosted once its in-
-/// or out-degree exceeds this times the machine count. The knee of a
-/// {8, 16, 32} × P sweep: 32 left a fifth of skewed PageRank-pull's speed
-/// in hub reads on the wire; 8 sped the pull jobs up a few percent more
-/// but slowed hop-distance BFS, whose many short phases each pay the
-/// ghost sync.
-const GHOST_DEGREE_PER_MACHINE: usize = 16;
-
 impl Config {
     /// Starts a validated builder seeded with the benchmark defaults
     /// ([`Config::bench`]`(4)`); see [`ConfigBuilder`]. Unless
@@ -549,14 +542,23 @@ impl Config {
         }
     }
 
-    /// The ghost threshold of a `machines`-machine cluster:
-    /// `GHOST_DEGREE_PER_MACHINE × machines`, and no ghosts on one
-    /// machine. Replicating a vertex of degree `d` trades about
-    /// `d·(P−1)/P` remote reads per phase for `P−1` sync entries, so the
-    /// break-even degree grows with `P`; on one machine every read is
-    /// already local.
+    /// The ghost threshold of a `machines`-machine cluster: every vertex
+    /// is a candidate, and none on one machine. A machine mirrors only the
+    /// vertices it shares an edge with, so a mirror costs one sync entry
+    /// per reading job and saves at least one remote read; on one machine
+    /// every read is already local.
     fn default_ghost_threshold(machines: usize) -> Option<usize> {
-        (machines > 1).then_some(GHOST_DEGREE_PER_MACHINE * machines)
+        (machines > 1).then_some(0)
+    }
+
+    /// Starts a builder from the unit-test preset ([`Config::test`]`(2)`);
+    /// like [`Config::builder`], it derives the ghost threshold from the
+    /// final machine count unless one is set.
+    pub fn test_builder() -> ConfigBuilder {
+        ConfigBuilder {
+            config: Config::test(2),
+            ghost_threshold: None,
+        }
     }
 
     /// The benchmark default: mirrors the paper's 16-worker / 8-copier
@@ -586,15 +588,14 @@ impl Config {
     }
 
     /// A small configuration suitable for unit tests: the benchmark default
-    /// with 1 worker per machine, no ghosts, and tiny buffers, chunks and
-    /// pools so that buffering/flushing paths are exercised even by small
-    /// graphs.
+    /// (ghost rule included) with 1 worker per machine, and tiny buffers,
+    /// chunks and pools so that buffering/flushing paths are exercised even
+    /// by small graphs.
     pub fn test(machines: usize) -> Self {
         Config {
             workers: 1,
             buffer_bytes: 1 << 10,
             send_buffers_per_machine: 16,
-            ghost_threshold: None,
             chunk_edges: 256,
             pool_shards: 2,
             ..Config::bench(machines)
@@ -1005,12 +1006,6 @@ impl ConfigBuilder {
 mod tests {
     use super::*;
 
-    /// A builder seeded with the unit-test preset (what `pgxd`'s
-    /// `Engine::builder()` hands out).
-    fn test_builder() -> ConfigBuilder {
-        ConfigBuilder::from(Config::test(2))
-    }
-
     #[test]
     fn defaults_validate() {
         assert!(Config::default().validate().is_ok());
@@ -1029,7 +1024,7 @@ mod tests {
             (c.buffer_bytes, c.send_buffers_per_machine, c.pool_shards),
             (64 << 10, 64, 4)
         );
-        assert_eq!((c.ghost_threshold, c.chunk_edges), (Some(32), 16 << 10));
+        assert_eq!((c.ghost_threshold, c.chunk_edges), (Some(0), 16 << 10));
         assert_eq!(
             (c.partitioning, c.chunking),
             (PartitioningMode::Edge, ChunkingMode::Edge)
@@ -1091,7 +1086,7 @@ mod tests {
             ("brownout", |b| b.brownout(750, 250)),
             ("retry_budget", |b| b.retry_budget(4, 100)),
         ];
-        for seed in [Config::builder, test_builder] {
+        for seed in [Config::builder, Config::test_builder] {
             for (a_name, a) in setters {
                 for (b_name, b) in setters {
                     let (ab, ba) = (b(a(seed())), a(b(seed())));
@@ -1190,7 +1185,10 @@ mod tests {
         let mut bad = Config::test(2);
         bad.strict_distributed = true;
         assert!(bad.validate().is_err());
-        let built = test_builder().strict_distributed(true).build().unwrap();
+        let built = Config::test_builder()
+            .strict_distributed(true)
+            .build()
+            .unwrap();
         assert!(built.reliability.enabled);
 
         // A full buffer must fit in a frame, on either backend.
@@ -1231,17 +1229,22 @@ mod tests {
         c.reliability.enabled = true;
         assert!(c.validate().is_ok());
         // The builder enables reliability for an active plan.
-        let c = test_builder().fault(FaultPlan::crash(1, 100)).build();
+        let c = Config::test_builder()
+            .fault(FaultPlan::crash(1, 100))
+            .build();
         assert!(c.expect("valid").reliability.enabled);
     }
 
     #[test]
     fn fault_plan_bounds_checked() {
-        assert!(test_builder()
+        assert!(Config::test_builder()
             .fault(FaultPlan::crash(5, 1))
             .build()
             .is_err());
-        assert!(test_builder().fault(FaultPlan::crash(1, 1)).build().is_ok());
+        assert!(Config::test_builder()
+            .fault(FaultPlan::crash(1, 1))
+            .build()
+            .is_ok());
     }
 
     #[test]
@@ -1317,32 +1320,29 @@ mod tests {
     }
 
     /// Unset, the ghost threshold follows the machine count the build
-    /// sees; set, it wins whichever setter ran last.
+    /// sees — every vertex a candidate on two machines or more, none on
+    /// one — in both presets; set, it wins whichever setter ran last.
     #[test]
     fn ghost_threshold_scales_with_machines_unless_set() {
-        let derived = |m: usize| Config::builder().machines(m).build().unwrap();
-        assert_eq!(derived(2).ghost_threshold, Some(32));
-        assert_eq!(derived(4).ghost_threshold, Some(64));
-        assert_eq!(derived(8).ghost_threshold, Some(16 * 8));
-        assert_eq!(derived(1).ghost_threshold, None, "one machine: no ghosts");
+        for seed in [Config::builder, Config::test_builder] {
+            let derived = |m: usize| seed().machines(m).build().unwrap();
+            assert_eq!(derived(2).ghost_threshold, Some(0));
+            assert_eq!(derived(4).ghost_threshold, Some(0));
+            assert_eq!(derived(8).ghost_threshold, Some(0));
+            assert_eq!(derived(1).ghost_threshold, None, "one machine: no ghosts");
+            for t in [None, Some(7)] {
+                let before = seed().ghost_threshold(t).machines(2).build();
+                let after = seed().machines(2).ghost_threshold(t).build();
+                assert_eq!(before.unwrap().ghost_threshold, t, "set before machines");
+                assert_eq!(after.unwrap().ghost_threshold, t, "set after machines");
+            }
+        }
         assert_eq!(
             Config::bench(3).ghost_threshold,
             Config::default_ghost_threshold(3)
         );
-
-        for t in [None, Some(7)] {
-            let before = Config::builder().ghost_threshold(t).machines(2).build();
-            let after = Config::builder().machines(2).ghost_threshold(t).build();
-            assert_eq!(before.unwrap().ghost_threshold, t, "set before machines");
-            assert_eq!(after.unwrap().ghost_threshold, t, "set after machines");
-        }
-
-        // The unit-test preset's `None` is a choice, not a default.
-        assert_eq!(Config::test(3).ghost_threshold, None);
-        for m in [1, 2, 8] {
-            let c = test_builder().machines(m).build().unwrap();
-            assert_eq!(c.ghost_threshold, None, "{m} machines");
-        }
+        assert_eq!(Config::test(3).ghost_threshold, Some(0));
+        assert_eq!(Config::test(1).ghost_threshold, None);
     }
 
     #[test]

@@ -108,11 +108,12 @@ fn run_op(
     Ok(op)
 }
 
-/// The error for an entry naming a cell outside the range its kind
-/// addresses (owned cells, or ghost slots for `GhostSync`).
-fn out_of_range(m: &MachineState, kind: MsgKind, prop: u16, index: u32) -> String {
+/// The error for an entry from `src` naming a cell outside the range its
+/// kind addresses (owned cells, or for `GhostSync` the mirror slots of
+/// `src`'s vertices).
+fn out_of_range(m: &MachineState, kind: MsgKind, src: MachineId, prop: u16, index: u32) -> String {
     let (range, len) = match kind {
-        MsgKind::GhostSync => ("ghost", m.props.len_ghost()),
+        MsgKind::GhostSync => ("ghost", m.graph.mirrors().from_owner(src).len()),
         _ => ("owned", m.props.len_local()),
     };
     format!(
@@ -205,7 +206,7 @@ pub fn process_request(
                 for offset in run.offsets() {
                     let bits = col
                         .load_owned(offset)
-                        .ok_or_else(|| out_of_range(m, env.kind, run.prop, offset))?;
+                        .ok_or_else(|| out_of_range(m, env.kind, env.src, run.prop, offset))?;
                     push_resp_entry(&mut payload, bits);
                 }
             }
@@ -223,15 +224,18 @@ pub fn process_request(
         MsgKind::Write | MsgKind::GhostSync | MsgKind::GhostReduce => {
             // Write and GhostReduce reduce into owned cells (offset field =
             // owner-local vertex offset); GhostSync stores into this
-            // machine's ghost slots (offset field = global ghost ordinal).
+            // machine's mirror slots of the sender's vertices (offset field
+            // = ordinal among them).
             for run in mut_runs(&env.payload) {
                 let col = cache.get(m, run.prop)?;
                 let op = run_op(m, env.kind, run.prop, run.op, col)?;
                 let applied = match env.kind {
-                    MsgKind::GhostSync => col.store_ghost_run(run.entries()),
+                    MsgKind::GhostSync => {
+                        col.store_ghost_run(m.graph.mirrors().from_owner(env.src), run.entries())
+                    }
                     _ => col.reduce_run(op, run.entries()),
                 };
-                applied.map_err(|index| out_of_range(m, env.kind, run.prop, index))?;
+                applied.map_err(|index| out_of_range(m, env.kind, env.src, run.prop, index))?;
             }
             let n = mut_entry_count(&env.payload);
             if env.kind == MsgKind::GhostSync {

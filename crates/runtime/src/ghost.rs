@@ -1,4 +1,4 @@
-//! Selective ghost nodes (§3.3).
+//! Selective ghost nodes (§3.3), kept as per-machine mirrors.
 //!
 //! "Selective ghost node creation is a technique to choose a set of
 //! high-degree vertices and to duplicate *ghost copies* of them on each
@@ -7,98 +7,183 @@
 //! out-degree of each node and creates a ghost if either degree is larger
 //! than the specified threshold value."
 //!
-//! The ghost table is identical on every machine: the sorted list of
-//! ghosted vertices (in the global `0..N` numbering). Machine-local ghost
-//! *slots* are indexed by the vertex's
-//! ordinal in this list; property columns allocate `len_ghost` extra cells
-//! after the owned region, so slot `k` of property `p` lives at column
-//! index `len_local + k`. A rank bitmap over all vertices, built once with
-//! the table (2 bits per vertex), maps a vertex to its ordinal in O(1), so
-//! encoding a fragment's edge endpoints costs no search.
+//! The [`GhostTable`] is that selection, identical on every machine: a
+//! rank bitmap over all vertices (global `0..N` numbering, 2 bits per
+//! vertex) that answers membership and a candidate's ordinal in O(1).
+//! A candidate is copied only where a copy is read or written: machine `m`
+//! keeps a *mirror slot* for candidate `u` when it does not own `u` and one
+//! of its vertices has an in- or out-edge to `u` (Yan et al.'s vertex
+//! mirroring, PAPERS.md). Those slots are the machine's [`Mirrors`], built
+//! with its fragment and numbered as its edges first reach them; slot `k`
+//! of property `p` lives at column index `len_local + k`. The owner knows
+//! from its own fragment which peers mirror each of its vertices, so it
+//! addresses a peer's slot by the vertex's ordinal among the owner's
+//! vertices that peer mirrors, and the peer looks the slot up in its list
+//! of that owner's slots by vertex ([`Mirrors::from_owner`]).
 
+use crate::ids::MachineId;
+use crate::partition::Partitioning;
 use pgxd_graph::{Graph, NodeId};
 use std::sync::Arc;
 
-/// The cluster-wide ghost-node table.
+/// The cluster-wide ghost candidate set.
 #[derive(Clone, Debug, Default)]
 pub struct GhostTable {
-    /// Ghosted vertices, sorted ascending (global numbering).
-    nodes: Arc<Vec<NodeId>>,
-    /// Ghost membership of the graph's vertices, 64 per word, each word
-    /// paired with the number of ghosts before it: a ghost's ordinal is
+    /// Number of candidates.
+    len: usize,
+    /// Membership of the graph's vertices, 64 per word, each word paired
+    /// with the number of candidates before it: a candidate's ordinal is
     /// that count plus the set bits below its own. Empty when nothing is
-    /// ghosted.
+    /// selected.
     ranks: Arc<Vec<(u32, u64)>>,
 }
 
 impl GhostTable {
-    /// Selects ghosts: every vertex whose in- or out-degree exceeds
+    /// Selects candidates: every vertex whose in- or out-degree exceeds
     /// `threshold`. `None` produces an empty table (ghosting disabled).
     pub fn build(graph: &Graph, threshold: Option<usize>) -> Self {
         match threshold {
             None => GhostTable::default(),
-            Some(t) => Self::over(graph, pgxd_graph::stats::high_degree_nodes(graph, t)),
+            Some(t) => Self::from_nodes(graph, pgxd_graph::stats::high_degree_nodes(graph, t)),
         }
     }
 
     /// Builds a table from an explicit vertex list (used by tests and by
-    /// the Figure 6a sweep, which controls the exact ghost count).
-    pub fn from_nodes(graph: &Graph, mut nodes: Vec<NodeId>) -> Self {
-        nodes.sort_unstable();
-        nodes.dedup();
-        Self::over(graph, nodes)
-    }
-
-    /// The table over `nodes` (sorted, distinct).
-    fn over(graph: &Graph, nodes: Vec<NodeId>) -> Self {
-        let mut ranks = Vec::new();
-        if !nodes.is_empty() {
-            ranks = vec![(0u32, 0u64); graph.num_nodes().div_ceil(64)];
-            for &v in &nodes {
-                ranks[v as usize / 64].1 |= 1 << (v % 64);
-            }
-            let mut before = 0;
-            for (rank, word) in &mut ranks {
-                *rank = before;
-                before += word.count_ones();
-            }
+    /// the Figure 6a sweep, which controls the exact candidate count).
+    pub fn from_nodes(graph: &Graph, nodes: Vec<NodeId>) -> Self {
+        if nodes.is_empty() {
+            return GhostTable::default();
         }
+        let mut ranks = vec![(0u32, 0u64); graph.num_nodes().div_ceil(64)];
+        for &v in &nodes {
+            ranks[v as usize / 64].1 |= 1 << (v % 64);
+        }
+        rank_words(&mut ranks);
         GhostTable {
-            nodes: Arc::new(nodes),
+            len: ranks
+                .iter()
+                .map(|(_, word)| word.count_ones() as usize)
+                .sum(),
             ranks: Arc::new(ranks),
         }
     }
 
-    /// Number of ghosted vertices (== ghost slots per machine).
+    /// Number of candidate vertices.
     #[inline]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.len
     }
 
     /// True if ghosting is disabled or selected nothing.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len == 0
     }
 
-    /// The sorted ghosted vertices.
+    /// Whether vertex `v` is a candidate.
     #[inline]
-    pub fn nodes(&self) -> &[NodeId] {
-        &self.nodes
+    pub fn contains(&self, v: NodeId) -> bool {
+        self.ranks
+            .get(v as usize / 64)
+            .is_some_and(|&(_, word)| word & 1 << (v % 64) != 0)
     }
 
-    /// Ordinal of vertex `v` in the ghost list, if ghosted.
+    /// Ordinal of vertex `v` among the candidates (ascending), if selected.
     #[inline]
     pub fn ordinal(&self, v: NodeId) -> Option<u32> {
         let &(before, word) = self.ranks.get(v as usize / 64)?;
         let bit = 1u64 << (v % 64);
         (word & bit != 0).then(|| before + (word & (bit - 1)).count_ones())
     }
+}
 
-    /// Global vertex at ordinal `ord`.
+/// Fills each word's count of set bits in the words before it.
+fn rank_words(words: &mut [(u32, u64)]) {
+    let mut before = 0;
+    for (rank, word) in words {
+        *rank = before;
+        before += word.count_ones();
+    }
+}
+
+/// One machine's mirror slots.
+#[derive(Clone, Debug, Default)]
+pub struct Mirrors {
+    /// Slot `k` holds a copy of vertex `slots[k]` (global numbering),
+    /// numbered in the order the machine's edges first reach them.
+    slots: Vec<NodeId>,
+    /// The slots sorted by their vertex, so grouped by owner (partitions
+    /// are contiguous ranges): the order in which owners send.
+    order: Vec<u32>,
+    /// `order[starts[o]..starts[o + 1]]`: the slots of owner `o`'s vertices.
+    starts: Vec<u32>,
+    /// Per peer: the owned vertices it mirrors, as local offsets, in
+    /// ascending order — the i-th is the vertex of the peer's i-th slot
+    /// for this machine in its `order`.
+    sends: Vec<Vec<u32>>,
+}
+
+impl Mirrors {
+    /// The mirrors of a machine whose slots hold `slots`, listed by vertex
+    /// in `order`, and whose owned vertices each peer mirrors are `sends`
+    /// (one list per machine of `part`, empty for itself).
+    pub(crate) fn new(
+        slots: Vec<NodeId>,
+        order: Vec<u32>,
+        sends: Vec<Vec<u32>>,
+        part: &Partitioning,
+    ) -> Self {
+        let mut starts: Vec<u32> = (0..part.num_partitions() as MachineId)
+            .map(|o| order.partition_point(|&k| slots[k as usize] < part.start(o)) as u32)
+            .collect();
+        starts.push(order.len() as u32);
+        Mirrors {
+            slots,
+            order,
+            starts,
+            sends,
+        }
+    }
+
+    /// Number of slots (the machine's ghost cells per property column).
     #[inline]
-    pub fn node_at(&self, ord: u32) -> NodeId {
-        self.nodes[ord as usize]
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True if the machine keeps no slot.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Global vertex of slot `slot`.
+    #[inline]
+    pub fn node_at(&self, slot: usize) -> NodeId {
+        self.slots[slot]
+    }
+
+    /// The slots holding owner `owner`'s vertices, in the order the owner
+    /// sends them (empty when there are no slots at all).
+    #[inline]
+    pub fn from_owner(&self, owner: MachineId) -> &[u32] {
+        match self.starts.get(owner as usize..owner as usize + 2) {
+            Some(&[lo, hi]) => &self.order[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+
+    /// The owned vertices (local offsets) `peer` mirrors, in the order of
+    /// its [`Mirrors::from_owner`] for this machine.
+    #[inline]
+    pub fn sent_to(&self, peer: MachineId) -> &[u32] {
+        self.sends.get(peer as usize).map_or(&[], Vec::as_slice)
+    }
+
+    /// Number of (owned vertex, peer) pairs: the entries one read property
+    /// costs this machine's owners at a job's start.
+    pub fn num_sent(&self) -> usize {
+        self.sends.iter().map(Vec::len).sum()
     }
 }
 
@@ -119,7 +204,7 @@ mod tests {
     fn threshold_selects_hub() {
         let g = generate::star(50);
         let t = GhostTable::build(&g, Some(10));
-        assert_eq!(t.nodes(), &[0]);
+        assert_eq!(t.len(), 1);
         assert_eq!(t.ordinal(0), Some(0));
         assert_eq!(t.ordinal(3), None);
     }
@@ -135,11 +220,11 @@ mod tests {
     fn from_nodes_sorts_and_dedups() {
         let g = generate::ring(8);
         let t = GhostTable::from_nodes(&g, vec![5, 2, 5, 0]);
-        assert_eq!(t.nodes(), &[0, 2, 5]);
+        assert_eq!(t.len(), 3);
         assert_eq!(t.ordinal(5), Some(2));
         assert_eq!(t.ordinal(4), None);
         assert_eq!(t.ordinal(8), None, "past the graph");
-        assert_eq!(t.node_at(1), 2);
+        assert!(t.contains(2) && !t.contains(3) && !t.contains(8));
     }
 
     /// The rank bitmap answers what a search of the sorted list would,
@@ -148,10 +233,15 @@ mod tests {
     fn ordinal_matches_the_sorted_list() {
         let g = generate::rmat(10, 8, generate::RmatParams::skewed(), 3);
         let t = GhostTable::build(&g, Some(12));
-        assert!(t.len() > 64, "ghosts span several words");
+        let nodes = pgxd_graph::stats::high_degree_nodes(&g, 12);
+        assert!(
+            t.len() > 64 && t.len() == nodes.len(),
+            "ghosts span several words"
+        );
         for v in 0..g.num_nodes() as NodeId + 130 {
-            let want = t.nodes().binary_search(&v).ok().map(|i| i as u32);
+            let want = nodes.binary_search(&v).ok().map(|i| i as u32);
             assert_eq!(t.ordinal(v), want, "vertex {v}");
+            assert_eq!(t.contains(v), want.is_some(), "vertex {v}");
         }
     }
 }

@@ -5,12 +5,16 @@
 //! the fragment's column array as an [`EncTarget`]:
 //!
 //! * **local**  — the endpoint is owned by this machine: plain local index;
-//! * **ghost**  — the endpoint is a ghosted hub: index of its local ghost
-//!   slot (`len_local + ordinal`), so the edge no longer crosses machines;
+//! * **ghost**  — the endpoint is a ghost candidate owned elsewhere: index
+//!   of this machine's mirror slot for it (`len_local + slot`), so the edge
+//!   no longer crosses machines;
 //! * **remote** — anything else: the 48-bit [`GlobalId`] (owner machine +
 //!   owner-local offset), so no partition lookup is needed at runtime.
+//!
+//! The same scan finds the machine's [`Mirrors`]: the candidates it reaches
+//! (its slots) and, per peer, its owned candidates that peer reaches.
 
-use crate::ghost::GhostTable;
+use crate::ghost::{GhostTable, Mirrors};
 use crate::ids::{GlobalId, MachineId};
 use crate::partition::Partitioning;
 use pgxd_graph::{Graph, NodeId};
@@ -117,11 +121,13 @@ pub struct LocalGraph {
     pub out: FragmentDir,
     /// In-edges of owned vertices.
     pub inn: FragmentDir,
-    ghosts: GhostTable,
+    mirrors: Mirrors,
 }
 
 impl LocalGraph {
-    /// Carves machine `m`'s fragment out of the global graph.
+    /// Carves machine `m`'s fragment out of the global graph, with a
+    /// mirror slot for every candidate of `ghosts` it does not own and
+    /// shares an edge with.
     pub fn build(
         graph: &Graph,
         part: &Partitioning,
@@ -131,19 +137,23 @@ impl LocalGraph {
         let start = part.start(m);
         let end = part.end(m);
         let num_local = (end - start) as usize;
-
-        let encode = |t: NodeId| -> EncTarget {
-            let owner = part.owner(t);
-            if owner == m {
-                EncTarget::local((t - start) as usize)
-            } else if let Some(ord) = ghosts.ordinal(t) {
-                EncTarget::local(num_local + ord as usize)
+        // Slot of each candidate reached so far, numbered on first reach:
+        // numbering them by vertex would take a pass over every edge
+        // before the first one is encoded. Dropped after the build.
+        let mut slot_of = vec![
+            u32::MAX;
+            if ghosts.is_empty() {
+                0
             } else {
-                EncTarget::remote(GlobalId::new(owner, t - part.start(owner)))
+                graph.num_nodes()
             }
-        };
+        ];
+        let mut slots = Vec::new();
+        // Per machine, the owned candidates with an edge to one of its
+        // vertices: the vertices it mirrors.
+        let mut shared = vec![vec![0u64; num_local.div_ceil(64)]; part.num_partitions()];
 
-        let build_dir = |csr: &pgxd_graph::Csr, weight_of: &dyn Fn(usize) -> Option<f64>| {
+        let mut build_dir = |csr: &pgxd_graph::Csr, weight_of: &dyn Fn(usize) -> Option<f64>| {
             let mut row_ptr = Vec::with_capacity(num_local + 1);
             row_ptr.push(0);
             let cap = if num_local > 0 {
@@ -155,8 +165,31 @@ impl LocalGraph {
             let mut weights = Vec::new();
             let weighted = graph.weights().is_some();
             for v in start..end {
+                let local = (v - start) as usize;
+                let candidate = u64::from(ghosts.contains(v)) << (local % 64);
+                // A neighbor list is sorted, so its owners change rarely.
+                let mut last = m;
                 for e in csr.edge_start(v)..csr.edge_end(v) {
-                    targets.push(encode(csr.col_idx()[e]));
+                    let t = csr.col_idx()[e];
+                    let owner = part.owner(t);
+                    targets.push(if owner == m {
+                        EncTarget::local((t - start) as usize)
+                    } else {
+                        if owner != last {
+                            shared[owner as usize][local / 64] |= candidate;
+                            last = owner;
+                        }
+                        if ghosts.contains(t) {
+                            let slot = &mut slot_of[t as usize];
+                            if *slot == u32::MAX {
+                                *slot = slots.len() as u32;
+                                slots.push(t);
+                            }
+                            EncTarget::local(num_local + *slot as usize)
+                        } else {
+                            EncTarget::remote(GlobalId::new(owner, t - part.start(owner)))
+                        }
+                    });
                     if weighted {
                         weights.push(weight_of(e).unwrap_or(1.0));
                     }
@@ -174,6 +207,8 @@ impl LocalGraph {
         let inn = build_dir(graph.in_csr(), &|e| {
             graph.weights().map(|w| w[graph.in_edge_to_out_edge(e)])
         });
+        let order = slot_of.into_iter().filter(|&k| k != u32::MAX).collect();
+        let sends = shared.iter().map(|w| set_bits(w.iter().copied())).collect();
 
         LocalGraph {
             machine: m,
@@ -181,7 +216,7 @@ impl LocalGraph {
             num_local,
             out,
             inn,
-            ghosts: ghosts.clone(),
+            mirrors: Mirrors::new(slots, order, sends, part),
         }
     }
 
@@ -203,16 +238,16 @@ impl LocalGraph {
         self.num_local
     }
 
-    /// Number of ghost slots (cluster-wide ghost count).
+    /// Number of ghost slots: this machine's mirrors.
     #[inline]
     pub fn num_ghosts(&self) -> usize {
-        self.ghosts.len()
+        self.mirrors.len()
     }
 
-    /// The shared ghost table.
+    /// This machine's mirror slots.
     #[inline]
-    pub fn ghosts(&self) -> &GhostTable {
-        &self.ghosts
+    pub fn mirrors(&self) -> &Mirrors {
+        &self.mirrors
     }
 
     /// Maps a local vertex index to its global `0..N` id.
@@ -227,6 +262,18 @@ impl LocalGraph {
     pub fn is_ghost_index(&self, index: usize) -> bool {
         index >= self.num_local
     }
+}
+
+/// The positions of the set bits of `words`, ascending.
+fn set_bits(words: impl Iterator<Item = u64>) -> Vec<u32> {
+    let mut bits = Vec::new();
+    for (i, mut word) in words.enumerate() {
+        while word != 0 {
+            bits.push(i as u32 * 64 + word.trailing_zeros());
+            word &= word - 1;
+        }
+    }
+    bits
 }
 
 #[cfg(test)]
@@ -282,7 +329,7 @@ mod tests {
         let g = generate::star(6); // hub 0, spokes 1..=6
         let p = Partitioning::vertex(7, 2);
         let t = GhostTable::build(&g, Some(3)); // hub only
-        assert_eq!(t.nodes(), &[0]);
+        assert!(t.len() == 1 && t.contains(0));
         let f1 = LocalGraph::build(&g, &p, &t, 1);
         // Machine 1 owns spokes; their edge to the hub must resolve to the
         // ghost slot, i.e. index num_local + 0, not a remote target.
@@ -294,6 +341,45 @@ mod tests {
             }
         }
         assert!(f1.is_ghost_index(f1.num_local()));
+    }
+
+    /// Every edge to a candidate owned elsewhere resolves to the slot that
+    /// holds it, any other crossing edge stays remote, and the slots a
+    /// machine keeps for an owner are, in order, what that owner sends it.
+    #[test]
+    fn mirrors_resolve_edges_and_pair_up_across_machines() {
+        let g = generate::rmat(8, 4, generate::RmatParams::skewed(), 13);
+        let p = Partitioning::build(&g, 3, PartitioningMode::Edge);
+        let t = GhostTable::build(&g, Some(6));
+        let frags: Vec<_> = (0..3).map(|m| LocalGraph::build(&g, &p, &t, m)).collect();
+        for (m, f) in frags.iter().enumerate() {
+            let mirrors = f.mirrors();
+            for (dir, nbrs) in [(&f.out, g.out_csr()), (&f.inn, g.in_csr())] {
+                for v in 0..f.num_local() {
+                    let global = f.to_global(v);
+                    let want = &nbrs.col_idx()[nbrs.edge_start(global)..nbrs.edge_end(global)];
+                    for (&tgt, &u) in dir.targets[dir.edge_range(v)].iter().zip(want) {
+                        if tgt.is_remote() {
+                            assert!(!t.contains(u), "candidate {u} left remote");
+                        } else if f.is_ghost_index(tgt.local_index()) {
+                            assert_eq!(mirrors.node_at(tgt.local_index() - f.num_local()), u);
+                        } else {
+                            assert_eq!(f.to_global(tgt.local_index()), u);
+                        }
+                    }
+                }
+            }
+            for o in 0..3 {
+                let slots: Vec<NodeId> = (mirrors.from_owner(o).iter())
+                    .map(|&k| mirrors.node_at(k as usize))
+                    .collect();
+                let sent = frags[o as usize].mirrors().sent_to(m as MachineId);
+                let sent: Vec<NodeId> = sent.iter().map(|&l| p.start(o) + l).collect();
+                assert_eq!(slots, sent, "machine {m}'s slots of owner {o}");
+            }
+            assert_eq!(mirrors.from_owner(m as MachineId).len(), 0);
+        }
+        assert!(frags.iter().all(|f| !f.mirrors().is_empty()));
     }
 
     #[test]

@@ -4,7 +4,6 @@ use crate::barrier::DistBarrier;
 use crate::buffer::BufferPool;
 use crate::config::Config;
 use crate::fabric::MachineReceivers;
-use crate::ghost::GhostTable;
 use crate::health::ClusterHealth;
 use crate::ids::MachineId;
 use crate::localgraph::LocalGraph;
@@ -37,8 +36,6 @@ pub struct MachineState {
     pub props: PropertyStore,
     /// The cluster-wide vertex partitioning (pivots shared by everyone).
     pub partition: Arc<Partitioning>,
-    /// The cluster-wide ghost table.
-    pub ghosts: GhostTable,
     /// Send side of this machine's outgoing-traffic queue; the poller
     /// thread drains it into the fabric.
     pub outbox_tx: Sender<Envelope>,
@@ -65,9 +62,9 @@ pub struct MachineState {
     pub dist_barrier: Arc<DistBarrier>,
     /// Ghost values stored for the running job (§3.3's pre-copy): the
     /// `GhostSync` entries the copiers applied plus the owned values this
-    /// machine's own workers broadcast. A job that reads `r` properties
-    /// starts its chunks here once this reaches ghosts × `r`; the driver
-    /// zeroes it before each job.
+    /// machine's own workers sent. A job that reads `r` properties starts
+    /// its chunks here once this reaches (mirror slots + values sent) ×
+    /// `r`; the driver zeroes it before each job.
     pub ghosts_synced: AtomicU64,
     /// Cluster-shared liveness/abort state (reliability layer).
     pub health: Arc<ClusterHealth>,
@@ -91,7 +88,6 @@ impl MachineState {
         config: Config,
         graph: Arc<LocalGraph>,
         partition: Arc<Partitioning>,
-        ghosts: GhostTable,
         receivers: MachineReceivers,
         outbox: (Sender<Envelope>, Receiver<Envelope>),
         pending: Arc<AtomicI64>,
@@ -118,7 +114,6 @@ impl MachineState {
             graph,
             props,
             partition,
-            ghosts,
             outbox_tx: outbox.0,
             outbox_rx: outbox.1,
             copier_rx: receivers.copier_rx,

@@ -20,8 +20,9 @@ pub enum MsgKind {
     ReadResp = 1,
     /// Batched remote write (reduction) requests; fire-and-forget.
     Write = 2,
-    /// Ghost pre-synchronization: owner broadcasts property values of its
-    /// ghosted nodes (offset field = global ghost ordinal).
+    /// Ghost pre-synchronization: an owner's property values for the
+    /// receiver's mirror slots (offset field = the vertex's position among
+    /// the sender's vertices the receiver mirrors).
     GhostSync = 3,
     /// Ghost post-reduction: partial values flowing back to the owner
     /// (offset field = owner-local node offset).

@@ -6,9 +6,10 @@
 //! with the run-to-completion worker loop. Both halves of §3.3's ghost
 //! synchronization ride inside it:
 //!
-//! - owner values of read properties are pushed at its start
-//!   ([`sync_ghosts`]): each machine starts its chunks once the ghost
-//!   values it expects — a count it knows locally — have landed;
+//! - owner values of read properties are pushed at its start to the
+//!   machines that mirror them ([`sync_ghosts`]): each machine starts its
+//!   chunks once the values for its mirror slots — a count it knows
+//!   locally — have landed;
 //! - ghost partials of reduced properties leave at its end: each worker
 //!   merges its private copies once its tasks are done, and the machine's
 //!   last worker to merge sends the slots to their owners before retiring
@@ -240,44 +241,48 @@ pub fn share(len: usize, parts: usize, idx: usize) -> std::ops::Range<usize> {
 /// be read in the parallel region, PGX.D copies the original values into
 /// the ghost nodes prior to the execution step." Run by every worker of a
 /// main phase that reads `reads`, before its first chunk, even for a
-/// cancelled job (peers wait on its entries); `target` is ghosts ×
-/// `reads.len()`.
+/// cancelled job (peers wait on its entries).
 ///
-/// The worker broadcasts its share of the machine's owned ghosted vertices
-/// as `GhostSync` entries, counts them into the machine's `ghosts_synced`
-/// (the copiers add every entry they store), and waits for `target`: then
-/// every ghost value this machine reads has landed and every owned value
-/// its workers broadcast has been loaded. An owner's own ghost slots are
-/// never read (an owned target is a local index), so they are not written.
-/// Returns `false` if the cluster aborted during the wait.
-pub fn sync_ghosts(env: &mut WorkerEnv<'_>, reads: &[PropId], target: u64) -> bool {
+/// The worker sends its share of each peer's list of mirrored owned
+/// vertices ([`Mirrors::sent_to`]) as `GhostSync` entries addressed by
+/// position in that list, counts them into the machine's `ghosts_synced`
+/// (the copiers add every entry they store), and waits until it reaches
+/// (mirror slots + values sent) × `reads.len()`: then every mirror this
+/// machine reads has landed and every owned value its workers send has
+/// been loaded. Returns `false` if the cluster aborted during the wait.
+///
+/// [`Mirrors::sent_to`]: crate::ghost::Mirrors::sent_to
+pub fn sync_ghosts(env: &mut WorkerEnv<'_>, reads: &[PropId]) -> bool {
     let m = env.machine;
-    let (start, end) = (m.partition.start(m.id), m.partition.end(m.id));
-    let owned_lo = m.ghosts.nodes().partition_point(|&v| v < start);
-    let owned_hi = m.ghosts.nodes().partition_point(|&v| v < end);
-    let my_share = share(owned_hi - owned_lo, m.config.workers, env.worker_idx);
-    let mine = (my_share.len() * reads.len()) as u64;
-    m.telemetry
-        .trace(env.worker_idx, EventKind::GhostPush, my_share.len() as u64);
+    let mirrors = m.graph.mirrors();
+    let target = ((mirrors.len() + mirrors.num_sent()) * reads.len()) as u64;
+    if target == 0 {
+        return true;
+    }
     let cols: Vec<_> = reads
         .iter()
         .map(|&prop| (prop, m.props.column(prop)))
         .collect();
+    let mut sent = 0;
     env.comm.set_mut_kind(MsgKind::GhostSync);
-    for k in my_share {
-        let ord = (owned_lo + k) as u32;
-        let local = (m.ghosts.node_at(ord) - start) as usize;
-        for (prop, col) in &cols {
-            let bits = col.load_bits(local);
-            for dst in (0..m.config.machines as u16).filter(|&dst| dst != m.id) {
-                env.comm.push_mut(dst, *prop, ReduceOp::Assign, ord, bits);
+    for dst in (0..m.config.machines as u16).filter(|&dst| dst != m.id) {
+        let list = mirrors.sent_to(dst);
+        for k in share(list.len(), m.config.workers, env.worker_idx) {
+            for (prop, col) in &cols {
+                let bits = col.load_bits(list[k] as usize);
+                env.comm
+                    .push_mut(dst, *prop, ReduceOp::Assign, k as u32, bits);
             }
+            sent += 1;
         }
     }
     env.comm.flush();
     env.comm.set_mut_kind(MsgKind::Write);
+    m.telemetry
+        .trace(env.worker_idx, EventKind::GhostPush, sent as u64);
     // AcqRel: the loads above happen before any worker here sees the target.
-    m.ghosts_synced.fetch_add(mine, Ordering::AcqRel);
+    m.ghosts_synced
+        .fetch_add((sent * reads.len()) as u64, Ordering::AcqRel);
     while m.ghosts_synced.load(Ordering::Acquire) < target {
         if m.health.is_aborted() {
             return false;

@@ -411,16 +411,19 @@ impl Column {
         }
     }
 
-    /// Stores a run of `(ghost ordinal, bits)` entries into the ghost
-    /// cells, in order — the copier path for ghost pre-synchronization.
-    /// Stops at the first ordinal outside the ghost range and returns it.
-    pub fn store_ghost_run(&self, entries: impl Iterator<Item = (u32, u64)>) -> Result<(), u32> {
+    /// Stores a run of `(ordinal, bits)` entries into the ghost cells of
+    /// `slots`, entry `(k, _)` into slot `slots[k]`, in order — the copier
+    /// path for ghost pre-synchronization. Stops at the first ordinal past
+    /// `slots` and returns it.
+    pub fn store_ghost_run(
+        &self,
+        slots: &[u32],
+        entries: impl Iterator<Item = (u32, u64)>,
+    ) -> Result<(), u32> {
         let ghosts = &self.cells[self.len_local..];
         for (ordinal, bits) in entries {
-            ghosts
-                .get(ordinal as usize)
-                .ok_or(ordinal)?
-                .store(bits, Ordering::Relaxed);
+            let slot = *slots.get(ordinal as usize).ok_or(ordinal)?;
+            ghosts[slot as usize].store(bits, Ordering::Relaxed);
         }
         Ok(())
     }

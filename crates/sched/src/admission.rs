@@ -4,8 +4,8 @@
 //! The estimate covers the three allocations a job can force:
 //!
 //! 1. **Property columns** — every column holds 8-byte cells for each
-//!    machine's local vertices *plus* its ghost slots, so one column costs
-//!    `8 × (nodes + machines × ghosts)` bytes cluster-wide. The estimate
+//!    machine's local vertices *plus* its mirror slots, so one column costs
+//!    at most `8 × (nodes + machines × ghosts)` bytes cluster-wide. The estimate
 //!    charges the job for the columns already live (they stay resident
 //!    while it runs) plus the columns it declares it will create.
 //! 2. **Send-buffer pool share** — each machine's pool may hand out up to
@@ -26,8 +26,7 @@ pub struct MemProfile {
     pub nodes: usize,
     /// Machines in the cluster.
     pub machines: usize,
-    /// Ghost slots per machine (each machine appends the full ghost set
-    /// to its columns).
+    /// The most mirror slots any machine appends to its columns.
     pub ghosts: usize,
     /// Send-buffer quota per machine.
     pub send_buffers_per_machine: usize,

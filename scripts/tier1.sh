@@ -73,11 +73,13 @@ bash benchmark/run.sh --workload query_pr --seed 7 --seconds 1 --trace 0
 # The only answers that pass through the copiers' remote reductions:
 # pushed PageRank (1e-9 of the oracle) and hop distances (bit-identical),
 # both declared scatters (each vertex's value loaded once and written to
-# its out-neighbors: in place, into a private ghost copy, or on the wire).
+# its out-neighbors: in place, or into a private copy of the mirror slot,
+# whose partial the copier reduces at the owner).
 bash benchmark/run.sh --workload push_uniform --seed 7 --seconds 1 --trace 0
 bash benchmark/run.sh --workload bfs_small --seed 7 --seconds 1 --trace 0
-# The job server's closed loop: served PageRank (which reads hubs through
-# their ghosts) and BFS, each checked against the oracle.
+# The job server's closed loop: served PageRank (which reads every remote
+# in-neighbor through its mirror slot) and BFS, each checked against the
+# oracle.
 bash benchmark/run.sh --workload serve_mix --seed 7 --seconds 1 --trace 0
 
 echo "== cargo doc --workspace --no-deps (warnings are errors) =="

@@ -246,10 +246,10 @@ fn pull_on_two_machines(g: &Graph, ghosts: bool) -> (Vec<f64>, StatsSnapshot, us
     )
 }
 
-/// Hubs are ghosts by default: on a skewed graph the derived threshold
-/// replicates them, which puts strictly fewer read entries and bytes on the
-/// wire than ghosts off, and the scores stay within f64 reassociation noise
-/// (a hub's sum folds its ghosted and remote terms in another order).
+/// Mirrors are on by default: on a skewed graph the derived rule puts
+/// strictly fewer read entries and bytes on the wire than ghosts off, and
+/// the scores stay within f64 reassociation noise (a sum folds its mirrored
+/// terms in edge order, where ghosts off folds remote ones on arrival).
 #[test]
 fn ghosts_cut_wire_traffic_not_results() {
     let g = generate::rmat(11, 16, RmatParams::skewed(), 2008);
@@ -277,13 +277,14 @@ fn ghosts_cut_wire_traffic_not_results() {
 
 /// On a star every spoke has one in-neighbor (the hub) and all spokes stay
 /// symmetric, so per-node sums are order-independent and a correct engine
-/// is bit-deterministic: ghosting the hub must not change a single bit.
+/// is bit-deterministic: mirroring the hub and the spokes must not change
+/// a single bit.
 #[test]
 fn ghosts_are_bit_identical_on_a_star() {
     let g = generate::star(2048);
     let (plain_scores, _, _) = pull_on_two_machines(&g, false);
     let (ghost_scores, _, ghosts) = pull_on_two_machines(&g, true);
-    assert_eq!(ghosts, 1, "the hub, and only the hub");
+    assert_eq!(ghosts, g.num_nodes(), "every vertex is a candidate");
     let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&plain_scores), bits(&ghost_scores));
 }

@@ -140,7 +140,8 @@ fn hopdist_query_matches_builtin() {
 /// scatter that puts as many write entries on the wire and makes as many
 /// local writes as `try_hopdist`'s, and one loop pass runs two jobs for
 /// BFS (the scatter, then the advance) and three for PageRank (the
-/// contribution, the pull fold, the update).
+/// contribution, the pull fold, the update). Ghosts are off, so the
+/// scatter's remote writes are on the wire.
 #[test]
 fn query_jobs_and_traffic_match_the_builtins() {
     let g = twt_s();
@@ -150,6 +151,7 @@ fn query_jobs_and_traffic_match_the_builtins() {
             .machines(4)
             .workers(2)
             .copiers(1)
+            .ghost_threshold(None)
             .telemetry(TelemetryConfig { enabled: true })
             .engine(&g)
             .unwrap()
