@@ -1,7 +1,8 @@
 //! Figure 6: traffic reduction and workload balance.
 //!
-//! * (a) ghost-node sweep: relative runtime and traffic of PageRank-pull on
-//!   TWT as the ghost count grows (paper: 4/8 machines, high-skew graph);
+//! * (a) ghost-threshold sweep: relative runtime and traffic of PageRank-pull
+//!   on TWT as the threshold falls and the ghost count grows (paper: 4/8
+//!   machines, high-skew graph);
 //! * (b) edge partitioning vs vertex partitioning across machine counts;
 //! * (c) execution-time breakdown (fully parallel / intra-machine idle /
 //!   inter-machine idle) for the three balance configurations.
@@ -10,58 +11,62 @@ use crate::datasets::{BenchGraph, Scale};
 use crate::experiments::machine_counts;
 use crate::report::Table;
 use crate::systems::{run_pgx, Algo};
-use pgxd::{Breakdown, BuildEngine, ChunkingMode, Engine, EngineBuilder, PartitioningMode};
-use pgxd_graph::{Graph, NodeId};
+use pgxd::{Breakdown, BuildEngine, ChunkingMode, Engine, PartitioningMode};
+use pgxd_graph::Graph;
 
-/// Highest-degree `k` vertices of `g` (the ghost candidates, best first).
-pub fn top_degree_nodes(g: &Graph, k: usize) -> Vec<NodeId> {
-    let mut order: Vec<NodeId> = (0..g.num_nodes() as NodeId).collect();
-    order.sort_by_key(|&v| std::cmp::Reverse(g.in_degree(v).max(g.out_degree(v))));
-    order.truncate(k);
-    order
-}
+/// The Figure 6a sweep's ghost thresholds, falling: ghosting off, then
+/// ever more hubs, down to every vertex with an edge (`Some(0)`, the
+/// shipped default).
+pub const THRESHOLDS: [Option<usize>; 6] =
+    [None, Some(1024), Some(256), Some(64), Some(16), Some(0)];
 
 /// One point of the Figure 6a sweep.
 #[derive(Clone, Debug)]
 pub struct GhostPoint {
+    /// Ghost candidates the threshold selected.
     pub ghosts: usize,
     pub seconds: f64,
     pub traffic_bytes: u64,
+    /// Remote read entries put on the wire.
+    pub read_entries: u64,
 }
 
-/// Measures PageRank-pull runtime and traffic with exactly `k` ghosts.
-pub fn measure_ghosts(g: &Graph, machines: usize, k: usize) -> GhostPoint {
-    let config = Engine::builder()
+/// Measures PageRank-pull runtime and traffic at ghost threshold
+/// `threshold`.
+pub fn measure_ghosts(g: &Graph, machines: usize, threshold: Option<usize>) -> GhostPoint {
+    let mut engine = Engine::builder()
         .machines(machines)
         .workers(1)
         .copiers(1)
         .chunk_edges(8 * 1024)
+        .ghost_threshold(threshold)
         .partitioning(PartitioningMode::Edge)
         .chunking(ChunkingMode::Edge)
-        .build()
-        .expect("config");
-    let mut engine = EngineBuilder::from_config(config)
-        .build_with_ghosts(g, top_degree_nodes(g, k))
+        .engine(g)
         .expect("engine");
     let before = engine.cluster().total_stats();
     let r = run_pgx(&mut engine, Algo::PrPull);
-    let after = engine.cluster().total_stats();
+    let delta = engine.cluster().total_stats() - before;
     GhostPoint {
         ghosts: engine.cluster().ghosts().len(),
         seconds: r.seconds,
-        traffic_bytes: (after - before).bytes_sent + (after - before).header_bytes_sent,
+        traffic_bytes: delta.bytes_sent + delta.header_bytes_sent,
+        read_entries: delta.read_entries,
     }
+}
+
+/// The Figure 6a sweep: one point per threshold of [`THRESHOLDS`].
+pub fn sweep_ghosts(g: &Graph, machines: usize) -> Vec<GhostPoint> {
+    THRESHOLDS
+        .iter()
+        .map(|&t| measure_ghosts(g, machines, t))
+        .collect()
 }
 
 /// Figure 6a: relative runtime and traffic vs ghost count (1.0 = no
 /// ghosts).
 pub fn run_fig6a(scale: Scale, machines: usize) -> Table {
-    let g = BenchGraph::Twt.generate(scale);
-    let ghost_counts = [0usize, 8, 32, 128, 512, 2048];
-    let points: Vec<GhostPoint> = ghost_counts
-        .iter()
-        .map(|&k| measure_ghosts(&g, machines, k))
-        .collect();
+    let points = sweep_ghosts(&BenchGraph::Twt.generate(scale), machines);
     let base = &points[0];
     let mut t = Table::new(
         &format!("Figure 6a — ghost node effect (PR-pull on TWT-S, {machines} machines)"),
@@ -224,20 +229,31 @@ mod tests {
     use super::*;
     use pgxd_graph::generate;
 
+    /// As the threshold falls the sweep selects strictly more candidates,
+    /// from none with ghosting off; at `Some(0)` every in-neighbour of a
+    /// pull is owned or mirrored, so no read goes on the wire.
     #[test]
-    fn top_degree_selects_hubs() {
-        let g = generate::star(50);
-        let top = top_degree_nodes(&g, 3);
-        assert_eq!(top[0], 0, "hub first");
-        assert_eq!(top.len(), 3);
-        assert!(top_degree_nodes(&g, 0).is_empty());
+    fn threshold_sweep_selects_more_as_it_falls() {
+        let g = generate::rmat(11, 16, generate::RmatParams::skewed(), 17);
+        let points = sweep_ghosts(&g, 2);
+        assert_eq!(points[0].ghosts, 0, "None selects nothing");
+        for pair in points.windows(2) {
+            assert!(
+                pair[0].ghosts < pair[1].ghosts,
+                "{} then {}",
+                pair[0].ghosts,
+                pair[1].ghosts
+            );
+        }
+        assert!(points[0].read_entries > 0);
+        assert_eq!(points[THRESHOLDS.len() - 1].read_entries, 0, "Some(0)");
     }
 
     #[test]
     fn ghosts_reduce_traffic_on_skewed_graph() {
         let g = generate::rmat(9, 8, generate::RmatParams::skewed(), 17);
-        let none = measure_ghosts(&g, 4, 0);
-        let some = measure_ghosts(&g, 4, 256);
+        let none = measure_ghosts(&g, 4, None);
+        let some = measure_ghosts(&g, 4, Some(16));
         assert_eq!(none.ghosts, 0);
         assert!(some.ghosts > 0);
         assert!(

@@ -5,9 +5,12 @@
 
 use crate::datasets::{BenchGraph, Scale};
 use crate::experiments::{fig5, fig6, fig8, table4};
-use crate::systems::{run, Algo, System};
+use crate::systems::{run, Algo, System, DAMPING, FIXED_ITERS};
 use pgxd::BuildEngine;
+use pgxd_baselines::sa;
 use pgxd_graph::Graph;
+use std::hint::black_box;
+use std::time::Instant;
 
 /// One checked claim.
 #[derive(Clone, Debug)]
@@ -47,7 +50,6 @@ pub fn run_checks(scale: Scale) -> Vec<Check> {
     let reps = 3;
 
     // --- Table 3 / Figure 3: system ordering on PageRank push ---
-    let sa = reported(System::Sa, Algo::PrPush, &g, 1, reps);
     let gl = reported(System::Gl, Algo::PrPush, &g, 2, reps);
     let gx = reported(System::Gx, Algo::PrPush, &g, 2, reps);
     let pgx = reported(System::Pgx, Algo::PrPush, &g, 2, reps);
@@ -68,11 +70,21 @@ pub fn run_checks(scale: Scale) -> Vec<Check> {
         evidence: format!("GL {:.4}s vs GX {:.4}s ({:.1}x)", gl, gx, gx / gl),
         pass: gl < gx,
     });
+    // Per core: SA on one thread against one machine with one worker, so
+    // no simulated machine shares a core with another. Both are best of
+    // ten runs taken in turn, so a busy spell of the host hits both sides.
+    let (mut sa_core, mut pgx_core) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..10 {
+        let t0 = Instant::now();
+        black_box(sa::pagerank_push(&g, DAMPING, FIXED_ITERS, 1));
+        sa_core = sa_core.min(t0.elapsed().as_secs_f64() / FIXED_ITERS as f64);
+        pgx_core = pgx_core.min(reported(System::Pgx, Algo::PrPush, &g, 1, 1));
+    }
     checks.push(Check {
         id: "T3-sa-fastest",
         claim: "standalone single-machine execution is the per-core bar",
-        evidence: format!("SA {:.4}s vs PGX {:.4}s", sa, pgx),
-        pass: sa < pgx,
+        evidence: format!("SA {sa_core:.4}s vs PGX {pgx_core:.4}s per iter, 1 core each"),
+        pass: sa_core < pgx_core,
     });
 
     // --- pull vs push ---
@@ -85,17 +97,16 @@ pub fn run_checks(scale: Scale) -> Vec<Check> {
     });
 
     // --- Figure 6a: ghosts cut traffic ---
-    let no_ghost = fig6::measure_ghosts(&g, 4, 0);
-    let ghosted = fig6::measure_ghosts(&g, 4, 512);
+    let sweep = fig6::sweep_ghosts(&g, 4);
+    let (no_ghost, ghosted) = (&sweep[0], &sweep[sweep.len() - 1]);
     checks.push(Check {
         id: "F6a-traffic",
-        claim: "ghosting a few hundred hubs cuts communication traffic",
-        evidence: format!(
-            "{} -> {} bytes ({:.0}%)",
-            no_ghost.traffic_bytes,
-            ghosted.traffic_bytes,
-            100.0 * ghosted.traffic_bytes as f64 / no_ghost.traffic_bytes as f64
-        ),
+        claim: "ghosting hubs cuts communication traffic",
+        evidence: sweep
+            .iter()
+            .map(|p| format!("{} ghosts: {} B", p.ghosts, p.traffic_bytes))
+            .collect::<Vec<_>>()
+            .join(", "),
         pass: ghosted.traffic_bytes < no_ghost.traffic_bytes / 2,
     });
 

@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Loads a graph under a finished [`Config`] and starts the engine threads:
-/// the five ways an [`Engine`] comes to exist. Configuration itself has one
+/// the four ways an [`Engine`] comes to exist. Configuration itself has one
 /// front door, [`ConfigBuilder`]; [`BuildEngine::engine`] goes from there to
 /// a running engine in one call.
 #[derive(Clone, Debug)]
@@ -52,11 +52,6 @@ impl EngineBuilder {
     /// Loads `graph` and starts the engine threads.
     pub fn build(self, graph: &Graph) -> Result<Engine, String> {
         Cluster::load(graph, self.config).map(Engine::over)
-    }
-
-    /// Like [`Self::build`] with an explicit ghost-node list (Figure 6a).
-    pub fn build_with_ghosts(self, graph: &Graph, ghosts: Vec<NodeId>) -> Result<Engine, String> {
-        Cluster::load_with_ghosts(graph, self.config, ghosts).map(Engine::over)
     }
 
     /// Builds **one rank** of a real multi-process cluster over the TCP
@@ -200,7 +195,7 @@ impl Engine {
     }
 
     /// Starts configuring an engine from the **unit-test preset**
-    /// ([`Config::test_builder`]: 2 machines × 1 worker, 1 KB message
+    /// ([`Config::test`]`(2)`: 2 machines × 1 worker, 1 KB message
     /// buffers, 256-edge chunks, the shipped ghost rule), which makes small
     /// graphs exercise the buffering and flushing paths; finish with
     /// [`BuildEngine::engine`].
@@ -208,7 +203,7 @@ impl Engine {
     /// [`Config::builder`] — the benchmark preset — instead; the setters
     /// are the same [`ConfigBuilder`] either way.
     pub fn builder() -> ConfigBuilder {
-        Config::test_builder()
+        ConfigBuilder::from(Config::test(2))
     }
 
     /// The underlying cluster (benchmarks reach through for counters).

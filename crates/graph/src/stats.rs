@@ -1,5 +1,4 @@
-//! Degree statistics used by the partitioner, the ghost-node selector, and
-//! the experiment reports.
+//! Degree statistics used by the partitioner and the experiment reports.
 
 use crate::csr::Graph;
 use crate::NodeId;
@@ -72,15 +71,6 @@ pub fn total_degrees(g: &Graph) -> Vec<usize> {
         .collect()
 }
 
-/// Nodes whose in- or out-degree exceeds `threshold` — the paper's selective
-/// ghost-node candidates ("creates a ghost if either degree is larger than
-/// the specified threshold value").
-pub fn high_degree_nodes(g: &Graph, threshold: usize) -> Vec<NodeId> {
-    (0..g.num_nodes() as NodeId)
-        .filter(|&v| g.in_degree(v) > threshold || g.out_degree(v) > threshold)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,13 +105,5 @@ mod tests {
     fn total_degrees_match() {
         let g = generate::ring(4);
         assert_eq!(total_degrees(&g), vec![2, 2, 2, 2]);
-    }
-
-    #[test]
-    fn high_degree_selects_hub_only() {
-        let g = generate::star(50);
-        assert_eq!(high_degree_nodes(&g, 10), vec![0]);
-        assert_eq!(high_degree_nodes(&g, 0).len(), 51);
-        assert!(high_degree_nodes(&g, 100).is_empty());
     }
 }

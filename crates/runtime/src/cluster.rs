@@ -136,26 +136,6 @@ impl Cluster {
     /// ghost candidates, builds per-machine fragments (each with its mirror
     /// slots), and starts all threads.
     pub fn load(graph: &Graph, config: Config) -> Result<Cluster, String> {
-        let ghosts = GhostTable::build(graph, config.ghost_threshold);
-        Self::load_in_process(graph, config, ghosts)
-    }
-
-    /// Like [`Cluster::load`] but with an explicitly chosen ghost set
-    /// (Figure 6a controls the exact ghost count).
-    pub fn load_with_ghosts(
-        graph: &Graph,
-        config: Config,
-        ghost_nodes: Vec<NodeId>,
-    ) -> Result<Cluster, String> {
-        let ghosts = GhostTable::from_nodes(graph, ghost_nodes);
-        Self::load_in_process(graph, config, ghosts)
-    }
-
-    fn load_in_process(
-        graph: &Graph,
-        config: Config,
-        ghosts: GhostTable,
-    ) -> Result<Cluster, String> {
         if config.transport.backend != TransportBackend::InMemory {
             return Err(
                 "Cluster::load builds an in-process cluster; use Cluster::load_node \
@@ -165,7 +145,7 @@ impl Cluster {
         }
         let health = Arc::new(ClusterHealth::new(config.machines));
         let transport = Arc::new(InMemoryTransport::new(config.machines));
-        Self::assemble(graph, config, ghosts, health, transport)
+        Self::assemble(graph, config, health, transport)
     }
 
     /// Loads `graph` as **one rank** of a real multi-process cluster: the
@@ -197,12 +177,11 @@ impl Cluster {
                 membership.machines, config.machines
             ));
         }
-        let ghosts = GhostTable::build(graph, config.ghost_threshold);
         let health = Arc::new(ClusterHealth::new(config.machines));
         let options = TcpOptions::from_config(&config);
         let transport =
             TcpTransport::new(membership, health.clone(), options).map_err(|e| e.to_string())?;
-        Self::assemble(graph, config, ghosts, health, Arc::new(transport))
+        Self::assemble(graph, config, health, Arc::new(transport))
     }
 
     /// Cluster assembly, the same for every backend: builds the machines
@@ -211,11 +190,11 @@ impl Cluster {
     fn assemble(
         graph: &Graph,
         config: Config,
-        ghosts: GhostTable,
         health: Arc<ClusterHealth>,
         transport: Arc<dyn Transport>,
     ) -> Result<Cluster, String> {
         config.validate()?;
+        let ghosts = GhostTable::build(graph, config.ghost_threshold);
         let p = config.machines;
         let partition = Arc::new(Partitioning::build(graph, p, config.partitioning));
         let pending = Arc::new(AtomicI64::new(0));

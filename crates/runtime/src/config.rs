@@ -494,8 +494,8 @@ pub struct Config {
     /// Ghost-node degree threshold: nodes whose in- or out-degree exceeds
     /// this are ghost candidates, and a machine mirrors a candidate it does
     /// not own when one of its vertices shares an edge with it. `None`
-    /// disables ghosts. Unless set, [`ConfigBuilder::build`] derives
-    /// `Some(0)` (every vertex with an edge), and `None` on one machine.
+    /// disables ghosts. Default `Some(0)`: every vertex with an edge, at
+    /// every machine count (one machine owns every vertex, so keeps no slot).
     pub ghost_threshold: Option<usize>,
     /// Vertex or edge partitioning.
     pub partitioning: PartitioningMode,
@@ -532,33 +532,9 @@ pub struct Config {
 
 impl Config {
     /// Starts a validated builder seeded with the benchmark defaults
-    /// ([`Config::bench`]`(4)`); see [`ConfigBuilder`]. Unless
-    /// [`ConfigBuilder::ghost_threshold`] is called, the ghost threshold is
-    /// derived from the final machine count at build time.
+    /// ([`Config::bench`]`(4)`); see [`ConfigBuilder`].
     pub fn builder() -> ConfigBuilder {
-        ConfigBuilder {
-            config: Config::default(),
-            ghost_threshold: None,
-        }
-    }
-
-    /// The ghost threshold of a `machines`-machine cluster: every vertex
-    /// is a candidate, and none on one machine. A machine mirrors only the
-    /// vertices it shares an edge with, so a mirror costs one sync entry
-    /// per reading job and saves at least one remote read; on one machine
-    /// every read is already local.
-    fn default_ghost_threshold(machines: usize) -> Option<usize> {
-        (machines > 1).then_some(0)
-    }
-
-    /// Starts a builder from the unit-test preset ([`Config::test`]`(2)`);
-    /// like [`Config::builder`], it derives the ghost threshold from the
-    /// final machine count unless one is set.
-    pub fn test_builder() -> ConfigBuilder {
-        ConfigBuilder {
-            config: Config::test(2),
-            ghost_threshold: None,
-        }
+        ConfigBuilder::from(Config::default())
     }
 
     /// The benchmark default: mirrors the paper's 16-worker / 8-copier
@@ -570,7 +546,7 @@ impl Config {
             copiers: 1,
             buffer_bytes: 64 << 10,
             send_buffers_per_machine: 64,
-            ghost_threshold: Config::default_ghost_threshold(machines),
+            ghost_threshold: Some(0),
             partitioning: PartitioningMode::Edge,
             chunking: ChunkingMode::Edge,
             chunk_edges: 16 * 1024,
@@ -794,28 +770,21 @@ impl Default for Config {
 /// are defined ([`Config::builder`] seeds it with the benchmark defaults,
 /// `pgxd::Engine::builder` with the unit-test preset). Every setter is
 /// loose and writes state no other setter writes, so call order never
-/// matters; [`ConfigBuilder::build`] derives the values that follow from
-/// the rest (the ghost threshold from the machine count unless one was set,
-/// TCP needs the termination wave, the wave and an active fault plan need
-/// the layer that survives loss) and runs [`Config::validate`], so invalid
-/// combinations (zero quotas, a fault plan on TCP, ...) are rejected in one
-/// place instead of panicking deep inside the engine.
+/// matters; [`ConfigBuilder::build`] derives the switches that follow from
+/// the rest (TCP needs the termination wave, the wave and an active fault
+/// plan need the layer that survives loss) and runs [`Config::validate`],
+/// so invalid combinations (zero quotas, a fault plan on TCP, ...) are
+/// rejected in one place instead of panicking deep inside the engine.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ConfigBuilder {
     config: Config,
-    /// An explicitly chosen ghost threshold; `None` derives it from the
-    /// machine count at build time.
-    ghost_threshold: Option<Option<usize>>,
 }
 
 impl From<Config> for ConfigBuilder {
     /// A builder that starts from `config` instead of the benchmark
-    /// defaults; its ghost threshold counts as chosen.
+    /// defaults.
     fn from(config: Config) -> Self {
-        ConfigBuilder {
-            ghost_threshold: Some(config.ghost_threshold),
-            config,
-        }
+        ConfigBuilder { config }
     }
 }
 
@@ -844,10 +813,9 @@ impl ConfigBuilder {
         self
     }
 
-    /// Ghost-node degree threshold (`None` disables ghosts); overrides the
-    /// machine-count default whatever the setter order.
+    /// Ghost-node degree threshold (`None` disables ghosts).
     pub fn ghost_threshold(mut self, t: Option<usize>) -> Self {
-        self.ghost_threshold = Some(t);
+        self.config.ghost_threshold = t;
         self
     }
 
@@ -990,9 +958,6 @@ impl ConfigBuilder {
     /// validates, and returns it.
     pub fn build(mut self) -> Result<Config, String> {
         let c = &mut self.config;
-        c.ghost_threshold = self
-            .ghost_threshold
-            .unwrap_or_else(|| Config::default_ghost_threshold(c.machines));
         let tcp = c.transport.backend == TransportBackend::Tcp;
         c.strict_distributed |= tcp;
         c.reliability.enabled |= c.strict_distributed || c.fault.is_active();
@@ -1086,7 +1051,8 @@ mod tests {
             ("brownout", |b| b.brownout(750, 250)),
             ("retry_budget", |b| b.retry_budget(4, 100)),
         ];
-        for seed in [Config::builder, Config::test_builder] {
+        let test_preset = || ConfigBuilder::from(Config::test(2));
+        for seed in [Config::builder, test_preset] {
             for (a_name, a) in setters {
                 for (b_name, b) in setters {
                     let (ab, ba) = (b(a(seed())), a(b(seed())));
@@ -1185,7 +1151,7 @@ mod tests {
         let mut bad = Config::test(2);
         bad.strict_distributed = true;
         assert!(bad.validate().is_err());
-        let built = Config::test_builder()
+        let built = ConfigBuilder::from(Config::test(2))
             .strict_distributed(true)
             .build()
             .unwrap();
@@ -1229,7 +1195,7 @@ mod tests {
         c.reliability.enabled = true;
         assert!(c.validate().is_ok());
         // The builder enables reliability for an active plan.
-        let c = Config::test_builder()
+        let c = ConfigBuilder::from(Config::test(2))
             .fault(FaultPlan::crash(1, 100))
             .build();
         assert!(c.expect("valid").reliability.enabled);
@@ -1237,11 +1203,11 @@ mod tests {
 
     #[test]
     fn fault_plan_bounds_checked() {
-        assert!(Config::test_builder()
+        assert!(ConfigBuilder::from(Config::test(2))
             .fault(FaultPlan::crash(5, 1))
             .build()
             .is_err());
-        assert!(Config::test_builder()
+        assert!(ConfigBuilder::from(Config::test(2))
             .fault(FaultPlan::crash(1, 1))
             .build()
             .is_ok());
@@ -1319,17 +1285,20 @@ mod tests {
         assert_eq!(c.buffer_bytes, 8 << 10);
     }
 
-    /// Unset, the ghost threshold follows the machine count the build
-    /// sees — every vertex a candidate on two machines or more, none on
-    /// one — in both presets; set, it wins whichever setter ran last.
+    /// The ghost threshold is `Some(0)` at every machine count, in both
+    /// presets (the test one is what `pgxd::Engine::builder` returns); set,
+    /// it survives either setter order.
     #[test]
-    fn ghost_threshold_scales_with_machines_unless_set() {
-        for seed in [Config::builder, Config::test_builder] {
-            let derived = |m: usize| seed().machines(m).build().unwrap();
-            assert_eq!(derived(2).ghost_threshold, Some(0));
-            assert_eq!(derived(4).ghost_threshold, Some(0));
-            assert_eq!(derived(8).ghost_threshold, Some(0));
-            assert_eq!(derived(1).ghost_threshold, None, "one machine: no ghosts");
+    fn ghost_threshold_is_some_zero_unless_set() {
+        for m in [1, 2, 3, 8] {
+            assert_eq!(Config::test(m).ghost_threshold, Some(0), "{m} machines");
+        }
+        let test_preset = || ConfigBuilder::from(Config::test(2));
+        for seed in [Config::builder, test_preset] {
+            for m in [1, 2, 3, 8] {
+                let c = seed().machines(m).build().unwrap();
+                assert_eq!(c.ghost_threshold, Some(0), "{m} machines");
+            }
             for t in [None, Some(7)] {
                 let before = seed().ghost_threshold(t).machines(2).build();
                 let after = seed().machines(2).ghost_threshold(t).build();
@@ -1337,12 +1306,6 @@ mod tests {
                 assert_eq!(after.unwrap().ghost_threshold, t, "set after machines");
             }
         }
-        assert_eq!(
-            Config::bench(3).ghost_threshold,
-            Config::default_ghost_threshold(3)
-        );
-        assert_eq!(Config::test(3).ghost_threshold, Some(0));
-        assert_eq!(Config::test(1).ghost_threshold, None);
     }
 
     #[test]

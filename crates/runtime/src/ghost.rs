@@ -8,63 +8,50 @@
 //! than the specified threshold value."
 //!
 //! The [`GhostTable`] is that selection, identical on every machine: a
-//! rank bitmap over all vertices (global `0..N` numbering, 2 bits per
-//! vertex) that answers membership and a candidate's ordinal in O(1).
-//! A candidate is copied only where a copy is read or written: machine `m`
+//! membership bitmap over all vertices (global `0..N` numbering, one bit
+//! per vertex) set straight from the degrees. The shipped threshold is
+//! `Some(0)`, every vertex with an edge, at every machine count. A
+//! candidate is copied only where a copy is read or written: machine `m`
 //! keeps a *mirror slot* for candidate `u` when it does not own `u` and one
 //! of its vertices has an in- or out-edge to `u` (Yan et al.'s vertex
-//! mirroring, PAPERS.md). Those slots are the machine's [`Mirrors`], built
-//! with its fragment and numbered as its edges first reach them; slot `k`
-//! of property `p` lives at column index `len_local + k`. The owner knows
-//! from its own fragment which peers mirror each of its vertices, so it
-//! addresses a peer's slot by the vertex's ordinal among the owner's
-//! vertices that peer mirrors, and the peer looks the slot up in its list
-//! of that owner's slots by vertex ([`Mirrors::from_owner`]).
+//! mirroring, PAPERS.md), so a lone machine keeps none. Those slots are
+//! the machine's [`Mirrors`], built with its fragment and numbered as its
+//! edges first reach them; slot `k` of property `p` lives at column index
+//! `len_local + k`. The owner knows from its own fragment which peers
+//! mirror each of its vertices, so it addresses a peer's slot by the
+//! vertex's ordinal among the owner's vertices that peer mirrors, and the
+//! peer looks the slot up in its list of that owner's slots by vertex
+//! ([`Mirrors::from_owner`]).
 
 use crate::ids::MachineId;
 use crate::partition::Partitioning;
 use pgxd_graph::{Graph, NodeId};
-use std::sync::Arc;
 
 /// The cluster-wide ghost candidate set.
 #[derive(Clone, Debug, Default)]
 pub struct GhostTable {
     /// Number of candidates.
     len: usize,
-    /// Membership of the graph's vertices, 64 per word, each word paired
-    /// with the number of candidates before it: a candidate's ordinal is
-    /// that count plus the set bits below its own. Empty when nothing is
-    /// selected.
-    ranks: Arc<Vec<(u32, u64)>>,
+    /// Membership of the graph's vertices, 64 per word.
+    words: Vec<u64>,
 }
 
 impl GhostTable {
     /// Selects candidates: every vertex whose in- or out-degree exceeds
     /// `threshold`. `None` produces an empty table (ghosting disabled).
     pub fn build(graph: &Graph, threshold: Option<usize>) -> Self {
-        match threshold {
-            None => GhostTable::default(),
-            Some(t) => Self::from_nodes(graph, pgxd_graph::stats::high_degree_nodes(graph, t)),
-        }
-    }
-
-    /// Builds a table from an explicit vertex list (used by tests and by
-    /// the Figure 6a sweep, which controls the exact candidate count).
-    pub fn from_nodes(graph: &Graph, nodes: Vec<NodeId>) -> Self {
-        if nodes.is_empty() {
+        let Some(t) = threshold else {
             return GhostTable::default();
+        };
+        let mut words = vec![0u64; graph.num_nodes().div_ceil(64)];
+        for v in 0..graph.num_nodes() as NodeId {
+            if graph.in_degree(v) > t || graph.out_degree(v) > t {
+                words[v as usize / 64] |= 1 << (v % 64);
+            }
         }
-        let mut ranks = vec![(0u32, 0u64); graph.num_nodes().div_ceil(64)];
-        for &v in &nodes {
-            ranks[v as usize / 64].1 |= 1 << (v % 64);
-        }
-        rank_words(&mut ranks);
         GhostTable {
-            len: ranks
-                .iter()
-                .map(|(_, word)| word.count_ones() as usize)
-                .sum(),
-            ranks: Arc::new(ranks),
+            len: words.iter().map(|w| w.count_ones() as usize).sum(),
+            words,
         }
     }
 
@@ -83,26 +70,9 @@ impl GhostTable {
     /// Whether vertex `v` is a candidate.
     #[inline]
     pub fn contains(&self, v: NodeId) -> bool {
-        self.ranks
+        self.words
             .get(v as usize / 64)
-            .is_some_and(|&(_, word)| word & 1 << (v % 64) != 0)
-    }
-
-    /// Ordinal of vertex `v` among the candidates (ascending), if selected.
-    #[inline]
-    pub fn ordinal(&self, v: NodeId) -> Option<u32> {
-        let &(before, word) = self.ranks.get(v as usize / 64)?;
-        let bit = 1u64 << (v % 64);
-        (word & bit != 0).then(|| before + (word & (bit - 1)).count_ones())
-    }
-}
-
-/// Fills each word's count of set bits in the words before it.
-fn rank_words(words: &mut [(u32, u64)]) {
-    let mut before = 0;
-    for (rank, word) in words {
-        *rank = before;
-        before += word.count_ones();
+            .is_some_and(|&word| word & 1 << (v % 64) != 0)
     }
 }
 
@@ -205,8 +175,7 @@ mod tests {
         let g = generate::star(50);
         let t = GhostTable::build(&g, Some(10));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.ordinal(0), Some(0));
-        assert_eq!(t.ordinal(3), None);
+        assert!(t.contains(0) && !t.contains(3));
     }
 
     #[test]
@@ -216,32 +185,18 @@ mod tests {
         assert_eq!(t.len(), 5);
     }
 
+    /// The bitmap answers the paper's degree rule across word boundaries,
+    /// and nothing past the last vertex.
     #[test]
-    fn from_nodes_sorts_and_dedups() {
-        let g = generate::ring(8);
-        let t = GhostTable::from_nodes(&g, vec![5, 2, 5, 0]);
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.ordinal(5), Some(2));
-        assert_eq!(t.ordinal(4), None);
-        assert_eq!(t.ordinal(8), None, "past the graph");
-        assert!(t.contains(2) && !t.contains(3) && !t.contains(8));
-    }
-
-    /// The rank bitmap answers what a search of the sorted list would,
-    /// across word boundaries and past the last vertex.
-    #[test]
-    fn ordinal_matches_the_sorted_list() {
+    fn contains_matches_the_degree_rule() {
         let g = generate::rmat(10, 8, generate::RmatParams::skewed(), 3);
         let t = GhostTable::build(&g, Some(12));
-        let nodes = pgxd_graph::stats::high_degree_nodes(&g, 12);
-        assert!(
-            t.len() > 64 && t.len() == nodes.len(),
-            "ghosts span several words"
-        );
-        for v in 0..g.num_nodes() as NodeId + 130 {
-            let want = nodes.binary_search(&v).ok().map(|i| i as u32);
-            assert_eq!(t.ordinal(v), want, "vertex {v}");
-            assert_eq!(t.contains(v), want.is_some(), "vertex {v}");
+        let hub = |v: NodeId| g.in_degree(v) > 12 || g.out_degree(v) > 12;
+        let n = g.num_nodes() as NodeId;
+        assert!(t.len() > 64, "candidates span several words");
+        assert_eq!(t.len(), (0..n).filter(|&v| hub(v)).count());
+        for v in 0..n + 130 {
+            assert_eq!(t.contains(v), v < n && hub(v), "vertex {v}");
         }
     }
 }

@@ -139,15 +139,10 @@ impl LocalGraph {
         let num_local = (end - start) as usize;
         // Slot of each candidate reached so far, numbered on first reach:
         // numbering them by vertex would take a pass over every edge
-        // before the first one is encoded. Dropped after the build.
-        let mut slot_of = vec![
-            u32::MAX;
-            if ghosts.is_empty() {
-                0
-            } else {
-                graph.num_nodes()
-            }
-        ];
+        // before the first one is encoded. Dropped after the build; never
+        // read without a peer, whose vertices alone can take a slot.
+        let peered = !ghosts.is_empty() && part.num_partitions() > 1;
+        let mut slot_of = vec![u32::MAX; if peered { graph.num_nodes() } else { 0 }];
         let mut slots = Vec::new();
         // Per machine, the owned candidates with an edge to one of its
         // vertices: the vertices it mirrors.

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Line counts the ROADMAP quotes: `*.rs` per crate and the three long
-# documents. Informational — never fails a gate.
+# documents, then three API-surface counts. Informational — never fails a
+# gate.
 cd "$(dirname "$0")/.."
 
 count() { find "$@" -name '*.rs' -not -path '*/target/*' -print0 | xargs -0 cat | wc -l; }
@@ -14,3 +15,10 @@ done
 for doc in DESIGN.md EXPERIMENTS.md README.md; do
     printf '%-18s %6d\n' "$doc" "$(wc -l <"$doc")"
 done
+# API surface: setters of the one configuration builder, fields of the
+# configuration, and the public ways to load a cluster or build an engine.
+cfg=crates/runtime/src/config.rs
+printf '%-18s %6d\n' "builder setters" "$(grep -cE 'pub fn \w+\(mut self, ' "$cfg")"
+printf '%-18s %6d\n' "config fields" "$(awk '/^pub struct Config \{/{on=1; next} on && /^\}/{exit} on && /^    pub [a-z_]+:/{n++} END{print n+0}' "$cfg")"
+entries=$(cat crates/runtime/src/cluster.rs crates/core/src/engine.rs | grep -cE 'pub fn (load|build)(_\w+)?\(')
+printf '%-18s %6d\n' "load/build entries" "$entries"

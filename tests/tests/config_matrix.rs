@@ -494,12 +494,21 @@ fn ghosts_partials_are_per_machine_not_per_worker() {
     assert!(one.1 == two.1, "sums at 1 vs 2 workers per machine");
 }
 
-/// On one machine every read is local: the preset selects no ghost.
+/// On one machine every vertex is owned: under either preset's `Some(0)`
+/// every vertex is a candidate, yet the machine keeps no mirror slot and
+/// no property column has a ghost cell.
 #[test]
 fn one_machine_engine_has_no_ghosts() {
     let g = generate::rmat(11, 16, RmatParams::skewed(), 2008);
-    let e = Config::builder().machines(1).engine(&g).unwrap();
-    assert!(e.cluster().ghosts().is_empty());
+    for preset in [Config::builder(), Engine::builder()] {
+        let mut e = preset.machines(1).engine(&g).unwrap();
+        assert!(!e.cluster().ghosts().is_empty(), "candidates");
+        let pr = e.add_prop("pr", 0.0f64);
+        let machine = e.cluster().machine(0);
+        assert_eq!(machine.graph.mirrors().len(), 0, "mirror slots");
+        assert_eq!(machine.props.len_ghost(), 0, "ghost cells");
+        assert_eq!(machine.props.column(pr.id()).len_total(), g.num_nodes());
+    }
 }
 
 /// Hop distance and WCC push through the workers' private ghost copies

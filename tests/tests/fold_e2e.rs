@@ -246,8 +246,7 @@ fn all_remote_and_zero_degree_vertices() {
             let mut e = engine(&g, machines, ghosts);
             if machines > 1 {
                 let (part, ghosted) = (e.cluster().partition(), e.cluster().ghosts());
-                let remote =
-                    |u: NodeId| part.owner(u) != part.owner(0) && ghosted.ordinal(u).is_none();
+                let remote = |u: NodeId| part.owner(u) != part.owner(0) && !ghosted.contains(u);
                 assert!(g.in_neighbors(0).iter().all(|&u| remote(u)), "{case}");
             }
             let got = run_on::<i64, _>(&mut e, |src, dst| Fold::new(src, dst, op));
@@ -279,7 +278,7 @@ fn counters_match_the_in_edge_census() {
     let (mut local, mut remote) = (0, 0);
     for v in (0..g.num_nodes() as NodeId).filter(|v| v % 3 != 0) {
         for &u in g.in_neighbors(v) {
-            if part.owner(u) == part.owner(v) || ghosts.ordinal(u).is_some() {
+            if part.owner(u) == part.owner(v) || ghosts.contains(u) {
                 local += 1;
             } else {
                 remote += 1;

@@ -255,7 +255,7 @@ fn all_remote_and_zero_degree_vertices() {
     for machines in [2, 3] {
         let e = engine(&g, machines, true);
         let (part, ghosted) = (e.cluster().partition(), e.cluster().ghosts());
-        let remote = |u: NodeId| part.owner(u) != part.owner(3) && ghosted.ordinal(u).is_none();
+        let remote = |u: NodeId| part.owner(u) != part.owner(3) && !ghosted.contains(u);
         assert!(g.out_neighbors(3).iter().all(|&u| remote(u)), "{machines}");
     }
     for op in OPS {
@@ -279,7 +279,7 @@ fn counters_match_the_out_edge_census() {
         for &u in g.out_neighbors(v) {
             if part.owner(u) == part.owner(v) {
                 local += 1;
-            } else if ghosts.ordinal(u).is_some() {
+            } else if ghosts.contains(u) {
                 ghost += 1;
             } else {
                 remote += 1;
