@@ -176,9 +176,14 @@ mod tests {
     #[test]
     fn edge_iteration_speeds_positive_and_ordered() {
         let g = generate::rmat(9, 8, generate::RmatParams::skewed(), 13);
-        let sa = sa_edge_iteration_meps(&g, 2);
         let pgx = pgx_edge_iteration_meps(&g, 2);
-        let gl = gas_edge_iteration_meps(&g, 2);
+        // Each side is the best of five scans taken in turn: the suite's
+        // other tests share the cores, and one busy spell must not decide.
+        let (mut sa, mut gl) = (0.0f64, 0.0f64);
+        for _ in 0..5 {
+            sa = sa.max(sa_edge_iteration_meps(&g, 2));
+            gl = gl.max(gas_edge_iteration_meps(&g, 2));
+        }
         assert!(sa > 0.0 && pgx > 0.0 && gl > 0.0);
         // Figure 5a's shape: raw CSR beats the frameworks.
         assert!(sa > gl, "SA {sa} should beat GAS {gl}");

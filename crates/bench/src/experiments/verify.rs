@@ -87,13 +87,17 @@ pub fn run_checks(scale: Scale) -> Vec<Check> {
         pass: sa_core < pgx_core,
     });
 
-    // --- pull vs push ---
-    let pull = reported(System::Pgx, Algo::PrPull, &g, 2, reps);
+    // --- pull vs push: each best of ten runs taken in turn ---
+    let (mut pull, mut push) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..10 {
+        pull = pull.min(reported(System::Pgx, Algo::PrPull, &g, 2, 1));
+        push = push.min(reported(System::Pgx, Algo::PrPush, &g, 2, 1));
+    }
     checks.push(Check {
         id: "T3-pull-beats-push",
         claim: "pull-mode PageRank beats push (no atomic accumulation)",
-        evidence: format!("pull {:.4}s vs push {:.4}s per iter", pull, pgx),
-        pass: pull < pgx,
+        evidence: format!("pull {pull:.4}s vs push {push:.4}s per iter"),
+        pass: pull < push,
     });
 
     // --- Figure 6a: ghosts cut traffic ---
@@ -122,10 +126,14 @@ pub fn run_checks(scale: Scale) -> Vec<Check> {
         pass: load.binary_load_secs < load.text_load_secs,
     });
 
-    // --- Figure 5a: SA > PGX >> GL iteration speed ---
-    let sa_meps = fig5::sa_edge_iteration_meps(&g, 2);
-    let pgx_meps = fig5::pgx_edge_iteration_meps(&g, 2);
-    let gl_meps = fig5::gas_edge_iteration_meps(&g, 2);
+    // --- Figure 5a: SA > PGX >> GL iteration speed, each the best of ten
+    // warm scans taken in turn ---
+    let (mut sa_meps, mut pgx_meps, mut gl_meps) = (0.0f64, 0.0f64, 0.0f64);
+    for _ in 0..10 {
+        sa_meps = sa_meps.max(fig5::sa_edge_iteration_meps(&g, 2));
+        pgx_meps = pgx_meps.max(fig5::pgx_edge_iteration_meps(&g, 2));
+        gl_meps = gl_meps.max(fig5::gas_edge_iteration_meps(&g, 2));
+    }
     checks.push(Check {
         id: "F5a-iteration-order",
         claim: "edge iteration: raw CSR > PGX.D >> GraphLab-class",

@@ -12,7 +12,6 @@ use pgxd_runtime::chunk::{make_chunks, node_target_from_edges, ChunkQueue};
 use pgxd_runtime::config::{ChunkingMode, Config, ConfigBuilder, TransportConfig};
 use pgxd_runtime::health::JobError;
 use pgxd_runtime::jobctx::{JobCtx, JobExec, JobOutcome};
-use pgxd_runtime::machine::RmiFn;
 use pgxd_runtime::phase::Phase;
 use pgxd_runtime::props::{bottom_bits, PropValue, ReduceOp};
 use pgxd_runtime::stats::{Breakdown, StatsSnapshot};
@@ -319,15 +318,6 @@ impl Engine {
     /// exactly what a SIGKILL of this rank would produce. Chaos/test hook.
     pub fn sever_transport(&self) {
         self.cluster.sever_transport()
-    }
-
-    // ------------------------------------------------------------------
-    // RMI
-    // ------------------------------------------------------------------
-
-    /// Registers a remote method on every machine; returns its id.
-    pub fn register_rmi(&mut self, f: Arc<RmiFn>) -> u16 {
-        self.cluster.register_rmi(f)
     }
 
     // ------------------------------------------------------------------

@@ -30,7 +30,7 @@
 //! retires one extra work unit, so the phase cannot complete before every
 //! partial has been published and applied.
 
-use crate::scope::{fold_record, TaskScope, FOLD_NODE_BIT};
+use crate::scope::TaskScope;
 use crate::spec::JobSpec;
 use crate::task::{
     Dir, EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, ReadDoneCtx, Reduction, Scatter,
@@ -40,52 +40,71 @@ use pgxd_runtime::chunk::{Chunk, ChunkQueue};
 use pgxd_runtime::localgraph::FragmentDir;
 use pgxd_runtime::phase::{sync_ghosts, JobState, Phase, WorkerEnv};
 use pgxd_runtime::props::{cas_reduce, reduce_bits, PropId, PropValue, ReduceOp, TypeTag};
+use pgxd_runtime::worker::{Response, SideRec};
 use pgxd_runtime::Cluster;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Invokes the pending locally-satisfied `read_done` continuations.
-fn drain_local<F: Fn(&mut ReadDoneCtx<'_, '_>)>(scope: &mut TaskScope<'_>, read_done: &F) {
+fn drain_local<T: EdgeTask>(scope: &mut TaskScope<'_>, task: &T) {
     while let Some((rec, bits)) = scope.local_reads.pop() {
-        let mut ctx = ReadDoneCtx {
-            scope,
-            node: rec.node as usize,
-            aux: rec.aux,
-            bits,
-        };
-        read_done(&mut ctx);
+        task.read_done(&mut continuation(scope, rec, bits));
+    }
+}
+
+/// The context `read_done` continues in for the request `rec` with `bits`.
+fn continuation<'s, 'a>(
+    scope: &'s mut TaskScope<'a>,
+    rec: SideRec,
+    bits: u64,
+) -> ReadDoneCtx<'s, 'a> {
+    ReadDoneCtx {
+        scope,
+        node: rec.node as usize,
+        aux: rec.aux,
+        bits,
     }
 }
 
 /// Drains the worker's response queue once; returns whether anything was
-/// processed. Fold records are folded into their cell; every other record
-/// continues in `read_done`.
-fn drain_responses<F: Fn(&mut ReadDoneCtx<'_, '_>)>(
-    scope: &mut TaskScope<'_>,
-    read_done: &F,
-) -> bool {
+/// processed. Every response goes to `resume`, the job's one consumer of
+/// its read values, which the driver fixed for the whole job.
+fn drain_responses<R>(scope: &mut TaskScope<'_>, resume: &R) -> bool
+where
+    R: Fn(&mut TaskScope<'_>, &Response),
+{
     let mut worked = false;
     while let Some(resp) = scope.comm.try_pop_response() {
         worked = true;
-        for (rec, bits) in resp.values() {
-            if rec.node & FOLD_NODE_BIT != 0 {
-                scope.fold_response(rec, bits);
-                continue;
-            }
-            let mut ctx = ReadDoneCtx {
-                scope,
-                node: rec.node as usize,
-                aux: rec.aux,
-                bits,
-            };
-            read_done(&mut ctx);
-        }
-        // Local continuations first: whatever they buffer is published by
-        // the same step that retires this response's entries.
-        drain_local(scope, read_done);
+        resume(scope, &resp);
         scope.comm.finish_response(resp);
     }
     worked
+}
+
+/// The consumer of an edge job that runs `task`'s edges: each value
+/// continues in its `read_done`, then the local reads those chained do.
+/// Local continuations go first: whatever they buffer is published by the
+/// same step that retires the response's entries.
+fn resume_reads<T: EdgeTask>(task: &T, scope: &mut TaskScope<'_>, resp: &Response) {
+    for (rec, bits) in resp.values() {
+        task.read_done(&mut continuation(scope, rec, bits));
+    }
+    drain_local(scope, task);
+}
+
+/// The consumer of a declared fold: each value of a remote neighbor folds
+/// into its vertex's `dst` cell. Every response to a vertex's reads drains
+/// on the worker that ran its edges, so a plain load and store suffice.
+fn resume_fold(fold: Fold, scope: &mut TaskScope<'_>, resp: &Response) {
+    let dst = scope.col(fold.dst);
+    for (rec, bits) in resp.values() {
+        let node = rec.node as usize;
+        dst.store_bits(
+            node,
+            reduce_bits(fold.tag, fold.op, dst.load_bits(node), bits),
+        );
+    }
 }
 
 /// What both job phase kinds share besides their task.
@@ -132,11 +151,12 @@ impl JobCore {
     /// One worker's share of the phase: the ghost values of the read
     /// properties are pushed and awaited, `chunk` runs over every chunk the
     /// worker claims, then it passes its ghost partials on and drains until
-    /// the phase is globally complete.
-    fn run<C, F>(&self, env: &mut WorkerEnv<'_>, read_done: &F, mut chunk: C)
+    /// the phase is globally complete. `resume` consumes every response
+    /// the worker drains.
+    fn run<C, R>(&self, env: &mut WorkerEnv<'_>, resume: &R, mut chunk: C)
     where
         C: FnMut(&mut TaskScope<'_>, Chunk),
-        F: Fn(&mut ReadDoneCtx<'_, '_>),
+        R: Fn(&mut TaskScope<'_>, &Response),
     {
         // An aborted cluster leaves the wait and skips the chunks; the
         // drain below then falls through to the barrier.
@@ -162,7 +182,7 @@ impl JobCore {
             // counters) as soon as none is outstanding.
             scope.comm.publish_pending();
             job.retire();
-            drain_responses(&mut scope, read_done);
+            drain_responses(&mut scope, resume);
         }
         machine.telemetry.record_chunk_claims(claims);
 
@@ -182,7 +202,7 @@ impl JobCore {
         }
         job.retire(); // every entry is published: `flush` above or in the send
         loop {
-            if drain_responses(&mut scope, read_done) {
+            if drain_responses(&mut scope, resume) {
                 scope.comm.flush();
                 continue;
             }
@@ -215,7 +235,6 @@ pub(crate) struct EdgeJobPhase<T: EdgeTask> {
 impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
     fn execute(&self, env: &mut WorkerEnv<'_>) {
         let task = &*self.task;
-        let read_done = |ctx: &mut ReadDoneCtx<'_, '_>| task.read_done(ctx);
         let frag = match self.dir {
             Dir::Out => &env.machine.graph.out,
             Dir::In => &env.machine.graph.inn,
@@ -223,17 +242,22 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
         let prepare = |scope: &mut TaskScope<'_>, nodes: &Chunk| {
             task.prepare(&mut NodeChunk::new(scope, nodes.clone()))
         };
+        let reads = |scope: &mut TaskScope<'_>, resp: &Response| resume_reads(task, scope, resp);
         match self.reduction {
-            Some(Reduction::Fold(fold)) => self.core.run(env, &read_done, |scope, nodes| {
-                prepare(scope, &nodes);
-                dispatch(fold.tag, fold.op, Declared(scope, frag, task, fold, nodes))
-            }),
-            Some(Reduction::Scatter(scatter)) => self.core.run(env, &read_done, |scope, nodes| {
+            Some(Reduction::Fold(fold)) => {
+                let folds =
+                    |scope: &mut TaskScope<'_>, resp: &Response| resume_fold(fold, scope, resp);
+                self.core.run(env, &folds, |scope, nodes| {
+                    prepare(scope, &nodes);
+                    dispatch(fold.tag, fold.op, Declared(scope, frag, task, fold, nodes))
+                })
+            }
+            Some(Reduction::Scatter(scatter)) => self.core.run(env, &reads, |scope, nodes| {
                 prepare(scope, &nodes);
                 let chunk = Declared(scope, frag, task, scatter, nodes);
                 dispatch(scatter.tag, scatter.op, chunk)
             }),
-            None => self.core.run(env, &read_done, |scope, nodes| {
+            None => self.core.run(env, &reads, |scope, nodes| {
                 prepare(scope, &nodes);
                 for node in nodes {
                     if !task.filter(&mut NodeCtx { scope, node }) {
@@ -250,7 +274,7 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
                         };
                         task.run(&mut ctx);
                     }
-                    drain_local(scope, &read_done);
+                    drain_local(scope, task);
                 }
             }),
         }
@@ -300,8 +324,8 @@ struct Declared<'c, 'a, T, D>(&'c mut TaskScope<'a>, &'c FragmentDir, &'c T, D, 
 /// the vertex's cell is loaded into a register, every local or ghost
 /// neighbor's value is combined into it, and it is stored back after the
 /// vertex's last edge. A remote neighbor is a buffered read whose response
-/// the drain loop folds into the cell ([`TaskScope::fold_response`]); none
-/// drains before the chunk ends, so the store cannot overwrite one.
+/// the drain loop folds into the cell ([`resume_fold`]); none drains
+/// before the chunk ends, so the store cannot overwrite one.
 impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Fold> {
     fn run<V: PropValue>(self, _op: ReduceOp, combine: impl Fn(V, V) -> V) {
         let Declared(scope, frag, task, fold, nodes) = self;
@@ -312,7 +336,10 @@ impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Fold> {
             if !task.filter(&mut NodeCtx { scope, node }) {
                 continue;
             }
-            let rec = fold_record(node, &fold);
+            let rec = SideRec {
+                node: node as u32,
+                aux: 0,
+            };
             let mut acc = V::from_bits(dst[node].load(Ordering::Relaxed));
             for &target in &frag.targets[frag.edge_range(node)] {
                 if target.is_remote() {
@@ -387,10 +414,10 @@ pub(crate) struct NodeJobPhase<T: NodeTask> {
 impl<T: NodeTask> Phase for NodeJobPhase<T> {
     fn execute(&self, env: &mut WorkerEnv<'_>) {
         let task = &*self.task;
-        let read_done = |ctx: &mut ReadDoneCtx<'_, '_>| task.read_done(ctx);
-        // A node task cannot read locally (only a continuation can, and
-        // `drain_responses` runs those), so there is no per-vertex drain.
-        self.core.run(env, &read_done, |scope, nodes| {
+        // A node task issues no read (a `NodeCtx` cannot), so no response
+        // reaches it and no local read waits between its vertices.
+        let no_response = |_: &mut TaskScope<'_>, _: &Response| {};
+        self.core.run(env, &no_response, |scope, nodes| {
             task.run_chunk(&mut NodeChunk::new(scope, nodes))
         });
     }

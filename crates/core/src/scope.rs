@@ -6,7 +6,6 @@
 //! a buffered remote request. A ghost slot stands in for its vertex only
 //! for what the job declares; any other access goes to the owner.
 
-use crate::task::Fold;
 use pgxd_runtime::ids::MachineId;
 use pgxd_runtime::localgraph::EncTarget;
 use pgxd_runtime::machine::MachineState;
@@ -16,22 +15,6 @@ use pgxd_runtime::telemetry::EventKind;
 use pgxd_runtime::worker::{SideRec, WorkerComm};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-
-/// Marks the record of a remote fold ([`fold_record`]): the drain loop
-/// folds its response into the target cell itself instead of calling
-/// `read_done`. Local vertex indices stay below 2³¹, so the bit is free.
-pub(crate) const FOLD_NODE_BIT: u32 = 1 << 31;
-
-/// The record of a remote read that `fold` issues for local vertex
-/// `node`: the fold's target property and reduction packed into `aux`.
-#[inline]
-pub(crate) fn fold_record(node: usize, fold: &Fold) -> SideRec {
-    debug_assert!(node < FOLD_NODE_BIT as usize);
-    SideRec {
-        node: node as u32 | FOLD_NODE_BIT,
-        aux: (fold.dst.0 as u64) << 8 | fold.op as u64,
-    }
-}
 
 /// A thread-private ghost copy of one reduced property (§3.3 "Ghost
 /// Privatization": "during the parallel region, reductions to the
@@ -227,16 +210,6 @@ impl<'a> TaskScope<'a> {
         self.stat_local_reads += 1;
         let bits = self.col(p).load_bits(index);
         self.local_reads.push((rec, bits));
-    }
-
-    /// Folds the response to a remote fold's read into its vertex's cell.
-    /// Every continuation of a vertex runs on its worker, so a plain load
-    /// and store suffice.
-    pub fn fold_response(&mut self, rec: SideRec, bits: u64) {
-        let node = (rec.node & !FOLD_NODE_BIT) as usize;
-        let op = ReduceOp::from_u8(rec.aux as u8).expect("a fold record carries its reduction");
-        let col = self.col(PropId((rec.aux >> 8) as u16));
-        col.store_bits(node, reduce_bits(col.tag(), op, col.load_bits(node), bits));
     }
 
     /// Reduces a value into an arbitrary vertex by *global* id, local or

@@ -1,10 +1,10 @@
 //! Task traits and execution contexts (§4.1).
 //!
 //! A PGX.D task is a run-to-completion context object: `run()` is invoked
-//! once per edge (or node) and always returns; remote reads requested
-//! inside `run()` continue later in `read_done()`, on the *same* worker
-//! thread, with whatever state the task saved in its fields or in node
-//! properties (§4.1.2). A pull whose continuation would only fold the
+//! once per edge (or node) and always returns; remote reads an edge task
+//! requests inside `run()` continue later in `read_done()`, on the *same*
+//! worker thread, with whatever state the task saved in its fields or in
+//! node properties (§4.1.2). A pull whose continuation would only fold the
 //! value into the current vertex is declared instead, as a [`Fold`], and a
 //! push of a column of the current vertex as a [`Scatter`]: the task's
 //! [`Reduction`]. The engine then runs the edges itself, with no `run()` or
@@ -216,9 +216,6 @@ pub trait NodeTask: Send + Sync + 'static {
             }
         }
     }
-
-    /// Continuation for reads issued by `run`.
-    fn read_done(&self, _ctx: &mut ReadDoneCtx<'_, '_>) {}
 }
 
 /// One chunk of a node job: a run of the machine's vertices, addressed by
@@ -273,7 +270,7 @@ impl<'s, 'a> NodeChunk<'s, 'a> {
     }
 
     /// The per-vertex context of `v`, a vertex of this chunk: for what a
-    /// [`Col`] does not do (its global id, `reduce_global`, `rmi`).
+    /// [`Col`] does not do (its global id, `reduce_global`).
     pub fn ctx(&mut self, v: usize) -> NodeCtx<'_, 'a> {
         assert!(self.nodes.contains(&v), "vertex {v} is not in the chunk");
         NodeCtx {
@@ -307,7 +304,9 @@ impl<T: PropValue> Col<T> {
     }
 }
 
-/// Context over the *current vertex* (filters and node tasks).
+/// Context over the *current vertex* (filters and node tasks): it reads
+/// and writes the vertex's cells and reduces into any vertex, but issues
+/// no read, so nothing continues on it.
 pub struct NodeCtx<'s, 'a> {
     pub(crate) scope: &'s mut TaskScope<'a>,
     pub(crate) node: usize,
@@ -349,18 +348,6 @@ impl NodeCtx<'_, '_> {
     #[inline]
     pub fn reduce_global<T: PropValue>(&mut self, v: NodeId, p: Prop<T>, op: ReduceOp, val: T) {
         self.scope.reduce_global(v, p.id, op, val.to_bits());
-    }
-
-    /// Issues a remote method invocation on machine `dst`; the response
-    /// arrives in `read_done` with `aux` as the tag and the first 8 bytes
-    /// of the response as the value.
-    #[inline]
-    pub fn rmi(&mut self, dst: u16, fn_id: u16, args: &[u8], aux: u64) {
-        let rec = SideRec {
-            node: self.node as u32,
-            aux,
-        };
-        self.scope.comm.push_rmi(dst, fn_id, args, rec);
     }
 }
 
@@ -474,8 +461,8 @@ impl EdgeCtx<'_, '_> {
     }
 }
 
-/// Continuation context: the value fetched by a `read_nbr` (or the first 8
-/// response bytes of an RMI), plus local access to the originating vertex.
+/// Continuation context: the value fetched by a `read_nbr` or
+/// `read_global`, plus local access to the originating vertex.
 pub struct ReadDoneCtx<'s, 'a> {
     pub(crate) scope: &'s mut TaskScope<'a>,
     pub(crate) node: usize,

@@ -20,7 +20,7 @@ use crate::health::{panic_message, ClusterHealth, JobError};
 use crate::ids::MachineId;
 use crate::jobctx::{JobCtx, JobExec, JobOutcome, PhaseSpan};
 use crate::localgraph::LocalGraph;
-use crate::machine::{MachineState, RmiFn};
+use crate::machine::MachineState;
 use crate::message::{Envelope, MsgKind};
 use crate::partition::Partitioning;
 use crate::phase::{DistBarrierPhase, JobState, Phase, WorkerEnv};
@@ -94,7 +94,6 @@ pub struct Cluster {
     ctl: Arc<PhaseControl>,
     threads: Vec<JoinHandle<()>>,
     next_prop: u16,
-    next_rmi: u16,
     dist_epoch: u64,
     /// Per-machine durable checkpoint stores (index = machine id).
     stores: Vec<Arc<CheckpointStore>>,
@@ -291,7 +290,6 @@ impl Cluster {
             ctl,
             threads,
             next_prop: 0,
-            next_rmi: 0,
             dist_epoch: 0,
             stores: (0..p)
                 .map(|_| Arc::new(CheckpointStore::with_plan(retain, storage_plan)))
@@ -942,20 +940,6 @@ impl Cluster {
     }
 
     // -----------------------------------------------------------------
-    // RMI
-    // -----------------------------------------------------------------
-
-    /// Registers a remote method on every machine; returns its RMI id.
-    pub fn register_rmi(&mut self, f: Arc<RmiFn>) -> u16 {
-        let id = self.next_rmi;
-        self.next_rmi += 1;
-        for m in &self.machines {
-            m.register_rmi_at(id, f.clone());
-        }
-        id
-    }
-
-    // -----------------------------------------------------------------
     // Phase execution
     // -----------------------------------------------------------------
 
@@ -1525,50 +1509,5 @@ mod tests {
         for _ in 0..4 {
             c.run_dist_barrier();
         }
-    }
-
-    #[test]
-    fn rmi_dispatch() {
-        let mut c = ring_cluster(2);
-        let p = c.add_prop::<i64>("r", 0);
-        let id = c.register_rmi(Arc::new(move |m: &MachineState, args: &[u8]| {
-            // Add args[0] to local cell 0 and echo it back.
-            m.props
-                .column(p)
-                .reduce_bits_atomic(0, ReduceOp::Sum, args[0] as u64);
-            vec![args[0]]
-        }));
-        assert_eq!(id, 0);
-        // Drive an RMI through machine 1's copier by sending directly.
-        struct RmiPhase {
-            job: Arc<JobState>,
-            got: Arc<AtomicI64>,
-        }
-        impl Phase for RmiPhase {
-            fn execute(&self, env: &mut WorkerEnv<'_>) {
-                if env.machine.id == 0 && env.comm.worker() == 0 {
-                    env.comm
-                        .push_rmi(1, 0, &[5u8], crate::worker::SideRec { node: 0, aux: 0 });
-                    env.comm.flush();
-                }
-                self.job.retire();
-                let got = self.got.clone();
-                crate::phase::drain_until_complete(env, &self.job, move |_, _, bits| {
-                    got.store(bits as i64, Ordering::SeqCst);
-                });
-            }
-        }
-        let got = Arc::new(AtomicI64::new(-1));
-        let workers_total = c.num_machines() * c.config().workers;
-        let job = c.job_state(workers_total, CancelToken::never());
-        c.try_run_phase(Arc::new(RmiPhase {
-            job,
-            got: got.clone(),
-        }))
-        .unwrap();
-        assert_eq!(got.load(Ordering::SeqCst), 5, "RMI response delivered");
-        // The handler ran on machine 1 and mutated its local cell.
-        let m1_first = c.partition().start(1);
-        assert_eq!(c.get::<i64>(p, m1_first), 5);
     }
 }

@@ -4,8 +4,13 @@
 //! incoming request messages. As for write (reduction) requests, the copier
 //! applies them directly with atomic instructions. As for read requests,
 //! the copier creates a corresponding response message and sends it back to
-//! the originating machine. The remote method invocation (RMI) is also
-//! handled by the copier threads."
+//! the originating machine." The paper's copiers also run remote method
+//! invocations; nothing here issues one, so a copier answers reads and
+//! applies writes only (DESIGN.md §2).
+//!
+//! A copier reads every byte a peer sends, so it fails a malformed
+//! request with an error that aborts the job, never with a panic: the
+//! module denies indexing, `unwrap`, `expect` and `panic!` outside tests.
 //!
 //! When the reliability protocol is enabled the copier is also the
 //! request-lane endpoint of it: every received envelope refreshes the
@@ -13,12 +18,22 @@
 //! dedup-filtered before processing, and `Ack`/`Heartbeat` control
 //! messages are consumed here without touching the data path.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
+)]
+
 use crate::health::JobError;
 use crate::ids::MachineId;
 use crate::machine::MachineState;
 use crate::message::{
-    ack_entries, mut_entry_count, mut_runs, push_ack_entry, push_resp_entry, push_rmi_resp_entry,
-    read_runs, rmi_entries, Envelope, MsgKind, ACK_ENTRY_BYTES,
+    ack_entries, mut_entry_count, mut_runs, push_ack_entry, push_resp_entry, read_runs, Envelope,
+    MsgKind, ACK_ENTRY_BYTES,
 };
 use crate::message::{
     decode_term_probe, decode_term_release, decode_term_stat, encode_term_probe,
@@ -61,22 +76,19 @@ impl ColCache {
     /// descriptive error instead of a panic.
     fn get(&mut self, m: &MachineState, prop: u16) -> Result<&Column, String> {
         let prop = PropId(prop);
-        let slot = match self.cols.iter().position(|(id, _)| *id == prop) {
-            Some(slot) => slot,
-            None => {
-                let col = m.props.try_column(prop).ok_or_else(|| {
-                    format!(
-                        "machine {}: request entry names property {} which is not \
-                         registered (dropped or never created) — stale or duplicated \
-                         request",
-                        m.id, prop.0
-                    )
-                })?;
-                self.cols.push((prop, col));
-                self.cols.len() - 1
-            }
+        let missing = || {
+            format!(
+                "machine {}: request entry names property {} which is not registered \
+                 (dropped or never created) — stale or duplicated request",
+                m.id, prop.0
+            )
         };
-        Ok(&self.cols[slot].1)
+        if !self.cols.iter().any(|(id, _)| *id == prop) {
+            let col = m.props.try_column(prop).ok_or_else(missing)?;
+            self.cols.push((prop, col));
+        }
+        let cached = self.cols.iter().find(|(id, _)| *id == prop);
+        cached.map(|(_, col)| &**col).ok_or_else(missing)
     }
 }
 
@@ -252,24 +264,6 @@ pub fn process_request(
             // `outstanding` sum an exact in-flight count.
             m.send_pool.release(env.payload);
         }
-        MsgKind::Rmi => {
-            let mut payload = m.send_pool.acquire_or_alloc();
-            for (fn_id, args) in rmi_entries(&env.payload) {
-                let f = m.rmi_fn(fn_id);
-                let result = f(m, args);
-                push_rmi_resp_entry(&mut payload, &result);
-            }
-            let _ = m.outbox_tx.send(Envelope {
-                src: m.id,
-                dst: env.src,
-                kind: MsgKind::RmiResp,
-                worker: env.worker,
-                side_id: env.side_id,
-                seq: 0,
-                payload,
-            });
-            m.send_pool.release(env.payload);
-        }
         MsgKind::BarrierArrive => {
             // Coordinator only (machine 0): when the last machine arrives,
             // broadcast the release to every machine including ourselves.
@@ -394,11 +388,7 @@ pub fn process_request(
                 }
             }
         }
-        MsgKind::ReadResp
-        | MsgKind::RmiResp
-        | MsgKind::Shutdown
-        | MsgKind::Ack
-        | MsgKind::Heartbeat => {
+        MsgKind::ReadResp | MsgKind::Shutdown | MsgKind::Ack | MsgKind::Heartbeat => {
             return Err(format!(
                 "machine {}: {:?} envelope routed into request processing",
                 m.id, env.kind

@@ -22,8 +22,8 @@
 //!   property storage with atomic reductions).
 //! * Communication Manager (§3.4): [`message`] (wire format), [`buffer`]
 //!   (buffer pool with back-pressure), [`fabric`] (links + traffic
-//!   accounting + optional bandwidth model), [`copier`] (request
-//!   processing and RMI dispatch), poller threads in [`machine`].
+//!   accounting + optional bandwidth model), [`copier`] (answers reads,
+//!   applies writes), poller threads in [`machine`].
 //!
 //! The user-facing programming model (§4) lives in the `pgxd` crate on top
 //! of this one.

@@ -15,14 +15,8 @@ use crate::stats::MachineStats;
 use crate::telemetry::Telemetry;
 use crate::term::TermState;
 use crossbeam::channel::{Receiver, Sender};
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicI64, AtomicU64};
 use std::sync::Arc;
-
-/// A remote method registered with the Communication Manager: executed by
-/// copier threads against the local machine state, returning the response
-/// bytes (possibly empty).
-pub type RmiFn = dyn Fn(&MachineState, &[u8]) -> Vec<u8> + Send + Sync;
 
 /// Everything one simulated machine owns.
 pub struct MachineState {
@@ -71,8 +65,6 @@ pub struct MachineState {
     /// This machine's reliable-delivery state: sequence allocation,
     /// retransmit store, request-lane dedup windows.
     pub reliability: Arc<Reliability>,
-    /// Registered remote methods, indexed by their RMI identifier.
-    pub rmi: RwLock<Vec<Arc<RmiFn>>>,
     /// Distributed termination state (event-driven Mattern double wave),
     /// on under `strict_distributed` (forced by TCP). Inert otherwise: the
     /// in-process machines then share `pending`, which already answers
@@ -126,7 +118,6 @@ impl MachineState {
             ghosts_synced: AtomicU64::new(0),
             health,
             reliability,
-            rmi: RwLock::new(Vec::new()),
             term: Arc::new(TermState::new(config.machines, config.strict_distributed)),
         }
     }
@@ -189,24 +180,6 @@ impl MachineState {
             self.term.add_dec(n);
             self.report_term(false);
         }
-    }
-
-    /// Registers an RMI handler at an explicit id (the driver assigns the
-    /// same id on every machine). Panics on id collision.
-    pub fn register_rmi_at(&self, id: u16, f: Arc<RmiFn>) {
-        let mut rmi = self.rmi.write();
-        let idx = id as usize;
-        if rmi.len() <= idx {
-            rmi.resize_with(idx + 1, || {
-                Arc::new(|_: &MachineState, _: &[u8]| Vec::new())
-            });
-        }
-        rmi[idx] = f;
-    }
-
-    /// Looks up an RMI handler.
-    pub fn rmi_fn(&self, id: u16) -> Arc<RmiFn> {
-        self.rmi.read()[id as usize].clone()
     }
 }
 

@@ -27,10 +27,8 @@ pub enum MsgKind {
     /// Ghost post-reduction: partial values flowing back to the owner
     /// (offset field = owner-local node offset).
     GhostReduce = 4,
-    /// Batched remote method invocations.
-    Rmi = 5,
-    /// Responses to `Rmi`, in request order.
-    RmiResp = 6,
+    // Codes 5 and 6 are unassigned: a frame carrying one is refused
+    // (`FrameError::BadKind`).
     /// Distributed-barrier arrival notification (machine → coordinator).
     BarrierArrive = 7,
     /// Distributed-barrier release broadcast (coordinator → machines).
@@ -82,8 +80,6 @@ impl MsgKind {
             2 => MsgKind::Write,
             3 => MsgKind::GhostSync,
             4 => MsgKind::GhostReduce,
-            5 => MsgKind::Rmi,
-            6 => MsgKind::RmiResp,
             7 => MsgKind::BarrierArrive,
             8 => MsgKind::BarrierRelease,
             9 => MsgKind::Shutdown,
@@ -106,7 +102,6 @@ impl MsgKind {
                 | MsgKind::Write
                 | MsgKind::GhostSync
                 | MsgKind::GhostReduce
-                | MsgKind::Rmi
                 | MsgKind::BarrierArrive
                 | MsgKind::BarrierRelease
                 | MsgKind::Ping
@@ -119,7 +114,7 @@ impl MsgKind {
 
     /// True for kinds routed back to the originating worker thread.
     pub fn is_response(self) -> bool {
-        matches!(self, MsgKind::ReadResp | MsgKind::RmiResp)
+        matches!(self, MsgKind::ReadResp)
     }
 
     /// True for kinds covered by the reliability protocol (sequenced,
@@ -154,8 +149,6 @@ impl MsgKind {
                 | MsgKind::Write
                 | MsgKind::GhostSync
                 | MsgKind::GhostReduce
-                | MsgKind::Rmi
-                | MsgKind::RmiResp
                 | MsgKind::Ping
         )
     }
@@ -174,8 +167,8 @@ pub struct Envelope {
     pub dst: MachineId,
     /// Payload interpretation.
     pub kind: MsgKind,
-    /// Originating worker thread (for response routing) — for `ReadResp` /
-    /// `RmiResp` this is the worker *on the destination machine*.
+    /// Originating worker thread (for response routing) — for `ReadResp`
+    /// this is the worker *on the destination machine*.
     pub worker: u16,
     /// Identifier of the side structure holding the continuation records
     /// for this message's requests (echoed verbatim into the response).
@@ -383,64 +376,6 @@ pub fn ack_entries(payload: &[u8]) -> impl Iterator<Item = (u32, u64)> + '_ {
         let seq = u64::from_le_bytes(c[4..12].try_into().unwrap());
         (lane, seq)
     })
-}
-
-/// Appends an RMI entry `{fn_id:u16, len:u16, args:[u8; len]}`.
-#[inline]
-pub fn push_rmi_entry(buf: &mut Vec<u8>, fn_id: u16, args: &[u8]) {
-    assert!(args.len() <= u16::MAX as usize, "RMI args too large");
-    buf.extend_from_slice(&fn_id.to_le_bytes());
-    buf.extend_from_slice(&(args.len() as u16).to_le_bytes());
-    buf.extend_from_slice(args);
-}
-
-/// Iterates RMI entries as `(fn_id, args)`.
-pub fn rmi_entries(payload: &[u8]) -> impl Iterator<Item = (u16, &[u8])> + '_ {
-    let mut o = 0usize;
-    std::iter::from_fn(move || {
-        if o + 4 > payload.len() {
-            return None;
-        }
-        let fn_id = u16::from_le_bytes([payload[o], payload[o + 1]]);
-        let len = u16::from_le_bytes([payload[o + 2], payload[o + 3]]) as usize;
-        let args = &payload[o + 4..o + 4 + len];
-        o += 4 + len;
-        Some((fn_id, args))
-    })
-}
-
-/// Appends an RMI response entry `{len:u16, bytes:[u8; len]}`.
-#[inline]
-pub fn push_rmi_resp_entry(buf: &mut Vec<u8>, bytes: &[u8]) {
-    assert!(bytes.len() <= u16::MAX as usize, "RMI response too large");
-    buf.extend_from_slice(&(bytes.len() as u16).to_le_bytes());
-    buf.extend_from_slice(bytes);
-}
-
-/// Iterates RMI response entries.
-pub fn rmi_resp_entries(payload: &[u8]) -> RmiRespEntries<'_> {
-    RmiRespEntries { rest: payload }
-}
-
-/// The iterator [`rmi_resp_entries`] returns (named so it can sit inside
-/// other iterator types).
-#[derive(Clone, Debug)]
-pub struct RmiRespEntries<'a> {
-    rest: &'a [u8],
-}
-
-impl<'a> Iterator for RmiRespEntries<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        if self.rest.len() < 2 {
-            return None;
-        }
-        let len = u16::from_le_bytes([self.rest[0], self.rest[1]]) as usize;
-        let (bytes, rest) = self.rest[2..].split_at(len);
-        self.rest = rest;
-        Some(bytes)
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -684,11 +619,13 @@ mod tests {
 
     #[test]
     fn kind_roundtrip() {
-        for v in 0..17u8 {
+        for v in (0..17u8).filter(|v| !matches!(v, 5 | 6)) {
             let k = MsgKind::from_u8(v).unwrap();
             assert_eq!(k as u8, v);
         }
-        assert!(MsgKind::from_u8(99).is_none());
+        for v in [5, 6, 17, 99] {
+            assert!(MsgKind::from_u8(v).is_none());
+        }
     }
 
     #[test]
@@ -696,7 +633,6 @@ mod tests {
         assert!(MsgKind::ReadReq.is_request());
         assert!(MsgKind::Write.is_request());
         assert!(MsgKind::ReadResp.is_response());
-        assert!(MsgKind::RmiResp.is_response());
         assert!(!MsgKind::ReadResp.is_request());
         assert!(!MsgKind::Shutdown.is_request());
         assert!(!MsgKind::Shutdown.is_response());
@@ -818,6 +754,14 @@ mod tests {
             decode_frame_header(&bad, 1 << 20),
             Err(FrameError::BadKind(200))
         ));
+        for retired in [5, 6] {
+            let mut bad = good;
+            bad[6] = retired;
+            assert!(matches!(
+                decode_frame_header(&bad, 1 << 20),
+                Err(FrameError::BadKind(k)) if k == retired
+            ));
+        }
 
         assert!(matches!(
             decode_frame_header(&good, 16),
@@ -865,28 +809,6 @@ mod tests {
         push_resp_entry(&mut buf, 0);
         assert_eq!(resp_entry(&buf, 0), u64::MAX);
         assert_eq!(resp_entry(&buf, 1), 0);
-    }
-
-    #[test]
-    fn rmi_roundtrip() {
-        let mut buf = Vec::new();
-        push_rmi_entry(&mut buf, 1, b"hello");
-        push_rmi_entry(&mut buf, 2, b"");
-        push_rmi_entry(&mut buf, 3, &[9u8; 300]);
-        let got: Vec<(u16, Vec<u8>)> = rmi_entries(&buf).map(|(f, a)| (f, a.to_vec())).collect();
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[0], (1, b"hello".to_vec()));
-        assert_eq!(got[1], (2, Vec::new()));
-        assert_eq!(got[2].1.len(), 300);
-    }
-
-    #[test]
-    fn rmi_resp_roundtrip() {
-        let mut buf = Vec::new();
-        push_rmi_resp_entry(&mut buf, b"abc");
-        push_rmi_resp_entry(&mut buf, b"");
-        let got: Vec<Vec<u8>> = rmi_resp_entries(&buf).map(|b| b.to_vec()).collect();
-        assert_eq!(got, vec![b"abc".to_vec(), Vec::new()]);
     }
 
     #[test]

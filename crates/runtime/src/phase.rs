@@ -209,8 +209,8 @@ where
 }
 
 /// Processes all currently queued responses; returns whether any work was
-/// done. `on_value` receives each response value with its side record (see
-/// [`Response::values`]: an RMI reply surfaces as its first 8 bytes).
+/// done. `on_value` receives each read value with the side record of the
+/// request it answers ([`Response::values`]).
 ///
 /// [`Response::values`]: crate::worker::Response::values
 pub fn drain_once<F>(env: &mut WorkerEnv<'_>, on_value: &mut F) -> bool

@@ -77,7 +77,8 @@ counters! {
     write_entries,
     /// Ghost synchronization entries (pre-copy + post-reduce).
     ghost_entries,
-    /// RMI invocations issued.
+    /// Always 0: there is no remote method invocation (requests are reads
+    /// and writes, DESIGN §2). Kept because the benchmark sums it.
     rmi_entries,
     /// Envelopes processed by this machine's copiers.
     msgs_processed,

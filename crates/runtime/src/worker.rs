@@ -14,14 +14,17 @@
 //! * the side-structure slab mapping in-flight `side_id`s to their
 //!   continuation records;
 //! * the worker's response receive queue.
+//!
+//! Reads are the only requests answered: every response is a `ReadResp`,
+//! and its record `i` continues on its value `i` ([`Response::values`]).
+//! Writes are one-way.
 
 use crate::buffer::BufferPool;
 use crate::health::{ClusterHealth, JobError};
 use crate::ids::MachineId;
 use crate::message::{
-    mut_entry_count, push_ack_entry, push_mut_entry, push_read_entry, push_rmi_entry,
-    rmi_resp_entries, Envelope, MsgKind, RmiRespEntries, ACK_ENTRY_BYTES, MUT_ENTRY_BYTES,
-    READ_ENTRY_BYTES, RESP_ENTRY_BYTES,
+    mut_entry_count, push_ack_entry, push_mut_entry, push_read_entry, Envelope, MsgKind,
+    ACK_ENTRY_BYTES, MUT_ENTRY_BYTES, READ_ENTRY_BYTES, RESP_ENTRY_BYTES,
 };
 use crate::props::{PropId, ReduceOp};
 use crate::reliable::DedupWindow;
@@ -121,7 +124,7 @@ impl SideSlab {
 /// A sealed response ready for continuation processing.
 #[derive(Debug)]
 pub struct Response {
-    /// The envelope as received (`ReadResp` or `RmiResp`).
+    /// The envelope as received (a `ReadResp`).
     pub env: Envelope,
     /// The continuation records logged when the requests were buffered,
     /// in request order: record `i` continues on wire entry `i`.
@@ -135,59 +138,20 @@ impl Response {
         crate::message::resp_entry(&self.env.payload, i)
     }
 
-    /// Every continuation record with the value it continues on, in
-    /// request order — the one fan-out both drain loops run. A read
-    /// response yields the record's wire value; an RMI response yields the
-    /// first 8 bytes of the record's reply (zero-padded).
-    pub fn values(&self) -> ResponseValues<'_> {
+    /// Every continuation record with the read value it continues on, in
+    /// request order — the one fan-out both drain loops run.
+    pub fn values(&self) -> impl Iterator<Item = (SideRec, u64)> + '_ {
         let payload = &self.env.payload[..];
-        ResponseValues(match self.env.kind {
-            MsgKind::ReadResp => {
-                // `zip` would silently drop the continuations of a short
-                // response; fail as loudly as an indexed read would.
-                assert!(
-                    payload.len() >= self.recs.len() * RESP_ENTRY_BYTES,
-                    "read response carries fewer values than requests"
-                );
-                Values::Read(self.recs.iter().zip(payload.chunks_exact(RESP_ENTRY_BYTES)))
-            }
-            MsgKind::RmiResp => Values::Rmi(self.recs.iter().zip(rmi_resp_entries(payload))),
-            kind => unreachable!("worker queues carry only responses, got {kind:?}"),
-        })
-    }
-}
-
-/// Iterator behind [`Response::values`].
-pub struct ResponseValues<'a>(Values<'a>);
-
-/// The shape of a response — read values or RMI replies — decided once per
-/// response, not per record.
-enum Values<'a> {
-    /// Record `i` continues on wire entry `i`.
-    Read(std::iter::Zip<std::slice::Iter<'a, SideRec>, std::slice::ChunksExact<'a, u8>>),
-    /// Record `i` continues on RMI reply `i`.
-    Rmi(std::iter::Zip<std::slice::Iter<'a, SideRec>, RmiRespEntries<'a>>),
-}
-
-impl Iterator for ResponseValues<'_> {
-    type Item = (SideRec, u64);
-
-    #[inline]
-    fn next(&mut self) -> Option<(SideRec, u64)> {
-        match &mut self.0 {
-            Values::Read(it) => {
-                let (rec, bytes) = it.next()?;
-                let bytes = bytes.try_into().expect("chunks_exact yields 8 bytes");
-                Some((*rec, u64::from_le_bytes(bytes)))
-            }
-            Values::Rmi(it) => {
-                let (rec, bytes) = it.next()?;
-                let mut first = [0u8; 8];
-                let n = bytes.len().min(8);
-                first[..n].copy_from_slice(&bytes[..n]);
-                Some((*rec, u64::from_le_bytes(first)))
-            }
-        }
+        // `zip` would silently drop the continuations of a short
+        // response; fail as loudly as an indexed read would.
+        assert!(
+            payload.len() >= self.recs.len() * RESP_ENTRY_BYTES,
+            "read response carries fewer values than requests"
+        );
+        let values = payload.chunks_exact(RESP_ENTRY_BYTES).map(|bytes| {
+            u64::from_le_bytes(bytes.try_into().expect("chunks_exact yields 8 bytes"))
+        });
+        self.recs.iter().copied().zip(values)
     }
 }
 
@@ -205,7 +169,6 @@ pub struct WorkerComm {
     read_payloads: Vec<Option<RequestBuffer>>,
     mut_payloads: Vec<Option<Vec<u8>>>,
     mut_kind: MsgKind,
-    rmi_payloads: Vec<Option<RequestBuffer>>,
     slab: SideSlab,
     resp_rx: Receiver<Envelope>,
     outbox: Sender<Envelope>,
@@ -242,7 +205,6 @@ pub struct WorkerComm {
     stat_reads: u64,
     stat_writes: u64,
     stat_ghosts: u64,
-    stat_rmis: u64,
 }
 
 impl WorkerComm {
@@ -271,7 +233,6 @@ impl WorkerComm {
             read_payloads: (0..num_machines).map(|_| None).collect(),
             mut_payloads: (0..num_machines).map(|_| None).collect(),
             mut_kind: MsgKind::Write,
-            rmi_payloads: (0..num_machines).map(|_| None).collect(),
             slab: SideSlab::default(),
             resp_rx,
             outbox,
@@ -290,7 +251,6 @@ impl WorkerComm {
             stat_reads: 0,
             stat_writes: 0,
             stat_ghosts: 0,
-            stat_rmis: 0,
         }
     }
 
@@ -321,10 +281,6 @@ impl WorkerComm {
             "cannot switch mutation kind with entries buffered"
         );
         self.mut_kind = kind;
-    }
-
-    fn take_recs(&mut self) -> Vec<SideRec> {
-        self.rec_pool.pop().unwrap_or_default()
     }
 
     /// Buffers a remote read request to `dst` and logs the continuation
@@ -360,27 +316,6 @@ impl WorkerComm {
         push_mut_entry(buf, prop.0, op, offset, bits);
         if buf.len() + MUT_ENTRY_BYTES > self.buffer_bytes {
             self.seal_mut(dst);
-        }
-    }
-
-    /// Buffers a remote method invocation; the response will surface as an
-    /// `RmiResp` [`Response`] whose records carry `rec`.
-    pub fn push_rmi(&mut self, dst: MachineId, fn_id: u16, args: &[u8], rec: SideRec) {
-        self.unpublished += 1;
-        self.stat_rmis += 1;
-        let slot = dst as usize;
-        if self.rmi_payloads[slot].is_none() {
-            let buf = self.pool.acquire_or_alloc_on(self.pool_shard);
-            let recs = self.take_recs();
-            self.rmi_payloads[slot] = Some((buf, recs));
-        }
-        {
-            let (buf, recs) = self.rmi_payloads[slot].as_mut().unwrap();
-            push_rmi_entry(buf, fn_id, args);
-            recs.push(rec);
-        }
-        if self.rmi_payloads[slot].as_ref().unwrap().0.len() + 4 + args.len() > self.buffer_bytes {
-            self.seal_rmi(dst);
         }
     }
 
@@ -471,23 +406,6 @@ impl WorkerComm {
         }
     }
 
-    fn seal_rmi(&mut self, dst: MachineId) {
-        if let Some((payload, recs)) = self.rmi_payloads[dst as usize].take() {
-            self.publish_pending();
-            let side_id = self.slab.insert(recs);
-            self.note_seal(payload.len(), Some(side_id));
-            let _ = self.outbox.send(Envelope {
-                src: self.machine,
-                dst,
-                kind: MsgKind::Rmi,
-                worker: self.worker,
-                side_id,
-                seq: 0,
-                payload,
-            });
-        }
-    }
-
     /// Seals and sends every non-empty buffer ("when the worker thread has
     /// completed all tasks, the message is sent to the remote machine").
     /// Afterwards every entry this worker buffered is counted in `pending`,
@@ -496,7 +414,6 @@ impl WorkerComm {
         for dst in 0..self.read_payloads.len() as MachineId {
             self.seal_read(dst);
             self.seal_mut(dst);
-            self.seal_rmi(dst);
         }
         debug_assert_eq!(
             self.unpublished, 0,
@@ -535,12 +452,6 @@ impl WorkerComm {
                 .ghost_entries
                 .fetch_add(self.stat_ghosts, Ordering::Relaxed);
             self.stat_ghosts = 0;
-        }
-        if self.stat_rmis > 0 {
-            self.stats
-                .rmi_entries
-                .fetch_add(self.stat_rmis, Ordering::Relaxed);
-            self.stat_rmis = 0;
         }
     }
 
@@ -641,12 +552,6 @@ impl WorkerComm {
                 self.pool.release_on(buf, self.pool_shard);
             }
         }
-        for slot in self.rmi_payloads.iter_mut() {
-            if let Some((buf, recs)) = slot.take() {
-                failed += recs.len() as u64;
-                self.pool.release_on(buf, self.pool_shard);
-            }
-        }
         failed += self.slab.abandon() as u64;
         while let Ok(env) = self.resp_rx.try_recv() {
             self.pool.release_on(env.payload, self.pool_shard);
@@ -670,7 +575,6 @@ impl WorkerComm {
     pub fn is_flushed(&self) -> bool {
         self.read_payloads.iter().all(|p| p.is_none())
             && self.mut_payloads.iter().all(|p| p.is_none())
-            && self.rmi_payloads.iter().all(|p| p.is_none())
     }
 
     /// The cluster-wide pending-entry counter (for completion checks).
@@ -820,35 +724,6 @@ mod tests {
         comm.flush();
         assert_eq!(out.try_recv().unwrap().kind, MsgKind::GhostSync);
         comm.set_mut_kind(MsgKind::Write);
-    }
-
-    #[test]
-    fn rmi_roundtrip() {
-        let (mut comm, out, resp_tx) = make_comm(1024);
-        comm.push_rmi(1, 4, b"args", SideRec { node: 0, aux: 1 });
-        comm.flush();
-        let req = out.try_recv().unwrap();
-        assert_eq!(req.kind, MsgKind::Rmi);
-        let entries: Vec<_> = crate::message::rmi_entries(&req.payload).collect();
-        assert_eq!(entries, vec![(4u16, &b"args"[..])]);
-        let mut payload = Vec::new();
-        crate::message::push_rmi_resp_entry(&mut payload, b"ok");
-        resp_tx
-            .send(Envelope {
-                src: 1,
-                dst: 0,
-                kind: MsgKind::RmiResp,
-                worker: req.worker,
-                side_id: req.side_id,
-                seq: 0,
-                payload,
-            })
-            .unwrap();
-        let r = comm.try_pop_response().unwrap();
-        assert_eq!(r.env.kind, MsgKind::RmiResp);
-        assert_eq!(r.recs[0].aux, 1);
-        comm.finish_response(r);
-        assert_eq!(comm.pending().load(Ordering::SeqCst), 0);
     }
 
     /// Repeated reads of one vertex are each a wire entry of their own,
@@ -1045,8 +920,7 @@ mod tests {
         assert_eq!(pending.load(Ordering::SeqCst), 1);
         comm.push_read(1, PropId(0), 1, SideRec { node: 1, aux: 0 });
         comm.push_mut(1, PropId(0), ReduceOp::Sum, 2, 5);
-        comm.push_rmi(1, 0, b"x", SideRec { node: 2, aux: 0 });
-        assert_eq!(pool.outstanding(), 4);
+        assert_eq!(pool.outstanding(), 3);
         comm.abort_in_flight();
         assert_eq!(
             pending.load(Ordering::SeqCst),

@@ -233,41 +233,49 @@ fn panicking_edge_task_fails_the_job() {
     });
 }
 
+/// A node task's one remote request: `reduce_global` sums into vertices
+/// that are not its neighbours, by global id. Each vertex of a 16-ring
+/// adds `v + 1` to the vertices 4 and 8 ahead of it; a target on another
+/// machine is a write entry, one on the same machine a local write.
 #[test]
-fn rmi_from_algorithm_context() {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
-    // A remote method that counts invocations per machine.
-    let g = generate::ring(16);
-    let mut e = engine(2, &g);
-    let hits = Arc::new(AtomicU64::new(0));
-    let hits2 = hits.clone();
-    let id = e.register_rmi(Arc::new(move |_m, args: &[u8]| {
-        hits2.fetch_add(1, Ordering::SeqCst);
-        args.to_vec() // echo
-    }));
-    assert_eq!(id, 0);
-
-    struct Caller {
-        id: u16,
-        echoed: pgxd::Prop<i64>,
+fn node_task_reduces_into_non_neighbours_by_global_id() {
+    struct Spread {
+        sum: pgxd::Prop<i64>,
     }
-    impl pgxd::NodeTask for Caller {
+    impl pgxd::NodeTask for Spread {
         fn run(&self, ctx: &mut pgxd::NodeCtx<'_, '_>) {
-            if ctx.node() == 0 {
-                ctx.rmi(1, self.id, &7i64.to_le_bytes(), 0);
+            let v = ctx.node();
+            for ahead in [4, 8] {
+                ctx.reduce_global(
+                    (v + ahead) % 16,
+                    self.sum,
+                    pgxd::ReduceOp::Sum,
+                    v as i64 + 1,
+                );
             }
         }
-        fn read_done(&self, ctx: &mut pgxd::ReadDoneCtx<'_, '_>) {
-            let v: i64 = ctx.value();
-            ctx.set(self.echoed, v);
-        }
     }
-    let echoed = e.add_prop("echoed", 0i64);
-    e.try_run_node_job(&pgxd::JobSpec::new(), Caller { id, echoed })
-        .unwrap();
-    assert_eq!(hits.load(Ordering::SeqCst), 1);
-    assert_eq!(e.get::<i64>(echoed, 0), 7);
+    let g = generate::ring(16);
+    let want: Vec<i64> = (0..16)
+        .map(|u| (u + 12) % 16 + 1 + (u + 8) % 16 + 1)
+        .collect();
+    for (machines, writes) in [(1, 0), (2, 24), (3, 28)] {
+        let mut e = engine(machines, &g);
+        let part = e.cluster().partition().clone();
+        let remote = (0..16u32)
+            .flat_map(|v| [(v, (v + 4) % 16), (v, (v + 8) % 16)])
+            .filter(|&(v, u)| part.owner(v) != part.owner(u))
+            .count() as u64;
+        let sum = e.add_prop("sum", 0i64);
+        let before = e.cluster().total_stats();
+        e.try_run_node_job(&pgxd::JobSpec::new(), Spread { sum })
+            .unwrap();
+        let delta = e.cluster().total_stats() - before;
+        assert_eq!(e.gather(sum), want, "{machines} machines");
+        assert_eq!(delta.write_entries, remote, "{machines} machines");
+        assert_eq!(delta.write_entries, writes, "{machines} machines");
+        assert_eq!(delta.local_writes, 32 - writes, "{machines} machines");
+    }
 }
 
 #[test]
