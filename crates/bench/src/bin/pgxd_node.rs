@@ -185,7 +185,7 @@ fn node_config(a: &Args) -> Config {
     let mut reliability = ReliabilityConfig {
         tick_ms: 1,
         rto_base_ms: 10,
-        ..ReliabilityConfig::on()
+        ..ReliabilityConfig::default()
     };
     if a.heartbeat_ms > 0 {
         reliability.watchdog_ms = a.heartbeat_ms;

@@ -89,14 +89,6 @@ impl Algo {
         ]
     }
 
-    /// True when Table 3 reports per-iteration time for this algorithm.
-    pub fn per_iteration(self) -> bool {
-        matches!(
-            self,
-            Algo::PrPull | Algo::PrPush | Algo::PrApprox | Algo::Ev
-        )
-    }
-
     /// Whether the algorithm needs edge weights.
     pub fn needs_weights(self) -> bool {
         matches!(self, Algo::Sssp)

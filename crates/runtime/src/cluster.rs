@@ -27,7 +27,7 @@ use crate::phase::{DistBarrierPhase, JobState, Phase, WorkerEnv};
 use crate::props::{PropId, PropValue, ReduceOp, TypeTag};
 use crate::stats::StatsSnapshot;
 use crate::tcp::{self, Membership, TcpOptions, TcpTransport};
-use crate::telemetry::{export, EventKind, HistogramSnapshot, Telemetry};
+use crate::telemetry::{export, EventKind, Telemetry};
 use crate::transport::{Contribution, InMemoryTransport, Transport, WireCountersSnapshot};
 use crate::worker::{CommTuning, WorkerComm};
 use crossbeam::channel::{unbounded, RecvTimeoutError};
@@ -125,9 +125,6 @@ struct ActiveJob {
     /// `phases_run` at dispatch: epochs above this belong to the job.
     epoch_start: usize,
     stats_before: StatsSnapshot,
-    read_rtt_before: HistogramSnapshot,
-    flush_fill_before: HistogramSnapshot,
-    copier_service_before: HistogramSnapshot,
 }
 
 impl Cluster {
@@ -791,11 +788,11 @@ impl Cluster {
     // Job-scoped attribution (serve layer)
     // -----------------------------------------------------------------
 
-    /// Opens a per-job attribution window: counter and histogram
-    /// baselines are captured for the window deltas. Called by the job
-    /// dispatcher right before it runs the job body; jobs serialize on
-    /// the dispatcher thread, so at most one window is open and its
-    /// counter delta is the job's wire cost.
+    /// Opens a per-job attribution window: the counter baseline is
+    /// captured for the window delta. Called by the job dispatcher right
+    /// before it runs the job body; jobs serialize on the dispatcher
+    /// thread, so at most one window is open and its counter delta is the
+    /// job's wire cost.
     pub fn begin_job(&mut self, ctx: JobCtx, enqueue_ns: u64) {
         let dispatch_ns = self
             .machines
@@ -808,16 +805,13 @@ impl Cluster {
             dispatch_ns,
             epoch_start: self.phases_run,
             stats_before: self.total_stats(),
-            read_rtt_before: self.merged_hist(|t| t.read_rtt_snapshot()),
-            flush_fill_before: self.merged_hist(|t| t.flush_fill_snapshot()),
-            copier_service_before: self.merged_hist(|t| t.copier_service_snapshot()),
         });
     }
 
     /// Closes the attribution window opened by [`Cluster::begin_job`] and
-    /// assembles the [`JobExec`]: cluster-wide counter and histogram
-    /// deltas, tracer-derived phase/barrier spans, and recovery retries
-    /// observed in the window.
+    /// assembles the [`JobExec`]: the cluster-wide counter delta,
+    /// tracer-derived phase/barrier spans, and recovery retries observed in
+    /// the window.
     /// Engine-level compute/comm/drain seconds are filled in by the caller
     /// (the `pgxd` crate), which owns the per-phase timing breakdowns.
     pub fn end_job(&mut self, outcome: JobOutcome) -> Option<JobExec> {
@@ -835,10 +829,6 @@ impl Cluster {
             dispatch_ns: aj.dispatch_ns,
             done_ns,
             traffic: self.total_stats() - aj.stats_before,
-            read_rtt: self.merged_hist(|t| t.read_rtt_snapshot()) - aj.read_rtt_before,
-            flush_fill: self.merged_hist(|t| t.flush_fill_snapshot()) - aj.flush_fill_before,
-            copier_service: self.merged_hist(|t| t.copier_service_snapshot())
-                - aj.copier_service_before,
             retries: retry_ns.len() as u64,
             retry_ns,
             phases,
@@ -861,10 +851,6 @@ impl Cluster {
     /// Executions recorded via [`Cluster::push_job_span`], oldest first.
     pub fn job_spans(&self) -> &[JobExec] {
         &self.job_spans
-    }
-
-    fn merged_hist(&self, pick: fn(&Telemetry) -> HistogramSnapshot) -> HistogramSnapshot {
-        self.machines.iter().map(|m| pick(&m.telemetry)).sum()
     }
 
     /// Reconstructs the job's phase spans (and recovery-retry timestamps)
@@ -1450,10 +1436,11 @@ mod tests {
 
     #[test]
     fn reliable_cluster_delivers_exactly_once() {
-        // Reliability on, no faults: sequencing/ack/dedup must be invisible.
+        // Reliability on (strict mode runs it), no faults:
+        // sequencing/ack/dedup must be invisible.
         let g = generate::ring(16);
         let mut config = Config::test(3);
-        config.reliability = crate::config::ReliabilityConfig::on();
+        config.strict_distributed = true;
         let mut c = Cluster::load(&g, config).unwrap();
         let p = c.add_prop::<i64>("cnt", 0);
         let workers_total = c.num_machines() * c.config().workers;
@@ -1475,7 +1462,6 @@ mod tests {
         let g = generate::ring(16);
         let mut config = Config::test(4);
         config.fault = crate::config::FaultPlan::lossy(42, 100, 50, 50);
-        config.reliability.enabled = true;
         let mut c = Cluster::load(&g, config).unwrap();
         let p = c.add_prop::<i64>("cnt", 0);
         let workers_total = c.num_machines() * c.config().workers;

@@ -322,17 +322,11 @@ pub enum WireFaultKind {
 }
 
 /// Reliable-delivery protocol knobs (sequence numbers, ack/retransmit,
-/// heartbeats, crash watchdog). Off by default: the fault-free hot path
-/// pays nothing. Any active [`FaultPlan`] requires `enabled = true` —
-/// [`Config::validate`] enforces this, because the exact pending-entry
-/// termination counter deadlocks forever on a single lost envelope — and
-/// so does `strict_distributed`, whose termination wave is repaired on the
-/// reliable poller's tick.
+/// heartbeats, crash watchdog). Whether the protocol runs at all is not a
+/// setting: [`Config::reliable`] derives it from where envelopes can be
+/// lost.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReliabilityConfig {
-    /// Master switch for sequencing, acks, retransmits, heartbeats, and the
-    /// watchdog.
-    pub enabled: bool,
     /// Poller housekeeping interval (heartbeats, retransmit sweep,
     /// watchdog check), milliseconds.
     pub tick_ms: u64,
@@ -344,20 +338,12 @@ pub struct ReliabilityConfig {
     pub watchdog_ms: u64,
 }
 
-impl ReliabilityConfig {
-    pub const fn off() -> Self {
+impl Default for ReliabilityConfig {
+    fn default() -> Self {
         ReliabilityConfig {
-            enabled: false,
             tick_ms: 5,
             rto_base_ms: 25,
             watchdog_ms: 500,
-        }
-    }
-
-    pub const fn on() -> Self {
-        ReliabilityConfig {
-            enabled: true,
-            ..ReliabilityConfig::off()
         }
     }
 }
@@ -518,7 +504,8 @@ pub struct Config {
     pub storage_fault: StorageFaultPlan,
     /// Deterministic socket fault schedule (inert by default; TCP only).
     pub wire_fault: WireFaultPlan,
-    /// Reliable-delivery protocol (off by default).
+    /// Reliable-delivery protocol knobs; [`Config::reliable`] says whether
+    /// it runs.
     pub reliability: ReliabilityConfig,
     /// Checkpoint/restore and automatic retry (off by default).
     pub recovery: RecoveryConfig,
@@ -556,7 +543,7 @@ impl Config {
             fault: FaultPlan::none(),
             storage_fault: StorageFaultPlan::none(),
             wire_fault: WireFaultPlan::none(),
-            reliability: ReliabilityConfig::off(),
+            reliability: ReliabilityConfig::default(),
             recovery: RecoveryConfig::off(),
             pool_shards: 4,
             serve: ServeConfig::default(),
@@ -576,6 +563,16 @@ impl Config {
             pool_shards: 2,
             ..Config::bench(machines)
         }
+    }
+
+    /// Whether the reliable-delivery protocol runs: exactly where envelopes
+    /// can be lost. An active [`FaultPlan`] loses them on purpose (and the
+    /// exact termination counter hangs on one lost envelope); under
+    /// `strict_distributed`, which TCP forces, the termination wave's
+    /// frames ride outside the protocol and its poller tick repairs them,
+    /// and a reset socket loses what it held. Derived, never set.
+    pub fn reliable(&self) -> bool {
+        self.strict_distributed || self.fault.is_active()
     }
 
     /// Validates internal consistency.
@@ -611,13 +608,6 @@ impl Config {
         }
         if self.pool_shards > 1024 {
             return Err("pool_shards must be <= 1024".into());
-        }
-        if self.fault.is_active() && !self.reliability.enabled {
-            return Err(
-                "an active FaultPlan requires reliability.enabled (lost envelopes \
-                 deadlock the termination counter otherwise)"
-                    .into(),
-            );
         }
         for (name, rate) in [
             ("fault.drop_per_mille", self.fault.drop_per_mille),
@@ -666,19 +656,17 @@ impl Config {
                 return Err("fault.crash.machine out of range".into());
             }
         }
-        if self.reliability.enabled {
-            let r = &self.reliability;
-            if r.tick_ms == 0 || r.rto_base_ms == 0 {
-                return Err("reliability tick_ms/rto_base_ms must be >= 1".into());
-            }
-            if r.rto_base_ms > RTO_MAX_MS {
-                return Err(format!(
-                    "reliability rto_base_ms must be <= the {RTO_MAX_MS} ms backoff ceiling"
-                ));
-            }
-            if r.watchdog_ms < 2 * r.tick_ms {
-                return Err("reliability watchdog_ms must be >= 2 * tick_ms".into());
-            }
+        let r = &self.reliability;
+        if r.tick_ms == 0 || r.rto_base_ms == 0 {
+            return Err("reliability tick_ms/rto_base_ms must be >= 1".into());
+        }
+        if r.rto_base_ms > RTO_MAX_MS {
+            return Err(format!(
+                "reliability rto_base_ms must be <= the {RTO_MAX_MS} ms backoff ceiling"
+            ));
+        }
+        if r.watchdog_ms < 2 * r.tick_ms {
+            return Err("reliability watchdog_ms must be >= 2 * tick_ms".into());
         }
         if self.serve.queue_depth == 0 {
             return Err("serve.queue_depth must be >= 1".into());
@@ -733,13 +721,6 @@ impl Config {
                         .into(),
                 );
             }
-        }
-        if self.strict_distributed && !self.reliability.enabled {
-            return Err(
-                "strict_distributed requires reliability.enabled (the termination \
-                 wave repairs lost frames on the reliable poller's tick)"
-                    .into(),
-            );
         }
         if self.recovery.enabled {
             let rc = &self.recovery;
@@ -837,17 +818,17 @@ impl ConfigBuilder {
         self
     }
 
-    /// Phases end on the termination wave; enables reliability at
-    /// [`ConfigBuilder::build`] time (the wave's repair path).
+    /// Phases end on the termination wave, which runs the reliability
+    /// protocol (its poller tick is the wave's repair path).
     pub fn strict_distributed(mut self, on: bool) -> Self {
         self.config.strict_distributed = on;
         self
     }
 
     /// Transport backend and addresses. Choosing
-    /// [`TransportBackend::Tcp`] forces `strict_distributed`, hence the
-    /// reliability protocol, at [`ConfigBuilder::build`] time — the shared
-    /// `pending` counter cannot span processes.
+    /// [`TransportBackend::Tcp`] forces `strict_distributed` at
+    /// [`ConfigBuilder::build`] time — the shared `pending` counter cannot
+    /// span processes.
     pub fn transport(mut self, t: TransportConfig) -> Self {
         self.config.transport = t;
         self
@@ -859,9 +840,9 @@ impl ConfigBuilder {
         self
     }
 
-    /// Fabric fault schedule; an active plan enables reliability at
-    /// [`ConfigBuilder::build`] time (a lossy fabric without it would hang
-    /// the exact termination counter).
+    /// Fabric fault schedule; an active plan runs the reliability protocol
+    /// (a lossy fabric without it would hang the exact termination
+    /// counter).
     pub fn fault(mut self, plan: FaultPlan) -> Self {
         self.config.fault = plan;
         self
@@ -881,8 +862,8 @@ impl ConfigBuilder {
         self
     }
 
-    /// Reliable-delivery protocol knobs (switch, tick, retransmission
-    /// timeout, crash-watchdog deadline).
+    /// Reliable-delivery protocol knobs (tick, retransmission timeout,
+    /// crash-watchdog deadline).
     pub fn reliability(mut self, r: ReliabilityConfig) -> Self {
         self.config.reliability = r;
         self
@@ -960,7 +941,6 @@ impl ConfigBuilder {
         let c = &mut self.config;
         let tcp = c.transport.backend == TransportBackend::Tcp;
         c.strict_distributed |= tcp;
-        c.reliability.enabled |= c.strict_distributed || c.fault.is_active();
         c.recovery.enabled |= c.storage_fault.is_active();
         self.config.validate()?;
         Ok(self.config)
@@ -995,7 +975,7 @@ mod tests {
             (PartitioningMode::Edge, ChunkingMode::Edge)
         );
         assert!(!c.strict_distributed);
-        assert!(!c.reliability.enabled && !c.recovery.enabled && !c.telemetry.enabled);
+        assert!(!c.reliable() && !c.recovery.enabled && !c.telemetry.enabled);
         let r = c.reliability;
         assert_eq!((r.tick_ms, r.rto_base_ms, r.watchdog_ms), (5, 25, 500));
         assert!(!(c.fault.is_active() || c.storage_fault.is_active() || c.wire_fault.is_active()));
@@ -1004,8 +984,8 @@ mod tests {
             .transport(TransportConfig::tcp("127.0.0.1:7402", 0))
             .build()
             .unwrap();
-        assert!(tcp.strict_distributed && tcp.reliability.enabled);
-        assert_eq!(tcp.reliability, ReliabilityConfig::on());
+        assert!(tcp.strict_distributed && tcp.reliable());
+        assert_eq!(tcp.reliability, ReliabilityConfig::default());
     }
 
     /// Every setter writes state no other setter writes, so any two commute
@@ -1038,7 +1018,7 @@ mod tests {
             ("reliability", |b| {
                 b.reliability(ReliabilityConfig {
                     watchdog_ms: 120,
-                    ..ReliabilityConfig::off()
+                    ..ReliabilityConfig::default()
                 })
             }),
             ("checkpoint_every", |b| b.checkpoint_every(4)),
@@ -1088,7 +1068,6 @@ mod tests {
         let mut c = Config::test(2);
         c.transport = TransportConfig::tcp("127.0.0.1:7401", 1);
         c.strict_distributed = true;
-        c.reliability = ReliabilityConfig::on();
         assert!(c.validate().is_ok());
 
         // Missing rank / out-of-range rank / missing coordinator address.
@@ -1141,21 +1120,13 @@ mod tests {
             .build()
             .unwrap();
         assert!(built.strict_distributed);
-        assert!(built.reliability.enabled);
+        assert!(built.reliable());
 
         // The wave repairs lost frames on the reliable tick, on either
-        // backend; the builder switches reliability on for it.
-        let mut bad = c.clone();
-        bad.reliability.enabled = false;
-        assert!(bad.validate().unwrap_err().contains("requires reliability"));
-        let mut bad = Config::test(2);
-        bad.strict_distributed = true;
-        assert!(bad.validate().is_err());
-        let built = ConfigBuilder::from(Config::test(2))
-            .strict_distributed(true)
-            .build()
-            .unwrap();
-        assert!(built.reliability.enabled);
+        // backend, so strict mode runs the protocol however it was set.
+        let mut ok = Config::test(2);
+        ok.strict_distributed = true;
+        assert!(ok.validate().is_ok() && ok.reliable());
 
         // A full buffer must fit in a frame, on either backend.
         let mut bad = Config::test(2);
@@ -1189,16 +1160,50 @@ mod tests {
 
     #[test]
     fn active_fault_requires_reliability() {
+        // A plan written straight into the field runs the protocol too:
+        // there is no switch to forget.
         let mut c = Config::test(2);
+        assert!(!c.reliable());
         c.fault = FaultPlan::lossy(1, 10, 10, 0);
-        assert!(c.validate().is_err());
-        c.reliability.enabled = true;
-        assert!(c.validate().is_ok());
-        // The builder enables reliability for an active plan.
-        let c = ConfigBuilder::from(Config::test(2))
-            .fault(FaultPlan::crash(1, 100))
-            .build();
-        assert!(c.expect("valid").reliability.enabled);
+        assert!(c.validate().is_ok() && c.reliable());
+        c.fault = FaultPlan::crash(1, 100);
+        assert!(c.validate().is_ok() && c.reliable());
+    }
+
+    /// The protocol runs exactly where an envelope can be lost: under an
+    /// active fault plan, and under `strict_distributed` (which TCP forces
+    /// and whose wave frames the poller tick repairs). A crash plan is an
+    /// in-memory simulation; TCP refuses it.
+    #[test]
+    fn reliability_runs_exactly_where_envelopes_can_be_lost() {
+        let plans = [
+            FaultPlan::none(),
+            FaultPlan::lossy(5, 10, 10, 10),
+            FaultPlan::crash(1, 100),
+        ];
+        for tcp in [false, true] {
+            for strict in [false, true] {
+                for plan in plans {
+                    let mut b = Config::builder()
+                        .machines(2)
+                        .strict_distributed(strict)
+                        .fault(plan);
+                    if tcp {
+                        b = b.transport(TransportConfig::tcp("127.0.0.1:7404", 0));
+                    }
+                    let case = format!("tcp {tcp}, strict {strict}, {plan:?}");
+                    match b.build() {
+                        Ok(c) => {
+                            assert_eq!(c.reliable(), tcp || strict || plan.is_active(), "{case}")
+                        }
+                        Err(e) => {
+                            assert!(tcp && plan.crash.is_some(), "{case}: {e}");
+                            assert!(e.contains("crash fault plan"), "{case}: {e}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1215,15 +1220,15 @@ mod tests {
 
     #[test]
     fn reliability_knobs_validated() {
+        // Checked whether or not this configuration runs the protocol.
         let mut c = Config::test(2);
-        c.reliability = ReliabilityConfig::on();
-        assert!(c.validate().is_ok());
+        assert!(!c.reliable() && c.validate().is_ok());
         c.reliability.rto_base_ms = RTO_MAX_MS + 1;
         assert!(c.validate().is_err());
-        c.reliability = ReliabilityConfig::on();
+        c.reliability = ReliabilityConfig::default();
         c.reliability.watchdog_ms = c.reliability.tick_ms;
         assert!(c.validate().is_err());
-        c.reliability = ReliabilityConfig::on();
+        c.reliability = ReliabilityConfig::default();
         c.reliability.tick_ms = 0;
         assert!(c.validate().is_err());
     }
@@ -1264,7 +1269,7 @@ mod tests {
             Config::builder()
                 .reliability(ReliabilityConfig {
                     watchdog_ms,
-                    ..ReliabilityConfig::on()
+                    ..ReliabilityConfig::default()
                 })
                 .build()
         };
@@ -1324,15 +1329,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_fault_setter_enables_reliability() {
-        let c = Config::builder()
-            .fault(FaultPlan::lossy(9, 5, 0, 0))
-            .build()
-            .expect("an active fault plan enables reliability");
-        assert!(c.reliability.enabled);
-    }
-
-    #[test]
     fn serve_knobs_validated_and_built() {
         let c = Config::builder()
             .queue_depth(8)
@@ -1358,7 +1354,6 @@ mod tests {
     fn per_mille_rates_capped_at_1000() {
         // Wire plan: each rate field individually rejected above 1000‰.
         let mut c = Config::test(2);
-        c.reliability = ReliabilityConfig::on();
         c.fault = FaultPlan::lossy(1, 1001, 0, 0);
         assert!(c.validate().unwrap_err().contains("per-mille"));
         c.fault = FaultPlan::lossy(1, 0, 1001, 0);

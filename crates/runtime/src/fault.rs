@@ -3,9 +3,12 @@
 //! A [`FaultInjector`] sits inside `Fabric::send` and perturbs delivery
 //! according to a [`FaultPlan`]: dropping, duplicating or reordering
 //! envelopes, or crashing (permanently partitioning) a machine. Every
-//! decision is a pure function of the plan's seed and the fabric's global
-//! send counter — the injector's *virtual clock* — so a plan fires the same
-//! schedule of faults at the same virtual times on every run.
+//! decision is a pure function of the plan's seed and a send index. The
+//! fabric's global send counter is the injector's *virtual clock*: it times
+//! the crash and the limbo releases, and indexes the dice of unreliable
+//! kinds. Reliable kinds roll on their own index, so the `k`-th reliable
+//! envelope meets the same fate on every run whatever number of acks,
+//! heartbeats and wave frames the threads interleave with it.
 //!
 //! Reordered envelopes sit in a limbo buffer keyed by a release deadline
 //! on the same counter; any later send (data, ack, or
@@ -44,6 +47,8 @@ pub struct FaultInjector {
     plan: FaultPlan,
     /// Global send counter — the virtual clock.
     counter: AtomicU64,
+    /// Sends of reliable kinds so far: their dice index.
+    reliable_sends: AtomicU64,
     /// Envelopes held back, with the counter value that releases them.
     limbo: Mutex<Vec<(u64, Envelope)>>,
     crashed: AtomicBool,
@@ -120,6 +125,7 @@ impl FaultInjector {
         FaultInjector {
             plan,
             counter: AtomicU64::new(0),
+            reliable_sends: AtomicU64::new(0),
             limbo: Mutex::new(Vec::new()),
             crashed: AtomicBool::new(false),
             dropped: AtomicU64::new(0),
@@ -189,17 +195,23 @@ impl FaultInjector {
         // Each die reads its own slice of `h` (bits 0, 10, 20; the hold
         // length bit 40). The positions are what a seed means: moving one
         // changes the schedule of every seed the harnesses have searched.
-        let h = mix(self.plan.seed, n);
+        let reliable = env.kind.is_reliable();
+        let die = if reliable {
+            self.reliable_sends.fetch_add(1, Ordering::Relaxed)
+        } else {
+            n
+        };
+        let h = mix(self.plan.seed, die);
         if PerMille::vetted(self.plan.drop_per_mille).hit(h) {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            if env.kind.is_reliable() {
+            if reliable {
                 self.dropped_reliable.fetch_add(1, Ordering::Relaxed);
             }
             return;
         }
         if PerMille::vetted(self.plan.dup_per_mille).hit(h >> 10) {
             self.duplicated.fetch_add(1, Ordering::Relaxed);
-            if env.kind.is_reliable() {
+            if reliable {
                 self.duplicated_reliable.fetch_add(1, Ordering::Relaxed);
             }
             self.deliver(env.clone(), out);
@@ -250,10 +262,14 @@ mod tests {
     }
 
     fn env(src: MachineId, dst: MachineId) -> Envelope {
+        env_of(MsgKind::Write, src, dst)
+    }
+
+    fn env_of(kind: MsgKind, src: MachineId, dst: MachineId) -> Envelope {
         Envelope {
             src,
             dst,
-            kind: MsgKind::Write,
+            kind,
             worker: 0,
             side_id: 0,
             seq: 0,
@@ -288,6 +304,41 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(ca, cb);
         assert!(ca.dropped > 0 && ca.duplicated > 0 && ca.held > 0);
+    }
+
+    /// The fate of the `k`-th reliable envelope depends on the seed alone:
+    /// unreliable traffic interleaved with it (still faulted, on the global
+    /// clock) moves none of it.
+    #[test]
+    fn reliable_dice_ignore_unreliable_traffic() {
+        let fates = |interleave: u64| {
+            let inj = FaultInjector::new(FaultPlan::lossy(0xDEAD_BEEF, 150, 100, 0));
+            let mut out = Vec::new();
+            let fates: Vec<usize> = (0..300u64)
+                .map(|i| {
+                    for _ in 0..(i * interleave) % 7 {
+                        inj.process(env_of(MsgKind::Heartbeat, 0, 1), &mut out);
+                    }
+                    out.clear();
+                    inj.process(env(0, 1), &mut out);
+                    out.len()
+                })
+                .collect();
+            (fates, inj.counters())
+        };
+        let (alone, c) = fates(0);
+        for interleave in [1, 3, 5] {
+            let (mixed, m) = fates(interleave);
+            assert_eq!(mixed, alone, "interleave {interleave}");
+            assert_eq!(
+                (m.dropped_reliable, m.duplicated_reliable),
+                (c.dropped_reliable, c.duplicated_reliable)
+            );
+            assert!(
+                m.dropped > m.dropped_reliable,
+                "unreliable kinds are faulted too"
+            );
+        }
     }
 
     #[test]

@@ -21,7 +21,6 @@
 //! [`Cluster::end_job`]: crate::cluster::Cluster::end_job
 
 use crate::stats::StatsSnapshot;
-use crate::telemetry::HistogramSnapshot;
 
 /// Identity of one served job, threaded from the scheduler to the
 /// cluster's attribution window.
@@ -120,10 +119,6 @@ pub struct JobExec {
     /// even with telemetry disabled): the job's wire cost, including the
     /// heartbeats and acks that kept its links alive.
     pub traffic: StatsSnapshot,
-    /// Windowed histogram deltas over the job's run.
-    pub read_rtt: HistogramSnapshot,
-    pub flush_fill: HistogramSnapshot,
-    pub copier_service: HistogramSnapshot,
     /// Phase spans with barrier residence, in execution order.
     pub phases: Vec<PhaseSpan>,
     /// Recovery attempts (machine-loss retries) observed during the job.

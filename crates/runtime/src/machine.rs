@@ -94,12 +94,7 @@ impl MachineState {
         ));
         let dist_barrier = Arc::new(DistBarrier::new(config.workers, config.machines));
         let stats = telemetry.stats().clone();
-        let reliability = Arc::new(Reliability::new(
-            config.machines,
-            config.workers,
-            config.reliability,
-            stats.clone(),
-        ));
+        let reliability = Arc::new(Reliability::new(&config, stats.clone()));
         MachineState {
             id,
             config: config.clone(),

@@ -481,9 +481,11 @@ pub const FRAME_HEADER_BYTES: usize = 32;
 /// Magic constant opening every frame (`b"PGXD"` little-endian).
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"PGXD");
 
-/// Wire protocol version. Bumped whenever the frame layout or any entry
-/// encoding changes incompatibly; both sides of a connection must match.
-pub const WIRE_VERSION: u16 = 1;
+/// Wire protocol version. Bumped whenever the frame layout, any entry
+/// encoding or the TCP bootstrap handshake changes incompatibly; both
+/// sides of a connection must match. Version 2: one data connection per
+/// machine pair, and a `HELLO` without a lane byte.
+pub const WIRE_VERSION: u16 = 2;
 
 /// A decoded frame header: everything an [`Envelope`] carries except the
 /// payload bytes (whose length is `payload_len`).

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::config::ReliabilityConfig;
+use crate::config::{Config, ReliabilityConfig};
 use crate::health::JobError;
 use crate::ids::MachineId;
 use crate::message::Envelope;
@@ -101,22 +101,20 @@ pub struct Reliability {
 }
 
 impl Reliability {
-    pub fn new(
-        machines: usize,
-        workers: usize,
-        cfg: ReliabilityConfig,
-        stats: Arc<MachineStats>,
-    ) -> Self {
-        let lanes = 1 + workers;
+    /// One machine's state under `config`, enabled exactly where
+    /// [`Config::reliable`] says envelopes can be lost.
+    pub fn new(config: &Config, stats: Arc<MachineStats>) -> Self {
+        let machines = config.machines;
+        let lanes = 1 + config.workers;
         Reliability {
-            enabled: cfg.enabled,
+            enabled: config.reliable(),
             lanes,
             next_seq: (0..machines * lanes).map(|_| AtomicU64::new(0)).collect(),
             in_flight: Mutex::new(HashMap::new()),
             req_dedup: (0..machines)
                 .map(|_| Mutex::new(DedupWindow::default()))
                 .collect(),
-            cfg,
+            cfg: config.reliability,
             stats,
         }
     }
@@ -235,12 +233,12 @@ mod tests {
     }
 
     fn rel(machines: usize, workers: usize) -> Reliability {
-        Reliability::new(
-            machines,
+        let config = Config {
             workers,
-            ReliabilityConfig::on(),
-            Arc::new(MachineStats::default()),
-        )
+            strict_distributed: true,
+            ..Config::test(machines)
+        };
+        Reliability::new(&config, Arc::new(MachineStats::default()))
     }
 
     #[test]

@@ -12,13 +12,12 @@
 //! 2. **Welcome.** Once all `P−1` joins arrived, the coordinator sends
 //!    each peer `WELCOME {magic, version, machines, rank, data_addr[P]}` —
 //!    the full address book, its own data listener included.
-//! 3. **Data mesh.** For every pair `i > j`, rank `i` opens **two**
-//!    connections to rank `j`'s data listener — one per lane (requests,
-//!    responses) — and introduces each with a `HELLO {magic, version,
-//!    rank, lane}`. Connections are full-duplex: the same two sockets
-//!    carry both directions of the pair's traffic, and splitting the
-//!    lanes onto separate connections keeps large request bursts from
-//!    head-of-line-blocking responses.
+//! 3. **Data mesh.** For every pair `i > j`, rank `i` opens one
+//!    connection to rank `j`'s data listener and introduces it with a
+//!    `HELLO {magic, version, rank}`. The connection is full-duplex and
+//!    carries all of the pair's traffic, both directions, every kind: each
+//!    rank's poller writes all of its frames in turn, so a second socket
+//!    per pair could not let a response overtake a request burst.
 //! 4. **Readiness barrier.** Each peer reports `READY` on its control
 //!    connection; the coordinator answers `GO` once everyone did. The
 //!    control connections then stay open as the [`NodeComm`] driver
@@ -72,10 +71,6 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-
-/// Number of data connections (lanes) per machine pair: requests and
-/// responses travel on separate sockets.
-pub const LANES: usize = 2;
 
 /// Magic opening every bootstrap message (`b"PGXB"` little-endian),
 /// distinct from the data-frame magic so a mesh socket accidentally
@@ -150,6 +145,19 @@ fn send_preamble(s: &mut TcpStream, ctx: &str) -> Result<(), JobError> {
     s.write_all(&BOOT_MAGIC.to_le_bytes())
         .and_then(|_| s.write_all(&WIRE_VERSION.to_le_bytes()))
         .map_err(|e| io_err(ctx, e))
+}
+
+/// Introduces a fresh data connection as `rank`'s: `HELLO {magic, version,
+/// rank}`, at bootstrap and on every redial.
+fn send_hello(s: &mut TcpStream, rank: u16, ctx: &str) -> Result<(), JobError> {
+    send_preamble(s, ctx)?;
+    write_u16(s, rank, ctx)
+}
+
+/// Reads a `HELLO` and returns the rank it names.
+fn read_hello(s: &mut TcpStream, ctx: &str) -> Result<u16, JobError> {
+    check_preamble(s, ctx)?;
+    read_u16(s, ctx)
 }
 
 /// Connects to `addr`, retrying refused connections until `deadline` —
@@ -341,14 +349,6 @@ impl NodeComm {
 // Membership / bootstrap
 // ---------------------------------------------------------------------------
 
-/// The two lane sockets linking this process to one peer.
-#[derive(Debug)]
-pub struct PeerLink {
-    /// `lanes[0]` carries requests, `lanes[1]` responses — in both
-    /// directions (the sockets are full-duplex).
-    pub lanes: [TcpStream; LANES],
-}
-
 /// A fully-formed cluster membership: the outcome of bootstrap.
 #[derive(Debug)]
 pub struct Membership {
@@ -358,8 +358,9 @@ pub struct Membership {
     pub machines: usize,
     /// Driver collective plane (the retained control connections).
     pub comm: NodeComm,
-    /// Data links, indexed by peer machine id (`None` at `rank`).
-    pub links: Vec<Option<PeerLink>>,
+    /// The data connection to each peer, indexed by machine id (`None` at
+    /// `rank`): one full-duplex socket per pair.
+    pub links: Vec<Option<TcpStream>>,
     /// Every rank's data-listener address, indexed by rank — kept past
     /// bootstrap so the transport can redial a reset connection.
     pub book: Vec<String>,
@@ -411,70 +412,33 @@ fn build_mesh(
     addrs: &[String],
     data_listener: &TcpListener,
     deadline: Instant,
-) -> Result<Vec<Option<PeerLink>>, JobError> {
-    let mut slots: Vec<Option<Vec<TcpStream>>> = (0..machines).map(|_| None).collect();
-
-    // Connect side: two lane sockets to every lower rank.
+) -> Result<Vec<Option<TcpStream>>, JobError> {
+    let mut links: Vec<Option<TcpStream>> = (0..machines).map(|_| None).collect();
     for peer in 0..rank {
-        let mut lanes = Vec::with_capacity(LANES);
-        for lane in 0..LANES {
-            let mut s = connect_retry(&addrs[peer as usize], deadline)?;
-            send_preamble(&mut s, "hello")?;
-            s.write_all(&rank.to_le_bytes())
-                .and_then(|_| s.write_all(&[lane as u8]))
-                .map_err(|e| io_err("hello", e))?;
-            lanes.push(s);
-        }
-        slots[peer as usize] = Some(lanes);
+        let mut s = connect_retry(&addrs[peer as usize], deadline)?;
+        send_hello(&mut s, rank, "hello")?;
+        links[peer as usize] = Some(s);
     }
-
-    // Accept side: two lane sockets from every higher rank.
-    let expected = LANES * (machines - 1 - rank as usize);
-    let mut accepted = 0usize;
-    let mut pending: Vec<Option<[Option<TcpStream>; LANES]>> =
-        (0..machines).map(|_| None).collect();
-    while accepted < expected {
+    for _ in rank as usize + 1..machines {
         let mut s = accept_deadline(data_listener, deadline, "data accept")?;
         s.set_nodelay(true).ok();
         s.set_read_timeout(Some(Duration::from_secs(30))).ok();
-        check_preamble(&mut s, "hello")?;
-        let peer = read_u16(&mut s, "hello rank")?;
-        let mut lane_b = [0u8; 1];
-        s.read_exact(&mut lane_b)
-            .map_err(|e| io_err("hello lane", e))?;
-        let lane = lane_b[0] as usize;
-        if peer as usize >= machines || peer <= rank || lane >= LANES {
+        let peer = read_hello(&mut s, "hello")?;
+        if peer as usize >= machines || peer <= rank {
             return Err(transport_err(
                 TransportErrorKind::FrameDecode,
-                format!("bad hello from peer {peer} lane {lane}"),
+                format!("bad hello from peer {peer}"),
             ));
         }
         s.set_read_timeout(None).ok();
-        let entry = pending[peer as usize].get_or_insert_with(|| [None, None]);
-        if entry[lane].replace(s).is_some() {
+        if links[peer as usize].replace(s).is_some() {
             return Err(transport_err(
                 TransportErrorKind::FrameDecode,
-                format!("duplicate hello from peer {peer} lane {lane}"),
+                format!("duplicate hello from peer {peer}"),
             ));
         }
-        accepted += 1;
     }
-    for (peer, entry) in pending.into_iter().enumerate() {
-        if let Some([Some(a), Some(b)]) = entry {
-            slots[peer] = Some(vec![a, b]);
-        }
-    }
-
-    Ok(slots
-        .into_iter()
-        .map(|s| {
-            s.map(|mut v| {
-                let b = v.pop().unwrap();
-                let a = v.pop().unwrap();
-                PeerLink { lanes: [a, b] }
-            })
-        })
-        .collect())
+    Ok(links)
 }
 
 impl CoordHandle {
@@ -652,13 +616,6 @@ pub fn bootstrap(config: &Config, announce: impl FnOnce(&str)) -> Result<Members
 // TcpTransport
 // ---------------------------------------------------------------------------
 
-/// One peer's write side: a lane-indexed pair of locked streams. A
-/// reconnect replaces the stream *through* the held lock, so writers
-/// never observe a half-installed socket.
-struct PeerWriter {
-    lanes: [Mutex<TcpStream>; LANES],
-}
-
 /// Wire-repair telemetry, lock-free. See
 /// [`WireCountersSnapshot`](crate::transport::WireCountersSnapshot) for
 /// the field-by-field story.
@@ -742,7 +699,9 @@ struct Shared {
     rank: u16,
     machines: usize,
     local: OnceLock<MachineEndpoints>,
-    writers: Vec<Option<PeerWriter>>,
+    /// Each peer's write side. A reconnect replaces the stream *through*
+    /// the held lock, so a writer never observes a half-installed socket.
+    writers: Vec<Option<Mutex<TcpStream>>>,
     /// Every rank's data-listener address — the redial targets.
     book: Vec<String>,
     health: Arc<ClusterHealth>,
@@ -769,13 +728,13 @@ struct Shared {
 /// Sends are length-prefixed frames — a 32-byte
 /// [`encode_frame_header`] followed by the payload, written with one
 /// vectored write so the payload is never copied. One reader thread per
-/// data socket plays the paper's poller-against-the-NIC role (§3.4):
-/// it decodes frames and feeds the local machine's copier queue
-/// (requests/control) or the originating worker's response queue.
+/// peer plays the paper's poller-against-the-NIC role (§3.4): it decodes
+/// frames and feeds the local machine's copier queue (requests/control) or
+/// the originating worker's response queue.
 ///
 /// A failed send marks the peer suspected and redials its data listener
-/// in-line (bounded backoff under the lane lock, each attempt paying the
-/// [`RetryBudget`]); the peer's retained listener accepts the re-`HELLO`
+/// in-line (bounded backoff under the peer's writer lock, each attempt
+/// paying the [`RetryBudget`]); the peer's retained listener accepts the re-`HELLO`
 /// and swaps the fresh socket into its own writer slot. Frames always
 /// start at byte 0 of a connection, so a reconnect can never tear a
 /// frame, and redelivered envelopes are deduplicated by sequence number
@@ -819,22 +778,15 @@ impl TcpTransport {
         let mut writers = Vec::with_capacity(machines);
         let mut pending = Vec::new();
         for (peer, link) in links.into_iter().enumerate() {
-            match link {
-                None => writers.push(None),
-                Some(l) => {
-                    let mut lanes_w = Vec::with_capacity(LANES);
-                    for s in &l.lanes {
-                        let r = s.try_clone().map_err(|e| io_err("clone socket", e))?;
-                        pending.push((peer as MachineId, r));
-                        lanes_w.push(Mutex::new(
-                            s.try_clone().map_err(|e| io_err("clone socket", e))?,
-                        ));
-                    }
-                    let b = lanes_w.pop().unwrap();
-                    let a = lanes_w.pop().unwrap();
-                    writers.push(Some(PeerWriter { lanes: [a, b] }));
+            let writer = match link {
+                None => None,
+                Some(s) => {
+                    let r = s.try_clone().map_err(|e| io_err("clone socket", e))?;
+                    pending.push((peer as MachineId, r));
+                    Some(Mutex::new(s))
                 }
-            }
+            };
+            writers.push(writer);
         }
         Ok(TcpTransport {
             shared: Arc::new(Shared {
@@ -859,30 +811,29 @@ impl TcpTransport {
             comm: Mutex::new(comm),
         })
     }
-
-    /// Severs every data socket *without* goodbyes — the wire-level
-    /// signature of a SIGKILL. Peers observe bare EOFs, mark this rank
-    /// suspected, and escalate through their watchdogs. Test/chaos
-    /// harness entry point; a real kill needs no help.
-    pub fn sever(&self) {
-        self.shared.closing.store(true, Ordering::Release);
-        for w in self.shared.writers.iter().flatten() {
-            for lane in &w.lanes {
-                if let Some(s) = lane.try_lock() {
-                    s.shutdown(Shutdown::Both).ok();
-                }
-            }
-        }
-        for s in self.shared.reader_socks.lock().drain(..) {
-            s.shutdown(Shutdown::Both).ok();
-        }
-        for t in self.shared.threads.lock().drain(..) {
-            t.join().ok();
-        }
-    }
 }
 
 impl Shared {
+    /// Shuts every data socket down and joins the reader and acceptor
+    /// threads. Readers on connections a redial replaced hold their own fd
+    /// clones; those are shut down too or their joins never return.
+    /// try_lock: a writer stuck in a redial gives up on `closing`, and its
+    /// socket's reader clone is shut down anyway.
+    fn close_all(&self) {
+        self.closing.store(true, Ordering::Release);
+        for w in self.writers.iter().flatten() {
+            if let Some(s) = w.try_lock() {
+                s.shutdown(Shutdown::Both).ok();
+            }
+        }
+        for s in self.reader_socks.lock().drain(..) {
+            s.shutdown(Shutdown::Both).ok();
+        }
+        for t in self.threads.lock().drain(..) {
+            t.join().ok();
+        }
+    }
+
     /// Spawns a reader thread over `stream`. Requires the local endpoint
     /// to be registered (always true outside bootstrap races — sends
     /// only start once the cluster is assembled).
@@ -901,8 +852,9 @@ impl Shared {
         self.threads.lock().push(handle);
     }
 
-    /// The reader loop: one per data socket. Decodes frames and feeds
-    /// the local queues until the socket closes.
+    /// The reader loop: one per data socket, so one per peer but for a
+    /// socket a redial replaced. Decodes frames and feeds the local queues
+    /// until the socket closes.
     ///
     /// An EOF or reset here is *suspicion*, not a verdict: the thread
     /// exits quietly (counting a `reader_eofs`) and leaves the diagnosis
@@ -968,14 +920,23 @@ impl Shared {
         }
     }
 
-    /// Redials `peer`'s data listener after a failed send, paying the
-    /// retry budget per attempt, with bounded backoff until the redial
-    /// window closes. Returns the fresh, introduced (`HELLO`-sent) stream.
-    fn redial(self: &Arc<Self>, peer: MachineId, lane: usize) -> Result<TcpStream, JobError> {
+    /// Redials `peer`'s data listener after a failed send and writes the
+    /// frame (`header`, `payload`) on the fresh connection, paying the retry
+    /// budget per attempt, with bounded backoff until the redial window
+    /// closes. An attempt fails if the connect, the `HELLO` or the frame
+    /// fails: a refused accept drops the connection after the `HELLO` went
+    /// out, so the frame can meet the peer's reset. Returns the stream the
+    /// frame went out on.
+    fn redial(
+        self: &Arc<Self>,
+        peer: MachineId,
+        header: &[u8],
+        payload: &[u8],
+    ) -> Result<TcpStream, JobError> {
         // `CONNECT_TIMEOUT` is sized for bootstrap (peers may not have
         // started yet); a redial talks to a peer that was already up, so a
         // much shorter window separates "transient blip" from "dead" — and
-        // keeps the poller thread (which holds the lane lock through this
+        // keeps the poller thread (which holds the writer lock through this
         // call) from starving the watchdog for tens of seconds.
         const REDIAL_WINDOW: Duration = Duration::from_millis(2_000);
         let deadline = Instant::now() + REDIAL_WINDOW;
@@ -1009,10 +970,9 @@ impl Shared {
                 let mut s =
                     TcpStream::connect(addr).map_err(|e| io_err(&format!("redial {addr}"), e))?;
                 s.set_nodelay(true).ok();
-                send_preamble(&mut s, "re-hello")?;
-                s.write_all(&self.rank.to_le_bytes())
-                    .and_then(|_| s.write_all(&[lane as u8]))
-                    .map_err(|e| io_err("re-hello", e))?;
+                send_hello(&mut s, self.rank, "re-hello")?;
+                Shared::write_frame(&mut s, header, payload, None)
+                    .map_err(|e| io_err(&format!("send to machine {peer} after reconnect"), e))?;
                 Ok(s)
             })();
             match attempt {
@@ -1113,18 +1073,10 @@ impl Shared {
             s.set_nonblocking(false).ok();
             s.set_nodelay(true).ok();
             s.set_read_timeout(Some(Duration::from_secs(5))).ok();
-            let hello: Result<(u16, usize), JobError> = (|| {
-                check_preamble(&mut s, "re-hello")?;
-                let peer = read_u16(&mut s, "re-hello rank")?;
-                let mut lane_b = [0u8; 1];
-                s.read_exact(&mut lane_b)
-                    .map_err(|e| io_err("re-hello lane", e))?;
-                Ok((peer, lane_b[0] as usize))
-            })();
-            let Ok((peer, lane)) = hello else {
+            let Ok(peer) = read_hello(&mut s, "re-hello") else {
                 continue;
             };
-            if peer as usize >= shared.machines || peer == shared.rank || lane >= LANES {
+            if peer as usize >= shared.machines || peer == shared.rank {
                 continue;
             }
             let Some(writer) = shared.writers[peer as usize].as_ref() else {
@@ -1134,7 +1086,7 @@ impl Shared {
             let Ok(reader_half) = s.try_clone() else {
                 continue;
             };
-            *writer.lanes[lane].lock() = s;
+            *writer.lock() = s;
             shared.spawn_reader(peer, reader_half);
             shared
                 .counters
@@ -1218,8 +1170,7 @@ impl Transport for TcpTransport {
                         .counters
                         .resets_injected
                         .fetch_add(1, Ordering::Relaxed);
-                    let lane = usize::from(env.kind.is_response());
-                    writer.lanes[lane].lock().shutdown(Shutdown::Both).ok();
+                    writer.lock().shutdown(Shutdown::Both).ok();
                 }
                 WireFaultKind::Stall => {
                     shared
@@ -1232,8 +1183,7 @@ impl Transport for TcpTransport {
         }
 
         let header = encode_frame_header(&env);
-        let lane = usize::from(env.kind.is_response());
-        let mut stream = writer.lanes[lane].lock();
+        let mut stream = writer.lock();
         match Shared::write_frame(&mut stream, &header, &env.payload, stall) {
             Ok(()) => Ok(()),
             // A send racing shutdown is not an error: the envelope's fate
@@ -1244,19 +1194,20 @@ impl Transport for TcpTransport {
             // A failed heartbeat is not worth a blocking redial: the poller
             // ignores heartbeat errors, and parking the poller thread in a
             // redial would starve the very watchdog the heartbeats feed.
-            // Data traffic repairs the lane; silence convicts the peer.
+            // Data traffic repairs the link; silence convicts the peer.
             Err(e) if env.kind == MsgKind::Heartbeat => {
                 Err(io_err(&format!("heartbeat to machine {}", env.dst), e))
             }
             Err(_) => {
-                // Suspected peer: redial through the held lane lock (no
-                // writer can race a half-installed socket), then resend
-                // the whole frame — nothing of it reached the peer's
-                // decoder as a completed frame, and redelivery of a
-                // completed-but-unacked frame is deduplicated above us.
-                let fresh = match shared.redial(env.dst, lane) {
+                // Suspected peer: redial through the held writer lock (no
+                // writer can race a half-installed socket) and resend the
+                // whole frame — nothing of it reached the peer's decoder as
+                // a completed frame, and redelivery of a completed-but-
+                // unacked frame is deduplicated above us.
+                let fresh = match shared.redial(env.dst, &header, &env.payload) {
                     Ok(s) => s,
                     Err(e @ JobError::RetryBudgetExhausted) => return Err(e),
+                    Err(_) if shared.closing.load(Ordering::Acquire) => return Ok(()),
                     Err(_) => {
                         // Redial exhausted its deadline: the peer cannot be
                         // re-reached, which is the same verdict the watchdog
@@ -1272,14 +1223,7 @@ impl Transport for TcpTransport {
                     .map_err(|e| io_err("clone reconnected socket", e))?;
                 *stream = fresh;
                 shared.spawn_reader(env.dst, reader_half);
-                match Shared::write_frame(&mut stream, &header, &env.payload, None) {
-                    Ok(()) => Ok(()),
-                    Err(_) if shared.closing.load(Ordering::Acquire) => Ok(()),
-                    Err(e) => Err(io_err(
-                        &format!("send to machine {} after reconnect", env.dst),
-                        e,
-                    )),
-                }
+                Ok(())
             }
         }
     }
@@ -1303,11 +1247,11 @@ impl Transport for TcpTransport {
 
     fn shutdown(&self) {
         let shared = &self.shared;
-        // Goodbye pass (best-effort): one Shutdown-kind frame per lane
-        // tells every peer this is a clean departure, so their watchdogs
-        // exempt us and their readers treat the coming EOF as teardown.
-        // try_lock: a lane stuck in a redial loop just misses its
-        // goodbye — the peer's EOF handling still copes.
+        // Goodbye pass (best-effort): one Shutdown-kind frame per peer
+        // tells it this is a clean departure, so its watchdog exempts us
+        // and its reader treats the coming EOF as teardown. try_lock: a
+        // link stuck in a redial loop just misses its goodbye — the peer's
+        // EOF handling still copes.
         for (peer, w) in shared.writers.iter().enumerate() {
             let Some(w) = w else { continue };
             let goodbye = Envelope {
@@ -1319,28 +1263,12 @@ impl Transport for TcpTransport {
                 seq: 0,
                 payload: Vec::new(),
             };
-            let header = encode_frame_header(&goodbye);
-            for lane in &w.lanes {
-                if let Some(mut s) = lane.try_lock() {
-                    s.set_write_timeout(Some(Duration::from_millis(200))).ok();
-                    s.write_all(&header).ok();
-                }
+            if let Some(mut s) = w.try_lock() {
+                s.set_write_timeout(Some(Duration::from_millis(200))).ok();
+                s.write_all(&encode_frame_header(&goodbye)).ok();
             }
         }
-        shared.closing.store(true, Ordering::Release);
-        for w in shared.writers.iter().flatten() {
-            for lane in &w.lanes {
-                lane.lock().shutdown(Shutdown::Both).ok();
-            }
-        }
-        // Readers on connections a redial replaced hold their own fd
-        // clones; shut those down too or their joins never return.
-        for s in shared.reader_socks.lock().drain(..) {
-            s.shutdown(Shutdown::Both).ok();
-        }
-        for t in shared.threads.lock().drain(..) {
-            t.join().ok();
-        }
+        shared.close_all();
     }
 
     fn wire_counters(&self) -> Option<WireCountersSnapshot> {
@@ -1348,7 +1276,7 @@ impl Transport for TcpTransport {
     }
 
     fn sever(&self) {
-        TcpTransport::sever(self);
+        self.shared.close_all();
     }
 }
 

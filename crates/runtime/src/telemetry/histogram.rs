@@ -142,20 +142,6 @@ impl std::ops::Add for HistogramSnapshot {
     }
 }
 
-impl std::ops::Sub for HistogramSnapshot {
-    type Output = HistogramSnapshot;
-    /// Windowed delta: `after - before` of two snapshots of the same
-    /// histogram yields the observations recorded in between. Counts are
-    /// monotonically non-decreasing, so wrapping subtraction is exact for
-    /// ordered snapshots and mirrors the wrapping `Add`.
-    fn sub(self, rhs: HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: std::array::from_fn(|i| self.counts[i].wrapping_sub(rhs.counts[i])),
-            sum: self.sum.wrapping_sub(rhs.sum),
-        }
-    }
-}
-
 impl std::iter::Sum for HistogramSnapshot {
     fn sum<I: Iterator<Item = HistogramSnapshot>>(iter: I) -> HistogramSnapshot {
         iter.fold(HistogramSnapshot::default(), |a, b| a + b)
@@ -226,21 +212,5 @@ mod tests {
             both.record(v);
         }
         assert_eq!(a.snapshot() + b.snapshot(), both.snapshot());
-    }
-
-    #[test]
-    fn windowed_delta_recovers_interval() {
-        let h = Histogram::new();
-        h.record(10);
-        h.record(100);
-        let before = h.snapshot();
-        h.record(7);
-        h.record(3_000);
-        let delta = h.snapshot() - before;
-        let expect = Histogram::new();
-        expect.record(7);
-        expect.record(3_000);
-        assert_eq!(delta, expect.snapshot());
-        assert_eq!(before - before, HistogramSnapshot::default());
     }
 }

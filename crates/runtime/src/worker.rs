@@ -139,18 +139,17 @@ impl Response {
     }
 
     /// Every continuation record with the read value it continues on, in
-    /// request order — the one fan-out both drain loops run.
+    /// request order — the one fan-out both drain loops run. A response
+    /// holds a value per record: [`WorkerComm::try_pop_response`] refuses a
+    /// shorter one.
     pub fn values(&self) -> impl Iterator<Item = (SideRec, u64)> + '_ {
-        let payload = &self.env.payload[..];
-        // `zip` would silently drop the continuations of a short
-        // response; fail as loudly as an indexed read would.
-        assert!(
-            payload.len() >= self.recs.len() * RESP_ENTRY_BYTES,
-            "read response carries fewer values than requests"
-        );
-        let values = payload.chunks_exact(RESP_ENTRY_BYTES).map(|bytes| {
-            u64::from_le_bytes(bytes.try_into().expect("chunks_exact yields 8 bytes"))
-        });
+        let values = self
+            .env
+            .payload
+            .chunks_exact(RESP_ENTRY_BYTES)
+            .map(|bytes| {
+                u64::from_le_bytes(bytes.try_into().expect("chunks_exact yields 8 bytes"))
+            });
         self.recs.iter().copied().zip(values)
     }
 }
@@ -473,9 +472,11 @@ impl WorkerComm {
 
     /// Pops one response if available, pairing it with its side structure.
     /// Under the reliability protocol, sequenced responses are acked and
-    /// duplicates suppressed here; a response whose side structure is not
-    /// in flight (a duplicate that slipped in unsequenced) aborts the
-    /// cluster with a descriptive protocol error rather than panicking.
+    /// duplicates suppressed here. A response whose side structure is not
+    /// in flight (a duplicate that slipped in unsequenced), or that carries
+    /// fewer values than the structure has records, aborts the cluster with
+    /// a descriptive protocol error rather than panicking; no continuation
+    /// of it runs.
     pub fn try_pop_response(&mut self) -> Option<Response> {
         loop {
             let env = self.resp_rx.try_recv().ok()?;
@@ -508,6 +509,22 @@ impl WorkerComm {
                 self.pool.release_on(env.payload, self.pool_shard);
                 return None;
             };
+            let values = env.payload.len() / RESP_ENTRY_BYTES;
+            if values < recs.len() {
+                self.health.abort(JobError::Protocol(format!(
+                    "machine {} worker {}: response to side structure {} carries {values} \
+                     values for {} requests",
+                    self.machine,
+                    self.worker,
+                    env.side_id,
+                    recs.len()
+                )));
+                self.stats
+                    .failed_entries
+                    .fetch_add(recs.len() as u64, Ordering::Relaxed);
+                self.pool.release_on(env.payload, self.pool_shard);
+                return None;
+            }
             return Some(Response { env, recs });
         }
     }
@@ -907,6 +924,38 @@ mod tests {
             }
             other => panic!("expected protocol error, got {other:?}"),
         }
+    }
+
+    /// A peer's response with fewer values than the requests it answers
+    /// fails the job with both counts named; no continuation sees it.
+    #[test]
+    fn short_response_aborts_instead_of_panicking() {
+        let (mut comm, out, resp_tx, health) = make_reliable_comm(1024);
+        comm.push_read(1, PropId(0), 3, SideRec { node: 1, aux: 0 });
+        comm.push_read(1, PropId(0), 4, SideRec { node: 2, aux: 0 });
+        comm.flush();
+        let req = out.try_recv().unwrap();
+        let mut payload = Vec::new();
+        crate::message::push_resp_entry(&mut payload, 7);
+        resp_tx
+            .send(Envelope {
+                src: 1,
+                dst: 0,
+                kind: MsgKind::ReadResp,
+                worker: req.worker,
+                side_id: req.side_id,
+                seq: 0,
+                payload,
+            })
+            .unwrap();
+        assert!(comm.try_pop_response().is_none());
+        match health.error() {
+            Some(JobError::Protocol(msg)) => {
+                assert!(msg.contains("1 values for 2 requests"), "got: {msg}")
+            }
+            other => panic!("expected protocol error, got {other:?}"),
+        }
+        assert_eq!(comm.stats().failed_entries.load(Ordering::Relaxed), 2);
     }
 
     #[test]

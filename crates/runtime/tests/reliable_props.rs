@@ -9,7 +9,7 @@
 //! `tests/tests/chaos_e2e.rs`; these tests pin the window/store invariants
 //! the end-to-end bit-identical result rests on.
 
-use pgxd_runtime::config::ReliabilityConfig;
+use pgxd_runtime::config::Config;
 use pgxd_runtime::message::{Envelope, MsgKind};
 use pgxd_runtime::reliable::{lane_of, DedupWindow, Reliability, REQUEST_LANE};
 use pgxd_runtime::stats::MachineStats;
@@ -18,12 +18,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 fn reliability(machines: usize, workers: usize) -> Reliability {
-    Reliability::new(
-        machines,
+    let config = Config {
         workers,
-        ReliabilityConfig::on(),
-        Arc::new(MachineStats::default()),
-    )
+        strict_distributed: true,
+        ..Config::test(machines)
+    };
+    Reliability::new(&config, Arc::new(MachineStats::default()))
 }
 
 fn request(dst: u16) -> Envelope {

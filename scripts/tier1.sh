@@ -32,21 +32,21 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== wire smoke (real multi-process TCP cluster vs in-memory) =="
 # Spawns 2 pgxd-node OS processes that bootstrap a TCP cluster on
 # localhost and run PageRank/WCC/HopDist; asserts internally (every rank
-# returns the same vectors, within 1e-12 of the single-process in-memory
-# run — bit-identical for the integer props — and a lossy plan drives
-# nonzero retransmit telemetry over real sockets). pgxd-node was built
+# returns the same vectors, bit-identical to the single-process in-memory
+# run, and a lossy plan drives nonzero retransmit telemetry over real
+# sockets). pgxd-node was built
 # by the `cargo build --release` gate above; the hard timeout backstops
 # a wedged bootstrap or a hung rank.
 timeout 300 cargo run --release -p pgxd-bench --bin repro -- wire --quick
 
 echo "== wire-recover smoke (socket faults + SIGKILL a rank mid-run) =="
 # Spawns 3 pgxd-node processes twice: once under a seeded WireFaultPlan
-# (asserts nonzero injected resets/stalls AND nonzero reconnects, scores
-# within 1e-12 of the clean run) and once SIGKILLing rank 2 during a
-# choreographed pause (asserts both survivors convict the dead rank via
-# the heartbeat watchdog, re-bootstrap at the recovery coordinator,
-# adopt the newest checkpoint, and converge within 1e-12 of a fault-free
-# reference). The hard timeout backstops a missed conviction or a hung
+# (asserts nonzero injected resets/stalls AND nonzero reconnects, and
+# PageRank bit-identical to a fault-free in-memory reference) and once
+# SIGKILLing rank 2 during a choreographed pause (asserts both survivors
+# convict the dead rank via the heartbeat watchdog, re-bootstrap at the
+# recovery coordinator, adopt the newest checkpoint, and reach the same
+# bits). The hard timeout backstops a missed conviction or a hung
 # re-bootstrap.
 timeout 300 cargo run --release -p pgxd-bench --bin repro -- wire-recover --quick
 

@@ -6,7 +6,7 @@ use pgxd::tasks::{on_edge, on_node};
 use pgxd::{
     BuildEngine, CancelToken, ChunkingMode, Config, Dir, EdgeTask, Engine, FaultPlan, Fold,
     JobError, JobReport, JobSpec, NodeCtx, PartitioningMode, Prop, ReduceOp, Reduction,
-    ReliabilityConfig, StatsSnapshot, TelemetryConfig,
+    StatsSnapshot, TelemetryConfig,
 };
 use pgxd_algorithms as algos;
 use pgxd_baselines::seq;
@@ -368,7 +368,6 @@ fn fresh_rounds(
         .copiers(1)
         .ghost_threshold(ghosts)
         .fault(plan)
-        .reliability(ReliabilityConfig::on())
         .engine(g)
         .unwrap();
     let x = e.add_prop("x", 0i64);

@@ -188,6 +188,47 @@ fn loopback_tcp_cluster_matches_in_memory_bit_identically() {
     assert_eq!(r0, expected, "TCP cluster diverges from in-memory run");
 }
 
+/// With ghosts off every cross-machine neighbour is a remote read, so
+/// read requests and their responses share each pair's one connection, in
+/// both directions at once. Hops and components are integers and match the
+/// in-memory run to the bit; PageRank folds its remote answers in arrival
+/// order, so it matches to the 1e-12 the recovery case below allows.
+#[test]
+fn loopback_remote_reads_share_one_connection_per_peer() {
+    let graph = test_graph();
+    let no_ghosts = || two_by_two().ghost_threshold(None);
+    let run = |engine: &mut pgxd::Engine| {
+        let pr = algos::try_pagerank_pull(engine, 0.85, ITERS, 0.0).unwrap();
+        let hops = algos::try_hopdist(engine, 0).unwrap();
+        let wcc = algos::try_wcc(engine).unwrap();
+        let reads = engine.cluster().total_stats().read_entries;
+        (pr.scores, hops.hops, wcc.component, reads)
+    };
+    let (scores, hops, component, reads) = run(&mut no_ghosts().engine(&graph).unwrap());
+    assert!(reads > 0, "the in-memory run put no read entry on the wire");
+
+    let ranks = pgxd::loopback_ranks(2, |rank| {
+        let mut engine = rank.engine(no_ghosts(), &graph).unwrap();
+        let out = run(&mut engine);
+        engine.cluster().node_barrier().unwrap();
+        out
+    });
+    for (rank, (s, h, c, reads)) in ranks.into_iter().enumerate() {
+        assert!(reads > 0, "rank {rank} put no read entry on the wire");
+        assert_eq!(h, hops, "rank {rank}: hop distances diverge");
+        assert_eq!(c, component, "rank {rank}: components diverge");
+        let max_delta = s
+            .iter()
+            .zip(&scores)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f64, f64::max);
+        assert!(
+            max_delta <= 1e-12,
+            "rank {rank}: PageRank diverges from the in-memory run by {max_delta:e}"
+        );
+    }
+}
+
 /// Termination on TCP is event-driven: an empty job — no chunks' worth of
 /// work, no entries, just the job-start barrier and one termination wave
 /// (report, probe, answer, release) — must cost loopback hops, not poller
@@ -313,7 +354,6 @@ fn loopback_survivors_recover_from_abrupt_peer_death() {
                 tick_ms: 1,
                 rto_base_ms: 10,
                 watchdog_ms: 400,
-                ..ReliabilityConfig::on()
             })
             .checkpoint_every(CKPT_EVERY)
             .build()
