@@ -15,8 +15,20 @@ pub struct PageRankResult {
     pub iterations: usize,
 }
 
-/// `n.tmp = n.pr / n.out_degree()` — the local pre-scaling both exact
-/// variants use so the communicated value is a single f64.
+/// `pr / out_degree`, or 0 for a vertex without out-edges: the local
+/// pre-scaling both exact variants use so the communicated value is a
+/// single f64. The quotient is taken on every vertex and then picked, so
+/// a loop over it has no branch on the degree.
+fn scaled(pr: f64, out_degree: usize) -> f64 {
+    let q = pr / out_degree as f64;
+    if out_degree > 0 {
+        q
+    } else {
+        0.0
+    }
+}
+
+/// `n.tmp = n.pr / n.out_degree()`.
 struct Scale {
     pr: Prop<f64>,
     tmp: Prop<f64>,
@@ -25,21 +37,19 @@ impl NodeTask for Scale {
     fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
         let (pr, tmp) = (chunk.col(self.pr), chunk.col(self.tmp));
         for v in chunk.nodes() {
-            // The quotient is taken on every vertex and then picked, so the
-            // loop has no branch on the degree.
-            let d = chunk.out_degree(v);
-            let scaled = pr.get(v) / d as f64;
-            tmp.set(v, if d > 0 { scaled } else { 0.0 });
+            tmp.set(v, scaled(pr.get(v), chunk.out_degree(v)));
         }
     }
 }
 
 /// `n.pr = (1-d)/N + d * n.pr_nxt; n.pr_nxt = 0`, accumulating the global
-/// score delta for convergence.
+/// score delta for convergence. With `next`, also the next iteration's
+/// [`Scale`] of the new score into it: the pull's chunk epilogue.
 struct Apply {
     pr: Prop<f64>,
     nxt: Prop<f64>,
     diff: Prop<f64>,
+    next: Option<Prop<f64>>,
     base: f64,
     damping: f64,
 }
@@ -50,12 +60,16 @@ impl NodeTask for Apply {
             chunk.col(self.nxt),
             chunk.col(self.diff),
         );
+        let next = self.next.map(|p| chunk.col(p));
         for v in chunk.nodes() {
             let old = pr.get(v);
             let new = self.base + self.damping * nxt.get(v);
             pr.set(v, new);
             nxt.set(v, 0.0);
             diff.set(v, (new - old).abs());
+            if let Some(next) = &next {
+                next.set(v, scaled(new, chunk.out_degree(v)));
+            }
         }
     }
 }
@@ -79,6 +93,9 @@ pub struct ResumablePageRank {
 struct PrProps {
     pr: Prop<f64>,
     tmp: Prop<f64>,
+    /// The pull's second `tmp`: iteration `i` reads `[tmp, tmp_alt][i % 2]`
+    /// and its epilogue scales the new scores into the other one.
+    tmp_alt: Option<Prop<f64>>,
     nxt: Prop<f64>,
     diff: Prop<f64>,
 }
@@ -121,9 +138,16 @@ impl ResumableAlgorithm for ResumablePageRank {
         let n = engine.num_nodes();
         let pr = engine.add_prop("pr", 1.0 / n as f64);
         let tmp = engine.add_prop("pr_tmp", 0.0f64);
+        let tmp_alt = self.pull.then(|| engine.add_prop("pr_tmp_alt", 0.0f64));
         let nxt = engine.add_prop("pr_nxt", 0.0f64);
         let diff = engine.add_prop("pr_diff", 0.0f64);
-        self.props = Some(PrProps { pr, tmp, nxt, diff });
+        self.props = Some(PrProps {
+            pr,
+            tmp,
+            tmp_alt,
+            nxt,
+            diff,
+        });
         self.iterations = 0;
     }
 
@@ -131,35 +155,53 @@ impl ResumableAlgorithm for ResumablePageRank {
         if iteration >= self.max_iters as u64 {
             return Ok(StepOutcome::Done);
         }
-        let PrProps { pr, tmp, nxt, diff } = self.props.expect("setup ran");
+        let PrProps {
+            pr,
+            tmp,
+            tmp_alt,
+            nxt,
+            diff,
+        } = self.props.expect("setup ran");
         let cancel = &self.cancel;
-        engine.try_run_node_job_with(&JobSpec::new(), Scale { pr, tmp }, cancel)?;
-        if self.pull {
+        let apply = Apply {
+            pr,
+            nxt,
+            diff,
+            next: None,
+            base: (1.0 - self.damping) / engine.num_nodes() as f64,
+            damping: self.damping,
+        };
+        if let Some(alt) = tmp_alt {
             // `foreach(t: n.inNbrs) n.pr_nxt += t.tmp` — the variant
             // "expensive or even disallowed in distributed frameworks" that
             // PGX.D supports natively. No atomics: all in-edges of `n` run
             // on one worker, so the sum stays in a register until `n`'s
-            // last edge.
-            let pull = Fold::new(tmp, nxt, ReduceOp::Sum);
+            // last edge. `Apply` and the next iteration's `Scale` run as the
+            // chunk's epilogue, into the `tmp` this iteration does not read,
+            // so an iteration is one job.
+            let (cur, next) = if iteration.is_multiple_of(2) {
+                (tmp, alt)
+            } else {
+                (alt, tmp)
+            };
+            if iteration == 0 {
+                engine.try_run_node_job_with(&JobSpec::new(), Scale { pr, tmp: cur }, cancel)?;
+            }
+            let apply = Apply {
+                next: Some(next),
+                ..apply
+            };
+            let pull = Fold::new(cur, nxt, ReduceOp::Sum).then(apply);
             engine.try_run_edge_job_with(Dir::In, &JobSpec::new(), pull, cancel)?;
         } else {
             // `foreach(t: n.outNbrs) t.pr_nxt += n.tmp` — the conventional
             // form, which pays atomic accumulation at local targets. `tmp`
             // is loaded once per vertex and scattered over its out-edges.
+            engine.try_run_node_job_with(&JobSpec::new(), Scale { pr, tmp }, cancel)?;
             let push = Scatter::new(tmp, nxt, ReduceOp::Sum);
             engine.try_run_edge_job_with(Dir::Out, &JobSpec::new(), push, cancel)?;
+            engine.try_run_node_job_with(&JobSpec::new(), apply, cancel)?;
         }
-        engine.try_run_node_job_with(
-            &JobSpec::new(),
-            Apply {
-                pr,
-                nxt,
-                diff,
-                base: (1.0 - self.damping) / engine.num_nodes() as f64,
-                damping: self.damping,
-            },
-            cancel,
-        )?;
         self.iterations = iteration as usize + 1;
         // Sequential region: convergence check (driver side).
         if engine.reduce(diff, ReduceOp::Sum) < self.tol {
@@ -177,10 +219,19 @@ impl ResumableAlgorithm for ResumablePageRank {
     }
 
     fn finish(&mut self, engine: &mut Engine) -> PageRankResult {
-        let PrProps { pr, tmp, nxt, diff } = self.props.take().expect("setup ran");
+        let PrProps {
+            pr,
+            tmp,
+            tmp_alt,
+            nxt,
+            diff,
+        } = self.props.take().expect("setup ran");
         let scores = engine.gather(pr);
         engine.drop_prop(pr);
         engine.drop_prop(tmp);
+        if let Some(alt) = tmp_alt {
+            engine.drop_prop(alt);
+        }
         engine.drop_prop(nxt);
         engine.drop_prop(diff);
         PageRankResult {

@@ -17,7 +17,10 @@
 //!
 //! A declared fold or scatter runs without the task: per chunk its two
 //! columns are resolved once and `(tag, op)` is matched once
-//! ([`dispatch`]), so the edge loop is monomorphic in both.
+//! ([`dispatch`]), so the edge loop is monomorphic in both. A fold with a
+//! chunk epilogue ([`Fold::then`]) runs it over a chunk as soon as every
+//! fold of the chunk is stored: right after the chunk when it read nothing
+//! remote, else after the worker has seen the job complete.
 //!
 //! Both ghost synchronizations of §3.3 happen inside this phase, so a job
 //! is one phase whatever it reads and reduces. Read properties: each
@@ -33,7 +36,8 @@
 use crate::scope::TaskScope;
 use crate::spec::JobSpec;
 use crate::task::{
-    Dir, EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, ReadDoneCtx, Reduction, Scatter,
+    Dir, EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, Only, ReadDoneCtx, Reduction,
+    Scatter,
 };
 use pgxd_runtime::cancel::CancelToken;
 use pgxd_runtime::chunk::{Chunk, ChunkQueue};
@@ -153,9 +157,19 @@ impl JobCore {
     /// worker claims, then it passes its ghost partials on and drains until
     /// the phase is globally complete. `resume` consumes every response
     /// the worker drains.
-    fn run<C, R>(&self, env: &mut WorkerEnv<'_>, resume: &R, mut chunk: C)
-    where
-        C: FnMut(&mut TaskScope<'_>, Chunk),
+    ///
+    /// `chunk` returns how many remote reads it issued whose answers fold
+    /// into its vertices. A fold's `epilogue` runs over a chunk that issued
+    /// none right after it; any other chunk waits until the job is complete
+    /// here, when every answer to this worker has drained.
+    fn run<C, R>(
+        &self,
+        env: &mut WorkerEnv<'_>,
+        resume: &R,
+        epilogue: Option<&dyn NodeTask>,
+        mut chunk: C,
+    ) where
+        C: FnMut(&mut TaskScope<'_>, Chunk) -> u64,
         R: Fn(&mut TaskScope<'_>, &Response),
     {
         // An aborted cluster leaves the wait and skips the chunks; the
@@ -166,6 +180,7 @@ impl JobCore {
         let mut scope = TaskScope::new(machine, env.comm, &self.reads, &self.reduces);
         let (queue, job) = (&self.queues[machine_id], &*self.job);
         let mut claims = 0u64;
+        let mut waiting = Vec::new();
         while let Some(nodes) = synced.then(|| queue.pop()).flatten() {
             claims += 1;
             if job.cancel().is_cancelled() {
@@ -176,7 +191,14 @@ impl JobCore {
                 job.retire_many(1 + queue.drain_remaining());
                 break;
             }
-            chunk(&mut scope, nodes);
+            let remote_reads = chunk(&mut scope, nodes.clone());
+            if let Some(epilogue) = epilogue {
+                if remote_reads == 0 {
+                    epilogue.run_chunk(&mut NodeChunk::new(&mut scope, nodes));
+                } else {
+                    waiting.push(nodes);
+                }
+            }
             // Publish before retire: the chunk may be the phase's last work
             // unit, and completion is read off `pending` (or the wave's
             // counters) as soon as none is outstanding.
@@ -201,22 +223,29 @@ impl JobCore {
             scope.send_ghost_partials();
         }
         job.retire(); // every entry is published: `flush` above or in the send
-        loop {
+        let complete = loop {
             if drain_responses(&mut scope, resume) {
                 scope.comm.flush();
                 continue;
             }
             if job.is_complete(machine) {
-                break;
+                break true;
             }
             if machine.health.is_aborted() {
                 // Exact termination can never be reached once envelopes were
                 // lost; fail the pending continuations and reach the barrier
                 // so every thread joins (the driver surfaces the JobError).
                 scope.comm.abort_in_flight();
-                break;
+                break false;
             }
             std::thread::yield_now();
+        };
+        // The epilogues write only their chunks' owned cells and send
+        // nothing, so they change no count that completion rests on.
+        if let Some(epilogue) = epilogue.filter(|_| complete) {
+            for nodes in waiting {
+                epilogue.run_chunk(&mut NodeChunk::new(&mut scope, nodes));
+            }
         }
         job.mark_drained(machine_id, env.worker_idx);
         scope.publish_stats();
@@ -247,17 +276,20 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
             Some(Reduction::Fold(fold)) => {
                 let folds =
                     |scope: &mut TaskScope<'_>, resp: &Response| resume_fold(fold, scope, resp);
-                self.core.run(env, &folds, |scope, nodes| {
+                let epilogue = task.epilogue(Only);
+                self.core.run(env, &folds, epilogue, |scope, nodes| {
                     prepare(scope, &nodes);
                     dispatch(fold.tag, fold.op, Declared(scope, frag, task, fold, nodes))
                 })
             }
-            Some(Reduction::Scatter(scatter)) => self.core.run(env, &reads, |scope, nodes| {
-                prepare(scope, &nodes);
-                let chunk = Declared(scope, frag, task, scatter, nodes);
-                dispatch(scatter.tag, scatter.op, chunk)
-            }),
-            None => self.core.run(env, &reads, |scope, nodes| {
+            Some(Reduction::Scatter(scatter)) => {
+                self.core.run(env, &reads, None, |scope, nodes| {
+                    prepare(scope, &nodes);
+                    let chunk = Declared(scope, frag, task, scatter, nodes);
+                    dispatch(scatter.tag, scatter.op, chunk)
+                })
+            }
+            None => self.core.run(env, &reads, None, |scope, nodes| {
                 prepare(scope, &nodes);
                 for node in nodes {
                     if !task.filter(&mut NodeCtx { scope, node }) {
@@ -276,6 +308,7 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
                     }
                     drain_local(scope, task);
                 }
+                0
             }),
         }
     }
@@ -284,11 +317,13 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
 /// A chunk loop that is monomorphic in a value type and a reduction:
 /// [`dispatch`] matches `(tag, op)` once per chunk and calls `run` with
 /// both fixed, so `combine` is one constant-folded [`reduce_bits`].
+/// It returns the remote reads the chunk issued whose answers fold into
+/// its vertices.
 trait ReduceLoop {
-    fn run<V: PropValue>(self, op: ReduceOp, combine: impl Fn(V, V) -> V);
+    fn run<V: PropValue>(self, op: ReduceOp, combine: impl Fn(V, V) -> V) -> u64;
 }
 
-fn dispatch(tag: TypeTag, op: ReduceOp, body: impl ReduceLoop) {
+fn dispatch(tag: TypeTag, op: ReduceOp, body: impl ReduceLoop) -> u64 {
     match tag {
         TypeTag::F64 => dispatch_op::<f64>(op, body),
         TypeTag::I64 => dispatch_op::<i64>(op, body),
@@ -298,7 +333,7 @@ fn dispatch(tag: TypeTag, op: ReduceOp, body: impl ReduceLoop) {
     }
 }
 
-fn dispatch_op<V: PropValue>(op: ReduceOp, body: impl ReduceLoop) {
+fn dispatch_op<V: PropValue>(op: ReduceOp, body: impl ReduceLoop) -> u64 {
     macro_rules! with {
         ($op:expr) => {
             body.run::<V>($op, |a: V, b: V| {
@@ -327,11 +362,11 @@ struct Declared<'c, 'a, T, D>(&'c mut TaskScope<'a>, &'c FragmentDir, &'c T, D, 
 /// the drain loop folds into the cell ([`resume_fold`]); none drains
 /// before the chunk ends, so the store cannot overwrite one.
 impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Fold> {
-    fn run<V: PropValue>(self, _op: ReduceOp, combine: impl Fn(V, V) -> V) {
+    fn run<V: PropValue>(self, _op: ReduceOp, combine: impl Fn(V, V) -> V) -> u64 {
         let Declared(scope, frag, task, fold, nodes) = self;
         let (src_col, dst_col) = (scope.column(fold.src), scope.column(fold.dst));
         let (src, dst) = (src_col.cells(), dst_col.cells());
-        let mut local_reads = 0;
+        let (mut local_reads, mut remote_reads) = (0, 0);
         for node in nodes {
             if !task.filter(&mut NodeCtx { scope, node }) {
                 continue;
@@ -343,6 +378,7 @@ impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Fold> {
             let mut acc = V::from_bits(dst[node].load(Ordering::Relaxed));
             for &target in &frag.targets[frag.edge_range(node)] {
                 if target.is_remote() {
+                    remote_reads += 1;
                     let gid = target.global_id();
                     scope
                         .comm
@@ -356,6 +392,7 @@ impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Fold> {
             dst[node].store(acc.to_bits(), Ordering::Relaxed);
         }
         scope.count_local_reads(local_reads);
+        remote_reads
     }
 }
 
@@ -365,7 +402,7 @@ impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Fold> {
 /// declares `(dst, op)` reduced, so every worker keeps one), and otherwise the in-place reduction — a CAS, or a store for
 /// `Assign`.
 impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Scatter> {
-    fn run<V: PropValue>(self, op: ReduceOp, combine: impl Fn(V, V) -> V) {
+    fn run<V: PropValue>(self, op: ReduceOp, combine: impl Fn(V, V) -> V) -> u64 {
         let Declared(scope, frag, task, scatter, nodes) = self;
         let (src_col, dst_col) = (scope.column(scatter.src), scope.column(scatter.dst));
         let (src, dst) = (src_col.cells(), dst_col.cells());
@@ -402,6 +439,7 @@ impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Scatter> {
             }
         }
         scope.count_local_writes(local_writes);
+        0
     }
 }
 
@@ -417,8 +455,9 @@ impl<T: NodeTask> Phase for NodeJobPhase<T> {
         // A node task issues no read (a `NodeCtx` cannot), so no response
         // reaches it and no local read waits between its vertices.
         let no_response = |_: &mut TaskScope<'_>, _: &Response| {};
-        self.core.run(env, &no_response, |scope, nodes| {
-            task.run_chunk(&mut NodeChunk::new(scope, nodes))
+        self.core.run(env, &no_response, None, |scope, nodes| {
+            task.run_chunk(&mut NodeChunk::new(scope, nodes));
+            0
         });
     }
 }

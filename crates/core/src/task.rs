@@ -14,7 +14,8 @@
 //! vertex resolves its columns once per chunk ([`NodeChunk::col`]) instead
 //! of once per access. An edge task can do the same ahead of a chunk's
 //! edges ([`EdgeTask::prepare`]), e.g. to compute the column a declared
-//! scatter pushes.
+//! scatter pushes. A fold alone can also end each chunk with a node pass
+//! over it once the chunk's folds are stored ([`Fold::then`]).
 
 use crate::prop::Prop;
 use crate::scope::TaskScope;
@@ -77,7 +78,23 @@ pub trait EdgeTask: Send + Sync + 'static {
     /// Continuation for reads issued by `run` (one callback per
     /// `read_nbr`). Guaranteed to execute on the worker that ran `run`.
     fn read_done(&self, _ctx: &mut ReadDoneCtx<'_, '_>) {}
+
+    /// The chunk epilogue of a [`FoldThen`], the only task that has one:
+    /// outside this crate the argument's type cannot be named, so the
+    /// method cannot be overridden, and no scatter or per-edge task gets
+    /// an epilogue.
+    #[doc(hidden)]
+    fn epilogue(&self, _: sealed::Only) -> Option<&dyn NodeTask> {
+        None
+    }
 }
+
+mod sealed {
+    /// Unnameable outside the crate: only the crate's own tasks override
+    /// [`super::EdgeTask::epilogue`].
+    pub struct Only;
+}
+pub(crate) use sealed::Only;
 
 /// A declared pull reduction: `dst[v] = op(dst[v], src[u])` for every edge
 /// `(v, u)` of every vertex `v` the filter passes.
@@ -108,11 +125,45 @@ impl Fold {
             op,
         }
     }
+
+    /// This fold followed by `epilogue` over each of its chunks, once the
+    /// chunk's folds have stored their results: an iteration's node pass
+    /// fused into its pull, the paper's `read_done` at chunk grain (§4.1).
+    ///
+    /// The epilogue runs on the worker that folded the chunk, through
+    /// [`NodeTask::run_chunk`]: right after the chunk's edges when none of
+    /// them read a remote value, otherwise once the job has completed on
+    /// that worker (every answer folded), before the job ends. It must
+    /// touch only the chunk's own cells through [`NodeChunk::col`], and
+    /// send nothing (no `reduce_global`). It must not write the fold's
+    /// `src`, which other chunks' edges may still be reading.
+    pub fn then<E: NodeTask>(self, epilogue: E) -> FoldThen<E> {
+        FoldThen {
+            fold: self,
+            epilogue,
+        }
+    }
 }
 
 impl EdgeTask for Fold {
     fn reduction(&self) -> Option<Reduction> {
         Some((*self).into())
+    }
+}
+
+/// A [`Fold`] of every vertex with a per-chunk epilogue ([`Fold::then`]).
+pub struct FoldThen<E> {
+    fold: Fold,
+    epilogue: E,
+}
+
+impl<E: NodeTask> EdgeTask for FoldThen<E> {
+    fn reduction(&self) -> Option<Reduction> {
+        Some(self.fold.into())
+    }
+
+    fn epilogue(&self, _: Only) -> Option<&dyn NodeTask> {
+        Some(&self.epilogue)
     }
 }
 

@@ -574,24 +574,47 @@ impl Cluster {
     }
 
     /// Reduces a property over all owned cells (driver-side sequential
-    /// region helper, e.g. convergence checks). The fold runs over the
-    /// gathered column in global vertex order on every process, so float
-    /// results are bit-identical across backends *and* across ranks.
+    /// region helper, e.g. convergence checks). A collective, like
+    /// [`Cluster::gather`], that exchanges one partial per machine instead
+    /// of the column: each hosted machine folds its owned cells in vertex
+    /// order, and every process folds the partials in machine order. So
+    /// the result is bit-identical across backends and ranks at a given
+    /// machine count; an f64 `Sum` at another machine count may differ in
+    /// its last bits.
     pub fn reduce<T: PropValue>(&self, id: PropId, op: ReduceOp) -> T {
-        let mut acc: Option<u64> = None;
-        for bits in self.gather_bits(id) {
-            acc = Some(match acc {
-                None => bits,
-                Some(a) => crate::props::reduce_bits(T::TAG, op, a, bits),
-            });
+        let fold = |acc: Option<u64>, bits: u64| {
+            Some(acc.map_or(bits, |a| crate::props::reduce_bits(T::TAG, op, a, bits)))
+        };
+        // `(present, bits)` per hosted machine: a machine without vertices
+        // has no partial.
+        let mut local = Vec::with_capacity(2 * self.machines.len());
+        for m in &self.machines {
+            let col = m.props.column(id);
+            let partial = (0..m.num_local())
+                .map(|i| col.load_bits(i))
+                .fold(None, fold);
+            local.extend([partial.is_some() as u64, partial.unwrap_or(0)]);
         }
+        let partials = self.exchange_bits(local);
+        let present = partials.chunks_exact(2).filter(|p| p[0] != 0);
+        let acc = present.map(|p| p[1]).fold(None, fold);
         T::from_bits(acc.unwrap_or_else(|| crate::props::bottom_bits(T::TAG, op)))
     }
 
-    /// Counts owned vertices whose `bool` property is true (a collective,
-    /// like [`Cluster::reduce`]).
+    /// Counts owned vertices whose `bool` property is true (a collective
+    /// that exchanges one count per process).
     pub fn count_true(&self, id: PropId) -> usize {
-        self.gather_bits(id).into_iter().filter(|&b| b != 0).count()
+        let hosted: u64 = self
+            .machines
+            .iter()
+            .map(|m| {
+                let col = m.props.column(id);
+                (0..m.num_local())
+                    .filter(|&i| col.load_bits(i) != 0)
+                    .count() as u64
+            })
+            .sum();
+        self.exchange_bits(vec![hosted]).into_iter().sum::<u64>() as usize
     }
 
     // -----------------------------------------------------------------

@@ -160,9 +160,28 @@ fn read_hello(s: &mut TcpStream, ctx: &str) -> Result<u16, JobError> {
     read_u16(s, ctx)
 }
 
+/// The pause between two bootstrap polls: 100 µs at first, doubling up to
+/// 10 ms. A loopback peer is usually there within a millisecond, and one
+/// that is not is polled no more often than every 10 ms.
+struct Backoff(Duration);
+
+impl Backoff {
+    const CAP: Duration = Duration::from_millis(10);
+
+    fn new() -> Self {
+        Backoff(Duration::from_micros(100))
+    }
+
+    fn pause(&mut self) {
+        std::thread::sleep(self.0);
+        self.0 = (self.0 * 2).min(Self::CAP);
+    }
+}
+
 /// Connects to `addr`, retrying refused connections until `deadline` —
 /// during bootstrap the target listener may simply not be bound yet.
 fn connect_retry(addr: &str, deadline: Instant) -> Result<TcpStream, JobError> {
+    let mut backoff = Backoff::new();
     loop {
         match TcpStream::connect(addr) {
             Ok(s) => {
@@ -173,7 +192,7 @@ fn connect_retry(addr: &str, deadline: Instant) -> Result<TcpStream, JobError> {
                 if Instant::now() >= deadline {
                     return Err(io_err(&format!("connect to {addr}"), e));
                 }
-                std::thread::sleep(Duration::from_millis(10));
+                backoff.pause();
             }
         }
     }
@@ -189,6 +208,7 @@ fn accept_deadline(
     what: &str,
 ) -> Result<TcpStream, JobError> {
     listener.set_nonblocking(true).ok();
+    let mut backoff = Backoff::new();
     let result = loop {
         match listener.accept() {
             Ok((s, _)) => break Ok(s),
@@ -199,7 +219,7 @@ fn accept_deadline(
                         format!("{what}: timed out waiting for a peer to connect"),
                     ));
                 }
-                std::thread::sleep(Duration::from_millis(10));
+                backoff.pause();
             }
             Err(e) => break Err(io_err(what, e)),
         }
