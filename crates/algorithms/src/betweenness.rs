@@ -7,8 +7,8 @@
 //! §4.1).
 
 use pgxd::{
-    Dir, EdgeTask, Engine, Fold, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop, ReduceOp,
-    Reduction, Scatter,
+    Dir, EdgeTask, Engine, Fold, JobError, JobSpec, NodeChunk, NodeCtx, NodeId, NodeTask, Prop,
+    ReduceOp, Reduction, Scatter,
 };
 
 /// Result of betweenness centrality.
@@ -25,11 +25,13 @@ pub struct BetweennessResult {
 const UNSET: i64 = i64::MAX;
 
 /// Forward expansion: frontier vertices mark out-neighbors reached and add
-/// their path counts.
+/// their path counts; the epilogue settles newly reached vertices at
+/// `level + 1`.
 struct Expand {
     dist: Prop<i64>,
     sigma: Prop<f64>,
     sigma_add: Prop<f64>,
+    frontier_count: Prop<i64>,
     level: i64,
 }
 impl EdgeTask for Expand {
@@ -39,27 +41,19 @@ impl EdgeTask for Expand {
     fn reduction(&self) -> Option<Reduction> {
         Some(Scatter::new(self.sigma, self.sigma_add, ReduceOp::Sum).into())
     }
-}
-
-/// Settles newly reached vertices at `level + 1`.
-struct Settle {
-    dist: Prop<i64>,
-    sigma: Prop<f64>,
-    sigma_add: Prop<f64>,
-    frontier_count: Prop<i64>,
-    level: i64,
-}
-impl NodeTask for Settle {
-    fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
-        let add = ctx.get(self.sigma_add);
-        let mut count = 0i64;
-        if add > 0.0 && ctx.get(self.dist) == UNSET {
-            ctx.set(self.dist, self.level + 1);
-            ctx.set(self.sigma, add);
-            count = 1;
+    fn epilogue(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let (dist, sigma) = (chunk.col(self.dist), chunk.col(self.sigma));
+        let (sigma_add, count) = (chunk.col(self.sigma_add), chunk.col(self.frontier_count));
+        for v in chunk.nodes() {
+            let add = sigma_add.get(v);
+            let reached = add > 0.0 && dist.get(v) == UNSET;
+            if reached {
+                dist.set(v, self.level + 1);
+                sigma.set(v, add);
+            }
+            sigma_add.set(v, 0.0);
+            count.set(v, i64::from(reached));
         }
-        ctx.set(self.sigma_add, 0.0f64);
-        ctx.set(self.frontier_count, count);
     }
 }
 
@@ -87,12 +81,17 @@ impl NodeTask for PublishCoef {
 /// Backward pass, step 2: vertices at `level` *pull* coefficients from
 /// their out-neighbors (the successors on shortest paths) and accumulate.
 /// Non-successors publish `+0.0`, and `acc` starts at `+0.0` and only
-/// gains non-negative terms, so folding their zeros changes no bit.
+/// gains non-negative terms, so folding their zeros changes no bit. The
+/// epilogue folds the pulled sum into delta and the global centrality.
 struct PullCoef {
     dist: Prop<i64>,
+    sigma: Prop<f64>,
+    delta: Prop<f64>,
     coef: Prop<f64>,
     acc: Prop<f64>,
+    bc: Prop<f64>,
     level: i64,
+    source: NodeId,
 }
 impl EdgeTask for PullCoef {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
@@ -101,30 +100,23 @@ impl EdgeTask for PullCoef {
     fn reduction(&self) -> Option<Reduction> {
         Some(Fold::new(self.coef, self.acc, ReduceOp::Sum).into())
     }
-}
-
-/// Backward pass, step 3: fold the pulled sum into delta and the global
-/// centrality.
-struct FoldDelta {
-    dist: Prop<i64>,
-    sigma: Prop<f64>,
-    delta: Prop<f64>,
-    acc: Prop<f64>,
-    bc: Prop<f64>,
-    level: i64,
-    source: NodeId,
-}
-impl NodeTask for FoldDelta {
-    fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
-        if ctx.get(self.dist) == self.level {
-            let d = ctx.get(self.sigma) * ctx.get(self.acc);
-            ctx.set(self.delta, d);
-            if ctx.node() != self.source {
-                let b = ctx.get(self.bc);
-                ctx.set(self.bc, b + d);
+    fn epilogue(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let (dist, sigma, delta) = (
+            chunk.col(self.dist),
+            chunk.col(self.sigma),
+            chunk.col(self.delta),
+        );
+        let (acc, bc) = (chunk.col(self.acc), chunk.col(self.bc));
+        for v in chunk.nodes() {
+            if dist.get(v) == self.level {
+                let d = sigma.get(v) * acc.get(v);
+                delta.set(v, d);
+                if chunk.ctx(v).node() != self.source {
+                    bc.set(v, bc.get(v) + d);
+                }
             }
+            acc.set(v, 0.0);
         }
-        ctx.set(self.acc, 0.0f64);
     }
 }
 
@@ -182,15 +174,6 @@ pub fn try_betweenness(
                         dist,
                         sigma,
                         sigma_add,
-                        level: max_level,
-                    },
-                )?;
-                engine.try_run_node_job(
-                    &JobSpec::new(),
-                    Settle {
-                        dist,
-                        sigma,
-                        sigma_add,
                         frontier_count,
                         level: max_level,
                     },
@@ -218,17 +201,9 @@ pub fn try_betweenness(
                     &JobSpec::new(),
                     PullCoef {
                         dist,
-                        coef,
-                        acc,
-                        level,
-                    },
-                )?;
-                engine.try_run_node_job(
-                    &JobSpec::new(),
-                    FoldDelta {
-                        dist,
                         sigma,
                         delta,
+                        coef,
                         acc,
                         bc,
                         level,

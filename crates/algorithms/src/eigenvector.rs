@@ -3,7 +3,9 @@
 //! from its neighbors at every iteration step. PGX.D implements this
 //! algorithm with data pulling." (§5.2)
 
-use pgxd::{Dir, Engine, Fold, JobError, JobSpec, NodeChunk, NodeTask, Prop, ReduceOp};
+use pgxd::{
+    Dir, EdgeTask, Engine, Fold, JobError, JobSpec, NodeChunk, NodeTask, Prop, ReduceOp, Reduction,
+};
 
 /// Result of eigenvector centrality.
 #[derive(Clone, Debug)]
@@ -38,13 +40,18 @@ impl NodeTask for Normalize {
     }
 }
 
-/// Squares `nxt` into `sq` so the driver can compute the L2 norm.
-struct Square {
+/// Pulls `ev` from each in-neighbor and accumulates it into `nxt`; the
+/// epilogue squares `nxt` into `sq` so the driver can compute the L2 norm.
+struct Pull {
+    ev: Prop<f64>,
     nxt: Prop<f64>,
     sq: Prop<f64>,
 }
-impl NodeTask for Square {
-    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+impl EdgeTask for Pull {
+    fn reduction(&self) -> Option<Reduction> {
+        Some(Fold::new(self.ev, self.nxt, ReduceOp::Sum).into())
+    }
+    fn epilogue(&self, chunk: &mut NodeChunk<'_, '_>) {
         let (nxt, sq) = (chunk.col(self.nxt), chunk.col(self.sq));
         for v in chunk.nodes() {
             let x = nxt.get(v);
@@ -72,10 +79,7 @@ pub fn try_eigenvector(
     let run = |engine: &mut Engine, iterations: &mut usize| -> Result<(), JobError> {
         for _ in 0..max_iters {
             *iterations += 1;
-            // Pulls `ev` from each in-neighbor and accumulates into `nxt`.
-            let pull = Fold::new(ev, nxt, ReduceOp::Sum);
-            engine.try_run_edge_job(Dir::In, &JobSpec::new(), pull)?;
-            engine.try_run_node_job(&JobSpec::new(), Square { nxt, sq })?;
+            engine.try_run_edge_job(Dir::In, &JobSpec::new(), Pull { ev, nxt, sq })?;
             // Sequential region: global L2 norm.
             let norm = engine.reduce(sq, ReduceOp::Sum).sqrt();
             let inv_norm = if norm > 0.0 { 1.0 / norm } else { 0.0 };

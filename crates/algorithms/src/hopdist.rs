@@ -1,11 +1,11 @@
 //! Hop Distance: breadth-first traversal from a root ("Hop Dist:
 //! Breadth-first traversal from the root", Table 2). Level-synchronous
 //! frontier expansion: a `Min` scatter of the frontier's `hops`, one
-//! added on arrival.
+//! added on arrival. A level is one job.
 
 use pgxd::recover::{ResumableAlgorithm, StepOutcome};
 use pgxd::{
-    Dir, EdgeTask, Engine, JobError, JobSpec, NodeChunk, NodeCtx, NodeId, NodeTask, Prop, ReduceOp,
+    Dir, EdgeTask, Engine, JobError, JobSpec, NodeChunk, NodeCtx, NodeId, Prop, ReduceOp,
     Reduction, Scatter,
 };
 
@@ -19,7 +19,8 @@ pub struct HopDistResult {
 }
 
 /// Frontier vertices scatter their `hops` to their out-neighbors' `nxt`;
-/// [`Advance`] adds the hop, so the minimum is taken before it.
+/// the epilogue adds the hop, so the minimum is taken before it, and
+/// makes the vertices it brought closer the next frontier.
 struct Expand {
     hops: Prop<i64>,
     nxt: Prop<i64>,
@@ -32,15 +33,7 @@ impl EdgeTask for Expand {
     fn reduction(&self) -> Option<Reduction> {
         Some(Scatter::new(self.hops, self.nxt, ReduceOp::Min).into())
     }
-}
-
-struct Advance {
-    hops: Prop<i64>,
-    nxt: Prop<i64>,
-    frontier: Prop<bool>,
-}
-impl NodeTask for Advance {
-    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+    fn epilogue(&self, chunk: &mut NodeChunk<'_, '_>) {
         let (hops, nxt) = (chunk.col(self.hops), chunk.col(self.nxt));
         let frontier = chunk.col(self.frontier);
         for v in chunk.nodes() {
@@ -97,14 +90,6 @@ impl ResumableAlgorithm for ResumableHopDist {
             Dir::Out,
             &JobSpec::new(),
             Expand {
-                hops,
-                nxt,
-                frontier,
-            },
-        )?;
-        engine.try_run_node_job(
-            &JobSpec::new(),
-            Advance {
                 hops,
                 nxt,
                 frontier,

@@ -11,7 +11,8 @@
 //! O(log n) rounds.
 
 use pgxd::{
-    Dir, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeTask, Prop, ReduceOp, Reduction, Scatter,
+    Dir, EdgeTask, Engine, JobError, JobSpec, NodeChunk, NodeCtx, NodeTask, Prop, ReduceOp,
+    Reduction, Scatter,
 };
 
 /// Result of the MIS computation.
@@ -58,11 +59,12 @@ impl NodeTask for Draw {
 }
 
 /// Pushes the vertex's priority to neighbors (both directions — MIS is an
-/// undirected notion).
+/// undirected notion). The second push ends with [`Join`].
 struct PushPrio {
     state: Prop<i64>,
     prio: Prop<u64>,
     nbr_max: Prop<u64>,
+    join: Option<Join>,
 }
 impl EdgeTask for PushPrio {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
@@ -70,6 +72,11 @@ impl EdgeTask for PushPrio {
     }
     fn reduction(&self) -> Option<Reduction> {
         Some(Scatter::new(self.prio, self.nbr_max, ReduceOp::Max).into())
+    }
+    fn epilogue(&self, chunk: &mut NodeChunk<'_, '_>) {
+        if let Some(join) = &self.join {
+            join.run_chunk(chunk);
+        }
     }
 }
 
@@ -92,10 +99,12 @@ impl NodeTask for Join {
 }
 
 /// New members exclude their still-undecided neighbors: the filter passes
-/// only them, so the `joined` they scatter is `true`.
+/// only them, so the `joined` they scatter is `true`. The second push ends
+/// with [`ApplyExclusions`].
 struct Exclude {
     joined: Prop<bool>,
     excluded_flag: Prop<bool>,
+    apply: Option<ApplyExclusions>,
 }
 impl EdgeTask for Exclude {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
@@ -103,6 +112,11 @@ impl EdgeTask for Exclude {
     }
     fn reduction(&self) -> Option<Reduction> {
         Some(Scatter::new(self.joined, self.excluded_flag, ReduceOp::Or).into())
+    }
+    fn epilogue(&self, chunk: &mut NodeChunk<'_, '_>) {
+        if let Some(apply) = &self.apply {
+            apply.run_chunk(chunk);
+        }
     }
 }
 
@@ -150,33 +164,27 @@ pub fn try_mis(engine: &mut Engine) -> Result<MisResult, JobError> {
                     state,
                     prio,
                     nbr_max,
+                    join: (dir == Dir::In).then_some(Join {
+                        state,
+                        prio,
+                        nbr_max,
+                        joined,
+                    }),
                 };
                 engine.try_run_edge_job(dir, &JobSpec::new(), push)?;
             }
-            engine.try_run_node_job(
-                &JobSpec::new(),
-                Join {
-                    state,
-                    prio,
-                    nbr_max,
-                    joined,
-                },
-            )?;
             for dir in [Dir::Out, Dir::In] {
                 let exclude = Exclude {
                     joined,
                     excluded_flag,
+                    apply: (dir == Dir::In).then_some(ApplyExclusions {
+                        state,
+                        excluded_flag,
+                        undecided,
+                    }),
                 };
                 engine.try_run_edge_job(dir, &JobSpec::new(), exclude)?;
             }
-            engine.try_run_node_job(
-                &JobSpec::new(),
-                ApplyExclusions {
-                    state,
-                    excluded_flag,
-                    undecided,
-                },
-            )?;
         }
         Ok(())
     };

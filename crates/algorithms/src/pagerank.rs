@@ -28,7 +28,8 @@ fn scaled(pr: f64, out_degree: usize) -> f64 {
     }
 }
 
-/// `n.tmp = n.pr / n.out_degree()`.
+/// `n.tmp = n.pr / n.out_degree()`: the pull's priming job, and the
+/// push's prologue.
 struct Scale {
     pr: Prop<f64>,
     tmp: Prop<f64>,
@@ -44,7 +45,7 @@ impl NodeTask for Scale {
 
 /// `n.pr = (1-d)/N + d * n.pr_nxt; n.pr_nxt = 0`, accumulating the global
 /// score delta for convergence. With `next`, also the next iteration's
-/// [`Scale`] of the new score into it: the pull's chunk epilogue.
+/// [`Scale`] of the new score into it, as the pull does.
 struct Apply {
     pr: Prop<f64>,
     nxt: Prop<f64>,
@@ -74,6 +75,36 @@ impl NodeTask for Apply {
     }
 }
 
+/// One exact iteration as one edge job. The pull folds the in-neighbors'
+/// `tmp` into `nxt`; the push scales `tmp` in each chunk's prologue and
+/// scatters it into the out-neighbors' `nxt`. Either way [`Apply`] is the
+/// job's epilogue, and the pull's also scales the new scores into `tmp`
+/// for the next iteration, as no edge reads `tmp` once the job is complete.
+struct Iteration {
+    pull: bool,
+    tmp: Prop<f64>,
+    apply: Apply,
+}
+impl EdgeTask for Iteration {
+    fn prepare(&self, chunk: &mut NodeChunk<'_, '_>) {
+        if !self.pull {
+            let (pr, tmp) = (self.apply.pr, self.tmp);
+            Scale { pr, tmp }.run_chunk(chunk);
+        }
+    }
+    fn reduction(&self) -> Option<Reduction> {
+        let (tmp, nxt) = (self.tmp, self.apply.nxt);
+        Some(if self.pull {
+            Fold::new(tmp, nxt, ReduceOp::Sum).into()
+        } else {
+            Scatter::new(tmp, nxt, ReduceOp::Sum).into()
+        })
+    }
+    fn epilogue(&self, chunk: &mut NodeChunk<'_, '_>) {
+        self.apply.run_chunk(chunk);
+    }
+}
+
 /// Exact PageRank decomposed into driver-visible iterations: the one body
 /// behind [`try_pagerank_pull`] / [`try_pagerank_push`] (driven by
 /// [`ResumableAlgorithm::run_to_completion`]) and the form the recovery
@@ -93,9 +124,6 @@ pub struct ResumablePageRank {
 struct PrProps {
     pr: Prop<f64>,
     tmp: Prop<f64>,
-    /// The pull's second `tmp`: iteration `i` reads `[tmp, tmp_alt][i % 2]`
-    /// and its epilogue scales the new scores into the other one.
-    tmp_alt: Option<Prop<f64>>,
     nxt: Prop<f64>,
     diff: Prop<f64>,
 }
@@ -138,16 +166,9 @@ impl ResumableAlgorithm for ResumablePageRank {
         let n = engine.num_nodes();
         let pr = engine.add_prop("pr", 1.0 / n as f64);
         let tmp = engine.add_prop("pr_tmp", 0.0f64);
-        let tmp_alt = self.pull.then(|| engine.add_prop("pr_tmp_alt", 0.0f64));
         let nxt = engine.add_prop("pr_nxt", 0.0f64);
         let diff = engine.add_prop("pr_diff", 0.0f64);
-        self.props = Some(PrProps {
-            pr,
-            tmp,
-            tmp_alt,
-            nxt,
-            diff,
-        });
+        self.props = Some(PrProps { pr, tmp, nxt, diff });
         self.iterations = 0;
     }
 
@@ -155,53 +176,33 @@ impl ResumableAlgorithm for ResumablePageRank {
         if iteration >= self.max_iters as u64 {
             return Ok(StepOutcome::Done);
         }
-        let PrProps {
-            pr,
-            tmp,
-            tmp_alt,
-            nxt,
-            diff,
-        } = self.props.expect("setup ran");
+        let PrProps { pr, tmp, nxt, diff } = self.props.expect("setup ran");
         let cancel = &self.cancel;
-        let apply = Apply {
-            pr,
-            nxt,
-            diff,
-            next: None,
-            base: (1.0 - self.damping) / engine.num_nodes() as f64,
-            damping: self.damping,
-        };
-        if let Some(alt) = tmp_alt {
-            // `foreach(t: n.inNbrs) n.pr_nxt += t.tmp` — the variant
-            // "expensive or even disallowed in distributed frameworks" that
-            // PGX.D supports natively. No atomics: all in-edges of `n` run
-            // on one worker, so the sum stays in a register until `n`'s
-            // last edge. `Apply` and the next iteration's `Scale` run as the
-            // chunk's epilogue, into the `tmp` this iteration does not read,
-            // so an iteration is one job.
-            let (cur, next) = if iteration.is_multiple_of(2) {
-                (tmp, alt)
-            } else {
-                (alt, tmp)
-            };
-            if iteration == 0 {
-                engine.try_run_node_job_with(&JobSpec::new(), Scale { pr, tmp: cur }, cancel)?;
-            }
-            let apply = Apply {
-                next: Some(next),
-                ..apply
-            };
-            let pull = Fold::new(cur, nxt, ReduceOp::Sum).then(apply);
-            engine.try_run_edge_job_with(Dir::In, &JobSpec::new(), pull, cancel)?;
-        } else {
-            // `foreach(t: n.outNbrs) t.pr_nxt += n.tmp` — the conventional
-            // form, which pays atomic accumulation at local targets. `tmp`
-            // is loaded once per vertex and scattered over its out-edges.
+        let pull = self.pull;
+        if pull && iteration == 0 {
             engine.try_run_node_job_with(&JobSpec::new(), Scale { pr, tmp }, cancel)?;
-            let push = Scatter::new(tmp, nxt, ReduceOp::Sum);
-            engine.try_run_edge_job_with(Dir::Out, &JobSpec::new(), push, cancel)?;
-            engine.try_run_node_job_with(&JobSpec::new(), apply, cancel)?;
         }
+        // Pull: `foreach(t: n.inNbrs) n.pr_nxt += t.tmp` — the variant
+        // "expensive or even disallowed in distributed frameworks" that
+        // PGX.D supports natively. No atomics: all in-edges of `n` run on
+        // one worker, so the sum stays in a register until `n`'s last edge.
+        // Push: `foreach(t: n.outNbrs) t.pr_nxt += n.tmp` — the
+        // conventional form, which pays atomic accumulation at local
+        // targets; `tmp` is loaded once per vertex.
+        let step = Iteration {
+            pull,
+            tmp,
+            apply: Apply {
+                pr,
+                nxt,
+                diff,
+                next: pull.then_some(tmp),
+                base: (1.0 - self.damping) / engine.num_nodes() as f64,
+                damping: self.damping,
+            },
+        };
+        let dir = if pull { Dir::In } else { Dir::Out };
+        engine.try_run_edge_job_with(dir, &JobSpec::new(), step, cancel)?;
         self.iterations = iteration as usize + 1;
         // Sequential region: convergence check (driver side).
         if engine.reduce(diff, ReduceOp::Sum) < self.tol {
@@ -219,19 +220,10 @@ impl ResumableAlgorithm for ResumablePageRank {
     }
 
     fn finish(&mut self, engine: &mut Engine) -> PageRankResult {
-        let PrProps {
-            pr,
-            tmp,
-            tmp_alt,
-            nxt,
-            diff,
-        } = self.props.take().expect("setup ran");
+        let PrProps { pr, tmp, nxt, diff } = self.props.take().expect("setup ran");
         let scores = engine.gather(pr);
         engine.drop_prop(pr);
         engine.drop_prop(tmp);
-        if let Some(alt) = tmp_alt {
-            engine.drop_prop(alt);
-        }
         engine.drop_prop(nxt);
         engine.drop_prop(diff);
         PageRankResult {
@@ -296,17 +288,21 @@ pub fn try_pagerank_push_with(
         .run_to_completion(engine)
 }
 
-/// Delta-push kernel of the approximate variant: only *active* vertices
+/// One iteration of the approximate variant: only *active* vertices
 /// propagate, and a vertex deactivates once its delta falls under the
 /// threshold (§5.2: "this method performs a decreasing amount of
 /// computation and communication as the iteration continues"). The
 /// chunk's prologue divides each delta by its vertex's out-degree into
-/// `share`, which the active vertices scatter.
+/// `share`, which the active vertices scatter; the job's epilogue applies
+/// what arrived.
 struct DeltaPush {
+    pr: Prop<f64>,
     delta: Prop<f64>,
     share: Prop<f64>,
     nxt: Prop<f64>,
     active: Prop<bool>,
+    damping: f64,
+    threshold: f64,
 }
 impl EdgeTask for DeltaPush {
     fn prepare(&self, chunk: &mut NodeChunk<'_, '_>) {
@@ -322,18 +318,7 @@ impl EdgeTask for DeltaPush {
     fn reduction(&self) -> Option<Reduction> {
         Some(Scatter::new(self.share, self.nxt, ReduceOp::Sum).into())
     }
-}
-
-struct DeltaApply {
-    pr: Prop<f64>,
-    delta: Prop<f64>,
-    nxt: Prop<f64>,
-    active: Prop<bool>,
-    damping: f64,
-    threshold: f64,
-}
-impl NodeTask for DeltaApply {
-    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+    fn epilogue(&self, chunk: &mut NodeChunk<'_, '_>) {
         let (pr, delta) = (chunk.col(self.pr), chunk.col(self.delta));
         let (nxt, active) = (chunk.col(self.nxt), chunk.col(self.active));
         for v in chunk.nodes() {
@@ -369,23 +354,15 @@ pub fn try_pagerank_approx(
         for _ in 0..max_iters {
             *iterations += 1;
             let push = DeltaPush {
+                pr,
                 delta,
                 share,
                 nxt,
                 active,
+                damping,
+                threshold,
             };
             engine.try_run_edge_job(Dir::Out, &JobSpec::new(), push)?;
-            engine.try_run_node_job(
-                &JobSpec::new(),
-                DeltaApply {
-                    pr,
-                    delta,
-                    nxt,
-                    active,
-                    damping,
-                    threshold,
-                },
-            )?;
             if engine.count_true(active) == 0 {
                 break;
             }

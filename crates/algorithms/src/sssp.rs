@@ -4,7 +4,7 @@
 //! distribution", §5.2).
 
 use pgxd::{
-    Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeCtx, NodeId, NodeTask, Prop, ReduceOp,
+    Dir, EdgeCtx, EdgeTask, Engine, JobError, JobSpec, NodeChunk, NodeCtx, NodeId, Prop, ReduceOp,
 };
 
 /// Result of SSSP.
@@ -16,6 +16,9 @@ pub struct SsspResult {
     pub iterations: usize,
 }
 
+/// Active vertices relax their weighted out-edges into `nxt`; the
+/// epilogue settles the vertices whose distance `nxt` improved, and exactly
+/// those are active next round.
 struct Relax {
     dist: Prop<f64>,
     nxt: Prop<f64>,
@@ -29,23 +32,18 @@ impl EdgeTask for Relax {
         let d = ctx.get(self.dist) + ctx.edge_weight();
         ctx.write_nbr(self.nxt, ReduceOp::Min, d);
     }
-}
-
-struct Settle {
-    dist: Prop<f64>,
-    nxt: Prop<f64>,
-    active: Prop<bool>,
-}
-impl NodeTask for Settle {
-    fn run(&self, ctx: &mut NodeCtx<'_, '_>) {
-        let cand = ctx.get(self.nxt);
-        if cand < ctx.get(self.dist) {
-            ctx.set(self.dist, cand);
-            ctx.set(self.active, true);
-        } else {
-            ctx.set(self.active, false);
+    fn epilogue(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let (dist, nxt) = (chunk.col(self.dist), chunk.col(self.nxt));
+        let active = chunk.col(self.active);
+        for v in chunk.nodes() {
+            let (cand, cur) = (nxt.get(v), dist.get(v));
+            let closer = cand < cur;
+            if closer {
+                dist.set(v, cand);
+            }
+            active.set(v, closer);
+            nxt.set(v, f64::INFINITY);
         }
-        ctx.set(self.nxt, f64::INFINITY);
     }
 }
 
@@ -80,7 +78,6 @@ pub fn try_sssp(engine: &mut Engine, root: NodeId) -> Result<SsspResult, JobErro
                 &JobSpec::new().reduce(nxt, ReduceOp::Min),
                 Relax { dist, nxt, active },
             )?;
-            engine.try_run_node_job(&JobSpec::new(), Settle { dist, nxt, active })?;
         }
         Ok(())
     };

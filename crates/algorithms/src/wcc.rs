@@ -3,8 +3,8 @@
 //! later be active again", §5.2).
 
 use pgxd::{
-    CancelToken, Dir, EdgeTask, Engine, JobError, JobSpec, NodeChunk, NodeCtx, NodeTask, Prop,
-    ReduceOp, Reduction, Scatter,
+    CancelToken, Dir, EdgeTask, Engine, JobError, JobSpec, NodeChunk, NodeCtx, Prop, ReduceOp,
+    Reduction, Scatter,
 };
 
 /// Result of WCC.
@@ -19,11 +19,14 @@ pub struct WccResult {
     pub iterations: usize,
 }
 
-/// Pushes this vertex's label to the neighbor with a `Min` reduction.
+/// Pushes this vertex's label to the neighbor with a `Min` reduction. The
+/// round's last push, with `adopt`, ends with the vertices adopting a
+/// smaller incoming label: exactly those are active next round.
 struct PushLabel {
     comp: Prop<u32>,
     nxt: Prop<u32>,
     active: Prop<bool>,
+    adopt: bool,
 }
 impl EdgeTask for PushLabel {
     fn filter(&self, ctx: &mut NodeCtx<'_, '_>) -> bool {
@@ -32,25 +35,17 @@ impl EdgeTask for PushLabel {
     fn reduction(&self) -> Option<Reduction> {
         Some(Scatter::new(self.comp, self.nxt, ReduceOp::Min).into())
     }
-}
-
-/// Adopts a smaller incoming label; reactivates on change.
-struct Adopt {
-    comp: Prop<u32>,
-    nxt: Prop<u32>,
-    active: Prop<bool>,
-    changed: Prop<bool>,
-}
-impl NodeTask for Adopt {
-    fn run_chunk(&self, chunk: &mut NodeChunk<'_, '_>) {
+    fn epilogue(&self, chunk: &mut NodeChunk<'_, '_>) {
+        if !self.adopt {
+            return;
+        }
         let (comp, nxt) = (chunk.col(self.comp), chunk.col(self.nxt));
-        let (active, changed) = (chunk.col(self.active), chunk.col(self.changed));
+        let active = chunk.col(self.active);
         for v in chunk.nodes() {
             let (new, cur) = (nxt.get(v), comp.get(v));
             let adopt = new < cur;
             comp.set(v, if adopt { new } else { cur });
             active.set(v, adopt);
-            changed.set(v, adopt);
             nxt.set(v, u32::MAX);
         }
     }
@@ -71,7 +66,6 @@ pub fn try_wcc_with(engine: &mut Engine, cancel: &CancelToken) -> Result<WccResu
     let comp = engine.add_prop("wcc_comp", 0u32);
     let nxt = engine.add_prop("wcc_nxt", u32::MAX);
     let active = engine.add_prop("wcc_active", true);
-    let changed = engine.add_prop("wcc_changed", false);
 
     // Sequential init region: comp[v] = v.
     for v in 0..engine.num_nodes() as u32 {
@@ -83,20 +77,15 @@ pub fn try_wcc_with(engine: &mut Engine, cancel: &CancelToken) -> Result<WccResu
             *iterations += 1;
             // Weak connectivity: propagate along out-edges AND in-edges.
             for dir in [Dir::Out, Dir::In] {
-                let push = PushLabel { comp, nxt, active };
-                engine.try_run_edge_job_with(dir, &JobSpec::new(), push, cancel)?;
-            }
-            engine.try_run_node_job_with(
-                &JobSpec::new(),
-                Adopt {
+                let push = PushLabel {
                     comp,
                     nxt,
                     active,
-                    changed,
-                },
-                cancel,
-            )?;
-            if engine.count_true(changed) == 0 {
+                    adopt: dir == Dir::In,
+                };
+                engine.try_run_edge_job_with(dir, &JobSpec::new(), push, cancel)?;
+            }
+            if engine.count_true(active) == 0 {
                 return Ok(());
             }
         }
@@ -114,7 +103,6 @@ pub fn try_wcc_with(engine: &mut Engine, cancel: &CancelToken) -> Result<WccResu
     engine.drop_prop(comp);
     engine.drop_prop(nxt);
     engine.drop_prop(active);
-    engine.drop_prop(changed);
     outcome?;
     Ok(WccResult {
         component,

@@ -450,10 +450,13 @@ impl Engine {
         self.cluster.try_run_labeled_phase("main", main)?;
         let main_dur = t_main.elapsed();
 
-        // The phase ended at its barrier; a fired token now becomes
-        // the job's structured result.
+        // The phase ended at its barrier; a fired token or an epilogue
+        // that sent now becomes the job's structured result.
         if let Some(err) = Self::cancel_error(cancel) {
             return Err(err);
+        }
+        if let Some(err) = core.failed.get() {
+            return Err(err.clone());
         }
 
         let total = t0.elapsed();

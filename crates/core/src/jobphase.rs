@@ -13,14 +13,16 @@
 //! queue is empty, flush the request buffers, hand its ghost partials on,
 //! and keep draining responses until the job is globally complete ("a
 //! particular job completes when the task list is empty and there are no
-//! unfinished remote requests").
+//! unfinished remote requests") → run an edge task's epilogue
+//! ([`EdgeTask::epilogue`]) over the worker's share of the machine's
+//! vertices. Every edge, answer and partial of the job has landed by then,
+//! so the epilogue sees what the node job run next would see; it must
+//! send nothing, and a worker it leaves with a buffered entry fails the
+//! job.
 //!
 //! A declared fold or scatter runs without the task: per chunk its two
 //! columns are resolved once and `(tag, op)` is matched once
-//! ([`dispatch`]), so the edge loop is monomorphic in both. A fold with a
-//! chunk epilogue ([`Fold::then`]) runs it over a chunk as soon as every
-//! fold of the chunk is stored: right after the chunk when it read nothing
-//! remote, else after the worker has seen the job complete.
+//! ([`dispatch`]), so the edge loop is monomorphic in both.
 //!
 //! Both ghost synchronizations of §3.3 happen inside this phase, so a job
 //! is one phase whatever it reads and reduces. Read properties: each
@@ -36,18 +38,18 @@
 use crate::scope::TaskScope;
 use crate::spec::JobSpec;
 use crate::task::{
-    Dir, EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, Only, ReadDoneCtx, Reduction,
-    Scatter,
+    Dir, EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, ReadDoneCtx, Reduction, Scatter,
 };
 use pgxd_runtime::cancel::CancelToken;
 use pgxd_runtime::chunk::{Chunk, ChunkQueue};
+use pgxd_runtime::health::JobError;
 use pgxd_runtime::localgraph::FragmentDir;
-use pgxd_runtime::phase::{sync_ghosts, JobState, Phase, WorkerEnv};
+use pgxd_runtime::phase::{share, sync_ghosts, JobState, Phase, WorkerEnv};
 use pgxd_runtime::props::{cas_reduce, reduce_bits, PropId, PropValue, ReduceOp, TypeTag};
 use pgxd_runtime::worker::{Response, SideRec};
 use pgxd_runtime::Cluster;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Invokes the pending locally-satisfied `read_done` continuations.
 fn drain_local<T: EdgeTask>(scope: &mut TaskScope<'_>, task: &T) {
@@ -122,6 +124,9 @@ pub(crate) struct JobCore {
     /// Per machine: its workers that have not merged their private ghost
     /// copies yet. The worker that takes it to zero sends the partials.
     unmerged: Vec<AtomicUsize>,
+    /// Set by a worker whose epilogue buffered an entry; the driver returns
+    /// it as the job's result.
+    pub failed: OnceLock<JobError>,
 }
 
 impl JobCore {
@@ -148,6 +153,7 @@ impl JobCore {
             reduces: spec.reduces,
             job: cluster.job_state(chunks + cluster.phase_units(), cancel.clone()),
             unmerged: queues.iter().map(|_| AtomicUsize::new(workers)).collect(),
+            failed: OnceLock::new(),
             queues,
         }
     }
@@ -156,21 +162,14 @@ impl JobCore {
     /// properties are pushed and awaited, `chunk` runs over every chunk the
     /// worker claims, then it passes its ghost partials on and drains until
     /// the phase is globally complete. `resume` consumes every response
-    /// the worker drains.
-    ///
-    /// `chunk` returns how many remote reads it issued whose answers fold
-    /// into its vertices. A fold's `epilogue` runs over a chunk that issued
-    /// none right after it; any other chunk waits until the job is complete
-    /// here, when every answer to this worker has drained.
-    fn run<C, R>(
-        &self,
-        env: &mut WorkerEnv<'_>,
-        resume: &R,
-        epilogue: Option<&dyn NodeTask>,
-        mut chunk: C,
-    ) where
-        C: FnMut(&mut TaskScope<'_>, Chunk) -> u64,
+    /// the worker drains. `epilogue` then runs over the worker's share of
+    /// the machine's vertices, unless the job was cancelled or the cluster
+    /// aborted.
+    fn run<C, R, E>(&self, env: &mut WorkerEnv<'_>, resume: &R, epilogue: E, mut chunk: C)
+    where
+        C: FnMut(&mut TaskScope<'_>, Chunk),
         R: Fn(&mut TaskScope<'_>, &Response),
+        E: FnOnce(&mut TaskScope<'_>, Chunk),
     {
         // An aborted cluster leaves the wait and skips the chunks; the
         // drain below then falls through to the barrier.
@@ -180,7 +179,6 @@ impl JobCore {
         let mut scope = TaskScope::new(machine, env.comm, &self.reads, &self.reduces);
         let (queue, job) = (&self.queues[machine_id], &*self.job);
         let mut claims = 0u64;
-        let mut waiting = Vec::new();
         while let Some(nodes) = synced.then(|| queue.pop()).flatten() {
             claims += 1;
             if job.cancel().is_cancelled() {
@@ -191,14 +189,7 @@ impl JobCore {
                 job.retire_many(1 + queue.drain_remaining());
                 break;
             }
-            let remote_reads = chunk(&mut scope, nodes.clone());
-            if let Some(epilogue) = epilogue {
-                if remote_reads == 0 {
-                    epilogue.run_chunk(&mut NodeChunk::new(&mut scope, nodes));
-                } else {
-                    waiting.push(nodes);
-                }
-            }
+            chunk(&mut scope, nodes);
             // Publish before retire: the chunk may be the phase's last work
             // unit, and completion is read off `pending` (or the wave's
             // counters) as soon as none is outstanding.
@@ -240,11 +231,20 @@ impl JobCore {
             }
             std::thread::yield_now();
         };
-        // The epilogues write only their chunks' owned cells and send
-        // nothing, so they change no count that completion rests on.
-        if let Some(epilogue) = epilogue.filter(|_| complete) {
-            for nodes in waiting {
-                epilogue.run_chunk(&mut NodeChunk::new(&mut scope, nodes));
+        if complete && !job.cancel().is_cancelled() {
+            let workers = machine.config.workers;
+            let nodes = share(machine.graph.num_local(), workers, env.worker_idx);
+            epilogue(&mut scope, nodes);
+            // Completion has been counted: an entry buffered now would land
+            // outside the job's accounting. It was never published, so
+            // dropping it leaves every count exact: the job fails, and the
+            // cluster stays healthy for the next one.
+            if !scope.comm.is_flushed() {
+                scope.comm.abort_in_flight();
+                let _ = self.failed.set(JobError::Protocol(format!(
+                    "machine {machine_id} worker {}: an edge task's epilogue sent an entry",
+                    env.worker_idx
+                )));
             }
         }
         job.mark_drained(machine_id, env.worker_idx);
@@ -271,25 +271,27 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
         let prepare = |scope: &mut TaskScope<'_>, nodes: &Chunk| {
             task.prepare(&mut NodeChunk::new(scope, nodes.clone()))
         };
+        let epilogue = |scope: &mut TaskScope<'_>, nodes: Chunk| {
+            task.epilogue(&mut NodeChunk::new(scope, nodes))
+        };
         let reads = |scope: &mut TaskScope<'_>, resp: &Response| resume_reads(task, scope, resp);
         match self.reduction {
             Some(Reduction::Fold(fold)) => {
                 let folds =
                     |scope: &mut TaskScope<'_>, resp: &Response| resume_fold(fold, scope, resp);
-                let epilogue = task.epilogue(Only);
                 self.core.run(env, &folds, epilogue, |scope, nodes| {
                     prepare(scope, &nodes);
                     dispatch(fold.tag, fold.op, Declared(scope, frag, task, fold, nodes))
                 })
             }
             Some(Reduction::Scatter(scatter)) => {
-                self.core.run(env, &reads, None, |scope, nodes| {
+                self.core.run(env, &reads, epilogue, |scope, nodes| {
                     prepare(scope, &nodes);
                     let chunk = Declared(scope, frag, task, scatter, nodes);
                     dispatch(scatter.tag, scatter.op, chunk)
                 })
             }
-            None => self.core.run(env, &reads, None, |scope, nodes| {
+            None => self.core.run(env, &reads, epilogue, |scope, nodes| {
                 prepare(scope, &nodes);
                 for node in nodes {
                     if !task.filter(&mut NodeCtx { scope, node }) {
@@ -308,7 +310,6 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
                     }
                     drain_local(scope, task);
                 }
-                0
             }),
         }
     }
@@ -317,13 +318,11 @@ impl<T: EdgeTask> Phase for EdgeJobPhase<T> {
 /// A chunk loop that is monomorphic in a value type and a reduction:
 /// [`dispatch`] matches `(tag, op)` once per chunk and calls `run` with
 /// both fixed, so `combine` is one constant-folded [`reduce_bits`].
-/// It returns the remote reads the chunk issued whose answers fold into
-/// its vertices.
 trait ReduceLoop {
-    fn run<V: PropValue>(self, op: ReduceOp, combine: impl Fn(V, V) -> V) -> u64;
+    fn run<V: PropValue>(self, op: ReduceOp, combine: impl Fn(V, V) -> V);
 }
 
-fn dispatch(tag: TypeTag, op: ReduceOp, body: impl ReduceLoop) -> u64 {
+fn dispatch(tag: TypeTag, op: ReduceOp, body: impl ReduceLoop) {
     match tag {
         TypeTag::F64 => dispatch_op::<f64>(op, body),
         TypeTag::I64 => dispatch_op::<i64>(op, body),
@@ -333,7 +332,7 @@ fn dispatch(tag: TypeTag, op: ReduceOp, body: impl ReduceLoop) -> u64 {
     }
 }
 
-fn dispatch_op<V: PropValue>(op: ReduceOp, body: impl ReduceLoop) -> u64 {
+fn dispatch_op<V: PropValue>(op: ReduceOp, body: impl ReduceLoop) {
     macro_rules! with {
         ($op:expr) => {
             body.run::<V>($op, |a: V, b: V| {
@@ -362,11 +361,11 @@ struct Declared<'c, 'a, T, D>(&'c mut TaskScope<'a>, &'c FragmentDir, &'c T, D, 
 /// the drain loop folds into the cell ([`resume_fold`]); none drains
 /// before the chunk ends, so the store cannot overwrite one.
 impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Fold> {
-    fn run<V: PropValue>(self, _op: ReduceOp, combine: impl Fn(V, V) -> V) -> u64 {
+    fn run<V: PropValue>(self, _op: ReduceOp, combine: impl Fn(V, V) -> V) {
         let Declared(scope, frag, task, fold, nodes) = self;
         let (src_col, dst_col) = (scope.column(fold.src), scope.column(fold.dst));
         let (src, dst) = (src_col.cells(), dst_col.cells());
-        let (mut local_reads, mut remote_reads) = (0, 0);
+        let mut local_reads = 0;
         for node in nodes {
             if !task.filter(&mut NodeCtx { scope, node }) {
                 continue;
@@ -378,7 +377,6 @@ impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Fold> {
             let mut acc = V::from_bits(dst[node].load(Ordering::Relaxed));
             for &target in &frag.targets[frag.edge_range(node)] {
                 if target.is_remote() {
-                    remote_reads += 1;
                     let gid = target.global_id();
                     scope
                         .comm
@@ -392,7 +390,6 @@ impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Fold> {
             dst[node].store(acc.to_bits(), Ordering::Relaxed);
         }
         scope.count_local_reads(local_reads);
-        remote_reads
     }
 }
 
@@ -402,7 +399,7 @@ impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Fold> {
 /// declares `(dst, op)` reduced, so every worker keeps one), and otherwise the in-place reduction — a CAS, or a store for
 /// `Assign`.
 impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Scatter> {
-    fn run<V: PropValue>(self, op: ReduceOp, combine: impl Fn(V, V) -> V) -> u64 {
+    fn run<V: PropValue>(self, op: ReduceOp, combine: impl Fn(V, V) -> V) {
         let Declared(scope, frag, task, scatter, nodes) = self;
         let (src_col, dst_col) = (scope.column(scatter.src), scope.column(scatter.dst));
         let (src, dst) = (src_col.cells(), dst_col.cells());
@@ -439,7 +436,6 @@ impl<T: EdgeTask> ReduceLoop for Declared<'_, '_, T, Scatter> {
             }
         }
         scope.count_local_writes(local_writes);
-        0
     }
 }
 
@@ -455,9 +451,10 @@ impl<T: NodeTask> Phase for NodeJobPhase<T> {
         // A node task issues no read (a `NodeCtx` cannot), so no response
         // reaches it and no local read waits between its vertices.
         let no_response = |_: &mut TaskScope<'_>, _: &Response| {};
-        self.core.run(env, &no_response, None, |scope, nodes| {
-            task.run_chunk(&mut NodeChunk::new(scope, nodes));
-            0
-        });
+        let no_epilogue = |_: &mut TaskScope<'_>, _: Chunk| {};
+        self.core
+            .run(env, &no_response, no_epilogue, |scope, nodes| {
+                task.run_chunk(&mut NodeChunk::new(scope, nodes))
+            });
     }
 }

@@ -116,8 +116,8 @@ pub use recover::{
 };
 pub use spec::JobSpec;
 pub use task::{
-    Col, Dir, EdgeCtx, EdgeTask, Fold, FoldThen, NodeChunk, NodeCtx, NodeTask, ReadDoneCtx,
-    Reduction, Scatter,
+    Col, Dir, EdgeCtx, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, ReadDoneCtx, Reduction,
+    Scatter,
 };
 
 /// Closure-based ad-hoc kernels (see [`tasks::on_edge`]).

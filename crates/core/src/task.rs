@@ -14,8 +14,8 @@
 //! vertex resolves its columns once per chunk ([`NodeChunk::col`]) instead
 //! of once per access. An edge task can do the same ahead of a chunk's
 //! edges ([`EdgeTask::prepare`]), e.g. to compute the column a declared
-//! scatter pushes. A fold alone can also end each chunk with a node pass
-//! over it once the chunk's folds are stored ([`Fold::then`]).
+//! scatter pushes, and after the whole job's edges ([`EdgeTask::epilogue`]),
+//! a node pass that would otherwise be the next job.
 
 use crate::prop::Prop;
 use crate::scope::TaskScope;
@@ -57,6 +57,19 @@ pub trait EdgeTask: Send + Sync + 'static {
     /// reads only cells of the vertex, which no other vertex's fold writes.
     fn prepare(&self, _chunk: &mut NodeChunk<'_, '_>) {}
 
+    /// The job's epilogue: a node pass fused into the edge job. Each worker
+    /// runs it once, over its share of the machine's vertices, after it has
+    /// seen the job complete (every edge run, every answer and partial
+    /// applied) and before the job ends; it is skipped when the job is
+    /// cancelled or the cluster aborts. It therefore sees exactly what a
+    /// node job run next would see, and does what that job's
+    /// [`NodeTask::run_chunk`] would do.
+    ///
+    /// It must send nothing: a worker whose epilogue buffers an entry
+    /// (`reduce_global` into another machine's vertex) fails the job with a
+    /// protocol error.
+    fn epilogue(&self, _chunk: &mut NodeChunk<'_, '_>) {}
+
     /// Vertex filter, evaluated once per vertex before its edges run
     /// ("a custom filter method which is evaluated for each vertex prior
     /// to its execution"). Return `false` to skip the vertex entirely.
@@ -78,23 +91,7 @@ pub trait EdgeTask: Send + Sync + 'static {
     /// Continuation for reads issued by `run` (one callback per
     /// `read_nbr`). Guaranteed to execute on the worker that ran `run`.
     fn read_done(&self, _ctx: &mut ReadDoneCtx<'_, '_>) {}
-
-    /// The chunk epilogue of a [`FoldThen`], the only task that has one:
-    /// outside this crate the argument's type cannot be named, so the
-    /// method cannot be overridden, and no scatter or per-edge task gets
-    /// an epilogue.
-    #[doc(hidden)]
-    fn epilogue(&self, _: sealed::Only) -> Option<&dyn NodeTask> {
-        None
-    }
 }
-
-mod sealed {
-    /// Unnameable outside the crate: only the crate's own tasks override
-    /// [`super::EdgeTask::epilogue`].
-    pub struct Only;
-}
-pub(crate) use sealed::Only;
 
 /// A declared pull reduction: `dst[v] = op(dst[v], src[u])` for every edge
 /// `(v, u)` of every vertex `v` the filter passes.
@@ -125,45 +122,11 @@ impl Fold {
             op,
         }
     }
-
-    /// This fold followed by `epilogue` over each of its chunks, once the
-    /// chunk's folds have stored their results: an iteration's node pass
-    /// fused into its pull, the paper's `read_done` at chunk grain (§4.1).
-    ///
-    /// The epilogue runs on the worker that folded the chunk, through
-    /// [`NodeTask::run_chunk`]: right after the chunk's edges when none of
-    /// them read a remote value, otherwise once the job has completed on
-    /// that worker (every answer folded), before the job ends. It must
-    /// touch only the chunk's own cells through [`NodeChunk::col`], and
-    /// send nothing (no `reduce_global`). It must not write the fold's
-    /// `src`, which other chunks' edges may still be reading.
-    pub fn then<E: NodeTask>(self, epilogue: E) -> FoldThen<E> {
-        FoldThen {
-            fold: self,
-            epilogue,
-        }
-    }
 }
 
 impl EdgeTask for Fold {
     fn reduction(&self) -> Option<Reduction> {
         Some((*self).into())
-    }
-}
-
-/// A [`Fold`] of every vertex with a per-chunk epilogue ([`Fold::then`]).
-pub struct FoldThen<E> {
-    fold: Fold,
-    epilogue: E,
-}
-
-impl<E: NodeTask> EdgeTask for FoldThen<E> {
-    fn reduction(&self) -> Option<Reduction> {
-        Some(self.fold.into())
-    }
-
-    fn epilogue(&self, _: Only) -> Option<&dyn NodeTask> {
-        Some(&self.epilogue)
     }
 }
 
@@ -269,9 +232,10 @@ pub trait NodeTask: Send + Sync + 'static {
     }
 }
 
-/// One chunk of a node job: a run of the machine's vertices, addressed by
-/// local index (`0..` the machine's vertex count), all processed by one
-/// worker.
+/// One chunk of a node job, or of an edge job's prologue, or a worker's
+/// share of an edge job's epilogue: a run of the machine's vertices,
+/// addressed by local index (`0..` the machine's vertex count), all
+/// processed by one worker.
 pub struct NodeChunk<'s, 'a> {
     scope: &'s mut TaskScope<'a>,
     nodes: Chunk,

@@ -19,6 +19,19 @@
 //! and its record `i` continues on its value `i` ([`Response::values`]).
 //! Writes are one-way.
 
+// A response names its source and its side structure, and a request
+// buffer is picked by machine id: this module decodes what peers send and
+// must fail the job on a bad value, never panic the worker.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::indexing_slicing,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
+)]
+
 use crate::buffer::BufferPool;
 use crate::health::{ClusterHealth, JobError};
 use crate::ids::MachineId;
@@ -82,17 +95,15 @@ struct SideSlab {
 
 impl SideSlab {
     fn insert(&mut self, recs: Vec<SideRec>) -> u32 {
-        match self.free.pop() {
-            Some(id) => {
-                debug_assert!(self.slots[id as usize].is_none());
-                self.slots[id as usize] = Some(recs);
-                id
-            }
-            None => {
-                self.slots.push(Some(recs));
-                (self.slots.len() - 1) as u32
+        if let Some(id) = self.free.pop() {
+            if let Some(slot) = self.slots.get_mut(id as usize) {
+                debug_assert!(slot.is_none());
+                *slot = Some(recs);
+                return id;
             }
         }
+        self.slots.push(Some(recs));
+        (self.slots.len() - 1) as u32
     }
 
     /// Retires slot `id`, returning its records — or `None` when the slot
@@ -147,9 +158,7 @@ impl Response {
             .env
             .payload
             .chunks_exact(RESP_ENTRY_BYTES)
-            .map(|bytes| {
-                u64::from_le_bytes(bytes.try_into().expect("chunks_exact yields 8 bytes"))
-            });
+            .map(|bytes| u64::from_le_bytes(bytes.try_into().unwrap_or_default()));
         self.recs.iter().copied().zip(values)
     }
 }
@@ -286,10 +295,13 @@ impl WorkerComm {
     /// record; every read is a wire entry of its own. Seals automatically
     /// when the buffer is full.
     pub fn push_read(&mut self, dst: MachineId, prop: PropId, offset: u32, rec: SideRec) {
+        let Some(slot) = self.read_payloads.get_mut(dst as usize) else {
+            return self.refuse_destination(dst);
+        };
         self.unpublished += 1;
         self.stat_reads += 1;
         let (pool, shard, rec_pool) = (&self.pool, self.pool_shard, &mut self.rec_pool);
-        let (buf, recs) = self.read_payloads[dst as usize].get_or_insert_with(|| {
+        let (buf, recs) = slot.get_or_insert_with(|| {
             (
                 pool.acquire_or_alloc_on(shard),
                 rec_pool.pop().unwrap_or_default(),
@@ -304,18 +316,30 @@ impl WorkerComm {
 
     /// Buffers a remote mutation (write reduction / ghost sync entry).
     pub fn push_mut(&mut self, dst: MachineId, prop: PropId, op: ReduceOp, offset: u32, bits: u64) {
+        let Some(slot) = self.mut_payloads.get_mut(dst as usize) else {
+            return self.refuse_destination(dst);
+        };
         self.unpublished += 1;
         match self.mut_kind {
             MsgKind::Write => self.stat_writes += 1,
             _ => self.stat_ghosts += 1,
         }
         let (pool, shard) = (&self.pool, self.pool_shard);
-        let buf =
-            self.mut_payloads[dst as usize].get_or_insert_with(|| pool.acquire_or_alloc_on(shard));
+        let buf = slot.get_or_insert_with(|| pool.acquire_or_alloc_on(shard));
         push_mut_entry(buf, prop.0, op, offset, bits);
         if buf.len() + MUT_ENTRY_BYTES > self.buffer_bytes {
             self.seal_mut(dst);
         }
+    }
+
+    /// Fails the job for an entry addressed to a machine the cluster does
+    /// not have; the entry is dropped.
+    fn refuse_destination(&self, dst: MachineId) {
+        self.health.abort(JobError::Protocol(format!(
+            "machine {} worker {}: an entry is addressed to machine {dst}, which the \
+             cluster does not have",
+            self.machine, self.worker
+        )));
     }
 
     /// Telemetry for one sealed buffer (fill ratio, flush trace event)
@@ -340,7 +364,9 @@ impl WorkerComm {
             if self.sent_at.len() <= i {
                 self.sent_at.resize(i + 1, 0);
             }
-            self.sent_at[i] = self.telemetry.now_ns();
+            if let Some(sent) = self.sent_at.get_mut(i) {
+                *sent = self.telemetry.now_ns();
+            }
         }
     }
 
@@ -373,7 +399,11 @@ impl WorkerComm {
     }
 
     fn seal_read(&mut self, dst: MachineId) {
-        if let Some((payload, recs)) = self.read_payloads[dst as usize].take() {
+        let open = self
+            .read_payloads
+            .get_mut(dst as usize)
+            .and_then(Option::take);
+        if let Some((payload, recs)) = open {
             self.publish_pending();
             let side_id = self.slab.insert(recs);
             self.note_seal(payload.len(), Some(side_id));
@@ -390,7 +420,11 @@ impl WorkerComm {
     }
 
     fn seal_mut(&mut self, dst: MachineId) {
-        if let Some(payload) = self.mut_payloads[dst as usize].take() {
+        let open = self
+            .mut_payloads
+            .get_mut(dst as usize)
+            .and_then(Option::take);
+        if let Some(payload) = open {
             self.publish_pending();
             self.note_seal(payload.len(), None);
             let _ = self.outbox.send(Envelope {
@@ -482,9 +516,19 @@ impl WorkerComm {
             let env = self.resp_rx.try_recv().ok()?;
             debug_assert!(env.kind.is_response());
             if self.reliable && env.seq != 0 {
+                if self.resp_dedup.get(env.src as usize).is_none() {
+                    self.health.abort(JobError::Protocol(format!(
+                        "machine {} worker {}: a response names source machine {}, which \
+                         the cluster does not have",
+                        self.machine, self.worker, env.src
+                    )));
+                    self.pool.release_on(env.payload, self.pool_shard);
+                    return None;
+                }
                 // Always re-ack: the original ack may itself have been lost.
                 self.send_ack(env.src, env.seq);
-                if !self.resp_dedup[env.src as usize].accept(env.seq) {
+                let window = self.resp_dedup.get_mut(env.src as usize);
+                if !window.is_some_and(|w| w.accept(env.seq)) {
                     self.stats.dup_suppressed.fetch_add(1, Ordering::Relaxed);
                     self.telemetry
                         .trace(self.worker as usize, EventKind::DupDrop, env.seq);
@@ -956,6 +1000,53 @@ mod tests {
             other => panic!("expected protocol error, got {other:?}"),
         }
         assert_eq!(comm.stats().failed_entries.load(Ordering::Relaxed), 2);
+    }
+
+    /// A sequenced response naming a machine the cluster does not have
+    /// fails the job instead of indexing past the dedup windows, and is
+    /// not acked.
+    #[test]
+    fn unknown_source_machine_aborts_instead_of_panicking() {
+        let (mut comm, out, resp_tx, health) = make_reliable_comm(1024);
+        resp_tx
+            .send(Envelope {
+                src: 9,
+                dst: 0,
+                kind: MsgKind::ReadResp,
+                worker: 0,
+                side_id: 0,
+                seq: 3,
+                payload: Vec::new(),
+            })
+            .unwrap();
+        assert!(comm.try_pop_response().is_none());
+        match health.error() {
+            Some(JobError::Protocol(msg)) => {
+                assert!(msg.contains("source machine 9"), "got: {msg}")
+            }
+            other => panic!("expected protocol error, got {other:?}"),
+        }
+        assert!(out.try_recv().is_err(), "nothing is sent to machine 9");
+    }
+
+    /// An entry addressed to a machine the cluster does not have fails the
+    /// job and is dropped: nothing is buffered, published or sent.
+    #[test]
+    fn unknown_destination_machine_aborts_instead_of_panicking() {
+        let (mut comm, out, resp_tx, health) = make_reliable_comm(1024);
+        drop(resp_tx);
+        comm.push_read(5, PropId(0), 3, SideRec { node: 1, aux: 0 });
+        comm.push_mut(5, PropId(0), ReduceOp::Sum, 3, 1);
+        assert!(comm.is_flushed());
+        comm.flush();
+        assert!(out.try_recv().is_err());
+        assert_eq!(comm.pending().load(Ordering::Relaxed), 0);
+        match health.error() {
+            Some(JobError::Protocol(msg)) => {
+                assert!(msg.contains("addressed to machine 5"), "got: {msg}")
+            }
+            other => panic!("expected protocol error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -57,9 +57,9 @@ echo "== benchmark smoke (one run of each of the seven workloads, answers checke
 bash benchmark/run.sh --workload pull_skew --seed 7 --seconds 1 --trace 0
 # One machine, one worker: every read is local, so the declared pull fold
 # takes only the register path (folded per vertex, stored after its last
-# edge), and its chunk epilogue (`Apply` and the next iteration's `Scale`)
-# runs right after each chunk's folds, over column views resolved once per
-# chunk: one job per iteration.
+# edge), and the job's epilogue (`Apply` and the next iteration's `Scale`)
+# runs once the job is complete, over the worker's share of the vertices:
+# one job per iteration.
 bash benchmark/run.sh --workload local_pull --seed 7 --seconds 1 --trace 0
 # The same job on two node-mode ranks over loopback TCP: the event-driven
 # termination wave (report, probe, answer, release) against the oracle.

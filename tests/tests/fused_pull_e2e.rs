@@ -1,16 +1,15 @@
 //! PageRank-pull runs one engine job per iteration: the declared fold,
-//! whose chunk epilogue applies the new scores and scales them into the
-//! `tmp` column the next iteration reads. One `Scale` primes the first.
+//! whose epilogue applies the new scores and scales them into the `tmp`
+//! column the next iteration reads. One `Scale` primes the first.
 //!
 //! * N iterations are N + 1 jobs, in memory and on loopback TCP ranks, by
-//!   the phase labels and by a served window's `engine_jobs`; push stays
-//!   at three jobs per iteration.
+//!   the phase labels and by a served window's `engine_jobs`; push is one
+//!   job per iteration.
 //! * The scores are bit-identical to the three-job pull (`Scale`, the
 //!   fold, `Apply`), written here through the public API, whether the
-//!   epilogue runs right after a chunk's edges or, at
-//!   `ghost_threshold(None)`, once the chunk's remote answers have folded.
-//! * A recovered run that restarts at an odd iteration, where the second
-//!   `tmp` column is the one read, reaches the fault-free bits.
+//!   folds read mirrors or, at `ghost_threshold(None)`, remote answers.
+//! * A recovered run that restarts at an odd iteration reaches the
+//!   fault-free bits.
 
 use pgxd::recover::Scripted;
 use pgxd::{
@@ -137,7 +136,7 @@ fn an_iteration_is_one_job() {
     let (_, labels, jobs) = counted(&mut e, |e| {
         try_pagerank_push(e, DAMPING, ITERS, 0.0).unwrap();
     });
-    assert_eq!((labels, jobs), (3 * ITERS, 3 * ITERS as u64), "push");
+    assert_eq!((labels, jobs), (ITERS, ITERS as u64), "push");
 
     let ranks = pgxd::loopback_ranks(2, |rank| {
         let mut e = rank.engine(traced(), &g).unwrap();
@@ -176,7 +175,7 @@ fn fused_pull_matches_the_three_job_pull_to_the_bit() {
 }
 
 /// Without mirrors a chunk's fold reads its remote in-neighbours over the
-/// wire, so its epilogue waits for the job to complete on its worker.
+/// wire, and the epilogue runs once their answers have folded.
 #[test]
 fn deferred_epilogues_match_the_three_job_pull_to_the_bit() {
     let g = graph();
@@ -189,8 +188,8 @@ fn deferred_epilogues_match_the_three_job_pull_to_the_bit() {
 }
 
 /// The run dies before iteration 3 and restores the checkpoint taken after
-/// iteration 2 onto the surviving machine, so it resumes reading the
-/// second `tmp` column, which only the checkpoint can have filled.
+/// iteration 2 onto the surviving machine, so it resumes reading a `tmp`
+/// column that only the checkpoint can have filled.
 #[test]
 fn recovery_at_an_odd_iteration_reaches_the_fault_free_bits() {
     let g = graph();

@@ -65,7 +65,7 @@ fn job_reports_reconcile_with_machine_totals() {
         let wcc = scope.spawn(|| {
             let session = server.session("components");
             let (res, report) = session
-                .submit(Lane::Batch, 4, |e: &mut Engine, cancel| {
+                .submit(Lane::Batch, 3, |e: &mut Engine, cancel| {
                     Ok(algos::try_wcc_with(e, cancel)?.component)
                 })
                 .unwrap()

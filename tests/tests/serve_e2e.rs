@@ -51,7 +51,7 @@ fn concurrent_sessions_match_solo_runs() {
         let wcc = scope.spawn(|| {
             let session = server.session("components");
             session
-                .submit(Lane::Batch, 4, |e: &mut Engine, cancel| {
+                .submit(Lane::Batch, 3, |e: &mut Engine, cancel| {
                     Ok(algos::try_wcc_with(e, cancel)?.component)
                 })
                 .unwrap()
