@@ -4,10 +4,10 @@
 //! logical plan over property *slots*. This module is the other half:
 //! [`execute`] materializes the slots as real property columns of a live
 //! [`Engine`], lowers the plan against them once — every expression to a
-//! chunk kernel over `Prop` handles that fills a lane per chunk, every
-//! step to a job that loops re-run as it is: a node job is a kernel, an
-//! edge job a kernel as its chunk prologue plus a declared [`Fold`] or
-//! [`Scatter`] — and runs the lowered steps on the same primitives
+//! block kernel over `Prop` handles, every step to a job that loops re-run
+//! as it is: a node job is a kernel, an edge job a kernel as its chunk
+//! prologue, a declared [`Fold`] or [`Scatter`], and the fused node passes
+//! as its epilogue — and runs the lowered steps on the same primitives
 //! hand-written algorithms use: `try_run_node_job_with`,
 //! `try_run_edge_job_with`, driver-side `fill`/`reduce`/`count_true`.
 //! Nothing here bypasses the barrier protocol, so compiled queries
@@ -42,7 +42,7 @@
 //! ```
 
 use crate::serve::{JobHandle, Lane, Session};
-use crate::task::{EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, Reduction, Scatter};
+use crate::task::{Col, EdgeTask, Fold, NodeChunk, NodeCtx, NodeTask, Reduction, Scatter};
 use crate::{
     CancelReason, CancelToken, Dir, Engine, JobError, JobSpec, NodeId, Prop, PropValue, ReduceOp,
     ResumableAlgorithm, StepOutcome,
@@ -55,10 +55,12 @@ pub use pgxd_query::{
 };
 
 use pgxd_query::ast::BinOp;
+use pgxd_query::plan::MAX_SHARED;
 use pgxd_query::{
-    agg_needs_column, const_val, eval, identity, AggFn, EvalEnv, NbrSet, PFilter, PStep, SOutput,
-    TExpr, TExprKind, TUnOp, WhichVar,
+    agg_needs_column, const_val, eval, identity, AggFn, EvalEnv, NbrSet, NodePass, PFilter, PStep,
+    SOutput, TExpr, TExprKind, TUnOp, WhichVar,
 };
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -167,124 +169,283 @@ fn const_expr(v: Val) -> TExpr {
     }
 }
 
-// ---- lowering: expressions to chunk kernels ---------------------------
+// ---- lowering: expressions to block kernels ---------------------------
 //
 // Every expression a job evaluates is lowered once, before the first job
 // runs: slots become `Prop<T>` handles, `N` and literals are captured,
-// coercions are picked from the static types. There is one site, the
-// chunk: each tree node is one closure call per chunk that fills a lane,
-// one plain `f64`/`i64`/`bool` per vertex, from the columns it resolved
-// once for the chunk. A node job is such a kernel ([`NodeKernel`]); an
-// edge job runs one as its chunk prologue ([`EdgeKernel`]), which stores
-// its filter and its value in columns its declared fold or scatter reads.
-// Nothing touches a `Val` or the slot table. `pgxd_query::eval` is the
-// reference the kernels are property-tested against
-// (`tests/tests/query_lowering_props.rs`); the executor itself only calls
-// it for driver-side scalars.
+// coercions are picked from the static types. A kernel runs over a range
+// of vertices — a chunk, or an epilogue's whole share — one block of
+// `BLOCK` vertices at a time. Each operator is one closure call per block
+// and one loop over the block's vertices that reads its operands where
+// they are: a constant, a column of the vertex, a degree (widened to
+// `f64` in place when it is one), or the lane — `BLOCK` cells of value
+// bits on the stack — that an operand below it computed. An operator
+// computes into its own lane in place: the first computed operand fills
+// it, and each cell is read before it is overwritten. Lanes are reused
+// block after block, so a kernel allocates nothing however many chunks a
+// job has. A node job is such a kernel ([`NodeKernel`]); an edge job runs
+// one as its chunk prologue, which stores its filter and its value in
+// columns its declared fold or scatter reads, and one as its epilogue
+// ([`EdgeKernel`]). Nothing touches a `Val` or the slot table.
+// `pgxd_query::eval` is the reference the kernels are property-tested
+// against (`tests/tests/query_lowering_props.rs`); the executor itself
+// only calls it for driver-side scalars.
 
-/// A lowered expression over a chunk: its lane, one value per vertex of
-/// the chunk, in the chunk's order.
-///
-/// `&&`, `||` and `?:` fill the lanes of both branches and then pick,
-/// which is the per-vertex result only because every lowered expression is
-/// pure and total: `i64` arithmetic wraps, `/` is computed in `f64`, loads
-/// and degrees are of the current vertex, and nothing panics or writes. An
-/// operator that can fail or has an effect must not be lowered here.
-type Kx<T> = Box<dyn Fn(&mut NodeChunk<'_, '_>) -> Vec<T> + Send + Sync>;
+/// Vertices per block: the length of every lane.
+const BLOCK: usize = 256;
 
-/// What an expression lowers to. Leaves stay visible so that the operator
-/// above reads the constant or the column itself instead of a lane.
-enum Operand<T: PropValue> {
-    Const(T),
-    Load(Prop<T>),
-    Dyn(Kx<T>),
+/// The block a lowered expression is evaluated over: its vertices (local
+/// indices, at most [`BLOCK`] of them) and the lanes of the pass's shared
+/// subexpressions over them.
+struct Block<'l> {
+    nodes: Range<usize>,
+    shared: &'l [[u64; BLOCK]],
 }
 
-impl<T: PropValue> Operand<T> {
-    fn into_dyn(self) -> Kx<T> {
-        match self {
-            Operand::Const(k) => Box::new(move |ch| vec![k; ch.nodes().len()]),
-            Operand::Load(p) => Box::new(move |ch| {
-                let col = ch.col(p);
-                ch.nodes().map(|v| col.get(v)).collect()
-            }),
-            Operand::Dyn(f) => f,
-        }
+/// A computed operand: fills `out`, one cell per vertex of the block, with
+/// the bits of its value.
+///
+/// `&&`, `||` and `?:` compute both branches and then pick, which is the
+/// per-vertex result only because every lowered expression is pure and
+/// total: `i64` arithmetic wraps, `/` is computed in `f64`, loads and
+/// degrees are of the current vertex, and nothing panics or writes. An
+/// operator that can fail or has an effect must not be lowered here.
+type Kx = Box<dyn Fn(&mut NodeChunk<'_, '_>, &Block<'_>, &mut [u64]) + Send + Sync>;
+
+/// A lane's value type: the three column types. A degree is widened to it
+/// with `from_i64` (lowering only reads degrees as `i64` or `f64`).
+trait Elem: PropValue {
+    fn from_i64(x: i64) -> Self;
+}
+
+impl Elem for f64 {
+    fn from_i64(x: i64) -> f64 {
+        x as f64
     }
 }
 
-/// Expands `$k` once per operand shape, with `$get` bound to what prepares
-/// the operand for a chunk — the constant, the column resolved once, or
-/// the operand's lane — and hands back a getter of `(lane index, vertex)`.
-macro_rules! lanes {
-    ($operand:expr, |$get:ident| $k:expr) => {
-        match $operand {
-            Operand::Const(k) => {
-                let $get = move |_: &mut NodeChunk<'_, '_>| move |_: usize, _: usize| k;
-                $k
+impl Elem for i64 {
+    fn from_i64(x: i64) -> i64 {
+        x
+    }
+}
+
+impl Elem for bool {
+    fn from_i64(x: i64) -> bool {
+        x != 0
+    }
+}
+
+/// What an expression of type `T` lowers to. Only `Lane` runs anything of
+/// its own; the others are leaves, read by the operator above in its loop.
+enum Operand<T: Elem> {
+    Const(T),
+    /// A column of the vertex.
+    Col(Prop<T>),
+    /// The vertex's out-degree (`true`) or in-degree, widened to `T`.
+    Deg(bool),
+    /// The pass's `k`-th shared subexpression.
+    Shared(usize),
+    Lane(Kx),
+}
+
+/// Where an operator's loop reads an operand, resolved for one block.
+enum Src<'l, T: PropValue> {
+    Const(T),
+    Col(Col<T>),
+    Deg(bool),
+    Lane(&'l [u64]),
+    /// The cell of the operator's own lane, which holds this operand's
+    /// value until the loop overwrites it.
+    Own,
+}
+
+/// Binds `$get` to the reader of `$src` — `(own cell, index, vertex)` to
+/// value — and expands `$body` once per kind of source, so each loop reads
+/// its operands without a branch.
+macro_rules! with_get {
+    ($ch:expr, $n:expr, $src:expr, |$get:ident| $body:expr) => {
+        match $src {
+            Src::Const(k) => {
+                let k = *k;
+                let $get = move |_: u64, _: usize, _: usize| k;
+                $body
             }
-            Operand::Load(p) => {
-                let $get = move |ch: &mut NodeChunk<'_, '_>| {
-                    let col = ch.col(p);
-                    move |_: usize, v: usize| col.get(v)
-                };
-                $k
+            Src::Col(col) => {
+                let $get = |_: u64, _: usize, v: usize| col.get(v);
+                $body
             }
-            Operand::Dyn(f) => {
-                let $get = move |ch: &mut NodeChunk<'_, '_>| {
-                    let lane = f(ch);
-                    move |i: usize, _: usize| lane[i]
-                };
-                $k
+            Src::Deg(true) => {
+                let $get = |_: u64, _: usize, v: usize| Elem::from_i64($ch.out_degree(v) as i64);
+                $body
+            }
+            Src::Deg(false) => {
+                let $get = |_: u64, _: usize, v: usize| Elem::from_i64($ch.in_degree(v) as i64);
+                $body
+            }
+            Src::Lane(lane) => {
+                let lane = &lane[..$n];
+                let $get = |_: u64, i: usize, _: usize| PropValue::from_bits(lane[i]);
+                $body
+            }
+            Src::Own => {
+                let $get = |own: u64, _: usize, _: usize| PropValue::from_bits(own);
+                $body
             }
         }
     };
 }
 
-/// `v.out_degree` (`out`) or `v.in_degree`.
-fn degree(out: bool) -> Operand<i64> {
-    Operand::Dyn(match out {
-        true => Box::new(|ch| ch.nodes().map(|v| ch.out_degree(v) as i64).collect()),
-        false => Box::new(|ch| ch.nodes().map(|v| ch.in_degree(v) as i64).collect()),
+fn lane<T: Elem>(
+    f: impl Fn(&mut NodeChunk<'_, '_>, &Block<'_>, &mut [u64]) + Send + Sync + 'static,
+) -> Operand<T> {
+    Operand::Lane(Box::new(f))
+}
+
+impl<T: Elem> Operand<T> {
+    /// The operand as a source for a loop over `out`: a computed one is
+    /// computed into `out` itself.
+    fn src<'l>(&self, ch: &mut NodeChunk<'_, '_>, blk: &Block<'l>, out: &mut [u64]) -> Src<'l, T> {
+        match self {
+            Operand::Const(k) => Src::Const(*k),
+            Operand::Col(p) => Src::Col(ch.col(*p)),
+            Operand::Deg(out_edges) => Src::Deg(*out_edges),
+            Operand::Shared(k) => Src::Lane(&blk.shared[*k][..blk.nodes.len()]),
+            Operand::Lane(f) => {
+                f(ch, blk, out);
+                Src::Own
+            }
+        }
+    }
+
+    /// Runs `k` with the operand as a source whose lane, if it is computed,
+    /// is not `out` but a lane of this frame — a frame that an operator
+    /// with one computed operand, recursing through it (`a + b + c + …`,
+    /// which the parser does not bound), never enters.
+    #[inline(never)]
+    fn src_aside<R>(
+        &self,
+        ch: &mut NodeChunk<'_, '_>,
+        blk: &Block<'_>,
+        k: impl FnOnce(&mut NodeChunk<'_, '_>, &Src<'_, T>) -> R,
+    ) -> R {
+        let mut lane = [0u64; BLOCK];
+        let src = self.src(ch, blk, &mut lane[..blk.nodes.len()]);
+        let src = match src {
+            Src::Own => Src::Lane(&lane[..blk.nodes.len()]),
+            src => src,
+        };
+        k(ch, &src)
+    }
+
+    /// Fills `out` with the operand's bits.
+    fn fill(&self, ch: &mut NodeChunk<'_, '_>, blk: &Block<'_>, out: &mut [u64]) {
+        match self.src(ch, blk, out) {
+            Src::Own => {}
+            src => map(ch, &blk.nodes, out, &src, |x: T| x),
+        }
+    }
+
+    fn is_lane(&self) -> bool {
+        matches!(self, Operand::Lane(_))
+    }
+}
+
+/// `out = f(a)` over the block.
+fn map<T: Elem, R: PropValue>(
+    ch: &NodeChunk<'_, '_>,
+    nodes: &Range<usize>,
+    out: &mut [u64],
+    a: &Src<'_, T>,
+    f: impl Fn(T) -> R,
+) {
+    let n = out.len();
+    with_get!(ch, n, a, |a| {
+        for (i, (o, v)) in out.iter_mut().zip(nodes.clone()).enumerate() {
+            *o = f(a(*o, i, v)).to_bits();
+        }
     })
 }
 
-fn un<T: PropValue, R: PropValue>(
-    a: Operand<T>,
-    f: impl Fn(T) -> R + Send + Sync + 'static,
-) -> Operand<R> {
-    Operand::Dyn(lanes!(a, |a| Box::new(move |ch: &mut NodeChunk<'_, '_>| {
-        let a = a(ch);
-        ch.nodes().enumerate().map(|(i, v)| f(a(i, v))).collect()
-    }) as Kx<R>))
+/// `out = f(a, b)` over the block.
+fn zip<T: Elem, R: PropValue>(
+    ch: &NodeChunk<'_, '_>,
+    nodes: &Range<usize>,
+    out: &mut [u64],
+    (a, b): (&Src<'_, T>, &Src<'_, T>),
+    f: impl Fn(T, T) -> R,
+) {
+    let n = out.len();
+    with_get!(ch, n, a, |a| with_get!(ch, n, b, |b| {
+        for (i, (o, v)) in out.iter_mut().zip(nodes.clone()).enumerate() {
+            let own = *o;
+            *o = f(a(own, i, v), b(own, i, v)).to_bits();
+        }
+    }))
 }
 
-fn bin<T: PropValue, R: PropValue>(
+/// An operator of one operand.
+fn un<T: Elem, R: Elem>(
+    a: Operand<T>,
+    f: impl Fn(T) -> R + Copy + Send + Sync + 'static,
+) -> Operand<R> {
+    if let Operand::Const(x) = a {
+        return Operand::Const(f(x));
+    }
+    lane(move |ch, blk, out| {
+        let a = a.src(ch, blk, out);
+        map(ch, &blk.nodes, out, &a, f)
+    })
+}
+
+/// An operator of two operands.
+fn bin<T: Elem, R: Elem>(
     a: Operand<T>,
     b: Operand<T>,
-    f: impl Fn(T, T) -> R + Send + Sync + 'static,
+    f: impl Fn(T, T) -> R + Copy + Send + Sync + 'static,
 ) -> Operand<R> {
-    Operand::Dyn(lanes!(a, |a| lanes!(
-        b,
-        |b| Box::new(move |ch: &mut NodeChunk<'_, '_>| {
-            let (a, b) = (a(ch), b(ch));
-            let lane = ch.nodes().enumerate();
-            lane.map(|(i, v)| f(a(i, v), b(i, v))).collect()
-        }) as Kx<R>
-    )))
+    if let (Operand::Const(x), Operand::Const(y)) = (&a, &b) {
+        return Operand::Const(f(*x, *y));
+    }
+    lane(move |ch, blk, out| {
+        let sa = a.src(ch, blk, out);
+        if matches!(sa, Src::Own) && b.is_lane() {
+            b.src_aside(ch, blk, |ch, sb| zip(ch, &blk.nodes, out, (&sa, sb), f))
+        } else {
+            let sb = b.src(ch, blk, out);
+            zip(ch, &blk.nodes, out, (&sa, &sb), f)
+        }
+    })
 }
 
-fn tern<T: PropValue>(cond: Operand<bool>, then: Operand<T>, other: Operand<T>) -> Operand<T> {
-    let cond = cond.into_dyn();
-    Operand::Dyn(lanes!(then, |t| lanes!(
-        other,
-        |o| Box::new(move |ch: &mut NodeChunk<'_, '_>| {
-            let (pick, t, o) = (cond(ch), t(ch), o(ch));
-            let lane = ch.nodes().enumerate();
-            lane.map(|(i, v)| if pick[i] { t(i, v) } else { o(i, v) })
-                .collect()
-        }) as Kx<T>
-    )))
+/// `cond ? then : other`: `then` fills the lane, then `other` replaces it
+/// where `cond` does not hold.
+fn tern<T: Elem>(cond: Operand<bool>, then: Operand<T>, other: Operand<T>) -> Operand<T> {
+    if let Operand::Const(c) = cond {
+        return if c { then } else { other };
+    }
+    lane(move |ch, blk, out| {
+        then.fill(ch, blk, out);
+        cond.src_aside(ch, blk, |ch, c| {
+            other.src_aside(ch, blk, |ch, o| {
+                let n = out.len();
+                with_get!(ch, n, c, |c| with_get!(ch, n, o, |o| {
+                    for (i, (cell, v)) in out.iter_mut().zip(blk.nodes.clone()).enumerate() {
+                        let (pass, x): (bool, T) = (c(0, i, v), o(0, i, v));
+                        *cell = select(pass, *cell, x.to_bits());
+                    }
+                }))
+            })
+        })
+    })
+}
+
+/// `pass ? a : b` without a branch: a filter or a condition is as likely
+/// to hold as not, vertex after vertex.
+#[inline(always)]
+fn select(pass: bool, a: u64, b: u64) -> u64 {
+    let keep = (pass as u64).wrapping_neg();
+    (a & keep) | (b & !keep)
 }
 
 /// `&&` (`and`) or `||`. Both operands are evaluated, which is sound only
@@ -296,11 +457,7 @@ fn logic(a: Operand<bool>, b: Operand<bool>, and: bool) -> Operand<bool> {
     }
 }
 
-fn compare<T: PropValue + PartialOrd>(
-    op: BinOp,
-    a: Operand<T>,
-    b: Operand<T>,
-) -> Option<Operand<bool>> {
+fn compare<T: Elem + PartialOrd>(op: BinOp, a: Operand<T>, b: Operand<T>) -> Option<Operand<bool>> {
     Some(match op {
         BinOp::Eq => bin(a, b, |x: T, y: T| x == y),
         BinOp::Ne => bin(a, b, |x: T, y: T| x != y),
@@ -312,42 +469,95 @@ fn compare<T: PropValue + PartialOrd>(
     })
 }
 
-/// A lowered `v.p = e` over a chunk: `e`'s value is stored on every vertex
-/// the mask (if any) passes.
-type LaneWrite = Box<dyn Fn(&mut NodeChunk<'_, '_>, Option<&[bool]>) + Send + Sync>;
+/// A lowered `v.p = e` over a block: `e`'s value is stored on every vertex
+/// the mask lane (if any) passes.
+type LaneWrite = Box<dyn Fn(&mut NodeChunk<'_, '_>, &Block<'_>, Option<&[u64]>) + Send + Sync>;
 
-fn lane_write<T: PropValue>(value: Operand<T>, p: Prop<T>) -> LaneWrite {
-    lanes!(
-        value,
-        |get| Box::new(move |ch: &mut NodeChunk<'_, '_>, mask: Option<&[bool]>| {
-            let (get, col) = (get(ch), ch.col(p));
-            for (i, v) in ch.nodes().enumerate() {
-                if mask.is_none_or(|mask| mask[i]) {
-                    col.set(v, get(i, v));
+fn lane_write<T: Elem>(value: Operand<T>, p: Prop<T>) -> LaneWrite {
+    Box::new(move |ch, blk, mask| {
+        value.src_aside(ch, blk, |ch, x| {
+            let col = ch.col(p);
+            with_get!(ch, blk.nodes.len(), x, |x| match mask {
+                None => {
+                    for (i, v) in blk.nodes.clone().enumerate() {
+                        col.set(v, x(0, i, v));
+                    }
                 }
-            }
-        }) as LaneWrite
-    )
+                // A vertex the mask fails gets its own value back.
+                Some(mask) => {
+                    for ((i, v), &pass) in blk.nodes.clone().enumerate().zip(mask) {
+                        let (new, old) = (x(0, i, v).to_bits(), col.get(v).to_bits());
+                        col.set(v, T::from_bits(select(pass != 0, new, old)));
+                    }
+                }
+            })
+        })
+    })
 }
 
 /// Stores the mask itself in `p`: a filter's value on every vertex.
 fn mask_write(p: Prop<bool>) -> LaneWrite {
-    Box::new(move |ch, mask| {
+    Box::new(move |ch, blk, mask| {
         let col = ch.col(p);
-        for (i, v) in ch.nodes().enumerate() {
-            col.set(v, mask.is_none_or(|mask| mask[i]));
+        for (i, v) in blk.nodes.clone().enumerate() {
+            col.set(v, mask.is_none_or(|mask| mask[i] != 0));
         }
     })
 }
 
+/// A lowered shared subexpression: fills its lane.
+type SharedFill = Box<dyn Fn(&mut NodeChunk<'_, '_>, &Block<'_>, &mut [u64]) + Send + Sync>;
+
+fn shared_fill<T: Elem>(value: Operand<T>) -> SharedFill {
+    Box::new(move |ch, blk, lane| value.fill(ch, blk, lane))
+}
+
 /// What one execution lowers and runs against: its columns, the vertex
-/// count, its token. In lowering, sema's typing is trusted for which
-/// closure to build; a tree it could not have produced (hand-built plans)
-/// is refused, not evaluated to a dummy.
+/// count, its token.
 struct Exec<'a> {
     cols: &'a Columns,
     n: i64,
     cancel: &'a CancelToken,
+}
+
+impl Exec<'_> {
+    fn prop(&self, slot: usize) -> Option<AnyProp> {
+        self.cols.slots.get(slot).copied().flatten()
+    }
+
+    /// Lowers expressions in which the subtrees equal to one of `shared`
+    /// read its lane.
+    fn lower<'s>(&'s self, shared: &'s [TExpr]) -> Lower<'s> {
+        Lower { ex: self, shared }
+    }
+
+    /// A node pass over a block: the shared lanes, the filter's mask lane,
+    /// then each write in statement order.
+    fn pass(&self, node: &NodePass) -> Result<Pass, JobError> {
+        let lower = self.lower(&node.shared);
+        let mut writes = Vec::with_capacity(node.writes.len());
+        for (slot, expr) in &node.writes {
+            if let Some(prop) = self.prop(*slot) {
+                writes.push(lower.write(prop, expr)?);
+            }
+        }
+        let shared = (0..node.shared.len().min(MAX_SHARED))
+            .map(|k| self.lower(&node.shared[..k]).shared_fill(&node.shared[k]))
+            .collect::<Result<_, _>>()?;
+        Ok(Pass {
+            mask: lower.filter(&node.filter)?,
+            shared,
+            writes,
+        })
+    }
+}
+
+/// The lowering of one node pass. Sema's typing is trusted for which
+/// closure to build; a tree it could not have produced (hand-built plans)
+/// is refused, not evaluated to a dummy.
+struct Lower<'a> {
+    ex: &'a Exec<'a>,
+    shared: &'a [TExpr],
 }
 
 fn ill_typed(e: &TExpr) -> JobError {
@@ -357,23 +567,33 @@ fn ill_typed(e: &TExpr) -> JobError {
     ))
 }
 
-impl Exec<'_> {
-    fn prop(&self, slot: usize) -> Option<AnyProp> {
-        self.cols.slots.get(slot).copied().flatten()
+impl Lower<'_> {
+    /// Which shared lane `e` is, if any.
+    fn shared_index(&self, e: &TExpr) -> Option<usize> {
+        let shared = self.shared.iter().take(MAX_SHARED);
+        shared.into_iter().position(|s| s.same_tree(e))
     }
 
     fn f64(&self, e: &TExpr) -> Result<Operand<f64>, JobError> {
+        if let Some(k) = self.shared_index(e) {
+            return Ok(Operand::Shared(k));
+        }
         Ok(match &e.kind {
             TExprKind::ConstF64(v) => Operand::Const(*v),
-            TExprKind::Load { slot, .. } => match self.prop(*slot) {
-                Some(AnyProp::F64(p)) => Operand::Load(p),
+            TExprKind::Load { slot, .. } => match self.ex.prop(*slot) {
+                Some(AnyProp::F64(p)) => Operand::Col(p),
                 _ => return Err(ill_typed(e)),
             },
             TExprKind::Unary { op, expr } => match (op, expr.ty) {
                 (TUnOp::Neg, Ty::F64) => un(self.f64(expr)?, |x: f64| -x),
                 (TUnOp::Abs, Ty::F64) => un(self.f64(expr)?, f64::abs),
                 (TUnOp::ToF64, Ty::F64) => self.f64(expr)?,
-                (TUnOp::ToF64, Ty::I64) => un(self.i64(expr)?, |x: i64| x as f64),
+                // A degree is read as an `f64` where it is read.
+                (TUnOp::ToF64, Ty::I64) => match (&expr.kind, self.shared_index(expr)) {
+                    (TExprKind::OutDegree { .. }, None) => Operand::Deg(true),
+                    (TExprKind::InDegree { .. }, None) => Operand::Deg(false),
+                    _ => un(self.i64(expr)?, |x: i64| x as f64),
+                },
                 (TUnOp::ToF64, Ty::Bool) => un(self.bool(expr)?, |x: bool| x as i64 as f64),
                 _ => return Err(ill_typed(e)),
             },
@@ -403,15 +623,18 @@ impl Exec<'_> {
     }
 
     fn i64(&self, e: &TExpr) -> Result<Operand<i64>, JobError> {
+        if let Some(k) = self.shared_index(e) {
+            return Ok(Operand::Shared(k));
+        }
         Ok(match &e.kind {
             TExprKind::ConstI64(v) => Operand::Const(*v),
-            TExprKind::NodeCount => Operand::Const(self.n),
-            TExprKind::Load { slot, .. } => match self.prop(*slot) {
-                Some(AnyProp::I64(p)) => Operand::Load(p),
+            TExprKind::NodeCount => Operand::Const(self.ex.n),
+            TExprKind::Load { slot, .. } => match self.ex.prop(*slot) {
+                Some(AnyProp::I64(p)) => Operand::Col(p),
                 _ => return Err(ill_typed(e)),
             },
-            TExprKind::OutDegree { .. } => degree(true),
-            TExprKind::InDegree { .. } => degree(false),
+            TExprKind::OutDegree { .. } => Operand::Deg(true),
+            TExprKind::InDegree { .. } => Operand::Deg(false),
             TExprKind::Unary { op, expr } => match op {
                 TUnOp::Neg => un(self.i64(expr)?, i64::wrapping_neg),
                 TUnOp::Abs => un(self.i64(expr)?, i64::wrapping_abs),
@@ -434,10 +657,13 @@ impl Exec<'_> {
     }
 
     fn bool(&self, e: &TExpr) -> Result<Operand<bool>, JobError> {
+        if let Some(k) = self.shared_index(e) {
+            return Ok(Operand::Shared(k));
+        }
         Ok(match &e.kind {
             TExprKind::ConstBool(v) => Operand::Const(*v),
-            TExprKind::Load { slot, .. } => match self.prop(*slot) {
-                Some(AnyProp::Bool(p)) => Operand::Load(p),
+            TExprKind::Load { slot, .. } => match self.ex.prop(*slot) {
+                Some(AnyProp::Bool(p)) => Operand::Col(p),
                 _ => return Err(ill_typed(e)),
             },
             TExprKind::Unary {
@@ -460,7 +686,7 @@ impl Exec<'_> {
         })
     }
 
-    /// `v.<prop> = e` over a chunk, typed by the column.
+    /// `v.<prop> = e` over a block, typed by the column.
     fn write(&self, prop: AnyProp, e: &TExpr) -> Result<LaneWrite, JobError> {
         Ok(match prop {
             AnyProp::F64(p) => lane_write(self.f64(e)?, p),
@@ -469,12 +695,21 @@ impl Exec<'_> {
         })
     }
 
+    /// `e` into a shared lane, typed by the tree.
+    fn shared_fill(&self, e: &TExpr) -> Result<SharedFill, JobError> {
+        Ok(match e.ty {
+            Ty::F64 => shared_fill(self.f64(e)?),
+            Ty::I64 => shared_fill(self.i64(e)?),
+            Ty::Bool => shared_fill(self.bool(e)?),
+        })
+    }
+
     fn filter(&self, f: &PFilter) -> Result<Option<Operand<bool>>, JobError> {
         Ok(match f {
             PFilter::None => None,
             PFilter::Inline(pred) => Some(self.bool(pred)?),
-            PFilter::Mask { slot } => match self.prop(*slot) {
-                Some(AnyProp::Bool(p)) => Some(Operand::Load(p)),
+            PFilter::Mask { slot } => match self.ex.prop(*slot) {
+                Some(AnyProp::Bool(p)) => Some(Operand::Col(p)),
                 _ => None,
             },
         })
@@ -483,23 +718,84 @@ impl Exec<'_> {
 
 // ---- lowering: steps to re-runnable jobs ------------------------------
 
-/// A lowered `NodeJob` (and the per-vertex half of a general global
-/// aggregate), as a chunk kernel: the filter's mask lane, then each write
-/// over the whole chunk, in statement order. That is what the per-vertex
-/// order — filter, then every statement, one vertex at a time — computes,
-/// because a node job's statements read and write only the current
+/// A lowered [`NodePass`] over a block: the shared lanes, the filter's
+/// mask lane, then each write in statement order. That is what the
+/// per-vertex order — filter, then every statement, one vertex at a time —
+/// computes, because a pass's statements read and write only the current
 /// vertex: whichever order the vertices go in, no vertex sees another's
-/// writes.
-struct NodeKernel {
-    mask: Option<Kx<bool>>,
+/// writes. A shared lane equals the subexpression at each of its
+/// occurrences because the optimizer shares only what no earlier write
+/// changes.
+struct Pass {
+    mask: Option<Operand<bool>>,
+    shared: Vec<SharedFill>,
     writes: Vec<LaneWrite>,
+}
+
+impl Pass {
+    fn run(
+        &self,
+        chunk: &mut NodeChunk<'_, '_>,
+        nodes: Range<usize>,
+        mask: &mut [u64],
+        lanes: &mut [[u64; BLOCK]],
+    ) {
+        let n = nodes.len();
+        for (k, fill) in self.shared.iter().enumerate() {
+            let (done, rest) = lanes.split_at_mut(k);
+            let blk = Block {
+                nodes: nodes.clone(),
+                shared: done,
+            };
+            fill(chunk, &blk, &mut rest[0][..n]);
+        }
+        let blk = Block {
+            nodes,
+            shared: &lanes[..self.shared.len()],
+        };
+        let mask = match &self.mask {
+            Some(filter) => {
+                filter.fill(chunk, &blk, mask);
+                Some(&*mask)
+            }
+            None => None,
+        };
+        for write in &self.writes {
+            write(chunk, &blk, mask);
+        }
+    }
+}
+
+/// Node passes run over a range of vertices (a chunk, or an epilogue's
+/// share), block by block: every pass over a block before the next block,
+/// as each vertex's passes run in order and read only that vertex.
+struct NodeKernel {
+    passes: Vec<Pass>,
 }
 
 impl NodeKernel {
     fn apply(&self, chunk: &mut NodeChunk<'_, '_>) {
-        let mask = self.mask.as_ref().map(|mask| mask(chunk));
-        for write in &self.writes {
-            write(chunk, mask.as_deref());
+        let lanes = self.passes.iter().map(|p| p.shared.len()).max();
+        match lanes {
+            None => {}
+            Some(0) => self.blocks::<0>(chunk),
+            Some(1) => self.blocks::<1>(chunk),
+            Some(2) => self.blocks::<2>(chunk),
+            Some(_) => self.blocks::<MAX_SHARED>(chunk),
+        }
+    }
+
+    /// The blocks of the chunk, with room for `S` shared lanes (the most
+    /// any pass has) on the stack.
+    fn blocks<const S: usize>(&self, chunk: &mut NodeChunk<'_, '_>) {
+        let (mut mask, mut lanes) = ([0u64; BLOCK], [[0u64; BLOCK]; S]);
+        let Range { start, end } = chunk.nodes();
+        for lo in (start..end).step_by(BLOCK) {
+            let nodes = lo..end.min(lo + BLOCK);
+            let n = nodes.len();
+            for pass in &self.passes {
+                pass.run(chunk, nodes.clone(), &mut mask[..n], &mut lanes);
+            }
         }
     }
 }
@@ -510,14 +806,16 @@ impl NodeTask for Arc<NodeKernel> {
     }
 }
 
-/// A lowered `EdgeJob`: a chunk kernel as its prologue — it stores the
+/// A lowered `EdgeJob`: a kernel as its chunk prologue — it stores the
 /// iterating vertex's filter in `$pass` and a push body in `$val`, and
 /// resets a pull's passing targets for `=` — then the declared fold or
-/// scatter over the vertices whose `pass` cell is set.
+/// scatter over the vertices whose `pass` cell is set, then the fused node
+/// passes as its epilogue.
 struct EdgeKernel {
     prologue: NodeKernel,
     pass: Option<Prop<bool>>,
     reduction: Reduction,
+    epilogue: NodeKernel,
 }
 
 impl EdgeTask for Arc<EdgeKernel> {
@@ -529,6 +827,9 @@ impl EdgeTask for Arc<EdgeKernel> {
     }
     fn reduction(&self) -> Option<Reduction> {
         Some(self.reduction)
+    }
+    fn epilogue(&self, chunk: &mut NodeChunk<'_, '_>) {
+        self.epilogue.apply(chunk)
     }
 }
 
@@ -596,7 +897,9 @@ fn lower_steps(steps: &[PStep], ex: &Exec<'_>) -> Result<Vec<LStep>, JobError> {
 fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
     let n = ex.n;
     let action: Action = match step {
-        PStep::Loop { max, body, until } => {
+        PStep::Loop {
+            max, body, until, ..
+        } => {
             return Ok(Some(LStep::Loop {
                 max: *max,
                 body: lower_steps(body, ex)?,
@@ -631,18 +934,9 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
                 Ok(())
             })
         }
-        PStep::NodeJob { filter, writes } => {
-            let mut lowered = Vec::with_capacity(writes.len());
-            for (slot, expr) in writes {
-                if let Some(prop) = ex.prop(*slot) {
-                    lowered.push(ex.write(prop, expr)?);
-                }
-            }
-            node_action(NodeKernel {
-                mask: ex.filter(filter)?.map(Operand::into_dyn),
-                writes: lowered,
-            })
-        }
+        PStep::NodeJob(node) => node_action(NodeKernel {
+            passes: vec![ex.pass(node)?],
+        }),
         PStep::EdgeJob {
             mode,
             set,
@@ -654,6 +948,7 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
             prefill,
             pass,
             value,
+            epilogue,
             ..
         } => {
             let Some(target) = ex.prop(*target) else {
@@ -663,9 +958,13 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
             // `=`-assigned aggregates start from the reduction identity
             // (same as the hand-written kernels' reset pass).
             let identity = prefill.then(|| identity(op, target.ty()));
+            let lower = ex.lower(&[]);
             let (pull, filter) = match mode {
-                TraverseMode::Push => (false, nbr_filter.as_ref().map(|f| ex.bool(f)).transpose()?),
-                TraverseMode::Pull => (true, ex.filter(vertex_filter)?),
+                TraverseMode::Push => (
+                    false,
+                    nbr_filter.as_ref().map(|f| lower.bool(f)).transpose()?,
+                ),
+                TraverseMode::Pull => (true, lower.filter(vertex_filter)?),
                 TraverseMode::Unchosen => {
                     return Err(JobError::Protocol(
                         "unoptimized plan reached the executor (direction pass did not run)".into(),
@@ -681,9 +980,21 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
             let mut writes = Vec::new();
             // The filter reads its own bool column, or the `$pass` column
             // the prologue stores its mask in.
+            let own = match (mode, vertex_filter) {
+                (TraverseMode::Push, _) => nbr_filter
+                    .as_ref()
+                    .and_then(|f| f.as_bare_load(WhichVar::Inner)),
+                (_, PFilter::Inline(pred)) => pred.as_bare_load(WhichVar::Outer),
+                (_, PFilter::Mask { slot }) => Some(*slot),
+                (_, PFilter::None) => None,
+            };
+            let own = match own.and_then(|slot| ex.prop(slot)) {
+                Some(AnyProp::Bool(p)) => Some(p),
+                _ => None,
+            };
             let pass = match (pass.map(|slot| ex.prop(slot)), &filter) {
                 (None, None) => None,
-                (None, Some(Operand::Load(p))) => Some(*p),
+                (None, Some(_)) if own.is_some() => own,
                 (Some(Some(AnyProp::Bool(p))), Some(_)) => {
                     writes.push(mask_write(p));
                     Some(p)
@@ -698,14 +1009,14 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
             // A pull's targets are the iterating vertices: those that
             // pass start from the identity, the others keep their value.
             if let (true, Some(v)) = (pull, identity) {
-                writes.push(ex.write(target, &const_expr(v))?);
+                writes.push(lower.write(target, &const_expr(v))?);
             }
             // The reduction reads the body's own column, or (a push only)
             // the `$val` column the prologue stores the body in.
             let src = match (value.map(|slot| ex.prop(slot)), pull) {
                 (None, _) => body.as_bare_load(WhichVar::Inner).and_then(|s| ex.prop(s)),
                 (Some(Some(scratch)), false) => {
-                    writes.push(ex.write(scratch, body)?);
+                    writes.push(lower.write(scratch, body)?);
                     Some(scratch)
                 }
                 _ => None,
@@ -717,15 +1028,22 @@ fn lower_step(step: &PStep, ex: &Exec<'_>) -> Result<Option<LStep>, JobError> {
                 )));
             };
             // A prologue with nothing to store needs no mask lane either.
-            let mask = match writes.is_empty() {
-                true => None,
-                false => filter.map(Operand::into_dyn),
+            let prologue = match writes.is_empty() {
+                true => vec![],
+                false => vec![Pass {
+                    mask: filter,
+                    shared: Vec::new(),
+                    writes,
+                }],
             };
-            let prologue = NodeKernel { mask, writes };
+            let epilogue = epilogue.iter().map(|node| ex.pass(node));
             let job = EdgeKernel {
-                prologue,
+                prologue: NodeKernel { passes: prologue },
                 pass,
                 reduction,
+                epilogue: NodeKernel {
+                    passes: epilogue.collect::<Result<_, _>>()?,
+                },
             };
             let run = edge_action(dir, job);
             match (pull, identity) {
@@ -861,7 +1179,7 @@ impl DriverEnv<'_> {
         // The per-vertex half as one expression — a bodiless aggregate is
         // `count` (1 per vertex), inactive vertices contribute the
         // reduction identity — lowered here, next to the column it
-        // writes, to a chunk kernel like any node job's.
+        // writes, to a block kernel like any node job's.
         let mut value = body.cloned().unwrap_or_else(|| const_expr(Val::I64(1)));
         if let Some(f) = filter {
             value = TExpr {
@@ -874,10 +1192,12 @@ impl DriverEnv<'_> {
                 },
             };
         }
-        let job = Arc::new(NodeKernel {
+        let pass = Pass {
             mask: None,
-            writes: vec![self.ex.write(scratch, &value)?],
-        });
+            shared: Vec::new(),
+            writes: vec![self.ex.lower(&[]).write(scratch, &value)?],
+        };
+        let job = Arc::new(NodeKernel { passes: vec![pass] });
         self.engine
             .try_run_node_job_with(&JobSpec::new(), job, self.ex.cancel)?;
         Ok(reduce_prop(self.engine, scratch, op))

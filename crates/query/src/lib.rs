@@ -43,7 +43,7 @@ pub mod span;
 
 pub use ast::{AggFn, NbrSet};
 pub use opt::OptReport;
-pub use plan::{PFilter, PStep, Plan, TraverseMode};
+pub use plan::{NodePass, PFilter, PStep, Plan, TraverseMode};
 pub use program::{
     agg_needs_column, const_val, eval, identity, EvalEnv, Program, QueryColumn, QueryResult, Val,
 };
@@ -99,6 +99,32 @@ return rank;
         let render = p.render();
         assert!(render.contains("edge-job [pull]"), "{render}");
         assert!(render.contains("output: column rank"), "{render}");
+    }
+
+    /// PageRank's loop is one job per pass: the update is the pull's
+    /// epilogue, the contribution is rotated to its end (and run once
+    /// before the loop), and the update's `base + 0.85 * v.nxt` is shared.
+    #[test]
+    fn pagerank_fuses_rotates_and_shares() {
+        let p = compile(PAGERANK, 1000).unwrap();
+        assert_eq!((p.report.fused, p.report.rotated, p.report.cse), (1, 1, 1));
+        let render = p.render();
+        let want = [
+            "node-job\n  tmp = ",
+            "loop max 12 rotated {\n  edge-job [pull]",
+            "  epilogue\n      %0 = (0.00015",
+            "      rank = (0.00015",
+            "    epilogue\n      tmp = ",
+            "fused=1 rotated=1 cse=1",
+        ];
+        for part in want {
+            assert!(render.contains(part), "{part:?} in\n{render}");
+        }
+        let steps = &p.plan.steps;
+        assert!(matches!(
+            steps[..],
+            [.., PStep::NodeJob(_), PStep::Loop { .. }]
+        ));
     }
 
     /// Pushdown and dead-property elimination in one plan: the naive

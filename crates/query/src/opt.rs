@@ -1,6 +1,6 @@
 //! Optimizer passes over the logical plan.
 //!
-//! Four passes, run in order by [`optimize`]:
+//! Run in order by [`optimize`]:
 //!
 //! 1. **Constant folding** — evaluates constant subtrees (including the
 //!    graph-dependent `N`, known at compile time) so per-vertex kernels
@@ -18,9 +18,19 @@
 //! 4. **Dead-property elimination** — a backward liveness fixpoint from
 //!    the query outputs removes properties (and the jobs that only fed
 //!    them) that cannot affect the result.
+//! 5. **Epilogue fusion** — the node jobs that directly follow an edge job
+//!    become its epilogue: they run once its edges are done, in the same
+//!    job.
+//! 6. **Loop rotation** — a loop whose body starts with a node job and
+//!    ends in an edge job runs that node job once before the loop and at
+//!    the end of the edge job's epilogue, so a pass of the loop is one
+//!    job. Fusion runs again after it, for a rotated pass that now follows
+//!    an edge job.
+//! 7. **Common subexpressions** — a subexpression that recurs in a node
+//!    pass's writes is evaluated once per vertex ([`NodePass::shared`]).
 
 use crate::ast::{AggFn, BinOp};
-use crate::plan::{PFilter, PStep, Plan, TraverseMode};
+use crate::plan::{NodePass, PFilter, PStep, Plan, TraverseMode, MAX_SHARED};
 use crate::sema::{PropInfo, SOutput, TExpr, TExprKind, TUnOp, Ty, WhichVar};
 use crate::span::QueryError;
 use std::collections::BTreeSet;
@@ -38,6 +48,14 @@ pub struct OptReport {
     /// Declared properties removed as dead (synthetic `$` columns
     /// excluded).
     pub eliminated: Vec<String>,
+    /// Node passes moved into the epilogue of the edge job before them.
+    pub fused: usize,
+    /// Loops whose leading node pass was rotated to the end of their last
+    /// edge job.
+    pub rotated: usize,
+    /// Subexpressions a node pass evaluates once instead of at every
+    /// occurrence.
+    pub cse: usize,
 }
 
 impl OptReport {
@@ -50,10 +68,13 @@ impl OptReport {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "folds={} pushed={} dirs=[{dirs}] dead=[{}]",
+            "folds={} pushed={} dirs=[{dirs}] dead=[{}] fused={} rotated={} cse={}",
             self.folds,
             self.pushed_filters,
-            self.eliminated.join(",")
+            self.eliminated.join(","),
+            self.fused,
+            self.rotated,
+            self.cse
         )
     }
 }
@@ -66,6 +87,10 @@ pub fn optimize(plan: &mut Plan, nodes: u64) -> Result<OptReport, QueryError> {
     push_filters(plan, &mut report);
     choose_directions(plan, &mut report)?;
     eliminate_dead_props(plan, &mut report);
+    fuse_epilogues(&mut plan.steps, &mut report);
+    rotate_loops(plan, &mut report);
+    fuse_epilogues(&mut plan.steps, &mut report);
+    share_subexpressions(&mut plan.steps, &mut report);
     Ok(report)
 }
 
@@ -115,16 +140,12 @@ fn fold_steps(steps: &mut [PStep], nodes: u64, folds: &mut usize) {
                 fold_expr(vertex, nodes, folds);
                 fold_expr(value, nodes, folds);
             }
-            PStep::NodeJob { filter, writes } => {
-                fold_filter(filter, nodes, folds);
-                for (_, e) in writes {
-                    fold_expr(e, nodes, folds);
-                }
-            }
+            PStep::NodeJob(node) => fold_pass(node, nodes, folds),
             PStep::EdgeJob {
                 nbr_filter,
                 vertex_filter,
                 body,
+                epilogue,
                 ..
             } => {
                 if let Some(f) = nbr_filter {
@@ -132,6 +153,9 @@ fn fold_steps(steps: &mut [PStep], nodes: u64, folds: &mut usize) {
                 }
                 fold_filter(vertex_filter, nodes, folds);
                 fold_expr(body, nodes, folds);
+                for node in epilogue {
+                    fold_pass(node, nodes, folds);
+                }
             }
             PStep::Loop { body, until, .. } => {
                 fold_steps(body, nodes, folds);
@@ -140,6 +164,13 @@ fn fold_steps(steps: &mut [PStep], nodes: u64, folds: &mut usize) {
                 }
             }
         }
+    }
+}
+
+fn fold_pass(node: &mut NodePass, nodes: u64, folds: &mut usize) {
+    fold_filter(&mut node.filter, nodes, folds);
+    for (_, e) in &mut node.writes {
+        fold_expr(e, nodes, folds);
     }
 }
 
@@ -266,10 +297,11 @@ fn push_filters_block(
         // A mask-fill job is a filterless node job whose single write
         // targets a synthetic `$mask` slot, consumed by the next step.
         let mask = match &steps[i] {
-            PStep::NodeJob {
+            PStep::NodeJob(NodePass {
                 filter: PFilter::None,
                 writes,
-            } if writes.len() == 1 => {
+                ..
+            }) if writes.len() == 1 => {
                 let slot = writes[0].0;
                 let synthetic = props
                     .get(slot)
@@ -288,10 +320,10 @@ fn push_filters_block(
             continue;
         };
         let consumes = match steps.get(i + 1) {
-            Some(PStep::NodeJob {
+            Some(PStep::NodeJob(NodePass {
                 filter: PFilter::Mask { slot },
                 ..
-            })
+            }))
             | Some(PStep::EdgeJob {
                 vertex_filter: PFilter::Mask { slot },
                 ..
@@ -302,12 +334,12 @@ fn push_filters_block(
             i += 1;
             continue;
         }
-        let PStep::NodeJob { mut writes, .. } = steps.remove(i) else {
+        let PStep::NodeJob(NodePass { mut writes, .. }) = steps.remove(i) else {
             unreachable!("matched NodeJob above")
         };
         let (_, pred) = writes.pop().expect("single write checked");
         match &mut steps[i] {
-            PStep::NodeJob { filter, .. } => *filter = PFilter::Inline(pred),
+            PStep::NodeJob(node) => node.filter = PFilter::Inline(pred),
             PStep::EdgeJob { vertex_filter, .. } => *vertex_filter = PFilter::Inline(pred),
             _ => unreachable!("consumer shape checked above"),
         }
@@ -465,16 +497,7 @@ fn mark_block(steps: &[PStep], live: &mut BTreeSet<usize>) {
                     expr_reads(value, live);
                 }
             }
-            PStep::NodeJob { filter, writes } => {
-                if writes.iter().any(|(slot, _)| live.contains(slot)) {
-                    filter_reads(filter, live);
-                }
-                for (slot, e) in writes {
-                    if live.contains(slot) {
-                        expr_reads(e, live);
-                    }
-                }
-            }
+            PStep::NodeJob(node) => mark_pass(node, live),
             PStep::EdgeJob {
                 target,
                 nbr_filter,
@@ -482,6 +505,7 @@ fn mark_block(steps: &[PStep], live: &mut BTreeSet<usize>) {
                 body,
                 pass,
                 value,
+                epilogue,
                 ..
             } => {
                 if live.contains(target) {
@@ -492,19 +516,36 @@ fn mark_block(steps: &[PStep], live: &mut BTreeSet<usize>) {
                     expr_reads(body, live);
                     live.extend(pass.iter().chain(value));
                 }
+                debug_assert!(epilogue.is_empty(), "DCE runs before fusion");
             }
             PStep::Loop { body, .. } => mark_block(body, live),
         }
     }
 }
 
+/// A node pass that writes a live slot makes what it reads live.
+fn mark_pass(node: &NodePass, live: &mut BTreeSet<usize>) {
+    if node.writes.iter().any(|(slot, _)| live.contains(slot)) {
+        filter_reads(&node.filter, live);
+    }
+    for (slot, e) in &node.writes {
+        if live.contains(slot) {
+            expr_reads(e, live);
+        }
+    }
+}
+
+/// Drops a pass's dead writes; false if none is left.
+fn prune_pass(node: &mut NodePass, live: &BTreeSet<usize>) -> bool {
+    node.writes.retain(|(slot, _)| live.contains(slot));
+    !node.writes.is_empty()
+}
+
 fn prune_block(steps: &mut Vec<PStep>, live: &BTreeSet<usize>) {
     steps.retain_mut(|step| match step {
         PStep::Fill { slot, .. } | PStep::PointSet { slot, .. } => live.contains(slot),
-        PStep::NodeJob { writes, .. } => {
-            writes.retain(|(slot, _)| live.contains(slot));
-            !writes.is_empty()
-        }
+        PStep::NodeJob(node) => prune_pass(node, live),
+        // Runs before fusion: no edge job has an epilogue yet.
         PStep::EdgeJob { target, .. } => live.contains(target),
         PStep::Loop { body, .. } => {
             prune_block(body, live);
@@ -530,6 +571,239 @@ fn expr_reads(e: &TExpr, live: &mut BTreeSet<usize>) {
     e.for_each_load(&mut |slot, _| {
         live.insert(slot);
     });
+}
+
+// ---- pass 5: epilogue fusion ------------------------------------------
+
+/// Moves every node job that directly follows an edge job (or a node job
+/// moved there) into the edge job's epilogue. The epilogue runs once the
+/// job is complete, so it sees what the next job would have seen.
+fn fuse_epilogues(steps: &mut Vec<PStep>, report: &mut OptReport) {
+    for step in std::mem::take(steps) {
+        match step {
+            PStep::NodeJob(node) if matches!(steps.last(), Some(PStep::EdgeJob { .. })) => {
+                if let Some(PStep::EdgeJob { epilogue, .. }) = steps.last_mut() {
+                    epilogue.push(node);
+                }
+                report.fused += 1;
+            }
+            mut step => {
+                if let PStep::Loop { body, .. } = &mut step {
+                    fuse_epilogues(body, report);
+                }
+                steps.push(step);
+            }
+        }
+    }
+}
+
+// ---- pass 6: loop rotation --------------------------------------------
+
+fn rotate_loops(plan: &mut Plan, report: &mut OptReport) {
+    let mut live_out = BTreeSet::new();
+    match &plan.output {
+        SOutput::Column { slot } => {
+            live_out.insert(*slot);
+        }
+        SOutput::Scalar { expr } => expr_reads(expr, &mut live_out),
+    }
+    rotate_block(&mut plan.steps, &live_out, report);
+}
+
+/// Rotates the loops of `steps`; `live_out` holds the slots that may be
+/// read after the last of them.
+fn rotate_block(steps: &mut Vec<PStep>, live_out: &BTreeSet<usize>, report: &mut OptReport) {
+    let mut i = 0;
+    while i < steps.len() {
+        let mut after = live_out.clone();
+        steps[i + 1..]
+            .iter()
+            .for_each(|s| step_reads(s, &mut after));
+        let PStep::Loop {
+            body,
+            until,
+            rotated,
+            ..
+        } = &mut steps[i]
+        else {
+            i += 1;
+            continue;
+        };
+        // The next pass may read whatever the body or `until` reads.
+        let mut inner = after.clone();
+        body.iter().for_each(|s| step_reads(s, &mut inner));
+        until.iter().for_each(|u| expr_reads(u, &mut inner));
+        rotate_block(body, &inner, report);
+
+        until.iter().for_each(|u| expr_reads(u, &mut after));
+        let mut prelude = Vec::new();
+        while let Some(head) = rotate_once(body, &after) {
+            prelude.push(PStep::NodeJob(head));
+            *rotated = true;
+            report.rotated += 1;
+        }
+        let moved = prelude.len();
+        steps.splice(i..i, prelude);
+        i += moved + 1;
+    }
+}
+
+/// Moves a loop body's leading node pass to the end of the epilogue of its
+/// last step, an edge job, and returns it: it then runs once before the
+/// loop, and after every pass, the last one too. So nothing `read` — the
+/// `until` and what follows the loop — may read what it writes.
+fn rotate_once(body: &mut Vec<PStep>, read: &BTreeSet<usize>) -> Option<NodePass> {
+    let Some(PStep::NodeJob(head)) = body.first() else {
+        return None;
+    };
+    let ends_in_edge_job = body.len() > 1 && matches!(body.last(), Some(PStep::EdgeJob { .. }));
+    if !ends_in_edge_job || head.writes.iter().any(|(slot, _)| read.contains(slot)) {
+        return None;
+    }
+    let PStep::NodeJob(head) = body.remove(0) else {
+        unreachable!("matched above")
+    };
+    if let Some(PStep::EdgeJob { epilogue, .. }) = body.last_mut() {
+        epilogue.push(head.clone());
+    }
+    Some(head)
+}
+
+/// Adds every slot `step` may read to `out`.
+fn step_reads(step: &PStep, out: &mut BTreeSet<usize>) {
+    match step {
+        PStep::Fill { value, .. } => expr_reads(value, out),
+        PStep::PointSet { vertex, value, .. } => {
+            expr_reads(vertex, out);
+            expr_reads(value, out);
+        }
+        PStep::NodeJob(node) => pass_reads(node, out),
+        PStep::EdgeJob {
+            target,
+            nbr_filter,
+            vertex_filter,
+            body,
+            prefill,
+            epilogue,
+            ..
+        } => {
+            if !prefill {
+                out.insert(*target);
+            }
+            nbr_filter.iter().for_each(|f| expr_reads(f, out));
+            filter_reads(vertex_filter, out);
+            expr_reads(body, out);
+            epilogue.iter().for_each(|node| pass_reads(node, out));
+        }
+        PStep::Loop { body, until, .. } => {
+            body.iter().for_each(|s| step_reads(s, out));
+            until.iter().for_each(|u| expr_reads(u, out));
+        }
+    }
+}
+
+fn pass_reads(node: &NodePass, out: &mut BTreeSet<usize>) {
+    filter_reads(&node.filter, out);
+    node.writes.iter().for_each(|(_, e)| expr_reads(e, out));
+}
+
+// ---- pass 7: common subexpressions ------------------------------------
+
+fn share_subexpressions(steps: &mut [PStep], report: &mut OptReport) {
+    for step in steps {
+        let passes = match step {
+            PStep::NodeJob(node) => std::slice::from_mut(node),
+            PStep::EdgeJob { epilogue, .. } => &mut epilogue[..],
+            PStep::Loop { body, .. } => {
+                share_subexpressions(body, report);
+                continue;
+            }
+            _ => continue,
+        };
+        for node in passes {
+            let mut shared = Vec::new();
+            for (_, e) in &node.writes {
+                pick_shared(e, &node.writes, &mut shared);
+            }
+            report.cse += shared.len();
+            node.shared = shared;
+        }
+    }
+}
+
+/// Whether the executor reads `e` straight from its source: a constant, a
+/// column, a degree, or one of those widened to `f64`. Sharing one saves
+/// nothing.
+fn is_leaf(e: &TExpr) -> bool {
+    match &e.kind {
+        TExprKind::Unary {
+            op: TUnOp::ToF64,
+            expr,
+        } => !matches!(
+            expr.kind,
+            TExprKind::Unary { .. } | TExprKind::Binary { .. } | TExprKind::Ternary { .. }
+        ),
+        kind => !matches!(
+            kind,
+            TExprKind::Unary { .. } | TExprKind::Binary { .. } | TExprKind::Ternary { .. }
+        ),
+    }
+}
+
+/// Shares `e`, outermost first, if it is not a leaf, occurs more than once
+/// in `writes` outside what is shared already, and no write before its
+/// last occurrence writes a column it reads (its lane is filled before the
+/// first write); otherwise looks inside it.
+fn pick_shared(e: &TExpr, writes: &[(usize, TExpr)], shared: &mut Vec<TExpr>) {
+    if shared.len() == MAX_SHARED || is_leaf(e) || shared.iter().any(|s| s.same_tree(e)) {
+        return;
+    }
+    let counts: Vec<usize> = writes
+        .iter()
+        .map(|(_, w)| occurrences(w, e, shared))
+        .collect();
+    let last = counts.iter().rposition(|&c| c > 0).unwrap_or(0);
+    let mut reads = BTreeSet::new();
+    expr_reads(e, &mut reads);
+    let stale = writes[..last].iter().any(|(slot, _)| reads.contains(slot));
+    if counts.iter().sum::<usize>() > 1 && !stale {
+        shared.push(e.clone());
+        return;
+    }
+    match &e.kind {
+        TExprKind::Unary { expr, .. } => pick_shared(expr, writes, shared),
+        TExprKind::Binary { lhs, rhs, .. } => {
+            pick_shared(lhs, writes, shared);
+            pick_shared(rhs, writes, shared);
+        }
+        TExprKind::Ternary { cond, then, other } => {
+            for e in [cond, then, other] {
+                pick_shared(e, writes, shared);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Occurrences of `e` in `tree`, not counting any inside a `shared` one.
+fn occurrences(tree: &TExpr, e: &TExpr, shared: &[TExpr]) -> usize {
+    if tree.same_tree(e) {
+        return 1;
+    }
+    if shared.iter().any(|s| s.same_tree(tree)) {
+        return 0;
+    }
+    match &tree.kind {
+        TExprKind::Unary { expr, .. } => occurrences(expr, e, shared),
+        TExprKind::Binary { lhs, rhs, .. } => {
+            occurrences(lhs, e, shared) + occurrences(rhs, e, shared)
+        }
+        TExprKind::Ternary { cond, then, other } => [cond, then, other]
+            .iter()
+            .map(|t| occurrences(t, e, shared))
+            .sum(),
+        _ => 0,
+    }
 }
 
 #[cfg(test)]
@@ -564,7 +838,7 @@ mod tests {
         let mask_jobs = naive
             .steps
             .iter()
-            .filter(|s| matches!(s, PStep::NodeJob { .. }))
+            .filter(|s| matches!(s, PStep::NodeJob(_)))
             .count();
         assert_eq!(mask_jobs, 2, "naive plan should materialize the mask");
 
@@ -573,13 +847,13 @@ mod tests {
         let jobs: Vec<_> = plan
             .steps
             .iter()
-            .filter(|s| matches!(s, PStep::NodeJob { .. }))
+            .filter(|s| matches!(s, PStep::NodeJob(_)))
             .collect();
         assert_eq!(jobs.len(), 1, "mask job fused away:\n{}", plan.render());
-        let PStep::NodeJob { filter, .. } = jobs[0] else {
+        let PStep::NodeJob(node) = jobs[0] else {
             unreachable!()
         };
-        assert!(matches!(filter, PFilter::Inline(_)));
+        assert!(matches!(node.filter, PFilter::Inline(_)));
     }
 
     #[test]
@@ -629,10 +903,7 @@ mod tests {
         assert_eq!(plan.props.iter().flatten().count(), 1);
         // The compute job feeding only `dead` is gone too.
         assert!(
-            !plan
-                .steps
-                .iter()
-                .any(|s| matches!(s, PStep::NodeJob { .. })),
+            !plan.steps.iter().any(|s| matches!(s, PStep::NodeJob(_))),
             "{}",
             plan.render()
         );
@@ -649,5 +920,50 @@ mod tests {
         );
         assert!(report.eliminated.is_empty(), "{:?}", report.eliminated);
         assert_eq!(plan.props.iter().flatten().count(), 2);
+    }
+
+    #[test]
+    fn fuses_the_node_jobs_after_an_edge_job_into_its_epilogue() {
+        let (plan, report) = optimized(
+            "prop h: i64 = INF;\nprop nxt: i64 = INF;\nprop f: bool = false;\n\
+             iterate max 9 {\n\
+               foreach v { v.nxt = min(u in v.in_nbrs where u.f) u.h + 1; }\n\
+               foreach v { v.f = v.nxt < v.h; }\n\
+               foreach v { v.h = v.f ? v.nxt : v.h; }\n\
+               until count(v where v.f) == 0;\n}\nreturn h;",
+            100,
+        );
+        assert_eq!((report.fused, report.rotated), (2, 0));
+        let Some(PStep::Loop { body, .. }) = plan.steps.last() else {
+            panic!("{}", plan.render())
+        };
+        let [PStep::EdgeJob { epilogue, .. }] = &body[..] else {
+            panic!("{}", plan.render())
+        };
+        assert_eq!(epilogue.len(), 2);
+    }
+
+    #[test]
+    fn shares_a_subexpression_only_where_no_earlier_write_changes_it() {
+        let pass = |writes: &str| {
+            let src = format!(
+                "prop a: f64 = 1.0;\nprop b: f64 = 2.0;\nforeach v {{ {writes} }}\nreturn b;"
+            );
+            let (plan, report) = optimized(&src, 10);
+            let PStep::NodeJob(node) = &plan.steps[2] else {
+                panic!("{}", plan.render())
+            };
+            (report.cse, node.shared.len())
+        };
+        assert_eq!(
+            pass("v.a = v.a * 2.0 + 1.0; v.b = v.a * 2.0 + 1.0;"),
+            (0, 0)
+        );
+        assert_eq!(
+            pass("v.b = v.a * 2.0 + 1.0; v.b = v.b + (v.a * 2.0 + 1.0);"),
+            (1, 1)
+        );
+        // A leaf is read where it is: nothing to share.
+        assert_eq!(pass("v.b = v.a + v.a;"), (0, 0));
     }
 }

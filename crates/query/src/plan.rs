@@ -7,6 +7,10 @@
 //! expression is folded. The optimizer passes in [`crate::opt`] then
 //! rewrite the plan in place; [`Plan::render`] is what `JobReport.plan`
 //! and `repro query` show.
+//!
+//! A node pass ([`NodePass`]) is either a job of its own
+//! ([`PStep::NodeJob`]) or, once the fusion pass has run, part of the
+//! epilogue of the edge job before it ([`PStep::EdgeJob`]'s `epilogue`).
 
 use crate::ast::{BinOp, NbrSet};
 use crate::sema::{PropInfo, SOutput, SQuery, SStmt, TExpr, TExprKind, TUnOp, Ty, WhichVar};
@@ -54,6 +58,34 @@ impl PFilter {
     }
 }
 
+/// Most common subexpressions one [`NodePass`] shares: the executor keeps
+/// a lane for each per block.
+pub const MAX_SHARED: usize = 4;
+
+/// Per-vertex assignments applied in order, on the vertices the filter
+/// passes. Every expression reads only the current vertex, so a pass can
+/// run as a job of its own or as part of an edge job's epilogue.
+#[derive(Clone, Debug)]
+pub struct NodePass {
+    pub filter: PFilter,
+    pub writes: Vec<(usize, TExpr)>,
+    /// Subexpressions that recur in `writes` and are evaluated once per
+    /// vertex (common-subexpression elimination): no write before an
+    /// occurrence writes a column they read. The writes still hold them in
+    /// full, so [`crate::eval`] of a write is its meaning.
+    pub shared: Vec<TExpr>,
+}
+
+impl NodePass {
+    pub fn new(filter: PFilter, writes: Vec<(usize, TExpr)>) -> NodePass {
+        NodePass {
+            filter,
+            writes,
+            shared: Vec::new(),
+        }
+    }
+}
+
 /// One plan step.
 #[derive(Clone, Debug)]
 pub enum PStep {
@@ -65,11 +97,8 @@ pub enum PStep {
         vertex: TExpr,
         value: TExpr,
     },
-    /// One node job: per-vertex assignments applied in order.
-    NodeJob {
-        filter: PFilter,
-        writes: Vec<(usize, TExpr)>,
-    },
+    /// One node job.
+    NodeJob(NodePass),
     /// One edge job: neighbor aggregate into `target`.
     EdgeJob {
         span: Span,
@@ -93,12 +122,18 @@ pub enum PStep {
         /// (`$val`).
         pass: Option<usize>,
         value: Option<usize>,
+        /// Node passes that run, in order, once the job's edges are done,
+        /// over each machine's vertices (the node jobs that followed it).
+        epilogue: Vec<NodePass>,
     },
     /// Fixpoint block; `until` is evaluated driver-side after each pass.
     Loop {
         max: Option<u64>,
         body: Vec<PStep>,
         until: Option<TExpr>,
+        /// The body's leading node pass was moved: it runs once before the
+        /// loop and at the end of the last edge job's epilogue.
+        rotated: bool,
     },
 }
 
@@ -166,7 +201,7 @@ fn lower_block(stmts: Vec<SStmt>, props: &mut Vec<Option<PropInfo>>) -> Vec<PSte
             }),
             SStmt::Compute { filter, writes } => {
                 let filter = materialize_filter(filter, props, &mut out);
-                out.push(PStep::NodeJob { filter, writes });
+                out.push(PStep::NodeJob(NodePass::new(filter, writes)));
             }
             SStmt::Traverse(t) => {
                 let vertex_filter = materialize_filter(t.vertex_filter, props, &mut out);
@@ -182,11 +217,17 @@ fn lower_block(stmts: Vec<SStmt>, props: &mut Vec<Option<PropInfo>>) -> Vec<PSte
                     prefill: true,
                     pass: None,
                     value: None,
+                    epilogue: Vec::new(),
                 });
             }
             SStmt::Loop { max, body, until } => {
                 let body = lower_block(body, props);
-                out.push(PStep::Loop { max, body, until });
+                out.push(PStep::Loop {
+                    max,
+                    body,
+                    until,
+                    rotated: false,
+                });
             }
         }
     }
@@ -211,10 +252,10 @@ fn materialize_filter(
         ty: Ty::Bool,
         span: pred.span,
     }));
-    out.push(PStep::NodeJob {
-        filter: PFilter::None,
-        writes: vec![(slot, pred)],
-    });
+    out.push(PStep::NodeJob(NodePass::new(
+        PFilter::None,
+        vec![(slot, pred)],
+    )));
     PFilter::Mask { slot }
 }
 
@@ -271,16 +312,7 @@ fn render_steps(steps: &[PStep], props: &[Option<PropInfo>], depth: usize, out: 
                 render_expr(vertex, props),
                 render_expr(value, props)
             )),
-            PStep::NodeJob { filter, writes } => {
-                out.push_str(&format!("{pad}node-job{}\n", render_filter(filter, props)));
-                for (slot, e) in writes {
-                    out.push_str(&format!(
-                        "{pad}  {} = {}\n",
-                        prop_name(props, *slot),
-                        render_expr(e, props)
-                    ));
-                }
-            }
+            PStep::NodeJob(node) => render_pass("node-job", node, props, &pad, out),
             PStep::EdgeJob {
                 mode,
                 set,
@@ -292,6 +324,7 @@ fn render_steps(steps: &[PStep], props: &[Option<PropInfo>], depth: usize, out: 
                 prefill,
                 pass,
                 value,
+                epilogue,
                 ..
             } => {
                 let set_name = match set {
@@ -318,13 +351,22 @@ fn render_steps(steps: &[PStep], props: &[Option<PropInfo>], depth: usize, out: 
                     render_expr(body, props),
                     into(value)
                 ));
+                for node in epilogue {
+                    render_pass("epilogue", node, props, &format!("{pad}  "), out);
+                }
             }
-            PStep::Loop { max, body, until } => {
+            PStep::Loop {
+                max,
+                body,
+                until,
+                rotated,
+            } => {
                 let bound = match max {
                     Some(m) => format!(" max {m}"),
                     None => String::new(),
                 };
-                out.push_str(&format!("{pad}loop{bound} {{\n"));
+                let rotated = if *rotated { " rotated" } else { "" };
+                out.push_str(&format!("{pad}loop{bound}{rotated} {{\n"));
                 render_steps(body, props, depth + 1, out);
                 if let Some(u) = until {
                     out.push_str(&format!("{pad}  until {}\n", render_expr(u, props)));
@@ -332,6 +374,31 @@ fn render_steps(steps: &[PStep], props: &[Option<PropInfo>], depth: usize, out: 
                 out.push_str(&format!("{pad}}}\n"));
             }
         }
+    }
+}
+
+/// A node pass under its heading: the filter, the shared subexpressions
+/// (`%k`), then the writes in order.
+fn render_pass(
+    heading: &str,
+    node: &NodePass,
+    props: &[Option<PropInfo>],
+    pad: &str,
+    out: &mut String,
+) {
+    out.push_str(&format!(
+        "{pad}{heading}{}\n",
+        render_filter(&node.filter, props)
+    ));
+    for (k, e) in node.shared.iter().enumerate() {
+        out.push_str(&format!("{pad}  %{k} = {}\n", render_expr(e, props)));
+    }
+    for (slot, e) in &node.writes {
+        out.push_str(&format!(
+            "{pad}  {} = {}\n",
+            prop_name(props, *slot),
+            render_expr(e, props)
+        ));
     }
 }
 

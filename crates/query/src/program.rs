@@ -4,7 +4,7 @@
 //! The query crate is engine-agnostic — it knows nothing about props,
 //! ghosts or jobs. An executor (e.g. `pgxd::query`) walks the steps of
 //! [`Program::plan`] and decides how each expression runs: `pgxd::query`
-//! lowers everything a task evaluates per vertex to chunk kernels once per
+//! lowers everything a task evaluates per vertex to block kernels once per
 //! execution, and calls [`eval`] only for what runs once per step —
 //! driver-side scalars, through an [`EvalEnv`] whose `global_agg` launches
 //! reduction jobs. [`eval`] is the semantics those kernels are held to

@@ -135,6 +135,47 @@ impl TExpr {
         }
     }
 
+    /// Whether `self` and `other` are the same tree — operators, types,
+    /// slots and constants (`f64` by bits) — wherever they were written.
+    pub fn same_tree(&self, other: &TExpr) -> bool {
+        use TExprKind as K;
+        let same = |a: &TExpr, b: &TExpr| a.same_tree(b);
+        let same_opt = |a: &Option<Box<TExpr>>, b: &Option<Box<TExpr>>| match (a, b) {
+            (Some(a), Some(b)) => a.same_tree(b),
+            (a, b) => a.is_none() && b.is_none(),
+        };
+        self.ty == other.ty
+            && match (&self.kind, &other.kind) {
+                (K::ConstF64(a), K::ConstF64(b)) => a.to_bits() == b.to_bits(),
+                (K::Unary { op, expr }, K::Unary { op: o, expr: e }) => op == o && same(expr, e),
+                (
+                    K::Binary { op, lhs, rhs },
+                    K::Binary {
+                        op: o,
+                        lhs: l,
+                        rhs: r,
+                    },
+                ) => op == o && same(lhs, l) && same(rhs, r),
+                (
+                    K::Ternary { cond, then, other },
+                    K::Ternary {
+                        cond: c,
+                        then: t,
+                        other: o,
+                    },
+                ) => same(cond, c) && same(then, t) && same(other, o),
+                (
+                    K::GlobalAgg { agg, filter, body },
+                    K::GlobalAgg {
+                        agg: a,
+                        filter: f,
+                        body: b,
+                    },
+                ) => agg == a && same_opt(filter, f) && same_opt(body, b),
+                (a, b) => a == b,
+            }
+    }
+
     /// Calls `f` on every node of the tree, parents first.
     pub(crate) fn walk<'a>(&'a self, f: &mut impl FnMut(&'a TExpr)) {
         f(self);

@@ -66,10 +66,11 @@ bash benchmark/run.sh --workload local_pull --seed 7 --seconds 1 --trace 0
 bash benchmark/run.sh --workload tcp_pull --seed 7 --seconds 1 --trace 0
 # The query layer on the benchmark's own graph: the only place the query
 # PageRank is held to 1e-12 of the built-in *and* 1e-9 of the oracle, and
-# the query BFS to bit-identity with both. Every expression is a chunk
-# kernel (one lane per expression node per chunk, a mask lane for the
-# filter, the writes in statement order): a node job is one, and an edge
-# job is a declared fold or scatter behind one as its chunk prologue.
+# the query BFS to bit-identity with both. Every expression is a block
+# kernel (one loop per operator per 256-vertex block, leaves read where
+# they are, lanes on the stack): an edge job is a declared fold or scatter
+# behind one as its chunk prologue, with the node passes that follow it as
+# its epilogue; the PageRank loop is rotated, so a pass is one job.
 bash benchmark/run.sh --workload query_pr --seed 7 --seconds 1 --trace 0
 # The only answers that pass through the copiers' remote reductions:
 # pushed PageRank (1e-9 of the oracle) and hop distances (bit-identical),

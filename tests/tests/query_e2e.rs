@@ -4,14 +4,19 @@
 //! deadlines, cancellation) like any other job.
 //!
 //! The golden baseline is the TWT-S quick instance (the same skewed RMAT
-//! `pgxd-bench` serves) on a 4-machine cluster: f64 results are held to
-//! 1e-12 against the built-ins, integer results must be bit-identical.
+//! `pgxd-bench` serves) on a 4-machine cluster. The PageRank query runs the
+//! built-in's arithmetic in the built-in's jobs, so its scores are
+//! bit-identical to `try_pagerank_pull`'s at every shape, in memory and on
+//! loopback TCP ranks, and after a recovery; integer results are
+//! bit-identical too.
 
-use pgxd::query::{compile, execute, QuerySessionExt, QuerySubmitError};
+use pgxd::query::{compile, execute, QuerySessionExt, QuerySubmitError, RecoverableQuery};
+use pgxd::recover::Scripted;
 use pgxd::serve::{Lane, ServeEngine};
-use pgxd::{BuildEngine, CancelToken, Engine, JobError, TelemetryConfig};
+use pgxd::{BuildEngine, CancelToken, Config, Engine, JobError, RecoveryDriver, TelemetryConfig};
 use pgxd_algorithms as algos;
 use pgxd_graph::generate::{self, rmat, RmatParams};
+use std::cell::Cell;
 use std::time::Duration;
 
 /// The TWT-S quick instance from the benchmark catalog (8192 vertices,
@@ -60,7 +65,11 @@ iterate max 10000 {
 return hops;
 ";
 
-/// PageRank written as a query matches `try_pagerank_pull` to 1e-12, and
+fn bits(scores: &[f64]) -> Vec<u64> {
+    scores.iter().map(|s| s.to_bits()).collect()
+}
+
+/// PageRank written as a query matches `try_pagerank_pull` to the bit, and
 /// the optimizer's pull decision shows up in the job report's plan.
 #[test]
 fn pagerank_query_matches_builtin() {
@@ -89,18 +98,91 @@ fn pagerank_query_matches_builtin() {
 
     let (name, col) = result.as_column().unwrap();
     assert_eq!(name, "rank");
-    let got = col.as_f64().unwrap();
-    assert_eq!(got.len(), want.len());
-    for (v, (a, b)) in got.iter().zip(&want).enumerate() {
-        assert!(
-            (a - b).abs() <= 1e-12,
-            "vertex {v}: query={a} builtin={b} delta={}",
-            (a - b).abs()
-        );
-    }
+    assert_eq!(bits(col.as_f64().unwrap()), bits(&want));
 
     drop(session);
     server.shutdown();
+}
+
+/// The query's scores, bit for bit, on engines of every shape: the update
+/// and the next contribution run in the fold's epilogue as `Apply` and
+/// `Scale` do, with the same arithmetic, so no shape reorders a sum.
+#[test]
+fn pagerank_query_is_bit_identical_to_the_builtin_at_every_shape() {
+    const ITERS: usize = 7;
+    let g = generate::rmat(9, 6, RmatParams::skewed(), 0x43);
+    let n = g.num_nodes() as u64;
+    let text = PAGERANK.replace("max 12", &format!("max {ITERS}"));
+    let program = compile(&text, n).unwrap();
+    let shape = |machines, workers| Config::builder().machines(machines).workers(workers);
+    let query = |e: &mut Engine| {
+        let result = execute(e, &program, &CancelToken::never()).unwrap();
+        bits(result.as_column().unwrap().1.as_f64().unwrap())
+    };
+    let builtin = |e: &mut Engine| {
+        bits(
+            &algos::try_pagerank_pull(e, 0.85, ITERS, 1e-12)
+                .unwrap()
+                .scores,
+        )
+    };
+    for (machines, workers) in [(1, 1), (2, 2), (3, 2)] {
+        let want = builtin(&mut shape(machines, workers).engine(&g).unwrap());
+        let got = query(&mut shape(machines, workers).engine(&g).unwrap());
+        assert_eq!(got, want, "{machines} machines x {workers} workers");
+    }
+
+    let want = builtin(&mut shape(2, 1).engine(&g).unwrap());
+    let ranks = pgxd::loopback_ranks(2, |rank| {
+        let mut e = rank.engine(shape(2, 1), &g).unwrap();
+        let got = query(&mut e);
+        e.cluster().node_barrier().unwrap();
+        got
+    });
+    for (rank, got) in ranks.into_iter().enumerate() {
+        assert_eq!(got, want, "loopback rank {rank}");
+    }
+}
+
+/// The rotated loop under the recovery driver: the run dies before pass 3
+/// and resumes there from the checkpoint taken after pass 2, which holds
+/// the `tmp` column that pass 2's epilogue filled for pass 3. It reaches
+/// the fault-free bits.
+#[test]
+fn rotated_query_recovers_at_an_odd_pass_to_the_fault_free_bits() {
+    const ITERS: usize = 7;
+    let g = generate::rmat(9, 6, RmatParams::skewed(), 0x43);
+    let n = g.num_nodes() as u64;
+    let text = PAGERANK.replace("max 12", &format!("max {ITERS}"));
+    let config = Config::builder()
+        .machines(2)
+        .workers(2)
+        .checkpoint_every(1)
+        .max_retries(2);
+    let program = compile(&text, n).unwrap();
+    assert_eq!(program.report.rotated, 1, "{}", program.render());
+    let mut e = config.clone().engine(&g).unwrap();
+    let want = execute(&mut e, &program, &CancelToken::never()).unwrap();
+
+    let resumed_at = Cell::new(None);
+    let mut algo = Scripted::new(RecoverableQuery::new(program), |attempt, iteration| {
+        if attempt == 2 && resumed_at.get().is_none() {
+            resumed_at.set(Some(iteration));
+        }
+        if (attempt, iteration) == (1, 3) {
+            return Err(JobError::MachineDown { machine: 1 });
+        }
+        Ok(())
+    });
+    let rec = RecoveryDriver::new(&g, config.build().unwrap())
+        .unwrap()
+        .run(&mut algo)
+        .unwrap();
+    assert_eq!((rec.attempts, rec.recoveries, rec.machines), (2, 1, 1));
+    assert_eq!(resumed_at.get(), Some(3), "resumed at an odd pass");
+    let got = rec.output.unwrap();
+    let col = |r: &pgxd::query::QueryResult| bits(r.as_column().unwrap().1.as_f64().unwrap());
+    assert_eq!(col(&got), col(&want));
 }
 
 /// BFS hop distances written as a query are bit-identical to
@@ -138,10 +220,12 @@ fn hopdist_query_matches_builtin() {
 
 /// The query runs the built-ins' jobs and traffic: its BFS is a declared
 /// scatter that puts as many write entries on the wire and makes as many
-/// local writes as `try_hopdist`'s, and one loop pass runs two jobs for
-/// BFS (the scatter, then the advance) and three for PageRank (the
-/// contribution, the pull fold, the update). Ghosts are off, so the
-/// scatter's remote writes are on the wire.
+/// local writes as `try_hopdist`'s, and one loop pass is one job in both:
+/// BFS's advance is the scatter's epilogue, and PageRank's update and
+/// next contribution are the pull fold's (the loop is rotated, so the
+/// first contribution runs once before it, as `try_pagerank_pull`'s
+/// priming `Scale` does). Ghosts are off, so the scatter's remote writes
+/// are on the wire.
 #[test]
 fn query_jobs_and_traffic_match_the_builtins() {
     let g = twt_s();
@@ -170,7 +254,7 @@ fn query_jobs_and_traffic_match_the_builtins() {
     assert!(want.write_entries > 0 && want.local_writes > 0);
     assert_eq!(got.write_entries, want.write_entries);
     assert_eq!(got.local_writes, want.local_writes);
-    assert_eq!(e.cluster().phase_labels().len(), 2 * levels);
+    assert_eq!(e.cluster().phase_labels().len(), levels);
 
     let pagerank_labels = |passes: u32| {
         let text = PAGERANK.replace("max 12", &format!("max {passes}"));
@@ -178,7 +262,10 @@ fn query_jobs_and_traffic_match_the_builtins() {
         execute(&mut e, &compile(&text, n).unwrap(), &never).unwrap();
         e.cluster().phase_labels().len()
     };
-    assert_eq!(pagerank_labels(2) - pagerank_labels(1), 3);
+    assert_eq!(pagerank_labels(2) - pagerank_labels(1), 1);
+    let mut golden = traced();
+    algos::try_pagerank_pull(&mut golden, 0.85, 3, 1e-12).unwrap();
+    assert_eq!(pagerank_labels(3), golden.cluster().phase_labels().len());
 }
 
 /// A filtered global aggregate matches the same sum computed from the
